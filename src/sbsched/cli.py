@@ -151,6 +151,10 @@ class ExperimentSpec:
                 )
             if not self.sweep_values:
                 raise ConfigError("sweep.values must be non-empty when sweeping")
+            try:
+                _sweep_axis(self)  # every swept scenario must be valid
+            except ValueError as exc:
+                raise ConfigError(f"sweep.values: {exc}") from None
         if not self.policies and self.kind == "sweep":
             raise ConfigError("at least one policy is required")
         for p in self.policies:

@@ -3,15 +3,17 @@
 Each period: freeze prices from the all-ON association, let the policy pick
 OFF times, then advance slot by slot -- harvest, voluntary OFF (buy charged
 once), depletion check (forced OFF, no buy), re-association, cost accrual,
-storage update. Two accounting modes exist: "live" charges the instantaneous
-rent rate of the current state (the original problem), "frozen" charges the
-period-start flat rate and also freezes the power draw, which fully decouples
-the SBSs (the approximated problem).
+storage update. Network state (association, live rents, power draw, delays)
+is a function of the ON set and the SBS transmit power only, so every slot
+reads it from a `pricing.OnSetTable`, one per transmit-power epoch of the
+period, which computes each ON set once. Two accounting modes exist: "live"
+charges the instantaneous rent rate of the current state (the original
+problem), "frozen" charges the period-start flat rate and also freezes the
+power draw, which fully decouples the SBSs (the approximated problem).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import energy as energy_mod
 from . import network, pricing
 from .energy import EnergyState, HarvestParams
 from .network import Topology, dbm_to_watts
-from .pricing import CostWeights, PriceTag
+from .pricing import CostWeights
 from .schedulers import Policy, make_policy
 
 
@@ -73,6 +75,13 @@ class ScenarioConfig:
             raise ValueError("off_tie must be 'voluntary' or 'depletion'")
         if not (0.0 <= self.initial_energy <= self.capacity):
             raise ValueError("initial energy must lie in [0, capacity]")
+        times = [when for when, _ in self.sbs_tx_schedule]
+        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+            raise ValueError("sbs_tx_schedule times must strictly increase")
+        if not all(0.0 <= when < self.period for when in times):
+            raise ValueError("sbs_tx_schedule times must lie in [0, period)")
+        if not all(0.0 < watts <= self.sbs_op_power for _, watts in self.sbs_tx_schedule):
+            raise ValueError("sbs_tx_schedule powers must lie in (0, sbs_op_power]")
 
     @property
     def n_steps(self) -> int:
@@ -139,14 +148,6 @@ def build_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> Topology:
     )
 
 
-def instantaneous_rent(
-    bs: int, state: network.NetworkState, topo: Topology,
-    w: CostWeights, q: float, file_bits: float,
-) -> float:
-    """Rent rate of one SBS evaluated on the live state (original problem)."""
-    return pricing.rent_price(bs, state, topo, w, q, file_bits)
-
-
 def run_period(
     cfg: ScenarioConfig,
     topo: Topology,
@@ -167,14 +168,22 @@ def run_period(
     n_bs, n_sbs, n_steps, dt = topo.n_bs, topo.n_sbs, cfg.n_steps, cfg.dt
     w, q, file_bits = cfg.weights, cfg.q, cfg.file_bits
 
-    topo_t = _topo_at(topo, cfg.sbs_tx_schedule, 0.0)
-    tags = pricing.freeze_prices(topo_t, w, q, file_bits, cfg.period)
-    all_on = network.associate(np.ones(n_bs, dtype=bool), topo_t)
-    used = np.array([all_on.n_members(j) > 0 for j in range(1, n_bs)])
-    frozen_psi = np.array(
-        [energy_mod.bs_power(topo_t.bs[j], all_on.n_members(j), q) for j in range(1, n_bs)]
+    # one ON-set table per transmit-power epoch, and each slot's epoch: the
+    # latest scheduled change at or before the slot start
+    epoch_topos = [topo] + [topo.with_sbs_tx_power(p) for _, p in cfg.sbs_tx_schedule]
+    tables = [pricing.OnSetTable(tp, w, q, file_bits) for tp in epoch_topos]
+    slot_epoch = np.searchsorted(
+        [when for when, _ in cfg.sbs_tx_schedule], np.arange(n_steps) * dt + 1e-12,
+        side="right",
     )
+
+    table = tables[slot_epoch[0]]
+    tags = pricing.freeze_prices(table.topo, w, q, file_bits, cfg.period)
+    all_on = table[np.ones(n_bs, dtype=bool)]
+    used = np.array([all_on.state.n_members(j) > 0 for j in range(1, n_bs)])
     buy_prices = np.array([t.buy for t in tags])
+    frozen_rent = np.array([t.rent for t in tags])
+    n_used = int(used.sum())
 
     policy.reset([t for t, u in zip(tags, used) if u], cfg.period, policy_rngs)
     energy.reset_depletion()
@@ -193,78 +202,65 @@ def run_period(
     frozen_mode = cfg.price_mode == "frozen"
     vol_first = cfg.off_tie == "voluntary"
 
+    # the helpers read the slot's t, h, table, depleted and rent_now
+    def apply_policy() -> None:
+        for j in range(1, n_bs):
+            i = j - 1
+            if not used[i] or depleted[i]:
+                continue
+            if not sigma[j] and not policy.switches_back_on:
+                continue
+            want_on = policy.desired_on(
+                j, t, energy.stored[i], energy.capacity,
+                None if rent_now is None else float(rent_now[j]),
+            )
+            if sigma[j] and not want_on:
+                sigma[j] = False
+                switch[i] += 1
+                if not bought[i]:
+                    bought[i] = True
+            elif not sigma[j] and want_on:
+                sigma[j] = True
+                switch[i] += 1
+
+    def apply_depletion():
+        # forced OFF, no buy charge; re-associating can raise the load on
+        # surviving SBSs, so iterate to a fixed point
+        entry = table[sigma]
+        while True:
+            if frozen_mode:
+                psi = np.where(sigma[1:], all_on.psi, 0.0)
+            else:
+                psi = entry.psi
+            dep_now = sigma[1:] & (energy.stored + h < psi * dt)
+            if not dep_now.any():
+                return entry, psi
+            for i in np.flatnonzero(dep_now):
+                sigma[i + 1] = False
+                energy.depleted_at[i] = t
+                switch[i] += 1
+            entry = table[sigma]
+
     for k in range(n_steps):
         t = k * dt
-        topo_t = _topo_at(topo, cfg.sbs_tx_schedule, t)
+        table = tables[slot_epoch[k]]
         h = trace[k]
         harvested_total += h
         depleted = ~np.isnan(energy.depleted_at)
-
-        rent_now = None
-        if policy.needs_rent:
-            state_pre = network.associate(sigma, topo_t)
-            rent_now = pricing.all_rent_prices(state_pre, topo_t, w, q, file_bits)
-
-        def apply_policy() -> None:
-            for j in range(1, n_bs):
-                i = j - 1
-                if not used[i] or depleted[i]:
-                    continue
-                if not sigma[j] and not policy.switches_back_on:
-                    continue
-                want_on = policy.desired_on(
-                    j, t, energy.stored[i], energy.capacity,
-                    None if rent_now is None else float(rent_now[j]),
-                )
-                if sigma[j] and not want_on:
-                    sigma[j] = False
-                    switch[i] += 1
-                    if not bought[i]:
-                        bought[i] = True
-                elif not sigma[j] and want_on:
-                    sigma[j] = True
-                    switch[i] += 1
-
-        def apply_depletion(state):
-            # forced OFF, no buy charge; re-associating can raise the load on
-            # surviving SBSs, so iterate to a fixed point
-            while True:
-                if frozen_mode:
-                    psi = np.where(sigma[1:], frozen_psi, 0.0)
-                else:
-                    psi = np.array([
-                        energy_mod.bs_power(topo_t.bs[j], state.n_members(j), q)
-                        if sigma[j] else 0.0
-                        for j in range(1, n_bs)
-                    ])
-                dep_now = sigma[1:] & (energy.stored + h < psi * dt)
-                if not dep_now.any():
-                    return state, psi
-                for i in np.flatnonzero(dep_now):
-                    sigma[i + 1] = False
-                    energy.depleted_at[i] = t
-                    switch[i] += 1
-                state = network.associate(sigma, topo_t)
+        rent_now = table[sigma].rent if policy.needs_rent else None
 
         if vol_first:
             apply_policy()
-            state = network.associate(sigma, topo_t)
-            state, psi = apply_depletion(state)
+            entry, psi = apply_depletion()
         else:
-            state = network.associate(sigma, topo_t)
-            state, psi = apply_depletion(state)
+            entry, psi = apply_depletion()
             depleted = ~np.isnan(energy.depleted_at)
             apply_policy()
-            state = network.associate(sigma, topo_t)
+            entry = table[sigma]
             psi = np.where(sigma[1:], psi, 0.0)
 
-        if frozen_mode:
-            rent_rate = np.where(sigma[1:], np.array([tg.rent for tg in tags]), 0.0)
-        else:
-            rent_rate = pricing.all_rent_prices(state, topo_t, w, q, file_bits)[1:]
-            rent_rate = np.where(sigma[1:], rent_rate, 0.0)
-
         on = sigma[1:]
+        rent_rate = np.where(on, frozen_rent if frozen_mode else entry.rent[1:], 0.0)
         rent_cost += rent_rate * on * dt
         on_time += on * dt
         slot_consumed = psi * on * dt
@@ -274,16 +270,14 @@ def run_period(
                 energy.stored[i], h[i], slot_consumed[i], energy.capacity
             )
 
-        n_used = int(used.sum())
         if n_used:
-            delays = network.all_bs_delays(state, topo_t, file_bits)
-            delay_acc += float(delays[1:][on].sum()) / n_used
+            delay_acc += float(entry.delays[1:][on].sum()) / n_used
 
         if trace_rows is not None:
             for j in range(1, n_bs):
                 trace_rows.append((
                     round(period_index * cfg.period + t, 10), j, int(sigma[j]),
-                    float(energy.stored[j - 1]), state.n_members(j),
+                    float(energy.stored[j - 1]), entry.state.n_members(j),
                     float(rent_rate[j - 1]),
                 ))
 
@@ -349,15 +343,3 @@ def run_horizon(
         return results, topo
     return results
 
-
-def _topo_at(
-    topo: Topology, schedule: tuple[tuple[float, float], ...], t: float
-) -> Topology:
-    """Apply the latest scheduled SBS transmit power at or before time t."""
-    power = None
-    for when, watts in schedule:
-        if when <= t + 1e-12:
-            power = watts
-    if power is None:
-        return topo
-    return topo.with_sbs_tx_power(power)

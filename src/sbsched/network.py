@@ -277,14 +277,18 @@ def snr_mbs(ue: int, topo: Topology) -> float:
 def associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
     """Assign each UE to the ON BS with the largest SINR (SNR for the MBS).
 
-    Ties break toward the lowest BS index; OFF BSs are never chosen.
+    Ties break toward the lowest BS index; OFF BSs are never chosen. The state
+    keeps a read-only copy of `sigma`, so the caller may go on mutating its own
+    array, and states shared between callers cannot be altered.
     """
-    sigma = np.asarray(sigma, dtype=bool)
+    sigma = np.array(sigma, dtype=bool)
     if not sigma[MBS_ID]:
         raise ValueError("the MBS is always ON")
     metric = sinr_matrix(sigma, topo)
     metric[:, ~sigma] = -np.inf
     serving = np.argmax(metric, axis=1)  # first max == lowest index
+    sigma.flags.writeable = False
+    serving.flags.writeable = False
     return NetworkState(sigma=sigma, serving=serving)
 
 

@@ -3,8 +3,8 @@
 Works on a recorded scenario (topology, frozen prices, full harvest trace) so
 every policy and the oracle face the same randomness. Because the number of
 SBSs that actually serve UEs is small in oracle experiments, the live rent
-and power rates are precomputed for every ON-subset, and all OFF-time
-combinations are evaluated in one vectorized pass.
+and power rates of every ON-subset are read once from a `pricing.OnSetTable`,
+and all OFF-time combinations are evaluated in one vectorized pass.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import energy as energy_mod
 from . import network, pricing
 from .pricing import CostWeights, PriceTag
 
@@ -74,7 +73,8 @@ def build_tables(
     file_bits: float,
     tags: list[PriceTag],
 ) -> SubsetTables:
-    all_on = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
+    table = pricing.OnSetTable(topo, weights, q, file_bits)
+    all_on = table[np.ones(topo.n_bs, dtype=bool)].state
     used = np.array(
         [j for j in range(1, topo.n_bs) if all_on.n_members(j) > 0], dtype=int
     )
@@ -82,16 +82,13 @@ def build_tables(
     rent = np.zeros((1 << m, m))
     psi = np.zeros((1 << m, m))
     for mask in range(1 << m):
+        on = (mask >> np.arange(m)) & 1 == 1
         sigma = np.zeros(topo.n_bs, dtype=bool)
         sigma[0] = True
-        on_idx = [i for i in range(m) if mask >> i & 1]
-        sigma[used[on_idx]] = True
-        state = network.associate(sigma, topo)
-        rents = pricing.all_rent_prices(state, topo, weights, q, file_bits)
-        for i in on_idx:
-            j = used[i]
-            rent[mask, i] = rents[j]
-            psi[mask, i] = energy_mod.bs_power(topo.bs[j], state.n_members(j), q)
+        sigma[used[on]] = True
+        entry = table[sigma]
+        rent[mask] = np.where(on, entry.rent[used], 0.0)
+        psi[mask] = entry.psi[used - 1]
     buys = np.array([tags[j - 1].buy for j in used])
     psi_max = psi.max(axis=0) if m else np.zeros(0)
     return SubsetTables(

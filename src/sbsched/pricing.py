@@ -2,13 +2,14 @@
 and the offline-optimal rent-or-buy cost.
 
 Prices for the approximated (per-period, flat-price) problem are frozen from
-the all-ON association at the period start; the live problem recomputes the
-rent rate on the current state instead (see engine.instantaneous_rent).
+the all-ON association at the period start; the live problem charges the rent
+rate of the current ON set instead, read from an `OnSetTable`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,3 +137,63 @@ def freeze_prices(
             buy = buy_price(phi, psi, w, period)
         tags.append(PriceTag(sbs=j, rent=rent, buy=buy, frozen_at=frozen_at))
     return tags
+
+
+class OnSetTable:
+    """Network state and per-SBS rates of one topology, per ON set, on demand.
+
+    Association, rents, power draw and delays depend on the ON set alone, so
+    the engine's slots and the oracle's subsets share one entry per ON set.
+    Entries are keyed by the bytes of the (n_bs,) bool ON/OFF vector.
+    """
+
+    def __init__(self, topo: Topology, w: CostWeights, q: float, file_bits: float) -> None:
+        self.topo = topo
+        self.w = w
+        self.q = q
+        self.file_bits = file_bits
+        self._entries: dict[bytes, OnSetEntry] = {}
+
+    def __getitem__(self, sigma: np.ndarray) -> "OnSetEntry":
+        key = sigma.tobytes()
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = OnSetEntry(self, network.associate(sigma, self.topo))
+            self._entries[key] = entry
+        return entry
+
+
+class OnSetEntry:
+    """One ON set: its `NetworkState`, and read-only rate vectors computed on
+    first use, so a caller that never reads one never pays for (or raises in)
+    its computation."""
+
+    def __init__(self, table: OnSetTable, state: NetworkState) -> None:
+        self._table = table
+        self.state = state
+
+    @cached_property
+    def rent(self) -> np.ndarray:
+        """Live rent rate of every SBS, as `all_rent_prices` (index 0 unused)."""
+        t = self._table
+        return _read_only(all_rent_prices(self.state, t.topo, t.w, t.q, t.file_bits))
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """(n_sbs,) power draw of each SBS, 0 for an OFF one."""
+        t, state = self._table, self.state
+        return _read_only(np.array([
+            energy.bs_power(t.topo.bs[j], state.n_members(j), t.q) if state.sigma[j] else 0.0
+            for j in range(1, t.topo.n_bs)
+        ]))
+
+    @cached_property
+    def delays(self) -> np.ndarray:
+        """Per-BS total delay, as `network.all_bs_delays`."""
+        t = self._table
+        return _read_only(network.all_bs_delays(self.state, t.topo, t.file_bits))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a

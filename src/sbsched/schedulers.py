@@ -255,7 +255,10 @@ class AdaptivePolicy(_ScheduledPolicy):
             last = self.histories[j].steps[-1][1]
             if abs(rent_now - last) > self.rtol * last:
                 if rent_now < last:
-                    self.histories[j] = self.histories[j].extended(t, rent_now)
+                    # a lower live rent at the start replaces the frozen tag's level
+                    self.histories[j] = (
+                        RentHistory(((0.0, rent_now),)) if t == 0.0
+                        else self.histories[j].extended(t, rent_now))
                     self.off_times[j] = adaptive_off_time(self.histories[j], self.buys[j])
                 elif self.on_increase == "error":
                     raise ValueError(

@@ -86,6 +86,18 @@ class TestParsing:
         )
         assert spec_w.base.sbs_op_power == 12.0
 
+    def test_tx_schedule_above_operational_power_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="sbs_op_power"):
+            parse_config(write_config(
+                tmp_path, "network.sbs_tx_schedule = 0:23 dBm, 5:50 W\n"))
+
+    def test_swept_op_power_below_the_tx_schedule_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="sweep.values"):
+            parse_config(write_config(tmp_path, (
+                "network.sbs_tx_schedule = 0:23 dBm, 5:1 W\n"
+                "sweep.parameter = network.sbs_op_power\n"
+                "sweep.values = 10 W, 0.5 W\n")))
+
     def test_sweep_needs_both_keys(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, "sweep.parameter = n_sbs\n"))

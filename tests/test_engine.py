@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbsched import network, pricing
 from sbsched.energy import EnergyState
@@ -7,10 +11,11 @@ from sbsched.engine import (
     PeriodResult,
     ScenarioConfig,
     build_topology,
-    instantaneous_rent,
     run_horizon,
     run_period,
 )
+from sbsched.cli import PRESETS
+from sbsched.network import dbm_to_watts
 from sbsched.oracle import RecordedScenario, build_tables, evaluate_schedules
 from sbsched.schedulers import DoaPolicy, FixedPolicy, RoaPolicy, make_policy
 
@@ -45,6 +50,26 @@ class TestConfig:
     def test_invalid_price_mode(self):
         with pytest.raises(ValueError):
             ScenarioConfig(price_mode="oracle")
+
+    def test_tx_schedule_times_must_strictly_increase(self):
+        for sched in (((5.0, dbm_to_watts(29.0)), (1.0, dbm_to_watts(20.0))),
+                      ((1.0, dbm_to_watts(29.0)), (1.0, dbm_to_watts(20.0)))):
+            with pytest.raises(ValueError, match="strictly increase"):
+                ScenarioConfig(sbs_tx_schedule=sched)
+
+    def test_tx_schedule_times_must_lie_in_the_period(self):
+        for when in (-0.5, 10.0, math.nan):
+            with pytest.raises(ValueError, match="period"):
+                ScenarioConfig(sbs_tx_schedule=((when, dbm_to_watts(23.0)),))
+
+    def test_tx_schedule_power_must_not_exceed_operational_power(self):
+        for watts in (50.0, 0.0, -1.0):
+            with pytest.raises(ValueError, match="sbs_op_power"):
+                ScenarioConfig(sbs_tx_schedule=((0.0, watts),))
+
+    def test_theorem_demo_schedule_is_accepted(self):
+        sched = PRESETS["theorem-demo"].base.sbs_tx_schedule
+        assert len(ScenarioConfig(sbs_tx_schedule=sched).sbs_tx_schedule) == 4
 
 
 class TestRunPeriodExtremes:
@@ -218,7 +243,7 @@ class TestInvariants:
                                      cfg.period)
         state = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
         for tag in tags:
-            live = instantaneous_rent(tag.sbs, state, topo, cfg.weights,
+            live = pricing.rent_price(tag.sbs, state, topo, cfg.weights,
                                       cfg.q, cfg.file_bits)
             assert live == pytest.approx(tag.rent, rel=1e-12)
 
@@ -253,3 +278,78 @@ class TestTxPowerSchedule:
         assert rents[0.0] == rents[4.9]
         assert rents[5.0] == rents[9.9]
         assert rents[5.0] < rents[4.9]
+
+
+class TestAdaptiveStart:
+    @pytest.mark.parametrize("seed", [5, 11, 12, 38])
+    def test_live_rent_below_the_tag_at_start_does_not_abort(self, seed):
+        # these seeds start with a live rent below the frozen tag at t = 0
+        for res in run_horizon(ScenarioConfig(policy="adaptive", seed=seed)):
+            assert np.all(res.switch_count <= 1)
+            assert math.isfinite(res.total_cost)
+
+
+# default-size cells on 1000 m with 2 or 3 served cells at the all-ON start,
+# found by direct search over build_topology seeds
+MULTI_CELL = dict(n_sbs=4, n_ue=30, area=(1000.0, 1000.0))
+MULTI_CELL_SEEDS = (1, 2, 3, 7, 11, 13, 16, 18, 19, 21, 22, 27, 28, 30, 34, 35)
+
+
+class TestOnSetTable:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        topo_seed=st.sampled_from(MULTI_CELL_SEEDS),
+        harvest_seed=st.integers(0, 2**32 - 1),
+        e0=st.floats(0.0, 100.0),
+        harvest_rate=st.floats(0.0, 20.0),
+        spec=st.one_of(st.sampled_from(["doa", "roa"]),
+                       st.floats(0.0, 10.0).map(lambda t: f"fixed:{t!r}")),
+    )
+    def test_engine_matches_oracle_on_multi_cell_depletion(
+            self, topo_seed, harvest_seed, e0, harvest_rate, spec):
+        cfg = ScenarioConfig(seed=topo_seed, initial_energy=e0, **MULTI_CELL)
+        topo = build_topology(cfg, np.random.default_rng(topo_seed))
+        trace = cfg.harvest_quantum * np.random.default_rng(harvest_seed).poisson(
+            harvest_rate * cfg.dt, size=(cfg.n_steps, cfg.n_sbs))
+        rngs = [np.random.default_rng([harvest_seed, j]) for j in range(cfg.n_sbs)]
+        policy = make_policy(spec)
+        energy = EnergyState.fresh(cfg.n_sbs, e0, cfg.capacity)
+        res, _ = run_period(cfg, topo, energy, policy, rngs, trace)
+
+        tags = pricing.freeze_prices(topo, cfg.weights, cfg.q, cfg.file_bits,
+                                     cfg.period)
+        tables = build_tables(topo, cfg.weights, cfg.q, cfg.file_bits, tags)
+        assert tables.used.size in (2, 3)
+        # the first slot at which the engine's policy wants the cell OFF
+        off_idx = [[next((k for k in range(cfg.n_steps)
+                          if not k * cfg.dt < policy.off_times[j]), cfg.n_steps)
+                    for j in tables.used]]
+        cost = evaluate_schedules(tables, trace[:, tables.used - 1], off_idx, e0,
+                                  cfg.capacity, cfg.dt, cfg.n_steps)[0]
+        assert math.isclose(res.total_cost, cost, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("policy", ["roa", "adaptive"])
+    @pytest.mark.parametrize("sched", [(), ((2.5, dbm_to_watts(25.0)),
+                                            (6.0, dbm_to_watts(20.0)))])
+    def test_associates_each_on_set_once_per_epoch(self, monkeypatch, policy, sched):
+        cfg, topo, energy, rngs, _ = setup_period(
+            seed=SEED_TWO_USED, policy=policy, sbs_tx_schedule=sched,
+            initial_energy=20.0)
+        trace = cfg.harvest_quantum * np.random.default_rng(0).poisson(
+            cfg.harvest_rate * cfg.dt, size=(cfg.n_steps, cfg.n_sbs))
+        seen = []
+        real = network.associate
+
+        def counting(sigma, topo):
+            seen.append((topo, bytes(sigma)))
+            return real(sigma, topo)
+
+        monkeypatch.setattr(network, "associate", counting)
+        res, _ = run_period(cfg, topo, energy, make_policy(policy), rngs, trace)
+        assert res.switch_count.sum() > 0
+        keys = [(id(tp), s) for tp, s in seen]
+        all_on = bytes(np.ones(topo.n_bs, dtype=bool))
+        repeats = [k for k in set(keys) if keys.count(k) > 1]
+        assert all(s == all_on for _, s in repeats)
+        assert len(keys) <= len(set(keys)) + 1
+        assert len({id(tp) for tp, _ in seen}) == 1 + len(sched)

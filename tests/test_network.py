@@ -235,6 +235,15 @@ class TestAssociation:
         with pytest.raises(ValueError):
             associate(np.array([False, True]), topo)
 
+    def test_state_does_not_alias_the_callers_array(self):
+        topo = place_nodes((500.0, 500.0), 2, 10, np.random.default_rng(0))
+        s = np.ones(3, dtype=bool)
+        state = associate(s, topo)
+        s[1] = False
+        assert state.sigma[1]
+        with pytest.raises(ValueError):
+            state.sigma[1] = False
+
 
 class TestRateDelay:
     def _two_ue_topology(self):

@@ -217,6 +217,13 @@ class TestPolicyObjects:
         assert pol.off_times[1] == pytest.approx(4.0)
         assert not pol.desired_on(1, 4.0, 60.0, 100.0, 0.5)
 
+    def test_adaptive_policy_lower_rent_at_start_replaces_the_tag(self):
+        pol = AdaptivePolicy()
+        pol.reset([PriceTag(sbs=1, rent=2.0, buy=4.0)], 10.0, self.rngs())
+        assert pol.desired_on(1, 0.0, 60.0, 100.0, 1.0)
+        assert pol.histories[1].steps == ((0.0, 1.0),)
+        assert pol.off_times[1] == pytest.approx(4.0)
+
     def test_adaptive_policy_holds_on_increase(self):
         pol = AdaptivePolicy()
         pol.reset([PriceTag(sbs=1, rent=2.0, buy=4.0)], 10.0, self.rngs())
