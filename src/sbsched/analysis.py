@@ -203,8 +203,9 @@ def empirical_cr_study(
         trace = harvest_trace(
             cfg.harvest, grid_dt, n_steps, cfg.n_sbs, np.random.default_rng(harvest_ss)
         )
-        tags = pricing.freeze_prices(topo, cfg.weights, cfg.q, cfg.file_bits, cfg.period)
-        tables = oracle.build_tables(topo, cfg.weights, cfg.q, cfg.file_bits, tags)
+        table = pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits)
+        tags = pricing.freeze_prices(table, cfg.period)
+        tables = oracle.build_tables(table, tags)
         m = tables.used.size
         if m == 0:
             continue

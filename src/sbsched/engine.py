@@ -1,15 +1,26 @@
 """Time-stepped simulation of scheduling periods.
 
 Each period: freeze prices from the all-ON association, let the policy pick
-OFF times, then advance slot by slot -- harvest, voluntary OFF (buy charged
-once), depletion check (forced OFF, no buy), re-association, cost accrual,
-storage update. Network state (association, live rents, power draw, delays)
-is a function of the ON set and the SBS transmit power only, so every slot
-reads it from a `pricing.OnSetTable`, one per transmit-power epoch of the
-period, which computes each ON set once. Two accounting modes exist: "live"
-charges the instantaneous rent rate of the current state (the original
-problem), "frozen" charges the period-start flat rate and also freezes the
-power draw, which fully decouples the SBSs (the approximated problem).
+OFF times, then advance slot by slot -- voluntary OFF (buy charged once),
+depletion check (forced OFF, no buy; re-association can raise the load on the
+surviving cells, so it repeats to a fixed point), cost accrual, storage
+update.
+
+The slot loop keeps plain Python floats, and only for the cells that serve
+UEs at the period start. The others stay OFF all period, so their storage is
+the running sum of arrivals clamped at the capacity, computed once per
+period; with no served cell, the slot loop runs only to write trace rows.
+The policy is asked every slot for each served cell that may still switch.
+Network state (association, live rents, power draw, delays) is a function of
+the ON set and the SBS transmit power only: it is read from a
+`pricing.OnSetTable`, one per transmit-power epoch, which `run_horizon` builds
+once for all its periods, and an entry is looked up only when the ON set or
+the epoch changes.
+
+Two accounting modes exist: "live" charges the instantaneous rent rate of the
+current state (the original problem), "frozen" charges the period-start flat
+rate and also freezes the power draw, which fully decouples the SBSs (the
+approximated problem).
 """
 from __future__ import annotations
 
@@ -56,7 +67,6 @@ class ScenarioConfig:
     seed: int = 0
     policy: str = "roa"
     price_mode: str = "live"  # "live" (original problem) or "frozen" (approximated)
-    off_tie: str = "voluntary"  # who wins when voluntary and depletion OFF coincide
     # optional SBS transmit-power updates within each period: ((time, watts), ...)
     sbs_tx_schedule: tuple[tuple[float, float], ...] = ()
     harvest_trace_file: str | None = None
@@ -71,8 +81,6 @@ class ScenarioConfig:
             raise ValueError("horizon must cover at least one period")
         if self.price_mode not in ("live", "frozen"):
             raise ValueError("price_mode must be 'live' or 'frozen'")
-        if self.off_tie not in ("voluntary", "depletion"):
-            raise ValueError("off_tie must be 'voluntary' or 'depletion'")
         if not (0.0 <= self.initial_energy <= self.capacity):
             raise ValueError("initial energy must lie in [0, capacity]")
         times = [when for when, _ in self.sbs_tx_schedule]
@@ -148,6 +156,13 @@ def build_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> Topology:
     )
 
 
+def epoch_tables(cfg: ScenarioConfig, topo: Topology) -> list[pricing.OnSetTable]:
+    """One ON-set table per transmit-power epoch of a period: the base
+    topology, then one per `sbs_tx_schedule` change."""
+    epoch_topos = [topo] + [topo.with_sbs_tx_power(p) for _, p in cfg.sbs_tx_schedule]
+    return [pricing.OnSetTable(tp, cfg.weights, cfg.q, cfg.file_bits) for tp in epoch_topos]
+
+
 def run_period(
     cfg: ScenarioConfig,
     topo: Topology,
@@ -157,143 +172,167 @@ def run_period(
     trace: np.ndarray,
     period_index: int = 0,
     trace_rows: list | None = None,
+    *,
+    tables: list[pricing.OnSetTable] | None = None,
 ) -> tuple[PeriodResult, EnergyState]:
     """Simulate one period of length T on the slot grid.
 
     `trace` is the (n_steps, n_sbs) harvest record for this period; `energy`
     is mutated in place and returned. When `trace_rows` is a list, one row of
     (t, sbs_id, sigma, stored, assoc_count, rent_rate) is appended per slot
-    and SBS.
+    and SBS. `tables` are `epoch_tables(cfg, topo)`, shared by the periods of
+    a horizon; they are built here when not given.
     """
     n_bs, n_sbs, n_steps, dt = topo.n_bs, topo.n_sbs, cfg.n_steps, cfg.dt
-    w, q, file_bits = cfg.weights, cfg.q, cfg.file_bits
-
-    # one ON-set table per transmit-power epoch, and each slot's epoch: the
-    # latest scheduled change at or before the slot start
-    epoch_topos = [topo] + [topo.with_sbs_tx_power(p) for _, p in cfg.sbs_tx_schedule]
-    tables = [pricing.OnSetTable(tp, w, q, file_bits) for tp in epoch_topos]
+    cap = energy.capacity
+    if tables is None:
+        tables = epoch_tables(cfg, topo)
+    # each slot's epoch is the latest scheduled change at or before the slot
+    # start; `epoch_at` maps the slots where it changes to the new epoch
+    grid = (np.arange(n_steps) * dt).tolist()
     slot_epoch = np.searchsorted(
-        [when for when, _ in cfg.sbs_tx_schedule], np.arange(n_steps) * dt + 1e-12,
-        side="right",
-    )
+        [when for when, _ in cfg.sbs_tx_schedule], np.array(grid) + 1e-12, side="right",
+    ).tolist()
+    epoch_at = {k: e for k, e in enumerate(slot_epoch) if k == 0 or e != slot_epoch[k - 1]}
 
     table = tables[slot_epoch[0]]
-    tags = pricing.freeze_prices(table.topo, w, q, file_bits, cfg.period)
+    tags = pricing.freeze_prices(table, cfg.period)
     all_on = table[np.ones(n_bs, dtype=bool)]
     used = np.array([all_on.state.n_members(j) > 0 for j in range(1, n_bs)])
     buy_prices = np.array([t.buy for t in tags])
-    frozen_rent = np.array([t.rent for t in tags])
-    n_used = int(used.sum())
+    cells = np.flatnonzero(used).tolist()  # 0-based indices of the served SBSs
 
     policy.reset([t for t, u in zip(tags, used) if u], cfg.period, policy_rngs)
     energy.reset_depletion()
 
+    # Cells without UEs stay OFF all period: their storage is the running sum
+    # of arrivals clamped at the capacity (exact, since once clamped, harvest
+    # >= 0 keeps it there), and the arrival total is a running sum too.
+    if np.any(trace < 0):
+        raise ValueError("energy quantities must be non-negative")
+    idle_stored = np.minimum(np.cumsum(np.vstack((energy.stored, trace)), axis=0), cap)
+    harvested_total = np.cumsum(np.vstack((np.zeros(n_sbs), trace)), axis=0)[-1]
+
+    # plain-float state of the served cells, by position in `cells`
+    m = len(cells)
+    ids = [i + 1 for i in cells]
+    stored = [float(energy.stored[i]) for i in cells]
+    harvest = trace[:, cells].tolist()
+    on = [True] * m
+    depleted = [False] * m
+    bought = [False] * m
+    switch = [0] * m
+    rent_acc = [0.0] * m
+    on_acc = [0.0] * m
+    consumed_acc = [0.0] * m
+    delay_acc = 0.0
+
+    frozen_mode = cfg.price_mode == "frozen"
+    if frozen_mode:
+        frozen_psi = [all_on.psi_values[i] for i in cells]
+        frozen_rent = [tags[i].rent for i in cells]
+    back_on, needs_rent = policy.switches_back_on, policy.needs_rent
     sigma = np.zeros(n_bs, dtype=bool)
     sigma[0] = True
-    sigma[1:] = used
+    sigma[ids] = True
+    # table[sigma], looked up when the ON set or the epoch changes, and the
+    # entries that `psi` and the accrual values were last read from
+    entry = psi_entry = slot_entry = None
 
-    bought = np.zeros(n_sbs, dtype=bool)
-    rent_cost = np.zeros(n_sbs)
-    on_time = np.zeros(n_sbs)
-    switch = np.zeros(n_sbs, dtype=int)
-    consumed_total = np.zeros(n_sbs)
-    harvested_total = np.zeros(n_sbs)
-    delay_acc = 0.0
-    frozen_mode = cfg.price_mode == "frozen"
-    vol_first = cfg.off_tie == "voluntary"
+    for k in range(n_steps if m or trace_rows is not None else 0):
+        t = grid[k]
+        if k in epoch_at:
+            table = tables[epoch_at[k]]
+            entry = None
+        h = harvest[k]
 
-    # the helpers read the slot's t, h, table, depleted and rent_now
-    def apply_policy() -> None:
-        for j in range(1, n_bs):
-            i = j - 1
-            if not used[i] or depleted[i]:
-                continue
-            if not sigma[j] and not policy.switches_back_on:
+        # voluntary decisions: a switch OFF charges the buy price once
+        changed = False
+        if needs_rent:
+            if entry is None:
+                entry = table[sigma]
+            rent_now = entry.rent_values
+        for p, j in enumerate(ids):
+            if depleted[p] or not (on[p] or back_on):
                 continue
             want_on = policy.desired_on(
-                j, t, energy.stored[i], energy.capacity,
-                None if rent_now is None else float(rent_now[j]),
-            )
-            if sigma[j] and not want_on:
-                sigma[j] = False
-                switch[i] += 1
-                if not bought[i]:
-                    bought[i] = True
-            elif not sigma[j] and want_on:
-                sigma[j] = True
-                switch[i] += 1
-
-    def apply_depletion():
-        # forced OFF, no buy charge; re-associating can raise the load on
-        # surviving SBSs, so iterate to a fixed point
-        entry = table[sigma]
-        while True:
-            if frozen_mode:
-                psi = np.where(sigma[1:], all_on.psi, 0.0)
+                j, t, stored[p], cap, rent_now[j] if needs_rent else None)
+            if on[p] and not want_on:
+                on[p] = sigma[j] = False
+                bought[p] = True
+            elif not on[p] and want_on:
+                on[p] = sigma[j] = True
             else:
-                psi = entry.psi
-            dep_now = sigma[1:] & (energy.stored + h < psi * dt)
-            if not dep_now.any():
-                return entry, psi
-            for i in np.flatnonzero(dep_now):
-                sigma[i + 1] = False
-                energy.depleted_at[i] = t
-                switch[i] += 1
+                continue
+            switch[p] += 1
+            changed = True
+        if changed or entry is None:
             entry = table[sigma]
 
-    for k in range(n_steps):
-        t = k * dt
-        table = tables[slot_epoch[k]]
-        h = trace[k]
-        harvested_total += h
-        depleted = ~np.isnan(energy.depleted_at)
-        rent_now = table[sigma].rent if policy.needs_rent else None
-
-        if vol_first:
-            apply_policy()
-            entry, psi = apply_depletion()
-        else:
-            entry, psi = apply_depletion()
-            depleted = ~np.isnan(energy.depleted_at)
-            apply_policy()
+        # forced OFF, no buy charge; re-associating can raise the load on
+        # surviving cells, so repeat to a fixed point
+        while True:
+            if entry is not psi_entry:
+                psi_entry = entry
+                psi = frozen_psi if frozen_mode else [entry.psi_values[j - 1] for j in ids]
+            dep_now = [p for p in range(m) if on[p] and stored[p] + h[p] < psi[p] * dt]
+            if not dep_now:
+                break
+            for p in dep_now:
+                on[p] = sigma[ids[p]] = False
+                depleted[p] = True
+                energy.depleted_at[cells[p]] = t
+                switch[p] += 1
             entry = table[sigma]
-            psi = np.where(sigma[1:], psi, 0.0)
 
-        on = sigma[1:]
-        rent_rate = np.where(on, frozen_rent if frozen_mode else entry.rent[1:], 0.0)
-        rent_cost += rent_rate * on * dt
-        on_time += on * dt
-        slot_consumed = psi * on * dt
-        consumed_total += slot_consumed
-        for i in range(n_sbs):
-            energy.stored[i] = energy_mod.update_storage(
-                energy.stored[i], h[i], slot_consumed[i], energy.capacity
-            )
-
-        if n_used:
-            delay_acc += float(entry.delays[1:][on].sum()) / n_used
+        if entry is not slot_entry:
+            slot_entry = entry
+            rent = frozen_rent if frozen_mode else [entry.rent_values[j] for j in ids]
+            delay = entry.on_delay / m if m else 0.0
+        for p in range(m):
+            consumed = 0.0
+            if on[p]:
+                rent_acc[p] += rent[p] * dt
+                on_acc[p] += dt
+                consumed = psi[p] * dt
+                consumed_acc[p] += consumed
+            stored[p] = energy_mod.update_storage(stored[p], h[p], consumed, cap)
+        delay_acc += delay
 
         if trace_rows is not None:
+            row_stored = idle_stored[k + 1].tolist()
+            row_rent = [0.0] * n_sbs
+            for p, i in enumerate(cells):
+                row_stored[i] = stored[p]
+                row_rent[i] = rent[p] if on[p] else 0.0
             for j in range(1, n_bs):
                 trace_rows.append((
                     round(period_index * cfg.period + t, 10), j, int(sigma[j]),
-                    float(energy.stored[j - 1]), entry.state.n_members(j),
-                    float(rent_rate[j - 1]),
+                    row_stored[j - 1], entry.state.n_members(j), row_rent[j - 1],
                 ))
 
-    total_cost = float((rent_cost + buy_prices * bought).sum())
+    energy.stored[:] = idle_stored[-1]
+    energy.stored[cells] = stored
+
+    def per_sbs(values: list, dtype=float) -> np.ndarray:
+        """The served cells' values, zero for every other cell."""
+        out = np.zeros(n_sbs, dtype=dtype)
+        out[cells] = values
+        return out
+
+    rent_cost, buy_charged = per_sbs(rent_acc), per_sbs(bought, bool)
     result = PeriodResult(
         period_index=period_index,
         rent_cost=rent_cost,
         buy_price=buy_prices,
-        buy_charged=bought,
-        on_time=on_time,
+        buy_charged=buy_charged,
+        on_time=per_sbs(on_acc),
         depleted_at=energy.depleted_at.copy(),
-        switch_count=switch,
-        energy_consumed=consumed_total,
+        switch_count=per_sbs(switch, int),
+        energy_consumed=per_sbs(consumed_acc),
         energy_harvested=harvested_total,
         used=used,
-        total_cost=total_cost,
+        total_cost=float((rent_cost + buy_prices * buy_charged).sum()),
         delay_per_sbs=delay_acc / n_steps,
         unused_fraction=float((~used).sum()) / n_sbs if n_sbs else 0.0,
     )
@@ -323,20 +362,25 @@ def run_horizon(
     if policy is None:
         policy = make_policy(cfg.policy)
     energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
+    tables = epoch_tables(cfg, topo)
+    n_steps = cfg.n_steps
+    if cfg.harvest_trace_file is not None:
+        # the file covers the whole horizon; each period reads its own slots
+        recorded = energy_mod.load_harvest_trace(
+            cfg.harvest_trace_file, cfg.n_sbs, cfg.dt, n_steps * cfg.horizon_periods
+        )
 
     results = []
     for p in range(cfg.horizon_periods):
         if cfg.harvest_trace_file is not None:
-            trace = energy_mod.load_harvest_trace(
-                cfg.harvest_trace_file, cfg.n_sbs, cfg.dt, cfg.n_steps
-            )
+            trace = recorded[p * n_steps:(p + 1) * n_steps]
         else:
             trace = energy_mod.harvest_trace(
-                cfg.harvest, cfg.dt, cfg.n_steps, cfg.n_sbs, harvest_rng
+                cfg.harvest, cfg.dt, n_steps, cfg.n_sbs, harvest_rng
             )
         res, energy = run_period(
             cfg, topo, energy, policy, policy_rngs, trace,
-            period_index=p, trace_rows=trace_rows,
+            period_index=p, trace_rows=trace_rows, tables=tables,
         )
         results.append(res)
     if return_topology:

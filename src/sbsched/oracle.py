@@ -66,14 +66,9 @@ class SubsetTables:
     psi_max: np.ndarray  # (m,)
 
 
-def build_tables(
-    topo: network.Topology,
-    weights: CostWeights,
-    q: float,
-    file_bits: float,
-    tags: list[PriceTag],
-) -> SubsetTables:
-    table = pricing.OnSetTable(topo, weights, q, file_bits)
+def build_tables(table: pricing.OnSetTable, tags: list[PriceTag]) -> SubsetTables:
+    """Every subset's rates, read from `table` (the one `tags` were frozen from)."""
+    topo = table.topo
     all_on = table[np.ones(topo.n_bs, dtype=bool)].state
     used = np.array(
         [j for j in range(1, topo.n_bs) if all_on.n_members(j) > 0], dtype=int
@@ -217,11 +212,10 @@ def offline_exhaustive(
     if abs(grid_dt - scenario.dt) > 1e-12:
         raise ValueError("the search grid must match the recorded resolution")
     topo = scenario.topo
+    table = pricing.OnSetTable(topo, scenario.weights, scenario.q, scenario.file_bits)
     if tags is None:
-        tags = pricing.freeze_prices(
-            topo, scenario.weights, scenario.q, scenario.file_bits, scenario.period
-        )
-    tables = build_tables(topo, scenario.weights, scenario.q, scenario.file_bits, tags)
+        tags = pricing.freeze_prices(table, scenario.period)
+    tables = build_tables(table, tags)
     n_steps = scenario.n_steps
     m = tables.used.size
     off_times = np.zeros(topo.n_sbs)

@@ -111,20 +111,17 @@ def offline_cost(rent: float, buy: float, u: float, period: float) -> float:
 
 
 def freeze_prices(
-    topo: Topology,
-    w: CostWeights,
-    q: float,
-    file_bits: float,
-    period: float,
-    frozen_at: float = 0.0,
+    table: OnSetTable, period: float, frozen_at: float = 0.0
 ) -> list[PriceTag]:
     """Per-SBS price tags from the all-ON association at the period start.
 
-    An SBS with no associated UEs keeps only the fixed-power rent term and
-    gets a zero buy price (it will simply stay OFF).
+    The all-ON state is read from `table`, so a caller that goes on to use
+    the same table associates it only once. An SBS with no associated UEs
+    keeps only the fixed-power rent term and gets a zero buy price (it will
+    simply stay OFF).
     """
-    sigma = np.ones(topo.n_bs, dtype=bool)
-    state = network.associate(sigma, topo)
+    topo, w, q, file_bits = table.topo, table.w, table.q, table.file_bits
+    state = table[np.ones(topo.n_bs, dtype=bool)].state
     tags = []
     for j in range(1, topo.n_bs):
         rent = rent_price(j, state, topo, w, q, file_bits)
@@ -164,9 +161,10 @@ class OnSetTable:
 
 
 class OnSetEntry:
-    """One ON set: its `NetworkState`, and read-only rate vectors computed on
-    first use, so a caller that never reads one never pays for (or raises in)
-    its computation."""
+    """One ON set: its `NetworkState`, and read-only values computed on first
+    use, so a caller that never reads one never pays for (or raises in) its
+    computation. The `*_values` and `on_delay` fields are Python scalars for
+    the engine's per-slot loop."""
 
     def __init__(self, table: OnSetTable, state: NetworkState) -> None:
         self._table = table
@@ -192,6 +190,22 @@ class OnSetEntry:
         """Per-BS total delay, as `network.all_bs_delays`."""
         t = self._table
         return _read_only(network.all_bs_delays(self.state, t.topo, t.file_bits))
+
+    @cached_property
+    def rent_values(self) -> tuple[float, ...]:
+        """`rent` as Python floats (index 0 unused)."""
+        return tuple(self.rent.tolist())
+
+    @cached_property
+    def psi_values(self) -> tuple[float, ...]:
+        """`psi` as Python floats."""
+        return tuple(self.psi.tolist())
+
+    @cached_property
+    def on_delay(self) -> float:
+        """Total delay of the ON SBSs. It is summed here once, in numpy's
+        (pairwise) order, which a sequential sum does not reproduce."""
+        return float(self.delays[1:][self.state.sigma[1:]].sum())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -163,8 +163,8 @@ def test_offline_search_matches_hand_enumeration_and_lower_bounds_policies():
         if setup is None:
             continue
         cfg, topo, all_on, trace, rngs = setup
-        tags = pricing.freeze_prices(topo, cfg.weights, cfg.q, cfg.file_bits,
-                                     cfg.period)
+        tags = pricing.freeze_prices(
+            pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits), cfg.period)
         rent, buy = tags[0].rent, tags[0].buy
         psi = bs_power(topo.bs[1], all_on.n_members(1), cfg.q)
 
@@ -308,8 +308,9 @@ def test_simulation_invariants_over_random_configurations():
                 ok &= bool(covered)
             # with prices frozen the total cost separates per cell
             if cfg.price_mode == "frozen":
-                tags = pricing.freeze_prices(topo, cfg.weights, cfg.q,
-                                             cfg.file_bits, cfg.period)
+                tags = pricing.freeze_prices(
+                    pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits),
+                    cfg.period)
                 expected = sum(
                     tags[k].rent * res.on_time[k]
                     + res.buy_price[k] * res.buy_charged[k]

@@ -257,3 +257,19 @@ class TestMain:
         main(["--config", cfg, "--out-dir", str(out_b), "--seed", "99"])
         assert (out_a / "results.csv").read_bytes() != (
             out_b / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("algorithm", ["doa", "roa", "adaptive", "fixed:7",
+                                           "threshold:50"])
+    @pytest.mark.parametrize("preset", sorted(
+        name for name, spec in PRESETS.items() if spec.kind == "sweep"))
+    def test_every_policy_runs_on_every_sweep_preset(self, tmp_path, preset,
+                                                     algorithm):
+        out = tmp_path / "out"
+        assert main(["--preset", preset, "--algorithm", algorithm,
+                     "--runs", "2", "--out-dir", str(out)]) == 0
+        with open(out / "results.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        spec = PRESETS[preset]
+        n_values = max(len(spec.sweep_values), 1)
+        assert len(rows) == n_values * 2 * spec.base.horizon_periods
+        assert {r[2] for r in rows} == {algorithm}

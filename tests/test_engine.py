@@ -37,6 +37,10 @@ def setup_period(seed=SEED_ONE_USED, n_sbs=6, n_ue=30, **over):
     return cfg, topo, energy, rngs, trace
 
 
+def table_for(cfg, topo):
+    return pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits)
+
+
 class TestConfig:
     def test_dt_must_divide_period(self):
         with pytest.raises(ValueError):
@@ -87,8 +91,7 @@ class TestRunPeriodExtremes:
     def test_never_off_pays_rent_for_full_period(self):
         cfg, topo, energy, rngs, trace = setup_period(price_mode="frozen",
                                                       initial_energy=95.0)
-        tags = pricing.freeze_prices(topo, cfg.weights, cfg.q, cfg.file_bits,
-                                     cfg.period)
+        tags = pricing.freeze_prices(table_for(cfg, topo), cfg.period)
         res, _ = run_period(cfg, topo, energy, FixedPolicy(cfg.period), rngs,
                             trace)
         i = int(np.flatnonzero(res.used)[0])
@@ -102,8 +105,7 @@ class TestRunPeriodExtremes:
         # zero harvest, battery funds 20 slots (plus half a slot of slack to
         # stay clear of the strict-inequality boundary) at the frozen draw
         cfg, topo, energy0, rngs, trace = setup_period(price_mode="frozen")
-        tags = pricing.freeze_prices(topo, cfg.weights, cfg.q, cfg.file_bits,
-                                     cfg.period)
+        tags = pricing.freeze_prices(table_for(cfg, topo), cfg.period)
         all_on = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
         from sbsched.energy import bs_power
         i = int(np.flatnonzero(
@@ -144,10 +146,9 @@ class TestOracleConsistency:
                 energy = EnergyState.fresh(cfg.n_sbs, e0, cfg.capacity)
                 res, _ = run_period(cfg, topo, energy, FixedPolicy(t_fix),
                                     rngs, trace)
-                tags = pricing.freeze_prices(topo, cfg.weights, cfg.q,
-                                             cfg.file_bits, cfg.period)
-                tables = build_tables(topo, cfg.weights, cfg.q, cfg.file_bits,
-                                      tags)
+                table = table_for(cfg, topo)
+                tables = build_tables(table,
+                                      pricing.freeze_prices(table, cfg.period))
                 k_off = int(round(t_fix / cfg.dt))
                 off_idx = np.full((1, tables.used.size), k_off)
                 cost = evaluate_schedules(
@@ -192,6 +193,18 @@ class TestRunHorizon:
         assert not np.isnan(res[0].depleted_at[i])
         assert res[1].on_time[i] > 0.0
 
+    def test_harvest_trace_file_covers_the_horizon(self, tmp_path):
+        # arrivals only in the second period must be credited there, not
+        # dropped by replaying the first period's slots
+        path = tmp_path / "arrivals.csv"
+        path.write_text("time,sbs_id,joules\n12.3,1,0.5\n15.0,2,1.25\n19.95,1,0.25\n")
+        cfg = ScenarioConfig(seed=SEED_ONE_USED, n_sbs=2, horizon_periods=2,
+                             harvest_trace_file=str(path))
+        first, second = run_horizon(cfg)
+        assert first.to_dict()["energy_harvested"] == 0.0
+        assert second.to_dict()["energy_harvested"] == 2.0
+        assert list(second.energy_harvested) == [0.75, 1.25]
+
     def test_seed_as_seedsequence(self):
         cfg = ScenarioConfig(seed=SEED_ONE_USED)
         a = run_horizon(cfg, seed=np.random.SeedSequence(SEED_ONE_USED))
@@ -227,8 +240,7 @@ class TestInvariants:
         for seed in (SEED_ONE_USED, SEED_TWO_USED, 5, 12):
             cfg = ScenarioConfig(seed=seed, policy="roa", price_mode="frozen")
             results, topo = run_horizon(cfg, return_topology=True)
-            tags = pricing.freeze_prices(topo, cfg.weights, cfg.q,
-                                         cfg.file_bits, cfg.period)
+            tags = pricing.freeze_prices(table_for(cfg, topo), cfg.period)
             for res in results:
                 expected = sum(
                     tags[i].rent * res.on_time[i]
@@ -239,8 +251,7 @@ class TestInvariants:
 
     def test_instantaneous_rent_matches_frozen_tag_at_start(self):
         cfg, topo, _, _, _ = setup_period(seed=SEED_TWO_USED)
-        tags = pricing.freeze_prices(topo, cfg.weights, cfg.q, cfg.file_bits,
-                                     cfg.period)
+        tags = pricing.freeze_prices(table_for(cfg, topo), cfg.period)
         state = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
         for tag in tags:
             live = pricing.rent_price(tag.sbs, state, topo, cfg.weights,
@@ -316,9 +327,9 @@ class TestOnSetTable:
         energy = EnergyState.fresh(cfg.n_sbs, e0, cfg.capacity)
         res, _ = run_period(cfg, topo, energy, policy, rngs, trace)
 
-        tags = pricing.freeze_prices(topo, cfg.weights, cfg.q, cfg.file_bits,
-                                     cfg.period)
-        tables = build_tables(topo, cfg.weights, cfg.q, cfg.file_bits, tags)
+        table = table_for(cfg, topo)
+        tags = pricing.freeze_prices(table, cfg.period)
+        tables = build_tables(table, tags)
         assert tables.used.size in (2, 3)
         # the first slot at which the engine's policy wants the cell OFF
         off_idx = [[next((k for k in range(cfg.n_steps)
@@ -348,8 +359,26 @@ class TestOnSetTable:
         res, _ = run_period(cfg, topo, energy, make_policy(policy), rngs, trace)
         assert res.switch_count.sum() > 0
         keys = [(id(tp), s) for tp, s in seen]
-        all_on = bytes(np.ones(topo.n_bs, dtype=bool))
-        repeats = [k for k in set(keys) if keys.count(k) > 1]
-        assert all(s == all_on for _, s in repeats)
-        assert len(keys) <= len(set(keys)) + 1
+        assert len(keys) == len(set(keys))
+        assert len({id(tp) for tp, _ in seen}) == 1 + len(sched)
+
+    @pytest.mark.parametrize("policy", ["roa", "threshold:50"])
+    def test_periods_of_a_horizon_share_the_tables(self, monkeypatch, policy):
+        # both periods read the all-ON state and the period-start ON set, so
+        # each epoch's table must be built once for the whole horizon
+        sched = ((2.5, dbm_to_watts(25.0)), (6.0, dbm_to_watts(20.0)))
+        cfg = ScenarioConfig(seed=SEED_TWO_USED, policy=policy, horizon_periods=2,
+                             sbs_tx_schedule=sched, initial_energy=20.0)
+        seen = []
+        real = network.associate
+
+        def counting(sigma, topo):
+            seen.append((topo, bytes(sigma)))
+            return real(sigma, topo)
+
+        monkeypatch.setattr(network, "associate", counting)
+        results = run_horizon(cfg)
+        assert all(res.switch_count.sum() > 0 for res in results)
+        keys = [(id(tp), s) for tp, s in seen]
+        assert len(keys) == len(set(keys))
         assert len({id(tp) for tp, _ in seen}) == 1 + len(sched)

@@ -5,6 +5,7 @@ from sbsched import network, pricing
 from sbsched.network import dbm_to_watts, place_nodes
 from sbsched.pricing import (
     CostWeights,
+    OnSetTable,
     PriceTag,
     all_rent_prices,
     buy_price,
@@ -162,7 +163,7 @@ class TestOfflineCost:
 class TestFreezePrices:
     def test_unserved_cell_has_zero_buy(self):
         topo, state = served_topology()
-        tags = freeze_prices(topo, CostWeights(), 0.9, 1e5, 10.0)
+        tags = freeze_prices(OnSetTable(topo, CostWeights(), 0.9, 1e5), 10.0)
         assert len(tags) == topo.n_sbs
         for tag in tags:
             assert tag.sbs >= 1 and tag.rent >= 0 and tag.buy >= 0
@@ -174,7 +175,7 @@ class TestFreezePrices:
     def test_frozen_rent_matches_all_on_state(self):
         topo, state = served_topology(seed=9)
         w = CostWeights()
-        tags = freeze_prices(topo, w, 0.9, 1e5, 10.0)
+        tags = freeze_prices(OnSetTable(topo, w, 0.9, 1e5), 10.0)
         for tag in tags:
             assert tag.rent == pytest.approx(
                 rent_price(tag.sbs, state, topo, w, 0.9, 1e5), rel=1e-12
@@ -183,7 +184,7 @@ class TestFreezePrices:
     def test_buy_composition(self):
         topo, state = served_topology(seed=9)
         w = CostWeights()
-        tags = freeze_prices(topo, w, 0.9, 1e5, 10.0)
+        tags = freeze_prices(OnSetTable(topo, w, 0.9, 1e5), 10.0)
         for tag in tags:
             members = state.members(tag.sbs)
             if members.size == 0:
