@@ -158,7 +158,10 @@ class ExperimentSpec:
         if not self.policies and self.kind == "sweep":
             raise ConfigError("at least one policy is required")
         for p in self.policies:
-            make_policy(p)  # validates the string
+            try:
+                make_policy(p)  # validates the string and its argument
+            except ValueError as exc:
+                raise ConfigError(f"policies: {exc}") from None
 
 
 def parse_config(path: str) -> ExperimentSpec:

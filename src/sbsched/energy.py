@@ -1,8 +1,9 @@
 """Energy side: BS power model, Poisson harvesting, bounded storage dynamics.
 
 Harvesting happens every slot regardless of the ON/OFF state; consumption is
-charged only while ON. Depletion uses a strict test on whether the next slot
-can be funded out of stored plus freshly harvested energy.
+charged only while ON. Depletion is a strict test made by the slot loops
+(`engine.run_period` and the oracle's evaluator): a cell whose stored plus
+freshly harvested energy cannot fund the next slot is forced OFF.
 """
 from __future__ import annotations
 
@@ -14,17 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import BsParams
-
-
-@dataclass(frozen=True)
-class PowerModelParams:
-    """Weight between fixed and utilization-proportional power consumption."""
-
-    q: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError("q must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -82,15 +72,6 @@ def bs_power(params: BsParams, n_users: int, q: float) -> float:
     return (n_users / params.max_users) * (1.0 - q) * p + q * p
 
 
-def step_harvest(params: HarvestParams, dt: float, rng: np.random.Generator) -> float:
-    """Energy harvested in one slot of length dt (joules)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if params.rate == 0.0 or params.quantum == 0.0:
-        return 0.0
-    return params.quantum * float(rng.poisson(params.rate * dt))
-
-
 def harvest_trace(
     params: HarvestParams, dt: float, n_steps: int, n_sbs: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -109,13 +90,6 @@ def update_storage(e: float, harvested: float, consumed: float, cap: float) -> f
             "consumption exceeds available energy; depletion check was skipped"
         )
     return min(e + harvested - consumed, cap)
-
-
-def check_depletion(e: float, power: float, dt: float, harvested: float) -> bool:
-    """True iff stored plus freshly harvested energy cannot fund the next slot."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return e + harvested < power * dt
 
 
 def load_harvest_trace(path: str, n_sbs: int, dt: float, n_steps: int) -> np.ndarray:

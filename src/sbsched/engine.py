@@ -83,6 +83,9 @@ class ScenarioConfig:
             raise ValueError("price_mode must be 'live' or 'frozen'")
         if not (0.0 <= self.initial_energy <= self.capacity):
             raise ValueError("initial energy must lie in [0, capacity]")
+        if not (0.0 <= self.q <= 1.0):
+            raise ValueError("q must lie in [0, 1]")
+        self.weights  # CostWeights validates the cost weights
         times = [when for when, _ in self.sbs_tx_schedule]
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("sbs_tx_schedule times must strictly increase")

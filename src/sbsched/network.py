@@ -1,5 +1,9 @@
 """Network model: placement, channel gains, SINR/SNR, user association, rates, delay.
 
+Link quality, rates and delays are computed for the whole network at once
+(`sinr_matrix`, `ue_rates`, `all_bs_delays`); `pricing.OnSetTable` caches
+them per ON set.
+
 All radio quantities are stored linear (watts, dimensionless gains). Channel
 gains are static per run (time-averaged); only the ON/OFF vector changes the
 network state. The MBS (index 0) is always ON and never interferes with the
@@ -69,12 +73,6 @@ def channel_gain(d: float, link_kind: str, model: PathLossModel = DEFAULT_PATH_L
 
 
 @dataclass(frozen=True)
-class Position:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class BsParams:
     """Static per-BS radio and power parameters."""
 
@@ -103,10 +101,6 @@ class BsParams:
     def tx_fraction(self) -> float:
         """Fraction of operational power spent on transmission."""
         return self.tx_power / self.op_power_max
-
-    @property
-    def position(self) -> Position:
-        return Position(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -170,13 +164,6 @@ class NetworkState:
 
     def n_members(self, bs: int) -> int:
         return int(np.count_nonzero(self.serving == bs))
-
-    @property
-    def assoc(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {j: set() for j in range(len(self.sigma))}
-        for i, j in enumerate(self.serving):
-            out[int(j)].add(i)
-        return out
 
 
 def place_nodes(
@@ -262,18 +249,6 @@ def sinr_matrix(sigma: np.ndarray, topo: Topology) -> np.ndarray:
     return out
 
 
-def sinr(ue: int, bs: int, state: NetworkState, topo: Topology) -> float:
-    """SINR from SBS `bs` to UE `ue` under the state's ON/OFF vector."""
-    if bs == MBS_ID:
-        raise ValueError("use snr_mbs for the macro link")
-    return float(sinr_matrix(state.sigma, topo)[ue, bs])
-
-
-def snr_mbs(ue: int, topo: Topology) -> float:
-    """SNR on the macro link; independent of any SBS state."""
-    return float(topo.bs[0].tx_power * topo.gain[ue, 0] / topo.noise_power)
-
-
 def associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
     """Assign each UE to the ON BS with the largest SINR (SNR for the MBS).
 
@@ -300,33 +275,6 @@ def ue_rates(state: NetworkState, topo: Topology) -> np.ndarray:
     bw = np.array([b.bandwidth for b in topo.bs])
     share = bw[state.serving] / counts[state.serving]
     return share * np.log2(1.0 + gamma)
-
-
-def rate(ue: int, state: NetworkState, topo: Topology) -> float:
-    """Achievable data rate of one UE (bits/second)."""
-    j = int(state.serving[ue])
-    n = state.n_members(j)
-    if n == 0:
-        raise AssertionError("serving BS has an empty association set")
-    if j == MBS_ID:
-        gamma = snr_mbs(ue, topo)
-    else:
-        gamma = sinr(ue, j, state, topo)
-    return topo.bs[j].bandwidth / n * math.log2(1.0 + gamma)
-
-
-def bs_delay(bs: int, state: NetworkState, topo: Topology, file_bits: float) -> float:
-    """Total transmission delay at one BS for a file of `file_bits` per UE.
-
-    Empty association sets cost zero; a zero-rate UE yields +inf.
-    """
-    members = state.members(bs)
-    if members.size == 0:
-        return 0.0
-    rates = ue_rates(state, topo)[members]
-    if np.any(rates <= 0):
-        return math.inf
-    return float(np.sum(file_bits / rates))
 
 
 def all_bs_delays(state: NetworkState, topo: Topology, file_bits: float) -> np.ndarray:

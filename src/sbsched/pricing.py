@@ -1,20 +1,21 @@
 """Operational expenditure: per-second rent prices, one-time buy prices,
 and the offline-optimal rent-or-buy cost.
 
+A cell's rent is priced in one place: `OnSetTable` holds, per ON set, the
+network state and the delay and power vectors that `all_rent_prices` weighs.
 Prices for the approximated (per-period, flat-price) problem are frozen from
-the all-ON association at the period start; the live problem charges the rent
-rate of the current ON set instead, read from an `OnSetTable`.
+the table's all-ON entry at the period start; the live problem charges the
+rent of the current ON set's entry instead.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import energy, network
-from .network import MBS_ID, NetworkState, Topology, UnserviceableError
+from .network import MBS_ID, NetworkState, Topology
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class CostWeights:
     alpha_b: float = 0.05
 
     def __post_init__(self) -> None:
-        if min(self.alpha_d, self.alpha_p, self.alpha_b) < 0:
+        if not all(a >= 0 for a in (self.alpha_d, self.alpha_p, self.alpha_b)):
             raise ValueError("cost weights must be non-negative")
         if self.alpha_b > 1.0:
             raise ValueError("alpha_b must lie in [0, 1]")
@@ -39,42 +40,22 @@ class PriceTag:
     sbs: int
     rent: float  # cost per second of staying ON
     buy: float  # one-time charge for handing UEs over to the MBS
-    frozen_at: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rent < 0 or self.buy < 0:
             raise ValueError("prices must be non-negative")
 
 
-def rent_price(
-    bs: int,
-    state: NetworkState,
-    topo: Topology,
-    w: CostWeights,
-    q: float,
-    file_bits: float,
-) -> float:
-    """Per-second cost of keeping SBS `bs` ON under the given state."""
-    if bs < 1:
-        raise ValueError("rent prices are defined for SBSs only")
-    phi = network.bs_delay(bs, state, topo, file_bits)
-    if math.isinf(phi):
-        raise UnserviceableError(f"SBS {bs} serves a UE with zero rate")
-    psi = energy.bs_power(topo.bs[bs], state.n_members(bs), q)
-    return w.alpha_d * phi + w.alpha_p * psi
+def all_rent_prices(delays: np.ndarray, power: np.ndarray, w: CostWeights) -> np.ndarray:
+    """Rent price of every SBS: weighted delay plus power draw per second ON.
 
-
-def all_rent_prices(
-    state: NetworkState, topo: Topology, w: CostWeights, q: float, file_bits: float
-) -> np.ndarray:
-    """Rent prices of every SBS at once (index 0 unused, set to 0)."""
-    delays = network.all_bs_delays(state, topo, file_bits)
-    counts = np.bincount(state.serving, minlength=topo.n_bs)
-    out = np.zeros(topo.n_bs)
-    for j in range(1, topo.n_bs):
-        psi = energy.bs_power(topo.bs[j], int(counts[j]), q)
-        out[j] = w.alpha_d * delays[j] + w.alpha_p * psi
-    return out
+    `delays` is the per-BS total delay (`network.all_bs_delays`), `power` the
+    (n_sbs,) draw of each SBS when ON with its members. Index 0 (the MBS) is
+    unused and set to 0.
+    """
+    rent = np.zeros(delays.size)
+    rent[1:] = w.alpha_d * delays[1:] + w.alpha_p * power
+    return rent
 
 
 def mbs_delay_share(
@@ -91,11 +72,6 @@ def mbs_delay_share(
     return float(np.sum(file_bits / rates))
 
 
-def mbs_power_share(n_members: int, mbs: network.BsParams, q: float) -> float:
-    """Portion of MBS power consumption attributed to one SBS's UEs."""
-    return energy.bs_power(mbs, n_members, q)
-
-
 def buy_price(phi: float, psi: float, w: CostWeights, period: float) -> float:
     """One-time handover charge: a fraction of the worst-case MBS cost over T."""
     if period <= 0:
@@ -110,29 +86,27 @@ def offline_cost(rent: float, buy: float, u: float, period: float) -> float:
     return min(rent * u, buy)
 
 
-def freeze_prices(
-    table: OnSetTable, period: float, frozen_at: float = 0.0
-) -> list[PriceTag]:
+def freeze_prices(table: OnSetTable, period: float) -> list[PriceTag]:
     """Per-SBS price tags from the all-ON association at the period start.
 
-    The all-ON state is read from `table`, so a caller that goes on to use
-    the same table associates it only once. An SBS with no associated UEs
-    keeps only the fixed-power rent term and gets a zero buy price (it will
-    simply stay OFF).
+    The rent is the all-ON entry's `rent`, so a frozen tag and the live rent
+    of the all-ON set are one number, and a caller that goes on to use the
+    same table associates and prices it only once. An SBS with no associated
+    UEs keeps only the fixed-power rent term and gets a zero buy price (it
+    will simply stay OFF).
     """
     topo, w, q, file_bits = table.topo, table.w, table.q, table.file_bits
-    state = table[np.ones(topo.n_bs, dtype=bool)].state
+    all_on = table[np.ones(topo.n_bs, dtype=bool)]
     tags = []
     for j in range(1, topo.n_bs):
-        rent = rent_price(j, state, topo, w, q, file_bits)
-        members = state.members(j)
+        members = all_on.state.members(j)
         if members.size == 0:
             buy = 0.0
         else:
             phi = mbs_delay_share(members, topo, file_bits, topo.n_ue)
-            psi = mbs_power_share(members.size, topo.bs[MBS_ID], q)
+            psi = energy.bs_power(topo.bs[MBS_ID], members.size, q)
             buy = buy_price(phi, psi, w, period)
-        tags.append(PriceTag(sbs=j, rent=rent, buy=buy, frozen_at=frozen_at))
+        tags.append(PriceTag(sbs=j, rent=all_on.rent_values[j], buy=buy))
     return tags
 
 
@@ -171,19 +145,23 @@ class OnSetEntry:
         self.state = state
 
     @cached_property
-    def rent(self) -> np.ndarray:
-        """Live rent rate of every SBS, as `all_rent_prices` (index 0 unused)."""
+    def power(self) -> np.ndarray:
+        """(n_sbs,) power draw of each SBS when ON with its members."""
         t = self._table
-        return _read_only(all_rent_prices(self.state, t.topo, t.w, t.q, t.file_bits))
+        counts = np.bincount(self.state.serving, minlength=t.topo.n_bs).tolist()
+        return _read_only(np.array([
+            energy.bs_power(t.topo.bs[j], counts[j], t.q) for j in range(1, t.topo.n_bs)
+        ]))
+
+    @cached_property
+    def rent(self) -> np.ndarray:
+        """Rent rate of every SBS, as `all_rent_prices` (index 0 unused)."""
+        return _read_only(all_rent_prices(self.delays, self.power, self._table.w))
 
     @cached_property
     def psi(self) -> np.ndarray:
         """(n_sbs,) power draw of each SBS, 0 for an OFF one."""
-        t, state = self._table, self.state
-        return _read_only(np.array([
-            energy.bs_power(t.topo.bs[j], state.n_members(j), t.q) if state.sigma[j] else 0.0
-            for j in range(1, t.topo.n_bs)
-        ]))
+        return _read_only(np.where(self.state.sigma[1:], self.power, 0.0))
 
     @cached_property
     def delays(self) -> np.ndarray:

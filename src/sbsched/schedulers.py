@@ -13,6 +13,8 @@ import numpy as np
 from .pricing import PriceTag
 
 E = math.e
+# relative rent change the adaptive policy takes as a new, lower level
+RENT_RTOL = 1e-9
 
 
 def doa_off_time(rent: float, buy: float, period: float) -> float:
@@ -125,13 +127,6 @@ def adaptive_realized_off_time(history: RentHistory, buy: float, period: float) 
     return min(t_bar, period)
 
 
-def baseline_fixed(t_fix: float, period: float) -> float:
-    """Fixed OFF time shared by all SBSs."""
-    if not (0.0 <= t_fix <= period):
-        raise ValueError("fixed OFF time must lie in [0, period]")
-    return t_fix
-
-
 def baseline_threshold(e: float, cap: float, k_percent: float) -> bool:
     """ON iff the storage charge percentage strictly exceeds the threshold."""
     if cap <= 0:
@@ -192,14 +187,17 @@ class RoaPolicy(_ScheduledPolicy):
 
 
 class FixedPolicy(_ScheduledPolicy):
+    """One OFF time shared by all SBSs; a time past the period means never."""
+
     def __init__(self, t_fix: float) -> None:
         super().__init__()
+        if not t_fix >= 0.0:
+            raise ValueError(f"fixed OFF time must be non-negative, got {t_fix}")
         self.t_fix = t_fix
         self.name = f"fixed:{t_fix:g}"
 
     def reset(self, tags, period, rngs):
-        self.off_times = {tag.sbs: baseline_fixed(min(self.t_fix, period), period)
-                          for tag in tags}
+        self.off_times = {tag.sbs: min(self.t_fix, period) for tag in tags}
 
 
 class ThresholdPolicy(Policy):
@@ -208,6 +206,8 @@ class ThresholdPolicy(Policy):
     switches_back_on = True
 
     def __init__(self, k_percent: float) -> None:
+        if not 0.0 <= k_percent <= 100.0:
+            raise ValueError(f"threshold must lie in [0, 100], got {k_percent}")
         self.k_percent = k_percent
         self.name = f"threshold:{k_percent:g}"
 
@@ -222,18 +222,14 @@ class AdaptivePolicy(_ScheduledPolicy):
     """Re-derives the OFF time whenever the observed rent strictly decreases.
 
     A rent increase is outside the rule's validity; the previous schedule is
-    held (`on_increase="hold"`) or the run aborts (`on_increase="error"`).
+    held.
     """
 
     name = "adaptive"
     needs_rent = True
 
-    def __init__(self, rtol: float = 1e-9, on_increase: str = "hold") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if on_increase not in ("hold", "error"):
-            raise ValueError("on_increase must be 'hold' or 'error'")
-        self.rtol = rtol
-        self.on_increase = on_increase
         self.histories: dict[int, RentHistory] = {}
         self.buys: dict[int, float] = {}
 
@@ -253,17 +249,12 @@ class AdaptivePolicy(_ScheduledPolicy):
     def desired_on(self, j, t, stored, cap, rent_now):
         if rent_now is not None and j in self.histories:
             last = self.histories[j].steps[-1][1]
-            if abs(rent_now - last) > self.rtol * last:
-                if rent_now < last:
-                    # a lower live rent at the start replaces the frozen tag's level
-                    self.histories[j] = (
-                        RentHistory(((0.0, rent_now),)) if t == 0.0
-                        else self.histories[j].extended(t, rent_now))
-                    self.off_times[j] = adaptive_off_time(self.histories[j], self.buys[j])
-                elif self.on_increase == "error":
-                    raise ValueError(
-                        f"SBS {j}: rent increased at t={t}; the adaptive rule "
-                        "requires decreasing rent")
+            if last - rent_now > RENT_RTOL * last:
+                # a lower live rent at the start replaces the frozen tag's level
+                self.histories[j] = (
+                    RentHistory(((0.0, rent_now),)) if t == 0.0
+                    else self.histories[j].extended(t, rent_now))
+                self.off_times[j] = adaptive_off_time(self.histories[j], self.buys[j])
         return t < self.off_times[j]
 
 

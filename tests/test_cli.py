@@ -108,6 +108,18 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_config(write_config(tmp_path, "policies = genie\n"))
 
+    @pytest.mark.parametrize("text", ["policies = roa, threshold:150\n",
+                                      "policies = fixed:-1\n"])
+    def test_out_of_range_policy_argument_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="policies"):
+            parse_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("text", ["power.q = 1.5\n", "power.q = -1\n",
+                                      "cost.alpha_b = 1.5\n", "cost.alpha_d = -1\n"])
+    def test_out_of_range_model_parameter_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError):
+            parse_config(write_config(tmp_path, text))
+
     def test_area_keys_set_together(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, "area.width = 400\n"))
@@ -237,6 +249,18 @@ class TestMain:
                   "--algorithm", "genie"])
         assert exc.value.code == 2
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("algorithm", ["fixed:-1", "fixed:nan", "threshold:150",
+                                           "threshold:nan"])
+    def test_out_of_range_algorithm_exits_before_running(self, tmp_path, capsys,
+                                                         algorithm):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--preset", "fig5", "--runs", "1", "--out-dir", str(out),
+                  "--algorithm", algorithm])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -4,15 +4,14 @@ import pytest
 from sbsched.energy import (
     EnergyState,
     HarvestParams,
-    PowerModelParams,
     bs_power,
-    check_depletion,
     harvest_trace,
     load_harvest_trace,
-    step_harvest,
     update_storage,
 )
-from sbsched.network import BsParams, dbm_to_watts
+from sbsched.engine import ScenarioConfig, run_period
+from sbsched.network import BsParams, Topology, dbm_to_watts
+from sbsched.schedulers import FixedPolicy
 
 
 def small_cell(op_power=10.0, max_users=10):
@@ -47,20 +46,17 @@ class TestPowerModel:
             p = bs_power(small_cell(), 15, 0.9)
         assert p == pytest.approx(bs_power(small_cell(), 10, 0.9))
 
-    def test_q_validated(self):
-        with pytest.raises(ValueError):
-            PowerModelParams(q=1.5)
-        PowerModelParams(q=0.9)
-
 
 class TestHarvest:
     def test_zero_rate(self):
         rng = np.random.default_rng(0)
-        assert step_harvest(HarvestParams(rate=0.0, quantum=0.2), 1.0, rng) == 0.0
+        trace = harvest_trace(HarvestParams(rate=0.0, quantum=0.2), 1.0, 10, 2, rng)
+        assert trace.shape == (10, 2) and np.all(trace == 0.0)
 
     def test_zero_quantum(self):
         rng = np.random.default_rng(0)
-        assert step_harvest(HarvestParams(rate=20.0, quantum=0.0), 1.0, rng) == 0.0
+        trace = harvest_trace(HarvestParams(rate=20.0, quantum=0.0), 1.0, 10, 2, rng)
+        assert trace.shape == (10, 2) and np.all(trace == 0.0)
 
     def test_mean_matches_rate_times_quantum(self):
         rng = np.random.default_rng(1)
@@ -107,20 +103,49 @@ class TestStorage:
         assert np.all(np.isnan(state.depleted_at))
 
 
+def run_one_cell(initial, harvest=(), t_off=1.0):
+    """One period of 8 slots of 0.125 s: one SBS serves one UE and draws 8 W,
+    exactly 1 J a slot. `harvest` is credited in the first slots; the policy
+    switches the cell OFF at `t_off`. All values are exact in binary."""
+    cfg = ScenarioConfig(period=1.0, dt=0.125, n_sbs=1, n_ue=1, q=1.0,
+                         sbs_op_power=8.0, initial_energy=initial)
+    bs = (macro_cell(), small_cell(op_power=8.0))
+    topo = Topology(bs=bs, ue=np.zeros((1, 2)), gain=np.array([[1e-13, 1e-10]]),
+                    noise_power=dbm_to_watts(-104.0), area=(500.0, 500.0))
+    trace = np.zeros((cfg.n_steps, 1))
+    trace[:len(harvest), 0] = harvest
+    energy = EnergyState.fresh(1, initial, cfg.capacity)
+    res, _ = run_period(cfg, topo, energy, FixedPolicy(t_off),
+                        [np.random.default_rng(0)], trace)
+    assert res.used[0]
+    return res
+
+
 class TestDepletion:
     def test_cannot_fund_next_slot(self):
-        assert check_depletion(0.5, 9.5, 0.1, 0.2)
+        res = run_one_cell(0.5, [0.25])
+        assert res.depleted_at[0] == 0.0 and res.on_time[0] == 0.0
+        assert not res.buy_charged[0]
 
     def test_zero_power_never_depletes(self):
-        assert not check_depletion(0.0, 0.0, 0.1, 0.0)
+        # a cell switched OFF draws nothing, so an empty battery is no depletion
+        res = run_one_cell(0.0, t_off=0.0)
+        assert np.isnan(res.depleted_at[0]) and res.buy_charged[0]
+        assert res.energy_consumed[0] == 0.0
 
     def test_exact_boundary_not_depleted(self):
-        # values chosen exactly representable in binary: 9.5 * 0.125 = 1.1875
-        assert not check_depletion(1.1875, 9.5, 0.125, 0.0)
+        # 2 J fund exactly two slots; the third finds 0 J and depletes
+        res = run_one_cell(2.0)
+        assert res.on_time[0] == 0.25 and res.depleted_at[0] == 0.25
+        assert res.energy_consumed[0] == 2.0
+        # 8 J fund exactly the whole period
+        res = run_one_cell(8.0)
+        assert res.on_time[0] == 1.0 and np.isnan(res.depleted_at[0])
 
     def test_harvest_can_rescue(self):
-        assert check_depletion(0.5, 9.5, 0.1, 0.0)
-        assert not check_depletion(0.5, 9.5, 0.1, 0.5)
+        assert run_one_cell(0.5).depleted_at[0] == 0.0
+        res = run_one_cell(0.5, [0.5])
+        assert res.on_time[0] == 0.125 and res.depleted_at[0] == 0.125
 
 
 class TestTraceFile:

@@ -55,6 +55,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(price_mode="oracle")
 
+    def test_q_validated(self):
+        for q in (1.5, -1.0, math.nan):
+            with pytest.raises(ValueError, match="q must lie"):
+                ScenarioConfig(q=q)
+        assert ScenarioConfig(q=0.0).q == 0.0 and ScenarioConfig(q=1.0).q == 1.0
+
+    def test_cost_weights_validated(self):
+        for over in (dict(alpha_b=1.5), dict(alpha_d=-1.0), dict(alpha_p=-0.1),
+                     dict(alpha_d=math.nan)):
+            with pytest.raises(ValueError):
+                ScenarioConfig(**over)
+        assert ScenarioConfig(alpha_b=1.0, alpha_d=0.0).weights.alpha_b == 1.0
+
     def test_tx_schedule_times_must_strictly_increase(self):
         for sched in (((5.0, dbm_to_watts(29.0)), (1.0, dbm_to_watts(20.0))),
                       ((1.0, dbm_to_watts(29.0)), (1.0, dbm_to_watts(20.0)))):
@@ -252,11 +265,9 @@ class TestInvariants:
     def test_instantaneous_rent_matches_frozen_tag_at_start(self):
         cfg, topo, _, _, _ = setup_period(seed=SEED_TWO_USED)
         tags = pricing.freeze_prices(table_for(cfg, topo), cfg.period)
-        state = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
+        live = table_for(cfg, topo)[np.ones(topo.n_bs, dtype=bool)].rent
         for tag in tags:
-            live = pricing.rent_price(tag.sbs, state, topo, cfg.weights,
-                                      cfg.q, cfg.file_bits)
-            assert live == pytest.approx(tag.rent, rel=1e-12)
+            assert live[tag.sbs] == tag.rent
 
     def test_trace_row_schema(self):
         cfg = ScenarioConfig(seed=SEED_ONE_USED, horizon_periods=1)

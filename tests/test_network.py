@@ -9,17 +9,16 @@ from sbsched.network import (
     NetworkState,
     PathLossModel,
     Topology,
+    all_bs_delays,
     associate,
-    bs_delay,
     channel_gain,
     compute_gains,
     dbm_to_watts,
     place_nodes,
-    rate,
-    sinr,
-    snr_mbs,
+    sinr_matrix,
     topology_from_json,
     topology_to_json,
+    ue_rates,
     watts_to_dbm,
 )
 
@@ -121,8 +120,7 @@ class TestSinrSnr:
             [[100.0, 100.0]],
             gains=[[1e-12, 1e-10]],
         )
-        state = associate(np.array([True, True]), topo)
-        value = sinr(0, 1, state, topo)
+        value = sinr_matrix(np.array([True, True]), topo)[0, 1]
         assert value == pytest.approx(dbm_to_watts(23.0) * 1e-10 / NOISE, rel=1e-12)
         assert value == pytest.approx(501.2, rel=1e-3)
 
@@ -132,8 +130,7 @@ class TestSinrSnr:
             [[100.0, 100.0]],
             gains=[[1e-12, 1e-10]],
         )
-        state = NetworkState(sigma=np.array([True, False]), serving=np.array([0]))
-        assert sinr(0, 1, state, topo) == 0.0
+        assert sinr_matrix(np.array([True, False]), topo)[0, 1] == 0.0
 
     def test_two_equal_cells_symmetric(self):
         # equal gains, negligible noise -> SINR ~ 1 for both
@@ -143,9 +140,9 @@ class TestSinrSnr:
             gains=[[1e-12, 1e-8, 1e-8]],
             noise=1e-20,
         )
-        state = associate(np.array([True, True, True]), topo)
-        assert sinr(0, 1, state, topo) == pytest.approx(1.0, rel=1e-9)
-        assert sinr(0, 2, state, topo) == pytest.approx(1.0, rel=1e-9)
+        metric = sinr_matrix(np.array([True, True, True]), topo)
+        assert metric[0, 1] == pytest.approx(1.0, rel=1e-9)
+        assert metric[0, 2] == pytest.approx(1.0, rel=1e-9)
 
     def test_macro_snr_value_and_invariance(self):
         topo = make_topology(
@@ -154,22 +151,20 @@ class TestSinrSnr:
             gains=[[1e-12, 1e-11, 1e-11]],
         )
         expected = dbm_to_watts(33.0) * 1e-12 / NOISE
-        assert snr_mbs(0, topo) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(50.12, rel=1e-3)
         # macro SNR ignores every small-cell toggle
         for sigma in ([True, True, True], [True, False, True], [True, False, False]):
-            state = associate(np.array(sigma), topo)
-            assert snr_mbs(0, topo) == pytest.approx(expected, rel=1e-15)
-            del state
+            assert sinr_matrix(np.array(sigma), topo)[0, 0] == pytest.approx(
+                expected, rel=1e-12)
 
     def test_interference_monotonicity(self):
         topo = make_topology(
             [MBS_SPEC, sbs_spec(100.0, 100.0), sbs_spec(200.0, 200.0)],
             [[120.0, 120.0]],
         )
-        state_alone = associate(np.array([True, True, False]), topo)
-        state_both = associate(np.array([True, True, True]), topo)
-        assert sinr(0, 1, state_both, topo) < sinr(0, 1, state_alone, topo)
+        alone = sinr_matrix(np.array([True, True, False]), topo)[0, 1]
+        both = sinr_matrix(np.array([True, True, True]), topo)[0, 1]
+        assert both < alone
 
 
 class TestAssociation:
@@ -204,11 +199,11 @@ class TestAssociation:
             sigma = np.concatenate(([True], rng.uniform(size=6) < 0.5))
             state = associate(sigma, topo)
             seen = np.zeros(topo.n_ue, dtype=int)
-            for j, members in state.assoc.items():
-                if members:
+            for j in range(topo.n_bs):
+                members = state.members(j)
+                if members.size:
                     assert sigma[j]
-                for i in members:
-                    seen[i] += 1
+                seen[members] += 1
             assert np.all(seen == 1)
 
     def test_turned_off_cell_loses_all_members(self):
@@ -258,9 +253,9 @@ class TestRateDelay:
         topo = self._two_ue_topology()
         state = associate(np.array([True, True]), topo)
         assert state.n_members(1) == 2
-        gamma = sinr(0, 1, state, topo)
+        gamma = sinr_matrix(state.sigma, topo)[0, 1]
         expected = 10e6 / 2 * math.log2(1 + gamma)
-        assert rate(0, state, topo) == pytest.approx(expected, rel=1e-12)
+        assert ue_rates(state, topo)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_rate_halves_when_members_double(self):
         topo_two = self._two_ue_topology()
@@ -271,22 +266,22 @@ class TestRateDelay:
             gains=[[1e-13, 1e-10]],
         )
         state_one = associate(np.array([True, True]), topo_one)
-        assert rate(0, state_two, topo_two) == pytest.approx(
-            rate(0, state_one, topo_one) / 2, rel=1e-12
+        assert ue_rates(state_two, topo_two)[0] == pytest.approx(
+            ue_rates(state_one, topo_one)[0] / 2, rel=1e-12
         )
 
     def test_delay_example(self):
         # two UEs each at 1e7 bits/s, K = 1e5 bits -> 0.02 s total
         topo = self._two_ue_topology()
         state = associate(np.array([True, True]), topo)
-        r = rate(0, state, topo)
+        r = ue_rates(state, topo)[0]
         expected = 2 * 1e5 / r
-        assert bs_delay(1, state, topo, 1e5) == pytest.approx(expected, rel=1e-12)
+        assert all_bs_delays(state, topo, 1e5)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_empty_cell_has_zero_delay(self):
         topo = self._two_ue_topology()
         state = NetworkState(sigma=np.array([True, True]), serving=np.array([0, 0]))
-        assert bs_delay(1, state, topo, 1e5) == 0.0
+        assert all_bs_delays(state, topo, 1e5)[1] == 0.0
 
     def test_single_ue_unit_ratio(self):
         topo = make_topology(
@@ -295,8 +290,8 @@ class TestRateDelay:
             gains=[[1e-13, 1e-10]],
         )
         state = associate(np.array([True, True]), topo)
-        r = rate(0, state, topo)
-        assert bs_delay(1, state, topo, r) == pytest.approx(1.0, rel=1e-12)
+        r = ue_rates(state, topo)[0]
+        assert all_bs_delays(state, topo, r)[1] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestSerialization:

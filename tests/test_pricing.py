@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sbsched import network, pricing
-from sbsched.network import dbm_to_watts, place_nodes
+from sbsched import network
+from sbsched.energy import bs_power
+from sbsched.network import BsParams, Topology, dbm_to_watts, place_nodes
 from sbsched.pricing import (
     CostWeights,
     OnSetTable,
@@ -11,9 +12,7 @@ from sbsched.pricing import (
     buy_price,
     freeze_prices,
     mbs_delay_share,
-    mbs_power_share,
     offline_cost,
-    rent_price,
 )
 
 
@@ -25,6 +24,25 @@ def served_topology(seed=1, n_sbs=6, n_ue=30):
         state = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
         if any(state.n_members(j) > 0 for j in range(1, topo.n_bs)):
             return topo, state
+
+
+def all_on_rent(topo, w, q=0.9, file_bits=1e5):
+    """The table's rent of every SBS in the all-ON set (index 0 unused)."""
+    return OnSetTable(topo, w, q, file_bits)[np.ones(topo.n_bs, dtype=bool)].rent
+
+
+def crowded_cell(seed, n_ue=10):
+    """One SBS that serves all `n_ue` UEs, with random SBS gains."""
+    gains = 10 ** np.random.default_rng(seed).uniform(-11, -9, size=n_ue)
+    bs = (
+        BsParams(id=0, kind="MBS", x=250.0, y=250.0, tx_power=dbm_to_watts(33.0),
+                 op_power_max=20.0, bandwidth=10e6, max_users=50),
+        BsParams(id=1, kind="SBS", x=100.0, y=100.0, tx_power=dbm_to_watts(23.0),
+                 op_power_max=10.0, bandwidth=10e6, max_users=n_ue),
+    )
+    return Topology(bs=bs, ue=np.full((n_ue, 2), 100.0),
+                    gain=np.column_stack([np.full(n_ue, 1e-13), gains]),
+                    noise_power=dbm_to_watts(-104.0), area=(500.0, 500.0))
 
 
 class TestCostWeights:
@@ -45,10 +63,8 @@ class TestCostWeights:
 
 class TestRentPrice:
     def test_zero_weights(self):
-        topo, state = served_topology()
-        w = CostWeights(0.0, 0.0, 0.0)
-        for j in range(1, topo.n_bs):
-            assert rent_price(j, state, topo, w, 0.9, 1e5) == 0.0
+        topo, _ = served_topology()
+        assert np.all(all_on_rent(topo, CostWeights(0.0, 0.0, 0.0)) == 0.0)
 
     def test_weighted_sum_example(self):
         # phi = 0.02 s, psi = 9.5 W, alpha_d = 0.05, alpha_p = 1e-4 -> 0.00195
@@ -56,12 +72,9 @@ class TestRentPrice:
         topo, state = served_topology()
         j = next(j for j in range(1, topo.n_bs) if state.n_members(j) > 0)
         w = CostWeights(0.05, 1e-4, 0.05)
-        phi = network.bs_delay(j, state, topo, 1e5)
-        from sbsched.energy import bs_power
+        phi = network.all_bs_delays(state, topo, 1e5)[j]
         psi = bs_power(topo.bs[j], state.n_members(j), 0.9)
-        assert rent_price(j, state, topo, w, 0.9, 1e5) == pytest.approx(
-            0.05 * phi + 1e-4 * psi, rel=1e-12
-        )
+        assert all_on_rent(topo, w)[j] == pytest.approx(0.05 * phi + 1e-4 * psi, rel=1e-12)
 
     def test_empty_cell_pays_fixed_power_only(self):
         topo, state = served_topology()
@@ -69,22 +82,25 @@ class TestRentPrice:
         assert j is not None
         w = CostWeights(0.05, 0.05, 0.05)
         expected = 0.05 * 0.9 * topo.bs[j].op_power_max
-        assert rent_price(j, state, topo, w, 0.9, 1e5) == pytest.approx(expected)
+        assert all_on_rent(topo, w)[j] == pytest.approx(expected)
 
     def test_vectorized_matches_scalar(self):
+        # every SBS's rent against a per-cell sum over its members' rates
         topo, state = served_topology(seed=3)
         w = CostWeights()
-        rents = all_rent_prices(state, topo, w, 0.9, 1e5)
+        rents = all_on_rent(topo, w)
+        rates = network.ue_rates(state, topo)
         assert rents[0] == 0.0
         for j in range(1, topo.n_bs):
+            phi = sum(1e5 / rates[i] for i in state.members(j))
+            psi = bs_power(topo.bs[j], state.n_members(j), 0.9)
             assert rents[j] == pytest.approx(
-                rent_price(j, state, topo, w, 0.9, 1e5), rel=1e-12
+                w.alpha_d * phi + w.alpha_p * psi, rel=1e-12
             )
-
-    def test_requires_small_cell_index(self):
-        topo, state = served_topology()
-        with pytest.raises(ValueError):
-            rent_price(0, state, topo, CostWeights(), 0.9, 1e5)
+        assert np.array_equal(
+            all_rent_prices(np.array([0.0, 2.0, 0.0]), np.array([9.5, 9.0]), w),
+            [0.0, 0.05 * 2.0 + 0.05 * 9.5, 0.05 * 9.0],
+        )
 
 
 class TestMacroShares:
@@ -93,10 +109,8 @@ class TestMacroShares:
         j = next(j for j in range(1, topo.n_bs) if state.n_members(j) > 0)
         members = state.members(j)
         per_ue_bw = topo.bs[0].bandwidth / topo.n_ue
-        expected = sum(
-            1e5 / (per_ue_bw * np.log2(1 + network.snr_mbs(int(i), topo)))
-            for i in members
-        )
+        snr = network.sinr_matrix(state.sigma, topo)[:, 0]
+        expected = sum(1e5 / (per_ue_bw * np.log2(1 + snr[i])) for i in members)
         got = mbs_delay_share(members, topo, 1e5, topo.n_ue)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -106,7 +120,7 @@ class TestMacroShares:
 
     def test_power_share_example(self):
         topo, _ = served_topology()
-        assert mbs_power_share(5, topo.bs[0], 0.9) == pytest.approx(18.2)
+        assert bs_power(topo.bs[0], 5, 0.9) == pytest.approx(18.2)
 
 
 class TestBuyPrice:
@@ -173,13 +187,35 @@ class TestFreezePrices:
                 assert tag.buy > 0.0
 
     def test_frozen_rent_matches_all_on_state(self):
-        topo, state = served_topology(seed=9)
-        w = CostWeights()
-        tags = freeze_prices(OnSetTable(topo, w, 0.9, 1e5), 10.0)
-        for tag in tags:
-            assert tag.rent == pytest.approx(
-                rent_price(tag.sbs, state, topo, w, 0.9, 1e5), rel=1e-12
-            )
+        # bit for bit, also for cells of >= 8 UEs, where a per-cell sum of
+        # the delays in another order than the table's changes the last bit
+        cases = [(served_topology(seed=s)[0], CostWeights()) for s in (3, 9)]
+        cases += [(crowded_cell(s), CostWeights(0.05, 1e-4, 0.05)) for s in range(8)]
+        for topo, w in cases:
+            table = OnSetTable(topo, w, 0.9, 1e5)
+            all_on = table[np.ones(topo.n_bs, dtype=bool)]
+            for tag in freeze_prices(table, 10.0):
+                assert tag.rent == all_on.rent[tag.sbs]
+
+    def test_prices_read_the_tables_delays_once(self, monkeypatch):
+        calls = {"all_bs_delays": 0, "ue_rates": 0}
+        for name in calls:
+            real = getattr(network, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(network, name, counting)
+        topo, _ = served_topology(seed=9)
+        table = OnSetTable(topo, CostWeights(), 0.9, 1e5)
+        sigmas = [np.ones(topo.n_bs, dtype=bool), np.eye(topo.n_bs, dtype=bool)[0]]
+        for sigma in sigmas:
+            table[sigma].rent, table[sigma].delays
+        assert calls["all_bs_delays"] <= len(sigmas)
+        before = dict(calls)
+        freeze_prices(table, 10.0)
+        assert calls == before
 
     def test_buy_composition(self):
         topo, state = served_topology(seed=9)
@@ -190,5 +226,5 @@ class TestFreezePrices:
             if members.size == 0:
                 continue
             phi = mbs_delay_share(members, topo, 1e5, topo.n_ue)
-            psi = mbs_power_share(members.size, topo.bs[0], 0.9)
+            psi = bs_power(topo.bs[0], members.size, 0.9)
             assert tag.buy == pytest.approx(buy_price(phi, psi, w, 10.0), rel=1e-12)

@@ -14,7 +14,6 @@ from sbsched.schedulers import (
     accumulated_rent,
     adaptive_off_time,
     adaptive_realized_off_time,
-    baseline_fixed,
     baseline_threshold,
     doa_off_time,
     make_policy,
@@ -156,11 +155,11 @@ class TestAdaptive:
 
 class TestBaselines:
     def test_fixed(self):
-        assert baseline_fixed(7.0, 10.0) == 7.0
-        assert baseline_fixed(0.0, 10.0) == 0.0
-        assert baseline_fixed(10.0, 10.0) == 10.0
-        with pytest.raises(ValueError):
-            baseline_fixed(11.0, 10.0)
+        tags = [PriceTag(sbs=1, rent=1.0, buy=4.0)]
+        for t_fix, off in ((7.0, 7.0), (0.0, 0.0), (10.0, 10.0), (11.0, 10.0)):
+            pol = FixedPolicy(t_fix)
+            pol.reset(tags, 10.0, [])
+            assert pol.off_times == {1: off}
 
     def test_threshold(self):
         assert baseline_threshold(50.0, 100.0, 40.0)
@@ -230,12 +229,6 @@ class TestPolicyObjects:
         assert pol.desired_on(1, 1.0, 60.0, 100.0, 3.0)  # increase: schedule kept
         assert pol.off_times[1] == pytest.approx(2.0)
 
-    def test_adaptive_policy_error_mode(self):
-        pol = AdaptivePolicy(on_increase="error")
-        pol.reset([PriceTag(sbs=1, rent=2.0, buy=4.0)], 10.0, self.rngs())
-        with pytest.raises(ValueError):
-            pol.desired_on(1, 1.0, 60.0, 100.0, 3.0)
-
     def test_make_policy(self):
         assert isinstance(make_policy("doa"), DoaPolicy)
         assert isinstance(make_policy("roa"), RoaPolicy)
@@ -246,3 +239,9 @@ class TestPolicyObjects:
             make_policy("genie")
         with pytest.raises(ValueError):
             make_policy("fixed")
+
+    @pytest.mark.parametrize("spec", ["fixed:-1", "fixed:nan", "threshold:150",
+                                      "threshold:-0.5", "threshold:nan"])
+    def test_make_policy_rejects_out_of_range_arguments(self, spec):
+        with pytest.raises(ValueError):
+            make_policy(spec)
