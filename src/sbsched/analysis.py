@@ -223,17 +223,15 @@ def empirical_cr_study(
         if opt <= 0.0:
             continue
         policy_rng = np.random.default_rng(policy_ss)
-        off_idx = np.empty((1, m), dtype=np.int64)
-        for i, j in enumerate(tables.used):
+        snapped = []
+        for j in tables.used:
             tag = tags[j - 1]
             mu = float(policy_rng.uniform())
             t_off = cfg.period if tag.rent == 0.0 else roa_off_time(tag.rent, tag.buy, mu)
-            snapped = min(int(math.floor(t_off / grid_dt + 1e-9)), n_steps)
-            off_idx[0, i] = max(snapped, min_on_slots)
-        realized = float(oracle.evaluate_schedules(
-            tables, trace_used, off_idx, cfg.initial_energy, cfg.capacity,
-            grid_dt, n_steps,
-        )[0])
+            snapped.append(min(int(math.floor(t_off / grid_dt + 1e-9)), n_steps))
+        # grid row `snapped` was evaluated at np.maximum(snapped, min_on_slots),
+        # which is the policy's schedule
+        realized = float(costs[np.ravel_multi_index(snapped, (n_steps + 1,) * m)])
         ratios.append(realized / opt)
         run += 1
     report = RatioReport.from_ratios(np.array(ratios))

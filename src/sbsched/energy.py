@@ -25,7 +25,7 @@ class HarvestParams:
     quantum: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.rate < 0 or self.quantum < 0:
+        if not (self.rate >= 0 and self.quantum >= 0):
             raise ValueError("harvest rate and quantum must be non-negative")
 
 

@@ -86,6 +86,11 @@ class ScenarioConfig:
         if not (0.0 <= self.q <= 1.0):
             raise ValueError("q must lie in [0, 1]")
         self.weights  # CostWeights validates the cost weights
+        self.harvest  # HarvestParams validates the rate and the quantum
+        if self.n_ue < 1 or self.n_sbs < 0:
+            raise ValueError("need n_ue >= 1 and n_sbs >= 0")
+        if self.sbs_max_users < 1 or self.mbs_max_users < 1:
+            raise ValueError("sbs_max_users and mbs_max_users must be >= 1")
         times = [when for when, _ in self.sbs_tx_schedule]
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("sbs_tx_schedule times must strictly increase")

@@ -150,10 +150,12 @@ class Topology:
 
 @dataclass(frozen=True)
 class NetworkState:
-    """ON/OFF vector and the resulting max-SINR user association."""
+    """ON/OFF vector, the resulting max-SINR user association, and each UE's
+    link quality to its server (SNR for the MBS, SINR for an SBS)."""
 
     sigma: np.ndarray  # (n_bs,) bool
     serving: np.ndarray  # (n_ue,) serving BS index per UE
+    sinr: np.ndarray  # (n_ue,) link quality to the serving BS
 
     def __post_init__(self) -> None:
         if not self.sigma[MBS_ID]:
@@ -262,19 +264,18 @@ def associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
     metric = sinr_matrix(sigma, topo)
     metric[:, ~sigma] = -np.inf
     serving = np.argmax(metric, axis=1)  # first max == lowest index
-    sigma.flags.writeable = False
-    serving.flags.writeable = False
-    return NetworkState(sigma=sigma, serving=serving)
+    sinr = metric[np.arange(topo.n_ue), serving]
+    for a in (sigma, serving, sinr):
+        a.flags.writeable = False
+    return NetworkState(sigma=sigma, serving=serving, sinr=sinr)
 
 
 def ue_rates(state: NetworkState, topo: Topology) -> np.ndarray:
     """Achievable rate of every UE: equal bandwidth split at its serving BS."""
-    metric = sinr_matrix(state.sigma, topo)
-    gamma = metric[np.arange(topo.n_ue), state.serving]
     counts = np.bincount(state.serving, minlength=topo.n_bs)
     bw = np.array([b.bandwidth for b in topo.bs])
     share = bw[state.serving] / counts[state.serving]
-    return share * np.log2(1.0 + gamma)
+    return share * np.log2(1.0 + state.sinr)
 
 
 def all_bs_delays(state: NetworkState, topo: Topology, file_bits: float) -> np.ndarray:

@@ -3,8 +3,12 @@
 Works on a recorded scenario (topology, frozen prices, full harvest trace) so
 every policy and the oracle face the same randomness. Because the number of
 SBSs that actually serve UEs is small in oracle experiments, the live rent
-and power rates of every ON-subset are read once from a `pricing.OnSetTable`,
-and all OFF-time combinations are evaluated in one vectorized pass.
+and power rates of every ON-subset are read once from a `pricing.OnSetTable`.
+When no schedule can deplete a battery, all OFF-time combinations are costed
+in closed form, vectorized over the combinations. Otherwise the slot loop
+walks the tree of distinct slot prefixes in plain floats: schedules that agree
+up to a slot share its state, so the full grid costs about one slot step per
+combination instead of one per combination and slot.
 """
 from __future__ import annotations
 
@@ -100,15 +104,15 @@ def _depletion_possible(
 
     Tracks a per-SBS lower bound on stored energy assuming worst-case (always
     ON at the maximum subset power) consumption; the cap clamp keeps the
-    bound valid when harvesting outpaces consumption.
+    bound valid when harvesting outpaces consumption. The cells are
+    independent, so each is followed over the whole period in plain floats.
     """
-    e_lb = np.full(tables.used.size, float(e0))
-    worst = tables.psi_max * dt
-    for k in range(n_steps):
-        h = trace_used[k]
-        if np.any(e_lb + h < worst):
-            return True
-        e_lb = np.minimum(e_lb + h - worst, cap)
+    for i, worst in enumerate((tables.psi_max * dt).tolist()):
+        e_lb = float(e0)
+        for h in trace_used[:n_steps, i].tolist():
+            if e_lb + h < worst:
+                return True
+            e_lb = min(e_lb + h - worst, cap)
     return False
 
 
@@ -165,30 +169,103 @@ def _evaluate_stepwise(
     dt: float,
     n_steps: int,
 ) -> np.ndarray:
+    """Slot-by-slot cost of each row, walking every distinct slot prefix once.
+
+    The state after slot k depends on each cell's OFF index only through
+    min(off, k + 1), so schedules that agree so far share one state. The walk
+    covers the grid of each cell's requested OFF indices (clamped to
+    0..n_steps) and branches at slot k only over the cells still ON that may
+    go OFF there; a cell whose last requested index has come must go OFF. A
+    cell that runs dry stops branching: all its later OFF indices cost the
+    same, so the leaf fills a box of the grid. The full grid thus costs
+    O((n_steps+1)^m) slot steps, and one row a single path.
+    """
     c, m = off_idx.shape
-    bits = (1 << np.arange(m)).astype(np.int64)
-    on = np.ones((c, m), dtype=bool)
-    depleted = np.zeros((c, m), dtype=bool)
-    bought = np.zeros((c, m), dtype=bool)
-    e = np.full((c, m), float(e0))
-    rent_cost = np.zeros(c)
-    for k in range(n_steps):
-        vol_off = on & (k >= off_idx)
-        bought |= vol_off  # vol_off implies not depleted (depleted => not on)
-        on &= ~vol_off
-        h = trace_used[k]
-        while True:
-            sidx = on @ bits
-            psi = tables.psi[sidx]
-            dep_now = on & (e + h[None, :] < psi * dt)
-            if not dep_now.any():
-                break
-            depleted |= dep_now
-            on &= ~dep_now
-        rent_cost += tables.rent[sidx].sum(axis=1) * dt
-        e = np.minimum(e + h[None, :] - psi * dt * on, cap)
+    if c == 0:
+        return np.zeros(0)
+    clamped = np.clip(off_idx, 0, n_steps)
+    vals = [np.unique(clamped[:, i]) for i in range(m)]
+    shape = tuple(v.size for v in vals)
+    rows = np.ravel_multi_index(
+        [np.searchsorted(v, clamped[:, i]) for i, v in enumerate(vals)], shape
+    )
+    rent_grid = np.empty(shape)
+    bought_grid = np.empty(shape, dtype=np.int64)  # bit i: cell i bought
+    rent_flat, bought_flat = rent_grid.reshape(-1), bought_grid.reshape(-1)
+    strides = [s // rent_grid.itemsize for s in rent_grid.strides]
+
+    vals = [v.tolist() for v in vals]
+    last = [n - 1 for n in shape]
+    bits = [1 << i for i in range(m)]
+    cells = [[i for i in range(m) if mask >> i & 1] for mask in range(1 << m)]
+    # the per-row loop's float operations, in its order, so the costs are the
+    # same bits: e + h < psi*dt, min((e + h) - psi*dt, cap), rent += rent_sum*dt
+    psi_dt = (tables.psi * dt).tolist()
+    rent_dt = (tables.rent_sum * dt).tolist()
+    trace = trace_used[:n_steps].tolist()
+
+    def leaf(pos, flat, dry, bought, rent):
+        if dry:
+            box = tuple(
+                slice(p, n if dry & b else p + 1)
+                for p, n, b in zip(pos, shape, bits)
+            )
+            rent_grid[box] = rent
+            bought_grid[box] = bought
+        else:
+            rent_flat[flat] = rent
+            bought_flat[flat] = bought
+
+    def walk(k, mask, e, pos, flat, dry, bought, rent, go_off):
+        """Walk on from slot k; `go_off` (None: decide here) is the set of
+        optional cells this branch sends OFF at k."""
+        while mask and k < n_steps:
+            due = [i for i in cells[mask] if vals[i][pos[i]] == k]
+            if due:
+                forced = optional = 0
+                for i in due:
+                    if pos[i] == last[i]:
+                        forced |= bits[i]
+                    else:
+                        optional |= bits[i]
+                if go_off is None:
+                    sub = optional
+                    while sub:
+                        if forced | sub == mask:  # all OFF from slot k on
+                            leaf(pos, flat, dry, bought | mask, rent)
+                        else:
+                            walk(k, mask, e[:], pos[:], flat, dry, bought, rent, sub)
+                        sub = (sub - 1) & optional
+                    go_off = 0
+                off = forced | go_off
+                for i in due:
+                    if not off & bits[i]:
+                        pos[i] += 1
+                        flat += strides[i]
+                mask &= ~off
+                bought |= off
+            go_off = None
+            h = trace[k]
+            while True:
+                psi = psi_dt[mask]
+                out = 0
+                for i in cells[mask]:
+                    if e[i] + h[i] < psi[i]:
+                        out |= bits[i]
+                if not out:
+                    break
+                mask &= ~out
+                dry |= out
+            rent += rent_dt[mask]
+            for i in cells[mask]:
+                e[i] = min(e[i] + h[i] - psi[i], cap)
+            k += 1
+        leaf(pos, flat, dry, bought, rent)
+
+    walk(0, (1 << m) - 1, [float(e0)] * m, [0] * m, 0, 0, 0, 0.0, None)
+    bought = (bought_flat[rows, None] >> np.arange(m)) & 1 == 1
     buy_cost = (bought * tables.buys[None, :]).sum(axis=1)
-    return rent_cost + buy_cost
+    return rent_flat[rows] + buy_cost
 
 
 def all_combinations(m: int, n_steps: int) -> np.ndarray:

@@ -115,7 +115,10 @@ class TestParsing:
             parse_config(write_config(tmp_path, text))
 
     @pytest.mark.parametrize("text", ["power.q = 1.5\n", "power.q = -1\n",
-                                      "cost.alpha_b = 1.5\n", "cost.alpha_d = -1\n"])
+                                      "cost.alpha_b = 1.5\n", "cost.alpha_d = -1\n",
+                                      "energy.rate = -1\n", "energy.rate = nan\n",
+                                      "energy.quantum = -0.2\n", "n_ue = 0\n",
+                                      "network.sbs_max_users = 0\n"])
     def test_out_of_range_model_parameter_rejected(self, tmp_path, text):
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, text))
@@ -258,6 +261,17 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["--preset", "fig5", "--runs", "1", "--out-dir", str(out),
                   "--algorithm", algorithm])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["energy.rate = -1\n", "energy.quantum = nan\n",
+                                      "n_ue = 0\n", "network.sbs_max_users = 0\n"])
+    def test_out_of_range_scenario_exits_before_running(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, "replications = 1\nhorizon_periods = 1\n" + text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--out-dir", str(out)])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()

@@ -68,6 +68,23 @@ class TestConfig:
                 ScenarioConfig(**over)
         assert ScenarioConfig(alpha_b=1.0, alpha_d=0.0).weights.alpha_b == 1.0
 
+    def test_harvest_parameters_validated(self):
+        for over in (dict(harvest_rate=-1.0), dict(harvest_rate=math.nan),
+                     dict(harvest_quantum=-0.2), dict(harvest_quantum=math.nan)):
+            with pytest.raises(ValueError, match="harvest rate and quantum"):
+                ScenarioConfig(**over)
+        cfg = ScenarioConfig(harvest_rate=0.0, harvest_quantum=0.0)
+        assert cfg.harvest.rate == 0.0 and cfg.harvest.quantum == 0.0
+
+    def test_node_counts_validated(self):
+        for over in (dict(n_ue=0), dict(n_ue=-3), dict(n_sbs=-1)):
+            with pytest.raises(ValueError, match="n_ue >= 1"):
+                ScenarioConfig(**over)
+        for over in (dict(sbs_max_users=0), dict(mbs_max_users=0)):
+            with pytest.raises(ValueError, match="max_users"):
+                ScenarioConfig(**over)
+        assert ScenarioConfig(n_ue=1, n_sbs=0, sbs_max_users=1).n_ue == 1
+
     def test_tx_schedule_times_must_strictly_increase(self):
         for sched in (((5.0, dbm_to_watts(29.0)), (1.0, dbm_to_watts(20.0))),
                       ((1.0, dbm_to_watts(29.0)), (1.0, dbm_to_watts(20.0)))):

@@ -239,6 +239,15 @@ class TestAssociation:
         with pytest.raises(ValueError):
             state.sigma[1] = False
 
+    def test_state_holds_each_ues_link_quality_to_its_server(self):
+        topo = place_nodes((500.0, 500.0), 4, 30, np.random.default_rng(3))
+        sigma = np.array([True, True, False, True, True])
+        state = associate(sigma, topo)
+        metric = sinr_matrix(sigma, topo)
+        assert state.sinr.tobytes() == metric[np.arange(30), state.serving].tobytes()
+        with pytest.raises(ValueError):
+            state.sinr[0] = 0.0
+
 
 class TestRateDelay:
     def _two_ue_topology(self):
@@ -280,8 +289,22 @@ class TestRateDelay:
 
     def test_empty_cell_has_zero_delay(self):
         topo = self._two_ue_topology()
-        state = NetworkState(sigma=np.array([True, True]), serving=np.array([0, 0]))
+        sigma = np.array([True, True])
+        state = NetworkState(sigma=sigma, serving=np.array([0, 0]),
+                             sinr=sinr_matrix(sigma, topo)[:, 0])
         assert all_bs_delays(state, topo, 1e5)[1] == 0.0
+
+    def test_rates_reuse_the_states_sinr(self, monkeypatch):
+        topo = self._two_ue_topology()
+        state = associate(np.array([True, True]), topo)
+        expected = ue_rates(state, topo)
+
+        def fail(*args):
+            raise AssertionError("ue_rates recomputed the SINR matrix")
+
+        monkeypatch.setattr(network, "sinr_matrix", fail)
+        assert ue_rates(state, topo).tobytes() == expected.tobytes()
+        assert all_bs_delays(state, topo, 1e5)[1] > 0.0
 
     def test_single_ue_unit_ratio(self):
         topo = make_topology(
