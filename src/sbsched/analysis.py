@@ -1,6 +1,7 @@
 """Competitive analysis: closed-form expected costs of the randomized policy,
 Monte Carlo verifiers, worst-case ratio scans, and the empirical ratio study
-that replays recorded traces through both a policy and the offline oracle.
+that replays the first period of each drawn `engine.Replication` through both
+the randomized policy and the offline oracle.
 """
 from __future__ import annotations
 
@@ -12,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network, oracle, pricing
-from .engine import ScenarioConfig, build_topology
-from .energy import harvest_trace
+from . import oracle, pricing
+from .engine import Replication, ScenarioConfig
+# unused here; bench/test_bench.py checks that the tracer wraps these bindings
+from .engine import build_topology  # noqa: F401
+from .energy import harvest_trace  # noqa: F401
 from .schedulers import (
     RentHistory,
     accumulated_rent,
@@ -167,29 +170,28 @@ class RatioReport:
 def empirical_cr_study(
     cfg: ScenarioConfig,
     n_runs: int,
-    grid_dt: float,
     budget: int = 1_000_000,
     out_dir: str | None = None,
-    min_on_slots: int = 1,
 ) -> RatioReport:
     """Ratio of the randomized policy's realized cost to the offline optimum.
 
-    Each replication draws a fresh topology and harvest trace, snaps the
-    randomized OFF times down to the oracle grid, and evaluates both the
-    policy and the exhaustive optimum with the same slot-level accounting on
-    the same trace. Replications whose optimum is zero (no served SBS) are
-    skipped.
+    Each attempt draws a `Replication` from (cfg.seed, attempt) and reads its
+    first period: it snaps the randomized OFF times down to the slot grid and
+    evaluates both the policy and the exhaustive optimum with the same
+    slot-level accounting on the same trace. Attempts with no served SBS are
+    skipped before any pricing, and so are those whose optimum is zero.
 
     Every SBS starts the period ON, so schedules — online and offline alike —
-    keep a served SBS ON for at least `min_on_slots` slots before a voluntary
-    OFF can take effect. Because both sides search/act on the same restricted
-    grid, realized/optimal >= 1 holds exactly.
+    keep a served SBS ON for at least one slot before a voluntary OFF can
+    take effect. Because both sides search/act on the same restricted grid,
+    realized/optimal >= 1 holds exactly. The oracle prices a single
+    transmit-power epoch, so a `sbs_tx_schedule` is rejected.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
-    n_steps = int(round(cfg.period / grid_dt))
-    if abs(n_steps * grid_dt - cfg.period) > 1e-9:
-        raise ValueError("grid_dt must divide the period")
+    if cfg.sbs_tx_schedule:
+        raise ValueError("the ratio study prices one epoch; sbs_tx_schedule must be empty")
+    n_steps, dt = cfg.n_steps, cfg.dt
     ratios = []
     run = 0
     attempts = 0
@@ -197,40 +199,33 @@ def empirical_cr_study(
         attempts += 1
         if attempts > 10 * n_runs:
             raise RuntimeError("too many degenerate replications (no served SBSs)")
-        ss = np.random.SeedSequence([cfg.seed, attempts])
-        topo_ss, harvest_ss, policy_ss = ss.spawn(3)
-        topo = build_topology(cfg, np.random.default_rng(topo_ss))
-        trace = harvest_trace(
-            cfg.harvest, grid_dt, n_steps, cfg.n_sbs, np.random.default_rng(harvest_ss)
-        )
-        table = pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits)
+        rep = Replication.draw(cfg, np.random.SeedSequence([cfg.seed, attempts]))
+        table = rep.tables[0]
+        if not table[np.ones(rep.topo.n_bs, dtype=bool)].state.serving.any():
+            continue  # every UE is on the MBS: no cell to schedule
         tags = pricing.freeze_prices(table, cfg.period)
         tables = oracle.build_tables(table, tags)
         m = tables.used.size
-        if m == 0:
-            continue
         required = (n_steps + 1) ** m
         if required > budget:
             raise oracle.BudgetError(required, budget)
-        trace_used = trace[:, tables.used - 1]
-        combos = oracle.all_combinations(m, n_steps)
-        combos = np.maximum(combos, min_on_slots)
+        trace_used = rep.harvest[0][:, tables.used - 1]
+        combos = np.maximum(oracle.all_combinations(m, n_steps), 1)
         costs = oracle.evaluate_schedules(
-            tables, trace_used, combos, cfg.initial_energy, cfg.capacity,
-            grid_dt, n_steps,
+            tables, trace_used, combos, cfg.initial_energy, cfg.capacity, dt, n_steps,
         )
         opt = float(costs.min())
         if opt <= 0.0:
             continue
-        policy_rng = np.random.default_rng(policy_ss)
+        policy_rng = np.random.default_rng(rep.policy_ss)
         snapped = []
         for j in tables.used:
             tag = tags[j - 1]
             mu = float(policy_rng.uniform())
             t_off = cfg.period if tag.rent == 0.0 else roa_off_time(tag.rent, tag.buy, mu)
-            snapped.append(min(int(math.floor(t_off / grid_dt + 1e-9)), n_steps))
-        # grid row `snapped` was evaluated at np.maximum(snapped, min_on_slots),
-        # which is the policy's schedule
+            snapped.append(min(int(math.floor(t_off / dt + 1e-9)), n_steps))
+        # grid row `snapped` was evaluated at np.maximum(snapped, 1), which is
+        # the policy's schedule
         realized = float(costs[np.ravel_multi_index(snapped, (n_steps + 1,) * m)])
         ratios.append(realized / opt)
         run += 1

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, network
-from .engine import ScenarioConfig, run_horizon
-from .network import dbm_to_watts, watts_to_dbm
+from .engine import Replication, ScenarioConfig, run_horizon
+from .network import dbm_to_watts
 from .schedulers import make_policy
 
 ENV_OUT_DIR = "SBSCHED_OUT_DIR"
@@ -155,6 +155,8 @@ class ExperimentSpec:
                 _sweep_axis(self)  # every swept scenario must be valid
             except ValueError as exc:
                 raise ConfigError(f"sweep.values: {exc}") from None
+        if self.kind == "cr_study" and self.base.sbs_tx_schedule:
+            raise ConfigError("network.sbs_tx_schedule: a cr_study prices one epoch")
         if not self.policies and self.kind == "sweep":
             raise ConfigError("at least one policy is required")
         for p in self.policies:
@@ -329,47 +331,33 @@ def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -
     rows = []
     summary: dict = {"name": spec.name, "seed": spec.master_seed, "cells": []}
     topo_json = None
-    trace_rows: list | None = None
-    wrote_trace = False
+    trace_rows: list | None = [] if trace else None  # of the first run only
 
     for sweep_idx, (param, value, cfg) in enumerate(_sweep_axis(spec)):
-        for policy_name in spec.policies:
-            totals = []
-            for rep in range(spec.n_replications):
-                collect = trace and not wrote_trace
-                this_trace: list | None = [] if collect else None
-                cfg_p = replace(cfg, policy=policy_name)
-                res_list, topo = run_horizon(
-                    cfg_p,
-                    seed=np.random.SeedSequence([spec.master_seed, sweep_idx, rep]),
-                    trace_rows=this_trace,
-                    return_topology=True,
-                )
-                if topo_json is None:
-                    topo_json = network.topology_to_json(topo)
-                if collect:
-                    trace_rows = this_trace
-                    wrote_trace = True
-                total = 0.0
-                for res in res_list:
-                    d = res.to_dict()
-                    total += d["total_cost"]
-                    rows.append([
-                        param, value, policy_name, rep, d["period"],
-                        d["total_cost"], d["rent_cost"], d["buy_cost"],
-                        d["buy_count"], d["on_time_mean"], d["switch_count"],
-                        d["energy_consumed"], d["energy_harvested"],
-                        d["delay_per_sbs"], d["unused_fraction"], d["n_used"],
-                        d["depleted_count"],
-                    ])
-                totals.append(total)
+        # every policy runs on each replication's one record; rows and totals
+        # are buffered per policy to keep (value, policy, replication) order
+        runs = [(replace(cfg, policy=p), [], []) for p in spec.policies]
+        for rep in range(spec.n_replications):
+            record = Replication.draw(
+                cfg, np.random.SeedSequence([spec.master_seed, sweep_idx, rep]))
+            if topo_json is None:
+                topo_json = network.topology_to_json(record.topo)
+            for k, (cfg_p, out, totals) in enumerate(runs):
+                first = sweep_idx == rep == k == 0
+                periods = [res.to_dict() for res in run_horizon(
+                    cfg_p, record, trace_rows=trace_rows if first else None)]
+                out += [[param, value, cfg_p.policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
+                        for d in periods]
+                totals.append(sum(d["total_cost"] for d in periods))
+        for cfg_p, out, totals in runs:
+            rows += out
             totals_arr = np.array(totals)
             n = totals_arr.size
             ci = 1.96 * float(totals_arr.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
             summary["cells"].append({
                 "sweep_parameter": param,
                 "sweep_value": value,
-                "policy": policy_name,
+                "policy": cfg_p.policy,
                 "replications": n,
                 "mean_total_cost": float(totals_arr.mean()),
                 "ci95_halfwidth": ci,
@@ -401,9 +389,7 @@ def _run_cr_study(spec: ExperimentSpec, out_dir: str, written: list) -> int:
         os.path.join(out_dir, "ratios.csv"),
         os.path.join(out_dir, "ratios_summary.json"),
     ]
-    report = analysis.empirical_cr_study(
-        spec.base, spec.n_replications, spec.base.dt, out_dir=out_dir
-    )
+    report = analysis.empirical_cr_study(spec.base, spec.n_replications, out_dir=out_dir)
     with open(summary_path, "w") as fh:
         json.dump({
             "name": spec.name,

@@ -13,9 +13,9 @@ period; with no served cell, the slot loop runs only to write trace rows.
 The policy is asked every slot for each served cell that may still switch.
 Network state (association, live rents, power draw, delays) is a function of
 the ON set and the SBS transmit power only: it is read from a
-`pricing.OnSetTable`, one per transmit-power epoch, which `run_horizon` builds
-once for all its periods, and an entry is looked up only when the ON set or
-the epoch changes.
+`pricing.OnSetTable`, one per transmit-power epoch, held with the topology,
+harvest and policy seeds by the `Replication` record of one seed. An entry is
+looked up only when the ON set or the epoch changes.
 
 Two accounting modes exist: "live" charges the instantaneous rent rate of the
 current state (the original problem), "frozen" charges the period-start flat
@@ -24,6 +24,7 @@ approximated problem).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,7 @@ def run_period(
     period_index: int = 0,
     trace_rows: list | None = None,
     *,
-    tables: list[pricing.OnSetTable] | None = None,
+    tables: Sequence[pricing.OnSetTable] | None = None,
 ) -> tuple[PeriodResult, EnergyState]:
     """Simulate one period of length T on the slot grid.
 
@@ -347,51 +348,63 @@ def run_period(
     return result, energy
 
 
+@dataclass(frozen=True, eq=False)
+class Replication:
+    """The randomness of one seed, drawn once: the topology, its ON-set tables
+    (`epoch_tables`), one read-only (n_steps, n_sbs) harvest trace per period,
+    and the policy seeds. Policies run on one record face the same draws and
+    share the tables' entries."""
+
+    topo: Topology
+    tables: tuple[pricing.OnSetTable, ...]
+    harvest: tuple[np.ndarray, ...]
+    # `spawn` advances its parent: runs seed fresh generators from these children
+    policy_ss: np.random.SeedSequence
+    policy_seeds: tuple[np.random.SeedSequence, ...]
+
+    @classmethod
+    def draw(cls, cfg: ScenarioConfig, seed: int | np.random.SeedSequence) -> "Replication":
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        topo_ss, harvest_ss, policy_ss = ss.spawn(3)
+        topo = build_topology(cfg, np.random.default_rng(topo_ss))
+        n_steps, n_periods = cfg.n_steps, cfg.horizon_periods
+        if cfg.harvest_trace_file is not None:
+            # the file covers the whole horizon; each period reads its own slots
+            harvest = np.split(energy_mod.load_harvest_trace(
+                cfg.harvest_trace_file, cfg.n_sbs, cfg.dt, n_steps * n_periods), n_periods)
+        else:
+            harvest_rng = np.random.default_rng(harvest_ss)
+            harvest = [energy_mod.harvest_trace(cfg.harvest, cfg.dt, n_steps, cfg.n_sbs,
+                                                harvest_rng) for _ in range(n_periods)]
+        for trace in harvest:
+            trace.flags.writeable = False
+        return cls(topo, tuple(epoch_tables(cfg, topo)), tuple(harvest), policy_ss,
+                   tuple(policy_ss.spawn(max(cfg.n_sbs, 1))))
+
+
 def run_horizon(
     cfg: ScenarioConfig,
-    seed: int | np.random.SeedSequence | None = None,
+    seed: int | np.random.SeedSequence | Replication | None = None,
     policy: Policy | None = None,
     trace_rows: list | None = None,
-    return_topology: bool = False,
-):
+) -> list[PeriodResult]:
     """Chain `horizon_periods` periods, carrying stored energy across boundaries.
 
-    All randomness derives from the seed: one stream for placement, one for
-    harvesting, one per SBS for policy draws. Identical (config, seed) gives
-    identical results.
+    All randomness comes from a `Replication`: the one given, which must be
+    drawn for this scenario, or one drawn from the seed (`cfg.seed` when None).
+    Identical (config, seed) gives identical results.
     """
-    if seed is None:
-        seed = cfg.seed
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    topo_ss, harvest_ss, policy_ss = ss.spawn(3)
-    topo = build_topology(cfg, np.random.default_rng(topo_ss))
-    harvest_rng = np.random.default_rng(harvest_ss)
-    policy_rngs = [np.random.default_rng(s) for s in policy_ss.spawn(max(cfg.n_sbs, 1))]
+    rep = seed if isinstance(seed, Replication) else Replication.draw(
+        cfg, cfg.seed if seed is None else seed)
     if policy is None:
         policy = make_policy(cfg.policy)
+    policy_rngs = [np.random.default_rng(s) for s in rep.policy_seeds]
     energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
-    tables = epoch_tables(cfg, topo)
-    n_steps = cfg.n_steps
-    if cfg.harvest_trace_file is not None:
-        # the file covers the whole horizon; each period reads its own slots
-        recorded = energy_mod.load_harvest_trace(
-            cfg.harvest_trace_file, cfg.n_sbs, cfg.dt, n_steps * cfg.horizon_periods
-        )
-
     results = []
-    for p in range(cfg.horizon_periods):
-        if cfg.harvest_trace_file is not None:
-            trace = recorded[p * n_steps:(p + 1) * n_steps]
-        else:
-            trace = energy_mod.harvest_trace(
-                cfg.harvest, cfg.dt, n_steps, cfg.n_sbs, harvest_rng
-            )
+    for p, trace in enumerate(rep.harvest):
         res, energy = run_period(
-            cfg, topo, energy, policy, policy_rngs, trace,
-            period_index=p, trace_rows=trace_rows, tables=tables,
+            cfg, rep.topo, energy, policy, policy_rngs, trace,
+            period_index=p, trace_rows=trace_rows, tables=rep.tables,
         )
         results.append(res)
-    if return_topology:
-        return results, topo
     return results
-

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -227,7 +227,7 @@ def compute_gains(bs: Sequence[BsParams], ue_xy: np.ndarray, model: PathLossMode
     gain = np.empty((ue_xy.shape[0], len(bs)))
     for j, b in enumerate(bs):
         d = np.hypot(ue_xy[:, 0] - b.x, ue_xy[:, 1] - b.y)
-        gain[:, j] = [channel_gain(float(di), b.kind, model) for di in d]
+        gain[:, j] = [channel_gain(x, b.kind, model) for x in d.tolist()]
     return gain
 
 

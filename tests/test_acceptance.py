@@ -18,7 +18,9 @@ from sbsched.analysis import (
     worst_case_ratio_scan,
 )
 from sbsched.energy import EnergyState, bs_power
-from sbsched.engine import ScenarioConfig, build_topology, run_horizon, run_period
+from sbsched.engine import (
+    Replication, ScenarioConfig, build_topology, run_horizon, run_period,
+)
 from sbsched.network import dbm_to_watts
 from sbsched.oracle import RecordedScenario, offline_exhaustive
 from sbsched.schedulers import (
@@ -219,7 +221,7 @@ def test_empirical_ratio_study_corridors():
     """800-run ratio study: sane median, bounded worst case, ratios >= 1."""
     t0 = time.perf_counter()
     cfg = ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6)
-    report = empirical_cr_study(cfg, 800, 0.2)
+    report = empirical_cr_study(cfg, 800)
     elapsed = time.perf_counter() - t0
     median_ok = 1.15 <= report.median <= 1.60
     worst_ok = 1.5 <= report.worst <= 2.2
@@ -282,7 +284,9 @@ def test_simulation_invariants_over_random_configurations():
             horizon_periods=1,
         )
         rows = []
-        results, topo = run_horizon(cfg, trace_rows=rows, return_topology=True)
+        rep = Replication.draw(cfg, cfg.seed)
+        topo = rep.topo
+        results = run_horizon(cfg, rep, trace_rows=rows)
 
         # association is a partition with max-SINR selection
         sigma = np.ones(topo.n_bs, dtype=bool)

@@ -152,7 +152,7 @@ class TestRatioReport:
 class TestEmpiricalStudy:
     def test_small_study_properties(self, tmp_path):
         cfg = ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6)
-        rep = empirical_cr_study(cfg, 40, 0.2, out_dir=str(tmp_path))
+        rep = empirical_cr_study(cfg, 40, out_dir=str(tmp_path))
         assert rep.ratios.size == 40
         assert np.all(rep.ratios >= 1.0 - 1e-12)
         assert rep.worst <= 2.0 + 1e-9  # deterministic part of the guarantee
@@ -161,17 +161,19 @@ class TestEmpiricalStudy:
 
     def test_deterministic_given_seed(self):
         cfg = ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6)
-        a = empirical_cr_study(cfg, 10, 0.2)
-        b = empirical_cr_study(cfg, 10, 0.2)
+        a = empirical_cr_study(cfg, 10)
+        b = empirical_cr_study(cfg, 10)
         assert np.array_equal(a.ratios, b.ratios)
 
     def test_budget_respected(self):
         cfg = ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6)
         from sbsched.oracle import BudgetError
         with pytest.raises(BudgetError):
-            empirical_cr_study(cfg, 40, 0.2, budget=10)
+            empirical_cr_study(cfg, 40, budget=10)
 
-    def test_grid_must_divide_period(self):
-        cfg = ScenarioConfig(n_sbs=3, n_ue=15, seed=6)
-        with pytest.raises(ValueError):
-            empirical_cr_study(cfg, 5, 0.3)
+    def test_tx_schedule_rejected(self):
+        # the oracle prices one transmit-power epoch
+        cfg = ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6,
+                             sbs_tx_schedule=((0.0, 0.2), (5.0, 0.5)))
+        with pytest.raises(ValueError, match="sbs_tx_schedule"):
+            empirical_cr_study(cfg, 5)

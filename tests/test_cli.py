@@ -1,6 +1,8 @@
 import csv
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sbsched.cli import (
@@ -11,9 +13,10 @@ from sbsched.cli import (
     main,
     parse_config,
     run_experiment,
+    _sweep_axis,
     serialize,
 )
-from sbsched.engine import ScenarioConfig
+from sbsched.engine import ScenarioConfig, run_horizon
 from sbsched.network import dbm_to_watts
 
 
@@ -98,6 +101,13 @@ class TestParsing:
                 "sweep.parameter = network.sbs_op_power\n"
                 "sweep.values = 10 W, 0.5 W\n")))
 
+    def test_cr_study_rejects_a_tx_schedule(self, tmp_path):
+        # the oracle prices one transmit-power epoch
+        with pytest.raises(ConfigError, match="sbs_tx_schedule"):
+            parse_config(write_config(tmp_path, (
+                "kind = cr_study\n"
+                "network.sbs_tx_schedule = 0:23 dBm, 5:26 dBm\n")))
+
     def test_sweep_needs_both_keys(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, "sweep.parameter = n_sbs\n"))
@@ -137,7 +147,6 @@ class TestRunExperiment:
         tmp_path.mkdir(parents=True, exist_ok=True)
         spec = parse_config(write_config(tmp_path, SMALL_SWEEP))
         if reps != 2:
-            from dataclasses import replace
             spec = replace(spec, n_replications=reps)
         out = tmp_path / "out"
         assert run_experiment(spec, str(out), trace=trace) == 0
@@ -197,6 +206,36 @@ class TestRunExperiment:
                            "rent_rate"]
         # first replication only: n_steps x n_sbs rows for the first cell
         assert len(rows) - 1 == 100 * 4
+
+    def test_policies_share_each_replication(self, tmp_path):
+        # every row equals a lone run of its policy on its own seed
+        spec = parse_config(write_config(tmp_path, """
+seed = 13
+replications = 2
+policies = roa, adaptive, threshold:30, fixed:2
+n_sbs = 3
+n_ue = 20
+horizon_periods = 2
+price_mode = frozen
+network.sbs_tx_schedule = 0:23 dBm, 4:26 dBm
+sweep.parameter = energy.initial
+sweep.values = 20, 60
+"""))
+        out = tmp_path / "out"
+        assert run_experiment(spec, str(out)) == 0
+        with open(out / "results.csv") as fh:
+            got = list(csv.reader(fh))[1:]
+        want = []
+        for idx, (_, value, cfg) in enumerate(_sweep_axis(spec)):
+            for policy in spec.policies:
+                for rep in range(spec.n_replications):
+                    seed = np.random.SeedSequence([spec.master_seed, idx, rep])
+                    for res in run_horizon(replace(cfg, policy=policy), seed):
+                        d = res.to_dict()
+                        want.append([str(x) for x in (
+                            "energy.initial", value, policy, rep,
+                            *(d[c] for c in RESULTS_COLUMNS[4:]))])
+        assert got == want
 
     def test_cr_study_outputs(self, tmp_path):
         spec = parse_config(write_config(tmp_path, """

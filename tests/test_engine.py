@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sbsched import network, pricing
 from sbsched.energy import EnergyState
 from sbsched.engine import (
     PeriodResult,
+    Replication,
     ScenarioConfig,
     build_topology,
     run_horizon,
@@ -241,10 +243,29 @@ class TestRunHorizon:
         b = run_horizon(cfg)
         assert a[0].to_dict() == b[0].to_dict()
 
-    def test_return_topology(self):
+    def test_runs_on_a_drawn_replication(self):
         cfg = ScenarioConfig(seed=SEED_ONE_USED)
-        res, topo = run_horizon(cfg, return_topology=True)
-        assert topo.n_sbs == cfg.n_sbs and len(res) == cfg.horizon_periods
+        rep = Replication.draw(cfg, cfg.seed)
+        assert rep.topo.n_sbs == cfg.n_sbs and len(rep.harvest) == cfg.horizon_periods
+        res = run_horizon(cfg, rep)
+        assert [r.to_dict() for r in res] == [r.to_dict() for r in run_horizon(cfg)]
+
+    def test_policies_sharing_a_record_see_fresh_policy_streams(self):
+        # each run on a shared record gives what it gives on a fresh one,
+        # whatever ran on the record before it
+        cfg = ScenarioConfig(seed=SEED_TWO_USED, n_sbs=6)
+        shared = Replication.draw(cfg, cfg.seed)
+        for policy in ("roa", "doa", "roa"):
+            cfg_p = replace(cfg, policy=policy)
+            got = run_horizon(cfg_p, shared)
+            want = run_horizon(cfg_p, Replication.draw(cfg, cfg.seed))
+            assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+            assert any(r.switch_count.any() for r in got)
+
+    def test_record_harvest_is_read_only(self):
+        rep = Replication.draw(ScenarioConfig(seed=SEED_ONE_USED), 0)
+        with pytest.raises(ValueError):
+            rep.harvest[0][0, 0] = 1.0
 
 
 class TestInvariants:
@@ -269,8 +290,9 @@ class TestInvariants:
         # total = sum_j rent_j * on_time_j + buy_j * x_j, each term isolated
         for seed in (SEED_ONE_USED, SEED_TWO_USED, 5, 12):
             cfg = ScenarioConfig(seed=seed, policy="roa", price_mode="frozen")
-            results, topo = run_horizon(cfg, return_topology=True)
-            tags = pricing.freeze_prices(table_for(cfg, topo), cfg.period)
+            results = run_horizon(cfg)
+            tags = pricing.freeze_prices(
+                table_for(cfg, Replication.draw(cfg, cfg.seed).topo), cfg.period)
             for res in results:
                 expected = sum(
                     tags[i].rent * res.on_time[i]

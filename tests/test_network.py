@@ -77,6 +77,24 @@ class TestChannelGain:
         with pytest.raises(ValueError):
             channel_gain(10.0, "relay")
 
+    def test_gain_matrix_is_channel_gain_bit_for_bit(self):
+        # both link kinds, and UEs closer than min_distance to either BS
+        rng = np.random.default_rng(3)
+        ue = np.vstack((rng.uniform(0.0, 500.0, size=(200, 2)),
+                        [[250.0, 250.0], [250.3, 249.8], [100.0, 100.0], [100.5, 100.0]]))
+        bs = (
+            BsParams(id=0, kind="MBS", x=250.0, y=250.0, tx_power=2.0,
+                     op_power_max=20.0, bandwidth=10e6, max_users=50),
+            BsParams(id=1, kind="SBS", x=100.0, y=100.0, tx_power=0.2,
+                     op_power_max=10.0, bandwidth=10e6, max_users=10),
+        )
+        model = PathLossModel(min_distance=1.0)
+        want = np.array([
+            [channel_gain(math.hypot(x - b.x, y - b.y), b.kind, model) for b in bs]
+            for x, y in ue.tolist()
+        ])
+        assert compute_gains(bs, ue, model).tobytes() == want.tobytes()
+
 
 class TestPlaceNodes:
     def test_macro_only_degenerate(self):

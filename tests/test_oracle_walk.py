@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from sbsched import oracle, pricing
 from sbsched.analysis import empirical_cr_study
-from sbsched.engine import ScenarioConfig, build_topology
-from sbsched.energy import harvest_trace
+from sbsched.engine import Replication, ScenarioConfig
 from sbsched.oracle import (
     SubsetTables,
     _depletion_possible,
@@ -171,11 +170,8 @@ def test_recorded_study_grids_match_reference():
         n_steps, checked, attempt = cfg.n_steps, 0, 0
         while checked < wanted:
             attempt += 1
-            topo_ss, harvest_ss, _ = np.random.SeedSequence([cfg.seed, attempt]).spawn(3)
-            topo = build_topology(cfg, np.random.default_rng(topo_ss))
-            trace = harvest_trace(cfg.harvest, cfg.dt, n_steps, cfg.n_sbs,
-                                  np.random.default_rng(harvest_ss))
-            table = pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits)
+            rep = Replication.draw(cfg, np.random.SeedSequence([cfg.seed, attempt]))
+            trace, table = rep.harvest[0], rep.tables[0]
             tables = oracle.build_tables(table, pricing.freeze_prices(table, cfg.period))
             if tables.used.size < n_sbs:
                 continue
@@ -210,10 +206,10 @@ def test_study_evaluates_each_served_attempt_once(monkeypatch):
                          initial_energy=30.0, seed=3)
     monkeypatch.setattr(oracle, "build_tables", build)
     monkeypatch.setattr(oracle, "evaluate_schedules", evaluate)
-    report = empirical_cr_study(cfg, 12, 0.2)
+    report = empirical_cr_study(cfg, 12)
     assert report.ratios.size == 12
     assert len(evaluated) == sum(served) >= 12
     # every call is the whole grid; none is the policy's single row
     assert min(evaluated) > 1
     monkeypatch.undo()
-    assert np.array_equal(empirical_cr_study(cfg, 12, 0.2).ratios, report.ratios)
+    assert np.array_equal(empirical_cr_study(cfg, 12).ratios, report.ratios)
