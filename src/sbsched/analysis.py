@@ -1,7 +1,7 @@
 """Competitive analysis: closed-form expected costs of the randomized policy,
 Monte Carlo verifiers, worst-case ratio scans, and the empirical ratio study
-that replays the first period of each drawn `engine.Replication` through both
-the randomized policy and the offline oracle.
+that replays one-period `engine.Replication`s through both the randomized
+policy (`schedulers.RoaPolicy`, on the frozen tags) and the offline oracle.
 """
 from __future__ import annotations
 
@@ -9,21 +9,21 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import oracle, pricing
+from . import oracle
 from .engine import Replication, ScenarioConfig
 # unused here; bench/test_bench.py checks that the tracer wraps these bindings
 from .engine import build_topology  # noqa: F401
 from .energy import harvest_trace  # noqa: F401
 from .schedulers import (
     RentHistory,
+    RoaPolicy,
     accumulated_rent,
     adaptive_realized_off_time,
     doa_off_time,
-    roa_off_time,
 )
 
 E = math.e
@@ -175,11 +175,11 @@ def empirical_cr_study(
 ) -> RatioReport:
     """Ratio of the randomized policy's realized cost to the offline optimum.
 
-    Each attempt draws a `Replication` from (cfg.seed, attempt) and reads its
-    first period: it snaps the randomized OFF times down to the slot grid and
-    evaluates both the policy and the exhaustive optimum with the same
-    slot-level accounting on the same trace. Attempts with no served SBS are
-    skipped before any pricing, and so are those whose optimum is zero.
+    Each attempt draws a one-period `Replication` from (cfg.seed, attempt):
+    it snaps the randomized OFF times down to the slot grid and evaluates
+    both the policy and the exhaustive optimum with the same slot-level
+    accounting on the same trace. Attempts with no served SBS are skipped
+    before any pricing, and so are those whose optimum is zero.
 
     Every SBS starts the period ON, so schedules — online and offline alike —
     keep a served SBS ON for at least one slot before a voluntary OFF can
@@ -192,6 +192,7 @@ def empirical_cr_study(
     if cfg.sbs_tx_schedule:
         raise ValueError("the ratio study prices one epoch; sbs_tx_schedule must be empty")
     n_steps, dt = cfg.n_steps, cfg.dt
+    study_cfg = replace(cfg, horizon_periods=1)
     ratios = []
     run = 0
     attempts = 0
@@ -199,12 +200,11 @@ def empirical_cr_study(
         attempts += 1
         if attempts > 10 * n_runs:
             raise RuntimeError("too many degenerate replications (no served SBSs)")
-        rep = Replication.draw(cfg, np.random.SeedSequence([cfg.seed, attempts]))
+        rep = Replication.draw(study_cfg, np.random.SeedSequence([cfg.seed, attempts]))
         table = rep.tables[0]
-        if not table[np.ones(rep.topo.n_bs, dtype=bool)].state.serving.any():
+        if not table.tags:
             continue  # every UE is on the MBS: no cell to schedule
-        tags = pricing.freeze_prices(table, cfg.period)
-        tables = oracle.build_tables(table, tags)
+        tables = oracle.build_tables(table)
         m = tables.used.size
         required = (n_steps + 1) ** m
         if required > budget:
@@ -217,13 +217,12 @@ def empirical_cr_study(
         opt = float(costs.min())
         if opt <= 0.0:
             continue
-        policy_rng = np.random.default_rng(rep.policy_ss)
-        snapped = []
-        for j in tables.used:
-            tag = tags[j - 1]
-            mu = float(policy_rng.uniform())
-            t_off = cfg.period if tag.rent == 0.0 else roa_off_time(tag.rent, tag.buy, mu)
-            snapped.append(min(int(math.floor(t_off / dt + 1e-9)), n_steps))
+        # one study stream for every cell, so the draws follow the tags' order
+        policy = RoaPolicy()
+        policy.reset(table.tags, cfg.period,
+                     [np.random.default_rng(rep.policy_ss)] * cfg.n_sbs)
+        snapped = [min(int(math.floor(policy.off_times[tag.sbs] / dt + 1e-9)), n_steps)
+                   for tag in table.tags]
         # grid row `snapped` was evaluated at np.maximum(snapped, 1), which is
         # the policy's schedule
         realized = float(costs[np.ravel_multi_index(snapped, (n_steps + 1,) * m)])

@@ -155,8 +155,16 @@ class ExperimentSpec:
                 _sweep_axis(self)  # every swept scenario must be valid
             except ValueError as exc:
                 raise ConfigError(f"sweep.values: {exc}") from None
-        if self.kind == "cr_study" and self.base.sbs_tx_schedule:
-            raise ConfigError("network.sbs_tx_schedule: a cr_study prices one epoch")
+        if self.kind == "cr_study":
+            # the ratio study replays roa against the oracle on the base
+            # scenario, priced live in one transmit-power epoch: reject what
+            # it would ignore
+            for key, ignored in (("network.sbs_tx_schedule", self.base.sbs_tx_schedule),
+                                 ("sweep.parameter", self.sweep_parameter),
+                                 ("price_mode", self.base.price_mode != "live"),
+                                 ("policies", self.policies != ("roa",))):
+                if ignored:
+                    raise ConfigError(f"{key}: a cr_study runs live-priced roa in one epoch")
         if not self.policies and self.kind == "sweep":
             raise ConfigError("at least one policy is required")
         for p in self.policies:
@@ -240,7 +248,11 @@ def _build_spec(raw: dict[str, str], lines: dict[str, int], path: str) -> Experi
         raise ConfigError(f"{path}: area.width and area.height must be set together")
     if area_w is not None:
         scenario_kwargs["area"] = (area_w, area_h)
-    if kind == "cr_study" and n_runs is not None:
+    if n_runs is not None:
+        if kind != "cr_study":
+            raise err("runs", "only a cr_study takes runs; a sweep sets replications")
+        if "replications" in raw:
+            raise err("runs", "set runs or replications, not both")
         n_reps = n_runs
 
     if sweep_values_text is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,17 +31,13 @@ class HarvestParams:
 
 @dataclass
 class EnergyState:
-    """Per-SBS stored energy, capacity, and first-depletion bookkeeping."""
+    """Per-SBS stored energy and the capacity: what crosses a period boundary."""
 
     stored: np.ndarray  # joules per SBS
     capacity: float
-    initial: float
-    depleted_at: np.ndarray = field(default=None)  # seconds, NaN if never
 
     def __post_init__(self) -> None:
         self.stored = np.asarray(self.stored, dtype=float)
-        if self.depleted_at is None:
-            self.depleted_at = np.full(self.stored.shape, np.nan)
         if np.any(self.stored < 0) or np.any(self.stored > self.capacity + 1e-12):
             raise ValueError("stored energy out of [0, capacity]")
 
@@ -49,12 +45,7 @@ class EnergyState:
     def fresh(cls, n_sbs: int, initial: float, capacity: float) -> "EnergyState":
         if not (0.0 <= initial <= capacity):
             raise ValueError("initial energy must lie in [0, capacity]")
-        return cls(stored=np.full(n_sbs, float(initial)), capacity=float(capacity),
-                   initial=float(initial))
-
-    def reset_depletion(self) -> None:
-        """Clear depletion flags at a period boundary; energy carries over."""
-        self.depleted_at = np.full(self.stored.shape, np.nan)
+        return cls(stored=np.full(n_sbs, float(initial)), capacity=float(capacity))
 
 
 def bs_power(params: BsParams, n_users: int, q: float) -> float:

@@ -1,10 +1,10 @@
 """Time-stepped simulation of scheduling periods.
 
-Each period: freeze prices from the all-ON association, let the policy pick
-OFF times, then advance slot by slot -- voluntary OFF (buy charged once),
-depletion check (forced OFF, no buy; re-association can raise the load on the
-surviving cells, so it repeats to a fixed point), cost accrual, storage
-update.
+Each period: read the served cells and their frozen prices from the ON-set
+table (`pricing.OnSetTable.tags`), let the policy pick OFF times from them,
+then advance slot by slot -- voluntary OFF (buy charged once), depletion
+check (forced OFF, no buy; re-association can raise the load on the surviving
+cells, so it repeats to a fixed point), cost accrual, storage update.
 
 The slot loop keeps plain Python floats, and only for the cells that serve
 UEs at the period start. The others stay OFF all period, so their storage is
@@ -169,7 +169,8 @@ def epoch_tables(cfg: ScenarioConfig, topo: Topology) -> list[pricing.OnSetTable
     """One ON-set table per transmit-power epoch of a period: the base
     topology, then one per `sbs_tx_schedule` change."""
     epoch_topos = [topo] + [topo.with_sbs_tx_power(p) for _, p in cfg.sbs_tx_schedule]
-    return [pricing.OnSetTable(tp, cfg.weights, cfg.q, cfg.file_bits) for tp in epoch_topos]
+    return [pricing.OnSetTable(tp, cfg.weights, cfg.q, cfg.file_bits, cfg.period)
+            for tp in epoch_topos]
 
 
 def run_period(
@@ -205,14 +206,10 @@ def run_period(
     epoch_at = {k: e for k, e in enumerate(slot_epoch) if k == 0 or e != slot_epoch[k - 1]}
 
     table = tables[slot_epoch[0]]
-    tags = pricing.freeze_prices(table, cfg.period)
-    all_on = table[np.ones(n_bs, dtype=bool)]
-    used = np.array([all_on.state.n_members(j) > 0 for j in range(1, n_bs)])
-    buy_prices = np.array([t.buy for t in tags])
-    cells = np.flatnonzero(used).tolist()  # 0-based indices of the served SBSs
-
-    policy.reset([t for t, u in zip(tags, used) if u], cfg.period, policy_rngs)
-    energy.reset_depletion()
+    tags = table.tags
+    ids = [tag.sbs for tag in tags]  # the served SBSs
+    cells = [j - 1 for j in ids]  # and their 0-based indices
+    policy.reset(tags, cfg.period, policy_rngs)
 
     # Cells without UEs stay OFF all period: their storage is the running sum
     # of arrivals clamped at the capacity (exact, since once clamped, harvest
@@ -224,7 +221,7 @@ def run_period(
 
     # plain-float state of the served cells, by position in `cells`
     m = len(cells)
-    ids = [i + 1 for i in cells]
+    depleted_at = np.full(n_sbs, np.nan)
     stored = [float(energy.stored[i]) for i in cells]
     harvest = trace[:, cells].tolist()
     on = [True] * m
@@ -238,8 +235,9 @@ def run_period(
 
     frozen_mode = cfg.price_mode == "frozen"
     if frozen_mode:
+        all_on = table[np.ones(n_bs, dtype=bool)]
         frozen_psi = [all_on.psi_values[i] for i in cells]
-        frozen_rent = [tags[i].rent for i in cells]
+        frozen_rent = [all_on.rent_values[j] for j in ids]
     back_on, needs_rent = policy.switches_back_on, policy.needs_rent
     sigma = np.zeros(n_bs, dtype=bool)
     sigma[0] = True
@@ -290,7 +288,7 @@ def run_period(
             for p in dep_now:
                 on[p] = sigma[ids[p]] = False
                 depleted[p] = True
-                energy.depleted_at[cells[p]] = t
+                depleted_at[cells[p]] = t
                 switch[p] += 1
             entry = table[sigma]
 
@@ -330,20 +328,21 @@ def run_period(
         return out
 
     rent_cost, buy_charged = per_sbs(rent_acc), per_sbs(bought, bool)
+    buy_prices = per_sbs([tag.buy for tag in tags])
     result = PeriodResult(
         period_index=period_index,
         rent_cost=rent_cost,
         buy_price=buy_prices,
         buy_charged=buy_charged,
         on_time=per_sbs(on_acc),
-        depleted_at=energy.depleted_at.copy(),
+        depleted_at=depleted_at,
         switch_count=per_sbs(switch, int),
         energy_consumed=per_sbs(consumed_acc),
         energy_harvested=harvested_total,
-        used=used,
+        used=per_sbs([True] * m, bool),
         total_cost=float((rent_cost + buy_prices * buy_charged).sum()),
         delay_per_sbs=delay_acc / n_steps,
-        unused_fraction=float((~used).sum()) / n_sbs if n_sbs else 0.0,
+        unused_fraction=(n_sbs - m) / n_sbs if n_sbs else 0.0,
     )
     return result, energy
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network, pricing
-from .pricing import CostWeights, PriceTag
+from .pricing import CostWeights
 
 
 class BudgetError(RuntimeError):
@@ -70,13 +70,11 @@ class SubsetTables:
     psi_max: np.ndarray  # (m,)
 
 
-def build_tables(table: pricing.OnSetTable, tags: list[PriceTag]) -> SubsetTables:
-    """Every subset's rates, read from `table` (the one `tags` were frozen from)."""
+def build_tables(table: pricing.OnSetTable) -> SubsetTables:
+    """Every subset's rates over the served cells of `table.tags`, read from
+    `table`, with the buy prices frozen in the tags."""
     topo = table.topo
-    all_on = table[np.ones(topo.n_bs, dtype=bool)].state
-    used = np.array(
-        [j for j in range(1, topo.n_bs) if all_on.n_members(j) > 0], dtype=int
-    )
+    used = np.array([tag.sbs for tag in table.tags], dtype=int)
     m = used.size
     rent = np.zeros((1 << m, m))
     psi = np.zeros((1 << m, m))
@@ -88,7 +86,7 @@ def build_tables(table: pricing.OnSetTable, tags: list[PriceTag]) -> SubsetTable
         entry = table[sigma]
         rent[mask] = np.where(on, entry.rent[used], 0.0)
         psi[mask] = entry.psi[used - 1]
-    buys = np.array([tags[j - 1].buy for j in used])
+    buys = np.array([tag.buy for tag in table.tags])
     psi_max = psi.max(axis=0) if m else np.zeros(0)
     return SubsetTables(
         used=used, rent=rent, psi=psi, rent_sum=rent.sum(axis=1),
@@ -278,7 +276,6 @@ def offline_exhaustive(
     scenario: RecordedScenario,
     grid_dt: float,
     budget: int = 1_000_000,
-    tags: list[PriceTag] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Minimize the realized problem cost over all per-SBS OFF times.
 
@@ -289,10 +286,8 @@ def offline_exhaustive(
     if abs(grid_dt - scenario.dt) > 1e-12:
         raise ValueError("the search grid must match the recorded resolution")
     topo = scenario.topo
-    table = pricing.OnSetTable(topo, scenario.weights, scenario.q, scenario.file_bits)
-    if tags is None:
-        tags = pricing.freeze_prices(table, scenario.period)
-    tables = build_tables(table, tags)
+    tables = build_tables(pricing.OnSetTable(
+        topo, scenario.weights, scenario.q, scenario.file_bits, scenario.period))
     n_steps = scenario.n_steps
     m = tables.used.size
     off_times = np.zeros(topo.n_sbs)

@@ -3,9 +3,10 @@ and the offline-optimal rent-or-buy cost.
 
 A cell's rent is priced in one place: `OnSetTable` holds, per ON set, the
 network state and the delay and power vectors that `all_rent_prices` weighs.
-Prices for the approximated (per-period, flat-price) problem are frozen from
-the table's all-ON entry at the period start; the live problem charges the
-rent of the current ON set's entry instead.
+Prices for the approximated (per-period, flat-price) problem are frozen once
+per table, from its all-ON entry at the period start: `OnSetTable.tags`, for
+the served cells only. The live problem charges the rent of the current ON
+set's entry instead.
 """
 from __future__ import annotations
 
@@ -86,44 +87,44 @@ def offline_cost(rent: float, buy: float, u: float, period: float) -> float:
     return min(rent * u, buy)
 
 
-def freeze_prices(table: OnSetTable, period: float) -> list[PriceTag]:
-    """Per-SBS price tags from the all-ON association at the period start.
-
-    The rent is the all-ON entry's `rent`, so a frozen tag and the live rent
-    of the all-ON set are one number, and a caller that goes on to use the
-    same table associates and prices it only once. An SBS with no associated
-    UEs keeps only the fixed-power rent term and gets a zero buy price (it
-    will simply stay OFF).
-    """
-    topo, w, q, file_bits = table.topo, table.w, table.q, table.file_bits
-    all_on = table[np.ones(topo.n_bs, dtype=bool)]
-    tags = []
-    for j in range(1, topo.n_bs):
-        members = all_on.state.members(j)
-        if members.size == 0:
-            buy = 0.0
-        else:
-            phi = mbs_delay_share(members, topo, file_bits, topo.n_ue)
-            psi = energy.bs_power(topo.bs[MBS_ID], members.size, q)
-            buy = buy_price(phi, psi, w, period)
-        tags.append(PriceTag(sbs=j, rent=all_on.rent_values[j], buy=buy))
-    return tags
-
-
 class OnSetTable:
-    """Network state and per-SBS rates of one topology, per ON set, on demand.
+    """Network state and per-SBS rates of one topology, per ON set, on demand,
+    and the frozen prices of a period of length `period` that starts all ON.
 
     Association, rents, power draw and delays depend on the ON set alone, so
     the engine's slots and the oracle's subsets share one entry per ON set.
     Entries are keyed by the bytes of the (n_bs,) bool ON/OFF vector.
     """
 
-    def __init__(self, topo: Topology, w: CostWeights, q: float, file_bits: float) -> None:
+    def __init__(self, topo: Topology, w: CostWeights, q: float, file_bits: float,
+                 period: float) -> None:
         self.topo = topo
         self.w = w
         self.q = q
         self.file_bits = file_bits
+        self.period = period
         self._entries: dict[bytes, OnSetEntry] = {}
+
+    @cached_property
+    def tags(self) -> tuple[PriceTag, ...]:
+        """Price tags of the served cells (those with UEs in the all-ON
+        association), in ascending SBS id, frozen at the period start.
+
+        The rent is the all-ON entry's `rent`, so a frozen tag and the live
+        rent of the all-ON set are one number. A cell without UEs has no tag:
+        it stays OFF all period and is never priced.
+        """
+        topo = self.topo
+        all_on = self[np.ones(topo.n_bs, dtype=bool)]
+        tags = []
+        for j in range(1, topo.n_bs):
+            members = all_on.state.members(j)
+            if members.size:
+                phi = mbs_delay_share(members, topo, self.file_bits, topo.n_ue)
+                psi = energy.bs_power(topo.bs[MBS_ID], members.size, self.q)
+                tags.append(PriceTag(sbs=j, rent=all_on.rent_values[j],
+                                     buy=buy_price(phi, psi, self.w, self.period)))
+        return tuple(tags)
 
     def __getitem__(self, sigma: np.ndarray) -> "OnSetEntry":
         key = sigma.tobytes()

@@ -165,9 +165,9 @@ def test_offline_search_matches_hand_enumeration_and_lower_bounds_policies():
         if setup is None:
             continue
         cfg, topo, all_on, trace, rngs = setup
-        tags = pricing.freeze_prices(
-            pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits), cfg.period)
-        rent, buy = tags[0].rent, tags[0].buy
+        (tag,) = pricing.OnSetTable(
+            topo, cfg.weights, cfg.q, cfg.file_bits, cfg.period).tags
+        rent, buy = tag.rent, tag.buy
         psi = bs_power(topo.bs[1], all_on.n_members(1), cfg.q)
 
         # hand enumeration: a prefix-ON single cell has a fixed depletion slot
@@ -201,7 +201,7 @@ def test_offline_search_matches_hand_enumeration_and_lower_bounds_policies():
             period=cfg.period, dt=cfg.dt, trace=trace,
             initial_energy=cfg.initial_energy, capacity=cfg.capacity,
         )
-        _, opt = offline_exhaustive(scenario, cfg.dt, tags=tags)
+        _, opt = offline_exhaustive(scenario, cfg.dt)
         exact_ok &= opt == hand_opt
 
         for policy in (DoaPolicy(), RoaPolicy(), FixedPolicy(7.0)):
@@ -278,7 +278,7 @@ def test_simulation_invariants_over_random_configurations():
             alpha_d=float(rng.uniform(0.01, 0.1)),
             alpha_p=float(rng.uniform(0.0001, 0.1)),
             alpha_b=float(rng.uniform(0.01, 0.5)),
-            policy=("roa", "doa", "fixed:4")[i % 3],
+            policy=("roa", "doa", "fixed:4", "adaptive", "threshold:50")[i % 5],
             price_mode="frozen" if i % 2 == 0 else "live",
             seed=int(rng.integers(0, 2**31)),
             horizon_periods=1,
@@ -312,11 +312,11 @@ def test_simulation_invariants_over_random_configurations():
                 ok &= bool(covered)
             # with prices frozen the total cost separates per cell
             if cfg.price_mode == "frozen":
-                tags = pricing.freeze_prices(
-                    pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits),
-                    cfg.period)
+                rent = rep.tables[0][np.ones(topo.n_bs, dtype=bool)].rent
+                ok &= [t.rent for t in rep.tables[0].tags] == [
+                    rent[j] for j in np.flatnonzero(res.used) + 1]
                 expected = sum(
-                    tags[k].rent * res.on_time[k]
+                    rent[k + 1] * res.on_time[k]
                     + res.buy_price[k] * res.buy_charged[k]
                     for k in range(cfg.n_sbs)
                 )

@@ -14,6 +14,7 @@ from sbsched.analysis import (
     mc_expected_cost,
     worst_case_ratio_scan,
 )
+from sbsched import energy, engine
 from sbsched.engine import ScenarioConfig
 from sbsched.schedulers import RentHistory
 
@@ -170,6 +171,25 @@ class TestEmpiricalStudy:
         from sbsched.oracle import BudgetError
         with pytest.raises(BudgetError):
             empirical_cr_study(cfg, 40, budget=10)
+
+    def test_each_attempt_draws_one_period(self, monkeypatch):
+        # the study reads the first period only: one topology and one
+        # harvest trace per attempt, whatever the configured horizon
+        counts = {"build_topology": 0, "harvest_trace": 0}
+        for mod, name in ((engine, "build_topology"), (energy, "harvest_trace")):
+            real = getattr(mod, name)
+
+            def counting(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(mod, name, counting)
+        cfg = ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6, horizon_periods=3)
+        report = empirical_cr_study(cfg, 10)
+        assert counts["build_topology"] >= 10
+        assert counts["harvest_trace"] == counts["build_topology"]
+        one = empirical_cr_study(ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6), 10)
+        assert np.array_equal(one.ratios, report.ratios)
 
     def test_tx_schedule_rejected(self):
         # the oracle prices one transmit-power epoch

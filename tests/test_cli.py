@@ -39,6 +39,11 @@ sweep.values = 4, 6
 """
 
 
+# keys a cr_study would accept and then ignore
+CR_STUDY_UNREAD = ["sweep.parameter = n_sbs\nsweep.values = 2, 3\n",
+                   "price_mode = frozen\n", "policies = doa\n", "policies = roa, doa\n"]
+
+
 class TestParsing:
     def test_empty_config_gives_defaults(self, tmp_path):
         spec = parse_config(write_config(tmp_path, "# nothing here\n"))
@@ -107,6 +112,30 @@ class TestParsing:
             parse_config(write_config(tmp_path, (
                 "kind = cr_study\n"
                 "network.sbs_tx_schedule = 0:23 dBm, 5:26 dBm\n")))
+
+    def test_runs_on_a_sweep_rejected(self, tmp_path):
+        # a sweep counts replications, so `runs` would be dropped
+        with pytest.raises(ConfigError, match="runs"):
+            parse_config(write_config(tmp_path, "runs = 5\n"))
+
+    def test_runs_with_replications_rejected(self, tmp_path):
+        # a study takes either count, but not both
+        for text, n in (("runs = 5\n", 5), ("replications = 4\n", 4)):
+            path = write_config(tmp_path, "kind = cr_study\n" + text, "ok.cfg")
+            assert parse_config(path).n_replications == n
+        with pytest.raises(ConfigError, match="runs"):
+            parse_config(write_config(
+                tmp_path, "kind = cr_study\nruns = 5\nreplications = 3\n"))
+
+    @pytest.mark.parametrize("text", CR_STUDY_UNREAD)
+    def test_cr_study_rejects_what_it_does_not_read(self, tmp_path, text):
+        # the study runs live-priced roa on the base scenario only
+        study = "kind = cr_study\nruns = 5\n"
+        spec = parse_config(write_config(
+            tmp_path, study + "policies = roa\nprice_mode = live\n", "ok.cfg"))
+        assert (spec.kind, spec.policies, spec.base.price_mode) == ("cr_study", ("roa",), "live")
+        with pytest.raises(ConfigError, match=text.split()[0].split(".")[0]):
+            parse_config(write_config(tmp_path, study + text))
 
     def test_sweep_needs_both_keys(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -314,6 +343,28 @@ class TestMain:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", (
+        ["runs = 5\n", "kind = cr_study\nruns = 5\nreplications = 5\n"]
+        + ["kind = cr_study\n" + t for t in CR_STUDY_UNREAD]))
+    def test_ignored_keys_exit_before_running(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_cr_study_takes_roa_only_from_the_command_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--preset", "fig6", "--runs", "2", "--algorithm", "doa",
+                  "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert main(["--preset", "fig6", "--runs", "2", "--algorithm", "roa",
+                     "--out-dir", str(out)]) == 0
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -93,14 +95,15 @@ class TestStorage:
 
     def test_state_bounds_validated(self):
         with pytest.raises(ValueError):
-            EnergyState(stored=np.array([120.0]), capacity=100.0, initial=60.0)
+            EnergyState(stored=np.array([120.0]), capacity=100.0)
         with pytest.raises(ValueError):
             EnergyState.fresh(2, initial=120.0, capacity=100.0)
 
     def test_fresh_state(self):
         state = EnergyState.fresh(3, 60.0, 100.0)
-        assert np.all(state.stored == 60.0)
-        assert np.all(np.isnan(state.depleted_at))
+        assert np.all(state.stored == 60.0) and state.capacity == 100.0
+        # only what crosses a period boundary; depletion is per period
+        assert [f.name for f in fields(EnergyState)] == ["stored", "capacity"]
 
 
 def run_one_cell(initial, harvest=(), t_off=1.0):

@@ -40,7 +40,12 @@ def setup_period(seed=SEED_ONE_USED, n_sbs=6, n_ue=30, **over):
 
 
 def table_for(cfg, topo):
-    return pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits)
+    return pricing.OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits, cfg.period)
+
+
+def frozen_rents(cfg, topo):
+    """The period-start rent of each served cell, by 0-based SBS index."""
+    return {tag.sbs - 1: tag.rent for tag in table_for(cfg, topo).tags}
 
 
 class TestConfig:
@@ -123,21 +128,21 @@ class TestRunPeriodExtremes:
     def test_never_off_pays_rent_for_full_period(self):
         cfg, topo, energy, rngs, trace = setup_period(price_mode="frozen",
                                                       initial_energy=95.0)
-        tags = pricing.freeze_prices(table_for(cfg, topo), cfg.period)
+        rent = frozen_rents(cfg, topo)
         res, _ = run_period(cfg, topo, energy, FixedPolicy(cfg.period), rngs,
                             trace)
         i = int(np.flatnonzero(res.used)[0])
         assert res.on_time[i] == pytest.approx(cfg.period)
         assert not res.buy_charged[i]
         assert np.all(np.isnan(res.depleted_at))
-        assert res.total_cost == pytest.approx(tags[i].rent * cfg.period,
+        assert res.total_cost == pytest.approx(rent[i] * cfg.period,
                                                rel=1e-12)
 
     def test_depletion_cuts_rent_without_buy(self):
         # zero harvest, battery funds 20 slots (plus half a slot of slack to
         # stay clear of the strict-inequality boundary) at the frozen draw
         cfg, topo, energy0, rngs, trace = setup_period(price_mode="frozen")
-        tags = pricing.freeze_prices(table_for(cfg, topo), cfg.period)
+        rent = frozen_rents(cfg, topo)
         all_on = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
         from sbsched.energy import bs_power
         i = int(np.flatnonzero(
@@ -150,7 +155,7 @@ class TestRunPeriodExtremes:
         assert res.on_time[i] == pytest.approx(20 * cfg.dt)
         assert res.depleted_at[i] == pytest.approx(20 * cfg.dt)
         assert not res.buy_charged[i]
-        assert res.rent_cost[i] == pytest.approx(tags[i].rent * 20 * cfg.dt,
+        assert res.rent_cost[i] == pytest.approx(rent[i] * 20 * cfg.dt,
                                                  rel=1e-12)
 
     def test_unused_cells_stay_off_at_zero_cost(self):
@@ -178,9 +183,7 @@ class TestOracleConsistency:
                 energy = EnergyState.fresh(cfg.n_sbs, e0, cfg.capacity)
                 res, _ = run_period(cfg, topo, energy, FixedPolicy(t_fix),
                                     rngs, trace)
-                table = table_for(cfg, topo)
-                tables = build_tables(table,
-                                      pricing.freeze_prices(table, cfg.period))
+                tables = build_tables(table_for(cfg, topo))
                 k_off = int(round(t_fix / cfg.dt))
                 off_idx = np.full((1, tables.used.size), k_off)
                 cost = evaluate_schedules(
@@ -291,20 +294,21 @@ class TestInvariants:
         for seed in (SEED_ONE_USED, SEED_TWO_USED, 5, 12):
             cfg = ScenarioConfig(seed=seed, policy="roa", price_mode="frozen")
             results = run_horizon(cfg)
-            tags = pricing.freeze_prices(
-                table_for(cfg, Replication.draw(cfg, cfg.seed).topo), cfg.period)
+            rent = frozen_rents(cfg, Replication.draw(cfg, cfg.seed).topo)
             for res in results:
+                assert sorted(rent) == np.flatnonzero(res.used).tolist()
                 expected = sum(
-                    tags[i].rent * res.on_time[i]
+                    rent[i] * res.on_time[i]
                     + res.buy_price[i] * res.buy_charged[i]
-                    for i in range(cfg.n_sbs)
+                    for i in rent
                 )
                 assert res.total_cost == pytest.approx(expected, abs=1e-9)
 
     def test_instantaneous_rent_matches_frozen_tag_at_start(self):
         cfg, topo, _, _, _ = setup_period(seed=SEED_TWO_USED)
-        tags = pricing.freeze_prices(table_for(cfg, topo), cfg.period)
+        tags = table_for(cfg, topo).tags
         live = table_for(cfg, topo)[np.ones(topo.n_bs, dtype=bool)].rent
+        assert tags
         for tag in tags:
             assert live[tag.sbs] == tag.rent
 
@@ -377,9 +381,7 @@ class TestOnSetTable:
         energy = EnergyState.fresh(cfg.n_sbs, e0, cfg.capacity)
         res, _ = run_period(cfg, topo, energy, policy, rngs, trace)
 
-        table = table_for(cfg, topo)
-        tags = pricing.freeze_prices(table, cfg.period)
-        tables = build_tables(table, tags)
+        tables = build_tables(table_for(cfg, topo))
         assert tables.used.size in (2, 3)
         # the first slot at which the engine's policy wants the cell OFF
         off_idx = [[next((k for k in range(cfg.n_steps)
@@ -432,3 +434,22 @@ class TestOnSetTable:
         keys = [(id(tp), s) for tp, s in seen]
         assert len(keys) == len(set(keys))
         assert len({id(tp) for tp, _ in seen}) == 1 + len(sched)
+
+    def test_policies_and_periods_of_a_record_freeze_the_tags_once(self, monkeypatch):
+        # two periods for each of three policies read one table's tags: each
+        # served cell is priced once for the record
+        cfg = ScenarioConfig(seed=SEED_TWO_USED, horizon_periods=2)
+        rep = Replication.draw(cfg, cfg.seed)
+        calls = []
+        real = pricing.buy_price
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pricing, "buy_price", counting)
+        for policy in ("roa", "doa", "fixed:7"):
+            results = run_horizon(replace(cfg, policy=policy), rep)
+            assert len(results) == 2
+        assert len(rep.tables[0].tags) == 2
+        assert len(calls) == 2

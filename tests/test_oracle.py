@@ -35,8 +35,8 @@ def scenario_with_used(seed, n_sbs=3, n_ue=15, initial=60.0, trace=None,
 
 
 def tables_for(scn):
-    table = pricing.OnSetTable(scn.topo, scn.weights, scn.q, scn.file_bits)
-    return build_tables(table, pricing.freeze_prices(table, scn.period))
+    return build_tables(pricing.OnSetTable(
+        scn.topo, scn.weights, scn.q, scn.file_bits, scn.period))
 
 
 # placements found by direct search over placement seeds

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbsched import oracle, pricing
+from sbsched import oracle
 from sbsched.analysis import empirical_cr_study
 from sbsched.engine import Replication, ScenarioConfig
 from sbsched.oracle import (
@@ -172,7 +172,7 @@ def test_recorded_study_grids_match_reference():
             attempt += 1
             rep = Replication.draw(cfg, np.random.SeedSequence([cfg.seed, attempt]))
             trace, table = rep.harvest[0], rep.tables[0]
-            tables = oracle.build_tables(table, pricing.freeze_prices(table, cfg.period))
+            tables = oracle.build_tables(table)
             if tables.used.size < n_sbs:
                 continue
             trace_used = trace[:, tables.used - 1]

@@ -10,7 +10,6 @@ from sbsched.pricing import (
     PriceTag,
     all_rent_prices,
     buy_price,
-    freeze_prices,
     mbs_delay_share,
     offline_cost,
 )
@@ -28,7 +27,7 @@ def served_topology(seed=1, n_sbs=6, n_ue=30):
 
 def all_on_rent(topo, w, q=0.9, file_bits=1e5):
     """The table's rent of every SBS in the all-ON set (index 0 unused)."""
-    return OnSetTable(topo, w, q, file_bits)[np.ones(topo.n_bs, dtype=bool)].rent
+    return OnSetTable(topo, w, q, file_bits, 10.0)[np.ones(topo.n_bs, dtype=bool)].rent
 
 
 def crowded_cell(seed, n_ue=10):
@@ -175,16 +174,21 @@ class TestOfflineCost:
 
 
 class TestFreezePrices:
-    def test_unserved_cell_has_zero_buy(self):
+    def test_tags_are_the_served_cells_in_ascending_id(self):
         topo, state = served_topology()
-        tags = freeze_prices(OnSetTable(topo, CostWeights(), 0.9, 1e5), 10.0)
-        assert len(tags) == topo.n_sbs
+        tags = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0).tags
+        served = [j for j in range(1, topo.n_bs) if state.n_members(j) > 0]
+        assert 0 < len(served) < topo.n_sbs  # some cell is left out
+        assert [tag.sbs for tag in tags] == served
         for tag in tags:
-            assert tag.sbs >= 1 and tag.rent >= 0 and tag.buy >= 0
-            if state.n_members(tag.sbs) == 0:
-                assert tag.buy == 0.0
-            else:
-                assert tag.buy > 0.0
+            assert tag.rent >= 0 and tag.buy > 0.0
+
+    def test_no_served_cell_gives_no_tags(self):
+        # 2 UEs on 2000 m, both on the macro cell
+        topo = place_nodes((2000.0, 2000.0), 3, 2, np.random.default_rng(0))
+        table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
+        assert not table[np.ones(topo.n_bs, dtype=bool)].state.serving.any()
+        assert table.tags == ()
 
     def test_frozen_rent_matches_all_on_state(self):
         # bit for bit, also for cells of >= 8 UEs, where a per-cell sum of
@@ -192,9 +196,10 @@ class TestFreezePrices:
         cases = [(served_topology(seed=s)[0], CostWeights()) for s in (3, 9)]
         cases += [(crowded_cell(s), CostWeights(0.05, 1e-4, 0.05)) for s in range(8)]
         for topo, w in cases:
-            table = OnSetTable(topo, w, 0.9, 1e5)
+            table = OnSetTable(topo, w, 0.9, 1e5, 10.0)
             all_on = table[np.ones(topo.n_bs, dtype=bool)]
-            for tag in freeze_prices(table, 10.0):
+            assert table.tags
+            for tag in table.tags:
                 assert tag.rent == all_on.rent[tag.sbs]
 
     def test_prices_read_the_tables_delays_once(self, monkeypatch):
@@ -208,23 +213,24 @@ class TestFreezePrices:
 
             monkeypatch.setattr(network, name, counting)
         topo, _ = served_topology(seed=9)
-        table = OnSetTable(topo, CostWeights(), 0.9, 1e5)
+        table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
         sigmas = [np.ones(topo.n_bs, dtype=bool), np.eye(topo.n_bs, dtype=bool)[0]]
         for sigma in sigmas:
             table[sigma].rent, table[sigma].delays
         assert calls["all_bs_delays"] <= len(sigmas)
         before = dict(calls)
-        freeze_prices(table, 10.0)
+        tags = table.tags
         assert calls == before
+        assert table.tags is tags  # frozen once per table
 
     def test_buy_composition(self):
         topo, state = served_topology(seed=9)
         w = CostWeights()
-        tags = freeze_prices(OnSetTable(topo, w, 0.9, 1e5), 10.0)
+        tags = OnSetTable(topo, w, 0.9, 1e5, 10.0).tags
+        assert tags
         for tag in tags:
             members = state.members(tag.sbs)
-            if members.size == 0:
-                continue
+            assert members.size > 0
             phi = mbs_delay_share(members, topo, 1e5, topo.n_ue)
             psi = bs_power(topo.bs[0], members.size, 0.9)
             assert tag.buy == pytest.approx(buy_price(phi, psi, w, 10.0), rel=1e-12)

@@ -34,22 +34,29 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
     w, q, file_bits = cfg.weights, cfg.q, cfg.file_bits
 
     epoch_topos = [topo] + [topo.with_sbs_tx_power(p) for _, p in cfg.sbs_tx_schedule]
-    tables = [pricing.OnSetTable(tp, w, q, file_bits) for tp in epoch_topos]
+    tables = [pricing.OnSetTable(tp, w, q, file_bits, cfg.period) for tp in epoch_topos]
     slot_epoch = np.searchsorted(
         [when for when, _ in cfg.sbs_tx_schedule], np.arange(n_steps) * dt + 1e-12,
         side="right",
     )
 
     table = tables[slot_epoch[0]]
-    tags = pricing.freeze_prices(table, cfg.period)
     all_on = table[np.ones(n_bs, dtype=bool)]
     used = np.array([all_on.state.n_members(j) > 0 for j in range(1, n_bs)])
-    buy_prices = np.array([t.buy for t in tags])
-    frozen_rent = np.array([t.rent for t in tags])
+    frozen_rent = all_on.rent[1:]
+    # a served cell's buy price: a share of its UEs' worst-case MBS cost
+    buy_prices = np.zeros(n_sbs)
+    for i in np.flatnonzero(used):
+        members = all_on.state.members(i + 1)
+        phi = pricing.mbs_delay_share(members, topo, file_bits, topo.n_ue)
+        psi_mbs = energy_mod.bs_power(topo.bs[0], members.size, q)
+        buy_prices[i] = pricing.buy_price(phi, psi_mbs, w, cfg.period)
     n_used = int(used.sum())
 
-    policy.reset([t for t, u in zip(tags, used) if u], cfg.period, policy_rngs)
-    energy.reset_depletion()
+    policy.reset([pricing.PriceTag(sbs=i + 1, rent=float(frozen_rent[i]),
+                                   buy=float(buy_prices[i]))
+                  for i in np.flatnonzero(used)], cfg.period, policy_rngs)
+    depleted_at = np.full(n_sbs, np.nan)
 
     sigma = np.zeros(n_bs, dtype=bool)
     sigma[0] = True
@@ -96,7 +103,7 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
                 return entry, psi
             for i in np.flatnonzero(dep_now):
                 sigma[i + 1] = False
-                energy.depleted_at[i] = t
+                depleted_at[i] = t
                 switch[i] += 1
             entry = table[sigma]
 
@@ -105,7 +112,7 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
         table = tables[slot_epoch[k]]
         h = trace[k]
         harvested_total += h
-        depleted = ~np.isnan(energy.depleted_at)
+        depleted = ~np.isnan(depleted_at)
         rent_now = table[sigma].rent if policy.needs_rent else None
 
         apply_policy()
@@ -140,7 +147,7 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
         buy_price=buy_prices,
         buy_charged=bought,
         on_time=on_time,
-        depleted_at=energy.depleted_at.copy(),
+        depleted_at=depleted_at,
         switch_count=switch,
         energy_consumed=consumed_total,
         energy_harvested=harvested_total,
