@@ -2,7 +2,7 @@
 
 Subpackages:
     network    -- node placement, channel gains, SINR/SNR, association, rates, delay
-    energy     -- BS power model, Poisson harvesting, bounded storage dynamics
+    energy     -- BS power model, Poisson harvesting, stored energy across periods
     pricing    -- per-second rent price, one-time buy price, offline optimal cost
     schedulers -- DOA / ROA / adaptive / baseline OFF-time policies
     oracle     -- offline exhaustive search over OFF-time schedules

@@ -1,9 +1,11 @@
-"""Energy side: BS power model, Poisson harvesting, bounded storage dynamics.
+"""Energy side: BS power model, Poisson harvesting, and the stored energy
+that crosses a period boundary.
 
 Harvesting happens every slot regardless of the ON/OFF state; consumption is
-charged only while ON. Depletion is a strict test made by the slot loops
-(`engine.run_period` and the oracle's evaluator): a cell whose stored plus
-freshly harvested energy cannot fund the next slot is forced OFF.
+charged only while ON. The slot loops (`engine.run_period` and the oracle's
+evaluator) make the storage step, `min(e + h - c, cap)`, and the depletion
+test, which is strict: a cell whose stored plus freshly harvested energy
+cannot fund the next slot is forced OFF.
 """
 from __future__ import annotations
 
@@ -70,17 +72,6 @@ def harvest_trace(
     if params.rate == 0.0 or params.quantum == 0.0:
         return np.zeros((n_steps, n_sbs))
     return params.quantum * rng.poisson(params.rate * dt, size=(n_steps, n_sbs)).astype(float)
-
-
-def update_storage(e: float, harvested: float, consumed: float, cap: float) -> float:
-    """One storage step: credit the arrivals, charge the slot, clamp at cap."""
-    if min(e, harvested, consumed, cap) < 0:
-        raise ValueError("energy quantities must be non-negative")
-    if consumed > e + harvested + 1e-9:
-        raise RuntimeError(
-            "consumption exceeds available energy; depletion check was skipped"
-        )
-    return min(e + harvested - consumed, cap)
 
 
 def load_harvest_trace(path: str, n_sbs: int, dt: float, n_steps: int) -> np.ndarray:

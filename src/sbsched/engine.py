@@ -8,14 +8,22 @@ cells, so it repeats to a fixed point), cost accrual, storage update.
 
 The slot loop keeps plain Python floats, and only for the cells that serve
 UEs at the period start. The others stay OFF all period, so their storage is
-the running sum of arrivals clamped at the capacity, computed once per
-period; with no served cell, the slot loop runs only to write trace rows.
-The policy is asked every slot for each served cell that may still switch.
-Network state (association, live rents, power draw, delays) is a function of
-the ON set and the SBS transmit power only: it is read from a
-`pricing.OnSetTable`, one per transmit-power epoch, held with the topology,
-harvest and policy seeds by the `Replication` record of one seed. An entry is
-looked up only when the ON set or the epoch changes.
+the running sum of arrivals clamped at the capacity; with no served cell, the
+slot loop runs only to write trace rows. The storage step is the float
+`min(e + h - c, cap)`, as in the oracle's walk. The policy is asked every
+slot for each served cell that may still switch. Network state (association,
+live rents, power draw, delays) is a function of the ON set and the SBS
+transmit power only: it is read from a `pricing.OnSetTable`, one per
+transmit-power epoch. An entry is looked up only when the ON set or the
+epoch changes.
+
+The `Replication` record of one seed holds the topology, its tables, the
+harvest and the seed of the policies' draws. What no policy can change is
+computed from it once, on first use, and shared by every policy run on it:
+the slot grid and its epochs, the served cells, and per period their
+arrivals as floats, the storage of the cells that stay OFF and the harvest
+totals. A run then pays for its served cells' slots, and seeds a generator
+for each served cell only.
 
 Two accounting modes exist: "live" charges the instantaneous rent rate of the
 current state (the original problem), "frozen" charges the period-start flat
@@ -24,8 +32,11 @@ approximated problem).
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +84,8 @@ class ScenarioConfig:
     harvest_trace_file: str | None = None
 
     def __post_init__(self) -> None:
-        if self.period <= 0 or self.dt <= 0:
-            raise ValueError("period and dt must be positive")
+        if not (0.0 < self.period < math.inf and 0.0 < self.dt < math.inf):
+            raise ValueError("period and dt must be positive and finite")
         n = self.period / self.dt
         if abs(n - round(n)) > 1e-9:
             raise ValueError("dt must divide the period evenly")
@@ -92,6 +103,16 @@ class ScenarioConfig:
             raise ValueError("need n_ue >= 1 and n_sbs >= 0")
         if self.sbs_max_users < 1 or self.mbs_max_users < 1:
             raise ValueError("sbs_max_users and mbs_max_users must be >= 1")
+        if not all(0.0 < side < math.inf for side in self.area):
+            raise ValueError("area width and height must be positive and finite")
+        for kind, tx, op in (("mbs", self.mbs_tx_power, self.mbs_op_power),
+                             ("sbs", self.sbs_tx_power, self.sbs_op_power)):
+            if not 0.0 < tx <= op < math.inf:
+                raise ValueError(f"{kind}_tx_power must lie in (0, {kind}_op_power], "
+                                 f"and {kind}_op_power must be finite")
+        for name in ("mbs_bandwidth", "sbs_bandwidth", "noise_power", "file_bits"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         times = [when for when, _ in self.sbs_tx_schedule]
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("sbs_tx_schedule times must strictly increase")
@@ -115,7 +136,9 @@ class ScenarioConfig:
 
 @dataclass
 class PeriodResult:
-    """Per-period accounting and metrics; per-SBS arrays are indexed by SBS-1."""
+    """Per-period accounting and metrics; per-SBS arrays are indexed by SBS-1.
+    `buy_price`, `energy_harvested` and `used` depend on the record and the
+    period only: they are read-only, shared by the runs of a record."""
 
     period_index: int
     rent_cost: np.ndarray
@@ -173,57 +196,120 @@ def epoch_tables(cfg: ScenarioConfig, topo: Topology) -> list[pricing.OnSetTable
             for tp in epoch_topos]
 
 
+class _PeriodPlan(NamedTuple):
+    """What every period of one topology shares, whatever the policy."""
+
+    grid: list[float]  # slot start times
+    # the slots where the transmit-power epoch changes, mapped to the new
+    # epoch: each slot's epoch is the latest scheduled change at or before
+    # the slot start
+    epoch_at: dict[int, int]
+    tags: tuple[pricing.PriceTag, ...]  # the served cells', from slot 0's table
+    ids: list[int]  # the served SBSs
+    cells: list[int]  # and their 0-based indices
+    buy: np.ndarray  # (n_sbs,) the tags' buy prices, 0 elsewhere, read-only
+    used: np.ndarray  # (n_sbs,) bool, the served cells, read-only
+
+
+def _per_sbs(n_sbs: int, cells: list[int], values: list, dtype=float) -> np.ndarray:
+    """The served cells' values, zero for every other cell."""
+    out = np.zeros(n_sbs, dtype=dtype)
+    out[cells] = values
+    return out
+
+
+def _period_plan(cfg: ScenarioConfig, tables: Sequence[pricing.OnSetTable]) -> _PeriodPlan:
+    grid = (np.arange(cfg.n_steps) * cfg.dt).tolist()
+    slot_epoch = np.searchsorted(
+        [when for when, _ in cfg.sbs_tx_schedule], np.array(grid) + 1e-12, side="right",
+    ).tolist()
+    epoch_at = {k: e for k, e in enumerate(slot_epoch) if k == 0 or e != slot_epoch[k - 1]}
+    tags = tables[epoch_at[0]].tags
+    ids = [tag.sbs for tag in tags]
+    cells = [j - 1 for j in ids]
+    n_sbs = tables[0].topo.n_sbs
+    buy = _per_sbs(n_sbs, cells, [tag.buy for tag in tags])
+    used = _per_sbs(n_sbs, cells, [True] * len(cells), bool)
+    buy.flags.writeable = used.flags.writeable = False
+    return _PeriodPlan(grid, epoch_at, tags, ids, cells, buy, used)
+
+
+class _PeriodStart(NamedTuple):
+    """What one period's harvest fixes, whatever the policy."""
+
+    harvest: list[list[float]]  # per slot, the served cells' arrivals
+    # (n_steps + 1, n_sbs) storage of a cell that stays OFF, read-only
+    idle_stored: np.ndarray
+    harvested: np.ndarray  # (n_sbs,) arrival totals, read-only
+
+
+def _period_start(stored: np.ndarray, trace: np.ndarray, cells: list[int],
+                  cap: float) -> _PeriodStart:
+    """`stored` is the storage at the period start; only the columns of cells
+    that stay OFF are read from the result's `idle_stored`."""
+    if np.any(trace < 0):
+        raise ValueError("energy quantities must be non-negative")
+    # Cells without UEs stay OFF all period: their storage is the running sum
+    # of arrivals clamped at the capacity (exact, since once clamped, harvest
+    # >= 0 keeps it there), and the arrival total is a running sum too.
+    idle_stored = np.minimum(np.cumsum(np.vstack((stored, trace)), axis=0), cap)
+    harvested = np.cumsum(np.vstack((np.zeros(trace.shape[1]), trace)), axis=0)[-1]
+    idle_stored.flags.writeable = harvested.flags.writeable = False
+    return _PeriodStart(trace[:, cells].tolist(), idle_stored, harvested)
+
+
 def run_period(
     cfg: ScenarioConfig,
     topo: Topology,
     energy: EnergyState,
     policy: Policy,
-    policy_rngs: list[np.random.Generator],
+    policy_rngs: Sequence[np.random.Generator | None],
     trace: np.ndarray,
     period_index: int = 0,
     trace_rows: list | None = None,
     *,
     tables: Sequence[pricing.OnSetTable] | None = None,
+    record: Replication | None = None,
 ) -> tuple[PeriodResult, EnergyState]:
     """Simulate one period of length T on the slot grid.
 
     `trace` is the (n_steps, n_sbs) harvest record for this period; `energy`
-    is mutated in place and returned. When `trace_rows` is a list, one row of
+    is mutated in place and returned. `policy_rngs` holds a generator for each
+    served cell, by 0-based SBS index. When `trace_rows` is a list, one row of
     (t, sbs_id, sigma, stored, assoc_count, rent_rate) is appended per slot
-    and SBS. `tables` are `epoch_tables(cfg, topo)`, shared by the periods of
-    a horizon; they are built here when not given.
+    and SBS. `tables` are `epoch_tables(cfg, topo)`; they are built here when
+    not given.
+
+    With a `record`, `topo` and `trace` must be its topology and its harvest
+    of period `period_index`, and `energy` must carry its earlier periods as
+    `run_horizon` chains them: the tables, the slot grid, the served cells
+    and the storage of the cells that stay OFF are then read from the record,
+    which computes them once for all the policies run on it.
     """
     n_bs, n_sbs, n_steps, dt = topo.n_bs, topo.n_sbs, cfg.n_steps, cfg.dt
     cap = energy.capacity
-    if tables is None:
-        tables = epoch_tables(cfg, topo)
-    # each slot's epoch is the latest scheduled change at or before the slot
-    # start; `epoch_at` maps the slots where it changes to the new epoch
-    grid = (np.arange(n_steps) * dt).tolist()
-    slot_epoch = np.searchsorted(
-        [when for when, _ in cfg.sbs_tx_schedule], np.array(grid) + 1e-12, side="right",
-    ).tolist()
-    epoch_at = {k: e for k, e in enumerate(slot_epoch) if k == 0 or e != slot_epoch[k - 1]}
-
-    table = tables[slot_epoch[0]]
-    tags = table.tags
-    ids = [tag.sbs for tag in tags]  # the served SBSs
-    cells = [j - 1 for j in ids]  # and their 0-based indices
+    if record is None:
+        if tables is None:
+            tables = epoch_tables(cfg, topo)
+        plan = _period_plan(cfg, tables)
+        start = _period_start(energy.stored, trace, plan.cells, cap)
+    else:
+        if topo is not record.topo or trace is not record.harvest[period_index]:
+            raise ValueError("topo and trace must be the record's")
+        tables, plan = record.tables, record.plan
+        start = record.period_start(period_index)
+    grid, epoch_at, tags, ids, cells, buy_prices, used = plan
+    table = tables[epoch_at[0]]
     policy.reset(tags, cfg.period, policy_rngs)
-
-    # Cells without UEs stay OFF all period: their storage is the running sum
-    # of arrivals clamped at the capacity (exact, since once clamped, harvest
-    # >= 0 keeps it there), and the arrival total is a running sum too.
-    if np.any(trace < 0):
-        raise ValueError("energy quantities must be non-negative")
-    idle_stored = np.minimum(np.cumsum(np.vstack((energy.stored, trace)), axis=0), cap)
-    harvested_total = np.cumsum(np.vstack((np.zeros(n_sbs), trace)), axis=0)[-1]
+    idle_stored = start.idle_stored
 
     # plain-float state of the served cells, by position in `cells`
     m = len(cells)
     depleted_at = np.full(n_sbs, np.nan)
     stored = [float(energy.stored[i]) for i in cells]
-    harvest = trace[:, cells].tolist()
+    if stored and min(min(stored), cap) < 0:
+        raise ValueError("energy quantities must be non-negative")
+    harvest = start.harvest
     on = [True] * m
     depleted = [False] * m
     bought = [False] * m
@@ -282,6 +368,8 @@ def run_period(
             if entry is not psi_entry:
                 psi_entry = entry
                 psi = frozen_psi if frozen_mode else [entry.psi_values[j - 1] for j in ids]
+                if min(psi, default=0.0) < 0:
+                    raise ValueError("energy quantities must be non-negative")
             dep_now = [p for p in range(m) if on[p] and stored[p] + h[p] < psi[p] * dt]
             if not dep_now:
                 break
@@ -296,14 +384,19 @@ def run_period(
             slot_entry = entry
             rent = frozen_rent if frozen_mode else [entry.rent_values[j] for j in ids]
             delay = entry.on_delay / m if m else 0.0
+        # storage step: credit the arrivals, charge the slot, clamp at cap
         for p in range(m):
-            consumed = 0.0
             if on[p]:
+                consumed = psi[p] * dt
+                if consumed > stored[p] + h[p] + 1e-9:
+                    raise RuntimeError(
+                        "consumption exceeds available energy; depletion check was skipped")
                 rent_acc[p] += rent[p] * dt
                 on_acc[p] += dt
-                consumed = psi[p] * dt
                 consumed_acc[p] += consumed
-            stored[p] = energy_mod.update_storage(stored[p], h[p], consumed, cap)
+                stored[p] = min(stored[p] + h[p] - consumed, cap)
+            else:
+                stored[p] = min(stored[p] + h[p], cap)
         delay_acc += delay
 
         if trace_rows is not None:
@@ -322,13 +415,9 @@ def run_period(
     energy.stored[cells] = stored
 
     def per_sbs(values: list, dtype=float) -> np.ndarray:
-        """The served cells' values, zero for every other cell."""
-        out = np.zeros(n_sbs, dtype=dtype)
-        out[cells] = values
-        return out
+        return _per_sbs(n_sbs, cells, values, dtype)
 
     rent_cost, buy_charged = per_sbs(rent_acc), per_sbs(bought, bool)
-    buy_prices = per_sbs([tag.buy for tag in tags])
     result = PeriodResult(
         period_index=period_index,
         rent_cost=rent_cost,
@@ -338,8 +427,8 @@ def run_period(
         depleted_at=depleted_at,
         switch_count=per_sbs(switch, int),
         energy_consumed=per_sbs(consumed_acc),
-        energy_harvested=harvested_total,
-        used=per_sbs([True] * m, bool),
+        energy_harvested=start.harvested,
+        used=used,
         total_cost=float((rent_cost + buy_prices * buy_charged).sum()),
         delay_per_sbs=delay_acc / n_steps,
         unused_fraction=(n_sbs - m) / n_sbs if n_sbs else 0.0,
@@ -349,17 +438,20 @@ def run_period(
 
 @dataclass(frozen=True, eq=False)
 class Replication:
-    """The randomness of one seed, drawn once: the topology, its ON-set tables
-    (`epoch_tables`), one read-only (n_steps, n_sbs) harvest trace per period,
-    and the policy seeds. Policies run on one record face the same draws and
-    share the tables' entries."""
+    """The randomness of one seed under one scenario, drawn once: the
+    topology, its ON-set tables (`epoch_tables`), one read-only
+    (n_steps, n_sbs) harvest trace per period, and the seed of the policies'
+    draws. Policies run on one record face the same draws and share the
+    tables' entries, and what no policy can change (the slot grid, the served
+    cells, the storage of the cells that stay OFF) is computed on first use,
+    once for the record."""
 
+    cfg: ScenarioConfig
     topo: Topology
     tables: tuple[pricing.OnSetTable, ...]
     harvest: tuple[np.ndarray, ...]
-    # `spawn` advances its parent: runs seed fresh generators from these children
     policy_ss: np.random.SeedSequence
-    policy_seeds: tuple[np.random.SeedSequence, ...]
+    _starts: list[_PeriodStart] = field(default_factory=list, init=False, repr=False)
 
     @classmethod
     def draw(cls, cfg: ScenarioConfig, seed: int | np.random.SeedSequence) -> "Replication":
@@ -377,8 +469,31 @@ class Replication:
                                                 harvest_rng) for _ in range(n_periods)]
         for trace in harvest:
             trace.flags.writeable = False
-        return cls(topo, tuple(epoch_tables(cfg, topo)), tuple(harvest), policy_ss,
-                   tuple(policy_ss.spawn(max(cfg.n_sbs, 1))))
+        return cls(cfg, topo, tuple(epoch_tables(cfg, topo)), tuple(harvest), policy_ss)
+
+    @cached_property
+    def plan(self) -> _PeriodPlan:
+        return _period_plan(self.cfg, self.tables)
+
+    def period_start(self, p: int) -> _PeriodStart:
+        """Period `p`'s start; an OFF cell starts it where period p - 1 left it."""
+        starts = self._starts
+        while len(starts) <= p:
+            stored = (starts[-1].idle_stored[-1] if starts else EnergyState.fresh(
+                self.cfg.n_sbs, self.cfg.initial_energy, self.cfg.capacity).stored)
+            starts.append(_period_start(stored, self.harvest[len(starts)], self.plan.cells,
+                                        float(self.cfg.capacity)))
+        return starts[p]
+
+    def policy_rngs(self) -> list[np.random.Generator | None]:
+        """Fresh generators for a run: the i-th child of `policy_ss` (as
+        `spawn` would make it) for each served cell i, None elsewhere."""
+        ss = self.policy_ss
+        rngs: list[np.random.Generator | None] = [None] * self.cfg.n_sbs
+        for i in self.plan.cells:
+            rngs[i] = np.random.default_rng(np.random.SeedSequence(
+                ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size))
+        return rngs
 
 
 def run_horizon(
@@ -397,13 +512,13 @@ def run_horizon(
         cfg, cfg.seed if seed is None else seed)
     if policy is None:
         policy = make_policy(cfg.policy)
-    policy_rngs = [np.random.default_rng(s) for s in rep.policy_seeds]
+    policy_rngs = rep.policy_rngs()
     energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
     results = []
     for p, trace in enumerate(rep.harvest):
         res, energy = run_period(
             cfg, rep.topo, energy, policy, policy_rngs, trace,
-            period_index=p, trace_rows=trace_rows, tables=rep.tables,
+            period_index=p, trace_rows=trace_rows, record=rep,
         )
         results.append(res)
     return results

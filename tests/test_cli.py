@@ -39,6 +39,16 @@ sweep.values = 4, 6
 """
 
 
+# scenario values that once parsed and then failed in the middle of a run
+# (or, for file_bits, ran to a meaningless result)
+FAILS_MID_RUN = ["network.noise_power = 0 W\n", "network.sbs_tx_power = 0 W\n",
+                 "network.mbs_tx_power = 0 W\n", "network.mbs_op_power = 1 W\n",
+                 "area.width = 0\narea.height = 500\n", "network.sbs_bandwidth = 0\n",
+                 "period = inf\n", "dt = inf\n", "network.file_bits = -1\n",
+                 "network.file_bits = nan\n",
+                 "sweep.parameter = network.file_bits\nsweep.values = 1e5, -1\n"]
+
+
 # keys a cr_study would accept and then ignore
 CR_STUDY_UNREAD = ["sweep.parameter = n_sbs\nsweep.values = 2, 3\n",
                    "price_mode = frozen\n", "policies = doa\n", "policies = roa, doa\n"]
@@ -157,7 +167,7 @@ class TestParsing:
                                       "cost.alpha_b = 1.5\n", "cost.alpha_d = -1\n",
                                       "energy.rate = -1\n", "energy.rate = nan\n",
                                       "energy.quantum = -0.2\n", "n_ue = 0\n",
-                                      "network.sbs_max_users = 0\n"])
+                                      "network.sbs_max_users = 0\n"] + FAILS_MID_RUN)
     def test_out_of_range_model_parameter_rejected(self, tmp_path, text):
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, text))
@@ -334,7 +344,8 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["energy.rate = -1\n", "energy.quantum = nan\n",
-                                      "n_ue = 0\n", "network.sbs_max_users = 0\n"])
+                                      "n_ue = 0\n", "network.sbs_max_users = 0\n"]
+                             + FAILS_MID_RUN)
     def test_out_of_range_scenario_exits_before_running(self, tmp_path, capsys, text):
         cfg = write_config(tmp_path, "replications = 1\nhorizon_periods = 1\n" + text)
         out = tmp_path / "out"

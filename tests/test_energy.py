@@ -9,10 +9,10 @@ from sbsched.energy import (
     bs_power,
     harvest_trace,
     load_harvest_trace,
-    update_storage,
 )
 from sbsched.engine import ScenarioConfig, run_period
 from sbsched.network import BsParams, Topology, dbm_to_watts
+from sbsched.pricing import OnSetTable
 from sbsched.schedulers import FixedPolicy
 
 
@@ -80,18 +80,29 @@ class TestHarvest:
 
 
 class TestStorage:
+    # one slot of one cell, as `run_one_cell` runs it: an OFF cell consumes
+    # nothing, an ON one op_power * 0.125 s
+
     def test_cap_clamp(self):
-        assert update_storage(99.9, 0.4, 0.0, 100.0) == pytest.approx(100.0)
+        _, stored = run_one_cell(99.9, [0.4], t_off=0.0, period=0.125)
+        assert stored == pytest.approx(100.0)
 
     def test_plain_step(self):
-        assert update_storage(99.9, 0.4, 0.95, 100.0) == pytest.approx(99.35)
+        _, stored = run_one_cell(99.9, [0.4], period=0.125, op_power=7.6)
+        assert stored == pytest.approx(99.35)
 
     def test_empty_stays_empty(self):
-        assert update_storage(0.0, 0.0, 0.0, 100.0) == 0.0
+        _, stored = run_one_cell(0.0, t_off=0.0, period=0.125)
+        assert stored == 0.0
+
+    def test_negative_arrivals_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_one_cell(1.0, [-0.25], period=0.125)
 
     def test_overdraw_is_a_caller_bug(self):
-        with pytest.raises(RuntimeError):
-            update_storage(0.1, 0.0, 1.0, 100.0)
+        # a draw that the depletion check does not see must not be charged
+        with pytest.raises(RuntimeError, match="consumption exceeds available energy"):
+            run_one_cell(0.1, period=0.125, unseen_draw=True)
 
     def test_state_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -106,48 +117,65 @@ class TestStorage:
         assert [f.name for f in fields(EnergyState)] == ["stored", "capacity"]
 
 
-def run_one_cell(initial, harvest=(), t_off=1.0):
-    """One period of 8 slots of 0.125 s: one SBS serves one UE and draws 8 W,
-    exactly 1 J a slot. `harvest` is credited in the first slots; the policy
-    switches the cell OFF at `t_off`. All values are exact in binary."""
-    cfg = ScenarioConfig(period=1.0, dt=0.125, n_sbs=1, n_ue=1, q=1.0,
-                         sbs_op_power=8.0, initial_energy=initial)
-    bs = (macro_cell(), small_cell(op_power=8.0))
+class UnseenDraw(float):
+    """A power draw whose every other product reads 0: in a slot of one ON
+    cell, the depletion check sees 0 J and the storage step the real draw."""
+
+    products = 0
+
+    def __mul__(self, other):
+        self.products += 1
+        return float(self) * other if self.products % 2 == 0 else 0.0
+
+
+def run_one_cell(initial, harvest=(), t_off=1.0, *, period=1.0, op_power=8.0,
+                 unseen_draw=False):
+    """One period of slots of 0.125 s: one SBS serves one UE and draws
+    `op_power`, so 8 W is exactly 1 J a slot. `harvest` is credited in the
+    first slots; the policy switches the cell OFF at `t_off`. With the default
+    power, all values are exact in binary. Returns the result and the cell's
+    storage at the end."""
+    cfg = ScenarioConfig(period=period, dt=0.125, n_sbs=1, n_ue=1, q=1.0,
+                         sbs_op_power=op_power, initial_energy=initial)
+    bs = (macro_cell(), small_cell(op_power=op_power))
     topo = Topology(bs=bs, ue=np.zeros((1, 2)), gain=np.array([[1e-13, 1e-10]]),
                     noise_power=dbm_to_watts(-104.0), area=(500.0, 500.0))
+    table = OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits, cfg.period)
+    if unseen_draw:
+        table[np.ones(2, dtype=bool)].psi_values = (UnseenDraw(op_power),)
     trace = np.zeros((cfg.n_steps, 1))
     trace[:len(harvest), 0] = harvest
     energy = EnergyState.fresh(1, initial, cfg.capacity)
     res, _ = run_period(cfg, topo, energy, FixedPolicy(t_off),
-                        [np.random.default_rng(0)], trace)
+                        [np.random.default_rng(0)], trace, tables=[table])
     assert res.used[0]
-    return res
+    return res, energy.stored[0]
 
 
 class TestDepletion:
     def test_cannot_fund_next_slot(self):
-        res = run_one_cell(0.5, [0.25])
+        res, _ = run_one_cell(0.5, [0.25])
         assert res.depleted_at[0] == 0.0 and res.on_time[0] == 0.0
         assert not res.buy_charged[0]
 
     def test_zero_power_never_depletes(self):
         # a cell switched OFF draws nothing, so an empty battery is no depletion
-        res = run_one_cell(0.0, t_off=0.0)
+        res, _ = run_one_cell(0.0, t_off=0.0)
         assert np.isnan(res.depleted_at[0]) and res.buy_charged[0]
         assert res.energy_consumed[0] == 0.0
 
     def test_exact_boundary_not_depleted(self):
         # 2 J fund exactly two slots; the third finds 0 J and depletes
-        res = run_one_cell(2.0)
+        res, _ = run_one_cell(2.0)
         assert res.on_time[0] == 0.25 and res.depleted_at[0] == 0.25
         assert res.energy_consumed[0] == 2.0
         # 8 J fund exactly the whole period
-        res = run_one_cell(8.0)
+        res, _ = run_one_cell(8.0)
         assert res.on_time[0] == 1.0 and np.isnan(res.depleted_at[0])
 
     def test_harvest_can_rescue(self):
-        assert run_one_cell(0.5).depleted_at[0] == 0.0
-        res = run_one_cell(0.5, [0.5])
+        assert run_one_cell(0.5)[0].depleted_at[0] == 0.0
+        res, _ = run_one_cell(0.5, [0.5])
         assert res.on_time[0] == 0.125 and res.depleted_at[0] == 0.125
 
 

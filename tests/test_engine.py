@@ -1,12 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbsched import network, pricing
+from sbsched import engine, network, pricing
 from sbsched.energy import EnergyState
 from sbsched.engine import (
     PeriodResult,
@@ -264,6 +264,100 @@ class TestRunHorizon:
             want = run_horizon(cfg_p, Replication.draw(cfg, cfg.seed))
             assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
             assert any(r.switch_count.any() for r in got)
+
+    @pytest.mark.parametrize("price_mode", ["live", "frozen"])
+    @pytest.mark.parametrize("sched", [(), ((0.0, dbm_to_watts(20.0)),
+                                           (2.5, dbm_to_watts(26.0)),
+                                           (6.0, dbm_to_watts(23.0)))])
+    def test_a_shared_record_runs_each_policy_as_a_fresh_one(self, price_mode, sched):
+        # what a record computes once for all its runs must not carry one
+        # run's state into the next, nor differ from what `run_period`
+        # computes without a record: field for field, bit for bit, and every
+        # trace row of both periods, idle cells included
+        cfg = ScenarioConfig(seed=4, n_sbs=8, n_ue=40, area=(1000.0, 1000.0),
+                             initial_energy=20.0, alpha_b=0.3, harvest_rate=5.0,
+                             price_mode=price_mode, sbs_tx_schedule=sched)
+        shared = Replication.draw(cfg, cfg.seed)
+        dry = set()
+        for policy in ("roa", "threshold:30", "doa", "roa"):
+            cfg_p = replace(cfg, policy=policy)
+            runs = []
+            for rep in (shared, Replication.draw(cfg, cfg.seed)):
+                rows = []
+                runs.append((run_horizon(cfg_p, rep, trace_rows=rows), rows))
+            # without a record: the policy seeds as `spawn` makes them
+            rep = Replication.draw(cfg, cfg.seed)
+            rngs = [np.random.default_rng(s) for s in rep.policy_ss.spawn(cfg.n_sbs)]
+            energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
+            chained, rows, chain_policy = [], [], make_policy(policy)
+            for p, trace in enumerate(rep.harvest):
+                res, energy = run_period(cfg_p, rep.topo, energy, chain_policy, rngs,
+                                         trace, p, rows)
+                chained.append(res)
+            runs.append((chained, rows))
+            (got, got_rows), *others = runs
+            for want, want_rows in others:
+                for a, b in zip(got, want, strict=True):
+                    for f in fields(PeriodResult):
+                        x, y = getattr(a, f.name), getattr(b, f.name)
+                        if isinstance(x, np.ndarray):
+                            assert x.dtype == y.dtype and np.array_equal(
+                                x, y, equal_nan=x.dtype.kind == "f"), f.name
+                        else:
+                            assert x == y, f.name
+                assert got_rows == want_rows
+            assert len(got_rows) == 2 * cfg.n_steps * cfg.n_sbs
+            if any(not np.isnan(res.depleted_at).all() for res in got):
+                dry.add(policy)
+        assert 0 < len(shared.tables[0].tags) < cfg.n_sbs
+        assert dry == {"roa", "doa"}
+
+    def test_policies_and_periods_of_a_record_share_the_period_start(self, monkeypatch):
+        # 3 policies x 2 periods: the storage of the idle cells is computed
+        # once per period, and a generator is seeded for each served cell only
+        cfg = ScenarioConfig(seed=SEED_TWO_USED, horizon_periods=2)
+        rep = Replication.draw(cfg, cfg.seed)
+        starts, seeds = [], []
+        real_start, real_rng = engine._period_start, np.random.default_rng
+
+        def counting_start(*args):
+            starts.append(args)
+            return real_start(*args)
+
+        def counting_rng(seed=None):
+            seeds.append(seed)
+            return real_rng(seed)
+
+        monkeypatch.setattr(engine, "_period_start", counting_start)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        for policy in ("roa", "doa", "fixed:7"):
+            results = run_horizon(replace(cfg, policy=policy), rep)
+            assert len(results) == 2
+        served = [tag.sbs - 1 for tag in rep.tables[0].tags]
+        assert len(served) == 2 and len(starts) == 2
+        assert [s.spawn_key[-1] for s in seeds] == served * 3
+        start = rep.period_start(1)
+        assert not (start.idle_stored.flags.writeable or start.harvested.flags.writeable)
+
+    def test_policy_generators_are_the_spawned_children(self):
+        cfg = ScenarioConfig(seed=SEED_TWO_USED)
+        rep = Replication.draw(cfg, cfg.seed)
+        ss = rep.policy_ss
+        children = np.random.SeedSequence(
+            ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size).spawn(cfg.n_sbs)
+        rngs = rep.policy_rngs()
+        served = [tag.sbs - 1 for tag in rep.tables[0].tags]
+        assert [i for i, g in enumerate(rngs) if g is not None] == served
+        for i in served:
+            assert np.array_equal(rngs[i].random(4), np.random.default_rng(children[i]).random(4))
+
+    def test_run_period_on_a_record_takes_its_own_trace(self):
+        cfg = ScenarioConfig(seed=SEED_TWO_USED)
+        rep = Replication.draw(cfg, cfg.seed)
+        energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
+        with pytest.raises(ValueError, match="record"):
+            run_period(cfg, rep.topo, energy, DoaPolicy(), rep.policy_rngs(),
+                       rep.harvest[1], 0, record=rep)
 
     def test_record_harvest_is_read_only(self):
         rep = Replication.draw(ScenarioConfig(seed=SEED_ONE_USED), 0)

@@ -28,6 +28,17 @@ from sbsched.network import dbm_to_watts
 from sbsched.schedulers import make_policy
 
 
+def update_storage(e: float, harvested: float, consumed: float, cap: float) -> float:
+    """One storage step: credit the arrivals, charge the slot, clamp at cap."""
+    if min(e, harvested, consumed, cap) < 0:
+        raise ValueError("energy quantities must be non-negative")
+    if consumed > e + harvested + 1e-9:
+        raise RuntimeError(
+            "consumption exceeds available energy; depletion check was skipped"
+        )
+    return min(e + harvested - consumed, cap)
+
+
 def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
                          period_index=0, trace_rows=None):
     n_bs, n_sbs, n_steps, dt = topo.n_bs, topo.n_sbs, cfg.n_steps, cfg.dt
@@ -125,7 +136,7 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
         slot_consumed = psi * on * dt
         consumed_total += slot_consumed
         for i in range(n_sbs):
-            energy.stored[i] = energy_mod.update_storage(
+            energy.stored[i] = update_storage(
                 energy.stored[i], h[i], slot_consumed[i], energy.capacity
             )
 
