@@ -45,9 +45,14 @@ class EnergyState:
 
     @classmethod
     def fresh(cls, n_sbs: int, initial: float, capacity: float) -> "EnergyState":
+        """Every cell at `initial`. The bounds are checked once, on the
+        scalar: the filled array is in range when it is, so the elementwise
+        check of direct construction is skipped."""
         if not (0.0 <= initial <= capacity):
             raise ValueError("initial energy must lie in [0, capacity]")
-        return cls(stored=np.full(n_sbs, float(initial)), capacity=float(capacity))
+        state = cls.__new__(cls)
+        state.stored, state.capacity = np.full(n_sbs, float(initial)), float(capacity)
+        return state
 
 
 def bs_power(params: BsParams, n_users: int, q: float) -> float:

@@ -8,7 +8,9 @@ When no schedule can deplete a battery, all OFF-time combinations are costed
 in closed form, vectorized over the combinations. Otherwise the slot loop
 walks the tree of distinct slot prefixes in plain floats: schedules that agree
 up to a slot share its state, so the full grid costs about one slot step per
-combination instead of one per combination and slot.
+combination instead of one per combination and slot. Where one cell is left
+ON, its subtree is one tight loop over its remaining slots, and the grid
+points where it goes OFF are written as one strided run.
 """
 from __future__ import annotations
 
@@ -44,6 +46,17 @@ class RecordedScenario:
     trace: np.ndarray  # (n_steps, n_sbs) harvested joules per slot
     initial_energy: float
     capacity: float
+
+    def __post_init__(self) -> None:
+        # the closed form never reads the trace and the walk reads it only
+        # until every cell is OFF, so a wrong one would pass unseen or fail
+        # in the middle of the walk
+        shape = (self.n_steps, self.topo.n_sbs)
+        if np.shape(self.trace) != shape:
+            raise ValueError(f"trace has shape {np.shape(self.trace)}, "
+                             f"expected (n_steps, n_sbs) = {shape}")
+        if not np.all(np.asarray(self.trace) >= 0.0):
+            raise ValueError("trace must hold non-negative joules, and no NaN")
 
     @property
     def n_steps(self) -> int:
@@ -176,7 +189,10 @@ def _evaluate_stepwise(
     go OFF there; a cell whose last requested index has come must go OFF. A
     cell that runs dry stops branching: all its later OFF indices cost the
     same, so the leaf fills a box of the grid. The full grid thus costs
-    O((n_steps+1)^m) slot steps, and one row a single path.
+    O((n_steps+1)^m) slot steps, and one row a single path. Most of them are
+    taken with one cell left ON; that cell's subtree is one plain-float loop
+    with no frame, branch list or depletion fixed point per slot, and its
+    OFF points, one per requested index, are one strided write of the grid.
     """
     c, m = off_idx.shape
     if c == 0:
@@ -195,12 +211,13 @@ def _evaluate_stepwise(
     vals = [v.tolist() for v in vals]
     last = [n - 1 for n in shape]
     bits = [1 << i for i in range(m)]
+    solo = {b: i for i, b in enumerate(bits)}  # the one-cell masks
     cells = [[i for i in range(m) if mask >> i & 1] for mask in range(1 << m)]
     # the per-row loop's float operations, in its order, so the costs are the
     # same bits: e + h < psi*dt, min((e + h) - psi*dt, cap), rent += rent_sum*dt
     psi_dt = (tables.psi * dt).tolist()
     rent_dt = (tables.rent_sum * dt).tolist()
-    trace = trace_used[:n_steps].tolist()
+    harvest = trace_used[:n_steps].T.tolist()  # per cell, then per slot
 
     def leaf(pos, flat, dry, bought, rent):
         if dry:
@@ -213,6 +230,40 @@ def _evaluate_stepwise(
         else:
             rent_flat[flat] = rent
             bought_flat[flat] = bought
+
+    def lone(k, i, e, pos, flat, dry, bought, rent):
+        """Walk on from slot k, whose OFF decisions are made, with cell i the
+        only one ON and `e` its stored energy. The points where it goes OFF at
+        a later requested index lie on one line of the grid: unless a sibling
+        is dry (then each is a box), their rents are written as one strided
+        run."""
+        bit, stride, v, p, end = bits[i], strides[i], vals[i], pos[i], last[i]
+        psi, r, col = psi_dt[bit][i], rent_dt[bit], harvest[i]
+        start, run = flat, []
+        while k < n_steps:
+            h = col[k]
+            if e + h < psi:
+                dry |= bit
+                break
+            rent += r
+            e = min(e + h - psi, cap)
+            k += 1
+            if v[p] == k < n_steps:
+                if p == end:  # the last requested index: OFF here
+                    bought |= bit
+                    break
+                if dry:
+                    pos[i] = p
+                    leaf(pos, flat, dry, bought | bit, rent)
+                else:
+                    run.append(rent)
+                p += 1
+                flat += stride
+        if run:
+            rent_flat[start:flat:stride] = run
+            bought_flat[start:flat:stride] = bought | bit
+        pos[i] = p
+        leaf(pos, flat, dry, bought, rent)
 
     def walk(k, mask, e, pos, flat, dry, bought, rent, go_off):
         """Walk on from slot k; `go_off` (None: decide here) is the set of
@@ -229,8 +280,17 @@ def _evaluate_stepwise(
                 if go_off is None:
                     sub = optional
                     while sub:
-                        if forced | sub == mask:  # all OFF from slot k on
+                        rest = mask & ~(forced | sub)
+                        if not rest:  # all OFF from slot k on
                             leaf(pos, flat, dry, bought | mask, rent)
+                        elif rest in solo:  # one cell stays ON: no walk frame
+                            j = solo[rest]
+                            moved, step = pos[:], 0
+                            if rest & optional:
+                                moved[j] += 1
+                                step = strides[j]
+                            lone(k, j, e[j], moved, flat + step, dry,
+                                 bought | forced | sub, rent)
                         else:
                             walk(k, mask, e[:], pos[:], flat, dry, bought, rent, sub)
                         sub = (sub - 1) & optional
@@ -243,12 +303,14 @@ def _evaluate_stepwise(
                 mask &= ~off
                 bought |= off
             go_off = None
-            h = trace[k]
+            if mask in solo:  # m = 1, or the others went OFF or ran dry
+                i = solo[mask]
+                return lone(k, i, e[i], pos, flat, dry, bought, rent)
             while True:
                 psi = psi_dt[mask]
                 out = 0
                 for i in cells[mask]:
-                    if e[i] + h[i] < psi[i]:
+                    if e[i] + harvest[i][k] < psi[i]:
                         out |= bits[i]
                 if not out:
                     break
@@ -256,7 +318,7 @@ def _evaluate_stepwise(
                 dry |= out
             rent += rent_dt[mask]
             for i in cells[mask]:
-                e[i] = min(e[i] + h[i] - psi[i], cap)
+                e[i] = min(e[i] + harvest[i][k] - psi[i], cap)
             k += 1
         leaf(pos, flat, dry, bought, rent)
 

@@ -105,14 +105,20 @@ class TestStorage:
             run_one_cell(0.1, period=0.125, unseen_draw=True)
 
     def test_state_bounds_validated(self):
-        with pytest.raises(ValueError):
-            EnergyState(stored=np.array([120.0]), capacity=100.0)
-        with pytest.raises(ValueError):
-            EnergyState.fresh(2, initial=120.0, capacity=100.0)
+        # direct construction checks every entry; `fresh` checks its scalar
+        for stored in ([120.0], [3.0, -0.5]):
+            with pytest.raises(ValueError, match="stored energy out of"):
+                EnergyState(stored=np.array(stored), capacity=100.0)
+        for initial in (120.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match="initial energy must lie"):
+                EnergyState.fresh(2, initial=initial, capacity=100.0)
 
     def test_fresh_state(self):
-        state = EnergyState.fresh(3, 60.0, 100.0)
-        assert np.all(state.stored == 60.0) and state.capacity == 100.0
+        state = EnergyState.fresh(3, 60, 100)
+        direct = EnergyState(stored=[60.0] * 3, capacity=100.0)
+        for got in (state, direct):
+            assert got.stored.dtype == np.float64 and got.stored.tolist() == [60.0] * 3
+            assert type(got.capacity) is float and got.capacity == 100.0
         # only what crosses a period boundary; depletion is per period
         assert [f.name for f in fields(EnergyState)] == ["stored", "capacity"]
 

@@ -43,6 +43,27 @@ def tables_for(scn):
 SEED_M0, SEED_M1, SEED_M2 = 0, 21, 1
 
 
+class TestRecordedTrace:
+    @pytest.mark.parametrize("initial", [100.0, 5.0])
+    def test_too_few_rows_rejected(self, initial):
+        # 10 rows on a 50-slot period: with 100 J the closed form would not
+        # read the trace, and with 5 J every branch of the walk runs dry
+        # before row 10, so neither search would notice the missing rows
+        with pytest.raises(ValueError, match="shape"):
+            scenario_with_used(SEED_M2, initial=initial, trace=np.zeros((10, 3)))
+
+    def test_extra_column_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            scenario_with_used(SEED_M2, trace=np.zeros((N_STEPS, 4)))
+
+    @pytest.mark.parametrize("bad", [-0.2, np.nan])
+    def test_negative_or_nan_joules_rejected(self, bad):
+        trace = np.zeros((N_STEPS, 3))
+        trace[7, 1] = bad
+        with pytest.raises(ValueError, match="non-negative"):
+            scenario_with_used(SEED_M2, trace=trace)
+
+
 class TestCombinations:
     def test_count_three_cells(self):
         combos = all_combinations(3, N_STEPS)

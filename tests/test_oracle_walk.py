@@ -86,20 +86,29 @@ def synthetic_tables(m, rng, snap):
 
 
 def row_sets(m, n_steps, rng):
-    """The full grid, the study's grid, and single and random rows."""
+    """The full grid, the study's grid, single and random rows, and the grid
+    of a few requested slots per cell."""
     grid = all_combinations(m, n_steps)
     random_rows = rng.integers(-3, n_steps + 4, size=(24, m))
     with_duplicates = np.concatenate([random_rows, random_rows[::3]])[
         rng.permutation(32)]
+    # gaps between a cell's requested slots, and a last one before n_steps,
+    # so that a cell left alone ON must go OFF inside the period
+    sparse = [np.unique(rng.integers(0, n_steps, size=3)) for _ in range(m)]
     return {
         "grid": grid,
         "grid >= 1": np.maximum(grid, 1),
         "one row": rng.integers(0, n_steps + 1, size=(1, m)),
         "one row outside the grid": np.array([[-2] + [n_steps + 5] * (m - 1)]),
         "random rows": with_duplicates,
+        "sparse grid": np.stack(np.meshgrid(*sparse, indexing="ij"), -1).reshape(-1, m),
     }
 
 
+# Where one cell is left ON, the walk finishes its subtree in one loop. The
+# pinned examples reach its ends and entries: a sibling already dry when it
+# starts (seed 3), a start at the last slot (m = 1, and seed 1), a forced OFF
+# at a last requested index below n_steps, and a lone cell that runs dry.
 @settings(max_examples=80, deadline=None, derandomize=True)
 @example(m=3, n_steps=12, seed=0, energy="dry", exact=False, e0_share=1.0, cap_extra=0.0)
 @example(m=3, n_steps=12, seed=1, energy="wet", exact=True, e0_share=1.0, cap_extra=0.0)
