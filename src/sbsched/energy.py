@@ -13,6 +13,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ class HarvestParams:
             raise ValueError("harvest rate and quantum must be non-negative")
 
 
-@dataclass
+@dataclass(eq=False)
 class EnergyState:
     """Per-SBS stored energy and the capacity: what crosses a period boundary."""
 
@@ -55,19 +56,33 @@ class EnergyState:
         return state
 
 
+def power_draw(op_power: np.ndarray, max_users: np.ndarray, n_users: np.ndarray,
+               q: float, ids: Sequence[int]) -> np.ndarray:
+    """Instantaneous power draw (watts) of ON BSs, elementwise: the BS of
+    full-load power `op_power[i]` and capacity `max_users[i]` with
+    `n_users[i]` attached draws `(n / max) * (1 - q) * op + q * op`.
+
+    Counts are non-negative. A count above the capacity is clamped to it,
+    with a `UserWarning` that names the BS by its id, `ids[i]`.
+    """
+    over = n_users > max_users
+    if over.any():
+        for i in np.flatnonzero(over).tolist():
+            warnings.warn(
+                f"BS {ids[i]}: {n_users[i]} users exceed max {max_users[i]}; "
+                "clamping the proportional term",
+                stacklevel=2,
+            )
+        n_users = np.minimum(n_users, max_users)
+    return (n_users / max_users) * (1.0 - q) * op_power + q * op_power
+
+
 def bs_power(params: BsParams, n_users: int, q: float) -> float:
-    """Instantaneous power draw of an ON BS with `n_users` attached (watts)."""
+    """`power_draw` of one BS with `n_users` attached (watts)."""
     if n_users < 0:
         raise ValueError("n_users must be non-negative")
-    if n_users > params.max_users:
-        warnings.warn(
-            f"BS {params.id}: {n_users} users exceed max {params.max_users}; "
-            "clamping the proportional term",
-            stacklevel=2,
-        )
-        n_users = params.max_users
-    p = params.op_power_max
-    return (n_users / params.max_users) * (1.0 - q) * p + q * p
+    return power_draw(np.array([params.op_power_max]), np.array([params.max_users]),
+                      np.array([n_users]), q, (params.id,)).item()
 
 
 def harvest_trace(

@@ -134,7 +134,7 @@ class ScenarioConfig:
         return HarvestParams(self.harvest_rate, self.harvest_quantum)
 
 
-@dataclass
+@dataclass(eq=False)
 class PeriodResult:
     """Per-period accounting and metrics; per-SBS arrays are indexed by SBS-1.
     `buy_price`, `energy_harvested` and `used` depend on the record and the

@@ -6,14 +6,20 @@ them per ON set.
 
 All radio quantities are stored linear (watts, dimensionless gains). Channel
 gains are static per run (time-averaged); only the ON/OFF vector changes the
-network state. The MBS (index 0) is always ON and never interferes with the
-SBS tier.
+network state. What does not depend on it (the received power, the MBS SNR,
+the bandwidths) is computed once per `Topology`, on first use. The MBS
+(index 0) is always ON and never interferes with the SBS tier.
+
+OFF cells need no mask in the association: an OFF SBS's SINR column is
+exactly 0.0 (its received power, finite, times 0.0), and the MBS column,
+an SNR >= 0, comes first, so the first-maximum rule never picks an OFF cell.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -105,7 +111,11 @@ class BsParams:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable node placement plus the UE x BS channel-gain matrix."""
+    """Immutable node placement plus the UE x BS channel-gain matrix.
+
+    The arrays that do not depend on the ON set are read-only and computed
+    on first use; a copy made with `with_sbs_tx_power` starts without them.
+    """
 
     bs: tuple[BsParams, ...]
     ue: np.ndarray  # (n_ue, 2) positions in meters
@@ -136,9 +146,38 @@ class Topology:
     def n_ue(self) -> int:
         return self.ue.shape[0]
 
-    @property
-    def tx_powers(self) -> np.ndarray:
-        return np.array([b.tx_power for b in self.bs])
+    @cached_property
+    def received_power(self) -> np.ndarray:
+        """(n_ue, n_bs) power each UE receives from each BS, in watts."""
+        recv = self.gain * np.array([b.tx_power for b in self.bs])[None, :]
+        if not np.isfinite(recv).all():
+            raise ValueError("received power must be finite")
+        return _read_only(recv)
+
+    @cached_property
+    def sbs_received_power(self) -> np.ndarray:
+        """The SBS columns of `received_power`, as one contiguous block."""
+        return _read_only(np.ascontiguousarray(self.received_power[:, 1:]))
+
+    @cached_property
+    def mbs_snr(self) -> np.ndarray:
+        """(n_ue,) SNR of each UE to the MBS."""
+        return _read_only(self.received_power[:, MBS_ID] / self.noise_power)
+
+    @cached_property
+    def bandwidths(self) -> np.ndarray:
+        """(n_bs,) bandwidth of each BS in Hz."""
+        return _read_only(np.array([b.bandwidth for b in self.bs]))
+
+    @cached_property
+    def sbs_op_power(self) -> np.ndarray:
+        """(n_sbs,) full-load operational power of each SBS in watts."""
+        return _read_only(np.array([b.op_power_max for b in self.bs[1:]]))
+
+    @cached_property
+    def sbs_max_users(self) -> np.ndarray:
+        """(n_sbs,) user capacity of each SBS."""
+        return _read_only(np.array([b.max_users for b in self.bs[1:]], dtype=int))
 
     def with_sbs_tx_power(self, tx_power: float) -> "Topology":
         """Copy of the topology with every SBS transmit power replaced."""
@@ -148,7 +187,7 @@ class Topology:
         return replace(self, bs=new_bs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkState:
     """ON/OFF vector, the resulting max-SINR user association, and each UE's
     link quality to its server (SNR for the MBS, SINR for an SBS)."""
@@ -156,16 +195,19 @@ class NetworkState:
     sigma: np.ndarray  # (n_bs,) bool
     serving: np.ndarray  # (n_ue,) serving BS index per UE
     sinr: np.ndarray  # (n_ue,) link quality to the serving BS
+    counts: np.ndarray = field(init=False)  # (n_bs,) UEs served by each BS, read-only
 
     def __post_init__(self) -> None:
         if not self.sigma[MBS_ID]:
             raise ValueError("the MBS is always ON")
+        counts = np.bincount(self.serving, minlength=self.sigma.size)
+        object.__setattr__(self, "counts", _read_only(counts))
 
     def members(self, bs: int) -> np.ndarray:
         return np.flatnonzero(self.serving == bs)
 
     def n_members(self, bs: int) -> int:
-        return int(np.count_nonzero(self.serving == bs))
+        return int(self.counts[bs])
 
 
 def place_nodes(
@@ -231,30 +273,29 @@ def compute_gains(bs: Sequence[BsParams], ue_xy: np.ndarray, model: PathLossMode
     return gain
 
 
-def _received_power(topo: Topology) -> np.ndarray:
-    return topo.gain * topo.tx_powers[None, :]
-
-
 def sinr_matrix(sigma: np.ndarray, topo: Topology) -> np.ndarray:
     """Per-UE link quality: column 0 is SNR to the MBS, columns >= 1 are SINRs.
 
-    Interference sums over ON SBSs only; the MBS never interferes.
+    Interference sums over ON SBSs only; the MBS never interferes. An OFF
+    SBS's column is exactly 0.0.
     """
-    recv = _received_power(topo)
-    out = np.empty_like(recv)
-    out[:, 0] = recv[:, 0] / topo.noise_power
+    out = np.empty(topo.gain.shape)
+    out[:, MBS_ID] = topo.mbs_snr
     if topo.n_sbs:
+        recv = topo.sbs_received_power
         on = sigma[1:].astype(float)
-        total_sbs = recv[:, 1:] @ on
-        own = recv[:, 1:] * on[None, :]
-        out[:, 1:] = own / (total_sbs[:, None] - own + topo.noise_power)
+        own = recv * on
+        noise_and_interference = (recv @ on)[:, None] - own
+        noise_and_interference += topo.noise_power
+        np.divide(own, noise_and_interference, out=out[:, 1:])
     return out
 
 
 def associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
     """Assign each UE to the ON BS with the largest SINR (SNR for the MBS).
 
-    Ties break toward the lowest BS index; OFF BSs are never chosen. The state
+    Ties break toward the lowest BS index. OFF BSs are never chosen, without
+    a mask: their SINR is 0.0 and the MBS's SNR, >= 0, comes first. The state
     keeps a read-only copy of `sigma`, so the caller may go on mutating its own
     array, and states shared between callers cannot be altered.
     """
@@ -262,30 +303,32 @@ def associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
     if not sigma[MBS_ID]:
         raise ValueError("the MBS is always ON")
     metric = sinr_matrix(sigma, topo)
-    metric[:, ~sigma] = -np.inf
-    serving = np.argmax(metric, axis=1)  # first max == lowest index
-    sinr = metric[np.arange(topo.n_ue), serving]
+    serving = metric.argmax(axis=1)  # first max == lowest index
+    sinr = metric[np.arange(serving.size), serving]
     for a in (sigma, serving, sinr):
-        a.flags.writeable = False
+        a.setflags(write=False)
     return NetworkState(sigma=sigma, serving=serving, sinr=sinr)
 
 
 def ue_rates(state: NetworkState, topo: Topology) -> np.ndarray:
     """Achievable rate of every UE: equal bandwidth split at its serving BS."""
-    counts = np.bincount(state.serving, minlength=topo.n_bs)
-    bw = np.array([b.bandwidth for b in topo.bs])
-    share = bw[state.serving] / counts[state.serving]
+    serving = state.serving
+    share = topo.bandwidths[serving] / state.counts[serving]
     return share * np.log2(1.0 + state.sinr)
 
 
 def all_bs_delays(state: NetworkState, topo: Topology, file_bits: float) -> np.ndarray:
-    """Per-BS total delay, vectorized over the whole network."""
+    """Per-BS total delay, vectorized over the whole network. Each BS's UE
+    delays are added in UE order."""
     rates = ue_rates(state, topo)
-    if np.any(rates <= 0):
+    if (rates <= 0).any():
         raise UnserviceableError("a UE has zero achievable rate")
-    out = np.zeros(topo.n_bs)
-    np.add.at(out, state.serving, file_bits / rates)
-    return out
+    return np.bincount(state.serving, weights=file_bits / rates, minlength=topo.n_bs)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # ---------------------------------------------------------------------------

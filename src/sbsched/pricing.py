@@ -3,6 +3,7 @@ and the offline-optimal rent-or-buy cost.
 
 A cell's rent is priced in one place: `OnSetTable` holds, per ON set, the
 network state and the delay and power vectors that `all_rent_prices` weighs.
+An ON set's entry is computed in full when the set is first looked up.
 Prices for the approximated (per-period, flat-price) problem are frozen once
 per table, from its all-ON entry at the period start: `OnSetTable.tags`, for
 the served cells only. The live problem charges the rent of the current ON
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import energy, network
-from .network import MBS_ID, NetworkState, Topology
+from .network import MBS_ID, Topology, _read_only
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,9 @@ def offline_cost(rent: float, buy: float, u: float, period: float) -> float:
 
 
 class OnSetTable:
-    """Network state and per-SBS rates of one topology, per ON set, on demand,
-    and the frozen prices of a period of length `period` that starts all ON.
+    """Network state and per-SBS rates of one topology, per ON set, each
+    entry made on the set's first lookup, and the frozen prices of a period
+    of length `period` that starts all ON.
 
     Association, rents, power draw and delays depend on the ON set alone, so
     the engine's slots and the oracle's subsets share one entry per ON set.
@@ -130,63 +132,40 @@ class OnSetTable:
         key = sigma.tobytes()
         entry = self._entries.get(key)
         if entry is None:
-            entry = OnSetEntry(self, network.associate(sigma, self.topo))
-            self._entries[key] = entry
+            entry = self._entries[key] = OnSetEntry(self, sigma)
         return entry
 
 
 class OnSetEntry:
-    """One ON set: its `NetworkState`, and read-only values computed on first
-    use, so a caller that never reads one never pays for (or raises in) its
-    computation. The `*_values` and `on_delay` fields are Python scalars for
-    the engine's per-slot loop."""
+    """One ON set: its `NetworkState` and the read-only values priced from
+    it, all computed when the entry is made, in one pass over the
+    topology's cached constants (`network.associate` and
+    `network.all_bs_delays` once each, then one power expression).
 
-    def __init__(self, table: OnSetTable, state: NetworkState) -> None:
-        self._table = table
-        self.state = state
+    - `delays`: (n_bs,) total delay of each BS.
+    - `power`: (n_sbs,) draw of each SBS when ON with its members; `psi` is
+      the same with 0 for an OFF SBS.
+    - `rent`: (n_bs,) rent rate of each SBS (index 0 unused).
+    - `rent_values`, `psi_values` and `on_delay`, the total delay of the ON
+      SBSs, are Python scalars for the engine's per-slot loop.
+    """
 
-    @cached_property
-    def power(self) -> np.ndarray:
-        """(n_sbs,) power draw of each SBS when ON with its members."""
-        t = self._table
-        counts = np.bincount(self.state.serving, minlength=t.topo.n_bs).tolist()
-        return _read_only(np.array([
-            energy.bs_power(t.topo.bs[j], counts[j], t.q) for j in range(1, t.topo.n_bs)
-        ]))
+    __slots__ = ("state", "delays", "power", "psi", "rent", "rent_values",
+                 "psi_values", "on_delay")
 
-    @cached_property
-    def rent(self) -> np.ndarray:
-        """Rent rate of every SBS, as `all_rent_prices` (index 0 unused)."""
-        return _read_only(all_rent_prices(self.delays, self.power, self._table.w))
-
-    @cached_property
-    def psi(self) -> np.ndarray:
-        """(n_sbs,) power draw of each SBS, 0 for an OFF one."""
-        return _read_only(np.where(self.state.sigma[1:], self.power, 0.0))
-
-    @cached_property
-    def delays(self) -> np.ndarray:
-        """Per-BS total delay, as `network.all_bs_delays`."""
-        t = self._table
-        return _read_only(network.all_bs_delays(self.state, t.topo, t.file_bits))
-
-    @cached_property
-    def rent_values(self) -> tuple[float, ...]:
-        """`rent` as Python floats (index 0 unused)."""
-        return tuple(self.rent.tolist())
-
-    @cached_property
-    def psi_values(self) -> tuple[float, ...]:
-        """`psi` as Python floats."""
-        return tuple(self.psi.tolist())
-
-    @cached_property
-    def on_delay(self) -> float:
-        """Total delay of the ON SBSs. It is summed here once, in numpy's
-        (pairwise) order, which a sequential sum does not reproduce."""
-        return float(self.delays[1:][self.state.sigma[1:]].sum())
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    def __init__(self, table: OnSetTable, sigma: np.ndarray) -> None:
+        topo = table.topo
+        self.state = state = network.associate(sigma, topo)
+        on = state.sigma[1:]
+        self.delays = delays = _read_only(
+            network.all_bs_delays(state, topo, table.file_bits))
+        self.power = power = _read_only(energy.power_draw(
+            topo.sbs_op_power, topo.sbs_max_users, state.counts[1:], table.q,
+            range(1, topo.n_bs)))
+        self.psi = psi = _read_only(np.where(on, power, 0.0))
+        self.rent = rent = _read_only(all_rent_prices(delays, power, table.w))
+        self.rent_values: tuple[float, ...] = tuple(rent.tolist())
+        self.psi_values: tuple[float, ...] = tuple(psi.tolist())
+        # summed once, in numpy's (pairwise) order, which a sequential sum
+        # does not reproduce
+        self.on_delay = float(delays[1:][on].sum())

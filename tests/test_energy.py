@@ -8,6 +8,7 @@ from sbsched.energy import (
     HarvestParams,
     bs_power,
     harvest_trace,
+    power_draw,
     load_harvest_trace,
 )
 from sbsched.engine import ScenarioConfig, run_period
@@ -44,9 +45,36 @@ class TestPowerModel:
         assert bs_power(macro_cell(), 5, 0.9) == pytest.approx(18.2)
 
     def test_overload_clamps_with_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="BS 1: 15 users exceed max 10"):
             p = bs_power(small_cell(), 15, 0.9)
         assert p == pytest.approx(bs_power(small_cell(), 10, 0.9))
+
+    def test_negative_users_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            bs_power(small_cell(), -1, 0.9)
+
+    def test_scalar_is_the_float_formula_bit_for_bit(self):
+        for op, max_users in ((10.0, 10), (7.3, 3), (20.0, 50)):
+            cell = small_cell(op_power=op, max_users=max_users)
+            for q in (0.0, 0.1, 0.37, 0.9, 1.0):
+                for n in range(max_users + 1):
+                    p = bs_power(cell, n, q)
+                    assert type(p) is float
+                    assert p == (n / max_users) * (1.0 - q) * op + q * op
+
+    def test_array_draw_is_the_scalar_per_cell_and_warns_per_cell(self):
+        op = np.array([10.0, 7.3, 12.5, 9.0])
+        max_users = np.array([10, 3, 2, 4])
+        n = np.array([4, 5, 2, 9])
+        with pytest.warns(UserWarning) as caught:
+            p = power_draw(op, max_users, n, 0.37, (1, 2, 3, 4))
+        assert [str(w.message) for w in caught] == [
+            "BS 2: 5 users exceed max 3; clamping the proportional term",
+            "BS 4: 9 users exceed max 4; clamping the proportional term",
+        ]
+        for i in range(4):
+            cell = small_cell(op_power=op[i], max_users=int(max_users[i]))
+            assert p[i] == bs_power(cell, min(int(n[i]), int(max_users[i])), 0.37)
 
 
 class TestHarvest:

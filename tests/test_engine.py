@@ -113,6 +113,23 @@ class TestConfig:
         assert len(ScenarioConfig(sbs_tx_schedule=sched).sbs_tx_schedule) == 4
 
 
+class TestArrayRecords:
+    def test_equality_of_array_holding_records_is_identity(self):
+        # the generated `==` would compare ndarray fields and raise
+        # "truth value of an array ... is ambiguous" for multi-cell records
+        cfg, topo, energy, rngs, trace = setup_period()
+        sigma = np.ones(topo.n_bs, dtype=bool)
+        pairs = [
+            (EnergyState.fresh(3, 60.0, 100.0), EnergyState(np.full(3, 60.0), 100.0)),
+            (network.associate(sigma, topo), network.associate(sigma, topo)),
+        ]
+        res, _ = run_period(cfg, topo, energy, RoaPolicy(), rngs, trace)
+        pairs.append((res, replace(res)))
+        for a, b in pairs:
+            assert (a == b) is False and (a != b) is True
+            assert (a == a) is True
+
+
 class TestRunPeriodExtremes:
     def test_immediate_off_pays_buy_only(self):
         cfg, topo, energy, rngs, trace = setup_period()

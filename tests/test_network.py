@@ -9,6 +9,7 @@ from sbsched.network import (
     NetworkState,
     PathLossModel,
     Topology,
+    UnserviceableError,
     all_bs_delays,
     associate,
     channel_gain,
@@ -21,6 +22,7 @@ from sbsched.network import (
     ue_rates,
     watts_to_dbm,
 )
+from sbsched.pricing import CostWeights, OnSetTable
 
 NOISE = dbm_to_watts(-104.0)
 
@@ -130,6 +132,46 @@ class TestPlaceNodes:
             place_nodes((500.0, 500.0), 1, 0, rng)
 
 
+class TestTopologyConstants:
+    NAMES = ("received_power", "sbs_received_power", "mbs_snr", "bandwidths",
+             "sbs_op_power", "sbs_max_users")
+
+    def test_constants_match_the_fields_and_are_cached_read_only(self):
+        topo = place_nodes((500.0, 500.0), 4, 12, np.random.default_rng(2),
+                           sbs_max_users=3)
+        tx = np.array([b.tx_power for b in topo.bs])
+        recv = topo.gain * tx[None, :]
+        assert topo.received_power.tobytes() == recv.tobytes()
+        assert topo.sbs_received_power.flags.c_contiguous
+        assert topo.sbs_received_power.tobytes() == np.ascontiguousarray(recv[:, 1:]).tobytes()
+        assert topo.mbs_snr.tobytes() == (recv[:, 0] / topo.noise_power).tobytes()
+        assert topo.bandwidths.tolist() == [b.bandwidth for b in topo.bs]
+        assert topo.sbs_op_power.tolist() == [b.op_power_max for b in topo.bs[1:]]
+        assert topo.sbs_max_users.tolist() == [3] * 4
+        for name in self.NAMES:
+            value = getattr(topo, name)
+            assert getattr(topo, name) is value
+            assert not value.flags.writeable
+
+    def test_tx_power_copy_starts_with_an_empty_cache(self):
+        topo = place_nodes((500.0, 500.0), 3, 10, np.random.default_rng(4))
+        for name in self.NAMES:
+            getattr(topo, name)
+        louder = topo.with_sbs_tx_power(dbm_to_watts(30.0))
+        assert not set(self.NAMES) & set(vars(louder))
+        assert louder.received_power[:, 0].tobytes() == topo.received_power[:, 0].tobytes()
+        assert louder.sbs_received_power.tobytes() == (
+            topo.gain[:, 1:] * dbm_to_watts(30.0)).tobytes()
+        assert np.all(louder.sbs_received_power > topo.sbs_received_power)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_received_power_rejected(self):
+        spec = ("SBS", 100.0, 100.0, 1e10, 1e10, 10e6, 10)
+        topo = make_topology([MBS_SPEC, spec], [[100.0, 100.0]], gains=[[1e-13, 1e300]])
+        with pytest.raises(ValueError, match="received power"):
+            associate(np.array([True, False]), topo)
+
+
 class TestSinrSnr:
     def test_single_small_cell_value(self):
         # one ON SBS, gain 1e-10, 23 dBm, noise -104 dBm => ~501.2
@@ -174,6 +216,23 @@ class TestSinrSnr:
         for sigma in ([True, True, True], [True, False, True], [True, False, False]):
             assert sinr_matrix(np.array(sigma), topo)[0, 0] == pytest.approx(
                 expected, rel=1e-12)
+
+    def test_matrix_is_the_strided_formula_bit_for_bit(self):
+        # the interference sum is a matmul over the SBS columns of the
+        # (n_ue, n_bs) received power: a contiguous copy of that block must
+        # give the same bits as the strided view
+        rng = np.random.default_rng(12)
+        for n_sbs, n_ue in ((2, 7), (9, 40), (16, 80)):
+            topo = place_nodes((1500.0, 1500.0), n_sbs, n_ue, rng)
+            recv = topo.gain * np.array([b.tx_power for b in topo.bs])[None, :]
+            for _ in range(10):
+                sigma = np.concatenate(([True], rng.random(n_sbs) < 0.5))
+                on = sigma[1:].astype(float)
+                own = recv[:, 1:] * on[None, :]
+                want = np.empty_like(recv)
+                want[:, 0] = recv[:, 0] / topo.noise_power
+                want[:, 1:] = own / ((recv[:, 1:] @ on)[:, None] - own + topo.noise_power)
+                assert sinr_matrix(sigma, topo).tobytes() == want.tobytes()
 
     def test_interference_monotonicity(self):
         topo = make_topology(
@@ -257,6 +316,28 @@ class TestAssociation:
         with pytest.raises(ValueError):
             state.sigma[1] = False
 
+    def test_off_cells_lose_to_the_macro_without_a_mask(self):
+        # every SBS column of an OFF cell is exactly 0.0; the UE whose
+        # received powers underflow to 0.0 ties at 0.0 and goes to the MBS
+        topo = make_topology(
+            [("MBS", 250.0, 250.0, 0.4, 20.0, 10e6, 50), sbs_spec(100.0, 100.0),
+             sbs_spec(400.0, 400.0)],
+            [[100.0, 100.0], [400.0, 400.0], [250.0, 250.0]],
+            gains=[[1e-14, 1e-9, 1e-12], [1e-14, 1e-12, 1e-9], [5e-324, 5e-324, 5e-324]],
+        )
+        assert not topo.received_power[2].any()
+        for sigma in [np.array(s, dtype=bool) for s in
+                      ([1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1])]:
+            metric = sinr_matrix(sigma, topo)
+            assert np.all(metric[:, ~sigma] == 0.0)
+            masked = np.where(sigma, metric, -np.inf)
+            state = associate(sigma, topo)
+            assert state.serving.tolist() == masked.argmax(axis=1).tolist()
+            assert all(sigma[state.serving])
+            assert state.serving[2] == 0 and state.sinr[2] == 0.0
+            assert state.counts.tolist() == np.bincount(state.serving, minlength=3).tolist()
+            assert not state.counts.flags.writeable
+
     def test_state_holds_each_ues_link_quality_to_its_server(self):
         topo = place_nodes((500.0, 500.0), 4, 30, np.random.default_rng(3))
         sigma = np.array([True, True, False, True, True])
@@ -333,6 +414,37 @@ class TestRateDelay:
         state = associate(np.array([True, True]), topo)
         r = ue_rates(state, topo)[0]
         assert all_bs_delays(state, topo, r)[1] == pytest.approx(1.0, rel=1e-12)
+
+
+    @pytest.mark.parametrize("gains, mbs_tx", [
+        # the received power underflows to 0.0
+        ([[1e-13, 1e-10], [5e-324, 5e-324]], 0.4),
+        # an SNR too small to move log2(1 + SNR) off 0.0
+        ([[1e-13, 1e-10], [1e-30, 1e-31]], dbm_to_watts(33.0)),
+    ])
+    def test_zero_rate_ue_is_unserviceable(self, gains, mbs_tx):
+        topo = make_topology(
+            [("MBS", 250.0, 250.0, mbs_tx, 20.0, 10e6, 50), sbs_spec(100.0, 100.0)],
+            [[100.0, 100.0], [400.0, 400.0]], gains=gains,
+        )
+        table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
+        for sigma in (np.array([True, True]), np.array([True, False])):
+            state = associate(sigma, topo)
+            assert ue_rates(state, topo)[1] == 0.0
+            with pytest.raises(UnserviceableError, match="zero achievable rate"):
+                all_bs_delays(state, topo, 1e5)
+            with pytest.raises(UnserviceableError, match="zero achievable rate"):
+                table[sigma]
+        with pytest.raises(UnserviceableError):
+            table.tags
+
+    def test_delays_add_each_cells_ues_in_ue_order(self):
+        topo = place_nodes((500.0, 500.0), 3, 60, np.random.default_rng(8))
+        for sigma in (np.ones(4, dtype=bool), np.array([True, False, True, True])):
+            state = associate(sigma, topo)
+            want = np.zeros(topo.n_bs)
+            np.add.at(want, state.serving, 1e5 / ue_rates(state, topo))
+            assert all_bs_delays(state, topo, 1e5).tobytes() == want.tobytes()
 
 
 class TestSerialization:

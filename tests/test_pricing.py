@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,107 @@ class TestFreezePrices:
             phi = mbs_delay_share(members, topo, 1e5, topo.n_ue)
             psi = bs_power(topo.bs[0], members.size, 0.9)
             assert tag.buy == pytest.approx(buy_price(phi, psi, w, 10.0), rel=1e-12)
+
+
+def reference_entry(table, sigma):
+    """Each field of `table[sigma]` from the public model functions, with the
+    association masked explicitly and the delays added with `np.add.at`."""
+    topo = table.topo
+    metric = network.sinr_matrix(sigma, topo)
+    serving = np.where(sigma, metric, -np.inf).argmax(axis=1)
+    sinr = metric[np.arange(topo.n_ue), serving]
+    state = network.associate(sigma, topo)
+    rates = network.ue_rates(state, topo)
+    delays = np.zeros(topo.n_bs)
+    np.add.at(delays, serving, table.file_bits / rates)
+    power = np.array([bs_power(topo.bs[j], int(np.count_nonzero(serving == j)), table.q)
+                      for j in range(1, topo.n_bs)])
+    return {
+        "serving": serving, "sinr": sinr, "delays": delays,
+        "all_bs_delays": network.all_bs_delays(state, topo, table.file_bits),
+        "power": power,
+        "rent": all_rent_prices(delays, power, table.w),
+        "psi": np.where(sigma[1:], power, 0.0),
+        "on_delay": float(delays[1:][sigma[1:]].sum()),
+    }
+
+
+def assert_entry_is_reference(table, sigma):
+    entry = table[sigma]
+    want = reference_entry(table, sigma)
+    got = {
+        "serving": entry.state.serving, "sinr": entry.state.sinr,
+        "delays": entry.delays, "all_bs_delays": entry.delays, "power": entry.power,
+        "rent": entry.rent, "psi": entry.psi, "on_delay": entry.on_delay,
+    }
+    for name, value in want.items():
+        assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), name
+    assert entry.rent_values == tuple(want["rent"].tolist())
+    assert entry.psi_values == tuple(want["psi"].tolist())
+    assert all(type(v) is float for v in entry.rent_values + entry.psi_values)
+    assert type(entry.on_delay) is float
+    for a in (entry.delays, entry.power, entry.rent, entry.psi):
+        assert not a.flags.writeable
+    return entry
+
+
+class TestOnSetEntry:
+    def random_on_sets(self, n_bs, rng, n=12):
+        sigmas = [np.ones(n_bs, dtype=bool), np.eye(n_bs, dtype=bool)[0]]
+        for _ in range(n):
+            sigma = rng.random(n_bs) < rng.uniform(0.2, 0.8)
+            sigma[0] = True
+            sigmas.append(sigma)
+        return sigmas
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_entry_is_the_model_functions_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n_sbs = int(rng.integers(2, 17))
+        topo = place_nodes((float(rng.choice([300.0, 1000.0, 2000.0])),) * 2, n_sbs,
+                           int(rng.integers(5, 100)), rng)
+        w = CostWeights(*rng.uniform(0.0, 0.5, size=3))
+        q, file_bits = float(rng.uniform()), float(rng.uniform(1e4, 1e6))
+        # the base topology and two transmit-power epochs, each a fresh cache
+        for tp in (topo, topo.with_sbs_tx_power(dbm_to_watts(30.0)),
+                   topo.with_sbs_tx_power(dbm_to_watts(15.0))):
+            assert "received_power" not in vars(tp)
+            table = OnSetTable(tp, w, q, file_bits, 10.0)
+            for sigma in self.random_on_sets(tp.n_bs, rng):
+                assert_entry_is_reference(table, sigma)
+
+    def test_macro_only_set_serves_everyone_from_the_macro_cell(self):
+        topo, _ = served_topology(seed=3)
+        table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
+        entry = assert_entry_is_reference(table, np.eye(topo.n_bs, dtype=bool)[0])
+        assert not entry.state.serving.any()
+        assert entry.psi_values == (0.0,) * topo.n_sbs
+        assert entry.on_delay == 0.0
+        assert entry.power.tolist() == [0.9 * 10.0] * topo.n_sbs
+
+    def test_overloaded_cells_are_clamped_with_a_warning_each(self):
+        # all ON, BS 7 serves 4 UEs
+        topo = place_nodes((2000.0, 2000.0), 8, 80, np.random.default_rng(0),
+                           sbs_max_users=2)
+        n_over = 0
+        for sigma in self.random_on_sets(topo.n_bs, np.random.default_rng(1), n=30):
+            table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                state = network.associate(sigma, topo)
+                over = [j for j in range(1, topo.n_bs) if state.n_members(j) > 2]
+                entry = table[sigma]
+            messages = [str(w.message) for w in caught]
+            assert messages == [
+                f"BS {j}: {state.n_members(j)} users exceed max 2; "
+                "clamping the proportional term" for j in over]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert_entry_is_reference(table, sigma)
+            for j in over:
+                assert entry.power[j - 1] == bs_power(topo.bs[j], 2, 0.9) == 10.0
+            n_over += len(over)
+        assert n_over > 1
+        all_on = np.ones(topo.n_bs, dtype=bool)
+        with pytest.warns(UserWarning, match="users exceed max 2"):
+            OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)[all_on]
