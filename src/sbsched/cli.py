@@ -26,7 +26,7 @@ import numpy as np
 from . import analysis, network
 from .engine import Replication, ScenarioConfig, run_horizon
 from .network import dbm_to_watts
-from .schedulers import make_policy
+from .schedulers import ThresholdPolicy, make_policy
 
 ENV_OUT_DIR = "SBSCHED_OUT_DIR"
 
@@ -167,11 +167,14 @@ class ExperimentSpec:
                     raise ConfigError(f"{key}: a cr_study runs live-priced roa in one epoch")
         if not self.policies and self.kind == "sweep":
             raise ConfigError("at least one policy is required")
+        cap = min([self.base.capacity] + [cfg.capacity for *_, cfg in _sweep_axis(self)])
         for p in self.policies:
             try:
-                make_policy(p)  # validates the string and its argument
+                policy = make_policy(p)  # validates the string and its argument
             except ValueError as exc:
                 raise ConfigError(f"policies: {exc}") from None
+            if isinstance(policy, ThresholdPolicy) and cap <= 0:  # K is a share of cap
+                raise ConfigError(f"policies: {p} needs energy.capacity > 0, got {cap!r}")
 
 
 def parse_config(path: str) -> ExperimentSpec:
@@ -275,7 +278,7 @@ def _build_spec(raw: dict[str, str], lines: dict[str, int], path: str) -> Experi
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not policies:
-        policies = (base.policy,)
+        policies = ("roa",)
     return ExperimentSpec(
         name=name, base=base, sweep_parameter=sweep_param,
         sweep_values=sweep_values, policies=policies, n_replications=n_reps,
@@ -348,20 +351,20 @@ def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -
     for sweep_idx, (param, value, cfg) in enumerate(_sweep_axis(spec)):
         # every policy runs on each replication's one record; rows and totals
         # are buffered per policy to keep (value, policy, replication) order
-        runs = [(replace(cfg, policy=p), [], []) for p in spec.policies]
+        runs = [(p, [], []) for p in spec.policies]
         for rep in range(spec.n_replications):
             record = Replication.draw(
                 cfg, np.random.SeedSequence([spec.master_seed, sweep_idx, rep]))
             if topo_json is None:
                 topo_json = network.topology_to_json(record.topo)
-            for k, (cfg_p, out, totals) in enumerate(runs):
+            for k, (policy, out, totals) in enumerate(runs):
                 first = sweep_idx == rep == k == 0
                 periods = [res.to_dict() for res in run_horizon(
-                    cfg_p, record, trace_rows=trace_rows if first else None)]
-                out += [[param, value, cfg_p.policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
+                    record, make_policy(policy), trace_rows=trace_rows if first else None)]
+                out += [[param, value, policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
                         for d in periods]
                 totals.append(sum(d["total_cost"] for d in periods))
-        for cfg_p, out, totals in runs:
+        for policy, out, totals in runs:
             rows += out
             totals_arr = np.array(totals)
             n = totals_arr.size
@@ -369,7 +372,7 @@ def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -
             summary["cells"].append({
                 "sweep_parameter": param,
                 "sweep_value": value,
-                "policy": cfg_p.policy,
+                "policy": policy,
                 "replications": n,
                 "mean_total_cost": float(totals_arr.mean()),
                 "ci95_halfwidth": ci,
@@ -522,7 +525,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.runs is not None:
             spec = replace(spec, n_replications=args.runs)
         if args.algorithm is not None:
-            make_policy(args.algorithm)
             spec = replace(spec, policies=(args.algorithm,))
     except (ConfigError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -17,13 +17,13 @@ transmit power only: it is read from a `pricing.OnSetTable`, one per
 transmit-power epoch. An entry is looked up only when the ON set or the
 epoch changes.
 
-The `Replication` record of one seed holds the topology, its tables, the
-harvest and the seed of the policies' draws. What no policy can change is
-computed from it once, on first use, and shared by every policy run on it:
-the slot grid and its epochs, the served cells, and per period their
-arrivals as floats, the storage of the cells that stay OFF and the harvest
-totals. A run then pays for its served cells' slots, and seeds a generator
-for each served cell only.
+A run is a `Replication` record and a `Policy`: `run_horizon(rep, policy)`
+reads its scenario, topology, tables and harvest from the record. What no
+policy can change is computed from the record once, on first use, and shared
+by every policy run on it: the slot grid and its epochs, the served cells,
+and per period their arrivals as floats, the storage of the cells that stay
+OFF and the harvest totals. A run then pays for its served cells' slots, and
+seeds a generator for each served cell only.
 
 Two accounting modes exist: "live" charges the instantaneous rent rate of the
 current state (the original problem), "frozen" charges the period-start flat
@@ -45,7 +45,7 @@ from . import network, pricing
 from .energy import EnergyState, HarvestParams
 from .network import Topology, dbm_to_watts
 from .pricing import CostWeights
-from .schedulers import Policy, make_policy
+from .schedulers import Policy
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ class ScenarioConfig:
     alpha_p: float = 0.05
     alpha_b: float = 0.05
     seed: int = 0
-    policy: str = "roa"
     price_mode: str = "live"  # "live" (original problem) or "frozen" (approximated)
     # optional SBS transmit-power updates within each period: ((time, watts), ...)
     sbs_tx_schedule: tuple[tuple[float, float], ...] = ()
@@ -268,7 +267,6 @@ def run_period(
     period_index: int = 0,
     trace_rows: list | None = None,
     *,
-    tables: Sequence[pricing.OnSetTable] | None = None,
     record: Replication | None = None,
 ) -> tuple[PeriodResult, EnergyState]:
     """Simulate one period of length T on the slot grid.
@@ -277,25 +275,25 @@ def run_period(
     is mutated in place and returned. `policy_rngs` holds a generator for each
     served cell, by 0-based SBS index. When `trace_rows` is a list, one row of
     (t, sbs_id, sigma, stored, assoc_count, rent_rate) is appended per slot
-    and SBS. `tables` are `epoch_tables(cfg, topo)`; they are built here when
-    not given.
+    and SBS.
 
-    With a `record`, `topo` and `trace` must be its topology and its harvest
-    of period `period_index`, and `energy` must carry its earlier periods as
-    `run_horizon` chains them: the tables, the slot grid, the served cells
-    and the storage of the cells that stay OFF are then read from the record,
-    which computes them once for all the policies run on it.
+    With a `record`, `cfg`, `topo` and `trace` must be its own scenario,
+    topology and harvest of period `period_index`, and `energy` must carry its
+    earlier periods as `run_horizon` chains them: the tables, the slot grid,
+    the served cells and the storage of the cells that stay OFF are then read
+    from the record, which computes them once for all the policies run on it.
+    Without one, they are computed here, for this call.
     """
     n_bs, n_sbs, n_steps, dt = topo.n_bs, topo.n_sbs, cfg.n_steps, cfg.dt
     cap = energy.capacity
     if record is None:
-        if tables is None:
-            tables = epoch_tables(cfg, topo)
+        tables = epoch_tables(cfg, topo)
         plan = _period_plan(cfg, tables)
         start = _period_start(energy.stored, trace, plan.cells, cap)
     else:
-        if topo is not record.topo or trace is not record.harvest[period_index]:
-            raise ValueError("topo and trace must be the record's")
+        if (cfg is not record.cfg or topo is not record.topo
+                or trace is not record.harvest[period_index]):
+            raise ValueError("cfg, topo and trace must be the record's")
         tables, plan = record.tables, record.plan
         start = record.period_start(period_index)
     grid, epoch_at, tags, ids, cells, buy_prices, used = plan
@@ -438,13 +436,13 @@ def run_period(
 
 @dataclass(frozen=True, eq=False)
 class Replication:
-    """The randomness of one seed under one scenario, drawn once: the
-    topology, its ON-set tables (`epoch_tables`), one read-only
-    (n_steps, n_sbs) harvest trace per period, and the seed of the policies'
-    draws. Policies run on one record face the same draws and share the
-    tables' entries, and what no policy can change (the slot grid, the served
-    cells, the storage of the cells that stay OFF) is computed on first use,
-    once for the record."""
+    """The randomness of one seed under one scenario, drawn once: that
+    scenario (`cfg`), the topology, its ON-set tables (`epoch_tables`), one
+    read-only (n_steps, n_sbs) harvest trace per period, and the seed of the
+    policies' draws. Policies run on one record face the same draws and share
+    the tables' entries, and what no policy can change (the slot grid, the
+    served cells, the storage of the cells that stay OFF) is computed on first
+    use, once for the record."""
 
     cfg: ScenarioConfig
     topo: Topology
@@ -496,22 +494,14 @@ class Replication:
         return rngs
 
 
-def run_horizon(
-    cfg: ScenarioConfig,
-    seed: int | np.random.SeedSequence | Replication | None = None,
-    policy: Policy | None = None,
-    trace_rows: list | None = None,
-) -> list[PeriodResult]:
-    """Chain `horizon_periods` periods, carrying stored energy across boundaries.
-
-    All randomness comes from a `Replication`: the one given, which must be
-    drawn for this scenario, or one drawn from the seed (`cfg.seed` when None).
-    Identical (config, seed) gives identical results.
+def run_horizon(rep: Replication, policy: Policy,
+                trace_rows: list | None = None) -> list[PeriodResult]:
+    """Run `policy` on the record `rep` under the record's own scenario:
+    chain its `horizon_periods` periods, carrying stored energy across
+    boundaries. All randomness comes from the record, so one record and a
+    fresh policy of one kind give identical results.
     """
-    rep = seed if isinstance(seed, Replication) else Replication.draw(
-        cfg, cfg.seed if seed is None else seed)
-    if policy is None:
-        policy = make_policy(cfg.policy)
+    cfg = rep.cfg
     policy_rngs = rep.policy_rngs()
     energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
     results = []

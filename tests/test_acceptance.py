@@ -241,10 +241,11 @@ def test_policy_cost_ordering_and_switching_discipline():
     totals = {p: 0.0 for p in policies}
     switches = {p: 0 for p in policies}
     one_switch_ok = True
+    cfg = ScenarioConfig(n_sbs=6, n_ue=30)
     for rep in range(200):
+        record = Replication.draw(cfg, np.random.SeedSequence([7, rep]))
         for name in policies:
-            cfg = ScenarioConfig(n_sbs=6, n_ue=30, policy=name)
-            results = run_horizon(cfg, seed=np.random.SeedSequence([7, rep]))
+            results = run_horizon(record, make_policy(name))
             for res in results:
                 totals[name] += res.total_cost
                 switches[name] += int(res.switch_count.sum())
@@ -270,6 +271,7 @@ def test_simulation_invariants_over_random_configurations():
     rng = np.random.default_rng(808)
     ok = True
     for i in range(500):
+        policy = ("roa", "doa", "fixed:4", "adaptive", "threshold:50")[i % 5]
         cfg = ScenarioConfig(
             n_sbs=int(rng.integers(1, 7)),
             n_ue=int(rng.integers(5, 31)),
@@ -278,7 +280,6 @@ def test_simulation_invariants_over_random_configurations():
             alpha_d=float(rng.uniform(0.01, 0.1)),
             alpha_p=float(rng.uniform(0.0001, 0.1)),
             alpha_b=float(rng.uniform(0.01, 0.5)),
-            policy=("roa", "doa", "fixed:4", "adaptive", "threshold:50")[i % 5],
             price_mode="frozen" if i % 2 == 0 else "live",
             seed=int(rng.integers(0, 2**31)),
             horizon_periods=1,
@@ -286,7 +287,7 @@ def test_simulation_invariants_over_random_configurations():
         rows = []
         rep = Replication.draw(cfg, cfg.seed)
         topo = rep.topo
-        results = run_horizon(cfg, rep, trace_rows=rows)
+        results = run_horizon(rep, make_policy(policy), trace_rows=rows)
 
         # association is a partition with max-SINR selection
         sigma = np.ones(topo.n_bs, dtype=bool)
@@ -325,7 +326,8 @@ def test_simulation_invariants_over_random_configurations():
         # identical config and seed reproduce identical outputs
         if i % 25 == 0:
             rows2 = []
-            results2 = run_horizon(cfg, trace_rows=rows2)
+            results2 = run_horizon(Replication.draw(cfg, cfg.seed), make_policy(policy),
+                                   trace_rows=rows2)
             ok &= rows == rows2
             ok &= all(a.to_dict() == b.to_dict()
                       for a, b in zip(results, results2))

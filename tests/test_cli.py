@@ -16,8 +16,9 @@ from sbsched.cli import (
     _sweep_axis,
     serialize,
 )
-from sbsched.engine import ScenarioConfig, run_horizon
+from sbsched.engine import Replication, ScenarioConfig, run_horizon
 from sbsched.network import dbm_to_watts
+from sbsched.schedulers import make_policy
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -58,7 +59,7 @@ class TestParsing:
     def test_empty_config_gives_defaults(self, tmp_path):
         spec = parse_config(write_config(tmp_path, "# nothing here\n"))
         assert spec.base == ScenarioConfig()
-        assert spec.policies == (ScenarioConfig().policy,)
+        assert spec.policies == ("roa",)
         assert spec.n_replications == 1
 
     def test_full_round_trip(self, tmp_path):
@@ -268,8 +269,9 @@ sweep.values = 20, 60
         for idx, (_, value, cfg) in enumerate(_sweep_axis(spec)):
             for policy in spec.policies:
                 for rep in range(spec.n_replications):
-                    seed = np.random.SeedSequence([spec.master_seed, idx, rep])
-                    for res in run_horizon(replace(cfg, policy=policy), seed):
+                    record = Replication.draw(
+                        cfg, np.random.SeedSequence([spec.master_seed, idx, rep]))
+                    for res in run_horizon(record, make_policy(policy)):
                         d = res.to_dict()
                         want.append([str(x) for x in (
                             "energy.initial", value, policy, rep,
@@ -365,6 +367,26 @@ class TestMain:
             main(["--config", cfg, "--out-dir", str(out)])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, algorithm", [
+        ("policies = roa, threshold:30\nenergy.capacity = 0\nenergy.initial = 0\n", None),
+        ("policies = roa, threshold:30\nenergy.initial = 0\n"
+         "sweep.parameter = energy.capacity\nsweep.values = 100, 0\n", None),
+        ("energy.capacity = 0\nenergy.initial = 0\n", "threshold:30"),
+    ])
+    def test_threshold_without_capacity_exits_before_running(self, tmp_path, capsys,
+                                                             text, algorithm):
+        # the threshold is a share of the capacity: none can be set at 0 J
+        cfg = write_config(tmp_path, "replications = 20\n" + text)
+        out = tmp_path / "out"
+        argv = ["--config", cfg, "--out-dir", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--algorithm", algorithm] if algorithm else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "threshold:30" in err and "energy.capacity > 0, got 0.0" in err
         assert not out.exists()
 
     def test_cr_study_takes_roa_only_from_the_command_line(self, tmp_path, capsys):

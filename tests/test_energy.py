@@ -11,7 +11,7 @@ from sbsched.energy import (
     power_draw,
     load_harvest_trace,
 )
-from sbsched.engine import ScenarioConfig, run_period
+from sbsched.engine import Replication, ScenarioConfig, run_period
 from sbsched.network import BsParams, Topology, dbm_to_watts
 from sbsched.pricing import OnSetTable
 from sbsched.schedulers import FixedPolicy
@@ -179,9 +179,12 @@ def run_one_cell(initial, harvest=(), t_off=1.0, *, period=1.0, op_power=8.0,
         table[np.ones(2, dtype=bool)].psi_values = (UnseenDraw(op_power),)
     trace = np.zeros((cfg.n_steps, 1))
     trace[:len(harvest), 0] = harvest
+    trace.flags.writeable = False
+    # a record built by hand runs on the table built here
+    rep = Replication(cfg, topo, (table,), (trace,), np.random.SeedSequence(0))
     energy = EnergyState.fresh(1, initial, cfg.capacity)
-    res, _ = run_period(cfg, topo, energy, FixedPolicy(t_off),
-                        [np.random.default_rng(0)], trace, tables=[table])
+    res, _ = run_period(cfg, topo, energy, FixedPolicy(t_off), rep.policy_rngs(), trace,
+                        record=rep)
     assert res.used[0]
     return res, energy.stored[0]
 

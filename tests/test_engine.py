@@ -27,6 +27,11 @@ SEED_ONE_USED = 2
 SEED_TWO_USED = 11
 
 
+def horizon(cfg, policy, trace_rows=None):
+    """A run of `policy` on the record drawn from `cfg.seed`."""
+    return run_horizon(Replication.draw(cfg, cfg.seed), make_policy(policy), trace_rows)
+
+
 def setup_period(seed=SEED_ONE_USED, n_sbs=6, n_ue=30, **over):
     """Topology, energy, zero-harvest trace for a direct run_period call."""
     cfg = ScenarioConfig(n_sbs=n_sbs, n_ue=n_ue, seed=seed, **over)
@@ -212,24 +217,23 @@ class TestOracleConsistency:
 
 class TestRunHorizon:
     def test_deterministic(self):
-        cfg = ScenarioConfig(seed=SEED_ONE_USED, policy="roa")
+        cfg = ScenarioConfig(seed=SEED_ONE_USED)
         rows_a, rows_b = [], []
-        res_a = run_horizon(cfg, trace_rows=rows_a)
-        res_b = run_horizon(cfg, trace_rows=rows_b)
+        res_a = horizon(cfg, "roa", trace_rows=rows_a)
+        res_b = horizon(cfg, "roa", trace_rows=rows_b)
         assert rows_a == rows_b
         for a, b in zip(res_a, res_b):
             assert a.to_dict() == b.to_dict()
 
     def test_period_count_and_indices(self):
         cfg = ScenarioConfig(seed=SEED_ONE_USED, horizon_periods=3)
-        res = run_horizon(cfg)
+        res = horizon(cfg, "roa")
         assert [r.period_index for r in res] == [0, 1, 2]
 
     def test_energy_carries_across_periods_within_bounds(self):
-        cfg = ScenarioConfig(seed=SEED_ONE_USED, horizon_periods=2,
-                             policy="doa")
+        cfg = ScenarioConfig(seed=SEED_ONE_USED, horizon_periods=2)
         rows = []
-        run_horizon(cfg, trace_rows=rows)
+        horizon(cfg, "doa", trace_rows=rows)
         stored = np.array([r[3] for r in rows])
         assert np.all(stored >= 0.0) and np.all(stored <= cfg.capacity)
         times = sorted({r[0] for r in rows})
@@ -239,8 +243,8 @@ class TestRunHorizon:
         # tiny battery with real harvesting: depleted in period 1 does not
         # preclude being ON in period 2
         cfg = ScenarioConfig(seed=SEED_ONE_USED, initial_energy=2.0,
-                             horizon_periods=2, policy="fixed:10")
-        res = run_horizon(cfg)
+                             horizon_periods=2)
+        res = horizon(cfg, "fixed:10")
         i = int(np.flatnonzero(res[0].used)[0])
         assert not np.isnan(res[0].depleted_at[i])
         assert res[1].on_time[i] > 0.0
@@ -252,23 +256,26 @@ class TestRunHorizon:
         path.write_text("time,sbs_id,joules\n12.3,1,0.5\n15.0,2,1.25\n19.95,1,0.25\n")
         cfg = ScenarioConfig(seed=SEED_ONE_USED, n_sbs=2, horizon_periods=2,
                              harvest_trace_file=str(path))
-        first, second = run_horizon(cfg)
+        first, second = horizon(cfg, "roa")
         assert first.to_dict()["energy_harvested"] == 0.0
         assert second.to_dict()["energy_harvested"] == 2.0
         assert list(second.energy_harvested) == [0.75, 1.25]
 
     def test_seed_as_seedsequence(self):
         cfg = ScenarioConfig(seed=SEED_ONE_USED)
-        a = run_horizon(cfg, seed=np.random.SeedSequence(SEED_ONE_USED))
-        b = run_horizon(cfg)
+        a = run_horizon(Replication.draw(cfg, np.random.SeedSequence(SEED_ONE_USED)),
+                        RoaPolicy())
+        b = horizon(cfg, "roa")
         assert a[0].to_dict() == b[0].to_dict()
 
     def test_runs_on_a_drawn_replication(self):
         cfg = ScenarioConfig(seed=SEED_ONE_USED)
         rep = Replication.draw(cfg, cfg.seed)
         assert rep.topo.n_sbs == cfg.n_sbs and len(rep.harvest) == cfg.horizon_periods
-        res = run_horizon(cfg, rep)
-        assert [r.to_dict() for r in res] == [r.to_dict() for r in run_horizon(cfg)]
+        res = run_horizon(rep, RoaPolicy())
+        assert [r.period_index for r in res] == list(range(cfg.horizon_periods))
+        for r, trace in zip(res, rep.harvest, strict=True):
+            assert np.array_equal(r.energy_harvested, trace.sum(axis=0))
 
     def test_policies_sharing_a_record_see_fresh_policy_streams(self):
         # each run on a shared record gives what it gives on a fresh one,
@@ -276,9 +283,8 @@ class TestRunHorizon:
         cfg = ScenarioConfig(seed=SEED_TWO_USED, n_sbs=6)
         shared = Replication.draw(cfg, cfg.seed)
         for policy in ("roa", "doa", "roa"):
-            cfg_p = replace(cfg, policy=policy)
-            got = run_horizon(cfg_p, shared)
-            want = run_horizon(cfg_p, Replication.draw(cfg, cfg.seed))
+            got = run_horizon(shared, make_policy(policy))
+            want = run_horizon(Replication.draw(cfg, cfg.seed), make_policy(policy))
             assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
             assert any(r.switch_count.any() for r in got)
 
@@ -297,18 +303,17 @@ class TestRunHorizon:
         shared = Replication.draw(cfg, cfg.seed)
         dry = set()
         for policy in ("roa", "threshold:30", "doa", "roa"):
-            cfg_p = replace(cfg, policy=policy)
             runs = []
             for rep in (shared, Replication.draw(cfg, cfg.seed)):
                 rows = []
-                runs.append((run_horizon(cfg_p, rep, trace_rows=rows), rows))
+                runs.append((run_horizon(rep, make_policy(policy), trace_rows=rows), rows))
             # without a record: the policy seeds as `spawn` makes them
             rep = Replication.draw(cfg, cfg.seed)
             rngs = [np.random.default_rng(s) for s in rep.policy_ss.spawn(cfg.n_sbs)]
             energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
             chained, rows, chain_policy = [], [], make_policy(policy)
             for p, trace in enumerate(rep.harvest):
-                res, energy = run_period(cfg_p, rep.topo, energy, chain_policy, rngs,
+                res, energy = run_period(cfg, rep.topo, energy, chain_policy, rngs,
                                          trace, p, rows)
                 chained.append(res)
             runs.append((chained, rows))
@@ -348,7 +353,7 @@ class TestRunHorizon:
         monkeypatch.setattr(engine, "_period_start", counting_start)
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         for policy in ("roa", "doa", "fixed:7"):
-            results = run_horizon(replace(cfg, policy=policy), rep)
+            results = run_horizon(rep, make_policy(policy))
             assert len(results) == 2
         served = [tag.sbs - 1 for tag in rep.tables[0].tags]
         assert len(served) == 2 and len(starts) == 2
@@ -376,6 +381,33 @@ class TestRunHorizon:
             run_period(cfg, rep.topo, energy, DoaPolicy(), rep.policy_rngs(),
                        rep.harvest[1], 0, record=rep)
 
+    def test_run_period_on_a_record_takes_its_own_scenario(self):
+        # a record drawn for one scenario must not run under another, nor
+        # under an equal copy that nothing ties to the record
+        cfg = ScenarioConfig(seed=SEED_ONE_USED)
+        rep = Replication.draw(cfg, cfg.seed)
+        for other in (replace(cfg),
+                      replace(cfg, dt=0.2, capacity=200.0, initial_energy=150.0)):
+            energy = EnergyState.fresh(other.n_sbs, other.initial_energy, other.capacity)
+            with pytest.raises(ValueError, match="record"):
+                run_period(other, rep.topo, energy, DoaPolicy(), rep.policy_rngs(),
+                           rep.harvest[0], 0, record=rep)
+
+    def test_each_record_runs_under_its_own_price_mode(self):
+        # one seed drawn live and frozen: the frozen run's cost splits per
+        # cell at the period-start rents, the live run's does not
+        live = ScenarioConfig(seed=SEED_ONE_USED)
+        for cfg in (live, replace(live, price_mode="frozen")):
+            rep = Replication.draw(cfg, cfg.seed)
+            rent = frozen_rents(cfg, rep.topo)
+            for res in run_horizon(rep, DoaPolicy()):
+                split = sum(rent[i] * res.on_time[i] + res.buy_price[i] * res.buy_charged[i]
+                            for i in rent)
+                if cfg.price_mode == "frozen":
+                    assert res.total_cost == pytest.approx(split, abs=1e-9)
+                else:
+                    assert abs(res.total_cost - split) > 1e-3
+
     def test_record_harvest_is_read_only(self):
         rep = Replication.draw(ScenarioConfig(seed=SEED_ONE_USED), 0)
         with pytest.raises(ValueError):
@@ -386,16 +418,16 @@ class TestInvariants:
     @pytest.mark.parametrize("policy", ["doa", "roa"])
     def test_at_most_one_switch_per_cell(self, policy):
         for seed in range(12):
-            cfg = ScenarioConfig(seed=seed, policy=policy)
-            for res in run_horizon(cfg):
+            cfg = ScenarioConfig(seed=seed)
+            for res in horizon(cfg, policy):
                 assert np.all(res.switch_count <= 1)
 
     def test_on_or_bought_before_depletion(self):
         # sigma + x >= 1 while energy remains: an OFF cell that has not
         # depleted must have paid the buy price
         for seed in range(12):
-            cfg = ScenarioConfig(seed=seed, policy="roa")
-            for res in run_horizon(cfg):
+            cfg = ScenarioConfig(seed=seed)
+            for res in horizon(cfg, "roa"):
                 for i in np.flatnonzero(res.used):
                     if np.isnan(res.depleted_at[i]) and res.on_time[i] < cfg.period:
                         assert res.buy_charged[i]
@@ -403,8 +435,8 @@ class TestInvariants:
     def test_frozen_mode_cost_decomposes_per_cell(self):
         # total = sum_j rent_j * on_time_j + buy_j * x_j, each term isolated
         for seed in (SEED_ONE_USED, SEED_TWO_USED, 5, 12):
-            cfg = ScenarioConfig(seed=seed, policy="roa", price_mode="frozen")
-            results = run_horizon(cfg)
+            cfg = ScenarioConfig(seed=seed, price_mode="frozen")
+            results = horizon(cfg, "roa")
             rent = frozen_rents(cfg, Replication.draw(cfg, cfg.seed).topo)
             for res in results:
                 assert sorted(rent) == np.flatnonzero(res.used).tolist()
@@ -426,15 +458,15 @@ class TestInvariants:
     def test_trace_row_schema(self):
         cfg = ScenarioConfig(seed=SEED_ONE_USED, horizon_periods=1)
         rows = []
-        run_horizon(cfg, trace_rows=rows)
+        horizon(cfg, "roa", trace_rows=rows)
         assert len(rows) == cfg.n_steps * cfg.n_sbs
         t0, j, sigma, stored, assoc, rent = rows[0]
         assert t0 == 0.0 and j == 1 and sigma in (0, 1)
         assert 0.0 <= stored <= cfg.capacity and assoc >= 0 and rent >= 0.0
 
     def test_per_sbs_cost_sums_to_total(self):
-        cfg = ScenarioConfig(seed=SEED_TWO_USED, policy="doa")
-        for res in run_horizon(cfg):
+        cfg = ScenarioConfig(seed=SEED_TWO_USED)
+        for res in horizon(cfg, "doa"):
             assert res.per_sbs_cost.sum() == pytest.approx(res.total_cost,
                                                            rel=1e-12)
 
@@ -447,7 +479,7 @@ class TestTxPowerSchedule:
         cfg = ScenarioConfig(seed=6, n_sbs=1, n_ue=10,
                              sbs_tx_schedule=sched, horizon_periods=1)
         rows = []
-        res = run_horizon(cfg, policy=FixedPolicy(10.0), trace_rows=rows)
+        res = run_horizon(Replication.draw(cfg, cfg.seed), FixedPolicy(10.0), trace_rows=rows)
         assert res[0].used[0]
         rents = {r[0]: r[5] for r in rows if r[1] == 1}
         # faster downlink before the boost time: constant, then a step down
@@ -460,7 +492,7 @@ class TestAdaptiveStart:
     @pytest.mark.parametrize("seed", [5, 11, 12, 38])
     def test_live_rent_below_the_tag_at_start_does_not_abort(self, seed):
         # these seeds start with a live rent below the frozen tag at t = 0
-        for res in run_horizon(ScenarioConfig(policy="adaptive", seed=seed)):
+        for res in horizon(ScenarioConfig(seed=seed), "adaptive"):
             assert np.all(res.switch_count <= 1)
             assert math.isfinite(res.total_cost)
 
@@ -507,7 +539,7 @@ class TestOnSetTable:
                                             (6.0, dbm_to_watts(20.0)))])
     def test_associates_each_on_set_once_per_epoch(self, monkeypatch, policy, sched):
         cfg, topo, energy, rngs, _ = setup_period(
-            seed=SEED_TWO_USED, policy=policy, sbs_tx_schedule=sched,
+            seed=SEED_TWO_USED, sbs_tx_schedule=sched,
             initial_energy=20.0)
         trace = cfg.harvest_quantum * np.random.default_rng(0).poisson(
             cfg.harvest_rate * cfg.dt, size=(cfg.n_steps, cfg.n_sbs))
@@ -530,7 +562,7 @@ class TestOnSetTable:
         # both periods read the all-ON state and the period-start ON set, so
         # each epoch's table must be built once for the whole horizon
         sched = ((2.5, dbm_to_watts(25.0)), (6.0, dbm_to_watts(20.0)))
-        cfg = ScenarioConfig(seed=SEED_TWO_USED, policy=policy, horizon_periods=2,
+        cfg = ScenarioConfig(seed=SEED_TWO_USED, horizon_periods=2,
                              sbs_tx_schedule=sched, initial_energy=20.0)
         seen = []
         real = network.associate
@@ -540,7 +572,7 @@ class TestOnSetTable:
             return real(sigma, topo)
 
         monkeypatch.setattr(network, "associate", counting)
-        results = run_horizon(cfg)
+        results = horizon(cfg, policy)
         assert all(res.switch_count.sum() > 0 for res in results)
         keys = [(id(tp), s) for tp, s in seen]
         assert len(keys) == len(set(keys))
@@ -560,7 +592,7 @@ class TestOnSetTable:
 
         monkeypatch.setattr(pricing, "buy_price", counting)
         for policy in ("roa", "doa", "fixed:7"):
-            results = run_horizon(replace(cfg, policy=policy), rep)
+            results = run_horizon(rep, make_policy(policy))
             assert len(results) == 2
         assert len(rep.tables[0].tags) == 2
         assert len(calls) == 2

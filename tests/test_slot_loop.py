@@ -21,7 +21,6 @@ from sbsched.engine import (
     PeriodResult,
     ScenarioConfig,
     build_topology,
-    epoch_tables,
     run_period,
 )
 from sbsched.network import dbm_to_watts
@@ -216,13 +215,12 @@ def test_slot_loop_matches_reference_exactly(
         n_sbs, n_ue, side, seed, spec, price_mode, scheduled, e0, harvest_rate,
         alpha_b):
     cfg = ScenarioConfig(
-        n_sbs=n_sbs, n_ue=n_ue, area=(side, side), seed=seed, policy=spec,
+        n_sbs=n_sbs, n_ue=n_ue, area=(side, side), seed=seed,
         price_mode=price_mode, initial_energy=e0, harvest_rate=harvest_rate,
         alpha_b=alpha_b, sbs_tx_schedule=TX_SCHEDULE if scheduled else (),
     )
     rng = np.random.default_rng(seed)
     topo = build_topology(cfg, rng)
-    tables = epoch_tables(cfg, topo)
     states = [EnergyState.fresh(n_sbs, e0, cfg.capacity) for _ in range(2)]
     policies = [make_policy(spec) for _ in range(2)]
     rngs = [[np.random.default_rng([seed, j]) for j in range(n_sbs)] for _ in range(2)]
@@ -231,7 +229,7 @@ def test_slot_loop_matches_reference_exactly(
             harvest_rate * cfg.dt, size=(cfg.n_steps, n_sbs))
         rows, ref_rows = [], []
         res, _ = run_period(cfg, topo, states[0], policies[0], rngs[0], trace,
-                            period, rows, tables=tables)
+                            period, rows)
         ref, _ = reference_run_period(cfg, topo, states[1], policies[1], rngs[1],
                                       trace, period, ref_rows)
         assert_identical(res, ref)
@@ -249,7 +247,6 @@ def test_period_without_served_cells_matches_reference(traced):
                          initial_energy=90.0, harvest_rate=20.0)
     rng = np.random.default_rng(0)
     topo = build_topology(cfg, rng)
-    tables = epoch_tables(cfg, topo)
     states = [EnergyState.fresh(cfg.n_sbs, 90.0, cfg.capacity) for _ in range(2)]
     rngs = [np.random.default_rng([0, j]) for j in range(cfg.n_sbs)]
     for period in range(2):
@@ -257,7 +254,7 @@ def test_period_without_served_cells_matches_reference(traced):
             cfg.harvest_rate * cfg.dt, size=(cfg.n_steps, cfg.n_sbs))
         rows, ref_rows = ([], []) if traced else (None, None)
         res, _ = run_period(cfg, topo, states[0], make_policy("roa"), rngs, trace,
-                            period, rows, tables=tables)
+                            period, rows)
         ref, _ = reference_run_period(cfg, topo, states[1], make_policy("roa"), rngs,
                                       trace, period, ref_rows)
         assert not res.used.any()
