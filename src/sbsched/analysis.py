@@ -147,10 +147,11 @@ class RatioReport:
             ci_halfwidth=half,
         )
 
-    def save(self, out_dir: str, name: str = "ratios") -> None:
-        """Persist the raw ratios (CSV, one row per replication) and a summary."""
+    def save(self, out_dir: str) -> None:
+        """Persist the raw ratios (`ratios.csv`, one row per replication) and a
+        summary (`ratios_summary.json`)."""
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
+        with open(os.path.join(out_dir, "ratios.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["replication", "ratio"])
             for i, r in enumerate(self.ratios):
@@ -162,7 +163,7 @@ class RatioReport:
             "mean": self.mean,
             "ci_halfwidth": self.ci_halfwidth,
         }
-        with open(os.path.join(out_dir, f"{name}_summary.json"), "w") as fh:
+        with open(os.path.join(out_dir, "ratios_summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
 

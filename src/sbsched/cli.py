@@ -210,7 +210,7 @@ def _build_spec(raw: dict[str, str], lines: dict[str, int], path: str) -> Experi
     name = "experiment"
     sweep_param = None
     sweep_values: tuple = ()
-    policies: tuple[str, ...] = ()
+    policies: tuple[str, ...] = ("roa",)
     n_reps = 1
     seed = 0
     kind = "sweep"
@@ -234,6 +234,8 @@ def _build_spec(raw: dict[str, str], lines: dict[str, int], path: str) -> Experi
                 n_reps = _parse_int(value)
             elif key == "policies":
                 policies = tuple(p.strip() for p in value.split(",") if p.strip())
+                if not policies:
+                    raise ConfigError("names no policy")
             elif key == "kind":
                 kind = value
             elif key == "runs":
@@ -277,8 +279,6 @@ def _build_spec(raw: dict[str, str], lines: dict[str, int], path: str) -> Experi
         base = ScenarioConfig(seed=seed, **scenario_kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if not policies:
-        policies = ("roa",)
     return ExperimentSpec(
         name=name, base=base, sweep_parameter=sweep_param,
         sweep_values=sweep_values, policies=policies, n_replications=n_reps,

@@ -1,6 +1,9 @@
 """Energy side: BS power model, Poisson harvesting, and the stored energy
 that crosses a period boundary.
 
+Arrivals are drawn per period by `harvest_trace`. A recorded trace enters a
+run as the harvest arrays of an `engine.Replication` built by hand.
+
 Harvesting happens every slot regardless of the ON/OFF state; consumption is
 charged only while ON. The slot loops (`engine.run_period` and the oracle's
 evaluator) make the storage step, `min(e + h - c, cap)`, and the depletion
@@ -9,8 +12,6 @@ cannot fund the next slot is forced OFF.
 """
 from __future__ import annotations
 
-import csv
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -93,26 +94,3 @@ def harvest_trace(
         return np.zeros((n_steps, n_sbs))
     return params.quantum * rng.poisson(params.rate * dt, size=(n_steps, n_sbs)).astype(float)
 
-
-def load_harvest_trace(path: str, n_sbs: int, dt: float, n_steps: int) -> np.ndarray:
-    """Read a recorded arrival trace (CSV: time, sbs_id, joules) onto the slot grid.
-
-    Arrivals are credited to the slot containing their timestamp; SBS ids are
-    1-based (matching BS indices). Rows beyond the horizon are ignored.
-    """
-    trace = np.zeros((n_steps, n_sbs))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip().lower() for c in header] != ["time", "sbs_id", "joules"]:
-            raise ValueError(f"{path}: expected header 'time,sbs_id,joules'")
-        for row in reader:
-            if not row:
-                continue
-            t, sbs_id, joules = float(row[0]), int(row[1]), float(row[2])
-            if not (1 <= sbs_id <= n_sbs):
-                raise ValueError(f"{path}: sbs_id {sbs_id} out of range")
-            k = int(math.floor(t / dt + 1e-9))
-            if 0 <= k < n_steps:
-                trace[k, sbs_id - 1] += joules
-    return trace

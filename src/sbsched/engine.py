@@ -80,7 +80,6 @@ class ScenarioConfig:
     price_mode: str = "live"  # "live" (original problem) or "frozen" (approximated)
     # optional SBS transmit-power updates within each period: ((time, watts), ...)
     sbs_tx_schedule: tuple[tuple[float, float], ...] = ()
-    harvest_trace_file: str | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.period < math.inf and 0.0 < self.dt < math.inf):
@@ -456,15 +455,9 @@ class Replication:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         topo_ss, harvest_ss, policy_ss = ss.spawn(3)
         topo = build_topology(cfg, np.random.default_rng(topo_ss))
-        n_steps, n_periods = cfg.n_steps, cfg.horizon_periods
-        if cfg.harvest_trace_file is not None:
-            # the file covers the whole horizon; each period reads its own slots
-            harvest = np.split(energy_mod.load_harvest_trace(
-                cfg.harvest_trace_file, cfg.n_sbs, cfg.dt, n_steps * n_periods), n_periods)
-        else:
-            harvest_rng = np.random.default_rng(harvest_ss)
-            harvest = [energy_mod.harvest_trace(cfg.harvest, cfg.dt, n_steps, cfg.n_sbs,
-                                                harvest_rng) for _ in range(n_periods)]
+        harvest_rng = np.random.default_rng(harvest_ss)
+        harvest = [energy_mod.harvest_trace(cfg.harvest, cfg.dt, cfg.n_steps, cfg.n_sbs,
+                                            harvest_rng) for _ in range(cfg.horizon_periods)]
         for trace in harvest:
             trace.flags.writeable = False
         return cls(cfg, topo, tuple(epoch_tables(cfg, topo)), tuple(harvest), policy_ss)

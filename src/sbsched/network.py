@@ -5,14 +5,20 @@ Link quality, rates and delays are computed for the whole network at once
 them per ON set.
 
 All radio quantities are stored linear (watts, dimensionless gains). Channel
-gains are static per run (time-averaged); only the ON/OFF vector changes the
-network state. What does not depend on it (the received power, the MBS SNR,
-the bandwidths) is computed once per `Topology`, on first use. The MBS
-(index 0) is always ON and never interferes with the SBS tier.
+gains follow from the distances by one fixed log-distance path-loss model per
+link kind (`PATH_LOSS`). They are static per run (time-averaged); only the
+ON/OFF vector changes the network state. What does not depend on it (the
+received power, the MBS SNR, the bandwidths) is computed once per `Topology`,
+on first use. The MBS (index 0) is always ON and never interferes with the
+SBS tier.
 
 OFF cells need no mask in the association: an OFF SBS's SINR column is
 exactly 0.0 (its received power, finite, times 0.0), and the MBS column,
 an SNR >= 0, comes first, so the first-maximum rule never picks an OFF cell.
+
+`topology_to_json` writes a topology (positions, BS parameters and the
+path-loss constants) as the CLI's `topology.json`; the package does not read
+it back.
 """
 from __future__ import annotations
 
@@ -41,41 +47,20 @@ def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
 
 
-@dataclass(frozen=True)
-class PathLossModel:
-    """Log-distance path loss in dB, separate constants per link kind.
-
-    Defaults are the common 3GPP-style macro/pico models at ~2 GHz.
-    """
-
-    mbs_const: float = 128.1
-    mbs_slope: float = 37.6
-    sbs_const: float = 140.7
-    sbs_slope: float = 36.7
-    min_distance: float = 1.0
-
-    def loss_db(self, d: float, link_kind: str) -> float:
-        if link_kind == "MBS":
-            const, slope = self.mbs_const, self.mbs_slope
-        elif link_kind == "SBS":
-            const, slope = self.sbs_const, self.sbs_slope
-        else:
-            raise ValueError(f"unknown link kind {link_kind!r}")
-        return const + slope * math.log10(d / 1000.0)
+# Log-distance path loss in dB, `const + slope * log10(d / 1 km)`, one
+# (const, slope) pair per link kind: the common 3GPP-style macro and pico
+# models at ~2 GHz. Distances (meters) below MIN_DISTANCE are clamped up to it.
+PATH_LOSS = {"MBS": (128.1, 37.6), "SBS": (140.7, 36.7)}
+MIN_DISTANCE = 1.0
 
 
-DEFAULT_PATH_LOSS = PathLossModel()
-
-
-def channel_gain(d: float, link_kind: str, model: PathLossModel = DEFAULT_PATH_LOSS) -> float:
-    """Linear channel gain at distance d (meters) for an MBS or SBS link.
-
-    Distances below the model's minimum distance are clamped up to it.
-    """
-    d = max(d, model.min_distance)
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    return 10.0 ** (-model.loss_db(d, link_kind) / 10.0)
+def channel_gain(d: float, link_kind: str) -> float:
+    """Linear channel gain at distance d (meters) for an MBS or SBS link."""
+    try:
+        const, slope = PATH_LOSS[link_kind]
+    except KeyError:
+        raise ValueError(f"unknown link kind {link_kind!r}") from None
+    return 10.0 ** (-(const + slope * math.log10(max(d, MIN_DISTANCE) / 1000.0)) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -122,7 +107,6 @@ class Topology:
     gain: np.ndarray  # (n_ue, n_bs) linear gains
     noise_power: float  # watts
     area: tuple[float, float]
-    path_loss: PathLossModel = DEFAULT_PATH_LOSS
 
     def __post_init__(self) -> None:
         if self.noise_power <= 0:
@@ -225,12 +209,11 @@ def place_nodes(
     sbs_bandwidth: float = 10e6,
     sbs_max_users: int = 10,
     noise_power: float = dbm_to_watts(-104.0),
-    path_loss: PathLossModel = DEFAULT_PATH_LOSS,
 ) -> Topology:
     """Drop the MBS at the area center and SBSs/UEs uniformly at random.
 
-    Deterministic for a fixed generator state; gains are filled from the
-    configured path-loss model.
+    Deterministic for a fixed generator state; gains follow from the
+    positions by `channel_gain`.
     """
     w, h = float(area[0]), float(area[1])
     if w <= 0 or h <= 0:
@@ -258,18 +241,15 @@ def place_nodes(
             )
         )
 
-    gain = compute_gains(tuple(bs), ue_xy, path_loss)
-    return Topology(
-        bs=tuple(bs), ue=ue_xy, gain=gain, noise_power=noise_power,
-        area=(w, h), path_loss=path_loss,
-    )
+    gain = compute_gains(tuple(bs), ue_xy)
+    return Topology(bs=tuple(bs), ue=ue_xy, gain=gain, noise_power=noise_power, area=(w, h))
 
 
-def compute_gains(bs: Sequence[BsParams], ue_xy: np.ndarray, model: PathLossModel) -> np.ndarray:
+def compute_gains(bs: Sequence[BsParams], ue_xy: np.ndarray) -> np.ndarray:
     gain = np.empty((ue_xy.shape[0], len(bs)))
     for j, b in enumerate(bs):
         d = np.hypot(ue_xy[:, 0] - b.x, ue_xy[:, 1] - b.y)
-        gain[:, j] = [channel_gain(x, b.kind, model) for x in d.tolist()]
+        gain[:, j] = [channel_gain(x, b.kind) for x in d.tolist()]
     return gain
 
 
@@ -332,18 +312,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scenario-replay serialization (gains omitted, recomputed on load)
+# topology.json: the placement and the path-loss constants; the gains follow
+# from them by `channel_gain`
 
 def topology_to_json(topo: Topology) -> str:
     doc = {
         "area": list(topo.area),
         "noise_power_dbm": watts_to_dbm(topo.noise_power),
         "path_loss": {
-            "mbs_const": topo.path_loss.mbs_const,
-            "mbs_slope": topo.path_loss.mbs_slope,
-            "sbs_const": topo.path_loss.sbs_const,
-            "sbs_slope": topo.path_loss.sbs_slope,
-            "min_distance": topo.path_loss.min_distance,
+            "mbs_const": PATH_LOSS["MBS"][0], "mbs_slope": PATH_LOSS["MBS"][1],
+            "sbs_const": PATH_LOSS["SBS"][0], "sbs_slope": PATH_LOSS["SBS"][1],
+            "min_distance": MIN_DISTANCE,
         },
         "bs": [
             {
@@ -358,25 +337,3 @@ def topology_to_json(topo: Topology) -> str:
         "ue": [[float(x), float(y)] for x, y in topo.ue],
     }
     return json.dumps(doc, indent=2)
-
-
-def topology_from_json(text: str) -> Topology:
-    doc = json.loads(text)
-    model = PathLossModel(**doc["path_loss"])
-    bs = tuple(
-        BsParams(
-            id=b["id"], kind=b["kind"], x=b["x"], y=b["y"],
-            tx_power=dbm_to_watts(b["tx_power_dbm"]),
-            op_power_max=b["op_power_w"],
-            bandwidth=b["bandwidth_hz"],
-            max_users=b["max_users"],
-        )
-        for b in doc["bs"]
-    )
-    ue = np.array(doc["ue"], dtype=float).reshape(-1, 2)
-    gain = compute_gains(bs, ue, model)
-    return Topology(
-        bs=bs, ue=ue, gain=gain,
-        noise_power=dbm_to_watts(doc["noise_power_dbm"]),
-        area=tuple(doc["area"]), path_loss=model,
-    )

@@ -11,6 +11,7 @@ set's entry instead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,10 +54,14 @@ def all_rent_prices(delays: np.ndarray, power: np.ndarray, w: CostWeights) -> np
 
     `delays` is the per-BS total delay (`network.all_bs_delays`), `power` the
     (n_sbs,) draw of each SBS when ON with its members. Index 0 (the MBS) is
-    unused and set to 0.
+    unused and set to 0. A rent that is not finite (the weights overflow it,
+    or a zero weight meets an infinite delay) raises `ValueError`.
     """
     rent = np.zeros(delays.size)
     rent[1:] = w.alpha_d * delays[1:] + w.alpha_p * power
+    if not np.isfinite(rent).all():
+        j = int(np.flatnonzero(~np.isfinite(rent))[0])
+        raise ValueError(f"SBS {j}: rent price is not finite ({float(rent[j])!r})")
     return rent
 
 
@@ -74,11 +79,15 @@ def mbs_delay_share(
     return float(np.sum(file_bits / rates))
 
 
-def buy_price(phi: float, psi: float, w: CostWeights, period: float) -> float:
-    """One-time handover charge: a fraction of the worst-case MBS cost over T."""
+def buy_price(phi: float, psi: float, w: CostWeights, period: float, sbs: int) -> float:
+    """One-time handover charge of SBS `sbs`: a fraction of the worst-case MBS
+    cost over T. A price that is not finite raises `ValueError`."""
     if period <= 0:
         raise ValueError("period must be positive")
-    return w.alpha_b * (w.alpha_d * phi + w.alpha_p * psi) * period
+    price = w.alpha_b * (w.alpha_d * phi + w.alpha_p * psi) * period
+    if not math.isfinite(price):
+        raise ValueError(f"SBS {sbs}: buy price is not finite ({price!r})")
+    return price
 
 
 def offline_cost(rent: float, buy: float, u: float, period: float) -> float:
@@ -125,7 +134,7 @@ class OnSetTable:
                 phi = mbs_delay_share(members, topo, self.file_bits, topo.n_ue)
                 psi = energy.bs_power(topo.bs[MBS_ID], members.size, self.q)
                 tags.append(PriceTag(sbs=j, rent=all_on.rent_values[j],
-                                     buy=buy_price(phi, psi, self.w, self.period)))
+                                     buy=buy_price(phi, psi, self.w, self.period, j)))
         return tuple(tags)
 
     def __getitem__(self, sigma: np.ndarray) -> "OnSetEntry":

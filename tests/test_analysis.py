@@ -191,6 +191,14 @@ class TestEmpiricalStudy:
         one = empirical_cr_study(ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6), 10)
         assert np.array_equal(one.ratios, report.ratios)
 
+    def test_overflowing_price_fails_where_it_is_priced(self):
+        # the price fails where the table prices it, before a policy draws a
+        # NaN OFF time from it
+        cfg = ScenarioConfig(n_sbs=3, dt=0.2, seed=3, file_bits=1e7, alpha_d=1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"SBS \d+: (rent|buy) price is not finite"):
+                empirical_cr_study(cfg, 3)
+
     def test_tx_schedule_rejected(self):
         # the oracle prices one transmit-power epoch
         cfg = ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6,

@@ -389,6 +389,18 @@ class TestMain:
         assert "threshold:30" in err and "energy.capacity > 0, got 0.0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["policies = ,\n", "policies =\n"])
+    def test_policies_naming_no_policy_exit_before_running(self, tmp_path, capsys, line):
+        # only a config without the key runs the default, roa
+        cfg = write_config(tmp_path, "replications = 1\nhorizon_periods = 1\n" + line)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "policies: names no policy" in err
+        assert not out.exists()
+
     def test_cr_study_takes_roa_only_from_the_command_line(self, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:

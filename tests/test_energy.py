@@ -9,7 +9,6 @@ from sbsched.energy import (
     bs_power,
     harvest_trace,
     power_draw,
-    load_harvest_trace,
 )
 from sbsched.engine import Replication, ScenarioConfig, run_period
 from sbsched.network import BsParams, Topology, dbm_to_watts
@@ -214,33 +213,3 @@ class TestDepletion:
         assert run_one_cell(0.5)[0].depleted_at[0] == 0.0
         res, _ = run_one_cell(0.5, [0.5])
         assert res.on_time[0] == 0.125 and res.depleted_at[0] == 0.125
-
-
-class TestTraceFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "arrivals.csv"
-        path.write_text(
-            "time,sbs_id,joules\n"
-            "0.05,1,0.2\n"
-            "0.05,1,0.2\n"
-            "0.31,2,0.4\n"
-            "9.99,1,0.2\n"
-            "11.0,1,5.0\n"  # beyond the horizon, ignored
-        )
-        trace = load_harvest_trace(str(path), 2, 0.1, 100)
-        assert trace[0, 0] == pytest.approx(0.4)
-        assert trace[3, 1] == pytest.approx(0.4)
-        assert trace[99, 0] == pytest.approx(0.2)
-        assert trace.sum() == pytest.approx(1.0)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,id,energy\n0,1,1\n")
-        with pytest.raises(ValueError):
-            load_harvest_trace(str(path), 1, 0.1, 10)
-
-    def test_out_of_range_id_rejected(self, tmp_path):
-        path = tmp_path / "bad_id.csv"
-        path.write_text("time,sbs_id,joules\n0.0,3,1.0\n")
-        with pytest.raises(ValueError):
-            load_harvest_trace(str(path), 2, 0.1, 10)

@@ -249,18 +249,6 @@ class TestRunHorizon:
         assert not np.isnan(res[0].depleted_at[i])
         assert res[1].on_time[i] > 0.0
 
-    def test_harvest_trace_file_covers_the_horizon(self, tmp_path):
-        # arrivals only in the second period must be credited there, not
-        # dropped by replaying the first period's slots
-        path = tmp_path / "arrivals.csv"
-        path.write_text("time,sbs_id,joules\n12.3,1,0.5\n15.0,2,1.25\n19.95,1,0.25\n")
-        cfg = ScenarioConfig(seed=SEED_ONE_USED, n_sbs=2, horizon_periods=2,
-                             harvest_trace_file=str(path))
-        first, second = horizon(cfg, "roa")
-        assert first.to_dict()["energy_harvested"] == 0.0
-        assert second.to_dict()["energy_harvested"] == 2.0
-        assert list(second.energy_harvested) == [0.75, 1.25]
-
     def test_seed_as_seedsequence(self):
         cfg = ScenarioConfig(seed=SEED_ONE_USED)
         a = run_horizon(Replication.draw(cfg, np.random.SeedSequence(SEED_ONE_USED)),

@@ -126,24 +126,50 @@ class TestMacroShares:
 
 class TestBuyPrice:
     def test_zero_fraction(self):
-        assert buy_price(2.0, 18.2, CostWeights(0.05, 1e-4, 0.0), 10.0) == 0.0
+        assert buy_price(2.0, 18.2, CostWeights(0.05, 1e-4, 0.0), 10.0, sbs=1) == 0.0
 
     def test_worked_example(self):
         w = CostWeights(0.05, 1e-4, 0.05)
-        assert buy_price(2.0, 18.2, w, 10.0) == pytest.approx(0.050910, abs=1e-9)
+        assert buy_price(2.0, 18.2, w, 10.0, sbs=1) == pytest.approx(0.050910, abs=1e-9)
 
     def test_linear_in_period(self):
         w = CostWeights()
-        assert buy_price(2.0, 18.2, w, 20.0) == pytest.approx(
-            2 * buy_price(2.0, 18.2, w, 10.0), rel=1e-12
+        assert buy_price(2.0, 18.2, w, 20.0, sbs=1) == pytest.approx(
+            2 * buy_price(2.0, 18.2, w, 10.0, sbs=1), rel=1e-12
         )
 
     def test_linear_in_each_weight(self):
-        base = buy_price(2.0, 18.2, CostWeights(0.05, 0.05, 0.05), 10.0)
-        assert buy_price(2.0, 18.2, CostWeights(0.10, 0.05, 0.05), 10.0) > base
-        assert buy_price(2.0, 18.2, CostWeights(0.05, 0.05, 0.025), 10.0) == (
+        base = buy_price(2.0, 18.2, CostWeights(0.05, 0.05, 0.05), 10.0, sbs=1)
+        assert buy_price(2.0, 18.2, CostWeights(0.10, 0.05, 0.05), 10.0, sbs=1) > base
+        assert buy_price(2.0, 18.2, CostWeights(0.05, 0.05, 0.025), 10.0, sbs=1) == (
             pytest.approx(base / 2, rel=1e-12)
         )
+
+
+class TestNonFinitePrices:
+    def test_overflowing_rent_names_the_cell(self):
+        topo = crowded_cell(seed=4)
+        state = network.associate(np.ones(2, dtype=bool), topo)
+        assert network.all_bs_delays(state, topo, 1e7)[1] > 2.0  # 1e308 x 2 s is inf
+        table = OnSetTable(topo, CostWeights(alpha_d=1e308), 0.9, 1e7, 10.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"SBS 1: rent price is not finite \(inf\)"):
+                table[np.ones(2, dtype=bool)]
+            with pytest.raises(ValueError, match="SBS 1: rent price"):
+                table.tags
+
+    def test_nan_rent_names_the_cell(self):
+        # a zero weight times an infinite delay
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=r"SBS 2: rent price is not finite \(nan\)"):
+            all_rent_prices(np.array([0.0, 1.0, np.inf]), np.array([9.5, 9.0]),
+                            CostWeights(alpha_d=0.0))
+
+    def test_buy_price_names_the_cell(self):
+        with pytest.raises(ValueError, match=r"SBS 3: buy price is not finite \(inf\)"):
+            buy_price(2.5, 18.2, CostWeights(alpha_d=1e308), 10.0, sbs=3)
+        with pytest.raises(ValueError, match=r"SBS 2: buy price is not finite \(nan\)"):
+            buy_price(np.inf, 18.2, CostWeights(alpha_d=0.0), 10.0, sbs=2)
 
 
 class TestOfflineCost:
@@ -235,7 +261,8 @@ class TestFreezePrices:
             assert members.size > 0
             phi = mbs_delay_share(members, topo, 1e5, topo.n_ue)
             psi = bs_power(topo.bs[0], members.size, 0.9)
-            assert tag.buy == pytest.approx(buy_price(phi, psi, w, 10.0), rel=1e-12)
+            assert tag.buy == pytest.approx(buy_price(phi, psi, w, 10.0, sbs=tag.sbs),
+                                            rel=1e-12)
 
 
 def reference_entry(table, sigma):

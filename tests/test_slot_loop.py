@@ -60,7 +60,7 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
         members = all_on.state.members(i + 1)
         phi = pricing.mbs_delay_share(members, topo, file_bits, topo.n_ue)
         psi_mbs = energy_mod.bs_power(topo.bs[0], members.size, q)
-        buy_prices[i] = pricing.buy_price(phi, psi_mbs, w, cfg.period)
+        buy_prices[i] = pricing.buy_price(phi, psi_mbs, w, cfg.period, sbs=i + 1)
     n_used = int(used.sum())
 
     policy.reset([pricing.PriceTag(sbs=i + 1, rent=float(frozen_rent[i]),
