@@ -466,3 +466,24 @@ class TestSerialization:
         for b, want in zip(doc["bs"], topo.bs, strict=True):
             assert (b["kind"], b["max_users"]) == (want.kind, want.max_users)
             assert dbm_to_watts(b["tx_power_dbm"]) == pytest.approx(want.tx_power, rel=1e-12)
+
+    def test_association_survives_round_trip(self):
+        # a topology rebuilt from topology.json alone serves every UE as the
+        # original does
+        topo = place_nodes((500.0, 500.0), 5, 12, np.random.default_rng(22))
+        doc = json.loads(topology_to_json(topo))
+        bs = tuple(
+            BsParams(id=b["id"], kind=b["kind"], x=b["x"], y=b["y"],
+                     tx_power=dbm_to_watts(b["tx_power_dbm"]),
+                     op_power_max=b["op_power_w"], bandwidth=b["bandwidth_hz"],
+                     max_users=b["max_users"])
+            for b in doc["bs"]
+        )
+        ue = np.array(doc["ue"])
+        clone = Topology(bs=bs, ue=ue, gain=compute_gains(bs, ue),
+                         noise_power=dbm_to_watts(doc["noise_power_dbm"]),
+                         area=tuple(doc["area"]))
+        sigma = np.ones(6, dtype=bool)
+        assert np.array_equal(
+            associate(sigma, topo).serving, associate(sigma, clone).serving
+        )
