@@ -26,6 +26,11 @@ from .schedulers import (
     doa_off_time,
 )
 
+
+class DegenerateStudyError(RuntimeError):
+    """A ratio study drew too many attempts without a cell to schedule."""
+
+
 E = math.e
 KAPPA = E / (E - 1.0)  # expected competitive ratio of the randomized policy
 
@@ -180,7 +185,17 @@ def empirical_cr_study(
     it snaps the randomized OFF times down to the slot grid and evaluates
     both the policy and the exhaustive optimum with the same slot-level
     accounting on the same trace. Attempts with no served SBS are skipped
-    before any pricing, and so are those whose optimum is zero.
+    before any pricing, and so are those whose optimum is zero; more than
+    ten attempts per run raise `DegenerateStudyError`.
+
+    The optimum is `oracle.optimal_cost`, the least cost over the grid of
+    every served cell's OFF index in 1..n_steps: the closed form's minimum
+    over that grid when no battery can run dry, and otherwise a walk over
+    slot prefixes that drops each prefix whose rent plus buys so far already
+    reach the best schedule found. That bound is exact: rents and buys are
+    non-negative and rounded float addition is monotone, so the minimum has
+    the grid's bits. The policy's realized cost is its one row of that grid,
+    costed alone by `oracle.evaluate_schedules`, the same bits as in the grid.
 
     Every SBS starts the period ON, so schedules — online and offline alike —
     keep a served SBS ON for at least one slot before a voluntary OFF can
@@ -200,7 +215,9 @@ def empirical_cr_study(
     while run < n_runs:
         attempts += 1
         if attempts > 10 * n_runs:
-            raise RuntimeError("too many degenerate replications (no served SBSs)")
+            raise DegenerateStudyError(
+                f"too many degenerate replications: {attempts - 1} attempts "
+                f"for {run} of {n_runs} runs (no served SBSs, or a zero optimum)")
         rep = Replication.draw(study_cfg, np.random.SeedSequence([cfg.seed, attempts]))
         table = rep.tables[0]
         if not table.tags:
@@ -211,11 +228,8 @@ def empirical_cr_study(
         if required > budget:
             raise oracle.BudgetError(required, budget)
         trace_used = rep.harvest[0][:, tables.used - 1]
-        combos = np.maximum(oracle.all_combinations(m, n_steps), 1)
-        costs = oracle.evaluate_schedules(
-            tables, trace_used, combos, cfg.initial_energy, cfg.capacity, dt, n_steps,
-        )
-        opt = float(costs.min())
+        args = (cfg.initial_energy, cfg.capacity, dt, n_steps)
+        opt = oracle.optimal_cost(tables, trace_used, *args)
         if opt <= 0.0:
             continue
         # one study stream for every cell, so the draws follow the tags' order
@@ -224,9 +238,10 @@ def empirical_cr_study(
                      [np.random.default_rng(rep.policy_ss)] * cfg.n_sbs)
         snapped = [min(int(math.floor(policy.off_times[tag.sbs] / dt + 1e-9)), n_steps)
                    for tag in table.tags]
-        # grid row `snapped` was evaluated at np.maximum(snapped, 1), which is
-        # the policy's schedule
-        realized = float(costs[np.ravel_multi_index(snapped, (n_steps + 1,) * m)])
+        # the policy's schedule is the grid's row np.maximum(snapped, 1); a
+        # row costs the same bits alone as in the grid
+        realized = float(oracle.evaluate_schedules(
+            tables, trace_used, np.maximum([snapped], 1), *args)[0])
         ratios.append(realized / opt)
         run += 1
     report = RatioReport.from_ratios(np.array(ratios))

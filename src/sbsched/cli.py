@@ -23,12 +23,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis, network
+from . import analysis, network, oracle, pricing
 from .engine import Replication, ScenarioConfig, run_horizon
 from .network import dbm_to_watts
 from .schedulers import ThresholdPolicy, make_policy
 
 ENV_OUT_DIR = "SBSCHED_OUT_DIR"
+
+# failures that depend on what a run draws, not on the config's values alone:
+# `simulate` reports each as one `error:` line with exit status 3
+DRAW_ERRORS = (oracle.BudgetError, network.UnserviceableError,
+               analysis.DegenerateStudyError, pricing.NonFinitePriceError)
 
 RESULTS_COLUMNS = [
     "sweep_parameter", "sweep_value", "policy", "replication", "period",
@@ -311,8 +316,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, trace: bool = False) -> i
 
     Writes results.csv (one row per replication and period), summary.json,
     topology.json (layout of the first replication), and optionally trace.csv
-    for the first replication. Partial outputs are removed on failure.
+    for the first replication. Partial outputs are removed on failure, and
+    so are the directories this call created, innermost first, while empty.
     """
+    created = []  # the directories makedirs is about to make, innermost first
+    parent = os.path.abspath(out_dir)
+    while not os.path.isdir(parent):
+        created.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     try:
@@ -323,6 +334,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, trace: bool = False) -> i
         for path in written:
             if os.path.exists(path):
                 os.remove(path)
+        for directory in created:
+            if os.listdir(directory):
+                break
+            os.rmdir(directory)
         raise
 
 
@@ -534,6 +549,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 1
+    except DRAW_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

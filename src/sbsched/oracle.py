@@ -11,6 +11,13 @@ up to a slot share its state, so the full grid costs about one slot step per
 combination instead of one per combination and slot. Where one cell is left
 ON, its subtree is one tight loop over its remaining slots, and the grid
 points where it goes OFF are written as one strided run.
+
+The ratio study needs only the least cost, which `optimal_cost` finds without
+costing the grid: a depth-first walk over the same slot prefixes, with the
+same float operations, that drops a prefix once its rent plus the buys made
+so far reach the best schedule found. Rents and buys are non-negative and
+rounded float addition is monotone, so no schedule below a dropped prefix
+costs less, and the minimum is the grid's to the bit.
 """
 from __future__ import annotations
 
@@ -91,7 +98,8 @@ def build_tables(table: pricing.OnSetTable) -> SubsetTables:
     m = used.size
     rent = np.zeros((1 << m, m))
     psi = np.zeros((1 << m, m))
-    for mask in range(1 << m):
+    # mask 0 (every served cell OFF) keeps its zero rows: it has no entry to read
+    for mask in range(1, 1 << m):
         on = (mask >> np.arange(m)) & 1 == 1
         sigma = np.zeros(topo.n_bs, dtype=bool)
         sigma[0] = True
@@ -167,7 +175,12 @@ def _evaluate_no_depletion(
         rent_cost += tables.rent_sum[mask] * (upto - prev) * dt
         mask = mask & ~(1 << order[:, pos])
         prev = np.maximum(prev, upto)
-    buy_cost = (tables.buys[None, :] * (off_idx < n_steps)).sum(axis=1)
+    # added in cell order, as numpy sums the rows of the column-major grid of
+    # `all_combinations`: a row alone, which numpy would sum pairwise from 8
+    # cells on, then costs the same bits as in the grid
+    buy_cost = np.zeros(c)
+    for i, buy in enumerate(tables.buys.tolist()):
+        buy_cost += buy * (off_idx[:, i] < n_steps)
     return rent_cost + buy_cost
 
 
@@ -332,6 +345,86 @@ def all_combinations(m: int, n_steps: int) -> np.ndarray:
     """All OFF-index vectors on the grid {0, .., n_steps}, lexicographic order."""
     grids = np.indices((n_steps + 1,) * m).reshape(m, -1).T
     return grids.astype(np.int64)
+
+
+def optimal_cost(
+    tables: SubsetTables,
+    trace_used: np.ndarray,
+    e0: float,
+    cap: float,
+    dt: float,
+    n_steps: int,
+) -> float:
+    """Least cost over the grid where every cell's OFF index lies in
+    1..n_steps, the same bits as `evaluate_schedules` on that grid's `.min()`.
+
+    Without possible depletion this is that closed-form grid's minimum.
+    Otherwise a depth-first walk over slot prefixes takes the grid walk's
+    float operations per slot (the voluntary OFFs, then the depletion fixed
+    point, `rent += rent_dt[mask]` and `e = min(e + h - psi, cap)`) and
+    charges a leaf `rent + buy_of[bought]`, where `buy_of` is the walk's own
+    buy sum, `(bought * buys).sum(axis=1)` over C-ordered rows, tabulated per
+    bought mask. Rents and buys are >= 0 and rounded float addition is
+    monotone, so no leaf below a prefix costs less than its
+    `rent + buy_of[bought]`: a prefix whose bound reaches the best leaf is
+    dropped, and the minimum keeps its bits. At each slot the walk tries the
+    all-OFF set first, then its subsets in decreasing bitmask order, so the
+    first leaf (all OFF at slot 1) already bounds the rest, and a prefix ends
+    about b/r/dt slots in, not at n_steps.
+    """
+    m = tables.used.size
+    if m == 0:
+        return 0.0
+    if not _depletion_possible(tables, trace_used, e0, cap, dt, n_steps):
+        grid = np.maximum(all_combinations(m, n_steps), 1)
+        return float(evaluate_schedules(
+            tables, trace_used, grid, e0, cap, dt, n_steps).min())
+
+    bought_rows = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    buy_of = (bought_rows * tables.buys[None, :]).sum(axis=1).tolist()
+    bits = [1 << i for i in range(m)]
+    cells = [[i for i in range(m) if mask >> i & 1] for mask in range(1 << m)]
+    psi_dt = (tables.psi * dt).tolist()
+    rent_dt = (tables.rent_sum * dt).tolist()
+    harvest = trace_used[:n_steps].T.tolist()  # per cell, then per slot
+    best = float("inf")
+
+    def walk(k, mask, e, bought, rent):
+        """Walk on from slot k, whose voluntary OFFs are made, with `mask`
+        the cells still ON and `e` their stored energy."""
+        nonlocal best
+        while True:
+            while True:
+                psi = psi_dt[mask]
+                out = 0
+                for i in cells[mask]:
+                    if e[i] + harvest[i][k] < psi[i]:
+                        out |= bits[i]
+                if not out:
+                    break
+                mask &= ~out
+            rent += rent_dt[mask]
+            for i in cells[mask]:
+                e[i] = min(e[i] + harvest[i][k] - psi[i], cap)
+            k += 1
+            cost = rent + buy_of[bought]
+            if cost >= best:
+                return
+            if not mask or k == n_steps:  # no cell left ON, or the period ends
+                best = cost
+                return
+            sub = mask
+            while sub:  # OFF at slot k; none OFF goes on in this loop
+                cost = rent + buy_of[bought | sub]
+                if cost < best:
+                    if sub == mask:
+                        best = cost
+                    else:
+                        walk(k, mask & ~sub, e[:], bought | sub, rent)
+                sub = (sub - 1) & mask
+
+    walk(0, (1 << m) - 1, [float(e0)] * m, 0, 0.0)
+    return best
 
 
 def offline_exhaustive(

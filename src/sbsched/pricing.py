@@ -21,6 +21,11 @@ from . import energy, network
 from .network import MBS_ID, Topology, _read_only
 
 
+class NonFinitePriceError(ValueError):
+    """A rent or buy price is inf or NaN: the weights overflow it, or a zero
+    weight meets an infinite delay."""
+
+
 @dataclass(frozen=True)
 class CostWeights:
     """Monetary weights: per unit delay, per watt, and the buy-price fraction."""
@@ -54,14 +59,15 @@ def all_rent_prices(delays: np.ndarray, power: np.ndarray, w: CostWeights) -> np
 
     `delays` is the per-BS total delay (`network.all_bs_delays`), `power` the
     (n_sbs,) draw of each SBS when ON with its members. Index 0 (the MBS) is
-    unused and set to 0. A rent that is not finite (the weights overflow it,
-    or a zero weight meets an infinite delay) raises `ValueError`.
+    unused and set to 0. A rent that is not finite raises
+    `NonFinitePriceError`.
     """
     rent = np.zeros(delays.size)
     rent[1:] = w.alpha_d * delays[1:] + w.alpha_p * power
     if not np.isfinite(rent).all():
         j = int(np.flatnonzero(~np.isfinite(rent))[0])
-        raise ValueError(f"SBS {j}: rent price is not finite ({float(rent[j])!r})")
+        raise NonFinitePriceError(
+            f"SBS {j}: rent price is not finite ({float(rent[j])!r})")
     return rent
 
 
@@ -81,12 +87,12 @@ def mbs_delay_share(
 
 def buy_price(phi: float, psi: float, w: CostWeights, period: float, sbs: int) -> float:
     """One-time handover charge of SBS `sbs`: a fraction of the worst-case MBS
-    cost over T. A price that is not finite raises `ValueError`."""
+    cost over T. A price that is not finite raises `NonFinitePriceError`."""
     if period <= 0:
         raise ValueError("period must be positive")
     price = w.alpha_b * (w.alpha_d * phi + w.alpha_p * psi) * period
     if not math.isfinite(price):
-        raise ValueError(f"SBS {sbs}: buy price is not finite ({price!r})")
+        raise NonFinitePriceError(f"SBS {sbs}: buy price is not finite ({price!r})")
     return price
 
 

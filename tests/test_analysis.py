@@ -7,6 +7,7 @@ import pytest
 
 from sbsched.analysis import (
     KAPPA,
+    DegenerateStudyError,
     RatioReport,
     empirical_cr_study,
     expected_off_duration,
@@ -16,6 +17,8 @@ from sbsched.analysis import (
 )
 from sbsched import energy, engine
 from sbsched.engine import ScenarioConfig
+from sbsched.network import dbm_to_watts
+from sbsched.pricing import NonFinitePriceError
 from sbsched.schedulers import RentHistory
 
 E = math.e
@@ -196,8 +199,17 @@ class TestEmpiricalStudy:
         # NaN OFF time from it
         cfg = ScenarioConfig(n_sbs=3, dt=0.2, seed=3, file_bits=1e7, alpha_d=1e308)
         with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match=r"SBS \d+: (rent|buy) price is not finite"):
+            with pytest.raises(NonFinitePriceError,
+                               match=r"SBS \d+: (rent|buy) price is not finite"):
                 empirical_cr_study(cfg, 3)
+
+    def test_too_many_degenerate_attempts(self):
+        # at -30 dBm no cell wins a UE from the MBS: ten attempts per run,
+        # none served, then the study gives up
+        cfg = ScenarioConfig(n_sbs=3, dt=0.2, seed=3, sbs_tx_power=dbm_to_watts(-30.0))
+        with pytest.raises(DegenerateStudyError,
+                           match="too many degenerate replications: 20 attempts for 0 of 2"):
+            empirical_cr_study(cfg, 2)
 
     def test_tx_schedule_rejected(self):
         # the oracle prices one transmit-power epoch

@@ -411,6 +411,34 @@ class TestMain:
         assert main(["--preset", "fig6", "--runs", "2", "--algorithm", "roa",
                      "--out-dir", str(out)]) == 0
 
+    @pytest.mark.parametrize("text, message", [
+        ("kind = cr_study\nruns = 2\nnetwork.sbs_tx_power = -30 dBm\n",
+         "too many degenerate replications: 20 attempts for 0 of 2 runs "
+         "(no served SBSs, or a zero optimum)"),
+        ("kind = cr_study\nruns = 2\nn_sbs = 3\ndt = 0.01\n",
+         "exhaustive search needs 1002001 evaluations, budget is 1000000"),
+        ("replications = 1\nhorizon_periods = 1\nnetwork.mbs_tx_power = 1e-30 W\n"
+         "network.sbs_tx_power = 1e-30 W\n", "a UE has zero achievable rate"),
+        ("replications = 2\nhorizon_periods = 1\nn_sbs = 3\nseed = 3\n"
+         "network.file_bits = 1e7\ncost.alpha_d = 1e308\n",
+         "SBS 3: buy price is not finite (inf)"),
+    ])
+    def test_draw_dependent_failure_exits_3(self, tmp_path, capsys, text, message):
+        # these configs parse; what fails depends on the drawn topologies
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "new" / "out"
+        with np.errstate(over="ignore"):
+            assert main(["--config", cfg, "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "new").exists()
+        out = tmp_path / "out"
+        # a directory that was there before stays, with what it held
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        with np.errstate(over="ignore"):
+            assert main(["--config", cfg, "--out-dir", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(tmp_path / "nope.cfg")])

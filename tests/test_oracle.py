@@ -198,6 +198,18 @@ class TestTables:
             assert tables.rent[on_mask, i] > 0.0
             assert tables.psi[on_mask, i] > 0.0
 
+    @pytest.mark.parametrize("n_sbs, seed", [(2, 1), (3, 28)])
+    def test_one_entry_per_served_on_set(self, n_sbs, seed):
+        # every cell is served, so the tags' all-ON set is the full subset;
+        # the all-OFF subset's rows are zero and need no entry
+        scn = scenario_with_used(seed, n_sbs=n_sbs)
+        table = pricing.OnSetTable(scn.topo, scn.weights, scn.q, scn.file_bits,
+                                   scn.period)
+        assert len(table.tags) == n_sbs
+        tables = build_tables(table)
+        assert tables.used.size == n_sbs
+        assert len(table._entries) == 2 ** n_sbs - 1
+
     def test_psi_max_dominates(self):
         scn = scenario_with_used(SEED_M2)
         tables = tables_for(scn)

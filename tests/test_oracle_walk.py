@@ -1,11 +1,15 @@
-"""The oracle's prefix-tree walk against the per-row loop it replaced.
+"""The oracle's prefix-tree walk and its bound-pruned search for the least
+cost against the per-row loop they replaced.
 
 `reference_evaluate_stepwise` and `reference_depletion_possible` are the
 earlier `oracle._evaluate_stepwise` and `oracle._depletion_possible` bodies,
 kept here as test-only references: numpy arrays over every row, one slot at a
 time. The property test requires the current functions to return exactly the
-same bytes and the same path decision.
+same bytes and the same path decision, and `oracle.optimal_cost` the same
+bytes as the minimum over the study's grid.
 """
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from sbsched.oracle import (
     _evaluate_no_depletion,
     _evaluate_stepwise,
     all_combinations,
+    optimal_cost,
 )
 
 
@@ -149,17 +154,84 @@ def test_walk_matches_reference_bit_for_bit(m, n_steps, seed, energy, exact, e0_
     assert possible == reference_depletion_possible(tables, trace_used, *args)
     if energy != "mixed":
         assert possible == (energy == "dry") == runs_dry(tables, trace_used, *args)
+    assert_optimum_is_the_grid_minimum(tables, trace_used, *args)
 
     for name, rows in row_sets(m, n_steps, rng).items():
         got = _evaluate_stepwise(tables, trace_used, rows, *args)
         want = reference_evaluate_stepwise(tables, trace_used, rows, *args)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
-        # a row costs the same bits alone as in a batch, which is what lets
-        # the study read its realized cost from the grid
+        # a row costs the same bits alone as in a batch, on either path,
+        # which is what lets the study cost the policy's row alone
         alone = [_evaluate_stepwise(tables, trace_used, r[None, :], *args)[0]
                  for r in rows[:5]]
         assert np.array(alone).tobytes() == got[:5].tobytes(), name
+        closed = _evaluate_no_depletion(tables, rows, DT, n_steps)
+        alone = [_evaluate_no_depletion(tables, r[None, :], DT, n_steps)[0]
+                 for r in rows[:5]]
+        assert np.array(alone).tobytes() == closed[:5].tobytes(), name
+
+
+def assert_optimum_is_the_grid_minimum(tables, trace_used, e0, cap, dt, n_steps,
+                                       reference=None):
+    """`optimal_cost` is the minimum over the study's grid, to the bit: the
+    reference loop's where a cell can run dry (`reference`, if the caller
+    has costed that grid with it already), the closed form's where none
+    can."""
+    grid = np.maximum(all_combinations(tables.used.size, n_steps), 1)
+    if _depletion_possible(tables, trace_used, e0, cap, dt, n_steps):
+        costs = reference if reference is not None else reference_evaluate_stepwise(
+            tables, trace_used, grid, e0, cap, dt, n_steps)
+    else:
+        costs = _evaluate_no_depletion(tables, grid, dt, n_steps)
+    got = optimal_cost(tables, trace_used, e0, cap, dt, n_steps)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == costs.min().tobytes()
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+# the optimum buys 7 and 9 cells, whose pairwise sum is not the cell-order one
+@example(m=8, n_steps=2, seed=1, energy="one dry", cheap_buys=True)
+@example(m=10, n_steps=2, seed=0, energy="one dry", cheap_buys=True)
+@given(
+    m=st.integers(8, 10),
+    n_steps=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    energy=st.sampled_from(["dry", "one dry", "wet"]),
+    cheap_buys=st.booleans(),
+)
+def test_many_cells_on_a_short_period(m, n_steps, seed, energy, cheap_buys):
+    # 8 or more cells: numpy sums a C-ordered row of buys pairwise, not in
+    # cell order, so the search must tabulate them with the walk's own sum.
+    # With "one dry" only cell 0 can run dry: it draws PSI_HI in every set,
+    # so it does at slot 1, and the all-ON set's rent is negligible. The
+    # others' rent after slot 1 is not, so with buys far below it the
+    # optimum sends every other cell OFF at slot 1 and costs almost only
+    # their buys, whose last bit the rent does not round away.
+    rng = np.random.default_rng(seed)
+    tables = synthetic_tables(m, rng, np.asarray)
+    if cheap_buys:
+        tables = replace(tables, buys=rng.uniform(0.0, 0.01, m))
+    trace_used = rng.uniform(0.0, H_MAX, (n_steps, m))
+    if energy == "one dry":
+        trace_used[:, 1:] += PSI_HI * DT
+        psi, rent = tables.psi.copy(), tables.rent.copy()
+        psi[1::2, 0] = PSI_HI  # the sets with cell 0 ON
+        rent[-1] *= 1e-6
+        tables = replace(tables, psi=psi, psi_max=psi.max(axis=0), rent=rent,
+                         rent_sum=rent.sum(axis=1))
+    # every cell lives through slot 0 unless n_steps is 1 and it may run dry
+    e0 = PSI_HI * DT * (n_steps - (energy != "wet"))
+    args = (e0, e0 + 1.0, DT, n_steps)
+    assert _depletion_possible(tables, trace_used, *args) == (energy != "wet")
+    assert_optimum_is_the_grid_minimum(tables, trace_used, *args)
+    grid = np.maximum(all_combinations(m, n_steps), 1)
+    pick = rng.integers(0, len(grid), 5)
+    for name, evaluate in (
+            ("stepwise", lambda rows: _evaluate_stepwise(tables, trace_used, rows, *args)),
+            ("closed form", lambda rows: _evaluate_no_depletion(tables, rows, DT, n_steps))):
+        alone = [evaluate(grid[i][None, :])[0] for i in pick]
+        assert np.array(alone).tobytes() == evaluate(grid)[pick].tobytes(), name
 
 
 def test_empty_batch():
@@ -192,6 +264,7 @@ def test_recorded_study_grids_match_reference():
             got = _evaluate_stepwise(tables, trace_used, rows, *args)
             want = reference_evaluate_stepwise(tables, trace_used, rows, *args)
             assert got.tobytes() == want.tobytes()
+            assert_optimum_is_the_grid_minimum(tables, trace_used, *args, reference=want)
             checked += 1
             dry += runs_dry(tables, trace_used, *args)
     assert dry >= 2
@@ -199,26 +272,56 @@ def test_recorded_study_grids_match_reference():
 
 def test_study_evaluates_each_served_attempt_once(monkeypatch):
     served = []
-    evaluated = []
-    real_build, real_eval = oracle.build_tables, oracle.evaluate_schedules
+    searched = []  # (tables, trace_used, rest, optimum) per optimal_cost call
+    rows = []  # the rows the study costs itself, outside optimal_cost
+    inside = []
+    real_build = oracle.build_tables
+    real_opt, real_eval = oracle.optimal_cost, oracle.evaluate_schedules
 
     def build(*args):
         tables = real_build(*args)
         served.append(tables.used.size > 0)
         return tables
 
+    def optimum(tables, trace_used, *rest):
+        inside.append(True)
+        try:
+            opt = real_opt(tables, trace_used, *rest)
+        finally:
+            inside.pop()
+        searched.append((tables, trace_used, rest, opt))
+        return opt
+
     def evaluate(tables, trace_used, off_idx, *rest):
-        evaluated.append(len(off_idx))
+        if not inside:
+            rows.append(np.array(off_idx))
         return real_eval(tables, trace_used, off_idx, *rest)
 
     cfg = ScenarioConfig(n_sbs=2, n_ue=40, area=(1000.0, 1000.0), dt=0.2,
                          initial_energy=30.0, seed=3)
     monkeypatch.setattr(oracle, "build_tables", build)
+    monkeypatch.setattr(oracle, "optimal_cost", optimum)
     monkeypatch.setattr(oracle, "evaluate_schedules", evaluate)
     report = empirical_cr_study(cfg, 12)
-    assert report.ratios.size == 12
-    assert len(evaluated) == sum(served) >= 12
-    # every call is the whole grid; none is the policy's single row
-    assert min(evaluated) > 1
     monkeypatch.undo()
+    assert report.ratios.size == 12
+    # one search per served attempt, and one costed row per accepted run
+    assert len(searched) == sum(served) >= 12
+    accepted = [s for s in searched if s[3] > 0.0]
+    assert len(accepted) == len(rows) == 12
+    assert all(r.shape == (1, s[0].used.size) for r, s in zip(rows, accepted))
+    # the ratios are the bytes of the full grid's minimum and the policy's
+    # row looked up in that grid, recomputed on the same records
+    want = []
+    n_steps = cfg.n_steps
+    for (tables, trace_used, rest, opt), row in zip(accepted, rows):
+        m = tables.used.size
+        grid = np.maximum(all_combinations(m, n_steps), 1)
+        costs = oracle.evaluate_schedules(tables, trace_used, grid, *rest)
+        assert np.float64(opt).tobytes() == costs.min().tobytes()
+        assert row.min() >= 1 and row.max() <= n_steps
+        realized = float(costs[np.ravel_multi_index(row[0], (n_steps + 1,) * m)])
+        want.append(realized / float(costs.min()))
+    assert np.array(want).tobytes() == report.ratios.tobytes()
+    assert any(_depletion_possible(t, tr, *rest) for t, tr, rest, _ in accepted)
     assert np.array_equal(empirical_cr_study(cfg, 12).ratios, report.ratios)

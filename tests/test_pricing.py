@@ -8,6 +8,7 @@ from sbsched.energy import bs_power
 from sbsched.network import BsParams, Topology, dbm_to_watts, place_nodes
 from sbsched.pricing import (
     CostWeights,
+    NonFinitePriceError,
     OnSetTable,
     PriceTag,
     all_rent_prices,
@@ -153,22 +154,22 @@ class TestNonFinitePrices:
         assert network.all_bs_delays(state, topo, 1e7)[1] > 2.0  # 1e308 x 2 s is inf
         table = OnSetTable(topo, CostWeights(alpha_d=1e308), 0.9, 1e7, 10.0)
         with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match=r"SBS 1: rent price is not finite \(inf\)"):
+            with pytest.raises(NonFinitePriceError, match=r"SBS 1: rent price is not finite \(inf\)"):
                 table[np.ones(2, dtype=bool)]
-            with pytest.raises(ValueError, match="SBS 1: rent price"):
+            with pytest.raises(NonFinitePriceError, match="SBS 1: rent price"):
                 table.tags
 
     def test_nan_rent_names_the_cell(self):
         # a zero weight times an infinite delay
         with np.errstate(invalid="ignore"), pytest.raises(
-                ValueError, match=r"SBS 2: rent price is not finite \(nan\)"):
+                NonFinitePriceError, match=r"SBS 2: rent price is not finite \(nan\)"):
             all_rent_prices(np.array([0.0, 1.0, np.inf]), np.array([9.5, 9.0]),
                             CostWeights(alpha_d=0.0))
 
     def test_buy_price_names_the_cell(self):
-        with pytest.raises(ValueError, match=r"SBS 3: buy price is not finite \(inf\)"):
+        with pytest.raises(NonFinitePriceError, match=r"SBS 3: buy price is not finite \(inf\)"):
             buy_price(2.5, 18.2, CostWeights(alpha_d=1e308), 10.0, sbs=3)
-        with pytest.raises(ValueError, match=r"SBS 2: buy price is not finite \(nan\)"):
+        with pytest.raises(NonFinitePriceError, match=r"SBS 2: buy price is not finite \(nan\)"):
             buy_price(np.inf, 18.2, CostWeights(alpha_d=0.0), 10.0, sbs=2)
 
 
