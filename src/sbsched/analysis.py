@@ -195,7 +195,8 @@ def empirical_cr_study(
     reach the best schedule found. That bound is exact: rents and buys are
     non-negative and rounded float addition is monotone, so the minimum has
     the grid's bits. The policy's realized cost is its one row of that grid,
-    costed alone by `oracle.evaluate_schedules`, the same bits as in the grid.
+    costed alone by `oracle.evaluate_schedules` along the row's own slots,
+    with the slot step the search takes, the same bits as in the grid.
 
     Every SBS starts the period ON, so schedules — online and offline alike —
     keep a served SBS ON for at least one slot before a voluntary OFF can

@@ -147,6 +147,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.n_replications < 1:
             raise ConfigError("replications must be at least 1")
+        if self.master_seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.kind not in ("sweep", "cr_study"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.sweep_parameter is not None:

@@ -5,13 +5,15 @@ Arrivals are drawn per period by `harvest_trace`. A recorded trace enters a
 run as the harvest arrays of an `engine.Replication` built by hand.
 
 Harvesting happens every slot regardless of the ON/OFF state; consumption is
-charged only while ON. The slot loops (`engine.run_period` and the oracle's
-evaluator) make the storage step, `min(e + h - c, cap)`, and the depletion
-test, which is strict: a cell whose stored plus freshly harvested energy
-cannot fund the next slot is forced OFF.
+charged only while ON. The slot loops (`engine.run_period`, and the oracle's
+`_slot_step`, shared by its row evaluator and its optimum search) make the
+storage step, `min(e + h - c, cap)`, and the depletion test, which is strict:
+a cell whose stored plus freshly harvested energy cannot fund the next slot is
+forced OFF.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,8 +31,8 @@ class HarvestParams:
     quantum: float = 0.2
 
     def __post_init__(self) -> None:
-        if not (self.rate >= 0 and self.quantum >= 0):
-            raise ValueError("harvest rate and quantum must be non-negative")
+        if not (0.0 <= self.rate < math.inf and 0.0 <= self.quantum < math.inf):
+            raise ValueError("harvest rate and quantum must be non-negative and finite")
 
 
 @dataclass(eq=False)
@@ -84,6 +86,10 @@ def bs_power(params: BsParams, n_users: int, q: float) -> float:
         raise ValueError("n_users must be non-negative")
     return power_draw(np.array([params.op_power_max]), np.array([params.max_users]),
                       np.array([n_users]), q, (params.id,)).item()
+
+
+# the largest mean numpy's Poisson sampler takes; a larger one raises mid-draw
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 def harvest_trace(

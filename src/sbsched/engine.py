@@ -10,10 +10,10 @@ The slot loop keeps plain Python floats, and only for the cells that serve
 UEs at the period start. The others stay OFF all period, so their storage is
 the running sum of arrivals clamped at the capacity; with no served cell, the
 slot loop runs only to write trace rows. The storage step is the float
-`min(e + h - c, cap)`, as in the oracle's walk. The policy is asked every
-slot for each served cell that may still switch. Network state (association,
-live rents, power draw, delays) is a function of the ON set and the SBS
-transmit power only: it is read from a `pricing.OnSetTable`, one per
+`min(e + h - c, cap)`, as in the oracle's `_slot_step`. The policy is asked
+every slot for each served cell that may still switch. Network state
+(association, live rents, power draw, delays) is a function of the ON set and
+the SBS transmit power only: it is read from a `pricing.OnSetTable`, one per
 transmit-power epoch. An entry is looked up only when the ON set or the
 epoch changes.
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import energy as energy_mod
 from . import network, pricing
-from .energy import EnergyState, HarvestParams
+from .energy import POISSON_MEAN_MAX, EnergyState, HarvestParams
 from .network import Topology, dbm_to_watts
 from .pricing import CostWeights
 from .schedulers import Policy
@@ -97,6 +97,10 @@ class ScenarioConfig:
             raise ValueError("q must lie in [0, 1]")
         self.weights  # CostWeights validates the cost weights
         self.harvest  # HarvestParams validates the rate and the quantum
+        if self.harvest_rate * self.dt > POISSON_MEAN_MAX:
+            raise ValueError(f"harvest_rate * dt must not exceed {POISSON_MEAN_MAX!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_ue < 1 or self.n_sbs < 0:
             raise ValueError("need n_ue >= 1 and n_sbs >= 0")
         if self.sbs_max_users < 1 or self.mbs_max_users < 1:

@@ -5,22 +5,20 @@ every policy and the oracle face the same randomness. Because the number of
 SBSs that actually serve UEs is small in oracle experiments, the live rent
 and power rates of every ON-subset are read once from a `pricing.OnSetTable`.
 When no schedule can deplete a battery, all OFF-time combinations are costed
-in closed form, vectorized over the combinations. Otherwise the slot loop
-walks the tree of distinct slot prefixes in plain floats: schedules that agree
-up to a slot share its state, so the full grid costs about one slot step per
-combination instead of one per combination and slot. Where one cell is left
-ON, its subtree is one tight loop over its remaining slots, and the grid
-points where it goes OFF are written as one strided run.
+in closed form, vectorized over the combinations. Otherwise each schedule is
+costed along its own slots in plain floats, one `_slot_step` per slot: the
+depletion fixed point, the rent and the storage step.
 
 The ratio study needs only the least cost, which `optimal_cost` finds without
-costing the grid: a depth-first walk over the same slot prefixes, with the
-same float operations, that drops a prefix once its rent plus the buys made
-so far reach the best schedule found. Rents and buys are non-negative and
-rounded float addition is monotone, so no schedule below a dropped prefix
-costs less, and the minimum is the grid's to the bit.
+costing the grid: a depth-first walk over slot prefixes, taking the same slot
+step, that drops a prefix once its rent plus the buys made so far reach the
+best schedule found. Rents and buys are non-negative and rounded float
+addition is monotone, so no schedule below a dropped prefix costs less, and
+the minimum is the grid's to the bit.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +53,9 @@ class RecordedScenario:
     capacity: float
 
     def __post_init__(self) -> None:
-        # the closed form never reads the trace and the walk reads it only
-        # until every cell is OFF, so a wrong one would pass unseen or fail
-        # in the middle of the walk
+        # the closed form never reads the trace and the slot loop reads it
+        # only until every cell is OFF, so a wrong one would pass unseen or
+        # fail in the middle of the search
         shape = (self.n_steps, self.topo.n_sbs)
         if np.shape(self.trace) != shape:
             raise ValueError(f"trace has shape {np.shape(self.trace)}, "
@@ -184,6 +182,40 @@ def _evaluate_no_depletion(
     return rent_cost + buy_cost
 
 
+def _slot_step(
+    tables: SubsetTables, trace_used: np.ndarray, cap: float, dt: float,
+    n_steps: int,
+) -> Callable[[int, int, list[float], float], tuple[int, float]]:
+    """The oracle's slot k, after its voluntary OFFs, in plain floats:
+    `step(k, mask, e, rent)` takes the depletion fixed point (forced OFFs,
+    no buy), adds the rent of the ON set left and stores each ON cell's
+    energy in `e` as `min(e + h - psi, cap)`; it returns the mask and rent."""
+    m = tables.used.size
+    bits = [1 << i for i in range(m)]
+    cells = [[i for i in range(m) if mask >> i & 1] for mask in range(1 << m)]
+    psi_dt = (tables.psi * dt).tolist()
+    rent_dt = (tables.rent_sum * dt).tolist()
+    harvest = trace_used[:n_steps].tolist()  # per slot, then per cell
+
+    def step(k, mask, e, rent):
+        h = harvest[k]
+        while True:
+            psi = psi_dt[mask]
+            out = 0
+            for i in cells[mask]:
+                if e[i] + h[i] < psi[i]:
+                    out |= bits[i]
+            if not out:
+                break
+            mask &= ~out
+        for i in cells[mask]:
+            x = e[i] + h[i] - psi[i]
+            e[i] = cap if cap < x else x  # min(x, cap), without the call
+        return mask, rent + rent_dt[mask]
+
+    return step
+
+
 def _evaluate_stepwise(
     tables: SubsetTables,
     trace_used: np.ndarray,
@@ -193,152 +225,32 @@ def _evaluate_stepwise(
     dt: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Slot-by-slot cost of each row, walking every distinct slot prefix once.
-
-    The state after slot k depends on each cell's OFF index only through
-    min(off, k + 1), so schedules that agree so far share one state. The walk
-    covers the grid of each cell's requested OFF indices (clamped to
-    0..n_steps) and branches at slot k only over the cells still ON that may
-    go OFF there; a cell whose last requested index has come must go OFF. A
-    cell that runs dry stops branching: all its later OFF indices cost the
-    same, so the leaf fills a box of the grid. The full grid thus costs
-    O((n_steps+1)^m) slot steps, and one row a single path. Most of them are
-    taken with one cell left ON; that cell's subtree is one plain-float loop
-    with no frame, branch list or depletion fixed point per slot, and its
-    OFF points, one per requested index, are one strided write of the grid.
-    """
-    c, m = off_idx.shape
-    if c == 0:
-        return np.zeros(0)
-    clamped = np.clip(off_idx, 0, n_steps)
-    vals = [np.unique(clamped[:, i]) for i in range(m)]
-    shape = tuple(v.size for v in vals)
-    rows = np.ravel_multi_index(
-        [np.searchsorted(v, clamped[:, i]) for i, v in enumerate(vals)], shape
-    )
-    rent_grid = np.empty(shape)
-    bought_grid = np.empty(shape, dtype=np.int64)  # bit i: cell i bought
-    rent_flat, bought_flat = rent_grid.reshape(-1), bought_grid.reshape(-1)
-    strides = [s // rent_grid.itemsize for s in rent_grid.strides]
-
-    vals = [v.tolist() for v in vals]
-    last = [n - 1 for n in shape]
-    bits = [1 << i for i in range(m)]
-    solo = {b: i for i, b in enumerate(bits)}  # the one-cell masks
-    cells = [[i for i in range(m) if mask >> i & 1] for mask in range(1 << m)]
-    # the per-row loop's float operations, in its order, so the costs are the
-    # same bits: e + h < psi*dt, min((e + h) - psi*dt, cap), rent += rent_sum*dt
-    psi_dt = (tables.psi * dt).tolist()
-    rent_dt = (tables.rent_sum * dt).tolist()
-    harvest = trace_used[:n_steps].T.tolist()  # per cell, then per slot
-
-    def leaf(pos, flat, dry, bought, rent):
-        if dry:
-            box = tuple(
-                slice(p, n if dry & b else p + 1)
-                for p, n, b in zip(pos, shape, bits)
-            )
-            rent_grid[box] = rent
-            bought_grid[box] = bought
-        else:
-            rent_flat[flat] = rent
-            bought_flat[flat] = bought
-
-    def lone(k, i, e, pos, flat, dry, bought, rent):
-        """Walk on from slot k, whose OFF decisions are made, with cell i the
-        only one ON and `e` its stored energy. The points where it goes OFF at
-        a later requested index lie on one line of the grid: unless a sibling
-        is dry (then each is a box), their rents are written as one strided
-        run."""
-        bit, stride, v, p, end = bits[i], strides[i], vals[i], pos[i], last[i]
-        psi, r, col = psi_dt[bit][i], rent_dt[bit], harvest[i]
-        start, run = flat, []
-        while k < n_steps:
-            h = col[k]
-            if e + h < psi:
-                dry |= bit
+    """Slot-by-slot cost of each row along its own slots: at slot k an ON
+    cell whose OFF index has come (k >= index) goes OFF and is bought, then
+    `_slot_step` runs the slot, until no cell is ON. The buys are summed as
+    `(bought * buys).sum(axis=1)` over C-ordered rows, so a row costs the
+    same bits alone as in a batch."""
+    m = off_idx.shape[1]
+    step = _slot_step(tables, trace_used, cap, dt, n_steps)
+    rents, boughts = [], []
+    for row in off_idx.tolist():
+        mask, bought, rent, e = (1 << m) - 1, 0, 0.0, [float(e0)] * m
+        for k in range(n_steps):
+            off = 0
+            for i, idx in enumerate(row):
+                if k >= idx:
+                    off |= 1 << i
+            off &= mask
+            mask &= ~off
+            bought |= off
+            if not mask:
                 break
-            rent += r
-            e = min(e + h - psi, cap)
-            k += 1
-            if v[p] == k < n_steps:
-                if p == end:  # the last requested index: OFF here
-                    bought |= bit
-                    break
-                if dry:
-                    pos[i] = p
-                    leaf(pos, flat, dry, bought | bit, rent)
-                else:
-                    run.append(rent)
-                p += 1
-                flat += stride
-        if run:
-            rent_flat[start:flat:stride] = run
-            bought_flat[start:flat:stride] = bought | bit
-        pos[i] = p
-        leaf(pos, flat, dry, bought, rent)
-
-    def walk(k, mask, e, pos, flat, dry, bought, rent, go_off):
-        """Walk on from slot k; `go_off` (None: decide here) is the set of
-        optional cells this branch sends OFF at k."""
-        while mask and k < n_steps:
-            due = [i for i in cells[mask] if vals[i][pos[i]] == k]
-            if due:
-                forced = optional = 0
-                for i in due:
-                    if pos[i] == last[i]:
-                        forced |= bits[i]
-                    else:
-                        optional |= bits[i]
-                if go_off is None:
-                    sub = optional
-                    while sub:
-                        rest = mask & ~(forced | sub)
-                        if not rest:  # all OFF from slot k on
-                            leaf(pos, flat, dry, bought | mask, rent)
-                        elif rest in solo:  # one cell stays ON: no walk frame
-                            j = solo[rest]
-                            moved, step = pos[:], 0
-                            if rest & optional:
-                                moved[j] += 1
-                                step = strides[j]
-                            lone(k, j, e[j], moved, flat + step, dry,
-                                 bought | forced | sub, rent)
-                        else:
-                            walk(k, mask, e[:], pos[:], flat, dry, bought, rent, sub)
-                        sub = (sub - 1) & optional
-                    go_off = 0
-                off = forced | go_off
-                for i in due:
-                    if not off & bits[i]:
-                        pos[i] += 1
-                        flat += strides[i]
-                mask &= ~off
-                bought |= off
-            go_off = None
-            if mask in solo:  # m = 1, or the others went OFF or ran dry
-                i = solo[mask]
-                return lone(k, i, e[i], pos, flat, dry, bought, rent)
-            while True:
-                psi = psi_dt[mask]
-                out = 0
-                for i in cells[mask]:
-                    if e[i] + harvest[i][k] < psi[i]:
-                        out |= bits[i]
-                if not out:
-                    break
-                mask &= ~out
-                dry |= out
-            rent += rent_dt[mask]
-            for i in cells[mask]:
-                e[i] = min(e[i] + harvest[i][k] - psi[i], cap)
-            k += 1
-        leaf(pos, flat, dry, bought, rent)
-
-    walk(0, (1 << m) - 1, [float(e0)] * m, [0] * m, 0, 0, 0, 0.0, None)
-    bought = (bought_flat[rows, None] >> np.arange(m)) & 1 == 1
+            mask, rent = step(k, mask, e, rent)
+        rents.append(rent)
+        boughts.append(bought)
+    bought = (np.array(boughts, dtype=np.int64)[:, None] >> np.arange(m)) & 1 == 1
     buy_cost = (bought * tables.buys[None, :]).sum(axis=1)
-    return rent_flat[rows] + buy_cost
+    return np.array(rents, dtype=float) + buy_cost
 
 
 def all_combinations(m: int, n_steps: int) -> np.ndarray:
@@ -359,11 +271,10 @@ def optimal_cost(
     1..n_steps, the same bits as `evaluate_schedules` on that grid's `.min()`.
 
     Without possible depletion this is that closed-form grid's minimum.
-    Otherwise a depth-first walk over slot prefixes takes the grid walk's
-    float operations per slot (the voluntary OFFs, then the depletion fixed
-    point, `rent += rent_dt[mask]` and `e = min(e + h - psi, cap)`) and
-    charges a leaf `rent + buy_of[bought]`, where `buy_of` is the walk's own
-    buy sum, `(bought * buys).sum(axis=1)` over C-ordered rows, tabulated per
+    Otherwise a depth-first walk over slot prefixes makes the voluntary OFFs
+    of each slot, then takes the row evaluator's `_slot_step`, and charges a
+    leaf `rent + buy_of[bought]`, where `buy_of` is the evaluator's own buy
+    sum, `(bought * buys).sum(axis=1)` over C-ordered rows, tabulated per
     bought mask. Rents and buys are >= 0 and rounded float addition is
     monotone, so no leaf below a prefix costs less than its
     `rent + buy_of[bought]`: a prefix whose bound reaches the best leaf is
@@ -382,11 +293,7 @@ def optimal_cost(
 
     bought_rows = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
     buy_of = (bought_rows * tables.buys[None, :]).sum(axis=1).tolist()
-    bits = [1 << i for i in range(m)]
-    cells = [[i for i in range(m) if mask >> i & 1] for mask in range(1 << m)]
-    psi_dt = (tables.psi * dt).tolist()
-    rent_dt = (tables.rent_sum * dt).tolist()
-    harvest = trace_used[:n_steps].T.tolist()  # per cell, then per slot
+    step = _slot_step(tables, trace_used, cap, dt, n_steps)
     best = float("inf")
 
     def walk(k, mask, e, bought, rent):
@@ -394,18 +301,7 @@ def optimal_cost(
         the cells still ON and `e` their stored energy."""
         nonlocal best
         while True:
-            while True:
-                psi = psi_dt[mask]
-                out = 0
-                for i in cells[mask]:
-                    if e[i] + harvest[i][k] < psi[i]:
-                        out |= bits[i]
-                if not out:
-                    break
-                mask &= ~out
-            rent += rent_dt[mask]
-            for i in cells[mask]:
-                e[i] = min(e[i] + harvest[i][k] - psi[i], cap)
+            mask, rent = step(k, mask, e, rent)
             k += 1
             cost = rent + buy_of[bought]
             if cost >= best:

@@ -47,7 +47,9 @@ FAILS_MID_RUN = ["network.noise_power = 0 W\n", "network.sbs_tx_power = 0 W\n",
                  "area.width = 0\narea.height = 500\n", "network.sbs_bandwidth = 0\n",
                  "period = inf\n", "dt = inf\n", "network.file_bits = -1\n",
                  "network.file_bits = nan\n",
-                 "sweep.parameter = network.file_bits\nsweep.values = 1e5, -1\n"]
+                 "sweep.parameter = network.file_bits\nsweep.values = 1e5, -1\n",
+                 "seed = -1\n", "energy.quantum = inf\n", "energy.rate = inf\n",
+                 "energy.rate = 1e30\n"]
 
 
 # keys a cr_study would accept and then ignore
@@ -323,6 +325,18 @@ class TestMain:
             rows = list(csv.reader(fh))
         assert all(r[2] == "fixed:7" for r in rows[1:])
         assert len(rows) - 1 == 2  # 2 sweep values x 1 policy x 1 rep
+
+    @pytest.mark.parametrize("preset", ["fig7", "fig6"])
+    def test_negative_seed_exits_before_running(self, tmp_path, capsys, preset):
+        # numpy seeds no generator from a negative integer
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--preset", preset, "--runs", "1", "--seed", "-1", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="seed"):
+            replace(PRESETS[preset], master_seed=-1)
 
     def test_bad_algorithm_exits_before_running(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SWEEP)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sbsched.energy import (
+    POISSON_MEAN_MAX,
     EnergyState,
     HarvestParams,
     bs_power,
@@ -97,6 +98,18 @@ class TestHarvest:
         rng = np.random.default_rng(2)
         counts = harvest_trace(HarvestParams(20.0, 1.0), 0.1, 200_000, 1, rng)
         assert counts.var() == pytest.approx(counts.mean(), rel=0.02)
+
+    def test_largest_mean_is_numpy_s(self):
+        # the scenario accepts the largest mean numpy's sampler draws from,
+        # and rejects the next float up, which numpy would reject mid-run
+        rng = np.random.default_rng(4)
+        params = ScenarioConfig(harvest_rate=POISSON_MEAN_MAX, dt=1.0).harvest
+        assert harvest_trace(params, 1.0, 1, 1, rng).shape == (1, 1)
+        above = np.nextafter(POISSON_MEAN_MAX, np.inf)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(above)
+        with pytest.raises(ValueError, match="harvest_rate"):
+            ScenarioConfig(harvest_rate=above, dt=1.0)
 
     def test_trace_shape_and_quantization(self):
         rng = np.random.default_rng(3)

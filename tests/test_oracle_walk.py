@@ -1,22 +1,25 @@
-"""The oracle's prefix-tree walk and its bound-pruned search for the least
-cost against the per-row loop they replaced.
+"""The oracle's row evaluator and its bound-pruned search for the least
+cost, against a vectorized reference.
 
-`reference_evaluate_stepwise` and `reference_depletion_possible` are the
-earlier `oracle._evaluate_stepwise` and `oracle._depletion_possible` bodies,
-kept here as test-only references: numpy arrays over every row, one slot at a
-time. The property test requires the current functions to return exactly the
-same bytes and the same path decision, and `oracle.optimal_cost` the same
-bytes as the minimum over the study's grid.
+`reference_evaluate_stepwise` and `reference_depletion_possible` are earlier
+`oracle._evaluate_stepwise` and `oracle._depletion_possible` bodies, kept here
+as test-only references: numpy arrays over every row, one slot at a time. The
+current evaluator walks each row along its own slots in plain floats, with the
+slot step that `oracle.optimal_cost` shares. The property test requires it to
+return exactly the same bytes and the same path decision, and `optimal_cost`
+the same bytes as the minimum over the study's grid.
 """
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbsched import oracle
+from sbsched import oracle, pricing
 from sbsched.analysis import empirical_cr_study
 from sbsched.engine import Replication, ScenarioConfig
+from sbsched.network import place_nodes
 from sbsched.oracle import (
     SubsetTables,
     _depletion_possible,
@@ -25,6 +28,7 @@ from sbsched.oracle import (
     all_combinations,
     optimal_cost,
 )
+from sbsched.pricing import CostWeights
 
 
 def reference_depletion_possible(tables, trace_used, e0, cap, dt, n_steps):
@@ -110,10 +114,9 @@ def row_sets(m, n_steps, rng):
     }
 
 
-# Where one cell is left ON, the walk finishes its subtree in one loop. The
-# pinned examples reach its ends and entries: a sibling already dry when it
-# starts (seed 3), a start at the last slot (m = 1, and seed 1), a forced OFF
-# at a last requested index below n_steps, and a lone cell that runs dry.
+# The pinned examples keep the slot situations of one cell left ON: after its
+# sibling ran dry (seed 3), from the last slot on (m = 1, and seed 1), up to an
+# OFF index below n_steps, and until it runs dry itself.
 @settings(max_examples=80, deadline=None, derandomize=True)
 @example(m=3, n_steps=12, seed=0, energy="dry", exact=False, e0_share=1.0, cap_extra=0.0)
 @example(m=3, n_steps=12, seed=1, energy="wet", exact=True, e0_share=1.0, cap_extra=0.0)
@@ -202,7 +205,7 @@ def assert_optimum_is_the_grid_minimum(tables, trace_used, e0, cap, dt, n_steps,
 )
 def test_many_cells_on_a_short_period(m, n_steps, seed, energy, cheap_buys):
     # 8 or more cells: numpy sums a C-ordered row of buys pairwise, not in
-    # cell order, so the search must tabulate them with the walk's own sum.
+    # cell order, so the search must tabulate them with the evaluator's sum.
     # With "one dry" only cell 0 can run dry: it draws PSI_HI in every set,
     # so it does at slot 1, and the all-ON set's rent is negligible. The
     # others' rent after slot 1 is not, so with buys far below it the
@@ -232,6 +235,36 @@ def test_many_cells_on_a_short_period(m, n_steps, seed, energy, cheap_buys):
             ("closed form", lambda rows: _evaluate_no_depletion(tables, rows, DT, n_steps))):
         alone = [evaluate(grid[i][None, :])[0] for i in pick]
         assert np.array(alone).tobytes() == evaluate(grid)[pick].tobytes(), name
+
+
+@pytest.mark.parametrize("e0, first, n_ties", [(5.0, (3, 3), 2304), (10.0, (0, 0), 1)])
+def test_offline_exhaustive_on_a_full_depletion_grid(e0, first, n_ties):
+    # 2 served cells with small batteries and a little harvest, costed over
+    # the full grid, OFF index 0 included. With 5 J both run dry a few slots
+    # in, so every OFF index from then on ties with the best; with 10 J the
+    # buys cost less than the rent until then, and OFF at 0 alone is best.
+    rng = np.random.default_rng(1)
+    topo = place_nodes((500.0, 500.0), 3, 15, rng)
+    n_steps = 50
+    trace = 0.2 * rng.poisson(0.5, (n_steps, 3)).astype(float)
+    scenario = oracle.RecordedScenario(
+        topo=topo, weights=CostWeights(), q=0.9, file_bits=1e5, period=10.0, dt=0.2,
+        trace=trace, initial_energy=e0, capacity=100.0)
+    tables = oracle.build_tables(pricing.OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0))
+    assert tables.used.tolist() == [1, 2]
+    trace_used = trace[:, tables.used - 1]
+    args = (e0, 100.0, 0.2, n_steps)
+    assert _depletion_possible(tables, trace_used, *args)
+    grid = all_combinations(2, n_steps)
+    want = reference_evaluate_stepwise(tables, trace_used, grid, *args)
+    ties = np.flatnonzero(want == want.min())
+    # the grid is in lexicographic order, so the first tie is the smallest
+    assert ties.size == n_ties and tuple(grid[ties[0]]) == first
+
+    off_times, cost = oracle.offline_exhaustive(scenario, 0.2)
+    assert type(cost) is float
+    assert np.float64(cost).tobytes() == want.min().tobytes()
+    assert off_times.tolist() == [first[0] * 0.2, first[1] * 0.2, 0.0]
 
 
 def test_empty_batch():
