@@ -10,10 +10,16 @@ The slot loop keeps plain Python floats, and only for the cells that serve
 UEs at the period start. The others stay OFF all period, so their storage is
 the running sum of arrivals clamped at the capacity; with no served cell, the
 slot loop runs only to write trace rows. The storage step is the float
-`min(e + h - c, cap)`, as in the oracle's `_slot_step`. The policy is asked
-every slot for each served cell that may still switch. Network state
-(association, live rents, power draw, delays) is a function of the ON set and
-the SBS transmit power only: it is read from a `pricing.OnSetTable`, one per
+`min(e + h - c, cap)`, written as the oracle's `_slot_step` writes it.
+
+Policies enter the loop as data where they can. A scheduled policy (DOA,
+ROA, fixed) becomes one OFF slot per served cell after its `reset`: the
+first slot whose start is not before the cell's OFF time, where the cell
+switches OFF and buys unless it is already OFF. The storage threshold is
+`baseline_threshold`'s test, made inline. Only a policy that reads the live
+rent (adaptive) is asked `desired_on` every slot. Network state (association,
+live rents, power draw, delays) is a function of the ON set and the SBS
+transmit power only: it is read from a `pricing.OnSetTable`, one per
 transmit-power epoch. An entry is looked up only when the ON set or the
 epoch changes.
 
@@ -23,7 +29,8 @@ policy can change is computed from the record once, on first use, and shared
 by every policy run on it: the slot grid and its epochs, the served cells,
 and per period their arrivals as floats, the storage of the cells that stay
 OFF and the harvest totals. A run then pays for its served cells' slots, and
-seeds a generator for each served cell only.
+seeds a generator for each served cell only, and only for a policy that
+`draws`.
 
 Two accounting modes exist: "live" charges the instantaneous rent rate of the
 current state (the original problem), "frozen" charges the period-start flat
@@ -33,6 +40,7 @@ approximated problem).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,7 +53,7 @@ from . import network, pricing
 from .energy import POISSON_MEAN_MAX, EnergyState, HarvestParams
 from .network import Topology, dbm_to_watts
 from .pricing import CostWeights
-from .schedulers import Policy
+from .schedulers import Policy, ScheduledPolicy, ThresholdPolicy
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,10 @@ class ScenarioConfig:
         self.harvest  # HarvestParams validates the rate and the quantum
         if self.harvest_rate * self.dt > POISSON_MEAN_MAX:
             raise ValueError(f"harvest_rate * dt must not exceed {POISSON_MEAN_MAX!r}")
+        # a Poisson count is below 2**63: bound a period's arrivals, summed
+        # over its slots and cells, so that they cannot overflow
+        if not math.isfinite(self.harvest_quantum * 2**63 * self.n_steps * max(self.n_sbs, 1)):
+            raise ValueError("harvest_quantum * 2**63 * n_steps * max(n_sbs, 1) must be finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_ue < 1 or self.n_sbs < 0:
@@ -326,6 +338,18 @@ def run_period(
         frozen_psi = [all_on.psi_values[i] for i in cells]
         frozen_rent = [all_on.rent_values[j] for j in ids]
     back_on, needs_rent = policy.switches_back_on, policy.needs_rent
+    # the policy as data (see the module docstring). A cell's OFF slot is the
+    # first k with `not grid[k] < off`, so a NaN OFF time gives slot 0 and one
+    # past the last slot start gives none.
+    off_at = k_percent = None
+    if isinstance(policy, ThresholdPolicy):
+        k_percent = policy.k_percent
+        if m and cap <= 0:
+            raise ValueError("storage capacity must be positive")
+    elif isinstance(policy, ScheduledPolicy) and not needs_rent:
+        off_at = {}
+        for p, j in enumerate(ids):
+            off_at.setdefault(bisect_left(grid, policy.off_times[j]), []).append(p)
     sigma = np.zeros(n_bs, dtype=bool)
     sigma[0] = True
     sigma[ids] = True
@@ -342,24 +366,35 @@ def run_period(
 
         # voluntary decisions: a switch OFF charges the buy price once
         changed = False
-        if needs_rent:
-            if entry is None:
-                entry = table[sigma]
-            rent_now = entry.rent_values
-        for p, j in enumerate(ids):
-            if depleted[p] or not (on[p] or back_on):
-                continue
-            want_on = policy.desired_on(
-                j, t, stored[p], cap, rent_now[j] if needs_rent else None)
-            if on[p] and not want_on:
-                on[p] = sigma[j] = False
-                bought[p] = True
-            elif not on[p] and want_on:
-                on[p] = sigma[j] = True
-            else:
-                continue
-            switch[p] += 1
-            changed = True
+        if off_at is not None:
+            for p in off_at.get(k, ()):
+                if on[p]:
+                    on[p] = sigma[ids[p]] = False
+                    bought[p] = True
+                    switch[p] += 1
+                    changed = True
+        else:
+            if needs_rent:
+                if entry is None:
+                    entry = table[sigma]
+                rent_now = entry.rent_values
+            for p, j in enumerate(ids):
+                if depleted[p] or not (on[p] or back_on):
+                    continue
+                if k_percent is not None:
+                    want_on = 100.0 * stored[p] / cap > k_percent
+                else:
+                    want_on = policy.desired_on(
+                        j, t, stored[p], cap, rent_now[j] if needs_rent else None)
+                if on[p] and not want_on:
+                    on[p] = sigma[j] = False
+                    bought[p] = True
+                elif not on[p] and want_on:
+                    on[p] = sigma[j] = True
+                else:
+                    continue
+                switch[p] += 1
+                changed = True
         if changed or entry is None:
             entry = table[sigma]
 
@@ -386,6 +421,7 @@ def run_period(
             rent = frozen_rent if frozen_mode else [entry.rent_values[j] for j in ids]
             delay = entry.on_delay / m if m else 0.0
         # storage step: credit the arrivals, charge the slot, clamp at cap
+        # (`min(x, cap)` to the bit, without the builtin call)
         for p in range(m):
             if on[p]:
                 consumed = psi[p] * dt
@@ -395,9 +431,10 @@ def run_period(
                 rent_acc[p] += rent[p] * dt
                 on_acc[p] += dt
                 consumed_acc[p] += consumed
-                stored[p] = min(stored[p] + h[p] - consumed, cap)
+                x = stored[p] + h[p] - consumed
             else:
-                stored[p] = min(stored[p] + h[p], cap)
+                x = stored[p] + h[p]
+            stored[p] = cap if cap < x else x
         delay_acc += delay
 
         if trace_rows is not None:
@@ -499,7 +536,7 @@ def run_horizon(rep: Replication, policy: Policy,
     fresh policy of one kind give identical results.
     """
     cfg = rep.cfg
-    policy_rngs = rep.policy_rngs()
+    policy_rngs = rep.policy_rngs() if policy.draws else [None] * cfg.n_sbs
     energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
     results = []
     for p, trace in enumerate(rep.harvest):

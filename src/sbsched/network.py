@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -144,6 +145,16 @@ class Topology:
         return _read_only(np.ascontiguousarray(self.received_power[:, 1:]))
 
     @cached_property
+    def ue_index(self) -> np.ndarray:
+        """(n_ue,) the UE indices 0..n_ue - 1."""
+        return _read_only(np.arange(self.n_ue))
+
+    @cached_property
+    def sbs_index(self) -> np.ndarray:
+        """(n_sbs,) the 0-based SBS indices 0..n_sbs - 1."""
+        return _read_only(np.arange(self.n_sbs))
+
+    @cached_property
     def mbs_snr(self) -> np.ndarray:
         """(n_ue,) SNR of each UE to the MBS."""
         return _read_only(self.received_power[:, MBS_ID] / self.noise_power)
@@ -246,11 +257,18 @@ def place_nodes(
 
 
 def compute_gains(bs: Sequence[BsParams], ue_xy: np.ndarray) -> np.ndarray:
-    gain = np.empty((ue_xy.shape[0], len(bs)))
-    for j, b in enumerate(bs):
-        d = np.hypot(ue_xy[:, 0] - b.x, ue_xy[:, 1] - b.y)
-        gain[:, j] = [channel_gain(x, b.kind) for x in d.tolist()]
-    return gain
+    """(n_ue, n_bs) gains, each `channel_gain` of its distance bit for bit.
+
+    The logarithm and the power are taken with `math`, because numpy's
+    vectorized `log10` and `power` need not round as it does; the rest is
+    elementwise IEEE arithmetic, which rounds the same either way.
+    """
+    d = np.hypot(ue_xy[:, :1] - [b.x for b in bs], ue_xy[:, 1:] - [b.y for b in bs])
+    km = (np.maximum(d, MIN_DISTANCE) / 1000.0).ravel().tolist()
+    log_km = np.fromiter(map(math.log10, km), float, d.size).reshape(d.shape)
+    const, slope = np.array([PATH_LOSS[b.kind] for b in bs]).T
+    exponent = (-(const + slope * log_km) / 10.0).ravel().tolist()
+    return np.fromiter(map(math.pow, repeat(10.0), exponent), float, d.size).reshape(d.shape)
 
 
 def sinr_matrix(sigma: np.ndarray, topo: Topology) -> np.ndarray:
@@ -284,7 +302,7 @@ def associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
         raise ValueError("the MBS is always ON")
     metric = sinr_matrix(sigma, topo)
     serving = metric.argmax(axis=1)  # first max == lowest index
-    sinr = metric[np.arange(serving.size), serving]
+    sinr = metric[topo.ue_index, serving]
     for a in (sigma, serving, sinr):
         a.setflags(write=False)
     return NetworkState(sigma=sigma, serving=serving, sinr=sinr)

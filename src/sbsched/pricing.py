@@ -62,8 +62,9 @@ def all_rent_prices(delays: np.ndarray, power: np.ndarray, w: CostWeights) -> np
     unused and set to 0. A rent that is not finite raises
     `NonFinitePriceError`.
     """
-    rent = np.zeros(delays.size)
-    rent[1:] = w.alpha_d * delays[1:] + w.alpha_p * power
+    rent = np.empty(delays.size)
+    rent[0] = 0.0
+    np.add(w.alpha_d * delays[1:], w.alpha_p * power, out=rent[1:])
     if not np.isfinite(rent).all():
         j = int(np.flatnonzero(~np.isfinite(rent))[0])
         raise NonFinitePriceError(
@@ -143,6 +144,17 @@ class OnSetTable:
                                      buy=buy_price(phi, psi, self.w, self.period, j)))
         return tuple(tags)
 
+    @cached_property
+    def power_by_count(self) -> np.ndarray:
+        """(n_sbs, u + 1) read-only `energy.power_draw` of each SBS with 0..u
+        users attached, u the smallest SBS capacity (at most the UE count):
+        the power of an ON set whose counts are all at most u is read here."""
+        topo = self.topo
+        u = int(topo.sbs_max_users.min(initial=topo.n_ue))
+        return _read_only(energy.power_draw(
+            topo.sbs_op_power[:, None], topo.sbs_max_users[:, None], np.arange(u + 1),
+            self.q, range(1, topo.n_bs)))
+
     def __getitem__(self, sigma: np.ndarray) -> "OnSetEntry":
         key = sigma.tobytes()
         entry = self._entries.get(key)
@@ -155,7 +167,8 @@ class OnSetEntry:
     """One ON set: its `NetworkState` and the read-only values priced from
     it, all computed when the entry is made, in one pass over the
     topology's cached constants (`network.associate` and
-    `network.all_bs_delays` once each, then one power expression).
+    `network.all_bs_delays` once each); the power is read from the table's
+    `power_by_count`.
 
     - `delays`: (n_bs,) total delay of each BS.
     - `power`: (n_sbs,) draw of each SBS when ON with its members; `psi` is
@@ -174,10 +187,16 @@ class OnSetEntry:
         on = state.sigma[1:]
         self.delays = delays = _read_only(
             network.all_bs_delays(state, topo, table.file_bits))
-        self.power = power = _read_only(energy.power_draw(
-            topo.sbs_op_power, topo.sbs_max_users, state.counts[1:], table.q,
-            range(1, topo.n_bs)))
-        self.psi = psi = _read_only(np.where(on, power, 0.0))
+        counts = state.counts[1:]
+        by_count = table.power_by_count
+        if max(counts.tolist(), default=0) < by_count.shape[1]:
+            power = by_count[topo.sbs_index, counts]
+        else:  # a count above the table's: clamped, with a warning, where over capacity
+            power = energy.power_draw(topo.sbs_op_power, topo.sbs_max_users, counts,
+                                      table.q, range(1, topo.n_bs))
+        self.power = power = _read_only(power)
+        # power is finite and >= 0, so an OFF SBS's psi is +0.0
+        self.psi = psi = _read_only(power * on)
         self.rent = rent = _read_only(all_rent_prices(delays, power, table.w))
         self.rent_values: tuple[float, ...] = tuple(rent.tolist())
         self.psi_values: tuple[float, ...] = tuple(psi.tolist())

@@ -141,11 +141,17 @@ def baseline_threshold(e: float, cap: float, k_percent: float) -> bool:
 
 
 class Policy:
-    """One scheduling policy instance; reset per period, queried per slot."""
+    """One scheduling policy instance: reset per period, and `desired_on`
+    decides each slot.
+
+    `draws` says whether `reset` reads its per-cell generators; a run seeds
+    them for a policy that does, and passes None for every cell otherwise.
+    """
 
     name = "policy"
     switches_back_on = False
     needs_rent = False
+    draws = False
 
     def reset(self, tags: list[PriceTag], period: float,
               rngs: list[np.random.Generator]) -> None:
@@ -156,8 +162,13 @@ class Policy:
         raise NotImplementedError
 
 
-class _ScheduledPolicy(Policy):
-    """Common base: decide one OFF time per SBS at the period start."""
+class ScheduledPolicy(Policy):
+    """Common base: decide one OFF time per SBS at the period start.
+
+    A cell is ON while the slot start is before its OFF time. Unless the
+    policy `needs_rent`, the engine reads `off_times` after `reset` and does
+    not call `desired_on`.
+    """
 
     def __init__(self) -> None:
         self.off_times: dict[int, float] = {}
@@ -166,15 +177,16 @@ class _ScheduledPolicy(Policy):
         return t < self.off_times[j]
 
 
-class DoaPolicy(_ScheduledPolicy):
+class DoaPolicy(ScheduledPolicy):
     name = "doa"
 
     def reset(self, tags, period, rngs):
         self.off_times = {tag.sbs: doa_off_time(tag.rent, tag.buy, period) for tag in tags}
 
 
-class RoaPolicy(_ScheduledPolicy):
+class RoaPolicy(ScheduledPolicy):
     name = "roa"
+    draws = True
 
     def reset(self, tags, period, rngs):
         self.off_times = {}
@@ -186,7 +198,7 @@ class RoaPolicy(_ScheduledPolicy):
                 self.off_times[tag.sbs] = roa_off_time(tag.rent, tag.buy, mu)
 
 
-class FixedPolicy(_ScheduledPolicy):
+class FixedPolicy(ScheduledPolicy):
     """One OFF time shared by all SBSs; a time past the period means never."""
 
     def __init__(self, t_fix: float) -> None:
@@ -201,7 +213,8 @@ class FixedPolicy(_ScheduledPolicy):
 
 
 class ThresholdPolicy(Policy):
-    """Storage-threshold baseline; may switch ON and OFF every slot."""
+    """Storage-threshold baseline; may switch ON and OFF every slot. The
+    engine tests `baseline_threshold`'s expression on `k_percent` inline."""
 
     switches_back_on = True
 
@@ -218,7 +231,7 @@ class ThresholdPolicy(Policy):
         return baseline_threshold(stored, cap, self.k_percent)
 
 
-class AdaptivePolicy(_ScheduledPolicy):
+class AdaptivePolicy(ScheduledPolicy):
     """Re-derives the OFF time whenever the observed rent strictly decreases.
 
     A rent increase is outside the rule's validity; the previous schedule is

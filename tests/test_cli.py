@@ -49,7 +49,7 @@ FAILS_MID_RUN = ["network.noise_power = 0 W\n", "network.sbs_tx_power = 0 W\n",
                  "network.file_bits = nan\n",
                  "sweep.parameter = network.file_bits\nsweep.values = 1e5, -1\n",
                  "seed = -1\n", "energy.quantum = inf\n", "energy.rate = inf\n",
-                 "energy.rate = 1e30\n"]
+                 "energy.rate = 1e30\n", "energy.quantum = 1e308\n"]
 
 
 # keys a cr_study would accept and then ignore

@@ -199,6 +199,17 @@ POLICIES = st.sampled_from(["doa", "roa", "adaptive", "fixed", "threshold"]).fla
 @example(6, 80, 1000.0, 0, "threshold:50.0", "frozen", True, 55.0, 10.0, 0.05)
 @example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.3)
 @example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.05)
+# the edges of a scheduled OFF slot: an OFF time of 0, one equal to a slot
+# start (grid[3] is 0.30000000000000004) and one just below it, and a zero buy
+# price, whose DOA and ROA OFF time is 0; a threshold that keeps every cell ON
+# while it stores anything, and one that switches every cell OFF
+@example(8, 80, 2000.0, 0, "fixed:0.0", "live", False, 20.0, 20.0, 0.05)
+@example(8, 80, 2000.0, 0, "fixed:0.30000000000000004", "frozen", True, 20.0, 20.0, 0.05)
+@example(8, 80, 2000.0, 0, "fixed:0.3", "live", False, 20.0, 20.0, 0.05)
+@example(8, 80, 2000.0, 0, "threshold:0.0", "live", True, 0.0, 2.0, 0.05)
+@example(8, 80, 2000.0, 0, "threshold:100.0", "frozen", False, 100.0, 20.0, 0.05)
+@example(8, 80, 2000.0, 0, "doa", "live", False, 20.0, 2.0, 0.0)
+@example(8, 80, 2000.0, 0, "roa", "frozen", True, 20.0, 2.0, 0.0)
 @given(
     n_sbs=st.integers(2, 16),
     n_ue=st.sampled_from([30, 80]),
@@ -209,7 +220,7 @@ POLICIES = st.sampled_from(["doa", "roa", "adaptive", "fixed", "threshold"]).fla
     scheduled=st.booleans(),
     e0=st.floats(0.0, 100.0),
     harvest_rate=st.floats(0.0, 20.0),
-    alpha_b=st.sampled_from([0.05, 0.3]),
+    alpha_b=st.sampled_from([0.0, 0.05, 0.3]),
 )
 def test_slot_loop_matches_reference_exactly(
         n_sbs, n_ue, side, seed, spec, price_mode, scheduled, e0, harvest_rate,
@@ -262,3 +273,17 @@ def test_period_without_served_cells_matches_reference(traced):
         assert np.array_equal(states[0].stored, states[1].stored)
         assert rows == ref_rows
     assert np.all(states[0].stored == cfg.capacity)
+
+
+def test_threshold_without_capacity_raises():
+    # K is a share of the capacity: a zero capacity is rejected, not divided by
+    cfg = ScenarioConfig(n_sbs=8, n_ue=80, area=(2000.0, 2000.0), seed=0,
+                         initial_energy=0.0, capacity=0.0)
+    rng = np.random.default_rng(0)
+    topo = build_topology(cfg, rng)
+    trace = np.zeros((cfg.n_steps, cfg.n_sbs))
+    rngs = [None] * cfg.n_sbs
+    for run in (run_period, reference_run_period):
+        state = EnergyState.fresh(cfg.n_sbs, 0.0, 0.0)
+        with pytest.raises(ValueError, match="storage capacity must be positive"):
+            run(cfg, topo, state, make_policy("threshold:50"), rngs, trace)
