@@ -3,11 +3,11 @@
 Subpackages:
     network    -- node placement, channel gains, SINR/SNR, association, rates, delay
     energy     -- BS power model, Poisson harvesting, stored energy across periods
-    pricing    -- per-second rent price, one-time buy price, offline optimal cost
+    pricing    -- per-second rent price and one-time buy price, per ON set
     schedulers -- DOA / ROA / adaptive / baseline OFF-time policies
     oracle     -- offline exhaustive search over OFF-time schedules
     engine     -- time-stepped period simulation and metrics
-    analysis   -- closed-form and Monte Carlo competitive analysis
+    analysis   -- empirical competitive-ratio study against the offline oracle
     cli        -- experiment configuration, orchestration, and output writing
 """
 

@@ -1,7 +1,6 @@
-"""Competitive analysis: closed-form expected costs of the randomized policy,
-Monte Carlo verifiers, worst-case ratio scans, and the empirical ratio study
-that replays one-period `engine.Replication`s through both the randomized
-policy (`schedulers.RoaPolicy`, on the frozen tags) and the offline oracle.
+"""Competitive analysis: the empirical ratio study that replays one-period
+`engine.Replication`s through both the randomized policy
+(`schedulers.RoaPolicy`, on the frozen tags) and the offline oracle.
 """
 from __future__ import annotations
 
@@ -18,110 +17,11 @@ from .engine import Replication, ScenarioConfig
 # unused here; bench/test_bench.py checks that the tracer wraps these bindings
 from .engine import build_topology  # noqa: F401
 from .energy import harvest_trace  # noqa: F401
-from .schedulers import (
-    RentHistory,
-    RoaPolicy,
-    accumulated_rent,
-    adaptive_realized_off_time,
-    doa_off_time,
-)
+from .schedulers import RoaPolicy
 
 
 class DegenerateStudyError(RuntimeError):
     """A ratio study drew too many attempts without a cell to schedule."""
-
-
-E = math.e
-KAPPA = E / (E - 1.0)  # expected competitive ratio of the randomized policy
-
-
-def _check_rent_buy(rent: float, buy: float, period: float) -> None:
-    if rent <= 0 or buy < 0 or period <= 0:
-        raise ValueError("need rent > 0, buy >= 0, period > 0")
-    if rent * period < buy:
-        raise ValueError(
-            "rent*period < buy: switching OFF can never pay for itself within "
-            "the period, so the policy trivially stays ON and the randomized "
-            "analysis does not apply"
-        )
-
-
-def expected_roa_cost(rent: float, buy: float, u: float, period: float) -> float:
-    """Expected realized cost of the randomized policy when depletion is at u.
-
-    Equals kappa times the offline optimum for every u, which is what makes
-    the policy's expected competitive ratio constant.
-    """
-    _check_rent_buy(rent, buy, period)
-    if not (0.0 <= u <= period):
-        raise ValueError("u must lie in [0, period]")
-    if u < buy / rent:
-        return rent * u * KAPPA
-    return buy * KAPPA
-
-
-def mc_expected_cost(
-    rent: float, buy: float, u: float, n_samples: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, stderr) of the randomized policy's cost."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    if u == 0.0:
-        return 0.0, 0.0
-    mus = rng.uniform(size=n_samples)
-    if buy == 0.0:
-        t = np.zeros(n_samples)
-    else:
-        t = buy / rent * np.log1p(mus * (E - 1.0))
-    cost = np.where(u < t, rent * u, rent * t + buy)
-    mean = float(cost.mean())
-    stderr = float(cost.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return mean, stderr
-
-
-def expected_off_duration(rent: float, buy: float, period: float) -> float:
-    """Expected OFF duration T - E[t_off] under the randomized policy."""
-    _check_rent_buy(rent, buy, period)
-    return period - (buy / rent) / (E - 1.0)
-
-
-def worst_case_ratio_scan(
-    policy: str,
-    rent: float,
-    buy: float,
-    period: float,
-    grid_dt: float,
-    history: RentHistory | None = None,
-) -> tuple[float, float]:
-    """Maximize cost(policy, u)/offline(u) over depletion times u on a grid.
-
-    Deterministic policies use their realized cost; "roa" uses its expected
-    cost. "adaptive" requires the decreasing-rent history it reacted to.
-    Returns (max ratio, the u attaining it).
-    """
-    if grid_dt <= 0:
-        raise ValueError("grid_dt must be positive")
-    us = np.arange(1, int(round(period / grid_dt)) + 1) * grid_dt
-    if policy == "doa":
-        t_off = doa_off_time(rent, buy, period)
-        online = np.where(us < t_off, rent * us, rent * t_off + buy)
-        offline = np.minimum(rent * us, buy)
-    elif policy == "roa":
-        online = np.array([expected_roa_cost(rent, buy, u, period) for u in us])
-        offline = np.minimum(rent * us, buy)
-    elif policy == "adaptive":
-        if history is None:
-            raise ValueError("the adaptive scan needs the rent history")
-        t_off = adaptive_realized_off_time(history, buy, period)
-        acc = np.array([accumulated_rent(history, u) for u in us])
-        acc_off = accumulated_rent(history, t_off)
-        online = np.where(us < t_off, acc, acc_off + buy)
-        offline = np.minimum(acc, buy)
-    else:
-        raise ValueError(f"unsupported policy for the analytic scan: {policy!r}")
-    ratios = online / offline
-    k = int(np.argmax(ratios))
-    return float(ratios[k]), float(us[k])
 
 
 @dataclass

@@ -266,6 +266,8 @@ def _build_spec(raw: dict[str, str], lines: dict[str, int], path: str) -> Experi
         if "replications" in raw:
             raise err("runs", "set runs or replications, not both")
         n_reps = n_runs
+    if kind == "cr_study" and scenario_kwargs.get("horizon_periods", 1) != 1:
+        raise err("horizon_periods", "a cr_study runs one period")
 
     if sweep_values_text is not None:
         if sweep_param is None:

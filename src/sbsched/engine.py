@@ -168,10 +168,6 @@ class PeriodResult:
     delay_per_sbs: float
     unused_fraction: float
 
-    @property
-    def per_sbs_cost(self) -> np.ndarray:
-        return self.rent_cost + self.buy_price * self.buy_charged
-
     def to_dict(self) -> dict:
         n_used = int(self.used.sum())
         return {

@@ -288,8 +288,7 @@ def optimal_cost(
         return 0.0
     if not _depletion_possible(tables, trace_used, e0, cap, dt, n_steps):
         grid = np.maximum(all_combinations(m, n_steps), 1)
-        return float(evaluate_schedules(
-            tables, trace_used, grid, e0, cap, dt, n_steps).min())
+        return float(_evaluate_no_depletion(tables, grid, dt, n_steps).min())
 
     bought_rows = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
     buy_of = (bought_rows * tables.buys[None, :]).sum(axis=1).tolist()

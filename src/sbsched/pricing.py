@@ -1,5 +1,4 @@
-"""Operational expenditure: per-second rent prices, one-time buy prices,
-and the offline-optimal rent-or-buy cost.
+"""Operational expenditure: per-second rent prices and one-time buy prices.
 
 A cell's rent is priced in one place: `OnSetTable` holds, per ON set, the
 network state and the delay and power vectors that `all_rent_prices` weighs.
@@ -95,13 +94,6 @@ def buy_price(phi: float, psi: float, w: CostWeights, period: float, sbs: int) -
     if not math.isfinite(price):
         raise NonFinitePriceError(f"SBS {sbs}: buy price is not finite ({price!r})")
     return price
-
-
-def offline_cost(rent: float, buy: float, u: float, period: float) -> float:
-    """Offline optimum with known depletion time u: rent until u or buy at 0."""
-    if not (0.0 <= u <= period):
-        raise ValueError("depletion time must lie in [0, period]")
-    return min(rent * u, buy)
 
 
 class OnSetTable:

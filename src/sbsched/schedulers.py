@@ -29,18 +29,6 @@ def doa_off_time(rent: float, buy: float, period: float) -> float:
     return min(max(buy / rent, 0.0), period)
 
 
-def roa_off_cdf(rent: float, buy: float, t: float) -> float:
-    """Probability that the randomized policy has switched OFF by time t."""
-    if rent <= 0 or buy <= 0:
-        raise ValueError("rent and buy must be positive")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    ratio = rent / buy
-    if t >= buy / rent:
-        return 1.0
-    return (math.exp(ratio * t) - 1.0) / (E - 1.0)
-
-
 def roa_off_time(rent: float, buy: float, mu: float) -> float:
     """Inverse-CDF draw of the randomized OFF time; always in [0, b/r]."""
     if rent <= 0:
@@ -96,35 +84,6 @@ def adaptive_off_time(history: RentHistory, buy: float) -> float:
         t_change = steps[v][0]
         correction += t_change * (steps[v - 1][1] - steps[v][1])
     return buy / r_last - correction / r_last
-
-
-def accumulated_rent(history: RentHistory, t: float) -> float:
-    """Rent paid on [0, t] when the rent follows the history (last level held)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    total = 0.0
-    steps = history.steps
-    for v, (t_start, r) in enumerate(steps):
-        t_end = steps[v + 1][0] if v + 1 < len(steps) else math.inf
-        if t <= t_start:
-            break
-        total += r * (min(t, t_end) - t_start)
-    return total
-
-
-def adaptive_realized_off_time(history: RentHistory, buy: float, period: float) -> float:
-    """OFF time actually realized when the schedule is re-derived at each rent change.
-
-    The SBS switches OFF as soon as the clock reaches the currently scheduled
-    time, so a schedule that lands before the next rent change is final.
-    """
-    steps = history.steps
-    for v in range(len(steps)):
-        t_bar = adaptive_off_time(RentHistory(steps[: v + 1]), buy)
-        next_change = steps[v + 1][0] if v + 1 < len(steps) else math.inf
-        if t_bar <= next_change:
-            return min(t_bar, period)
-    return min(t_bar, period)
 
 
 def baseline_threshold(e: float, cap: float, k_percent: float) -> bool:

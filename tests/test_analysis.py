@@ -5,120 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sbsched.analysis import (
-    KAPPA,
-    DegenerateStudyError,
-    RatioReport,
-    empirical_cr_study,
-    expected_off_duration,
-    expected_roa_cost,
-    mc_expected_cost,
-    worst_case_ratio_scan,
-)
+from sbsched.analysis import DegenerateStudyError, RatioReport, empirical_cr_study
 from sbsched import energy, engine
 from sbsched.engine import ScenarioConfig
 from sbsched.network import dbm_to_watts
 from sbsched.pricing import NonFinitePriceError
-from sbsched.schedulers import RentHistory
-
-E = math.e
-
-
-class TestExpectedCost:
-    def test_kappa_value(self):
-        assert KAPPA == pytest.approx(1.581976706869, abs=1e-12)
-
-    def test_rent_branch(self):
-        # u below break-even: kappa * r * u
-        assert expected_roa_cost(1.0, 4.0, 2.0, 10.0) == pytest.approx(
-            2.0 * KAPPA, rel=1e-12
-        )
-        assert expected_roa_cost(1.0, 4.0, 2.0, 10.0) == pytest.approx(
-            3.16395, abs=1e-5
-        )
-
-    def test_buy_branch(self):
-        assert expected_roa_cost(1.0, 4.0, 6.0, 10.0) == pytest.approx(
-            4.0 * KAPPA, rel=1e-12
-        )
-        assert expected_roa_cost(1.0, 4.0, 6.0, 10.0) == pytest.approx(
-            6.32791, abs=1e-5
-        )
-
-    def test_zero_u(self):
-        assert expected_roa_cost(1.0, 4.0, 0.0, 10.0) == 0.0
-
-    def test_constant_ratio_over_u(self):
-        for u in np.linspace(0.01, 10.0, 57):
-            opt = min(1.0 * u, 4.0)
-            assert expected_roa_cost(1.0, 4.0, float(u), 10.0) / opt == (
-                pytest.approx(KAPPA, rel=1e-12)
-            )
-
-    def test_precondition_rejected(self):
-        # buy exceeding rent*period: staying ON dominates, analysis is void
-        with pytest.raises(ValueError):
-            expected_roa_cost(0.1, 4.0, 2.0, 10.0)
-        with pytest.raises(ValueError):
-            expected_roa_cost(1.0, 4.0, 11.0, 10.0)
-
-
-class TestMonteCarlo:
-    def test_matches_closed_form(self):
-        rng = np.random.default_rng(42)
-        for u in (1.0, 3.0, 4.0, 7.0):
-            mean, stderr = mc_expected_cost(1.0, 4.0, u, 200_000, rng)
-            assert abs(mean - expected_roa_cost(1.0, 4.0, u, 10.0)) < 3 * stderr
-
-    def test_zero_u(self):
-        rng = np.random.default_rng(0)
-        assert mc_expected_cost(1.0, 4.0, 0.0, 1000, rng) == (0.0, 0.0)
-
-    def test_needs_samples(self):
-        with pytest.raises(ValueError):
-            mc_expected_cost(1.0, 4.0, 1.0, 0, np.random.default_rng(0))
-
-
-class TestOffDuration:
-    def test_worked_example(self):
-        assert expected_off_duration(1.0, 4.0, 10.0) == pytest.approx(
-            7.67209, abs=1e-5
-        )
-
-    def test_closed_form(self):
-        assert expected_off_duration(1.0, 4.0, 10.0) == pytest.approx(
-            10.0 - 4.0 / (E - 1.0), rel=1e-12
-        )
-
-    def test_free_buy_limit(self):
-        # buy -> 0: switch OFF immediately, OFF for the whole period
-        assert expected_off_duration(1.0, 1e-12, 10.0) == pytest.approx(10.0)
-
-
-class TestWorstCaseScan:
-    def test_doa_ratio_two(self):
-        ratio, u_star = worst_case_ratio_scan("doa", 1.0, 4.0, 10.0, 1e-4)
-        assert ratio == pytest.approx(2.0, abs=1e-3)
-        assert abs(u_star - 4.0) <= 2e-4
-
-    def test_roa_ratio_kappa_everywhere(self):
-        ratio, _ = worst_case_ratio_scan("roa", 1.0, 4.0, 10.0, 1e-3)
-        assert ratio == pytest.approx(KAPPA, rel=1e-9)
-
-    def test_adaptive_bounded_by_two(self):
-        history = RentHistory(((0.0, 2.0), (1.0, 1.0), (2.0, 0.5)))
-        ratio, _ = worst_case_ratio_scan(
-            "adaptive", 2.0, 4.0, 10.0, 1e-3, history=history
-        )
-        assert ratio <= 2.0 + 1e-3
-
-    def test_adaptive_needs_history(self):
-        with pytest.raises(ValueError):
-            worst_case_ratio_scan("adaptive", 1.0, 4.0, 10.0, 0.01)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            worst_case_ratio_scan("genie", 1.0, 4.0, 10.0, 0.01)
 
 
 class TestRatioReport:

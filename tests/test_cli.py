@@ -54,7 +54,8 @@ FAILS_MID_RUN = ["network.noise_power = 0 W\n", "network.sbs_tx_power = 0 W\n",
 
 # keys a cr_study would accept and then ignore
 CR_STUDY_UNREAD = ["sweep.parameter = n_sbs\nsweep.values = 2, 3\n",
-                   "price_mode = frozen\n", "policies = doa\n", "policies = roa, doa\n"]
+                   "price_mode = frozen\n", "policies = doa\n", "policies = roa, doa\n",
+                   "horizon_periods = 3\n"]
 
 
 class TestParsing:
@@ -145,7 +146,8 @@ class TestParsing:
         # the study runs live-priced roa on the base scenario only
         study = "kind = cr_study\nruns = 5\n"
         spec = parse_config(write_config(
-            tmp_path, study + "policies = roa\nprice_mode = live\n", "ok.cfg"))
+            tmp_path, study + "policies = roa\nprice_mode = live\nhorizon_periods = 1\n",
+            "ok.cfg"))
         assert (spec.kind, spec.policies, spec.base.price_mode) == ("cr_study", ("roa",), "live")
         with pytest.raises(ConfigError, match=text.split()[0].split(".")[0]):
             parse_config(write_config(tmp_path, study + text))

@@ -456,8 +456,8 @@ class TestInvariants:
     def test_per_sbs_cost_sums_to_total(self):
         cfg = ScenarioConfig(seed=SEED_TWO_USED)
         for res in horizon(cfg, "doa"):
-            assert res.per_sbs_cost.sum() == pytest.approx(res.total_cost,
-                                                           rel=1e-12)
+            per_sbs_cost = res.rent_cost + res.buy_price * res.buy_charged
+            assert per_sbs_cost.sum() == pytest.approx(res.total_cost, rel=1e-12)
 
 
 class TestTxPowerSchedule:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sbsched import network, pricing
+from sbsched import network, oracle, pricing
 from sbsched.network import place_nodes
 from sbsched.oracle import (
     BudgetError,
@@ -186,6 +186,26 @@ class TestEvaluationPaths:
             N_STEPS,
         )[0]
         assert wet > dry
+
+
+class TestOptimalCost:
+    def test_closed_form_checks_depletion_once(self, monkeypatch):
+        scn = scenario_with_used(SEED_M2)
+        tables = tables_for(scn)
+        trace_used = np.full((N_STEPS, tables.used.size), 1.0)
+        args = (1e6, 1e9, DT, N_STEPS)  # no cell can run dry
+        calls = []
+        real = oracle._depletion_possible
+
+        def counted(*a):
+            calls.append(real(*a))
+            return calls[-1]
+
+        monkeypatch.setattr(oracle, "_depletion_possible", counted)
+        got = oracle.optimal_cost(tables, trace_used, *args)
+        assert calls == [False]
+        grid = np.maximum(all_combinations(tables.used.size, N_STEPS), 1)
+        assert got == _evaluate_no_depletion(tables, grid, DT, N_STEPS).min()
 
 
 class TestTables:

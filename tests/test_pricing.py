@@ -14,7 +14,6 @@ from sbsched.pricing import (
     all_rent_prices,
     buy_price,
     mbs_delay_share,
-    offline_cost,
 )
 
 
@@ -171,35 +170,6 @@ class TestNonFinitePrices:
             buy_price(2.5, 18.2, CostWeights(alpha_d=1e308), 10.0, sbs=3)
         with pytest.raises(NonFinitePriceError, match=r"SBS 2: buy price is not finite \(nan\)"):
             buy_price(np.inf, 18.2, CostWeights(alpha_d=0.0), 10.0, sbs=2)
-
-
-class TestOfflineCost:
-    def test_rent_branch(self):
-        assert offline_cost(1.0, 4.0, 2.0, 10.0) == 2.0
-
-    def test_buy_branch(self):
-        assert offline_cost(1.0, 4.0, 6.0, 10.0) == 4.0
-
-    def test_boundary(self):
-        assert offline_cost(1.0, 4.0, 4.0, 10.0) == 4.0
-
-    def test_min_identity_random(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            r, b = rng.uniform(0.01, 5.0, size=2)
-            u = rng.uniform(0.0, 10.0)
-            assert offline_cost(r, b, u, 10.0) == pytest.approx(min(r * u, b))
-
-    def test_concave_nondecreasing_in_u(self):
-        us = np.linspace(0.0, 10.0, 101)
-        vals = np.array([offline_cost(0.7, 3.0, u, 10.0) for u in us])
-        assert np.all(np.diff(vals) >= -1e-12)
-        # piecewise-linear concavity: increments never increase
-        assert np.all(np.diff(vals, 2) <= 1e-12)
-
-    def test_u_out_of_range(self):
-        with pytest.raises(ValueError):
-            offline_cost(1.0, 4.0, 11.0, 10.0)
 
 
 class TestFreezePrices:

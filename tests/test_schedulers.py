@@ -11,13 +11,10 @@ from sbsched.schedulers import (
     RentHistory,
     RoaPolicy,
     ThresholdPolicy,
-    accumulated_rent,
     adaptive_off_time,
-    adaptive_realized_off_time,
     baseline_threshold,
     doa_off_time,
     make_policy,
-    roa_off_cdf,
     roa_off_time,
 )
 
@@ -42,30 +39,6 @@ class TestDoa:
             doa_off_time(-1.0, 4.0, 10.0)
 
 
-class TestRoaCdf:
-    def test_at_zero(self):
-        assert roa_off_cdf(1.0, 4.0, 0.0) == 0.0
-
-    def test_at_break_even(self):
-        assert roa_off_cdf(1.0, 4.0, 4.0) == 1.0
-
-    def test_half_break_even(self):
-        assert roa_off_cdf(1.0, 4.0, 2.0) == pytest.approx(
-            (math.exp(0.5) - 1) / (E - 1), rel=1e-12
-        )
-        assert roa_off_cdf(1.0, 4.0, 2.0) == pytest.approx(0.37754, abs=1e-5)
-
-    def test_saturates_past_break_even(self):
-        assert roa_off_cdf(2.0, 4.0, 5.0) == 1.0
-
-    def test_monotone_and_continuous(self):
-        ts = np.linspace(0.0, 5.0, 500)
-        vals = [roa_off_cdf(1.0, 4.0, float(t)) for t in ts]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        eps = 1e-9
-        assert roa_off_cdf(1.0, 4.0, 4.0 - eps) == pytest.approx(1.0, abs=1e-6)
-
-
 class TestRoaInverse:
     def test_endpoints(self):
         assert roa_off_time(1.0, 4.0, 0.0) == 0.0
@@ -77,7 +50,8 @@ class TestRoaInverse:
     def test_round_trip(self):
         for mu in np.linspace(0.01, 0.99, 25):
             t = roa_off_time(0.7, 3.1, float(mu))
-            assert roa_off_cdf(0.7, 3.1, t) == pytest.approx(mu, abs=1e-9)
+            # the ROA OFF-time CDF on [0, b/r], (e^(rt/b) - 1) / (e - 1)
+            assert (math.exp(0.7 * t / 3.1) - 1.0) / (E - 1.0) == pytest.approx(mu, abs=1e-9)
 
     def test_support(self):
         rng = np.random.default_rng(0)
@@ -135,22 +109,19 @@ class TestAdaptive:
         for v in range(1, 4):
             h = RentHistory(THREE_STEP.steps[:v])
             t_bar = adaptive_off_time(h, 4.0)
-            assert accumulated_rent(h, t_bar) == pytest.approx(4.0, abs=1e-12)
-
-    def test_accumulated_rent_piecewise(self):
-        assert accumulated_rent(THREE_STEP, 0.5) == pytest.approx(1.0)
-        assert accumulated_rent(THREE_STEP, 1.5) == pytest.approx(2.5)
-        assert accumulated_rent(THREE_STEP, 3.0) == pytest.approx(3.5)
-
-    def test_realized_off_time_three_step(self):
-        # every re-derived schedule lands past the next rent change, so the
-        # final schedule is the realized one
-        assert adaptive_realized_off_time(THREE_STEP, 4.0, 10.0) == pytest.approx(4.0)
+            assert t_bar > h.steps[-1][0]
+            # the rent paid on [0, t_bar], each level held until the next
+            ends = [t for t, _ in h.steps[1:]] + [t_bar]
+            paid = sum(r * (end - t0) for (t0, r), end in zip(h.steps, ends))
+            assert paid == pytest.approx(4.0, abs=1e-12)
 
     def test_realized_stops_at_early_schedule(self):
         # first schedule (t=0.5) precedes the change at t=1, so it is final
-        h = RentHistory(((0.0, 8.0), (1.0, 1.0)))
-        assert adaptive_realized_off_time(h, 4.0, 10.0) == pytest.approx(0.5)
+        pol = AdaptivePolicy()
+        pol.reset([PriceTag(sbs=1, rent=8.0, buy=4.0)], 10.0, [])
+        assert pol.desired_on(1, 0.4, 60.0, 100.0, 8.0)
+        assert not pol.desired_on(1, 0.5, 60.0, 100.0, 8.0)
+        assert not pol.desired_on(1, 1.0, 60.0, 100.0, 1.0)
 
 
 class TestBaselines:
