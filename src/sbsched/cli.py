@@ -387,7 +387,11 @@ def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -
             rows += out
             totals_arr = np.array(totals)
             n = totals_arr.size
-            ci = 1.96 * float(totals_arr.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+            # a power-of-two scale changes no bit of the spread, and keeps
+            # totals near the float maximum from overflowing when squared
+            e = math.frexp(float(np.abs(totals_arr).max()))[1]
+            std = math.ldexp(float(np.ldexp(totals_arr, -e).std(ddof=1)), e) if n > 1 else 0.0
+            ci = 1.96 * std / math.sqrt(n)
             summary["cells"].append({
                 "sweep_parameter": param,
                 "sweep_value": value,

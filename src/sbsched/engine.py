@@ -12,12 +12,13 @@ the running sum of arrivals clamped at the capacity; with no served cell, the
 slot loop runs only to write trace rows. The storage step is the float
 `min(e + h - c, cap)`, written as the oracle's `_slot_step` writes it.
 
-Policies enter the loop as data where they can. A scheduled policy (DOA,
-ROA, fixed) becomes one OFF slot per served cell after its `reset`: the
-first slot whose start is not before the cell's OFF time, where the cell
-switches OFF and buys unless it is already OFF. The storage threshold is
-`baseline_threshold`'s test, made inline. Only a policy that reads the live
-rent (adaptive) is asked `desired_on` every slot. Network state (association,
+Policies enter the loop as data. A scheduled policy (DOA, ROA, fixed,
+adaptive) becomes one OFF slot per served cell after its `reset`: the first
+slot whose start is not before the cell's OFF time, where the cell switches
+OFF and buys unless it is already OFF. Adaptive moves an ON cell's OFF slot
+when `AdaptivePolicy.observe` sees its live rent fall; a rent changes only
+with the table entry, so it is observed when a slot starts on a new one.
+The storage threshold is a test made inline. Network state (association,
 live rents, power draw, delays) is a function of the ON set and the SBS
 transmit power only: it is read from a `pricing.OnSetTable`, one per
 transmit-power epoch. An entry is looked up only when the ON set or the
@@ -53,7 +54,7 @@ from . import network, pricing
 from .energy import POISSON_MEAN_MAX, EnergyState, HarvestParams
 from .network import Topology, dbm_to_watts
 from .pricing import CostWeights
-from .schedulers import Policy, ScheduledPolicy, ThresholdPolicy
+from .schedulers import AdaptivePolicy, Policy, ThresholdPolicy
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,10 @@ class ScenarioConfig:
             raise ValueError("sbs_max_users and mbs_max_users must be >= 1")
         if not all(0.0 < side < math.inf for side in self.area):
             raise ValueError("area width and height must be positive and finite")
+        # no link is longer than the area's diagonal, nor has a smaller gain
+        if not min(network.channel_gain(math.hypot(*self.area), kind)
+                   for kind in network.PATH_LOSS) > 0.0:
+            raise ValueError("area is too large: a channel gain across it is 0")
         for kind, tx, op in (("mbs", self.mbs_tx_power, self.mbs_op_power),
                              ("sbs", self.sbs_tx_power, self.sbs_op_power)):
             if not 0.0 < tx <= op < math.inf:
@@ -333,25 +338,27 @@ def run_period(
         all_on = table[np.ones(n_bs, dtype=bool)]
         frozen_psi = [all_on.psi_values[i] for i in cells]
         frozen_rent = [all_on.rent_values[j] for j in ids]
-    back_on, needs_rent = policy.switches_back_on, policy.needs_rent
     # the policy as data (see the module docstring). A cell's OFF slot is the
     # first k with `not grid[k] < off`, so a NaN OFF time gives slot 0 and one
-    # past the last slot start gives none.
-    off_at = k_percent = None
+    # past the last slot start gives none. A moved slot is never before the
+    # current one, and the cell is skipped at its old one.
+    k_percent = None
+    adaptive = isinstance(policy, AdaptivePolicy)
     if isinstance(policy, ThresholdPolicy):
         k_percent = policy.k_percent
         if m and cap <= 0:
             raise ValueError("storage capacity must be positive")
-    elif isinstance(policy, ScheduledPolicy) and not needs_rent:
+    else:
+        off_slot = [bisect_left(grid, policy.off_times[j]) for j in ids]
         off_at = {}
-        for p, j in enumerate(ids):
-            off_at.setdefault(bisect_left(grid, policy.off_times[j]), []).append(p)
+        for p, slot in enumerate(off_slot):
+            off_at.setdefault(slot, []).append(p)
     sigma = np.zeros(n_bs, dtype=bool)
     sigma[0] = True
     sigma[ids] = True
     # table[sigma], looked up when the ON set or the epoch changes, and the
-    # entries that `psi` and the accrual values were last read from
-    entry = psi_entry = slot_entry = None
+    # entries that `psi`, the accrual values and the observed rents were read from
+    entry = psi_entry = slot_entry = rent_entry = None
 
     for k in range(n_steps if m or trace_rows is not None else 0):
         t = grid[k]
@@ -362,26 +369,28 @@ def run_period(
 
         # voluntary decisions: a switch OFF charges the buy price once
         changed = False
-        if off_at is not None:
+        if k_percent is None:
+            if adaptive:
+                if entry is None:
+                    entry = table[sigma]
+                if entry is not rent_entry:  # a rent changes only with the entry
+                    rent_entry = entry
+                    for p, j in enumerate(ids):
+                        if on[p] and policy.observe(j, t, entry.rent_values[j]):
+                            slot = max(bisect_left(grid, policy.off_times[j]), k)
+                            off_slot[p] = slot
+                            off_at.setdefault(slot, []).append(p)
             for p in off_at.get(k, ()):
-                if on[p]:
+                if on[p] and off_slot[p] == k:
                     on[p] = sigma[ids[p]] = False
                     bought[p] = True
                     switch[p] += 1
                     changed = True
         else:
-            if needs_rent:
-                if entry is None:
-                    entry = table[sigma]
-                rent_now = entry.rent_values
             for p, j in enumerate(ids):
-                if depleted[p] or not (on[p] or back_on):
+                if depleted[p]:
                     continue
-                if k_percent is not None:
-                    want_on = 100.0 * stored[p] / cap > k_percent
-                else:
-                    want_on = policy.desired_on(
-                        j, t, stored[p], cap, rent_now[j] if needs_rent else None)
+                want_on = 100.0 * stored[p] / cap > k_percent
                 if on[p] and not want_on:
                     on[p] = sigma[j] = False
                     bought[p] = True

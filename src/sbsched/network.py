@@ -86,13 +86,8 @@ class BsParams:
             raise ValueError("powers must be positive")
         if self.max_users < 1:
             raise ValueError("max_users must be >= 1")
-        if not (0.0 < self.tx_fraction <= 1.0):
+        if self.tx_power > self.op_power_max:
             raise ValueError("tx power must not exceed operational power")
-
-    @property
-    def tx_fraction(self) -> float:
-        """Fraction of operational power spent on transmission."""
-        return self.tx_power / self.op_power_max
 
 
 @dataclass(frozen=True)

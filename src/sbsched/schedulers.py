@@ -1,7 +1,9 @@
 """OFF-time policies: deterministic (DOA), randomized (ROA), the adaptive
 rule for piecewise-decreasing rent, and the fixed-time / storage-threshold
 baselines. Pure decision functions live at module level; the Policy classes
-adapt them to the step-driven engine.
+state them as the data the engine's slot loop reads: one OFF time per served
+cell, which `adaptive` moves when it observes a lower rent, or a storage
+threshold.
 """
 from __future__ import annotations
 
@@ -86,54 +88,35 @@ def adaptive_off_time(history: RentHistory, buy: float) -> float:
     return buy / r_last - correction / r_last
 
 
-def baseline_threshold(e: float, cap: float, k_percent: float) -> bool:
-    """ON iff the storage charge percentage strictly exceeds the threshold."""
-    if cap <= 0:
-        raise ValueError("storage capacity must be positive")
-    if not (0.0 <= k_percent <= 100.0):
-        raise ValueError("threshold must lie in [0, 100]")
-    return 100.0 * e / cap > k_percent
-
-
 # ---------------------------------------------------------------------------
-# Step-driven policy objects used by the engine.
+# Policy objects, which the engine reads as data.
 
 
 class Policy:
-    """One scheduling policy instance: reset per period, and `desired_on`
-    decides each slot.
+    """One scheduling policy instance, reset per period: either a
+    `ScheduledPolicy` or the `ThresholdPolicy`.
 
     `draws` says whether `reset` reads its per-cell generators; a run seeds
     them for a policy that does, and passes None for every cell otherwise.
     """
 
     name = "policy"
-    switches_back_on = False
-    needs_rent = False
     draws = False
 
     def reset(self, tags: list[PriceTag], period: float,
               rngs: list[np.random.Generator]) -> None:
         raise NotImplementedError
 
-    def desired_on(self, j: int, t: float, stored: float, cap: float,
-                   rent_now: float | None) -> bool:
-        raise NotImplementedError
-
 
 class ScheduledPolicy(Policy):
     """Common base: decide one OFF time per SBS at the period start.
 
-    A cell is ON while the slot start is before its OFF time. Unless the
-    policy `needs_rent`, the engine reads `off_times` after `reset` and does
-    not call `desired_on`.
+    A cell is ON while the slot start is before its OFF time; the engine
+    reads `off_times` after `reset`.
     """
 
     def __init__(self) -> None:
         self.off_times: dict[int, float] = {}
-
-    def desired_on(self, j, t, stored, cap, rent_now):
-        return t < self.off_times[j]
 
 
 class DoaPolicy(ScheduledPolicy):
@@ -172,10 +155,9 @@ class FixedPolicy(ScheduledPolicy):
 
 
 class ThresholdPolicy(Policy):
-    """Storage-threshold baseline; may switch ON and OFF every slot. The
-    engine tests `baseline_threshold`'s expression on `k_percent` inline."""
-
-    switches_back_on = True
+    """Storage-threshold baseline: a served cell is ON in a slot iff its
+    storage is strictly above `k_percent` % of the capacity, which must be
+    positive. The engine makes the test inline, in every slot."""
 
     def __init__(self, k_percent: float) -> None:
         if not 0.0 <= k_percent <= 100.0:
@@ -186,9 +168,6 @@ class ThresholdPolicy(Policy):
     def reset(self, tags, period, rngs):
         pass
 
-    def desired_on(self, j, t, stored, cap, rent_now):
-        return baseline_threshold(stored, cap, self.k_percent)
-
 
 class AdaptivePolicy(ScheduledPolicy):
     """Re-derives the OFF time whenever the observed rent strictly decreases.
@@ -198,7 +177,6 @@ class AdaptivePolicy(ScheduledPolicy):
     """
 
     name = "adaptive"
-    needs_rent = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -218,16 +196,28 @@ class AdaptivePolicy(ScheduledPolicy):
             else:
                 self.off_times[tag.sbs] = period
 
-    def desired_on(self, j, t, stored, cap, rent_now):
-        if rent_now is not None and j in self.histories:
-            last = self.histories[j].steps[-1][1]
-            if last - rent_now > RENT_RTOL * last:
-                # a lower live rent at the start replaces the frozen tag's level
-                self.histories[j] = (
-                    RentHistory(((0.0, rent_now),)) if t == 0.0
-                    else self.histories[j].extended(t, rent_now))
-                self.off_times[j] = adaptive_off_time(self.histories[j], self.buys[j])
-        return t < self.off_times[j]
+    def observe(self, j: int, t: float, rent: float) -> bool:
+        """Take SBS `j`'s live rent at time `t`; return whether its OFF time
+        moved. Observing the last rent seen again changes nothing."""
+        history = self.histories.get(j)
+        if history is None:
+            return False
+        last = history.steps[-1][1]
+        if not last - rent > RENT_RTOL * last:
+            return False
+        if rent <= 0.0:
+            # a zero rent adds nothing: a cell that has not paid the buy
+            # price by now never will, and stays ON
+            del self.histories[j]
+            if t < self.off_times[j]:
+                self.off_times[j] = self.period
+                return True
+            return False
+        # a lower live rent at the start replaces the frozen tag's level
+        self.histories[j] = (RentHistory(((0.0, rent),)) if t == 0.0
+                             else history.extended(t, rent))
+        self.off_times[j] = adaptive_off_time(self.histories[j], self.buys[j])
+        return True
 
 
 def make_policy(spec: str) -> Policy:

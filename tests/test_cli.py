@@ -1,15 +1,22 @@
 import csv
 import json
+import math
+import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sbsched.cli import (
     ConfigError,
     ExperimentSpec,
     PRESETS,
     RESULTS_COLUMNS,
+    SCENARIO_KEYS,
     main,
     parse_config,
     run_experiment,
@@ -49,7 +56,22 @@ FAILS_MID_RUN = ["network.noise_power = 0 W\n", "network.sbs_tx_power = 0 W\n",
                  "network.file_bits = nan\n",
                  "sweep.parameter = network.file_bits\nsweep.values = 1e5, -1\n",
                  "seed = -1\n", "energy.quantum = inf\n", "energy.rate = inf\n",
-                 "energy.rate = 1e30\n", "energy.quantum = 1e308\n"]
+                 "energy.rate = 1e30\n", "energy.quantum = 1e308\n",
+                 "area.width = 1e300\narea.height = 1e300\n"]
+
+
+# the power step at 1 s moves every UE of a served cell to the MBS before
+# b/r, so the cell's live rent becomes 0
+ZERO_LIVE_RENT = """seed = 1
+replications = 1
+policies = adaptive
+n_sbs = 6
+area.width = 1000
+area.height = 1000
+power.q = 0
+cost.alpha_b = 1
+network.sbs_tx_schedule = 0:30 dBm, 1:0 dBm
+"""
 
 
 # keys a cr_study would accept and then ignore
@@ -475,6 +497,20 @@ class TestMain:
         assert (out_a / "results.csv").read_bytes() != (
             out_b / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("text", [
+        ZERO_LIVE_RENT, ZERO_LIVE_RENT.replace("power.q = 0", "cost.alpha_p = 0")])
+    def test_adaptive_on_a_zero_live_rent_never_buys(self, tmp_path, text):
+        # a zero rent never adds up to the buy price, so the served cell stays
+        # ON until the period ends or its battery runs dry
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out)]) == 0
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["n_used"] == "1" and row["buy_count"] == "0"
+
     @pytest.mark.parametrize("algorithm", ["doa", "roa", "adaptive", "fixed:7",
                                            "threshold:50"])
     @pytest.mark.parametrize("preset", sorted(
@@ -490,3 +526,138 @@ class TestMain:
         n_values = max(len(spec.sweep_values), 1)
         assert len(rows) == n_values * 2 * spec.base.horizon_periods
         assert {r[2] for r in rows} == {algorithm}
+
+
+# Values for every scenario key, kept tiny: at most 3 SBSs, 2 replications
+# and 20 slots (period and dt are always set). A key takes an ordinary value,
+# or, in one config in two, an extreme one a time in four, which may be
+# invalid.
+KEY_VALUES = {
+    "period": (["1", "2", "0.5"], ["0", "inf", "-1"]),
+    "dt": (["0.1", "0.25", "0.5"], ["0.3", "0", "nan"]),
+    "horizon_periods": (["1", "2"], ["0"]),
+    "n_sbs": (["1", "2", "3"], ["0", "-1"]),
+    "n_ue": (["5", "20"], ["1", "0"]),
+    "network.mbs_tx_power": (["33 dBm", "20 W"], ["1e-30 W", "-300 dBm", "0 W"]),
+    "network.sbs_tx_power": (["23 dBm", "33 dBm", "0 dBm"], ["1e-30 W", "-300 dBm"]),
+    "network.mbs_op_power": (["20 W", "40 W"], ["1 W", "1e300 W"]),
+    "network.sbs_op_power": (["10 W", "8 W", "20 W"], ["1 W", "1e300 W"]),
+    "network.mbs_bandwidth": (["10e6", "1e5"], ["1", "1e300", "0"]),
+    "network.sbs_bandwidth": (["10e6", "1e5"], ["1", "1e300", "0"]),
+    "network.mbs_max_users": (["50", "5"], ["1", "0"]),
+    "network.sbs_max_users": (["10", "2"], ["1", "0"]),
+    "network.noise_power": (["-104 dBm", "-90 dBm"], ["-300 dBm", "1 W", "0 W"]),
+    "network.sbs_tx_schedule": (["0:30 dBm, 1:0 dBm", "0.2:0.6 W, 0.4:2 W", "0:23 dBm"],
+                                ["0:1e300 W", "1:30 dBm, 0:20 dBm", "5:20 dBm"]),
+    "network.file_bits": (["1e5", "1e7"], ["1", "1e300", "0"]),
+    "energy.rate": (["20", "0", "100"], ["1e300", "-1"]),
+    "energy.quantum": (["0.2", "5"], ["0", "1e308", "nan"]),
+    "energy.initial": (["60", "0", "10", "100"], ["200", "-1"]),
+    "energy.capacity": (["100", "150"], ["0", "50", "1e300"]),
+    "power.q": (["0.9", "0", "1"], ["2"]),
+    "cost.alpha_d": (["0.05", "0", "1"], ["1e308", "-1"]),
+    "cost.alpha_p": (["0.05", "0", "1"], ["1e308"]),
+    "cost.alpha_b": (["0.05", "0", "1"], ["1e308"]),
+    "price_mode": (["live", "frozen"], ["other"]),
+}
+AREAS = ([None, ("500", "500"), ("2000", "300")],
+         [("1e300", "1e300"), ("0", "500"), ("1000", None)])
+ALWAYS_SET = ("period", "dt", "n_sbs")
+POLICY_SPECS = ["roa", "doa", "adaptive", "fixed:0", "fixed:0.5", "fixed:1e9",
+                "threshold:0", "threshold:50", "threshold:100"]
+# the lines a cr_study rejects, kept in one config in five
+CR_STUDY_STRAYS = ("policies", "sweep.parameter", "sweep.values", "price_mode",
+                   "horizon_periods", "network.sbs_tx_schedule")
+
+
+@st.composite
+def config_texts(draw):
+    wild = draw(st.booleans())
+
+    def pick(ordinary, extreme):
+        if not wild:
+            return st.sampled_from(ordinary)
+        return st.integers(0, 3).flatmap(
+            lambda i: st.sampled_from(extreme if i == 0 else ordinary))
+
+    keys = draw(st.fixed_dictionaries(
+        {key: pick(*KEY_VALUES[key]) for key in ALWAYS_SET},
+        optional={key: pick(*values) for key, values in KEY_VALUES.items()
+                  if key not in ALWAYS_SET}))
+    area = draw(pick(*AREAS))
+    if area is not None:
+        keys["area.width"] = area[0]
+        if area[1] is not None:
+            keys["area.height"] = area[1]
+    keys["seed"] = str(draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        keys["policies"] = ", ".join(draw(st.lists(
+            st.sampled_from(POLICY_SPECS), min_size=1, max_size=3, unique=True)))
+    if draw(st.booleans()):
+        param = draw(st.sampled_from(sorted(KEY_VALUES)))
+        keys["sweep.parameter"] = param
+        keys["sweep.values"] = ", ".join(draw(st.lists(pick(*KEY_VALUES[param]),
+                                                       min_size=1, max_size=2)))
+    count = str(draw(st.integers(1, 2)))
+    if draw(st.integers(0, 3)) == 0:
+        keys.update({"kind": "cr_study", "runs": count})
+        if draw(st.integers(0, 4)):
+            for key in CR_STUDY_STRAYS:
+                keys.pop(key, None)
+    else:
+        keys["replications"] = count
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+def assert_finite_numbers(out: Path) -> None:
+    """Every number in every CSV field and JSON value written is finite."""
+    def walk(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            for item in value:
+                walk(item)
+        elif isinstance(value, float):
+            assert math.isfinite(value)
+
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            walk(json.loads(path.read_text()))
+        else:
+            with open(path) as fh:
+                for row in csv.reader(fh):
+                    for field in row:
+                        try:
+                            number = float(field)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(number), (path.name, row)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(text=ZERO_LIVE_RENT, trace=False)
+@given(text=config_texts(), trace=st.booleans())
+def test_an_accepted_config_runs_to_a_clean_exit(text, trace):
+    # what the parser accepts, the run completes: exit 2 for a config that is
+    # rejected, 3 for a failure that depends on the draws, and 0 otherwise,
+    # with only finite numbers written
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        out = Path(tmp) / "new" / "out"
+        argv = ["--config", str(cfg), "--out-dir", str(out)] + (["--trace"] if trace else [])
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        assert status in (0, 2, 3), text
+        if status == 0:
+            assert_finite_numbers(out)
+        else:
+            assert not out.parent.exists()
+
+
+def test_the_fuzzed_values_cover_every_scenario_key():
+    assert set(KEY_VALUES) == set(SCENARIO_KEYS)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from sbsched.engine import Replication, ScenarioConfig, epoch_tables, run_horizon
+from sbsched.network import BsParams, Topology, dbm_to_watts
 from sbsched.pricing import PriceTag
 from sbsched.schedulers import (
     AdaptivePolicy,
@@ -12,13 +14,34 @@ from sbsched.schedulers import (
     RoaPolicy,
     ThresholdPolicy,
     adaptive_off_time,
-    baseline_threshold,
     doa_off_time,
     make_policy,
     roa_off_time,
 )
 
 E = math.e
+
+
+def run_one_cell(policy, initial, harvest):
+    """One period of eight 0.125 s slots on a record built from arrays: one
+    SBS serves one UE and draws 8 W, so a slot ON costs exactly 1 J;
+    `harvest` is credited in the first slots."""
+    cfg = ScenarioConfig(period=1.0, dt=0.125, horizon_periods=1, n_sbs=1, n_ue=1,
+                         q=1.0, sbs_op_power=8.0, initial_energy=initial)
+    bs = (BsParams(id=0, kind="MBS", x=0.0, y=0.0, tx_power=dbm_to_watts(33.0),
+                   op_power_max=20.0, bandwidth=10e6, max_users=50),
+          BsParams(id=1, kind="SBS", x=0.0, y=0.0, tx_power=dbm_to_watts(23.0),
+                   op_power_max=8.0, bandwidth=10e6, max_users=10))
+    topo = Topology(bs=bs, ue=np.zeros((1, 2)), gain=np.array([[1e-13, 1e-10]]),
+                    noise_power=dbm_to_watts(-104.0), area=(500.0, 500.0))
+    trace = np.zeros((cfg.n_steps, 1))
+    trace[:len(harvest), 0] = harvest
+    trace.flags.writeable = False
+    rep = Replication(cfg, topo, tuple(epoch_tables(cfg, topo)), (trace,),
+                      np.random.SeedSequence(0))
+    (res,) = run_horizon(rep, policy)
+    assert res.used[0]
+    return res
 
 
 class TestDoa:
@@ -116,12 +139,15 @@ class TestAdaptive:
             assert paid == pytest.approx(4.0, abs=1e-12)
 
     def test_realized_stops_at_early_schedule(self):
-        # first schedule (t=0.5) precedes the change at t=1, so it is final
+        # the first schedule (t = 0.5) precedes the change at t = 1, so it is
+        # final: a lower rent seen after it leaves the OFF time at or before
+        # the time it is seen, and the engine switches the cell OFF then
         pol = AdaptivePolicy()
         pol.reset([PriceTag(sbs=1, rent=8.0, buy=4.0)], 10.0, [])
-        assert pol.desired_on(1, 0.4, 60.0, 100.0, 8.0)
-        assert not pol.desired_on(1, 0.5, 60.0, 100.0, 8.0)
-        assert not pol.desired_on(1, 1.0, 60.0, 100.0, 1.0)
+        assert not pol.observe(1, 0.4, 8.0)
+        assert pol.off_times[1] == 0.5
+        pol.observe(1, 1.0, 1.0)
+        assert pol.off_times[1] <= 1.0
 
 
 class TestBaselines:
@@ -131,13 +157,6 @@ class TestBaselines:
             pol = FixedPolicy(t_fix)
             pol.reset(tags, 10.0, [])
             assert pol.off_times == {1: off}
-
-    def test_threshold(self):
-        assert baseline_threshold(50.0, 100.0, 40.0)
-        assert not baseline_threshold(30.0, 100.0, 40.0)
-        assert not baseline_threshold(40.0, 100.0, 40.0)  # strict
-        with pytest.raises(ValueError):
-            baseline_threshold(1.0, 0.0, 40.0)
 
 
 class TestPolicyObjects:
@@ -150,9 +169,7 @@ class TestPolicyObjects:
     def test_doa_policy(self):
         pol = DoaPolicy()
         pol.reset(self.tags(), 10.0, self.rngs())
-        assert pol.desired_on(1, 3.9, 60.0, 100.0, None)
-        assert not pol.desired_on(1, 4.0, 60.0, 100.0, None)
-        assert not pol.desired_on(2, 2.0, 60.0, 100.0, None)
+        assert pol.off_times == {1: 4.0, 2: 2.0}
 
     def test_roa_policy_support_and_determinism(self):
         pol = RoaPolicy()
@@ -166,39 +183,53 @@ class TestPolicyObjects:
     def test_fixed_policy(self):
         pol = FixedPolicy(7.0)
         pol.reset(self.tags(), 10.0, self.rngs())
-        assert pol.desired_on(1, 6.9, 0.0, 100.0, None)
-        assert not pol.desired_on(1, 7.0, 0.0, 100.0, None)
+        assert pol.off_times == {1: 7.0, 2: 7.0}
 
     def test_threshold_policy_flips_both_ways(self):
-        pol = ThresholdPolicy(50.0)
-        pol.reset(self.tags(), 10.0, self.rngs())
-        assert pol.switches_back_on
-        assert pol.desired_on(1, 0.0, 60.0, 100.0, None)
-        assert not pol.desired_on(1, 1.0, 40.0, 100.0, None)
-        assert pol.desired_on(1, 2.0, 55.0, 100.0, None)
+        # 51 J > 50% of 100 J: ON in slot 0, which leaves 50 J; 50 is not
+        # above 50, so OFF in slot 1, whose 5 J bring it back ON in slot 2;
+        # five slots later it is down to 50 J and OFF again
+        res = run_one_cell(ThresholdPolicy(50.0), 51.0, [0.0, 5.0])
+        assert res.switch_count[0] == 3 and res.on_time[0] == 0.75
+        assert res.buy_charged[0] and res.total_cost == res.rent_cost[0] + res.buy_price[0]
+        assert np.isnan(res.depleted_at[0])
 
     def test_adaptive_policy_tracks_decreasing_rent(self):
         pol = AdaptivePolicy()
         pol.reset([PriceTag(sbs=1, rent=2.0, buy=4.0)], 10.0, self.rngs())
         assert pol.off_times[1] == pytest.approx(2.0)
-        assert pol.desired_on(1, 1.0, 60.0, 100.0, 1.0)
+        assert pol.observe(1, 1.0, 1.0)
         assert pol.off_times[1] == pytest.approx(3.0)
-        assert pol.desired_on(1, 2.0, 60.0, 100.0, 0.5)
+        assert pol.observe(1, 2.0, 0.5)
         assert pol.off_times[1] == pytest.approx(4.0)
-        assert not pol.desired_on(1, 4.0, 60.0, 100.0, 0.5)
+        assert not pol.observe(1, 3.0, 0.5)  # the same rent again moves nothing
+        assert pol.off_times[1] == pytest.approx(4.0)
 
     def test_adaptive_policy_lower_rent_at_start_replaces_the_tag(self):
         pol = AdaptivePolicy()
         pol.reset([PriceTag(sbs=1, rent=2.0, buy=4.0)], 10.0, self.rngs())
-        assert pol.desired_on(1, 0.0, 60.0, 100.0, 1.0)
+        assert pol.observe(1, 0.0, 1.0)
         assert pol.histories[1].steps == ((0.0, 1.0),)
         assert pol.off_times[1] == pytest.approx(4.0)
 
     def test_adaptive_policy_holds_on_increase(self):
         pol = AdaptivePolicy()
         pol.reset([PriceTag(sbs=1, rent=2.0, buy=4.0)], 10.0, self.rngs())
-        assert pol.desired_on(1, 1.0, 60.0, 100.0, 3.0)  # increase: schedule kept
+        assert not pol.observe(1, 1.0, 3.0)  # increase: schedule kept
         assert pol.off_times[1] == pytest.approx(2.0)
+
+    def test_adaptive_policy_zero_rent_never_switches_off(self):
+        # a zero rent never adds up to the buy price: a cell that has not
+        # paid it yet stays ON to the period's end, and is no longer tracked
+        pol = AdaptivePolicy()
+        pol.reset([PriceTag(sbs=1, rent=2.0, buy=4.0)], 10.0, self.rngs())
+        assert pol.observe(1, 1.0, 0.0)
+        assert pol.off_times[1] == 10.0 and 1 not in pol.histories
+        assert not pol.observe(1, 2.0, 1.0)
+        # one that has paid it by its OFF time at 2 s is OFF from then on
+        pol.reset([PriceTag(sbs=1, rent=2.0, buy=4.0)], 10.0, self.rngs())
+        assert not pol.observe(1, 2.0, 0.0)
+        assert pol.off_times[1] == 2.0
 
     def test_make_policy(self):
         assert isinstance(make_policy("doa"), DoaPolicy)

@@ -2,9 +2,12 @@
 
 `reference_run_period` is the earlier `engine.run_period` body, kept here as a
 test-only reference: numpy arrays over every cell, and one ON-set table per
-period. The property test
-requires every `PeriodResult` field, the energy state and every trace row of
-the current engine to be exactly equal to it.
+period. It states each decision itself, in every slot: a scheduled cell is ON
+while `t < off_times[j]`, a threshold cell while its charge percentage
+exceeds K, and adaptive observes every ON cell's live rent in every slot,
+where the engine observes only when the slot starts on a new table entry.
+The property test requires every `PeriodResult` field, the energy state and
+every trace row of the current engine to be exactly equal to it.
 """
 import math
 from dataclasses import fields
@@ -24,7 +27,7 @@ from sbsched.engine import (
     run_period,
 )
 from sbsched.network import dbm_to_watts
-from sbsched.schedulers import make_policy
+from sbsched.schedulers import AdaptivePolicy, ThresholdPolicy, make_policy
 
 
 def update_storage(e: float, harvested: float, consumed: float, cap: float) -> float:
@@ -80,18 +83,24 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
     harvested_total = np.zeros(n_sbs)
     delay_acc = 0.0
     frozen_mode = cfg.price_mode == "frozen"
+    threshold = isinstance(policy, ThresholdPolicy)
+    adaptive = isinstance(policy, AdaptivePolicy)
 
     def apply_policy():
         for j in range(1, n_bs):
             i = j - 1
             if not used[i] or depleted[i]:
                 continue
-            if not sigma[j] and not policy.switches_back_on:
-                continue
-            want_on = policy.desired_on(
-                j, t, energy.stored[i], energy.capacity,
-                None if rent_now is None else float(rent_now[j]),
-            )
+            if threshold:
+                if energy.capacity <= 0:
+                    raise ValueError("storage capacity must be positive")
+                want_on = 100.0 * energy.stored[i] / energy.capacity > policy.k_percent
+            elif not sigma[j]:
+                continue  # a scheduled cell never switches back ON
+            else:
+                if adaptive:
+                    policy.observe(j, t, float(rent_now[j]))
+                want_on = t < policy.off_times[j]
             if sigma[j] and not want_on:
                 sigma[j] = False
                 switch[i] += 1
@@ -123,7 +132,7 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
         h = trace[k]
         harvested_total += h
         depleted = ~np.isnan(depleted_at)
-        rent_now = table[sigma].rent if policy.needs_rent else None
+        rent_now = table[sigma].rent if adaptive else None
 
         apply_policy()
         entry, psi = apply_depletion()
@@ -182,6 +191,10 @@ def assert_identical(a, b):
 
 TX_SCHEDULE = ((0.0, dbm_to_watts(20.0)), (2.5, dbm_to_watts(26.0)),
                (6.0, dbm_to_watts(23.0)))
+# a rent that is mostly delay, which falls when a neighbour switches OFF and
+# stops interfering: adaptive moves its OFF times
+FALLING_RENT = dict(alpha_d=1.0, alpha_p=0.001, sbs_tx_power=dbm_to_watts(33.0),
+                    sbs_op_power=20.0)
 POLICIES = st.sampled_from(["doa", "roa", "adaptive", "fixed", "threshold"]).flatmap(
     lambda kind: st.floats(0.0, 10.0).map(lambda t: f"fixed:{t!r}") if kind == "fixed"
     else st.floats(0.0, 100.0).map(lambda k: f"threshold:{k!r}") if kind == "threshold"
@@ -193,23 +206,29 @@ POLICIES = st.sampled_from(["doa", "roa", "adaptive", "fixed", "threshold"]).fla
 # dry in the second period (a delay sum over 8 or more cells, which a
 # sequential sum would not reproduce); roa cells going dry under a schedule;
 # threshold cells switching back ON; adaptive cells going dry, then buying
-@example(16, 80, 2000.0, 11, "fixed:10.0", "live", False, 100.0, 20.0, 0.05)
-@example(8, 80, 2000.0, 0, "roa", "live", True, 8.0, 2.0, 0.3)
-@example(8, 80, 2000.0, 0, "doa", "frozen", False, 8.0, 2.0, 0.3)
-@example(6, 80, 1000.0, 0, "threshold:50.0", "frozen", True, 55.0, 10.0, 0.05)
-@example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.3)
-@example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.05)
+@example(16, 80, 2000.0, 11, "fixed:10.0", "live", False, 100.0, 20.0, 0.05, False)
+@example(8, 80, 2000.0, 0, "roa", "live", True, 8.0, 2.0, 0.3, False)
+@example(8, 80, 2000.0, 0, "doa", "frozen", False, 8.0, 2.0, 0.3, False)
+@example(6, 80, 1000.0, 0, "threshold:50.0", "frozen", True, 55.0, 10.0, 0.05, False)
+@example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.3, False)
+@example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.05, False)
 # the edges of a scheduled OFF slot: an OFF time of 0, one equal to a slot
 # start (grid[3] is 0.30000000000000004) and one just below it, and a zero buy
 # price, whose DOA and ROA OFF time is 0; a threshold that keeps every cell ON
 # while it stores anything, and one that switches every cell OFF
-@example(8, 80, 2000.0, 0, "fixed:0.0", "live", False, 20.0, 20.0, 0.05)
-@example(8, 80, 2000.0, 0, "fixed:0.30000000000000004", "frozen", True, 20.0, 20.0, 0.05)
-@example(8, 80, 2000.0, 0, "fixed:0.3", "live", False, 20.0, 20.0, 0.05)
-@example(8, 80, 2000.0, 0, "threshold:0.0", "live", True, 0.0, 2.0, 0.05)
-@example(8, 80, 2000.0, 0, "threshold:100.0", "frozen", False, 100.0, 20.0, 0.05)
-@example(8, 80, 2000.0, 0, "doa", "live", False, 20.0, 2.0, 0.0)
-@example(8, 80, 2000.0, 0, "roa", "frozen", True, 20.0, 2.0, 0.0)
+@example(8, 80, 2000.0, 0, "fixed:0.0", "live", False, 20.0, 20.0, 0.05, False)
+@example(8, 80, 2000.0, 0, "fixed:0.30000000000000004", "frozen", True, 20.0, 20.0, 0.05,
+         False)
+@example(8, 80, 2000.0, 0, "fixed:0.3", "live", False, 20.0, 20.0, 0.05, False)
+@example(8, 80, 2000.0, 0, "threshold:0.0", "live", True, 0.0, 2.0, 0.05, False)
+@example(8, 80, 2000.0, 0, "threshold:100.0", "frozen", False, 100.0, 20.0, 0.05, False)
+@example(8, 80, 2000.0, 0, "doa", "live", False, 20.0, 2.0, 0.0, False)
+@example(8, 80, 2000.0, 0, "roa", "frozen", True, 20.0, 2.0, 0.0, False)
+# adaptive cells whose falling rent moves their OFF slots, as neighbours go
+# OFF or dry: the engine must move the slot, skip the stale one, and observe
+# again at the start of the slot after one that changed the ON set
+@example(5, 30, 2000.0, 391769539, "adaptive", "frozen", False, 99.8, 9.8, 0.05, True)
+@example(7, 30, 1000.0, 2371834560, "adaptive", "live", False, 82.0, 12.7, 0.05, True)
 @given(
     n_sbs=st.integers(2, 16),
     n_ue=st.sampled_from([30, 80]),
@@ -221,14 +240,16 @@ POLICIES = st.sampled_from(["doa", "roa", "adaptive", "fixed", "threshold"]).fla
     e0=st.floats(0.0, 100.0),
     harvest_rate=st.floats(0.0, 20.0),
     alpha_b=st.sampled_from([0.0, 0.05, 0.3]),
+    falling_rent=st.booleans(),
 )
 def test_slot_loop_matches_reference_exactly(
         n_sbs, n_ue, side, seed, spec, price_mode, scheduled, e0, harvest_rate,
-        alpha_b):
+        alpha_b, falling_rent):
     cfg = ScenarioConfig(
         n_sbs=n_sbs, n_ue=n_ue, area=(side, side), seed=seed,
         price_mode=price_mode, initial_energy=e0, harvest_rate=harvest_rate,
         alpha_b=alpha_b, sbs_tx_schedule=TX_SCHEDULE if scheduled else (),
+        **(FALLING_RENT if falling_rent else {}),
     )
     rng = np.random.default_rng(seed)
     topo = build_topology(cfg, rng)

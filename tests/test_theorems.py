@@ -140,3 +140,17 @@ def test_adaptive_follows_the_falling_rent_within_twice_opt():
         rep = record(FALLING_RENT, tables, s)
         # as for DOA, the OFF falls up to one slot after t_off
         assert cost(rep, "adaptive") <= 2.0 * opt(rep) + r2 * DT
+
+
+def test_adaptive_goes_off_at_once_when_its_rent_falls_as_it_is_due_off():
+    # b/r0 = 0.415 s, so the cell is due OFF in the slot that starts at
+    # 0.5 s, where its rent falls. Re-derived there, its OFF time moves back
+    # before that slot, and the cell goes OFF in it, as doa's does
+    cfg = replace(FALLING_RENT, alpha_b=0.005)
+    tables = one_cell_tables(cfg, (1e-15, 1e-13))
+    (tag,) = tables[0].tags
+    assert 3 * DT < tag.buy / tag.rent < 4 * DT
+    rep = record(cfg, tables, NEVER_DRY)
+    adaptive = run(rep, "adaptive")
+    assert adaptive.on_time[0] == 4 * DT and adaptive.buy_charged[0]
+    assert adaptive.total_cost == cost(rep, "doa")
