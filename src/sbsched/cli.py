@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, network, oracle, pricing
-from .engine import Replication, ScenarioConfig, run_horizon
+from .engine import CostOverflowError, Replication, ScenarioConfig, run_horizon
 from .network import dbm_to_watts
 from .schedulers import ThresholdPolicy, make_policy
 
@@ -33,7 +33,8 @@ ENV_OUT_DIR = "SBSCHED_OUT_DIR"
 # failures that depend on what a run draws, not on the config's values alone:
 # `simulate` reports each as one `error:` line with exit status 3
 DRAW_ERRORS = (oracle.BudgetError, network.UnserviceableError,
-               analysis.DegenerateStudyError, pricing.NonFinitePriceError)
+               analysis.DegenerateStudyError, pricing.NonFinitePriceError,
+               CostOverflowError)
 
 RESULTS_COLUMNS = [
     "sweep_parameter", "sweep_value", "policy", "replication", "period",
@@ -355,6 +356,26 @@ def _sweep_axis(spec: ExperimentSpec) -> list[tuple[str, object, ScenarioConfig]
     ]
 
 
+def replication_total(periods: list[dict], rep: int) -> float:
+    """The sum of a replication's period totals, which must not overflow."""
+    total = sum(d["total_cost"] for d in periods)
+    if not math.isfinite(total):
+        raise CostOverflowError(f"replication {rep}: the total cost overflows ({total!r})")
+    return total
+
+
+def mean_and_ci(totals: list[float]) -> tuple[float, float]:
+    """The mean of finite totals and its 95% confidence half-width. A
+    power-of-two scale changes no bit of either, and keeps totals near the
+    float maximum from overflowing when summed or squared."""
+    totals_arr = np.array(totals)
+    n = totals_arr.size
+    e = math.frexp(float(np.abs(totals_arr).max()))[1]
+    scaled = np.ldexp(totals_arr, -e)
+    std = math.ldexp(float(scaled.std(ddof=1)), e) if n > 1 else 0.0
+    return math.ldexp(float(scaled.mean()), e), 1.96 * std / math.sqrt(n)
+
+
 def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -> int:
     results_path = os.path.join(out_dir, "results.csv")
     summary_path = os.path.join(out_dir, "summary.json")
@@ -382,22 +403,16 @@ def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -
                     record, make_policy(policy), trace_rows=trace_rows if first else None)]
                 out += [[param, value, policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
                         for d in periods]
-                totals.append(sum(d["total_cost"] for d in periods))
+                totals.append(replication_total(periods, rep))
         for policy, out, totals in runs:
             rows += out
-            totals_arr = np.array(totals)
-            n = totals_arr.size
-            # a power-of-two scale changes no bit of the spread, and keeps
-            # totals near the float maximum from overflowing when squared
-            e = math.frexp(float(np.abs(totals_arr).max()))[1]
-            std = math.ldexp(float(np.ldexp(totals_arr, -e).std(ddof=1)), e) if n > 1 else 0.0
-            ci = 1.96 * std / math.sqrt(n)
+            mean, ci = mean_and_ci(totals)
             summary["cells"].append({
                 "sweep_parameter": param,
                 "sweep_value": value,
                 "policy": policy,
-                "replications": n,
-                "mean_total_cost": float(totals_arr.mean()),
+                "replications": len(totals),
+                "mean_total_cost": mean,
                 "ci95_halfwidth": ci,
             })
 

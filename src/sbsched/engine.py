@@ -33,6 +33,14 @@ OFF and the harvest totals. A run then pays for its served cells' slots, and
 seeds a generator for each served cell only, and only for a policy that
 `draws`.
 
+A run pays for no slot in which nothing can change. Once every served cell of
+a scheduled policy is OFF, none comes back ON or runs dry, and the all-OFF
+ON set's `on_delay` is 0: an untraced run leaves the slot loop, and the
+served cells' storage becomes the clamped running sum of their remaining
+arrivals, as for the cells that stay OFF. A record with no served cell gives
+the same periods under every policy: `run_horizon` computes them once, with
+read-only arrays, and returns them to every later run that asks for no trace.
+
 Two accounting modes exist: "live" charges the instantaneous rent rate of the
 current state (the original problem), "frozen" charges the period-start flat
 rate and also freezes the power draw, which fully decouples the SBSs (the
@@ -43,7 +51,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -153,11 +161,16 @@ class ScenarioConfig:
         return HarvestParams(self.harvest_rate, self.harvest_quantum)
 
 
+class CostOverflowError(ValueError):
+    """A total of finite costs overflows a float."""
+
+
 @dataclass(eq=False)
 class PeriodResult:
     """Per-period accounting and metrics; per-SBS arrays are indexed by SBS-1.
     `buy_price`, `energy_harvested` and `used` depend on the record and the
-    period only: they are read-only, shared by the runs of a record."""
+    period only: they are read-only, shared by the runs of a record. A period
+    with no served cell is shared whole, with every array read-only."""
 
     period_index: int
     rent_cost: np.ndarray
@@ -174,6 +187,15 @@ class PeriodResult:
     unused_fraction: float
 
     def to_dict(self) -> dict:
+        if self.rent_cost.flags.writeable:
+            return self._row()
+        return dict(self._shared_row)  # read-only, so computed once
+
+    @cached_property
+    def _shared_row(self) -> dict:
+        return self._row()
+
+    def _row(self) -> dict:
         n_used = int(self.used.sum())
         return {
             "period": self.period_index,
@@ -359,6 +381,10 @@ def run_period(
     # table[sigma], looked up when the ON set or the epoch changes, and the
     # entries that `psi`, the accrual values and the observed rents were read from
     entry = psi_entry = slot_entry = rent_entry = None
+    # an untraced scheduled run leaves the loop once every served cell is OFF
+    # (see the module docstring)
+    may_finish = k_percent is None and trace_rows is None
+    finished = False
 
     for k in range(n_steps if m or trace_rows is not None else 0):
         t = grid[k]
@@ -425,6 +451,7 @@ def run_period(
             slot_entry = entry
             rent = frozen_rent if frozen_mode else [entry.rent_values[j] for j in ids]
             delay = entry.on_delay / m if m else 0.0
+            finished = may_finish and not any(on)
         # storage step: credit the arrivals, charge the slot, clamp at cap
         # (`min(x, cap)` to the bit, without the builtin call)
         for p in range(m):
@@ -441,6 +468,8 @@ def run_period(
                 x = stored[p] + h[p]
             stored[p] = cap if cap < x else x
         delay_acc += delay
+        if finished:
+            break
 
         if trace_rows is not None:
             row_stored = idle_stored[k + 1].tolist()
@@ -454,6 +483,9 @@ def run_period(
                     row_stored[j - 1], entry.state.n_members(j), row_rent[j - 1],
                 ))
 
+    if finished:  # the clamped running sum of the arrivals left, as for idle cells
+        tail = np.cumsum(np.vstack((stored, trace[k + 1:, cells])), axis=0)[-1].tolist()
+        stored = [cap if cap < x else x for x in tail]
     energy.stored[:] = idle_stored[-1]
     energy.stored[cells] = stored
 
@@ -461,6 +493,10 @@ def run_period(
         return _per_sbs(n_sbs, cells, values, dtype)
 
     rent_cost, buy_charged = per_sbs(rent_acc), per_sbs(bought, bool)
+    total_cost = float((rent_cost + buy_prices * buy_charged).sum())
+    if not math.isfinite(total_cost):
+        raise CostOverflowError(
+            f"period {period_index}: the total cost overflows ({total_cost!r})")
     result = PeriodResult(
         period_index=period_index,
         rent_cost=rent_cost,
@@ -472,7 +508,7 @@ def run_period(
         energy_consumed=per_sbs(consumed_acc),
         energy_harvested=start.harvested,
         used=used,
-        total_cost=float((rent_cost + buy_prices * buy_charged).sum()),
+        total_cost=total_cost,
         delay_per_sbs=delay_acc / n_steps,
         unused_fraction=(n_sbs - m) / n_sbs if n_sbs else 0.0,
     )
@@ -495,6 +531,8 @@ class Replication:
     harvest: tuple[np.ndarray, ...]
     policy_ss: np.random.SeedSequence
     _starts: list[_PeriodStart] = field(default_factory=list, init=False, repr=False)
+    # with no served cell, the periods of every policy: computed once
+    _idle: list[PeriodResult] = field(default_factory=list, init=False, repr=False)
 
     @classmethod
     def draw(cls, cfg: ScenarioConfig, seed: int | np.random.SeedSequence) -> "Replication":
@@ -539,7 +577,14 @@ def run_horizon(rep: Replication, policy: Policy,
     chain its `horizon_periods` periods, carrying stored energy across
     boundaries. All randomness comes from the record, so one record and a
     fresh policy of one kind give identical results.
+
+    A record with no served cell gives the same periods under every policy:
+    they are computed once, read-only, and returned to every later run that
+    asks for no trace.
     """
+    idle = not rep.plan.cells
+    if idle and rep._idle and trace_rows is None:
+        return list(rep._idle)
     cfg = rep.cfg
     policy_rngs = rep.policy_rngs() if policy.draws else [None] * cfg.n_sbs
     energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
@@ -550,4 +595,11 @@ def run_horizon(rep: Replication, policy: Policy,
             period_index=p, trace_rows=trace_rows, record=rep,
         )
         results.append(res)
+    if idle and not rep._idle:
+        for res in results:
+            for f in fields(res):
+                value = getattr(res, f.name)
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+        rep._idle.extend(results)
     return results

@@ -18,12 +18,14 @@ from sbsched.cli import (
     RESULTS_COLUMNS,
     SCENARIO_KEYS,
     main,
+    mean_and_ci,
     parse_config,
+    replication_total,
     run_experiment,
     _sweep_axis,
     serialize,
 )
-from sbsched.engine import Replication, ScenarioConfig, run_horizon
+from sbsched.engine import CostOverflowError, Replication, ScenarioConfig, run_horizon
 from sbsched.network import dbm_to_watts
 from sbsched.schedulers import make_policy
 
@@ -71,6 +73,19 @@ area.height = 1000
 power.q = 0
 cost.alpha_b = 1
 network.sbs_tx_schedule = 0:30 dBm, 1:0 dBm
+"""
+
+
+# each served cell's rent is finite; their sum in a period is not
+COST_OVERFLOW = """seed = 1
+replications = 2
+policies = fixed:10
+n_sbs = 16
+n_ue = 80
+area.width = 2000
+area.height = 2000
+energy.initial = 100
+cost.alpha_p = 1e306
 """
 
 
@@ -206,6 +221,27 @@ class TestParsing:
             tmp_path, "area.width = 400\narea.height = 300\n", "ok.cfg"
         ))
         assert spec.base.area == (400.0, 300.0)
+
+
+class TestTotals:
+    BIG = 1.5e308  # finite, and twice it is not
+
+    def test_a_replication_total_that_overflows_raises(self):
+        periods = [{"total_cost": self.BIG}, {"total_cost": self.BIG}]
+        with pytest.raises(CostOverflowError, match=r"replication 3: .* \(inf\)"):
+            replication_total(periods, 3)
+        assert replication_total(periods[:1], 3) == self.BIG
+
+    def test_the_mean_of_totals_near_the_float_maximum_is_finite(self):
+        mean, ci = mean_and_ci([self.BIG, self.BIG, 0.5 * self.BIG])
+        assert mean == pytest.approx(2.5 / 3 * self.BIG) and math.isfinite(ci)
+        assert mean_and_ci([self.BIG]) == (self.BIG, 0.0)
+
+    def test_the_scale_changes_no_bit_of_the_mean(self):
+        totals = np.random.default_rng(0).exponential(3.0, size=200).tolist() + [0.0]
+        arr = np.array(totals)
+        assert mean_and_ci(totals) == (
+            float(arr.mean()), 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size))
 
 
 class TestRunExperiment:
@@ -460,6 +496,7 @@ class TestMain:
         ("replications = 2\nhorizon_periods = 1\nn_sbs = 3\nseed = 3\n"
          "network.file_bits = 1e7\ncost.alpha_d = 1e308\n",
          "SBS 3: buy price is not finite (inf)"),
+        (COST_OVERFLOW, "period 0: the total cost overflows (inf)"),
     ])
     def test_draw_dependent_failure_exits_3(self, tmp_path, capsys, text, message):
         # these configs parse; what fails depends on the drawn topologies
@@ -636,6 +673,7 @@ def assert_finite_numbers(out: Path) -> None:
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(text=ZERO_LIVE_RENT, trace=False)
+@example(text=COST_OVERFLOW, trace=False)
 @given(text=config_texts(), trace=st.booleans())
 def test_an_accepted_config_runs_to_a_clean_exit(text, trace):
     # what the parser accepts, the run completes: exit 2 for a config that is

@@ -403,6 +403,69 @@ class TestRunHorizon:
             rep.harvest[0][0, 0] = 1.0
 
 
+class TestIdleRecord:
+    # 3 UEs on 2000 m, all of them on the macro cell: no SBS serves a UE
+    CFG = ScenarioConfig(n_sbs=3, n_ue=3, area=(2000.0, 2000.0), seed=0,
+                         initial_energy=90.0)
+    POLICIES = ("roa", "fixed:3", "threshold:50")
+
+    def draw(self):
+        rep = Replication.draw(self.CFG, self.CFG.seed)
+        assert not rep.plan.cells
+        return rep
+
+    def test_policies_share_its_periods(self, monkeypatch):
+        rep = self.draw()
+        calls = []
+        real = engine.run_period
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["period_index"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_period", counting)
+        runs = [run_horizon(rep, make_policy(p)) for p in self.POLICIES]
+        assert calls == list(range(self.CFG.horizon_periods))
+        # each policy alone on a record of its own gives the same rows
+        for policy, results in zip(self.POLICIES, runs):
+            alone = run_horizon(self.draw(), make_policy(policy))
+            assert [r.to_dict() for r in results] == [r.to_dict() for r in alone]
+        for res in runs[0]:
+            for f in fields(res):
+                value = getattr(res, f.name)
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable, f.name
+        # a row is computed once, and each caller gets a copy of its own
+        row = runs[1][0].to_dict()
+        row["total_cost"] = -1.0
+        assert runs[2][0].to_dict()["total_cost"] == 0.0
+
+    def test_a_traced_run_still_writes_every_slot(self):
+        rep = self.draw()
+        run_horizon(rep, make_policy("roa"))
+        rows = []
+        run_horizon(rep, make_policy("doa"), trace_rows=rows)
+        cfg = self.CFG
+        assert len(rows) == cfg.horizon_periods * cfg.n_steps * cfg.n_sbs
+        fresh = []
+        run_horizon(self.draw(), make_policy("doa"), trace_rows=fresh)
+        assert rows == fresh
+
+
+class TestCostOverflow:
+    def test_a_period_total_that_overflows_raises(self):
+        # each of 4 served cells' rent is finite, and their sum is not
+        cfg = ScenarioConfig(n_sbs=16, n_ue=80, area=(2000.0, 2000.0), seed=1,
+                             initial_energy=100.0, alpha_p=1e306)
+        rep = Replication.draw(cfg, np.random.SeedSequence([1, 0, 0]))
+        rents = [tag.rent * cfg.period for tag in rep.tables[0].tags]
+        assert len(rents) == 4 and all(map(math.isfinite, rents))
+        with np.errstate(over="ignore"):
+            assert sum(rents) == math.inf
+            with pytest.raises(engine.CostOverflowError, match=r"period 0: .* \(inf\)"):
+                run_horizon(rep, make_policy("fixed:10"))
+
+
 class TestInvariants:
     @pytest.mark.parametrize("policy", ["doa", "roa"])
     def test_at_most_one_switch_per_cell(self, policy):
@@ -527,9 +590,11 @@ class TestOnSetTable:
     @pytest.mark.parametrize("sched", [(), ((2.5, dbm_to_watts(25.0)),
                                             (6.0, dbm_to_watts(20.0)))])
     def test_associates_each_on_set_once_per_epoch(self, monkeypatch, policy, sched):
+        # a buy price of half a period's MBS cost keeps a served cell ON past
+        # 6 s, so the loop reaches every epoch before all are OFF
         cfg, topo, energy, rngs, _ = setup_period(
             seed=SEED_TWO_USED, sbs_tx_schedule=sched,
-            initial_energy=20.0)
+            initial_energy=40.0, alpha_b=0.5)
         trace = cfg.harvest_quantum * np.random.default_rng(0).poisson(
             cfg.harvest_rate * cfg.dt, size=(cfg.n_steps, cfg.n_sbs))
         seen = []
@@ -549,10 +614,11 @@ class TestOnSetTable:
     @pytest.mark.parametrize("policy", ["roa", "threshold:50"])
     def test_periods_of_a_horizon_share_the_tables(self, monkeypatch, policy):
         # both periods read the all-ON state and the period-start ON set, so
-        # each epoch's table must be built once for the whole horizon
+        # each epoch's table must be built once for the whole horizon; as
+        # above, a served cell stays ON past 6 s
         sched = ((2.5, dbm_to_watts(25.0)), (6.0, dbm_to_watts(20.0)))
         cfg = ScenarioConfig(seed=SEED_TWO_USED, horizon_periods=2,
-                             sbs_tx_schedule=sched, initial_energy=20.0)
+                             sbs_tx_schedule=sched, initial_energy=40.0, alpha_b=0.5)
         seen = []
         real = network.associate
 
