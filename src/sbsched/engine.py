@@ -170,7 +170,8 @@ class PeriodResult:
     """Per-period accounting and metrics; per-SBS arrays are indexed by SBS-1.
     `buy_price`, `energy_harvested` and `used` depend on the record and the
     period only: they are read-only, shared by the runs of a record. A period
-    with no served cell is shared whole, with every array read-only."""
+    with no served cell is shared whole, with every array read-only. A
+    result is not changed once made, so `to_dict` computes its row once."""
 
     period_index: int
     rent_cost: np.ndarray
@@ -187,14 +188,9 @@ class PeriodResult:
     unused_fraction: float
 
     def to_dict(self) -> dict:
-        if self.rent_cost.flags.writeable:
-            return self._row()
-        return dict(self._shared_row)  # read-only, so computed once
+        return dict(self._row)  # a copy per caller of the row, computed once
 
     @cached_property
-    def _shared_row(self) -> dict:
-        return self._row()
-
     def _row(self) -> dict:
         n_used = int(self.used.sum())
         return {
