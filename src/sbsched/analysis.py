@@ -12,11 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import oracle
-from .engine import Replication, ScenarioConfig
-# unused here; bench/test_bench.py checks that the tracer wraps these bindings
-from .engine import build_topology  # noqa: F401
-from .energy import harvest_trace  # noqa: F401
+from . import network, oracle
+from .energy import harvest_trace
+from .engine import ReplicationSeeds, ScenarioConfig, build_topology, epoch_tables
 from .schedulers import RoaPolicy
 
 
@@ -81,22 +79,26 @@ def empirical_cr_study(
 ) -> RatioReport:
     """Ratio of the randomized policy's realized cost to the offline optimum.
 
-    Each attempt draws a one-period `Replication` from (cfg.seed, attempt):
-    it snaps the randomized OFF times down to the slot grid and evaluates
-    both the policy and the exhaustive optimum with the same slot-level
-    accounting on the same trace. Attempts with no served SBS are skipped
-    before any pricing, and so are those whose optimum is zero; more than
-    ten attempts per run raise `DegenerateStudyError`.
+    Each attempt draws from (cfg.seed, attempt) what a one-period
+    `engine.Replication.draw` would (`ReplicationSeeds`), but only what the
+    study reads. An attempt whose all-ON association serves no SBS is
+    skipped before any price, harvest or policy draw, once every UE's rate
+    is checked. A served attempt builds its table on that association, snaps
+    the randomized OFF times down to the slot grid and costs the policy and
+    the exhaustive optimum with the same slot-level accounting on the same
+    trace, in one `oracle.optimum_and_row` pass. Attempts whose optimum is
+    zero are skipped too; more than ten attempts per run raise
+    `DegenerateStudyError`.
 
-    The optimum is `oracle.optimal_cost`, the least cost over the grid of
-    every served cell's OFF index in 1..n_steps: the closed form's minimum
-    over that grid when no battery can run dry, and otherwise a walk over
-    slot prefixes that drops each prefix whose rent plus buys so far already
-    reach the best schedule found. That bound is exact: rents and buys are
-    non-negative and rounded float addition is monotone, so the minimum has
-    the grid's bits. The policy's realized cost is its one row of that grid,
-    costed alone by `oracle.evaluate_schedules` along the row's own slots,
-    with the slot step the search takes, the same bits as in the grid.
+    The optimum is the least cost over the grid of every served cell's OFF
+    index in 1..n_steps: the closed form's minimum over that grid when no
+    battery can run dry, and otherwise a walk over slot prefixes that drops
+    each prefix whose rent plus buys so far already reach the best schedule
+    found. That bound is exact: rents and buys are non-negative and rounded
+    float addition is monotone, so the minimum has the grid's bits. The
+    policy's realized cost is its one row of that grid: read from the closed
+    form's grid, or walked along the row's own slots with the slot step the
+    search takes; the same bits as `oracle.evaluate_schedules` gives it.
 
     Every SBS starts the period ON, so schedules — online and offline alike —
     keep a served SBS ON for at least one slot before a voluntary OFF can
@@ -119,30 +121,34 @@ def empirical_cr_study(
             raise DegenerateStudyError(
                 f"too many degenerate replications: {attempts - 1} attempts "
                 f"for {run} of {n_runs} runs (no served SBSs, or a zero optimum)")
-        rep = Replication.draw(study_cfg, np.random.SeedSequence([cfg.seed, attempts]))
-        table = rep.tables[0]
-        if not table.tags:
-            continue  # every UE is on the MBS: no cell to schedule
+        seeds = ReplicationSeeds.spawn(np.random.SeedSequence([cfg.seed, attempts]))
+        topo = build_topology(study_cfg, np.random.default_rng(seeds.topo))
+        state = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
+        if not state.counts[1:].any():
+            # every UE is on the MBS: no cell to schedule
+            network.all_bs_delays(state, topo, cfg.file_bits)  # raises on a zero rate
+            continue
+        (table,) = epoch_tables(study_cfg, topo)
+        table.add(state)
         tables = oracle.build_tables(table)
         m = tables.used.size
         required = (n_steps + 1) ** m
         if required > budget:
             raise oracle.BudgetError(required, budget)
-        trace_used = rep.harvest[0][:, tables.used - 1]
-        args = (cfg.initial_energy, cfg.capacity, dt, n_steps)
-        opt = oracle.optimal_cost(tables, trace_used, *args)
-        if opt <= 0.0:
-            continue
+        trace = harvest_trace(cfg.harvest, dt, n_steps, cfg.n_sbs,
+                              np.random.default_rng(seeds.harvest))
         # one study stream for every cell, so the draws follow the tags' order
         policy = RoaPolicy()
         policy.reset(table.tags, cfg.period,
-                     [np.random.default_rng(rep.policy_ss)] * cfg.n_sbs)
-        snapped = [min(int(math.floor(policy.off_times[tag.sbs] / dt + 1e-9)), n_steps)
-                   for tag in table.tags]
-        # the policy's schedule is the grid's row np.maximum(snapped, 1); a
-        # row costs the same bits alone as in the grid
-        realized = float(oracle.evaluate_schedules(
-            tables, trace_used, np.maximum([snapped], 1), *args)[0])
+                     [np.random.default_rng(seeds.policy)] * cfg.n_sbs)
+        # each OFF time snapped down to the slot grid, whose study rows start at 1
+        row = [max(min(int(math.floor(policy.off_times[tag.sbs] / dt + 1e-9)), n_steps), 1)
+               for tag in table.tags]
+        opt, realized = oracle.optimum_and_row(
+            tables, trace[:, tables.used - 1], row,
+            cfg.initial_energy, cfg.capacity, dt, n_steps)
+        if opt <= 0.0:
+            continue
         ratios.append(realized / opt)
         run += 1
     report = RatioReport.from_ratios(np.array(ratios))

@@ -20,8 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import BsParams
-
 
 @dataclass(frozen=True)
 class HarvestParams:
@@ -78,14 +76,6 @@ def power_draw(op_power: np.ndarray, max_users: np.ndarray, n_users: np.ndarray,
             )
         n_users = np.minimum(n_users, max_users)
     return (n_users / max_users) * (1.0 - q) * op_power + q * op_power
-
-
-def bs_power(params: BsParams, n_users: int, q: float) -> float:
-    """`power_draw` of one BS with `n_users` attached (watts)."""
-    if n_users < 0:
-        raise ValueError("n_users must be non-negative")
-    return power_draw(np.array([params.op_power_max]), np.array([params.max_users]),
-                      np.array([n_users]), q, (params.id,)).item()
 
 
 # the largest mean numpy's Poisson sampler takes; a larger one raises mid-draw

@@ -489,7 +489,8 @@ def run_period(
         return _per_sbs(n_sbs, cells, values, dtype)
 
     rent_cost, buy_charged = per_sbs(rent_acc), per_sbs(bought, bool)
-    total_cost = float((rent_cost + buy_prices * buy_charged).sum())
+    with np.errstate(over="ignore"):  # an overflow raises below, without a warning
+        total_cost = float((rent_cost + buy_prices * buy_charged).sum())
     if not math.isfinite(total_cost):
         raise CostOverflowError(
             f"period {period_index}: the total cost overflows ({total_cost!r})")
@@ -509,6 +510,20 @@ def run_period(
         unused_fraction=(n_sbs - m) / n_sbs if n_sbs else 0.0,
     )
     return result, energy
+
+
+class ReplicationSeeds(NamedTuple):
+    """The children of one replication's seed, one per draw, in the order
+    they are spawned: the topology's, the harvest's and the policies'."""
+
+    topo: np.random.SeedSequence
+    harvest: np.random.SeedSequence
+    policy: np.random.SeedSequence
+
+    @classmethod
+    def spawn(cls, seed: int | np.random.SeedSequence) -> "ReplicationSeeds":
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        return cls(*ss.spawn(3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,15 +547,14 @@ class Replication:
 
     @classmethod
     def draw(cls, cfg: ScenarioConfig, seed: int | np.random.SeedSequence) -> "Replication":
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        topo_ss, harvest_ss, policy_ss = ss.spawn(3)
-        topo = build_topology(cfg, np.random.default_rng(topo_ss))
-        harvest_rng = np.random.default_rng(harvest_ss)
+        seeds = ReplicationSeeds.spawn(seed)
+        topo = build_topology(cfg, np.random.default_rng(seeds.topo))
+        harvest_rng = np.random.default_rng(seeds.harvest)
         harvest = [energy_mod.harvest_trace(cfg.harvest, cfg.dt, cfg.n_steps, cfg.n_sbs,
                                             harvest_rng) for _ in range(cfg.horizon_periods)]
         for trace in harvest:
             trace.flags.writeable = False
-        return cls(cfg, topo, tuple(epoch_tables(cfg, topo)), tuple(harvest), policy_ss)
+        return cls(cfg, topo, tuple(epoch_tables(cfg, topo)), tuple(harvest), seeds.policy)
 
     @cached_property
     def plan(self) -> _PeriodPlan:

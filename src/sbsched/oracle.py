@@ -9,16 +9,18 @@ in closed form, vectorized over the combinations. Otherwise each schedule is
 costed along its own slots in plain floats, one `_slot_step` per slot: the
 depletion fixed point, the rent and the storage step.
 
-The ratio study needs only the least cost, which `optimal_cost` finds without
-costing the grid: a depth-first walk over slot prefixes, taking the same slot
-step, that drops a prefix once its rent plus the buys made so far reach the
-best schedule found. Rents and buys are non-negative and rounded float
-addition is monotone, so no schedule below a dropped prefix costs less, and
-the minimum is the grid's to the bit.
+The ratio study needs only the least cost and the cost of the policy's own
+schedule, which `optimum_and_row` finds in one pass without costing the grid
+where a battery can run dry: a depth-first walk over slot prefixes, taking the
+same slot step, that drops a prefix once its rent plus the buys made so far
+reach the best schedule found, then the policy's row walked with that step.
+Rents and buys are non-negative and rounded float addition is monotone, so no
+schedule below a dropped prefix costs less, and the minimum is the grid's to
+the bit.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +218,27 @@ def _slot_step(
     return step
 
 
+def _walk_row(step: Callable[[int, int, list[float], float], tuple[int, float]],
+              row: list[int], e0: float, n_steps: int) -> tuple[float, int]:
+    """Walk one row along its own slots: at slot k an ON cell whose OFF
+    index has come (k >= index) goes OFF and is bought, then `step` runs the
+    slot, until no cell is ON. Returns the rent and the bought mask."""
+    m = len(row)
+    mask, bought, rent, e = (1 << m) - 1, 0, 0.0, [float(e0)] * m
+    for k in range(n_steps):
+        off = 0
+        for i, idx in enumerate(row):
+            if k >= idx:
+                off |= 1 << i
+        off &= mask
+        mask &= ~off
+        bought |= off
+        if not mask:
+            break
+        mask, rent = step(k, mask, e, rent)
+    return rent, bought
+
+
 def _evaluate_stepwise(
     tables: SubsetTables,
     trace_used: np.ndarray,
@@ -225,27 +248,14 @@ def _evaluate_stepwise(
     dt: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Slot-by-slot cost of each row along its own slots: at slot k an ON
-    cell whose OFF index has come (k >= index) goes OFF and is bought, then
-    `_slot_step` runs the slot, until no cell is ON. The buys are summed as
-    `(bought * buys).sum(axis=1)` over C-ordered rows, so a row costs the
-    same bits alone as in a batch."""
+    """Slot-by-slot cost of each row, `_walk_row` with the `_slot_step`.
+    The buys are summed as `(bought * buys).sum(axis=1)` over C-ordered rows,
+    so a row costs the same bits alone as in a batch."""
     m = off_idx.shape[1]
     step = _slot_step(tables, trace_used, cap, dt, n_steps)
     rents, boughts = [], []
     for row in off_idx.tolist():
-        mask, bought, rent, e = (1 << m) - 1, 0, 0.0, [float(e0)] * m
-        for k in range(n_steps):
-            off = 0
-            for i, idx in enumerate(row):
-                if k >= idx:
-                    off |= 1 << i
-            off &= mask
-            mask &= ~off
-            bought |= off
-            if not mask:
-                break
-            mask, rent = step(k, mask, e, rent)
+        rent, bought = _walk_row(step, row, e0, n_steps)
         rents.append(rent)
         boughts.append(bought)
     bought = (np.array(boughts, dtype=np.int64)[:, None] >> np.arange(m)) & 1 == 1
@@ -259,36 +269,46 @@ def all_combinations(m: int, n_steps: int) -> np.ndarray:
     return grids.astype(np.int64)
 
 
-def optimal_cost(
+def optimum_and_row(
     tables: SubsetTables,
     trace_used: np.ndarray,
+    row: Sequence[int],
     e0: float,
     cap: float,
     dt: float,
     n_steps: int,
-) -> float:
-    """Least cost over the grid where every cell's OFF index lies in
-    1..n_steps, the same bits as `evaluate_schedules` on that grid's `.min()`.
+) -> tuple[float, float]:
+    """The least cost over the study's grid, where every cell's OFF index
+    lies in 1..n_steps, and the cost of `row`, one schedule of that grid, in
+    one pass with one depletion check and one slot step: the bits that
+    `evaluate_schedules` gives that grid's `.min()` and that row.
 
-    Without possible depletion this is that closed-form grid's minimum.
-    Otherwise a depth-first walk over slot prefixes makes the voluntary OFFs
-    of each slot, then takes the row evaluator's `_slot_step`, and charges a
-    leaf `rent + buy_of[bought]`, where `buy_of` is the evaluator's own buy
-    sum, `(bought * buys).sum(axis=1)` over C-ordered rows, tabulated per
-    bought mask. Rents and buys are >= 0 and rounded float addition is
-    monotone, so no leaf below a prefix costs less than its
-    `rent + buy_of[bought]`: a prefix whose bound reaches the best leaf is
-    dropped, and the minimum keeps its bits. At each slot the walk tries the
-    all-OFF set first, then its subsets in decreasing bitmask order, so the
-    first leaf (all OFF at slot 1) already bounds the rest, and a prefix ends
-    about b/r/dt slots in, not at n_steps.
+    Without possible depletion both are read from the closed form's grid:
+    its minimum, and its entry at the row's lexicographic index. Otherwise a
+    depth-first walk over slot prefixes makes the voluntary OFFs of each
+    slot, then takes the row evaluator's `_slot_step`, and charges a leaf
+    `rent + buy_of[bought]`, where `buy_of` is the evaluator's own buy sum,
+    `(bought * buys).sum(axis=1)` over C-ordered rows, tabulated per bought
+    mask. Rents and buys are >= 0 and rounded float addition is monotone, so
+    no leaf below a prefix costs less than its `rent + buy_of[bought]`: a
+    prefix whose bound reaches the best leaf is dropped, and the minimum
+    keeps its bits. At each slot the walk tries the all-OFF set first, then
+    its subsets in decreasing bitmask order, so the first leaf (all OFF at
+    slot 1) already bounds the rest, and a prefix ends about b/r/dt slots
+    in, not at n_steps. The row is then walked with the same step, as
+    `_evaluate_stepwise` walks it, and charged `rent + buy_of[bought]`.
     """
     m = tables.used.size
+    row = [int(i) for i in row]
+    if len(row) != m or not all(1 <= i <= n_steps for i in row):
+        raise ValueError(f"the row must hold {m} OFF indices in 1..{n_steps}")
     if m == 0:
-        return 0.0
+        return 0.0, 0.0
     if not _depletion_possible(tables, trace_used, e0, cap, dt, n_steps):
-        grid = np.maximum(all_combinations(m, n_steps), 1)
-        return float(_evaluate_no_depletion(tables, grid, dt, n_steps).min())
+        costs = _evaluate_no_depletion(tables, all_combinations(m, n_steps - 1) + 1,
+                                       dt, n_steps)
+        at = np.ravel_multi_index([i - 1 for i in row], (n_steps,) * m)
+        return float(costs.min()), float(costs[at])
 
     bought_rows = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
     buy_of = (bought_rows * tables.buys[None, :]).sum(axis=1).tolist()
@@ -319,7 +339,8 @@ def optimal_cost(
                 sub = (sub - 1) & mask
 
     walk(0, (1 << m) - 1, [float(e0)] * m, 0, 0.0)
-    return best
+    rent, bought = _walk_row(step, row, e0, n_steps)
+    return best, rent + buy_of[bought]
 
 
 def offline_exhaustive(

@@ -71,20 +71,6 @@ def all_rent_prices(delays: np.ndarray, power: np.ndarray, w: CostWeights) -> np
     return rent
 
 
-def mbs_delay_share(
-    members: np.ndarray, topo: Topology, file_bits: float, total_ue: int
-) -> float:
-    """Worst-case MBS delay for the UEs of one SBS: bandwidth split over all UEs."""
-    members = np.asarray(members, dtype=int)
-    if members.size == 0:
-        return 0.0
-    bm = topo.bs[MBS_ID].bandwidth
-    per_ue_bw = bm / total_ue
-    snr = topo.bs[MBS_ID].tx_power * topo.gain[members, MBS_ID] / topo.noise_power
-    rates = per_ue_bw * np.log2(1.0 + snr)
-    return float(np.sum(file_bits / rates))
-
-
 def buy_price(phi: float, psi: float, w: CostWeights, period: float, sbs: int) -> float:
     """One-time handover charge of SBS `sbs`: a fraction of the worst-case MBS
     cost over T. A price that is not finite raises `NonFinitePriceError`."""
@@ -98,8 +84,9 @@ def buy_price(phi: float, psi: float, w: CostWeights, period: float, sbs: int) -
 
 class OnSetTable:
     """Network state and per-SBS rates of one topology, per ON set, each
-    entry made on the set's first lookup, and the frozen prices of a period
-    of length `period` that starts all ON.
+    entry made on the set's first lookup (or by `add`, from an association
+    already made), and the frozen prices of a period of length `period`
+    that starts all ON.
 
     Association, rents, power draw and delays depend on the ON set alone, so
     the engine's slots and the oracle's subsets share one entry per ON set.
@@ -122,18 +109,25 @@ class OnSetTable:
 
         The rent is the all-ON entry's `rent`, so a frozen tag and the live
         rent of the all-ON set are one number. A cell without UEs has no tag:
-        it stays OFF all period and is never priced.
+        it stays OFF all period and is never priced. The buy price weighs
+        what the cell's UEs would cost on the MBS: their delays there, with
+        its bandwidth split over all UEs, summed per cell in numpy's
+        (pairwise) order, and the MBS power with the cell's UE count.
         """
         topo = self.topo
         all_on = self[np.ones(topo.n_bs, dtype=bool)]
+        state = all_on.state
+        served = (np.flatnonzero(state.counts[1:]) + 1).tolist()
+        mbs = topo.bs[MBS_ID]
+        mbs_delay = self.file_bits / (mbs.bandwidth / topo.n_ue * np.log2(1.0 + topo.mbs_snr))
+        k = len(served)
+        mbs_power = energy.power_draw(np.full(k, mbs.op_power_max), np.full(k, mbs.max_users),
+                                      state.counts[served], self.q, [MBS_ID] * k).tolist()
         tags = []
-        for j in range(1, topo.n_bs):
-            members = all_on.state.members(j)
-            if members.size:
-                phi = mbs_delay_share(members, topo, self.file_bits, topo.n_ue)
-                psi = energy.bs_power(topo.bs[MBS_ID], members.size, self.q)
-                tags.append(PriceTag(sbs=j, rent=all_on.rent_values[j],
-                                     buy=buy_price(phi, psi, self.w, self.period, j)))
+        for j, psi in zip(served, mbs_power):
+            phi = float(np.sum(mbs_delay[state.serving == j]))
+            tags.append(PriceTag(sbs=j, rent=all_on.rent_values[j],
+                                 buy=buy_price(phi, psi, self.w, self.period, j)))
         return tuple(tags)
 
     @cached_property
@@ -148,19 +142,23 @@ class OnSetTable:
             self.q, range(1, topo.n_bs)))
 
     def __getitem__(self, sigma: np.ndarray) -> "OnSetEntry":
-        key = sigma.tobytes()
-        entry = self._entries.get(key)
+        entry = self._entries.get(sigma.tobytes())
         if entry is None:
-            entry = self._entries[key] = OnSetEntry(self, sigma)
+            entry = self.add(network.associate(sigma, self.topo))
+        return entry
+
+    def add(self, state: network.NetworkState) -> "OnSetEntry":
+        """The entry of `state`'s ON set, made from that association."""
+        entry = self._entries[state.sigma.tobytes()] = OnSetEntry(self, state)
         return entry
 
 
 class OnSetEntry:
-    """One ON set: its `NetworkState` and the read-only values priced from
-    it, all computed when the entry is made, in one pass over the
-    topology's cached constants (`network.associate` and
-    `network.all_bs_delays` once each); the power is read from the table's
-    `power_by_count`.
+    """One ON set: its `NetworkState`, the set's association
+    (`network.associate`, made once by the table or its caller), and the
+    read-only values priced from it, all computed when the entry is made,
+    in one pass over the topology's cached constants (`network.all_bs_delays`
+    once); the power is read from the table's `power_by_count`.
 
     - `delays`: (n_bs,) total delay of each BS.
     - `power`: (n_sbs,) draw of each SBS when ON with its members; `psi` is
@@ -173,9 +171,9 @@ class OnSetEntry:
     __slots__ = ("state", "delays", "power", "psi", "rent", "rent_values",
                  "psi_values", "on_delay")
 
-    def __init__(self, table: OnSetTable, sigma: np.ndarray) -> None:
+    def __init__(self, table: OnSetTable, state: network.NetworkState) -> None:
         topo = table.topo
-        self.state = state = network.associate(sigma, topo)
+        self.state = state
         on = state.sigma[1:]
         self.delays = delays = _read_only(
             network.all_bs_delays(state, topo, table.file_bits))

@@ -9,7 +9,7 @@ import numpy as np
 
 from sbsched import network, pricing
 from sbsched.analysis import empirical_cr_study
-from sbsched.energy import EnergyState, bs_power
+from sbsched.energy import EnergyState
 from sbsched.engine import (
     Replication, ScenarioConfig, build_topology, run_horizon, run_period,
 )
@@ -65,7 +65,9 @@ def test_offline_search_matches_hand_enumeration_and_lower_bounds_policies():
         (tag,) = pricing.OnSetTable(
             topo, cfg.weights, cfg.q, cfg.file_bits, cfg.period).tags
         rent, buy = tag.rent, tag.buy
-        psi = bs_power(topo.bs[1], all_on.n_members(1), cfg.q)
+        cell = topo.bs[1]  # its power draw, the model's formula in plain floats
+        psi = (all_on.n_members(1) / cell.max_users * (1.0 - cfg.q) * cell.op_power_max
+               + cfg.q * cell.op_power_max)
 
         # hand enumeration: a prefix-ON single cell has a fixed depletion slot
         e = cfg.initial_energy

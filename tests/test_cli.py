@@ -497,6 +497,9 @@ class TestMain:
          "network.file_bits = 1e7\ncost.alpha_d = 1e308\n",
          "SBS 3: buy price is not finite (inf)"),
         (COST_OVERFLOW, "period 0: the total cost overflows (inf)"),
+        # a study rejects an attempt with no served cell after the rates check
+        ("kind = cr_study\nruns = 2\nn_sbs = 0\nnetwork.mbs_tx_power = 1e-30 W\n",
+         "a UE has zero achievable rate"),
     ])
     def test_draw_dependent_failure_exits_3(self, tmp_path, capsys, text, message):
         # these configs parse; what fails depends on the drawn topologies
@@ -513,6 +516,14 @@ class TestMain:
         with np.errstate(over="ignore"):
             assert main(["--config", cfg, "--out-dir", str(out)]) == 3
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
+    def test_cost_overflow_exits_3_without_a_warning(self, tmp_path, capsys):
+        # the period total overflows: its one error line is all that is printed
+        cfg = write_config(tmp_path, COST_OVERFLOW)
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--config", cfg, "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: period 0: the total cost overflows (inf)\n"
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

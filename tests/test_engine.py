@@ -166,10 +166,11 @@ class TestRunPeriodExtremes:
         cfg, topo, energy0, rngs, trace = setup_period(price_mode="frozen")
         rent = frozen_rents(cfg, topo)
         all_on = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
-        from sbsched.energy import bs_power
         i = int(np.flatnonzero(
             [all_on.n_members(j) > 0 for j in range(1, topo.n_bs)])[0])
-        psi = bs_power(topo.bs[i + 1], all_on.n_members(i + 1), cfg.q)
+        cell = topo.bs[i + 1]  # its power draw, the model's formula in plain floats
+        psi = (all_on.n_members(i + 1) / cell.max_users * (1.0 - cfg.q) * cell.op_power_max
+               + cfg.q * cell.op_power_max)
         energy = EnergyState.fresh(cfg.n_sbs, psi * cfg.dt * 20.5,
                                    cfg.capacity)
         res, _ = run_period(cfg, topo, energy, FixedPolicy(cfg.period), rngs,

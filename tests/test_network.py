@@ -120,6 +120,23 @@ class TestPlaceNodes:
         assert all(0 <= b.x <= 500 and 0 <= b.y <= 500 for b in topo.bs)
         assert topo.bs[0].x == 250.0 and topo.bs[0].y == 250.0
 
+    def test_positions_are_uniform_draws_bit_for_bit(self, monkeypatch):
+        # a position is rng.uniform([0, 0], [w, h], size)'s, 0.0 + w*U, to
+        # the bit; unit gains let the extreme areas be placed at all
+        monkeypatch.setattr(network, "compute_gains",
+                            lambda bs, ue_xy: np.ones((ue_xy.shape[0], len(bs))))
+        areas = [(500.0, 500.0), (2000.0, 700.0), (1e-300, 1e-300), (1e300, 1e300),
+                 (3.7, 1e300), (5e-324, 1.0)]
+        for area in areas:
+            for seed in range(25):
+                topo = place_nodes(area, 4, 9, np.random.default_rng(seed))
+                rng = np.random.default_rng(seed)
+                sbs = rng.uniform([0.0, 0.0], area, size=(4, 2))
+                ue = rng.uniform([0.0, 0.0], area, size=(9, 2))
+                placed = np.array([[b.x, b.y] for b in topo.bs[1:]])
+                assert placed.tobytes() == sbs.tobytes()
+                assert topo.ue.tobytes() == ue.tobytes()
+
     def test_invalid_inputs(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):

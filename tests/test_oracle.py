@@ -202,10 +202,43 @@ class TestOptimalCost:
             return calls[-1]
 
         monkeypatch.setattr(oracle, "_depletion_possible", counted)
-        got = oracle.optimal_cost(tables, trace_used, *args)
+        got, row_cost = oracle.optimum_and_row(tables, trace_used, [7, 3], *args)
         assert calls == [False]
         grid = np.maximum(all_combinations(tables.used.size, N_STEPS), 1)
         assert got == _evaluate_no_depletion(tables, grid, DT, N_STEPS).min()
+        assert row_cost == _evaluate_no_depletion(tables, np.array([[7, 3]]), DT, N_STEPS)[0]
+
+    def test_stepwise_sets_up_one_slot_step(self, monkeypatch):
+        # the search and the policy's row share one depletion check and one
+        # slot step
+        scn = scenario_with_used(SEED_M2, initial=5.0)
+        tables = tables_for(scn)
+        trace_used = np.full((N_STEPS, tables.used.size), 0.01)
+        args = (5.0, 100.0, DT, N_STEPS)
+        calls = {"_depletion_possible": 0, "_slot_step": 0}
+        for name in calls:
+            def counted(*a, _real=getattr(oracle, name), _name=name):
+                calls[_name] += 1
+                return _real(*a)
+
+            monkeypatch.setattr(oracle, name, counted)
+        got, row_cost = oracle.optimum_and_row(tables, trace_used, [40, 2], *args)
+        assert calls == {"_depletion_possible": 1, "_slot_step": 1}
+        monkeypatch.undo()
+        grid = np.maximum(all_combinations(tables.used.size, N_STEPS), 1)
+        costs = evaluate_schedules(tables, trace_used, grid, *args)
+        assert np.float64(got).tobytes() == costs.min().tobytes()
+        row = evaluate_schedules(tables, trace_used, [[40, 2]], *args)[0]
+        assert np.float64(row_cost).tobytes() == row.tobytes()
+        assert oracle._depletion_possible(tables, trace_used, *args)
+
+    @pytest.mark.parametrize("row", [[0, 3], [3, 51], [3], [1, 2, 3]])
+    def test_row_off_the_study_grid_rejected(self, row):
+        scn = scenario_with_used(SEED_M2)
+        tables = tables_for(scn)
+        trace_used = np.zeros((N_STEPS, tables.used.size))
+        with pytest.raises(ValueError, match="the row must hold 2 OFF indices in 1..50"):
+            oracle.optimum_and_row(tables, trace_used, row, 60.0, 100.0, DT, N_STEPS)
 
 
 class TestTables:

@@ -5,9 +5,10 @@ cost, against a vectorized reference.
 `oracle._evaluate_stepwise` and `oracle._depletion_possible` bodies, kept here
 as test-only references: numpy arrays over every row, one slot at a time. The
 current evaluator walks each row along its own slots in plain floats, with the
-slot step that `oracle.optimal_cost` shares. The property test requires it to
-return exactly the same bytes and the same path decision, and `optimal_cost`
-the same bytes as the minimum over the study's grid.
+slot step that `oracle.optimum_and_row` shares. The property test requires it
+to return exactly the same bytes and the same path decision, and
+`optimum_and_row` the same bytes as the minimum over the study's grid and as
+a row of it.
 """
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from sbsched.oracle import (
     _evaluate_no_depletion,
     _evaluate_stepwise,
     all_combinations,
-    optimal_cost,
+    optimum_and_row,
 )
 from sbsched.pricing import CostWeights
 
@@ -177,19 +178,23 @@ def test_walk_matches_reference_bit_for_bit(m, n_steps, seed, energy, exact, e0_
 
 def assert_optimum_is_the_grid_minimum(tables, trace_used, e0, cap, dt, n_steps,
                                        reference=None):
-    """`optimal_cost` is the minimum over the study's grid, to the bit: the
-    reference loop's where a cell can run dry (`reference`, if the caller
-    has costed that grid with it already), the closed form's where none
-    can."""
+    """`optimum_and_row` gives the minimum over the study's grid and a row's
+    entry in it, to the bit: the reference loop's where a cell can run dry
+    (`reference`, if the caller has costed that grid with it already), the
+    closed form's where none can. Rows: the grid's first and last, and a few
+    drawn from it."""
     grid = np.maximum(all_combinations(tables.used.size, n_steps), 1)
     if _depletion_possible(tables, trace_used, e0, cap, dt, n_steps):
         costs = reference if reference is not None else reference_evaluate_stepwise(
             tables, trace_used, grid, e0, cap, dt, n_steps)
     else:
         costs = _evaluate_no_depletion(tables, grid, dt, n_steps)
-    got = optimal_cost(tables, trace_used, e0, cap, dt, n_steps)
-    assert type(got) is float
-    assert np.float64(got).tobytes() == costs.min().tobytes()
+    picks = [0, len(grid) - 1] + np.random.default_rng(0).integers(0, len(grid), 3).tolist()
+    for i in picks:
+        got, row_cost = optimum_and_row(tables, trace_used, grid[i], e0, cap, dt, n_steps)
+        assert type(got) is float and type(row_cost) is float
+        assert np.float64(got).tobytes() == costs.min().tobytes()
+        assert np.float64(row_cost).tobytes() == costs[i].tobytes()
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
@@ -304,57 +309,49 @@ def test_recorded_study_grids_match_reference():
 
 
 def test_study_evaluates_each_served_attempt_once(monkeypatch):
-    served = []
-    searched = []  # (tables, trace_used, rest, optimum) per optimal_cost call
-    rows = []  # the rows the study costs itself, outside optimal_cost
-    inside = []
-    real_build = oracle.build_tables
-    real_opt, real_eval = oracle.optimal_cost, oracle.evaluate_schedules
+    served = 0
+    passes = []  # (tables, trace_used, row, rest, (optimum, row cost)) per pass
+    real_build, real_pass = oracle.build_tables, oracle.optimum_and_row
 
     def build(*args):
-        tables = real_build(*args)
-        served.append(tables.used.size > 0)
-        return tables
+        nonlocal served
+        served += 1
+        return real_build(*args)
 
-    def optimum(tables, trace_used, *rest):
-        inside.append(True)
-        try:
-            opt = real_opt(tables, trace_used, *rest)
-        finally:
-            inside.pop()
-        searched.append((tables, trace_used, rest, opt))
-        return opt
+    def one_pass(tables, trace_used, row, *rest):
+        out = real_pass(tables, trace_used, row, *rest)
+        passes.append((tables, trace_used, list(row), rest, out))
+        return out
 
-    def evaluate(tables, trace_used, off_idx, *rest):
-        if not inside:
-            rows.append(np.array(off_idx))
-        return real_eval(tables, trace_used, off_idx, *rest)
+    def elsewhere(*args):
+        raise AssertionError("the study costs a schedule outside its one pass")
 
     cfg = ScenarioConfig(n_sbs=2, n_ue=40, area=(1000.0, 1000.0), dt=0.2,
                          initial_energy=30.0, seed=3)
     monkeypatch.setattr(oracle, "build_tables", build)
-    monkeypatch.setattr(oracle, "optimal_cost", optimum)
-    monkeypatch.setattr(oracle, "evaluate_schedules", evaluate)
+    monkeypatch.setattr(oracle, "optimum_and_row", one_pass)
+    monkeypatch.setattr(oracle, "evaluate_schedules", elsewhere)
+    monkeypatch.setattr(oracle, "_evaluate_stepwise", elsewhere)
     report = empirical_cr_study(cfg, 12)
     monkeypatch.undo()
     assert report.ratios.size == 12
-    # one search per served attempt, and one costed row per accepted run
-    assert len(searched) == sum(served) >= 12
-    accepted = [s for s in searched if s[3] > 0.0]
-    assert len(accepted) == len(rows) == 12
-    assert all(r.shape == (1, s[0].used.size) for r, s in zip(rows, accepted))
+    # one pass per served attempt, which is the study's only costing
+    assert len(passes) == served >= 12
+    accepted = [p for p in passes if p[4][0] > 0.0]
+    assert len(accepted) == 12
     # the ratios are the bytes of the full grid's minimum and the policy's
     # row looked up in that grid, recomputed on the same records
     want = []
     n_steps = cfg.n_steps
-    for (tables, trace_used, rest, opt), row in zip(accepted, rows):
+    for tables, trace_used, row, rest, (opt, realized) in accepted:
         m = tables.used.size
+        assert len(row) == m and min(row) >= 1 and max(row) <= n_steps
         grid = np.maximum(all_combinations(m, n_steps), 1)
         costs = oracle.evaluate_schedules(tables, trace_used, grid, *rest)
         assert np.float64(opt).tobytes() == costs.min().tobytes()
-        assert row.min() >= 1 and row.max() <= n_steps
-        realized = float(costs[np.ravel_multi_index(row[0], (n_steps + 1,) * m)])
-        want.append(realized / float(costs.min()))
+        at = np.ravel_multi_index(row, (n_steps + 1,) * m)
+        assert np.float64(realized).tobytes() == costs[at].tobytes()
+        want.append(float(costs[at]) / float(costs.min()))
     assert np.array(want).tobytes() == report.ratios.tobytes()
-    assert any(_depletion_possible(t, tr, *rest) for t, tr, rest, _ in accepted)
+    assert any(_depletion_possible(t, tr, *rest) for t, tr, _, rest, _ in accepted)
     assert np.array_equal(empirical_cr_study(cfg, 12).ratios, report.ratios)

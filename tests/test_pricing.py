@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sbsched import network
-from sbsched.energy import bs_power
 from sbsched.network import BsParams, Topology, dbm_to_watts, place_nodes
 from sbsched.pricing import (
     CostWeights,
@@ -13,7 +12,6 @@ from sbsched.pricing import (
     PriceTag,
     all_rent_prices,
     buy_price,
-    mbs_delay_share,
 )
 
 
@@ -25,6 +23,21 @@ def served_topology(seed=1, n_sbs=6, n_ue=30):
         state = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
         if any(state.n_members(j) > 0 for j in range(1, topo.n_bs)):
             return topo, state
+
+
+def cell_power(cell, n_users, q):
+    """The power model's draw of one BS, in plain floats, clamped at its
+    capacity."""
+    n = min(n_users, cell.max_users)
+    return n / cell.max_users * (1.0 - q) * cell.op_power_max + q * cell.op_power_max
+
+
+def mbs_delay_share(members, topo, file_bits):
+    """The MBS delay of a cell's members with the MBS bandwidth split over
+    all UEs, summed by numpy over the members alone."""
+    mbs = topo.bs[0]
+    snr = mbs.tx_power * topo.gain[members, 0] / topo.noise_power
+    return float(np.sum(file_bits / (mbs.bandwidth / topo.n_ue * np.log2(1.0 + snr))))
 
 
 def all_on_rent(topo, w, q=0.9, file_bits=1e5):
@@ -74,7 +87,7 @@ class TestRentPrice:
         j = next(j for j in range(1, topo.n_bs) if state.n_members(j) > 0)
         w = CostWeights(0.05, 1e-4, 0.05)
         phi = network.all_bs_delays(state, topo, 1e5)[j]
-        psi = bs_power(topo.bs[j], state.n_members(j), 0.9)
+        psi = cell_power(topo.bs[j], state.n_members(j), 0.9)
         assert all_on_rent(topo, w)[j] == pytest.approx(0.05 * phi + 1e-4 * psi, rel=1e-12)
 
     def test_empty_cell_pays_fixed_power_only(self):
@@ -94,7 +107,7 @@ class TestRentPrice:
         assert rents[0] == 0.0
         for j in range(1, topo.n_bs):
             phi = sum(1e5 / rates[i] for i in state.members(j))
-            psi = bs_power(topo.bs[j], state.n_members(j), 0.9)
+            psi = cell_power(topo.bs[j], state.n_members(j), 0.9)
             assert rents[j] == pytest.approx(
                 w.alpha_d * phi + w.alpha_p * psi, rel=1e-12
             )
@@ -106,22 +119,38 @@ class TestRentPrice:
 
 class TestMacroShares:
     def test_delay_share_uses_total_ue_split(self):
-        topo, state = served_topology(seed=5)
-        j = next(j for j in range(1, topo.n_bs) if state.n_members(j) > 0)
-        members = state.members(j)
-        per_ue_bw = topo.bs[0].bandwidth / topo.n_ue
-        snr = network.sinr_matrix(state.sigma, topo)[:, 0]
-        expected = sum(1e5 / (per_ue_bw * np.log2(1 + snr[i])) for i in members)
-        got = mbs_delay_share(members, topo, 1e5, topo.n_ue)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_empty_member_set(self):
-        topo, _ = served_topology()
-        assert mbs_delay_share(np.array([], dtype=int), topo, 1e5, 30) == 0.0
+        # the tags weigh each UE's MBS delay once per table; a cell's buy
+        # has the bits of its members' delays summed alone, on placements
+        # with 1 to 60 members per cell (60 clamps the MBS's share at 50; a
+        # sequential sum of 30 differs from numpy's pairwise one)
+        topos = [served_topology(seed=seed, n_sbs=n_sbs, n_ue=n_ue)[0]
+                 for seed, n_sbs, n_ue in ((5, 6, 30), (7, 12, 90), (11, 3, 200))]
+        w = CostWeights()
+        sizes = set()
+        for topo in topos + [crowded_cell(1, n_ue=30), crowded_cell(1, n_ue=60)]:
+            state = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tags = OnSetTable(topo, w, 0.9, 1e5, 10.0).tags
+            for tag in tags:
+                members = state.members(tag.sbs)
+                sizes.add(members.size)
+                phi = mbs_delay_share(members, topo, 1e5)
+                per_ue_bw = topo.bs[0].bandwidth / topo.n_ue
+                snr = network.sinr_matrix(state.sigma, topo)[:, 0]
+                assert phi == pytest.approx(
+                    sum(1e5 / (per_ue_bw * np.log2(1 + snr[i])) for i in members),
+                    rel=1e-12)
+                psi = cell_power(topo.bs[0], members.size, 0.9)
+                assert tag.buy == buy_price(phi, psi, w, 10.0, sbs=tag.sbs)
+        assert min(sizes) == 1 and max(sizes) == 60
 
     def test_power_share_example(self):
-        topo, _ = served_topology()
-        assert bs_power(topo.bs[0], 5, 0.9) == pytest.approx(18.2)
+        # one cell serves 5 UEs: its buy prices the MBS's draw with 5 more,
+        # 0.1 * 0.1 * 20 + 0.9 * 20 = 18.2 W, alone when alpha_d = 0
+        w = CostWeights(0.0, 0.05, 0.05)
+        (tag,) = OnSetTable(crowded_cell(0, n_ue=5), w, 0.9, 1e5, 10.0).tags
+        assert tag.buy / (w.alpha_b * w.alpha_p * 10.0) == pytest.approx(18.2)
 
 
 class TestBuyPrice:
@@ -230,8 +259,8 @@ class TestFreezePrices:
         for tag in tags:
             members = state.members(tag.sbs)
             assert members.size > 0
-            phi = mbs_delay_share(members, topo, 1e5, topo.n_ue)
-            psi = bs_power(topo.bs[0], members.size, 0.9)
+            phi = mbs_delay_share(members, topo, 1e5)
+            psi = cell_power(topo.bs[0], members.size, 0.9)
             assert tag.buy == pytest.approx(buy_price(phi, psi, w, 10.0, sbs=tag.sbs),
                                             rel=1e-12)
 
@@ -247,7 +276,7 @@ def reference_entry(table, sigma):
     rates = network.ue_rates(state, topo)
     delays = np.zeros(topo.n_bs)
     np.add.at(delays, serving, table.file_bits / rates)
-    power = np.array([bs_power(topo.bs[j], int(np.count_nonzero(serving == j)), table.q)
+    power = np.array([cell_power(topo.bs[j], int(np.count_nonzero(serving == j)), table.q)
                       for j in range(1, topo.n_bs)])
     return {
         "serving": serving, "sinr": sinr, "delays": delays,
@@ -303,6 +332,20 @@ class TestOnSetEntry:
             for sigma in self.random_on_sets(tp.n_bs, rng):
                 assert_entry_is_reference(table, sigma)
 
+    def test_add_makes_the_entry_from_the_given_association(self, monkeypatch):
+        topo, state = served_topology(seed=3)
+        table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
+        entry = table.add(state)
+        assert entry.state is state
+
+        def no_association(*args):
+            raise AssertionError("the ON set was associated again")
+
+        monkeypatch.setattr(network, "associate", no_association)
+        assert table[state.sigma.copy()] is entry
+        monkeypatch.undo()
+        assert_entry_is_reference(table, state.sigma.copy())
+
     def test_macro_only_set_serves_everyone_from_the_macro_cell(self):
         topo, _ = served_topology(seed=3)
         table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
@@ -332,7 +375,7 @@ class TestOnSetEntry:
                 warnings.simplefilter("ignore")
                 assert_entry_is_reference(table, sigma)
             for j in over:
-                assert entry.power[j - 1] == bs_power(topo.bs[j], 2, 0.9) == 10.0
+                assert entry.power[j - 1] == cell_power(topo.bs[j], 2, 0.9) == 10.0
             n_over += len(over)
         assert n_over > 1
         all_on = np.ones(topo.n_bs, dtype=bool)

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbsched import energy as energy_mod
 from sbsched import pricing
 from sbsched.energy import EnergyState
 from sbsched.engine import (
@@ -64,8 +63,11 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
     buy_prices = np.zeros(n_sbs)
     for i in np.flatnonzero(used):
         members = all_on.state.members(i + 1)
-        phi = pricing.mbs_delay_share(members, topo, file_bits, topo.n_ue)
-        psi_mbs = energy_mod.bs_power(topo.bs[0], members.size, q)
+        mbs = topo.bs[0]
+        snr = mbs.tx_power * topo.gain[members, 0] / topo.noise_power
+        phi = float(np.sum(file_bits / (mbs.bandwidth / topo.n_ue * np.log2(1.0 + snr))))
+        n = min(members.size, mbs.max_users)
+        psi_mbs = n / mbs.max_users * (1.0 - q) * mbs.op_power_max + q * mbs.op_power_max
         buy_prices[i] = pricing.buy_price(phi, psi_mbs, w, cfg.period, sbs=i + 1)
     n_used = int(used.sum())
 
