@@ -1,6 +1,7 @@
-"""Competitive analysis: the empirical ratio study that replays one-period
-`engine.Replication`s through both the randomized policy
-(`schedulers.RoaPolicy`, on the frozen tags) and the offline oracle.
+"""Competitive analysis: the empirical ratio study, which draws what
+one-period `engine.Replication`s would, in stacked chunks of attempts, and
+replays them through both the randomized policy (`schedulers.RoaPolicy`, on
+the frozen tags) and the offline oracle.
 """
 from __future__ import annotations
 
@@ -8,14 +9,23 @@ import csv
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import network, oracle
+from . import network, oracle, pricing
 from .energy import harvest_trace
-from .engine import ReplicationSeeds, ScenarioConfig, build_topology, epoch_tables
+# build_topology is not called here: a chunk's topologies are placed by
+# build_topologies. bench/test_bench.py checks that the tracer wraps it here.
+from .engine import (  # noqa: F401
+    ReplicationSeeds, ScenarioConfig, build_topologies, build_topology,
+)
 from .schedulers import RoaPolicy
+
+# attempts stacked in one pass at most (and no more than network.STACK_LINKS
+# links): bounds the stacked arrays
+CHUNK = 64
 
 
 class DegenerateStudyError(RuntimeError):
@@ -79,16 +89,29 @@ def empirical_cr_study(
 ) -> RatioReport:
     """Ratio of the randomized policy's realized cost to the offline optimum.
 
-    Each attempt draws from (cfg.seed, attempt) what a one-period
-    `engine.Replication.draw` would (`ReplicationSeeds`), but only what the
-    study reads. An attempt whose all-ON association serves no SBS is
-    skipped before any price, harvest or policy draw, once every UE's rate
-    is checked. A served attempt builds its table on that association, snaps
-    the randomized OFF times down to the slot grid and costs the policy and
-    the exhaustive optimum with the same slot-level accounting on the same
-    trace, in one `oracle.optimum_and_row` pass. Attempts whose optimum is
-    zero are skipped too; more than ten attempts per run raise
-    `DegenerateStudyError`.
+    Attempt a draws from (cfg.seed, a) what a one-period
+    `engine.Replication.draw` would, from the same seed children
+    (`ReplicationSeeds`), but only what the study reads. Attempts are taken
+    in chunks of at most `CHUNK`, never more than the runs still needed nor
+    past the cap below, so a chunk holds no attempt that a loop over one
+    attempt at a time would not reach. A chunk places each attempt's
+    topology from its own topology child and associates the all-ON set of
+    every topology in one stacked pass, which checks that every UE has a
+    positive rate. A chunk also holds no more than `network.STACK_LINKS`
+    UE-BS links. An attempt whose all-ON association serves no SBS is
+    skipped there, before any price, harvest or policy draw, and builds no
+    other child. The served attempts' all-ON rents, their tags and every
+    subset's prices take one more stacked pass each, the subsets up to the
+    first attempt over the budget, which raises once they are built. Then,
+    one served attempt at a time, in attempt order: the budget check, the harvest
+    (from the harvest child), the randomized OFF times snapped down to the
+    slot grid, and the policy and the exhaustive optimum costed with the
+    same slot-level accounting on the same trace, in one
+    `oracle.optimum_and_row` pass. Attempts whose optimum is zero are
+    skipped too; more than ten attempts per run raise
+    `DegenerateStudyError`. A chunk in which anything fails is run again one
+    attempt at a time, so the failure raised is the first in attempt order,
+    as a loop over one attempt at a time raises it.
 
     The optimum is the least cost over the grid of every served cell's OFF
     index in 1..n_steps: the closed form's minimum over that grid when no
@@ -110,48 +133,63 @@ def empirical_cr_study(
         raise ValueError("need at least one run")
     if cfg.sbs_tx_schedule:
         raise ValueError("the ratio study prices one epoch; sbs_tx_schedule must be empty")
-    n_steps, dt = cfg.n_steps, cfg.dt
     study_cfg = replace(cfg, horizon_periods=1)
-    ratios = []
-    run = 0
+    chunk_size = min(CHUNK, max(1, network.STACK_LINKS // (cfg.n_ue * (cfg.n_sbs + 1))))
+    ratios: list[float] = []
     attempts = 0
-    while run < n_runs:
-        attempts += 1
-        if attempts > 10 * n_runs:
+    while len(ratios) < n_runs:
+        left = 10 * n_runs - attempts
+        if not left:
             raise DegenerateStudyError(
-                f"too many degenerate replications: {attempts - 1} attempts "
-                f"for {run} of {n_runs} runs (no served SBSs, or a zero optimum)")
-        seeds = ReplicationSeeds.spawn(np.random.SeedSequence([cfg.seed, attempts]))
-        topo = build_topology(study_cfg, np.random.default_rng(seeds.topo))
-        state = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
-        if not state.counts[1:].any():
-            # every UE is on the MBS: no cell to schedule
-            network.all_bs_delays(state, topo, cfg.file_bits)  # raises on a zero rate
-            continue
-        (table,) = epoch_tables(study_cfg, topo)
-        table.add(state)
-        tables = oracle.build_tables(table)
-        m = tables.used.size
-        required = (n_steps + 1) ** m
-        if required > budget:
-            raise oracle.BudgetError(required, budget)
-        trace = harvest_trace(cfg.harvest, dt, n_steps, cfg.n_sbs,
-                              np.random.default_rng(seeds.harvest))
-        # one study stream for every cell, so the draws follow the tags' order
-        policy = RoaPolicy()
-        policy.reset(table.tags, cfg.period,
-                     [np.random.default_rng(seeds.policy)] * cfg.n_sbs)
-        # each OFF time snapped down to the slot grid, whose study rows start at 1
-        row = [max(min(int(math.floor(policy.off_times[tag.sbs] / dt + 1e-9)), n_steps), 1)
-               for tag in table.tags]
-        opt, realized = oracle.optimum_and_row(
-            tables, trace[:, tables.used - 1], row,
-            cfg.initial_energy, cfg.capacity, dt, n_steps)
-        if opt <= 0.0:
-            continue
-        ratios.append(realized / opt)
-        run += 1
+                f"too many degenerate replications: {attempts} attempts "
+                f"for {len(ratios)} of {n_runs} runs (no served SBSs, or a zero optimum)")
+        chunk = range(attempts + 1, attempts + 1 + min(n_runs - len(ratios), left, chunk_size))
+        try:
+            ratios += _study_chunk(study_cfg, chunk, budget)
+        except Exception:  # again one attempt at a time: the first failure raises
+            ratios += [r for attempt in chunk for r in _study_chunk(study_cfg, [attempt], budget)]
+        attempts = chunk[-1]
     report = RatioReport.from_ratios(np.array(ratios))
     if out_dir is not None:
         report.save(out_dir)
     return report
+
+
+def _study_chunk(cfg: ScenarioConfig, attempts: Sequence[int], budget: int) -> list[float]:
+    """The ratios of the accepted attempts of one chunk, in attempt order."""
+    n_steps, dt = cfg.n_steps, cfg.dt
+    w, q, file_bits = cfg.weights, cfg.q, cfg.file_bits
+    topo = build_topologies(cfg, [np.random.default_rng(
+        ReplicationSeeds.child([cfg.seed, attempt], "topo")) for attempt in attempts])
+    all_on = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
+    network.all_bs_delays(all_on, topo, file_bits)  # raises on a zero rate
+    served = np.flatnonzero(all_on.counts[:, 1:].any(axis=1))  # else every UE is on the MBS
+    topo, all_on = topo.take(served), all_on.take(served)
+    rents = pricing.price_on_sets(all_on, topo, w, q, file_bits).rent
+    tags = pricing.freeze_prices(all_on, rents, topo, w, q, file_bits, cfg.period)
+    # no attempt past the first over the budget, which raises once its tables are built
+    over = [(n_steps + 1) ** len(t) > budget for t in tags] + [True]
+    last = over.index(True) + 1
+    ratios = []
+    for i, t, tables in zip(served[:last].tolist(), tags,
+                            oracle.build_tables(topo.take(slice(last)), tags[:last], w, q,
+                                                file_bits)):
+        seed = [cfg.seed, attempts[i]]
+        required = (n_steps + 1) ** tables.used.size
+        if required > budget:
+            raise oracle.BudgetError(required, budget)
+        trace = harvest_trace(cfg.harvest, dt, n_steps, cfg.n_sbs,
+                              np.random.default_rng(ReplicationSeeds.child(seed, "harvest")))
+        # one study stream for every cell, so the draws follow the tags' order
+        policy = RoaPolicy()
+        policy.reset(t, cfg.period,
+                     [np.random.default_rng(ReplicationSeeds.child(seed, "policy"))] * cfg.n_sbs)
+        # each OFF time snapped down to the slot grid, whose study rows start at 1
+        row = [max(min(int(math.floor(policy.off_times[tag.sbs] / dt + 1e-9)), n_steps), 1)
+               for tag in t]
+        opt, realized = oracle.optimum_and_row(
+            tables, trace[:, tables.used - 1], row, cfg.initial_energy, cfg.capacity, dt,
+            n_steps)
+        if opt > 0.0:
+            ratios.append(realized / opt)
+    return ratios

@@ -63,15 +63,17 @@ def power_draw(op_power: np.ndarray, max_users: np.ndarray, n_users: np.ndarray,
     full-load power `op_power[i]` and capacity `max_users[i]` with
     `n_users[i]` attached draws `(n / max) * (1 - q) * op + q * op`.
 
-    Counts are non-negative. A count above the capacity is clamped to it,
-    with a `UserWarning` that names the BS by its id, `ids[i]`.
+    Counts are non-negative, on any leading stack axes. A count above the
+    capacity is clamped to it, with a `UserWarning` that names the BS by its
+    id, `ids[i]` for the last axis' index i.
     """
     over = n_users > max_users
-    if over.any():
+    if np.logical_or.reduce(over, axis=None):
+        n_b, max_b = np.broadcast_arrays(n_users, max_users)
         for i in np.flatnonzero(over).tolist():
             warnings.warn(
-                f"BS {ids[i]}: {n_users[i]} users exceed max {max_users[i]}; "
-                "clamping the proportional term",
+                f"BS {ids[i % over.shape[-1]]}: {n_b.flat[i]} users exceed max "
+                f"{max_b.flat[i]}; clamping the proportional term",
                 stacklevel=2,
             )
         n_users = np.minimum(n_users, max_users)

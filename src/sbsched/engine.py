@@ -211,8 +211,17 @@ class PeriodResult:
 
 
 def build_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> Topology:
-    return network.place_nodes(
-        cfg.area, cfg.n_sbs, cfg.n_ue, rng,
+    return network.place_nodes(cfg.area, cfg.n_sbs, cfg.n_ue, rng, **_node_params(cfg))
+
+
+def build_topologies(cfg: ScenarioConfig,
+                     rngs: Sequence[np.random.Generator]) -> network.TopologyStack:
+    """`build_topology` with each generator of `rngs`, stacked."""
+    return network.place_stack(cfg.area, cfg.n_sbs, cfg.n_ue, rngs, **_node_params(cfg))
+
+
+def _node_params(cfg: ScenarioConfig) -> dict:
+    return dict(
         mbs_tx_power=cfg.mbs_tx_power, mbs_op_power=cfg.mbs_op_power,
         mbs_bandwidth=cfg.mbs_bandwidth, mbs_max_users=cfg.mbs_max_users,
         sbs_tx_power=cfg.sbs_tx_power, sbs_op_power=cfg.sbs_op_power,
@@ -521,9 +530,24 @@ class ReplicationSeeds(NamedTuple):
     policy: np.random.SeedSequence
 
     @classmethod
-    def spawn(cls, seed: int | np.random.SeedSequence) -> "ReplicationSeeds":
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        return cls(*ss.spawn(3))
+    def spawn(cls, seed: int | Sequence[int] | np.random.SeedSequence) -> "ReplicationSeeds":
+        return cls(*(cls.child(seed, name) for name in cls._fields))
+
+    @classmethod
+    def child(cls, seed: int | Sequence[int] | np.random.SeedSequence,
+              name: str) -> np.random.SeedSequence:
+        """The child `name` of `seed`'s `SeedSequence`, equal to the one
+        `spawn` would make, built alone and without the parent's."""
+        return _child(seed, cls._fields.index(name))
+
+
+def _child(seed: int | Sequence[int] | np.random.SeedSequence,
+           i: int) -> np.random.SeedSequence:
+    """The i-th child of `seed`'s `SeedSequence`, as its `spawn` makes it."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,),
+                                      pool_size=seed.pool_size)
+    return np.random.SeedSequence(seed, spawn_key=(i,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,11 +597,9 @@ class Replication:
     def policy_rngs(self) -> list[np.random.Generator | None]:
         """Fresh generators for a run: the i-th child of `policy_ss` (as
         `spawn` would make it) for each served cell i, None elsewhere."""
-        ss = self.policy_ss
         rngs: list[np.random.Generator | None] = [None] * self.cfg.n_sbs
         for i in self.plan.cells:
-            rngs[i] = np.random.default_rng(np.random.SeedSequence(
-                ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size))
+            rngs[i] = np.random.default_rng(_child(self.policy_ss, i))
         return rngs
 
 

@@ -3,7 +3,8 @@
 Works on a recorded scenario (topology, frozen prices, full harvest trace) so
 every policy and the oracle face the same randomness. Because the number of
 SBSs that actually serve UEs is small in oracle experiments, the live rent
-and power rates of every ON-subset are read once from a `pricing.OnSetTable`.
+and power rates of every ON-subset are priced once, by `build_tables`, for a
+whole stack of topologies in one pass.
 When no schedule can deplete a battery, all OFF-time combinations are costed
 in closed form, vectorized over the combinations. Otherwise each schedule is
 costed along its own slots in plain floats, one `_slot_step` per slot: the
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network, pricing
+from .network import MBS_ID
 from .pricing import CostWeights
 
 
@@ -90,29 +92,49 @@ class SubsetTables:
     psi_max: np.ndarray  # (m,)
 
 
-def build_tables(table: pricing.OnSetTable) -> SubsetTables:
-    """Every subset's rates over the served cells of `table.tags`, read from
-    `table`, with the buy prices frozen in the tags."""
-    topo = table.topo
-    used = np.array([tag.sbs for tag in table.tags], dtype=int)
-    m = used.size
-    rent = np.zeros((1 << m, m))
-    psi = np.zeros((1 << m, m))
-    # mask 0 (every served cell OFF) keeps its zero rows: it has no entry to read
-    for mask in range(1, 1 << m):
-        on = (mask >> np.arange(m)) & 1 == 1
-        sigma = np.zeros(topo.n_bs, dtype=bool)
-        sigma[0] = True
-        sigma[used[on]] = True
-        entry = table[sigma]
-        rent[mask] = np.where(on, entry.rent[used], 0.0)
-        psi[mask] = entry.psi[used - 1]
-    buys = np.array([tag.buy for tag in table.tags])
-    psi_max = psi.max(axis=0) if m else np.zeros(0)
-    return SubsetTables(
-        used=used, rent=rent, psi=psi, rent_sum=rent.sum(axis=1),
-        buys=buys, psi_max=psi_max,
-    )
+def build_tables(topo: network.TopologyStack, tags: Sequence[tuple[pricing.PriceTag, ...]],
+                 w: CostWeights, q: float, file_bits: float) -> list[SubsetTables]:
+    """Every subset's rates over the served cells of each topology of the
+    stack `topo`, those of its tags (`tags[s]`, with the buy prices frozen
+    in them), in stacked passes: one (topology, ON set) pair per non-empty
+    subset, in (topology, bitmask) order, associated by
+    `network.associate_stack` and priced by `pricing.price_on_sets`, so that
+    a failure is the first pair's, with at most `network.STACK_LINKS` links
+    in a pass. The all-OFF rows are zero."""
+    used = [np.array([tag.sbs for tag in t], dtype=int) for t in tags]
+    on = {m: (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1 == 1
+          for m in {u.size for u in used}}  # subset bitmask -> ON cells
+    n_pairs = [(1 << u.size) - 1 for u in used]
+    sigma = np.zeros((sum(n_pairs), topo.n_bs), dtype=bool)
+    sigma[:, MBS_ID] = True
+    start = 0
+    for u, n in zip(used, n_pairs):
+        sigma[start:start + n, u] = on[u.size]
+        start += n
+    owner = np.repeat(np.arange(len(used)), n_pairs)
+    rents, psis = np.empty(sigma.shape), np.empty((sigma.shape[0], topo.n_sbs))
+    step = max(1, network.STACK_LINKS // (topo.n_ue * topo.n_bs))
+    for start in range(0, owner.size, step):
+        block = slice(start, start + step)
+        pairs = topo.take(owner[block])
+        prices = pricing.price_on_sets(network.associate_stack(sigma[block], pairs), pairs,
+                                       w, q, file_bits)
+        rents[block], psis[block] = prices.rent, prices.psi
+    tables = []
+    start = 0
+    for u, n, t in zip(used, n_pairs, tags):
+        m = u.size
+        rent = np.zeros((n + 1, m))
+        psi = np.zeros((n + 1, m))
+        # mask 0 (every served cell OFF) keeps its zero rows: it has no pair
+        rent[1:] = np.where(on[m], rents[start:start + n, u], 0.0)
+        psi[1:] = psis[start:start + n, u - 1]
+        start += n
+        tables.append(SubsetTables(
+            used=u, rent=rent, psi=psi, rent_sum=rent.sum(axis=1),
+            buys=np.array([tag.buy for tag in t]),
+            psi_max=psi.max(axis=0) if m else np.zeros(0)))
+    return tables
 
 
 def _depletion_possible(
@@ -357,8 +379,10 @@ def offline_exhaustive(
     if abs(grid_dt - scenario.dt) > 1e-12:
         raise ValueError("the search grid must match the recorded resolution")
     topo = scenario.topo
-    tables = build_tables(pricing.OnSetTable(
-        topo, scenario.weights, scenario.q, scenario.file_bits, scenario.period))
+    table = pricing.OnSetTable(topo, scenario.weights, scenario.q, scenario.file_bits,
+                               scenario.period)
+    (tables,) = build_tables(network.TopologyStack.of(topo), [table.tags], scenario.weights,
+                             scenario.q, scenario.file_bits)
     n_steps = scenario.n_steps
     m = tables.used.size
     off_times = np.zeros(topo.n_sbs)

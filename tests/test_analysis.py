@@ -8,10 +8,11 @@ import pytest
 
 from sbsched.analysis import DegenerateStudyError, RatioReport, empirical_cr_study
 from sbsched import analysis, network, oracle
-from sbsched.engine import Replication, ScenarioConfig
+from sbsched.engine import Replication, ReplicationSeeds, ScenarioConfig
 from sbsched.network import dbm_to_watts
 from sbsched.pricing import NonFinitePriceError
 from sbsched.schedulers import RoaPolicy
+from test_oracle import table_subsets
 from test_oracle_walk import reference_evaluate_stepwise
 
 
@@ -62,7 +63,7 @@ def reference_study(cfg, n_runs):
         table = rep.tables[0]
         if not table.tags:
             continue
-        tables = oracle.build_tables(table)
+        tables = table_subsets(table)
         m = tables.used.size
         trace_used = rep.harvest[0][:, tables.used - 1]
         args = (cfg.initial_energy, cfg.capacity, dt, n_steps)
@@ -96,26 +97,30 @@ class TestEmpiricalStudy:
                         initial_energy=10.0, alpha_b=1.0, seed=9), 6),
     ])
     def test_accepts_and_costs_as_a_full_draw_would(self, monkeypatch, cfg, n_runs):
-        attempts, passes = [], []
-        real_topology, real_pass = analysis.build_topology, oracle.optimum_and_row
+        attempts, harvested, passes = [], [], []
+        real_child, real_pass = ReplicationSeeds.child, oracle.optimum_and_row
 
-        def topology(*args):
-            attempts.append(len(attempts) + 1)
-            return real_topology(*args)
+        def child(seed, name):
+            # every attempt builds its topology's child, a served one its harvest's
+            {"topo": attempts, "harvest": harvested}.get(name, []).append(seed[1])
+            return real_child(seed, name)
 
         def one_pass(tables, *args):
             out = real_pass(tables, *args)
-            passes.append((attempts[-1], tables.used.size,
+            passes.append((harvested[-1], tables.used.size,
                            oracle._depletion_possible(tables, args[0], *args[2:]), out))
             return out
 
-        monkeypatch.setattr(analysis, "build_topology", topology)
+        monkeypatch.setattr(ReplicationSeeds, "child", staticmethod(child))
         monkeypatch.setattr(oracle, "optimum_and_row", one_pass)
         report = empirical_cr_study(cfg, n_runs)
         monkeypatch.undo()
         want_attempts, want = reference_study(cfg, n_runs)
         assert [a for a, _, _, (opt, _) in passes if opt > 0.0] == want_attempts
         assert report.ratios.tobytes() == want.tobytes()
+        # attempts in order, each once, and one harvest per served attempt
+        assert attempts == list(range(1, len(attempts) + 1))
+        assert harvested == [a for a, _, _, _ in passes]
         # fig6 rejects most attempts and takes both oracle paths; the other
         # takes the stepwise one with up to three cells
         dry = [d for _, _, d, _ in passes]
@@ -149,30 +154,39 @@ class TestEmpiricalStudy:
     def test_each_attempt_draws_one_period(self, monkeypatch):
         # the study reads the first period only, whatever the configured
         # horizon: one topology and one all-ON association per attempt, and
-        # one harvest trace per served attempt only, none where every UE is
-        # on the MBS
-        counts = {"build_topology": 0, "harvest_trace": 0, "build_tables": 0,
-                  "all_on": 0}
-        for mod, name in ((analysis, "build_topology"), (analysis, "harvest_trace"),
-                          (oracle, "build_tables")):
-            real = getattr(mod, name)
+        # one harvest trace of one period per served attempt only, none where
+        # every UE is on the MBS; topologies, associations and tables are
+        # counted per attempt of each stacked call
+        counts = {"topologies": 0, "harvest_trace": 0, "tables": 0, "all_on": 0}
+        real_topologies, real_harvest = analysis.build_topologies, analysis.harvest_trace
+        real_tables, real_associate = oracle.build_tables, network.associate
 
-            def counting(*args, _real=real, _name=name):
-                counts[_name] += 1
-                return _real(*args)
+        def topologies(cfg, rngs):
+            counts["topologies"] += len(rngs)
+            return real_topologies(cfg, rngs)
 
-            monkeypatch.setattr(mod, name, counting)
-        real_associate = network.associate
+        def harvest(params, dt, n_steps, *args):
+            counts["harvest_trace"] += 1
+            assert n_steps == cfg.n_steps
+            return real_harvest(params, dt, n_steps, *args)
+
+        def tables(topo, tags, *args):
+            counts["tables"] += len(tags)
+            return real_tables(topo, tags, *args)
 
         def associate(sigma, topo):
-            counts["all_on"] += bool(np.all(sigma))
+            if np.all(sigma):
+                counts["all_on"] += topo.mbs_snr.shape[0]
             return real_associate(sigma, topo)
 
+        monkeypatch.setattr(analysis, "build_topologies", topologies)
+        monkeypatch.setattr(analysis, "harvest_trace", harvest)
+        monkeypatch.setattr(oracle, "build_tables", tables)
         monkeypatch.setattr(network, "associate", associate)
         cfg = ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6, horizon_periods=3)
         report = empirical_cr_study(cfg, 10)
-        assert counts["harvest_trace"] == counts["build_tables"] >= 10
-        assert counts["build_topology"] == counts["all_on"] > counts["harvest_trace"]
+        assert counts["harvest_trace"] == counts["tables"] >= 10
+        assert counts["topologies"] == counts["all_on"] > counts["harvest_trace"]
         one = empirical_cr_study(ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6), 10)
         assert np.array_equal(one.ratios, report.ratios)
 
@@ -199,3 +213,150 @@ class TestEmpiricalStudy:
                              sbs_tx_schedule=((0.0, 0.2), (5.0, 0.5)))
         with pytest.raises(ValueError, match="sbs_tx_schedule"):
             empirical_cr_study(cfg, 5)
+
+
+class StudyLog:
+    """Hooks on a study: the attempts whose topology child is built, in
+    order, the served ones (whose harvest child is built), the chunk sizes
+    and the accepted attempts. `zero_rates` and `fail_pass` inject failures
+    into attempts by number: every rate of a `zero_rates` attempt's UEs is
+    0, and the oracle pass of a `fail_pass` attempt raises."""
+
+    def __init__(self, monkeypatch, zero_rates=(), fail_pass=(), zero_optimum=()):
+        self.topo, self.served, self.chunks, self.accepted = [], [], [], []
+        real_child, real_place = ReplicationSeeds.child, analysis.build_topologies
+        real_pass = oracle.optimum_and_row
+
+        def child(seed, name):
+            {"topo": self.topo, "harvest": self.served}.get(name, []).append(seed[1])
+            return real_child(seed, name)
+
+        def place(cfg, rngs):
+            stack = real_place(cfg, rngs)
+            chunk = self.topo[-len(rngs):]
+            self.chunks.append(len(rngs))
+            dead = [i for i, a in enumerate(chunk) if a in zero_rates]
+            if dead:
+                recv, snr = stack.sbs_received_power.copy(), stack.mbs_snr.copy()
+                recv[dead], snr[dead] = 0.0, 0.0
+                stack = replace(stack, sbs_received_power=recv, mbs_snr=snr)
+            return stack
+
+        def one_pass(tables, *args):
+            attempt = self.served[-1]
+            if attempt in fail_pass:
+                raise RuntimeError(f"injected into attempt {attempt}")
+            opt, realized = (0.0, 0.0) if attempt in zero_optimum else real_pass(tables, *args)
+            if opt > 0.0:
+                self.accepted.append(attempt)
+            return opt, realized
+
+        monkeypatch.setattr(ReplicationSeeds, "child", staticmethod(child))
+        monkeypatch.setattr(analysis, "build_topologies", place)
+        monkeypatch.setattr(oracle, "optimum_and_row", one_pass)
+
+
+# oracle-depletion's scenario: two cells that can run dry, 30-40% of the
+# attempts unserved
+TWO_CELLS = ScenarioConfig(n_sbs=2, n_ue=40, area=(1000.0, 1000.0), dt=0.2,
+                           initial_energy=30.0, seed=11)
+
+
+def one_at_a_time(monkeypatch, cfg, n_runs, budget=1_000_000, **inject):
+    """The study and its log with chunks of one attempt, or the failure."""
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "CHUNK", 1)
+        log = StudyLog(m, **inject)
+        try:
+            return empirical_cr_study(cfg, n_runs, budget), log
+        except Exception as err:
+            return err, log
+
+
+class TestStudyChunks:
+    def test_chunks_match_one_attempt_at_a_time(self, monkeypatch):
+        n_runs = analysis.CHUNK + 36
+        with monkeypatch.context() as m:
+            log = StudyLog(m)
+            report = empirical_cr_study(TWO_CELLS, n_runs)
+        want, alone = one_at_a_time(monkeypatch, TWO_CELLS, n_runs)
+        assert report.ratios.tobytes() == want.ratios.tobytes()
+        assert log.accepted == alone.accepted and len(log.accepted) == n_runs
+        assert log.topo == alone.topo == list(range(1, len(log.topo) + 1))
+        assert log.served == alone.served
+        # a chunk holds CHUNK attempts, or the runs that are left if fewer
+        assert sum(log.chunks) == len(log.topo) and len(log.chunks) > 2
+        done = 0
+        for size in log.chunks:
+            left = n_runs - sum(a <= done for a in log.accepted)
+            assert size == min(analysis.CHUNK, left)
+            done += size
+
+    @pytest.mark.parametrize("inject", ["stacked", "attempt", "both"])
+    def test_a_failure_in_mid_chunk_is_the_first_in_attempt_order(self, monkeypatch, inject):
+        # the first attempt accepted, then two later served attempts of the
+        # same chunk: one fails in the chunk's stacked all-ON pass (every
+        # rate 0), one in its own oracle pass
+        _, log = one_at_a_time(monkeypatch, TWO_CELLS, 20)
+        first, *later = [a for a in log.served if a > log.accepted[0]][:2]
+        assert later and later[0] <= 20  # in the first chunk, of 20 attempts
+        fails = {"stacked": dict(zero_rates=[first]),
+                 "attempt": dict(fail_pass=[first]),
+                 "both": dict(fail_pass=[first], zero_rates=later)}[inject]
+        want, alone = one_at_a_time(monkeypatch, TWO_CELLS, 20, **fails)
+        assert isinstance(want, Exception)
+        with monkeypatch.context() as m:
+            log = StudyLog(m, **fails)
+            with pytest.raises(type(want)) as err:
+                empirical_cr_study(TWO_CELLS, 20)
+        assert str(err.value) == str(want)
+        # attempts before the failure are run again, one at a time
+        assert log.chunks[0] == 20 and list(dict.fromkeys(log.accepted)) == alone.accepted
+        assert alone.accepted[0] < first
+
+    def test_too_many_degenerate_attempts_after_some_runs(self, monkeypatch):
+        # a zero optimum on all but five served attempts: the cap of ten
+        # attempts per run ends the study after five runs
+        _, log = one_at_a_time(monkeypatch, TWO_CELLS, 20)
+        keep = log.served[:5]
+        zero = [a for a in range(1, 200) if a not in keep]
+        want, _ = one_at_a_time(monkeypatch, TWO_CELLS, 12, zero_optimum=zero)
+        assert isinstance(want, DegenerateStudyError)
+        with monkeypatch.context() as m:
+            log = StudyLog(m, zero_optimum=zero)
+            with pytest.raises(DegenerateStudyError) as err:
+                empirical_cr_study(TWO_CELLS, 12)
+        assert str(err.value) == str(want)
+        assert "120 attempts for 5 of 12 runs" in str(want)
+        assert log.topo == list(range(1, 121))
+
+    def test_a_budget_failure_ends_the_chunk_at_its_attempt(self, monkeypatch):
+        # a budget for two served cells: the first attempt with three raises
+        # once its tables are built, and no later attempt's are
+        cfg = ScenarioConfig(n_sbs=3, n_ue=60, area=(700.0, 700.0), dt=0.2, seed=6)
+        want, alone = one_at_a_time(monkeypatch, cfg, 30, budget=51 ** 2)
+        assert isinstance(want, oracle.BudgetError) and len(alone.served) == 4
+        built = []
+        real = oracle.build_tables
+
+        def tables(topo, tags, *args):
+            built.append([len(t) for t in tags])
+            return real(topo, tags, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "build_tables", tables)
+            with pytest.raises(oracle.BudgetError) as err:
+                empirical_cr_study(cfg, 30, budget=51 ** 2)
+        assert str(err.value) == str(want)
+        assert built[0][-1] == 3 and max(built[0][:-1], default=0) <= 2
+
+    def test_chunks_hold_at_most_the_links_of_a_pass(self, monkeypatch):
+        # five attempts' links to a pass: chunks of five, the same ratios
+        n_ue, n_bs = TWO_CELLS.n_ue, TWO_CELLS.n_sbs + 1
+        want, _ = one_at_a_time(monkeypatch, TWO_CELLS, 12)
+        with monkeypatch.context() as m:
+            m.setattr(network, "STACK_LINKS", 5 * n_ue * n_bs + n_bs)
+            log = StudyLog(m)
+            report = empirical_cr_study(TWO_CELLS, 12)
+        assert max(log.chunks) == 5
+        assert report.ratios.tobytes() == want.ratios.tobytes()

@@ -11,6 +11,7 @@ from sbsched.energy import EnergyState
 from sbsched.engine import (
     PeriodResult,
     Replication,
+    ReplicationSeeds,
     ScenarioConfig,
     build_topology,
     run_horizon,
@@ -18,8 +19,9 @@ from sbsched.engine import (
 )
 from sbsched.cli import PRESETS
 from sbsched.network import dbm_to_watts
-from sbsched.oracle import RecordedScenario, build_tables, evaluate_schedules
+from sbsched.oracle import RecordedScenario, evaluate_schedules
 from sbsched.schedulers import DoaPolicy, FixedPolicy, RoaPolicy, make_policy
+from test_oracle import table_subsets
 
 # run_horizon seeds found by direct search: these place at least one SBS
 # where it serves UEs at the period start
@@ -206,7 +208,7 @@ class TestOracleConsistency:
                 energy = EnergyState.fresh(cfg.n_sbs, e0, cfg.capacity)
                 res, _ = run_period(cfg, topo, energy, FixedPolicy(t_fix),
                                     rngs, trace)
-                tables = build_tables(table_for(cfg, topo))
+                tables = table_subsets(table_for(cfg, topo))
                 k_off = int(round(t_fix / cfg.dt))
                 off_idx = np.full((1, tables.used.size), k_off)
                 cost = evaluate_schedules(
@@ -362,6 +364,24 @@ class TestRunHorizon:
         assert [i for i, g in enumerate(rngs) if g is not None] == served
         for i in served:
             assert np.array_equal(rngs[i].random(4), np.random.default_rng(children[i]).random(4))
+
+    @pytest.mark.parametrize("seed", [7, [7, 3]])
+    def test_replication_seeds_are_the_spawned_children(self, seed):
+        # built directly, alone or all three, each child equals the one a
+        # parent's spawn(3) makes, also below a spawned parent
+        nested = np.random.SeedSequence(seed).spawn(2)[1]
+        cases = [(seed, np.random.SeedSequence(seed).spawn(3)),
+                 (np.random.SeedSequence(seed), np.random.SeedSequence(seed).spawn(3)),
+                 (nested, np.random.SeedSequence(seed).spawn(2)[1].spawn(3))]
+        for parent, spawned in cases:
+            alone = [ReplicationSeeds.child(parent, name)
+                     for name in ("topo", "harvest", "policy")]
+            for built in (list(ReplicationSeeds.spawn(parent)), alone):
+                for got, want in zip(built, spawned, strict=True):
+                    assert got.entropy == want.entropy
+                    assert got.spawn_key == want.spawn_key
+                    assert got.pool_size == want.pool_size
+                    assert got.generate_state(4).tolist() == want.generate_state(4).tolist()
 
     def test_run_period_on_a_record_takes_its_own_trace(self):
         cfg = ScenarioConfig(seed=SEED_TWO_USED)
@@ -577,7 +597,7 @@ class TestOnSetTable:
         energy = EnergyState.fresh(cfg.n_sbs, e0, cfg.capacity)
         res, _ = run_period(cfg, topo, energy, policy, rngs, trace)
 
-        tables = build_tables(table_for(cfg, topo))
+        tables = table_subsets(table_for(cfg, topo))
         assert tables.used.size in (2, 3)
         # the first slot at which the engine's policy wants the cell OFF
         off_idx = [[next((k for k in range(cfg.n_steps)
@@ -651,4 +671,5 @@ class TestOnSetTable:
             results = run_horizon(rep, make_policy(policy))
             assert len(results) == 2
         assert len(rep.tables[0].tags) == 2
-        assert len(calls) == 2
+        # both cells in one call
+        assert [np.size(args[0]) for args in calls] == [2]

@@ -34,8 +34,15 @@ def scenario_with_used(seed, n_sbs=3, n_ue=15, initial=60.0, trace=None,
     )
 
 
+def table_subsets(table):
+    """`build_tables` of one table's served cells: a stack of one."""
+    (tables,) = build_tables(network.TopologyStack.of(table.topo), [table.tags], table.w,
+                             table.q, table.file_bits)
+    return tables
+
+
 def tables_for(scn):
-    return build_tables(pricing.OnSetTable(
+    return table_subsets(pricing.OnSetTable(
         scn.topo, scn.weights, scn.q, scn.file_bits, scn.period))
 
 
@@ -252,16 +259,27 @@ class TestTables:
             assert tables.psi[on_mask, i] > 0.0
 
     @pytest.mark.parametrize("n_sbs, seed", [(2, 1), (3, 28)])
-    def test_one_entry_per_served_on_set(self, n_sbs, seed):
+    def test_one_entry_per_served_on_set(self, monkeypatch, n_sbs, seed):
         # every cell is served, so the tags' all-ON set is the full subset;
-        # the all-OFF subset's rows are zero and need no entry
+        # the all-OFF subset's rows are zero and need no entry: one stacked
+        # pass prices each other subset once
         scn = scenario_with_used(seed, n_sbs=n_sbs)
         table = pricing.OnSetTable(scn.topo, scn.weights, scn.q, scn.file_bits,
                                    scn.period)
         assert len(table.tags) == n_sbs
-        tables = build_tables(table)
+        priced = []
+        real = pricing.price_on_sets
+
+        def price(state, *args):
+            priced.append(state.sigma)
+            return real(state, *args)
+
+        monkeypatch.setattr(pricing, "price_on_sets", price)
+        tables = table_subsets(table)
         assert tables.used.size == n_sbs
-        assert len(table._entries) == 2 ** n_sbs - 1
+        (sigma,) = priced
+        assert len({row.tobytes() for row in sigma}) == sigma.shape[0] == 2 ** n_sbs - 1
+        assert sigma[:, 0].all() and sigma[:, 1:].any(axis=1).all()
 
     def test_psi_max_dominates(self):
         scn = scenario_with_used(SEED_M2)

@@ -30,6 +30,7 @@ from sbsched.oracle import (
     optimum_and_row,
 )
 from sbsched.pricing import CostWeights
+from test_oracle import table_subsets
 
 
 def reference_depletion_possible(tables, trace_used, e0, cap, dt, n_steps):
@@ -255,7 +256,7 @@ def test_offline_exhaustive_on_a_full_depletion_grid(e0, first, n_ties):
     scenario = oracle.RecordedScenario(
         topo=topo, weights=CostWeights(), q=0.9, file_bits=1e5, period=10.0, dt=0.2,
         trace=trace, initial_energy=e0, capacity=100.0)
-    tables = oracle.build_tables(pricing.OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0))
+    tables = table_subsets(pricing.OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0))
     assert tables.used.tolist() == [1, 2]
     trace_used = trace[:, tables.used - 1]
     args = (e0, 100.0, 0.2, n_steps)
@@ -291,7 +292,7 @@ def test_recorded_study_grids_match_reference():
             attempt += 1
             rep = Replication.draw(cfg, np.random.SeedSequence([cfg.seed, attempt]))
             trace, table = rep.harvest[0], rep.tables[0]
-            tables = oracle.build_tables(table)
+            tables = table_subsets(table)
             if tables.used.size < n_sbs:
                 continue
             trace_used = trace[:, tables.used - 1]
@@ -313,10 +314,10 @@ def test_study_evaluates_each_served_attempt_once(monkeypatch):
     passes = []  # (tables, trace_used, row, rest, (optimum, row cost)) per pass
     real_build, real_pass = oracle.build_tables, oracle.optimum_and_row
 
-    def build(*args):
+    def build(topo, tags, *args):
         nonlocal served
-        served += 1
-        return real_build(*args)
+        served += len(tags)
+        return real_build(topo, tags, *args)
 
     def one_pass(tables, trace_used, row, *rest):
         out = real_pass(tables, trace_used, row, *rest)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbsched import network
-from sbsched.network import BsParams, Topology, dbm_to_watts, place_nodes
+from sbsched.network import BsParams, Topology, TopologyStack, dbm_to_watts, place_nodes
 from sbsched.pricing import (
     CostWeights,
     NonFinitePriceError,
@@ -12,6 +12,7 @@ from sbsched.pricing import (
     PriceTag,
     all_rent_prices,
     buy_price,
+    price_on_sets,
 )
 
 
@@ -199,6 +200,28 @@ class TestNonFinitePrices:
             buy_price(2.5, 18.2, CostWeights(alpha_d=1e308), 10.0, sbs=3)
         with pytest.raises(NonFinitePriceError, match=r"SBS 2: buy price is not finite \(nan\)"):
             buy_price(np.inf, 18.2, CostWeights(alpha_d=0.0), 10.0, sbs=2)
+
+
+    def test_a_stack_raises_its_first_pairs_failure(self):
+        # pair "rent" serves its UE at 10 s a file, whose rent overflows;
+        # pair "rate" receives nothing, so its UE's rate is 0: a stack
+        # raises the failure of its first failing pair, as priced alone
+        mbs = BsParams(id=0, kind="MBS", x=0.0, y=0.0, tx_power=1.0, op_power_max=20.0,
+                       bandwidth=10e6, max_users=50)
+        pairs = {"rent": ([[1e-10]], [1.0]), "rate": ([[0.0]], [0.0])}
+        w = CostWeights(alpha_d=1e308)
+        errors = {"rent": (NonFinitePriceError, r"SBS 1: rent price is not finite \(inf\)"),
+                  "rate": (network.UnserviceableError, "zero achievable rate")}
+        for order in (["rent", "rate"], ["rate", "rent"], ["rent"], ["rate"]):
+            stack = TopologyStack(
+                mbs=mbs, sbs_received_power=np.array([pairs[k][0] for k in order]),
+                mbs_snr=np.array([pairs[k][1] for k in order]), noise_power=1e-13,
+                bandwidths=np.array([10e6, 10e6]), sbs_op_power=np.array([10.0]),
+                sbs_max_users=np.array([10]))
+            state = network.associate_stack(np.ones((len(order), 2), dtype=bool), stack)
+            error, match = errors[order[0]]
+            with np.errstate(over="ignore"), pytest.raises(error, match=match):
+                price_on_sets(state, stack, w, 0.9, 1e9)
 
 
 class TestFreezePrices:
