@@ -1,7 +1,9 @@
 """Competitive analysis: the empirical ratio study, which draws what
 one-period `engine.Replication`s would, in stacked chunks of attempts, and
 replays them through both the randomized policy (`schedulers.RoaPolicy`, on
-the frozen tags) and the offline oracle.
+the frozen tags) and the offline oracle. A chunk's seed streams come from one
+hash pass (`engine.SeedStack`) and one generator, set to each stream's state
+just before its draws.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .energy import harvest_trace
 # build_topology is not called here: a chunk's topologies are placed by
 # build_topologies. bench/test_bench.py checks that the tracer wraps it here.
 from .engine import (  # noqa: F401
-    ReplicationSeeds, ScenarioConfig, build_topologies, build_topology,
+    ScenarioConfig, SeedStack, build_topologies, build_topology,
 )
 from .schedulers import RoaPolicy
 
@@ -52,9 +54,12 @@ class RatioReport:
             half = 1.96 * float(ratios.std(ddof=1)) / math.sqrt(n)
         else:
             half = (float(ratios.max()) - float(ratios.min())) / 2.0
+        # np.median's partition and mean, without the numpy.ma import of its NaN check
+        k = n // 2
+        part = np.partition(ratios, [k, -1] if n % 2 else [k - 1, k, -1])
         return cls(
             ratios=ratios,
-            median=float(np.median(ratios)),
+            median=float(part[-1] if np.isnan(part[-1]) else part[k - 1 + n % 2:k + 1].mean()),
             worst=float(ratios.max()),
             mean=float(ratios.mean()),
             ci_halfwidth=half,
@@ -91,24 +96,24 @@ def empirical_cr_study(
 
     Attempt a draws from (cfg.seed, a) what a one-period
     `engine.Replication.draw` would, from the same seed children
-    (`ReplicationSeeds`), but only what the study reads. Attempts are taken
-    in chunks of at most `CHUNK`, never more than the runs still needed nor
-    past the cap below, so a chunk holds no attempt that a loop over one
-    attempt at a time would not reach. A chunk places each attempt's
-    topology from its own topology child and associates the all-ON set of
-    every topology in one stacked pass, which checks that every UE has a
-    positive rate. A chunk also holds no more than `network.STACK_LINKS`
-    UE-BS links. An attempt whose all-ON association serves no SBS is
-    skipped there, before any price, harvest or policy draw, and builds no
-    other child. The served attempts' all-ON rents, their tags and every
-    subset's prices take one more stacked pass each, the subsets up to the
-    first attempt over the budget, which raises once they are built. Then,
-    one served attempt at a time, in attempt order: the budget check, the harvest
-    (from the harvest child), the randomized OFF times snapped down to the
-    slot grid, and the policy and the exhaustive optimum costed with the
-    same slot-level accounting on the same trace, in one
-    `oracle.optimum_and_row` pass. Attempts whose optimum is zero are
-    skipped too; more than ten attempts per run raise
+    (`ReplicationSeeds`, stacked per chunk as `SeedStack`), but only what
+    the study reads. Attempts are taken in chunks of at most `CHUNK`, never
+    more than the runs still needed nor past the cap below, so a chunk holds
+    no attempt that a loop over one attempt at a time would not reach. A
+    chunk places each attempt's topology from its own topology child and
+    associates the all-ON set of every topology in one stacked pass, which
+    checks that every UE has a positive rate. A chunk also holds no more
+    than `network.STACK_LINKS` UE-BS links. An attempt whose all-ON
+    association serves no SBS is skipped there, before any price, harvest or
+    policy draw, and draws from no other stream. The served attempts' all-ON
+    rents, their tags and every subset's prices take one more stacked pass
+    each, the subsets up to the first attempt over the budget, which raises
+    once they are built. Then, one served attempt at a time, in attempt
+    order: the budget check, the harvest (from the harvest child), the
+    randomized OFF times snapped down to the slot grid, and the policy and
+    the exhaustive optimum costed with the same slot-level accounting on the
+    same trace, in one `oracle.optimum_and_row` pass. Attempts whose optimum
+    is zero are skipped too; more than ten attempts per run raise
     `DegenerateStudyError`. A chunk in which anything fails is run again one
     attempt at a time, so the failure raised is the first in attempt order,
     as a loop over one attempt at a time raises it.
@@ -159,8 +164,8 @@ def _study_chunk(cfg: ScenarioConfig, attempts: Sequence[int], budget: int) -> l
     """The ratios of the accepted attempts of one chunk, in attempt order."""
     n_steps, dt = cfg.n_steps, cfg.dt
     w, q, file_bits = cfg.weights, cfg.q, cfg.file_bits
-    topo = build_topologies(cfg, [np.random.default_rng(
-        ReplicationSeeds.child([cfg.seed, attempt], "topo")) for attempt in attempts])
+    seeds = SeedStack(cfg.seed, attempts)
+    topo = build_topologies(cfg, (seeds.rng(i, "topo") for i in range(len(attempts))))
     all_on = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
     network.all_bs_delays(all_on, topo, file_bits)  # raises on a zero rate
     served = np.flatnonzero(all_on.counts[:, 1:].any(axis=1))  # else every UE is on the MBS
@@ -174,16 +179,13 @@ def _study_chunk(cfg: ScenarioConfig, attempts: Sequence[int], budget: int) -> l
     for i, t, tables in zip(served[:last].tolist(), tags,
                             oracle.build_tables(topo.take(slice(last)), tags[:last], w, q,
                                                 file_bits)):
-        seed = [cfg.seed, attempts[i]]
         required = (n_steps + 1) ** tables.used.size
         if required > budget:
             raise oracle.BudgetError(required, budget)
-        trace = harvest_trace(cfg.harvest, dt, n_steps, cfg.n_sbs,
-                              np.random.default_rng(ReplicationSeeds.child(seed, "harvest")))
+        trace = harvest_trace(cfg.harvest, dt, n_steps, cfg.n_sbs, seeds.rng(i, "harvest"))
         # one study stream for every cell, so the draws follow the tags' order
         policy = RoaPolicy()
-        policy.reset(t, cfg.period,
-                     [np.random.default_rng(ReplicationSeeds.child(seed, "policy"))] * cfg.n_sbs)
+        policy.reset(t, cfg.period, [seeds.rng(i, "policy")] * cfg.n_sbs)
         # each OFF time snapped down to the slot grid, whose study rows start at 1
         row = [max(min(int(math.floor(policy.off_times[tag.sbs] / dt + 1e-9)), n_steps), 1)
                for tag in t]

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -215,7 +215,7 @@ def build_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> Topology:
 
 
 def build_topologies(cfg: ScenarioConfig,
-                     rngs: Sequence[np.random.Generator]) -> network.TopologyStack:
+                     rngs: Iterable[np.random.Generator]) -> network.TopologyStack:
     """`build_topology` with each generator of `rngs`, stacked."""
     return network.place_stack(cfg.area, cfg.n_sbs, cfg.n_ue, rngs, **_node_params(cfg))
 
@@ -531,14 +531,8 @@ class ReplicationSeeds(NamedTuple):
 
     @classmethod
     def spawn(cls, seed: int | Sequence[int] | np.random.SeedSequence) -> "ReplicationSeeds":
-        return cls(*(cls.child(seed, name) for name in cls._fields))
-
-    @classmethod
-    def child(cls, seed: int | Sequence[int] | np.random.SeedSequence,
-              name: str) -> np.random.SeedSequence:
-        """The child `name` of `seed`'s `SeedSequence`, equal to the one
-        `spawn` would make, built alone and without the parent's."""
-        return _child(seed, cls._fields.index(name))
+        """The children `seed`'s `SeedSequence` would spawn, built directly."""
+        return cls(*(_child(seed, i) for i in range(len(cls._fields))))
 
 
 def _child(seed: int | Sequence[int] | np.random.SeedSequence,
@@ -548,6 +542,96 @@ def _child(seed: int | Sequence[int] | np.random.SeedSequence,
         return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,),
                                       pool_size=seed.pool_size)
     return np.random.SeedSequence(seed, spawn_key=(i,))
+
+
+# numpy's SeedSequence hash constants and PCG64's multiplier, as
+# numpy/random/bit_generator.pyx and pcg64.h define them
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+class SeedStack:
+    """`ReplicationSeeds` stacked: for each attempt a of `attempts`, the
+    PCG64 states that `default_rng` seeds from the children of
+    `SeedSequence([seed, a])`, hashed in one pass, and one generator that
+    `rng` sets to a child's state just before that stream's draws."""
+
+    def __init__(self, seed: int, attempts: Sequence[int]) -> None:
+        self.attempts = attempts
+        self.states: list[list[dict]] = [[] for _ in attempts]
+        groups: dict[int, list] = {}  # entropy of one word count is hashed together
+        seed_words = _words(seed)
+        for i, a in enumerate(attempts):
+            run = seed_words + _words(a)
+            run += [0] * (4 - len(run))  # a spawned child pads its entropy to the pool
+            groups.setdefault(len(run), []).append((i, run))
+        for rows in groups.values():
+            entropy = np.array([run for _, run in rows], dtype=np.uint32)
+            for (i, _), states in zip(rows, _pcg64_states(entropy, len(ReplicationSeeds._fields))):
+                self.states[i] = states
+        self._rng = np.random.Generator(np.random.PCG64(0))
+
+    def rng(self, i: int, name: str) -> np.random.Generator:
+        """The generator at the start of attempt i's child `name`."""
+        self._rng.bit_generator.state = self.states[i][ReplicationSeeds._fields.index(name)]
+        return self._rng
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int's uint32 words, least significant first."""
+    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _powers(first: int, mult: int, n: int) -> np.ndarray:
+    """first * mult**k mod 2**32 for k in 0..n, as uint32."""
+    out = [first]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+def _pcg64_states(entropy: np.ndarray, n_children: int) -> list[list[dict]]:
+    """Per row of `entropy` (rows, words), uint32 words padded to the pool of
+    4, the PCG64 states that `default_rng` seeds from the first `n_children`
+    children of its `SeedSequence`: numpy's `mix_entropy` and
+    `generate_state(4, np.uint64)` over every row and child at once, then
+    PCG64's seeding step in Python ints."""
+    # hashmix k xors constant k and multiplies by k + 1: 4 fill the pool, 12
+    # mix it, and 4 mix in each word past it, the child's index the last
+    hash_consts, taken = _powers(_INIT_A, _MULT_A, 4 * entropy.shape[1] + 4), 0
+
+    def hashmix(v: np.ndarray, n: int) -> np.ndarray:  # the next n constants
+        nonlocal taken
+        v = (v ^ hash_consts[taken:taken + n]) * hash_consts[taken + 1:taken + n + 1]
+        taken += n
+        return v ^ v >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ r >> 16
+
+    with np.errstate(over="ignore"):
+        pool = hashmix(entropy[:, :4], 4)
+        for src in range(4):  # each word into the others, in numpy's order
+            dst = [d for d in range(4) if d != src]
+            pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], 3))
+        for src in range(4, entropy.shape[1]):
+            pool = mix(pool, hashmix(entropy[:, src, None], 4))
+        children = np.arange(n_children, dtype=np.uint32)[:, None]
+        pool = mix(pool[:, None], hashmix(children, 4))  # (rows, children, 4)
+        out_consts = _powers(_INIT_B, _MULT_B, 8)  # generate_state's, for 8 words
+        words = (pool[..., [0, 1, 2, 3] * 2] ^ out_consts[:8]) * out_consts[1:]
+        words ^= words >> 16
+    states = []
+    for row in words.astype("<u4", order="C").view("<u8").tolist():
+        states.append([])
+        for s_hi, s_lo, i_hi, i_lo in row:
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            states[-1].append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -319,17 +319,18 @@ def place_nodes(area: tuple[float, float], n_sbs: int, n_ue: int,
 
 
 def place_stack(area: tuple[float, float], n_sbs: int, n_ue: int,
-                rngs: Sequence[np.random.Generator], *,
+                rngs: Iterable[np.random.Generator], *,
                 noise_power: float = dbm_to_watts(-104.0), **params) -> TopologyStack:
     """`place_nodes` with each generator of `rngs`, stacked in their order:
     the same positions, gains and received powers, bit for bit, without a
-    `Topology` for each."""
+    `Topology` for each. Each generator draws before the next is taken, so
+    one generator may come back with a new state."""
     w, h = _area(area, n_sbs, n_ue)
     mbs, sbs = _stations(w, h, **params)
     if noise_power <= 0:
         raise ValueError("noise power must be positive")
     xy = np.array([_positions(rng, n_sbs + n_ue, w, h) for rng in rngs])
-    bs_xy = np.concatenate((np.broadcast_to([[mbs.x, mbs.y]], (len(rngs), 1, 2)),
+    bs_xy = np.concatenate((np.broadcast_to([[mbs.x, mbs.y]], (len(xy), 1, 2)),
                             xy[:, :n_sbs]), axis=1)
     gain = _gains([mbs.kind] + [sbs.kind] * n_sbs, bs_xy, xy[:, n_sbs:])
     _check_gains(gain)

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from sbsched.analysis import DegenerateStudyError, RatioReport, empirical_cr_study
 from sbsched import analysis, network, oracle
-from sbsched.engine import Replication, ReplicationSeeds, ScenarioConfig
+from sbsched.engine import Replication, ScenarioConfig, SeedStack
 from sbsched.network import dbm_to_watts
 from sbsched.pricing import NonFinitePriceError
 from sbsched.schedulers import RoaPolicy
@@ -31,6 +34,31 @@ class TestRatioReport:
         rep = RatioReport.from_ratios(ratios)
         expected = 1.96 * ratios.std(ddof=1) / math.sqrt(1000)
         assert rep.ci_halfwidth == pytest.approx(expected, rel=1e-12)
+
+    def test_median_has_np_medians_bits(self):
+        rng = np.random.default_rng(5)
+        cases = [1.0 + rng.uniform(size=n) for n in range(1, 201)]
+        cases += [np.round(rng.uniform(-1, 1, 9)) * 0.0, np.array([-0.0, -0.0])]
+        for special in (np.nan, np.inf, -np.inf):
+            for n in (1, 2, 7, 8):
+                ratios = 1.0 + rng.uniform(size=n)
+                ratios[n // 2] = special
+                cases.append(ratios)
+        cases.append(np.array([np.inf, -np.inf]))
+        with np.errstate(invalid="ignore"):
+            for ratios in cases:
+                got = RatioReport.from_ratios(ratios).median
+                assert np.float64(got).tobytes() == np.median(ratios).tobytes(), ratios
+
+    def test_a_study_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma to check for a NaN, inside every study
+        code = ("import sys; from sbsched import cli; "
+                f"cli.main(['--preset', 'fig6', '--runs', '5', '--out-dir', {str(tmp_path)!r}]); "
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'")
+        src = os.path.dirname(os.path.dirname(analysis.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=300,
+                       env={**os.environ, "PYTHONPATH": src})
+        assert (tmp_path / "ratios_summary.json").exists()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -98,12 +126,12 @@ class TestEmpiricalStudy:
     ])
     def test_accepts_and_costs_as_a_full_draw_would(self, monkeypatch, cfg, n_runs):
         attempts, harvested, passes = [], [], []
-        real_child, real_pass = ReplicationSeeds.child, oracle.optimum_and_row
+        real_rng, real_pass = SeedStack.rng, oracle.optimum_and_row
 
-        def child(seed, name):
-            # every attempt builds its topology's child, a served one its harvest's
-            {"topo": attempts, "harvest": harvested}.get(name, []).append(seed[1])
-            return real_child(seed, name)
+        def rng(seeds, i, name):
+            # every attempt draws its topology's stream, a served one its harvest's
+            {"topo": attempts, "harvest": harvested}.get(name, []).append(seeds.attempts[i])
+            return real_rng(seeds, i, name)
 
         def one_pass(tables, *args):
             out = real_pass(tables, *args)
@@ -111,7 +139,7 @@ class TestEmpiricalStudy:
                            oracle._depletion_possible(tables, args[0], *args[2:]), out))
             return out
 
-        monkeypatch.setattr(ReplicationSeeds, "child", staticmethod(child))
+        monkeypatch.setattr(SeedStack, "rng", rng)
         monkeypatch.setattr(oracle, "optimum_and_row", one_pass)
         report = empirical_cr_study(cfg, n_runs)
         monkeypatch.undo()
@@ -162,8 +190,9 @@ class TestEmpiricalStudy:
         real_tables, real_associate = oracle.build_tables, network.associate
 
         def topologies(cfg, rngs):
-            counts["topologies"] += len(rngs)
-            return real_topologies(cfg, rngs)
+            stack = real_topologies(cfg, rngs)
+            counts["topologies"] += stack.mbs_snr.shape[0]
+            return stack
 
         def harvest(params, dt, n_steps, *args):
             counts["harvest_trace"] += 1
@@ -216,25 +245,26 @@ class TestEmpiricalStudy:
 
 
 class StudyLog:
-    """Hooks on a study: the attempts whose topology child is built, in
-    order, the served ones (whose harvest child is built), the chunk sizes
+    """Hooks on a study: the attempts whose topology stream is drawn, in
+    order, the served ones (whose harvest stream is drawn), the chunk sizes
     and the accepted attempts. `zero_rates` and `fail_pass` inject failures
     into attempts by number: every rate of a `zero_rates` attempt's UEs is
     0, and the oracle pass of a `fail_pass` attempt raises."""
 
     def __init__(self, monkeypatch, zero_rates=(), fail_pass=(), zero_optimum=()):
         self.topo, self.served, self.chunks, self.accepted = [], [], [], []
-        real_child, real_place = ReplicationSeeds.child, analysis.build_topologies
+        real_rng, real_place = SeedStack.rng, analysis.build_topologies
         real_pass = oracle.optimum_and_row
 
-        def child(seed, name):
-            {"topo": self.topo, "harvest": self.served}.get(name, []).append(seed[1])
-            return real_child(seed, name)
+        def rng(seeds, i, name):
+            {"topo": self.topo, "harvest": self.served}.get(name, []).append(seeds.attempts[i])
+            return real_rng(seeds, i, name)
 
         def place(cfg, rngs):
             stack = real_place(cfg, rngs)
-            chunk = self.topo[-len(rngs):]
-            self.chunks.append(len(rngs))
+            size = stack.mbs_snr.shape[0]
+            chunk = self.topo[-size:]
+            self.chunks.append(size)
             dead = [i for i, a in enumerate(chunk) if a in zero_rates]
             if dead:
                 recv, snr = stack.sbs_received_power.copy(), stack.mbs_snr.copy()
@@ -251,7 +281,7 @@ class StudyLog:
                 self.accepted.append(attempt)
             return opt, realized
 
-        monkeypatch.setattr(ReplicationSeeds, "child", staticmethod(child))
+        monkeypatch.setattr(SeedStack, "rng", rng)
         monkeypatch.setattr(analysis, "build_topologies", place)
         monkeypatch.setattr(oracle, "optimum_and_row", one_pass)
 

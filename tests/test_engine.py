@@ -13,6 +13,7 @@ from sbsched.engine import (
     Replication,
     ReplicationSeeds,
     ScenarioConfig,
+    SeedStack,
     build_topology,
     run_horizon,
     run_period,
@@ -374,14 +375,30 @@ class TestRunHorizon:
                  (np.random.SeedSequence(seed), np.random.SeedSequence(seed).spawn(3)),
                  (nested, np.random.SeedSequence(seed).spawn(2)[1].spawn(3))]
         for parent, spawned in cases:
-            alone = [ReplicationSeeds.child(parent, name)
-                     for name in ("topo", "harvest", "policy")]
+            alone = [engine._child(parent, i) for i in range(3)]
             for built in (list(ReplicationSeeds.spawn(parent)), alone):
                 for got, want in zip(built, spawned, strict=True):
                     assert got.entropy == want.entropy
                     assert got.spawn_key == want.spawn_key
                     assert got.pool_size == want.pool_size
                     assert got.generate_state(4).tolist() == want.generate_state(4).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**128 + 1])
+    def test_a_seed_stack_seeds_as_numpy_does(self, seed):
+        # attempts of one and two words after a seed of one, two or five: five
+        # and more words overflow the pool of four, and those of each count
+        # are hashed as their own group
+        attempts = [1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1]
+        stack = SeedStack(seed, attempts)
+        for i, a in enumerate(attempts):
+            for name, child in zip(ReplicationSeeds._fields,
+                                   np.random.SeedSequence([seed, a]).spawn(3), strict=True):
+                want = np.random.default_rng(child)
+                got = stack.rng(i, name)
+                assert got.bit_generator.state == want.bit_generator.state
+                for draw in (lambda g: g.random(5), lambda g: g.poisson(3.0, 5),
+                             lambda g: g.uniform(2.0, 7.0, 5)):
+                    assert draw(got).tobytes() == draw(want).tobytes()
 
     def test_run_period_on_a_record_takes_its_own_trace(self):
         cfg = ScenarioConfig(seed=SEED_TWO_USED)
