@@ -25,21 +25,24 @@ transmit-power epoch. An entry is looked up only when the ON set or the
 epoch changes.
 
 A run is a `Replication` record and a `Policy`: `run_horizon(rep, policy)`
-reads its scenario, topology, tables and harvest from the record. What no
-policy can change is computed from the record once, on first use, and shared
-by every policy run on it: the slot grid and its epochs, the served cells,
-and per period their arrivals as floats, the storage of the cells that stay
-OFF and the harvest totals. A run then pays for its served cells' slots, and
-seeds a generator for each served cell only, and only for a policy that
-`draws`.
+reads its scenario, topology, tables and harvest from the record. The slot
+grid and its epochs are computed once per scenario (`ScenarioConfig.slot_grid`).
+What no policy can change is computed from the record once, on first use, and
+shared by every policy run on it: the served cells, and per period their
+arrivals as floats, the storage of the cells that stay OFF and the harvest
+totals. A run then pays for its served cells' slots, and seeds a generator for
+each served cell only, and only for a policy that `draws`; the policies' seed
+itself is built on first use.
 
 A run pays for no slot in which nothing can change. Once every served cell of
 a scheduled policy is OFF, none comes back ON or runs dry, and the all-OFF
 ON set's `on_delay` is 0: an untraced run leaves the slot loop, and the
 served cells' storage becomes the clamped running sum of their remaining
 arrivals, as for the cells that stay OFF. A record with no served cell gives
-the same periods under every policy: `run_horizon` computes them once, with
-read-only arrays, and returns them to every later run that asks for no trace.
+the same periods under every policy. Untraced, such a period is read from its
+arrival totals alone (`_idle_period`), with no slot walk and no policy reset;
+`run_horizon` computes a record's once, with read-only arrays, and returns them
+to every later run that asks for no trace.
 
 Two accounting modes exist: "live" charges the instantaneous rent rate of the
 current state (the original problem), "frozen" charges the period-start flat
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -152,6 +155,19 @@ class ScenarioConfig:
     def n_steps(self) -> int:
         return int(round(self.period / self.dt))
 
+    @cached_property
+    def slot_grid(self) -> tuple[tuple[float, ...], dict[int, int]]:
+        """The slot start times, and the slots where the transmit-power epoch
+        changes, mapped to the new epoch: each slot's epoch is the latest
+        scheduled change at or before the slot start. Computed once per
+        scenario and shared by its records; neither is changed."""
+        grid = (np.arange(self.n_steps) * self.dt).tolist()
+        slot_epoch = np.searchsorted(
+            [when for when, _ in self.sbs_tx_schedule], np.array(grid) + 1e-12, side="right",
+        ).tolist()
+        epoch_at = {k: e for k, e in enumerate(slot_epoch) if k == 0 or e != slot_epoch[k - 1]}
+        return tuple(grid), epoch_at
+
     @property
     def weights(self) -> CostWeights:
         return CostWeights(self.alpha_d, self.alpha_p, self.alpha_b)
@@ -241,11 +257,8 @@ def epoch_tables(cfg: ScenarioConfig, topo: Topology) -> list[pricing.OnSetTable
 class _PeriodPlan(NamedTuple):
     """What every period of one topology shares, whatever the policy."""
 
-    grid: list[float]  # slot start times
-    # the slots where the transmit-power epoch changes, mapped to the new
-    # epoch: each slot's epoch is the latest scheduled change at or before
-    # the slot start
-    epoch_at: dict[int, int]
+    grid: tuple[float, ...]  # slot start times, the scenario's `slot_grid`
+    epoch_at: dict[int, int]  # the epoch changes, the scenario's `slot_grid`
     tags: tuple[pricing.PriceTag, ...]  # the served cells', from slot 0's table
     ids: list[int]  # the served SBSs
     cells: list[int]  # and their 0-based indices
@@ -261,11 +274,7 @@ def _per_sbs(n_sbs: int, cells: list[int], values: list, dtype=float) -> np.ndar
 
 
 def _period_plan(cfg: ScenarioConfig, tables: Sequence[pricing.OnSetTable]) -> _PeriodPlan:
-    grid = (np.arange(cfg.n_steps) * cfg.dt).tolist()
-    slot_epoch = np.searchsorted(
-        [when for when, _ in cfg.sbs_tx_schedule], np.array(grid) + 1e-12, side="right",
-    ).tolist()
-    epoch_at = {k: e for k, e in enumerate(slot_epoch) if k == 0 or e != slot_epoch[k - 1]}
+    grid, epoch_at = cfg.slot_grid
     tags = tables[epoch_at[0]].tags
     ids = [tag.sbs for tag in tags]
     cells = [j - 1 for j in ids]
@@ -285,19 +294,59 @@ class _PeriodStart(NamedTuple):
     harvested: np.ndarray  # (n_sbs,) arrival totals, read-only
 
 
+def _arrival_totals(trace: np.ndarray) -> np.ndarray:
+    """A period's (n_sbs,) arrival totals, a running sum of its
+    (n_steps, n_sbs) `trace`; read-only."""
+    if np.any(trace < 0):
+        raise ValueError("energy quantities must be non-negative")
+    harvested = np.cumsum(np.vstack((np.zeros(trace.shape[1]), trace)), axis=0)[-1]
+    harvested.flags.writeable = False
+    return harvested
+
+
+def _stays_off(stored: np.ndarray, trace: np.ndarray, cap: float) -> np.ndarray:
+    """The storage of cells that stay OFF all period, from `stored` at its
+    start: the running sum of their arrivals clamped at the capacity (exact,
+    since once clamped, harvest >= 0 keeps it there), (n_steps + 1, n_sbs)."""
+    return np.minimum(np.cumsum(np.vstack((stored, trace)), axis=0), cap)
+
+
 def _period_start(stored: np.ndarray, trace: np.ndarray, cells: list[int],
                   cap: float) -> _PeriodStart:
     """`stored` is the storage at the period start; only the columns of cells
     that stay OFF are read from the result's `idle_stored`."""
-    if np.any(trace < 0):
-        raise ValueError("energy quantities must be non-negative")
-    # Cells without UEs stay OFF all period: their storage is the running sum
-    # of arrivals clamped at the capacity (exact, since once clamped, harvest
-    # >= 0 keeps it there), and the arrival total is a running sum too.
-    idle_stored = np.minimum(np.cumsum(np.vstack((stored, trace)), axis=0), cap)
-    harvested = np.cumsum(np.vstack((np.zeros(trace.shape[1]), trace)), axis=0)[-1]
-    idle_stored.flags.writeable = harvested.flags.writeable = False
+    harvested = _arrival_totals(trace)
+    idle_stored = _stays_off(stored, trace, cap)
+    idle_stored.flags.writeable = False
     return _PeriodStart(trace[:, cells].tolist(), idle_stored, harvested)
+
+
+def _idle_period(period_index: int, plan: _PeriodPlan, energy: EnergyState,
+                 trace: np.ndarray) -> PeriodResult:
+    """An untraced period with no served cell: every cell stays OFF and costs
+    nothing, and `energy` ends at the clamped total of its arrivals. Every
+    array is read-only, and the row is set here, without `_row`'s reductions."""
+    harvested = _arrival_totals(trace)
+    energy.stored[:] = _stays_off(energy.stored, trace, energy.capacity)[-1]
+    n_sbs = len(plan.used)
+    zero, no_buy, no_switch = np.zeros(n_sbs), np.zeros(n_sbs, dtype=bool), np.zeros(n_sbs, int)
+    never = np.full(n_sbs, np.nan)
+    for value in (zero, no_buy, no_switch, never):
+        value.flags.writeable = False
+    unused = 1.0 if n_sbs else 0.0
+    result = PeriodResult(
+        period_index=period_index, rent_cost=zero, buy_price=plan.buy, buy_charged=no_buy,
+        on_time=zero, depleted_at=never, switch_count=no_switch, energy_consumed=zero,
+        energy_harvested=harvested, used=plan.used, total_cost=0.0, delay_per_sbs=0.0,
+        unused_fraction=unused,
+    )
+    result.__dict__["_row"] = {  # primes `_row`'s cache
+        "period": period_index, "total_cost": 0.0, "rent_cost": 0.0, "buy_cost": 0.0,
+        "buy_count": 0, "on_time_mean": 0.0, "switch_count": 0, "energy_consumed": 0.0,
+        "energy_harvested": float(harvested.sum()), "delay_per_sbs": 0.0,
+        "unused_fraction": unused, "n_used": 0, "depleted_count": 0,
+    }
+    return result
 
 
 def run_period(
@@ -322,23 +371,26 @@ def run_period(
 
     With a `record`, `cfg`, `topo` and `trace` must be its own scenario,
     topology and harvest of period `period_index`, and `energy` must carry its
-    earlier periods as `run_horizon` chains them: the tables, the slot grid,
-    the served cells and the storage of the cells that stay OFF are then read
-    from the record, which computes them once for all the policies run on it.
-    Without one, they are computed here, for this call.
+    earlier periods as `run_horizon` chains them: the tables, the served
+    cells and the storage of the cells that stay OFF are then read from the
+    record, which computes them once for all the policies run on it. Without
+    one, they are computed here, for this call. With no served cell and no
+    `trace_rows`, the period is `_idle_period`'s, and the policy is not reset.
     """
     n_bs, n_sbs, n_steps, dt = topo.n_bs, topo.n_sbs, cfg.n_steps, cfg.dt
     cap = energy.capacity
     if record is None:
         tables = epoch_tables(cfg, topo)
         plan = _period_plan(cfg, tables)
-        start = _period_start(energy.stored, trace, plan.cells, cap)
     else:
         if (cfg is not record.cfg or topo is not record.topo
                 or trace is not record.harvest[period_index]):
             raise ValueError("cfg, topo and trace must be the record's")
         tables, plan = record.tables, record.plan
-        start = record.period_start(period_index)
+    if not plan.cells and trace_rows is None:
+        return _idle_period(period_index, plan, energy, trace), energy
+    start = (_period_start(energy.stored, trace, plan.cells, cap) if record is None
+             else record.period_start(period_index))
     grid, epoch_at, tags, ids, cells, buy_prices, used = plan
     table = tables[epoch_at[0]]
     policy.reset(tags, cfg.period, policy_rngs)
@@ -391,7 +443,7 @@ def run_period(
     may_finish = k_percent is None and trace_rows is None
     finished = False
 
-    for k in range(n_steps if m or trace_rows is not None else 0):
+    for k in range(n_steps):
         t = grid[k]
         if k in epoch_at:
             table = tables[epoch_at[k]]
@@ -638,31 +690,38 @@ def _pcg64_states(entropy: np.ndarray, n_children: int) -> list[list[dict]]:
 class Replication:
     """The randomness of one seed under one scenario, drawn once: that
     scenario (`cfg`), the topology, its ON-set tables (`epoch_tables`), one
-    read-only (n_steps, n_sbs) harvest trace per period, and the seed of the
-    policies' draws. Policies run on one record face the same draws and share
-    the tables' entries, and what no policy can change (the slot grid, the
-    served cells, the storage of the cells that stay OFF) is computed on first
-    use, once for the record."""
+    read-only (n_steps, n_sbs) harvest trace per period, and the seed they
+    were drawn from, whose child seeds the policies' draws (`policy_ss`).
+    Policies run on one record face the same draws and share the tables'
+    entries, and what no policy can change (the served cells, the storage of
+    the cells that stay OFF) is computed on first use, once for the record."""
 
     cfg: ScenarioConfig
     topo: Topology
     tables: tuple[pricing.OnSetTable, ...]
     harvest: tuple[np.ndarray, ...]
-    policy_ss: np.random.SeedSequence
+    seed: int | Sequence[int] | np.random.SeedSequence
     _starts: list[_PeriodStart] = field(default_factory=list, init=False, repr=False)
-    # with no served cell, the periods of every policy: computed once
+    # with no served cell, the untraced periods of every policy: computed once
     _idle: list[PeriodResult] = field(default_factory=list, init=False, repr=False)
 
     @classmethod
-    def draw(cls, cfg: ScenarioConfig, seed: int | np.random.SeedSequence) -> "Replication":
-        seeds = ReplicationSeeds.spawn(seed)
-        topo = build_topology(cfg, np.random.default_rng(seeds.topo))
-        harvest_rng = np.random.default_rng(seeds.harvest)
+    def draw(cls, cfg: ScenarioConfig,
+             seed: int | Sequence[int] | np.random.SeedSequence) -> "Replication":
+        # the topology's and the harvest's children of `seed` (`ReplicationSeeds`)
+        topo = build_topology(cfg, np.random.default_rng(_child(seed, 0)))
+        harvest_rng = np.random.default_rng(_child(seed, 1))
         harvest = [energy_mod.harvest_trace(cfg.harvest, cfg.dt, cfg.n_steps, cfg.n_sbs,
                                             harvest_rng) for _ in range(cfg.horizon_periods)]
         for trace in harvest:
             trace.flags.writeable = False
-        return cls(cfg, topo, tuple(epoch_tables(cfg, topo)), tuple(harvest), seeds.policy)
+        return cls(cfg, topo, tuple(epoch_tables(cfg, topo)), tuple(harvest), seed)
+
+    @cached_property
+    def policy_ss(self) -> np.random.SeedSequence:
+        """The seed of the policies' draws, `seed`'s child as
+        `ReplicationSeeds.spawn` makes it, built on first use."""
+        return _child(self.seed, 2)  # after the topology's and the harvest's
 
     @cached_property
     def plan(self) -> _PeriodPlan:
@@ -695,11 +754,11 @@ def run_horizon(rep: Replication, policy: Policy,
     fresh policy of one kind give identical results.
 
     A record with no served cell gives the same periods under every policy:
-    they are computed once, read-only, and returned to every later run that
-    asks for no trace.
+    untraced, they are computed once from its arrival totals, read-only, and
+    returned to every later run that asks for no trace.
     """
-    idle = not rep.plan.cells
-    if idle and rep._idle and trace_rows is None:
+    idle = not rep.plan.cells and trace_rows is None
+    if idle and rep._idle:
         return list(rep._idle)
     cfg = rep.cfg
     policy_rngs = rep.policy_rngs() if policy.draws else [None] * cfg.n_sbs
@@ -711,11 +770,6 @@ def run_horizon(rep: Replication, policy: Policy,
             period_index=p, trace_rows=trace_rows, record=rep,
         )
         results.append(res)
-    if idle and not rep._idle:
-        for res in results:
-            for f in fields(res):
-                value = getattr(res, f.name)
-                if isinstance(value, np.ndarray):
-                    value.flags.writeable = False
+    if idle:
         rep._idle.extend(results)
     return results

@@ -354,6 +354,25 @@ class TestRunHorizon:
         start = rep.period_start(1)
         assert not (start.idle_stored.flags.writeable or start.harvested.flags.writeable)
 
+    def test_the_policy_seed_is_built_by_a_policy_that_draws(self):
+        # the record of `draw` builds it on first use, as `spawn` would make
+        # it, and only a drawing policy on a served cell reads it
+        cfg = ScenarioConfig(seed=SEED_TWO_USED)
+        rep = Replication.draw(cfg, cfg.seed)
+        for policy in ("doa", "fixed:7", "threshold:50"):
+            run_horizon(rep, make_policy(policy))
+        assert "policy_ss" not in vars(rep)
+        run_horizon(rep, make_policy("roa"))
+        want = ReplicationSeeds.spawn(cfg.seed).policy
+        assert rep.policy_ss.spawn_key == want.spawn_key
+        assert rep.policy_ss.generate_state(4).tolist() == want.generate_state(4).tolist()
+
+    def test_records_of_one_scenario_share_its_slot_grid(self):
+        cfg = ScenarioConfig(sbs_tx_schedule=((2.5, dbm_to_watts(20.0)),))
+        a, b = Replication.draw(cfg, 1), Replication.draw(cfg, 2)
+        assert a.plan.grid is b.plan.grid and a.plan.epoch_at is b.plan.epoch_at
+        assert a.plan.epoch_at == {0: 0, 25: 1} and len(a.plan.grid) == cfg.n_steps
+
     def test_policy_generators_are_the_spawned_children(self):
         cfg = ScenarioConfig(seed=SEED_TWO_USED)
         rep = Replication.draw(cfg, cfg.seed)
@@ -454,16 +473,20 @@ class TestIdleRecord:
 
     def test_policies_share_its_periods(self, monkeypatch):
         rep = self.draw()
-        calls = []
-        real = engine.run_period
+        made = []
+        real = engine._idle_period
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["period_index"])
-            return real(*args, **kwargs)
+        def counting(period_index, *args):
+            made.append(period_index)
+            return real(period_index, *args)
 
-        monkeypatch.setattr(engine, "run_period", counting)
+        monkeypatch.setattr(engine, "_idle_period", counting)
         runs = [run_horizon(rep, make_policy(p)) for p in self.POLICIES]
-        assert calls == list(range(self.CFG.horizon_periods))
+        # the periods are made once, for the first policy, and every later
+        # run returns those very results
+        assert made == list(range(self.CFG.horizon_periods))
+        for results in runs[1:]:
+            assert all(a is b for a, b in zip(results, runs[0], strict=True))
         # each policy alone on a record of its own gives the same rows
         for policy, results in zip(self.POLICIES, runs):
             alone = run_horizon(self.draw(), make_policy(policy))
@@ -477,6 +500,52 @@ class TestIdleRecord:
         row = runs[1][0].to_dict()
         row["total_cost"] = -1.0
         assert runs[2][0].to_dict()["total_cost"] == 0.0
+
+    @pytest.mark.parametrize("horizon_periods", [1, 2, 3])
+    @pytest.mark.parametrize("price_mode", ["live", "frozen"])
+    @pytest.mark.parametrize("sched", [(), ((2.5, dbm_to_watts(20.0)),
+                                           (6.0, dbm_to_watts(30.0)))])
+    @pytest.mark.parametrize("n_sbs", [3, 0])
+    def test_untraced_periods_equal_a_traced_run(self, horizon_periods, price_mode,
+                                                 sched, n_sbs):
+        # the arrival totals alone give what the slot walk of a traced run
+        # gives: every array to the bit, every row, and the storage each
+        # period leaves to the next
+        cfg = replace(self.CFG, horizon_periods=horizon_periods, price_mode=price_mode,
+                      sbs_tx_schedule=sched, n_sbs=n_sbs)
+        untraced, traced = Replication.draw(cfg, 5), Replication.draw(cfg, 5)
+        assert not untraced.plan.cells
+        got = run_horizon(untraced, make_policy("roa"))
+        rows = []
+        want = run_horizon(traced, make_policy("roa"), trace_rows=rows)
+        assert len(rows) == horizon_periods * cfg.n_steps * n_sbs
+        for a, b in zip(got, want, strict=True):
+            for f in fields(PeriodResult):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+                else:
+                    assert x == y, f.name
+            assert a.to_dict() == b.to_dict()
+        energies = []
+        for trace_rows in (None, []):
+            energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
+            for p, trace in enumerate(traced.harvest):
+                _, energy = run_period(cfg, traced.topo, energy, DoaPolicy(), [None] * n_sbs,
+                                       trace, p, trace_rows, record=traced)
+                energies.append(energy.stored.tobytes())
+        assert energies[:horizon_periods] == energies[horizon_periods:]
+
+    def test_an_untraced_run_walks_no_slot_and_resets_no_policy(self, monkeypatch):
+        rep = self.draw()
+        calls = []
+        monkeypatch.setattr(engine, "_period_start", lambda *a: calls.append("start"))
+        monkeypatch.setattr(RoaPolicy, "reset", lambda *a: calls.append("reset"))
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append("rng"))
+        results = run_horizon(rep, RoaPolicy())
+        assert len(results) == self.CFG.horizon_periods and calls == []
+        # nor is the policies' seed built
+        assert "policy_ss" not in vars(rep)
 
     def test_a_traced_run_still_writes_every_slot(self):
         rep = self.draw()
