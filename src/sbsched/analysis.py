@@ -139,7 +139,7 @@ def empirical_cr_study(
     if cfg.sbs_tx_schedule:
         raise ValueError("the ratio study prices one epoch; sbs_tx_schedule must be empty")
     study_cfg = replace(cfg, horizon_periods=1)
-    chunk_size = min(CHUNK, max(1, network.STACK_LINKS // (cfg.n_ue * (cfg.n_sbs + 1))))
+    size = chunk_size(cfg)
     ratios: list[float] = []
     attempts = 0
     while len(ratios) < n_runs:
@@ -148,7 +148,7 @@ def empirical_cr_study(
             raise DegenerateStudyError(
                 f"too many degenerate replications: {attempts} attempts "
                 f"for {len(ratios)} of {n_runs} runs (no served SBSs, or a zero optimum)")
-        chunk = range(attempts + 1, attempts + 1 + min(n_runs - len(ratios), left, chunk_size))
+        chunk = range(attempts + 1, attempts + 1 + min(n_runs - len(ratios), left, size))
         try:
             ratios += _study_chunk(study_cfg, chunk, budget)
         except Exception:  # again one attempt at a time: the first failure raises
@@ -158,6 +158,12 @@ def empirical_cr_study(
     if out_dir is not None:
         report.save(out_dir)
     return report
+
+
+def chunk_size(cfg: ScenarioConfig) -> int:
+    """The most records or attempts of `cfg` stacked in one pass: `CHUNK`,
+    and no more than `network.STACK_LINKS` UE-BS links, but at least one."""
+    return min(CHUNK, max(1, network.STACK_LINKS // (cfg.n_ue * (cfg.n_sbs + 1))))
 
 
 def _study_chunk(cfg: ScenarioConfig, attempts: Sequence[int], budget: int) -> list[float]:

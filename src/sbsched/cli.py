@@ -392,18 +392,24 @@ def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -
         # every policy runs on each replication's one record; rows and totals
         # are buffered per policy to keep (value, policy, replication) order
         runs = [(p, [], []) for p in spec.policies]
-        for rep in range(spec.n_replications):
-            record = Replication.draw(
-                cfg, np.random.SeedSequence([spec.master_seed, sweep_idx, rep]))
-            if topo_json is None:
-                topo_json = network.topology_to_json(record.topo)
-            for k, (policy, out, totals) in enumerate(runs):
-                first = sweep_idx == rep == k == 0
-                periods = [res.to_dict() for res in run_horizon(
-                    record, make_policy(policy), trace_rows=trace_rows if first else None)]
-                out += [[param, value, policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
-                        for d in periods]
-                totals.append(replication_total(periods, rep))
+        size = analysis.chunk_size(cfg)
+        for first_rep in range(0, spec.n_replications, size):
+            chunk = range(first_rep, min(first_rep + size, spec.n_replications))
+            lead = [spec.master_seed, sweep_idx]
+            try:
+                records = Replication.draw_chunk(cfg, lead, chunk)
+            except Exception:  # again one record at a time: the first failure raises
+                records = (Replication.draw(cfg, [*lead, rep]) for rep in chunk)
+            for rep, record in zip(chunk, records):
+                if topo_json is None:
+                    topo_json = network.topology_to_json(record.topo)
+                for k, (policy, out, totals) in enumerate(runs):
+                    first = sweep_idx == rep == k == 0
+                    periods = [res.to_dict() for res in run_horizon(
+                        record, make_policy(policy), trace_rows=trace_rows if first else None)]
+                    out += [[param, value, policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
+                            for d in periods]
+                    totals.append(replication_total(periods, rep))
         for policy, out, totals in runs:
             rows += out
             mean, ci = mean_and_ci(totals)

@@ -25,8 +25,12 @@ transmit-power epoch. An entry is looked up only when the ON set or the
 epoch changes.
 
 A run is a `Replication` record and a `Policy`: `run_horizon(rep, policy)`
-reads its scenario, topology, tables and harvest from the record. The slot
-grid and its epochs are computed once per scenario (`ScenarioConfig.slot_grid`).
+reads its scenario, topology, tables and harvest from the record. Records are
+drawn in chunks (`Replication.draw_chunk`): one seed hash, one placement and
+one all-ON association and pricing pass per chunk, whose rows become each
+record's topology, all-ON entry and tags; `Replication.draw` is a chunk of
+one. The slot grid and its epochs are computed once per scenario
+(`ScenarioConfig.slot_grid`).
 What no policy can change is computed from the record once, on first use, and
 shared by every policy run on it: the served cells, and per period their
 arrivals as floats, the storage of the cells that stay OFF and the harvest
@@ -52,8 +56,9 @@ approximated problem).
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -606,33 +611,60 @@ _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 class SeedStack:
     """`ReplicationSeeds` stacked: for each attempt a of `attempts`, the
     PCG64 states that `default_rng` seeds from the children of
-    `SeedSequence([seed, a])`, hashed in one pass, and one generator that
-    `rng` sets to a child's state just before that stream's draws."""
+    `SeedSequence([*lead, a])`, hashed in one pass, and one generator that
+    `rng` sets to a child's state just before that stream's draws. `lead`
+    is the entropy's leading int or ints: the study's seed, or a sweep's
+    master seed and value index."""
 
-    def __init__(self, seed: int, attempts: Sequence[int]) -> None:
+    def __init__(self, lead: int | Sequence[int], attempts: Sequence[int]) -> None:
         self.attempts = attempts
-        self.states: list[list[dict]] = [[] for _ in attempts]
+        self._words: list[list[list[int]]] = [[] for _ in attempts]
         groups: dict[int, list] = {}  # entropy of one word count is hashed together
-        seed_words = _words(seed)
+        lead_words = _seed_words(lead)
         for i, a in enumerate(attempts):
-            run = seed_words + _words(a)
+            run = lead_words + _words(a)
             run += [0] * (4 - len(run))  # a spawned child pads its entropy to the pool
             groups.setdefault(len(run), []).append((i, run))
         for rows in groups.values():
             entropy = np.array([run for _, run in rows], dtype=np.uint32)
-            for (i, _), states in zip(rows, _pcg64_states(entropy, len(ReplicationSeeds._fields))):
-                self.states[i] = states
+            for (i, _), words in zip(rows, _pcg64_words(entropy, len(ReplicationSeeds._fields))):
+                self._words[i] = words
         self._rng = np.random.Generator(np.random.PCG64(0))
 
     def rng(self, i: int, name: str) -> np.random.Generator:
-        """The generator at the start of attempt i's child `name`."""
-        self._rng.bit_generator.state = self.states[i][ReplicationSeeds._fields.index(name)]
+        """The generator at the start of attempt i's child `name`: PCG64's
+        seeding step, in Python ints, from the child's hashed words."""
+        s_hi, s_lo, i_hi, i_lo = self._words[i][ReplicationSeeds._fields.index(name)]
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        self._rng.bit_generator.state = {"bit_generator": "PCG64",
+                                         "state": {"state": state, "inc": inc},
+                                         "has_uint32": 0, "uinteger": 0}
         return self._rng
 
 
 def _words(n: int) -> list[int]:
     """A non-negative int's uint32 words, least significant first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
     return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _seed_words(seed: int | Sequence[int] | np.random.SeedSequence) -> list[int]:
+    """The uint32 words that `seed`'s `SeedSequence` hashes ahead of a
+    child's index: an int's words, a sequence's in turn, and a spawned
+    sequence's entropy padded to the pool of 4 and then its spawn key."""
+    if isinstance(seed, np.random.SeedSequence):
+        if seed.pool_size != 4:
+            raise ValueError("a seed's SeedSequence must have a pool of 4 words")
+        words = _seed_words(seed.entropy)
+        if seed.spawn_key:
+            words += [0] * (4 - len(words)) + _seed_words(seed.spawn_key)
+        return words
+    if isinstance(seed, (int, np.integer)):
+        return _words(seed)
+    return [w for part in seed for w in _seed_words(part)]
 
 
 def _powers(first: int, mult: int, n: int) -> np.ndarray:
@@ -643,12 +675,12 @@ def _powers(first: int, mult: int, n: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-def _pcg64_states(entropy: np.ndarray, n_children: int) -> list[list[dict]]:
+def _pcg64_words(entropy: np.ndarray, n_children: int) -> list[list[list[int]]]:
     """Per row of `entropy` (rows, words), uint32 words padded to the pool of
-    4, the PCG64 states that `default_rng` seeds from the first `n_children`
-    children of its `SeedSequence`: numpy's `mix_entropy` and
-    `generate_state(4, np.uint64)` over every row and child at once, then
-    PCG64's seeding step in Python ints."""
+    4, the words (state high, state low, increment high, low) that
+    `default_rng` seeds PCG64 from, for the first `n_children` children of
+    its `SeedSequence`: numpy's `mix_entropy` and `generate_state(4,
+    np.uint64)` over every row and child at once."""
     # hashmix k xors constant k and multiplies by k + 1: 4 fill the pool, 12
     # mix it, and 4 mix in each word past it, the child's index the last
     hash_consts, taken = _powers(_INIT_A, _MULT_A, 4 * entropy.shape[1] + 4), 0
@@ -675,22 +707,15 @@ def _pcg64_states(entropy: np.ndarray, n_children: int) -> list[list[dict]]:
         out_consts = _powers(_INIT_B, _MULT_B, 8)  # generate_state's, for 8 words
         words = (pool[..., [0, 1, 2, 3] * 2] ^ out_consts[:8]) * out_consts[1:]
         words ^= words >> 16
-    states = []
-    for row in words.astype("<u4", order="C").view("<u8").tolist():
-        states.append([])
-        for s_hi, s_lo, i_hi, i_lo in row:
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            states[-1].append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0})
-    return states
+    return words.astype("<u4", order="C").view("<u8").tolist()
 
 
 @dataclass(frozen=True, eq=False)
 class Replication:
     """The randomness of one seed under one scenario, drawn once: that
-    scenario (`cfg`), the topology, its ON-set tables (`epoch_tables`), one
-    read-only (n_steps, n_sbs) harvest trace per period, and the seed they
+    scenario (`cfg`), the topology, its ON-set tables (`epoch_tables`, the
+    one of slot 0's epoch made with its all-ON entry and tags), one
+    read-only (n_steps, n_sbs) harvest view per period, and the seed they
     were drawn from, whose child seeds the policies' draws (`policy_ss`).
     Policies run on one record face the same draws and share the tables'
     entries, and what no policy can change (the served cells, the storage of
@@ -708,14 +733,55 @@ class Replication:
     @classmethod
     def draw(cls, cfg: ScenarioConfig,
              seed: int | Sequence[int] | np.random.SeedSequence) -> "Replication":
-        # the topology's and the harvest's children of `seed` (`ReplicationSeeds`)
-        topo = build_topology(cfg, np.random.default_rng(_child(seed, 0)))
-        harvest_rng = np.random.default_rng(_child(seed, 1))
-        harvest = [energy_mod.harvest_trace(cfg.harvest, cfg.dt, cfg.n_steps, cfg.n_sbs,
-                                            harvest_rng) for _ in range(cfg.horizon_periods)]
-        for trace in harvest:
-            trace.flags.writeable = False
-        return cls(cfg, topo, tuple(epoch_tables(cfg, topo)), tuple(harvest), seed)
+        """The record of `seed` (an int, a sequence of ints, or a
+        `SeedSequence` with the default pool), from the children its
+        `SeedSequence` spawns (`ReplicationSeeds`): a chunk of one
+        (`draw_chunk`) of the words that sequence hashes, which the record
+        keeps as its seed."""
+        words = _seed_words(seed)
+        (record,) = cls.draw_chunk(cfg, words[:-1], words[-1:])
+        return record
+
+    @classmethod
+    def draw_chunk(cls, cfg: ScenarioConfig, lead: Sequence[int],
+                   reps: Sequence[int]) -> Iterator["Replication"]:
+        """The records of the seeds `[*lead, r]` for r in `reps`, in order,
+        each made when the iterator reaches it, so that a caller that lets
+        each go before taking the next holds one at a time.
+
+        What the chunk shares is done here, at once, and raises here: the
+        seed children's states (`SeedStack`), the placement (`build_topologies`)
+        and, in the transmit-power epoch of slot 0, the all-ON association,
+        its prices and the frozen tags, each one stacked pass. A record's
+        topology, all-ON entry and tags are rows of these, with the bits they
+        have alone. Its arrivals are drawn when it is made: one `harvest_trace`
+        of all its periods from its harvest child, split into read-only
+        period views."""
+        seeds = SeedStack(lead, reps)
+        n = len(reps)
+        stack = build_topologies(cfg, (seeds.rng(i, "topo") for i in range(n)))
+        slot0 = cfg.slot_grid[1][0]  # the epoch of slot 0
+        epoch = stack if not slot0 else stack.with_sbs_tx_power(
+            cfg.sbs_tx_schedule[slot0 - 1][1])
+        w, q, file_bits = cfg.weights, cfg.q, cfg.file_bits
+        all_on = network.associate_stack(np.ones((n, stack.n_bs), dtype=bool), epoch)
+        prices = pricing.price_on_sets(all_on, epoch, w, q, file_bits)
+        tags = pricing.freeze_prices(all_on, prices.rent, epoch, w, q, file_bits, cfg.period)
+
+        def record(i: int) -> Replication:
+            topo = stack.topology(i)
+            tables = epoch_tables(cfg, topo)
+            tables[slot0].add_all_on(all_on.take(i), pricing.OnSetPrices(*(a[i] for a in prices)),
+                                     tags[i])
+            arrivals = energy_mod.harvest_trace(
+                cfg.harvest, cfg.dt, cfg.n_steps * cfg.horizon_periods, cfg.n_sbs,
+                seeds.rng(i, "harvest"))
+            arrivals.flags.writeable = False
+            harvest = tuple(arrivals[p * cfg.n_steps:(p + 1) * cfg.n_steps]
+                            for p in range(cfg.horizon_periods))
+            return cls(cfg, topo, tuple(tables), harvest, [*lead, reps[i]])
+
+        return map(record, range(n))
 
     @cached_property
     def policy_ss(self) -> np.random.SeedSequence:

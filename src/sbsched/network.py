@@ -12,7 +12,9 @@ gains follow from the distances by one fixed log-distance path-loss model per
 link kind (`PATH_LOSS`). They are static per run (time-averaged); only the
 ON/OFF vector changes the network state. What does not depend on it (the
 received power, the MBS SNR, the bandwidths) is computed once per `Topology`,
-on first use, and once per `TopologyStack`, when it is placed. The MBS
+on first use, and once per `TopologyStack`, when it is placed; a row of a
+placed stack becomes a `Topology` that holds its arrays
+(`TopologyStack.topology`), and `place_nodes` is a stack of one. The MBS
 (index 0) is always ON and never interferes with the SBS tier.
 
 OFF cells need no mask in the association: an OFF SBS's SINR column is
@@ -189,7 +191,8 @@ class TopologyStack:
     the kernels of this module and of `pricing` read of a `Topology`, under
     the same names, with the arrays that depend on the positions stacked
     and the BS parameters shared. `of` stacks one `Topology` alone;
-    `place_stack` places many without building a `Topology` each."""
+    `place_stack` places many without building a `Topology` each, and keeps
+    what `topology` needs to make any row one."""
 
     mbs: BsParams
     sbs_received_power: np.ndarray  # (S, n_ue, n_sbs), read-only
@@ -198,6 +201,13 @@ class TopologyStack:
     bandwidths: np.ndarray  # (n_bs,)
     sbs_op_power: np.ndarray  # (n_sbs,)
     sbs_max_users: np.ndarray  # (n_sbs,)
+    # set by `place_stack`: every SBS's parameters (SBS 1 at the origin), the
+    # (S, n_sbs + n_ue, 2) SBS then UE positions, the (S, n_ue, n_bs) gains
+    # and the area
+    sbs: BsParams | None = None
+    xy: np.ndarray | None = None
+    gain: np.ndarray | None = None
+    area: tuple[float, float] | None = None
 
     @classmethod
     def of(cls, topo: Topology) -> "TopologyStack":
@@ -225,8 +235,32 @@ class TopologyStack:
     def take(self, index) -> "TopologyStack":
         """The topologies at `index` (a slice, or indices that may repeat),
         stacked in its order."""
-        return replace(self, sbs_received_power=self.sbs_received_power[index],
-                       mbs_snr=self.mbs_snr[index])
+        rows = {name: getattr(self, name)[index]
+                for name in ("sbs_received_power", "mbs_snr", "xy", "gain")
+                if getattr(self, name) is not None}
+        return replace(self, **rows)
+
+    def with_sbs_tx_power(self, tx_power: float) -> "TopologyStack":
+        """The stack with every SBS transmit power replaced, as
+        `Topology.with_sbs_tx_power` replaces it in each row."""
+        sbs = replace(self.sbs, tx_power=tx_power)
+        return replace(self, sbs=sbs, sbs_received_power=_read_only(
+            _received_power(self.gain[..., 1:], [tx_power] * self.n_sbs)))
+
+    def topology(self, i: int) -> Topology:
+        """Row i as a `Topology`, holding the stack's arrays of that row in
+        its cache, with the bits a `Topology` computes them with."""
+        n_sbs, xy, sbs = self.n_sbs, self.xy[i], self.sbs
+        bs = (self.mbs,) + tuple(BsParams(j + 1, "SBS", x, y, sbs.tx_power, sbs.op_power_max,
+                                          sbs.bandwidth, sbs.max_users)
+                                 for j, (x, y) in enumerate(xy[:n_sbs].tolist()))
+        topo = Topology(bs=bs, ue=xy[n_sbs:], gain=self.gain[i], noise_power=self.noise_power,
+                        area=self.area)
+        topo.__dict__.update(
+            sbs_received_power=self.sbs_received_power[i], mbs_snr=self.mbs_snr[i],
+            bandwidths=self.bandwidths, sbs_op_power=self.sbs_op_power,
+            sbs_max_users=self.sbs_max_users, sbs_index=self.sbs_index)
+        return topo
 
 
 class NetworkState:
@@ -298,7 +332,8 @@ def _positions(rng: np.random.Generator, n: int, w: float, h: float) -> np.ndarr
 def place_nodes(area: tuple[float, float], n_sbs: int, n_ue: int,
                 rng: np.random.Generator, *, noise_power: float = dbm_to_watts(-104.0),
                 **params) -> Topology:
-    """Drop the MBS at the area center and SBSs/UEs uniformly at random.
+    """Drop the MBS at the area center and SBSs/UEs uniformly at random: a
+    `place_stack` of one.
 
     `params` sets the BS parameters by keyword (defaults): `mbs_tx_power`
     (33 dBm), `mbs_op_power` (20 W), `mbs_bandwidth` (10 MHz),
@@ -308,23 +343,17 @@ def place_nodes(area: tuple[float, float], n_sbs: int, n_ue: int,
     draws the SBS positions and then the UE positions; gains follow from the
     positions by `channel_gain`.
     """
-    w, h = _area(area, n_sbs, n_ue)
-    mbs, sbs = _stations(w, h, **params)
-    xy = _positions(rng, n_sbs + n_ue, w, h)
-    bs = (mbs,) + tuple(BsParams(j + 1, "SBS", x, y, sbs.tx_power, sbs.op_power_max,
-                                 sbs.bandwidth, sbs.max_users)
-                        for j, (x, y) in enumerate(xy[:n_sbs].tolist()))
-    gain = compute_gains(bs, xy[n_sbs:])
-    return Topology(bs=bs, ue=xy[n_sbs:], gain=gain, noise_power=noise_power, area=(w, h))
+    return place_stack(area, n_sbs, n_ue, [rng], noise_power=noise_power,
+                       **params).topology(0)
 
 
 def place_stack(area: tuple[float, float], n_sbs: int, n_ue: int,
                 rngs: Iterable[np.random.Generator], *,
                 noise_power: float = dbm_to_watts(-104.0), **params) -> TopologyStack:
-    """`place_nodes` with each generator of `rngs`, stacked in their order:
-    the same positions, gains and received powers, bit for bit, without a
-    `Topology` for each. Each generator draws before the next is taken, so
-    one generator may come back with a new state."""
+    """`place_nodes` with each generator of `rngs`, stacked in their order,
+    without a `Topology` for each: `TopologyStack.topology` makes a row one.
+    Each generator draws before the next is taken, so one generator may come
+    back with a new state."""
     w, h = _area(area, n_sbs, n_ue)
     mbs, sbs = _stations(w, h, **params)
     if noise_power <= 0:
@@ -341,6 +370,7 @@ def place_stack(area: tuple[float, float], n_sbs: int, n_ue: int,
         bandwidths=_read_only(np.array([mbs.bandwidth] + [sbs.bandwidth] * n_sbs)),
         sbs_op_power=_read_only(np.full(n_sbs, sbs.op_power_max)),
         sbs_max_users=_read_only(np.full(n_sbs, sbs.max_users)),
+        sbs=sbs, xy=xy, gain=gain, area=(w, h),
     )
 
 
@@ -368,7 +398,8 @@ def _gains(kinds: Sequence[str], bs_xy: np.ndarray, ue_xy: np.ndarray) -> np.nda
 
 
 def _check_gains(gain: np.ndarray) -> None:
-    if not np.all(np.isfinite(gain)) or np.any(gain <= 0):
+    # a NaN gain makes the minimum NaN, which fails the test
+    if not (0.0 < gain.min(initial=math.inf) and gain.max(initial=0.0) < math.inf):
         raise ValueError("channel gains must be positive and finite")
 
 

@@ -7,9 +7,10 @@ that `all_rent_prices` weighs from them. `OnSetTable` holds, per ON set of
 one topology, the entry priced from a stack of one, when the set is first
 looked up. Prices for the approximated (per-period, flat-price) problem are
 frozen from the all-ON set at the period start by `freeze_prices`, for the
-served cells only, one stack of topologies at a time: `OnSetTable.tags` is a
-stack of one. The live problem charges the rent of the current ON set's
-entry instead.
+served cells only, one stack of topologies at a time: a drawn record's tags
+and all-ON entry are a row of its chunk's pass (`OnSetTable.add_all_on`), and
+`OnSetTable.tags` alone is a stack of one. The live problem charges the rent
+of the current ON set's entry instead.
 """
 from __future__ import annotations
 
@@ -223,7 +224,8 @@ class OnSetTable:
     @cached_property
     def tags(self) -> tuple[PriceTag, ...]:
         """Price tags of the served cells, in ascending SBS id, frozen at the
-        period start from the all-ON entry: `freeze_prices` of a stack of one."""
+        period start from the all-ON entry: `freeze_prices` of a stack of
+        one, unless `add_all_on` set them."""
         all_on = self[np.ones(self.topo.n_bs, dtype=bool)]
         (tags,) = freeze_prices(all_on.state, all_on.rent, self.topo, self.w, self.q,
                                 self.file_bits, self.period)
@@ -241,17 +243,28 @@ class OnSetTable:
             entry = self.add(network.associate(sigma, self.topo))
         return entry
 
-    def add(self, state: NetworkState) -> "OnSetEntry":
-        """The entry of `state`'s ON set, made from that association."""
-        entry = self._entries[state.sigma.tobytes()] = OnSetEntry(self, state)
+    def add(self, state: NetworkState, prices: OnSetPrices | None = None) -> "OnSetEntry":
+        """The entry of `state`'s ON set, made from that association and its
+        `prices`, or from `price_on_sets` of it when none are given."""
+        if prices is None:
+            prices = price_on_sets(state, self.topo, self.w, self.q, self.file_bits,
+                                   self.power_by_count)
+        entry = self._entries[state.sigma.tobytes()] = OnSetEntry(state, prices)
         return entry
+
+    def add_all_on(self, state: NetworkState, prices: OnSetPrices,
+                   tags: tuple[PriceTag, ...]) -> None:
+        """Make the all-ON entry and set `tags` from one pair of a stacked
+        all-ON `price_on_sets` and `freeze_prices` pass (`state` and `prices`
+        are its rows), which gives them the bits they have alone."""
+        self.add(state, prices)
+        self.__dict__["tags"] = tags  # primes the cached property
 
 
 class OnSetEntry:
     """One ON set: its `NetworkState`, the set's association
     (`network.associate`, made once by the table or its caller), and the
-    read-only values `price_on_sets` prices from it, all computed when the
-    entry is made:
+    read-only values `price_on_sets` prices from it:
 
     - `delays`: (n_bs,) total delay of each BS.
     - `power`: (n_sbs,) draw of each SBS when ON with its members; `psi` is
@@ -264,10 +277,8 @@ class OnSetEntry:
     __slots__ = ("state", "delays", "power", "psi", "rent", "rent_values",
                  "psi_values", "on_delay")
 
-    def __init__(self, table: OnSetTable, state: NetworkState) -> None:
+    def __init__(self, state: NetworkState, prices: OnSetPrices) -> None:
         self.state = state
-        prices = price_on_sets(state, table.topo, table.w, table.q, table.file_bits,
-                               table.power_by_count)
         for a in prices:
             a.setflags(write=False)
         self.delays, self.power, self.psi, self.rent = prices

@@ -404,20 +404,23 @@ class TestRunHorizon:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**128 + 1])
     def test_a_seed_stack_seeds_as_numpy_does(self, seed):
-        # attempts of one and two words after a seed of one, two or five: five
+        # attempts of one and two words after a seed of one, two or five, and
+        # after that seed and a sweep's value index of one or two words: five
         # and more words overflow the pool of four, and those of each count
         # are hashed as their own group
         attempts = [1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1]
-        stack = SeedStack(seed, attempts)
-        for i, a in enumerate(attempts):
-            for name, child in zip(ReplicationSeeds._fields,
-                                   np.random.SeedSequence([seed, a]).spawn(3), strict=True):
-                want = np.random.default_rng(child)
-                got = stack.rng(i, name)
-                assert got.bit_generator.state == want.bit_generator.state
-                for draw in (lambda g: g.random(5), lambda g: g.poisson(3.0, 5),
-                             lambda g: g.uniform(2.0, 7.0, 5)):
-                    assert draw(got).tobytes() == draw(want).tobytes()
+        for lead in (seed, [seed, 0], [seed, 3], [seed, 2**32 + 7]):
+            stack = SeedStack(lead, attempts)
+            for i, a in enumerate(attempts):
+                entropy = [*(lead if isinstance(lead, list) else [lead]), a]
+                for name, child in zip(ReplicationSeeds._fields,
+                                       np.random.SeedSequence(entropy).spawn(3), strict=True):
+                    want = np.random.default_rng(child)
+                    got = stack.rng(i, name)
+                    assert got.bit_generator.state == want.bit_generator.state
+                    for draw in (lambda g: g.random(5), lambda g: g.poisson(3.0, 5),
+                                 lambda g: g.uniform(2.0, 7.0, 5)):
+                        assert draw(got).tobytes() == draw(want).tobytes()
 
     def test_run_period_on_a_record_takes_its_own_trace(self):
         cfg = ScenarioConfig(seed=SEED_TWO_USED)
@@ -742,9 +745,8 @@ class TestOnSetTable:
 
     def test_policies_and_periods_of_a_record_freeze_the_tags_once(self, monkeypatch):
         # two periods for each of three policies read one table's tags: each
-        # served cell is priced once for the record
+        # served cell is priced once for the record, when it is drawn
         cfg = ScenarioConfig(seed=SEED_TWO_USED, horizon_periods=2)
-        rep = Replication.draw(cfg, cfg.seed)
         calls = []
         real = pricing.buy_price
 
@@ -753,6 +755,7 @@ class TestOnSetTable:
             return real(*args)
 
         monkeypatch.setattr(pricing, "buy_price", counting)
+        rep = Replication.draw(cfg, cfg.seed)
         for policy in ("roa", "doa", "fixed:7"):
             results = run_horizon(rep, make_policy(policy))
             assert len(results) == 2

@@ -123,8 +123,8 @@ class TestPlaceNodes:
     def test_positions_are_uniform_draws_bit_for_bit(self, monkeypatch):
         # a position is rng.uniform([0, 0], [w, h], size)'s, 0.0 + w*U, to
         # the bit; unit gains let the extreme areas be placed at all
-        monkeypatch.setattr(network, "compute_gains",
-                            lambda bs, ue_xy: np.ones((ue_xy.shape[0], len(bs))))
+        monkeypatch.setattr(network, "_gains",
+                            lambda kinds, bs_xy, ue_xy: np.ones(ue_xy.shape[:-1] + (len(kinds),)))
         areas = [(500.0, 500.0), (2000.0, 700.0), (1e-300, 1e-300), (1e300, 1e300),
                  (3.7, 1e300), (5e-324, 1.0)]
         for area in areas:
