@@ -95,9 +95,9 @@ def empirical_cr_study(
     """Ratio of the randomized policy's realized cost to the offline optimum.
 
     Attempt a draws from (cfg.seed, a) what a one-period
-    `engine.Replication.draw` would, from the same seed children
-    (`ReplicationSeeds`, stacked per chunk as `SeedStack`), but only what
-    the study reads. Attempts are taken in chunks of at most `CHUNK`, never
+    `engine.Replication.draw` would, from the same seed children (one per
+    stream of `engine.STREAMS`, stacked per chunk as `SeedStack`), but only
+    what the study reads. Attempts are taken in chunks of at most `CHUNK`, never
     more than the runs still needed nor past the cap below, so a chunk holds
     no attempt that a loop over one attempt at a time would not reach. A
     chunk places each attempt's topology from its own topology child and

@@ -26,11 +26,13 @@ epoch changes.
 
 A run is a `Replication` record and a `Policy`: `run_horizon(rep, policy)`
 reads its scenario, topology, tables and harvest from the record. Records are
-drawn in chunks (`Replication.draw_chunk`): one seed hash, one placement and
+drawn in chunks (`Replication.draw_chunk`): one seed hash (over the streams
+of `STREAMS`), one placement, one copy of it per transmit-power epoch, and
 one all-ON association and pricing pass per chunk, whose rows become each
-record's topology, all-ON entry and tags; `Replication.draw` is a chunk of
-one. The slot grid and its epochs are computed once per scenario
-(`ScenarioConfig.slot_grid`).
+record's topologies (`network.Topology.take`), all-ON entry and tags;
+`Replication.draw` is a chunk of one, and `build_topology` is row 0 of a
+placement of one. The slot grid and its epochs are computed once per
+scenario (`ScenarioConfig.slot_grid`).
 What no policy can change is computed from the record once, on first use, and
 shared by every policy run on it: the served cells, and per period their
 arrivals as floats, the storage of the cells that stay OFF and the harvest
@@ -232,12 +234,13 @@ class PeriodResult:
 
 
 def build_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> Topology:
-    return network.place_nodes(cfg.area, cfg.n_sbs, cfg.n_ue, rng, **_node_params(cfg))
+    """The topology `rng` places: row 0 of `build_topologies(cfg, [rng])`."""
+    return build_topologies(cfg, [rng]).take(0)
 
 
-def build_topologies(cfg: ScenarioConfig,
-                     rngs: Iterable[np.random.Generator]) -> network.TopologyStack:
-    """`build_topology` with each generator of `rngs`, stacked."""
+def build_topologies(cfg: ScenarioConfig, rngs: Iterable[np.random.Generator]) -> Topology:
+    """The stack of the topologies of `cfg` that the generators of `rngs`
+    place, in their order (`network.place_stack`)."""
     return network.place_stack(cfg.area, cfg.n_sbs, cfg.n_ue, rngs, **_node_params(cfg))
 
 
@@ -251,12 +254,16 @@ def _node_params(cfg: ScenarioConfig) -> dict:
     )
 
 
+def _epoch_topologies(cfg: ScenarioConfig, topo: Topology) -> list[Topology]:
+    """The topology, or stack, of each transmit-power epoch of a period:
+    `topo`, then one per `sbs_tx_schedule` change."""
+    return [topo] + [topo.with_sbs_tx_power(p) for _, p in cfg.sbs_tx_schedule]
+
+
 def epoch_tables(cfg: ScenarioConfig, topo: Topology) -> list[pricing.OnSetTable]:
-    """One ON-set table per transmit-power epoch of a period: the base
-    topology, then one per `sbs_tx_schedule` change."""
-    epoch_topos = [topo] + [topo.with_sbs_tx_power(p) for _, p in cfg.sbs_tx_schedule]
+    """One ON-set table per transmit-power epoch of a period of `topo`."""
     return [pricing.OnSetTable(tp, cfg.weights, cfg.q, cfg.file_bits, cfg.period)
-            for tp in epoch_topos]
+            for tp in _epoch_topologies(cfg, topo)]
 
 
 class _PeriodPlan(NamedTuple):
@@ -304,7 +311,8 @@ def _arrival_totals(trace: np.ndarray) -> np.ndarray:
     (n_steps, n_sbs) `trace`; read-only."""
     if np.any(trace < 0):
         raise ValueError("energy quantities must be non-negative")
-    harvested = np.cumsum(np.vstack((np.zeros(trace.shape[1]), trace)), axis=0)[-1]
+    # + 0.0 turns a column of -0.0 arrivals, which passes the check, into +0.0
+    harvested = np.cumsum(trace, axis=0)[-1] + 0.0
     harvested.flags.writeable = False
     return harvested
 
@@ -578,18 +586,10 @@ def run_period(
     return result, energy
 
 
-class ReplicationSeeds(NamedTuple):
-    """The children of one replication's seed, one per draw, in the order
-    they are spawned: the topology's, the harvest's and the policies'."""
-
-    topo: np.random.SeedSequence
-    harvest: np.random.SeedSequence
-    policy: np.random.SeedSequence
-
-    @classmethod
-    def spawn(cls, seed: int | Sequence[int] | np.random.SeedSequence) -> "ReplicationSeeds":
-        """The children `seed`'s `SeedSequence` would spawn, built directly."""
-        return cls(*(_child(seed, i) for i in range(len(cls._fields))))
+# the streams of one replication's seed, one per draw, in the order its
+# `SeedSequence` spawns their children: the topology's, the harvest's and
+# the policies'
+STREAMS = ("topo", "harvest", "policy")
 
 
 def _child(seed: int | Sequence[int] | np.random.SeedSequence,
@@ -609,9 +609,9 @@ _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 class SeedStack:
-    """`ReplicationSeeds` stacked: for each attempt a of `attempts`, the
-    PCG64 states that `default_rng` seeds from the children of
-    `SeedSequence([*lead, a])`, hashed in one pass, and one generator that
+    """The seed streams (`STREAMS`) of a chunk: for each attempt a of
+    `attempts`, the PCG64 states that `default_rng` seeds from the children
+    of `SeedSequence([*lead, a])`, hashed in one pass, and one generator that
     `rng` sets to a child's state just before that stream's draws. `lead`
     is the entropy's leading int or ints: the study's seed, or a sweep's
     master seed and value index."""
@@ -627,14 +627,14 @@ class SeedStack:
             groups.setdefault(len(run), []).append((i, run))
         for rows in groups.values():
             entropy = np.array([run for _, run in rows], dtype=np.uint32)
-            for (i, _), words in zip(rows, _pcg64_words(entropy, len(ReplicationSeeds._fields))):
+            for (i, _), words in zip(rows, _pcg64_words(entropy, len(STREAMS))):
                 self._words[i] = words
         self._rng = np.random.Generator(np.random.PCG64(0))
 
     def rng(self, i: int, name: str) -> np.random.Generator:
-        """The generator at the start of attempt i's child `name`: PCG64's
-        seeding step, in Python ints, from the child's hashed words."""
-        s_hi, s_lo, i_hi, i_lo = self._words[i][ReplicationSeeds._fields.index(name)]
+        """The generator at the start of attempt i's child of stream `name`:
+        PCG64's seeding step, in Python ints, from the child's hashed words."""
+        s_hi, s_lo, i_hi, i_lo = self._words[i][STREAMS.index(name)]
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
         self._rng.bit_generator.state = {"bit_generator": "PCG64",
@@ -735,7 +735,7 @@ class Replication:
              seed: int | Sequence[int] | np.random.SeedSequence) -> "Replication":
         """The record of `seed` (an int, a sequence of ints, or a
         `SeedSequence` with the default pool), from the children its
-        `SeedSequence` spawns (`ReplicationSeeds`): a chunk of one
+        `SeedSequence` spawns, one per stream (`STREAMS`): a chunk of one
         (`draw_chunk`) of the words that sequence hashes, which the record
         keeps as its seed."""
         words = _seed_words(seed)
@@ -751,26 +751,26 @@ class Replication:
 
         What the chunk shares is done here, at once, and raises here: the
         seed children's states (`SeedStack`), the placement (`build_topologies`)
-        and, in the transmit-power epoch of slot 0, the all-ON association,
-        its prices and the frozen tags, each one stacked pass. A record's
-        topology, all-ON entry and tags are rows of these, with the bits they
-        have alone. Its arrivals are drawn when it is made: one `harvest_trace`
-        of all its periods from its harvest child, split into read-only
-        period views."""
+        and its copy at each transmit-power epoch's SBS power, and, in the
+        epoch of slot 0, the all-ON association, its prices and the frozen
+        tags, each one stacked pass. A record's topology in each epoch
+        (`Topology.take`), all-ON entry and tags are rows of these, with the
+        bits they have alone. Its arrivals are drawn when it is made: one
+        `harvest_trace` of all its periods from its harvest child, split into
+        read-only period views."""
         seeds = SeedStack(lead, reps)
         n = len(reps)
-        stack = build_topologies(cfg, (seeds.rng(i, "topo") for i in range(n)))
+        epochs = _epoch_topologies(
+            cfg, build_topologies(cfg, (seeds.rng(i, "topo") for i in range(n))))
         slot0 = cfg.slot_grid[1][0]  # the epoch of slot 0
-        epoch = stack if not slot0 else stack.with_sbs_tx_power(
-            cfg.sbs_tx_schedule[slot0 - 1][1])
-        w, q, file_bits = cfg.weights, cfg.q, cfg.file_bits
-        all_on = network.associate_stack(np.ones((n, stack.n_bs), dtype=bool), epoch)
+        epoch, w, q, file_bits = epochs[slot0], cfg.weights, cfg.q, cfg.file_bits
+        all_on = network.associate_stack(np.ones((n, epoch.n_bs), dtype=bool), epoch)
         prices = pricing.price_on_sets(all_on, epoch, w, q, file_bits)
         tags = pricing.freeze_prices(all_on, prices.rent, epoch, w, q, file_bits, cfg.period)
 
         def record(i: int) -> Replication:
-            topo = stack.topology(i)
-            tables = epoch_tables(cfg, topo)
+            tables = [pricing.OnSetTable(e.take(i), w, q, file_bits, cfg.period)
+                      for e in epochs]
             tables[slot0].add_all_on(all_on.take(i), pricing.OnSetPrices(*(a[i] for a in prices)),
                                      tags[i])
             arrivals = energy_mod.harvest_trace(
@@ -779,15 +779,15 @@ class Replication:
             arrivals.flags.writeable = False
             harvest = tuple(arrivals[p * cfg.n_steps:(p + 1) * cfg.n_steps]
                             for p in range(cfg.horizon_periods))
-            return cls(cfg, topo, tuple(tables), harvest, [*lead, reps[i]])
+            return cls(cfg, tables[0].topo, tuple(tables), harvest, [*lead, reps[i]])
 
         return map(record, range(n))
 
     @cached_property
     def policy_ss(self) -> np.random.SeedSequence:
-        """The seed of the policies' draws, `seed`'s child as
-        `ReplicationSeeds.spawn` makes it, built on first use."""
-        return _child(self.seed, 2)  # after the topology's and the harvest's
+        """The seed of the policies' draws, `seed`'s child as `spawn`
+        makes it, built on first use."""
+        return _child(self.seed, STREAMS.index("policy"))
 
     @cached_property
     def plan(self) -> _PeriodPlan:

@@ -3,19 +3,20 @@
 Link quality, rates and delays are computed for the whole network at once
 (`sinr_matrix`, `ue_rates`, `all_bs_delays`), also over a leading stack
 axis: a `NetworkState` and the ON/OFF vectors may stack (topology, ON set)
-pairs, whose topologies a `TopologyStack` holds. Each pair's values have the bits
-it has alone, so one ON set of one `Topology` is a stack of none.
+pairs, and a `Topology` may stack topologies. Each pair's values have the
+bits it has alone, so one ON set of one topology is a stack of none.
 `pricing.OnSetTable` caches them per ON set.
 
 All radio quantities are stored linear (watts, dimensionless gains). Channel
 gains follow from the distances by one fixed log-distance path-loss model per
 link kind (`PATH_LOSS`). They are static per run (time-averaged); only the
 ON/OFF vector changes the network state. What does not depend on it (the
-received power, the MBS SNR, the bandwidths) is computed once per `Topology`,
-on first use, and once per `TopologyStack`, when it is placed; a row of a
-placed stack becomes a `Topology` that holds its arrays
-(`TopologyStack.topology`), and `place_nodes` is a stack of one. The MBS
-(index 0) is always ON and never interferes with the SBS tier.
+received power, the MBS SNR, the bandwidths) is computed once, when a
+`Topology` is placed (`place_stack`, the only placement) or built from its
+BSs (`Topology.from_bs`); a row of a stack (`Topology.take`) and a copy at
+another SBS transmit power (`Topology.with_sbs_tx_power`) share or slice
+those arrays. The MBS (index 0) is always ON and never interferes with the
+SBS tier.
 
 OFF cells need no mask in the association: an OFF SBS's SINR column is
 exactly 0.0 (its received power, finite, times 0.0), and the MBS column,
@@ -103,117 +104,47 @@ class BsParams:
             raise ValueError("tx power must not exceed operational power")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Immutable node placement plus the UE x BS channel-gain matrix.
+    """Node placement, channel gains and BS parameters of one topology, or of
+    a stack of topologies on a leading axis.
 
-    The arrays that do not depend on the ON set are read-only and computed
-    on first use; a copy made with `with_sbs_tx_power` starts without them.
+    The arrays that depend on the positions (`xy`, `gain`,
+    `sbs_received_power`, `mbs_snr`) carry the stack axis, if any; the BS
+    parameters (the MBS's `BsParams`, and each SBS's transmit power, op power,
+    bandwidth and user capacity) are shared by every row. `place_stack`
+    places a stack, and `from_bs` builds one topology from its BSs, which may
+    differ; each checks the gains and computes every array once, read-only.
+    `take` and `with_sbs_tx_power` make rows and repriced copies from those
+    arrays, without computing or checking them again.
     """
 
-    bs: tuple[BsParams, ...]
-    ue: np.ndarray  # (n_ue, 2) positions in meters
-    gain: np.ndarray  # (n_ue, n_bs) linear gains
+    mbs: BsParams
+    sbs_tx_power: np.ndarray  # (n_sbs,) watts
+    sbs_op_power: np.ndarray  # (n_sbs,) watts, P_op when fully utilized
+    sbs_max_users: np.ndarray  # (n_sbs,) user capacity
+    bandwidths: np.ndarray  # (n_bs,) Hz, the MBS's first
     noise_power: float  # watts
     area: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
-        if self.gain.shape != (self.n_ue, self.n_bs):
-            raise ValueError("gain matrix does not match node counts")
-        _check_gains(self.gain)
-        if self.bs[0].kind != "MBS":
-            raise ValueError("BS 0 must be the MBS")
-
-    @property
-    def n_bs(self) -> int:
-        return len(self.bs)
-
-    @property
-    def n_sbs(self) -> int:
-        return len(self.bs) - 1
-
-    @property
-    def n_ue(self) -> int:
-        return self.ue.shape[0]
-
-    @property
-    def mbs(self) -> BsParams:
-        return self.bs[MBS_ID]
-
-    @cached_property
-    def received_power(self) -> np.ndarray:
-        """(n_ue, n_bs) power each UE receives from each BS, in watts."""
-        return _read_only(_received_power(self.gain, [b.tx_power for b in self.bs]))
-
-    @cached_property
-    def sbs_received_power(self) -> np.ndarray:
-        """The SBS columns of `received_power`, as one contiguous block."""
-        return _read_only(np.ascontiguousarray(self.received_power[:, 1:]))
-
-    @cached_property
-    def sbs_index(self) -> np.ndarray:
-        """(n_sbs,) the 0-based SBS indices 0..n_sbs - 1."""
-        return _read_only(np.arange(self.n_sbs))
-
-    @cached_property
-    def mbs_snr(self) -> np.ndarray:
-        """(n_ue,) SNR of each UE to the MBS."""
-        return _read_only(self.received_power[:, MBS_ID] / self.noise_power)
-
-    @cached_property
-    def bandwidths(self) -> np.ndarray:
-        """(n_bs,) bandwidth of each BS in Hz."""
-        return _read_only(np.array([b.bandwidth for b in self.bs]))
-
-    @cached_property
-    def sbs_op_power(self) -> np.ndarray:
-        """(n_sbs,) full-load operational power of each SBS in watts."""
-        return _read_only(np.array([b.op_power_max for b in self.bs[1:]]))
-
-    @cached_property
-    def sbs_max_users(self) -> np.ndarray:
-        """(n_sbs,) user capacity of each SBS."""
-        return _read_only(np.array([b.max_users for b in self.bs[1:]], dtype=int))
-
-    def with_sbs_tx_power(self, tx_power: float) -> "Topology":
-        """Copy of the topology with every SBS transmit power replaced."""
-        new_bs = tuple(
-            b if b.kind == "MBS" else replace(b, tx_power=tx_power) for b in self.bs
-        )
-        return replace(self, bs=new_bs)
-
-
-@dataclass(frozen=True, eq=False)
-class TopologyStack:
-    """Topologies of one set of BS parameters on a leading stack axis: what
-    the kernels of this module and of `pricing` read of a `Topology`, under
-    the same names, with the arrays that depend on the positions stacked
-    and the BS parameters shared. `of` stacks one `Topology` alone;
-    `place_stack` places many without building a `Topology` each, and keeps
-    what `topology` needs to make any row one."""
-
-    mbs: BsParams
-    sbs_received_power: np.ndarray  # (S, n_ue, n_sbs), read-only
-    mbs_snr: np.ndarray  # (S, n_ue), read-only
-    noise_power: float
-    bandwidths: np.ndarray  # (n_bs,)
-    sbs_op_power: np.ndarray  # (n_sbs,)
-    sbs_max_users: np.ndarray  # (n_sbs,)
-    # set by `place_stack`: every SBS's parameters (SBS 1 at the origin), the
-    # (S, n_sbs + n_ue, 2) SBS then UE positions, the (S, n_ue, n_bs) gains
-    # and the area
-    sbs: BsParams | None = None
-    xy: np.ndarray | None = None
-    gain: np.ndarray | None = None
-    area: tuple[float, float] | None = None
+    xy: np.ndarray  # (..., n_sbs + n_ue, 2) SBS, then UE positions in meters
+    gain: np.ndarray  # (..., n_ue, n_bs) linear gains
+    sbs_received_power: np.ndarray  # (..., n_ue, n_sbs) watts, contiguous
+    mbs_snr: np.ndarray  # (..., n_ue) SNR of each UE to the MBS
 
     @classmethod
-    def of(cls, topo: Topology) -> "TopologyStack":
-        return cls(topo.mbs, topo.sbs_received_power[None], topo.mbs_snr[None],
-                   topo.noise_power, topo.bandwidths, topo.sbs_op_power,
-                   topo.sbs_max_users)
+    def from_bs(cls, bs: Sequence[BsParams], ue: np.ndarray, gain: np.ndarray,
+                noise_power: float, area: tuple[float, float]) -> "Topology":
+        """One topology of the BSs `bs`, the MBS first, and the UEs at `ue`
+        (n_ue, 2), with the (n_ue, n_bs) gains `gain`."""
+        if bs[0].kind != "MBS":
+            raise ValueError("BS 0 must be the MBS")
+        if gain.shape != (len(ue), len(bs)):
+            raise ValueError("gain matrix does not match node counts")
+        sbs = bs[1:]
+        xy = np.concatenate((np.reshape([(b.x, b.y) for b in sbs], (-1, 2)), ue))
+        return _topology(bs[0], [b.tx_power for b in sbs], [b.op_power_max for b in sbs],
+                         [b.bandwidth for b in sbs], [b.max_users for b in sbs], xy, gain,
+                         noise_power, area)
 
     @property
     def n_bs(self) -> int:
@@ -221,46 +152,63 @@ class TopologyStack:
 
     @property
     def n_sbs(self) -> int:
-        return self.bandwidths.size - 1
+        return self.sbs_tx_power.size
 
     @property
     def n_ue(self) -> int:
-        return self.mbs_snr.shape[1]
+        return self.mbs_snr.shape[-1]
+
+    @property
+    def ue(self) -> np.ndarray:
+        """(..., n_ue, 2) UE positions in meters."""
+        return self.xy[..., self.n_sbs:, :]
+
+    @property
+    def bs(self) -> tuple[BsParams, ...]:
+        """The MBS, then each SBS, as `BsParams`, of one topology."""
+        sbs = zip(self.xy[:self.n_sbs].tolist(), self.sbs_tx_power.tolist(),
+                  self.sbs_op_power.tolist(), self.bandwidths[1:].tolist(),
+                  self.sbs_max_users.tolist())
+        return (self.mbs,) + tuple(BsParams(j, "SBS", x, y, tx, op, bw, mu)
+                                   for j, ((x, y), tx, op, bw, mu) in enumerate(sbs, 1))
 
     @cached_property
     def sbs_index(self) -> np.ndarray:
         """(n_sbs,) the 0-based SBS indices 0..n_sbs - 1."""
         return _read_only(np.arange(self.n_sbs))
 
-    def take(self, index) -> "TopologyStack":
-        """The topologies at `index` (a slice, or indices that may repeat),
-        stacked in its order."""
-        rows = {name: getattr(self, name)[index]
-                for name in ("sbs_received_power", "mbs_snr", "xy", "gain")
-                if getattr(self, name) is not None}
-        return replace(self, **rows)
+    def take(self, index) -> "Topology":
+        """The topologies at `index` of the stack axis, as numpy indexes it: an
+        int gives one topology, a slice or indices (which may repeat) a stack
+        in their order, and `np.newaxis` makes one topology a stack of one."""
+        return replace(self, xy=self.xy[index], gain=self.gain[index],
+                       sbs_received_power=self.sbs_received_power[index],
+                       mbs_snr=self.mbs_snr[index])
 
-    def with_sbs_tx_power(self, tx_power: float) -> "TopologyStack":
-        """The stack with every SBS transmit power replaced, as
-        `Topology.with_sbs_tx_power` replaces it in each row."""
-        sbs = replace(self.sbs, tx_power=tx_power)
-        return replace(self, sbs=sbs, sbs_received_power=_read_only(
-            _received_power(self.gain[..., 1:], [tx_power] * self.n_sbs)))
+    def with_sbs_tx_power(self, tx_power: float) -> "Topology":
+        """The topology, or stack, with every SBS transmit power replaced."""
+        return replace(self, sbs_tx_power=_read_only(np.full(self.n_sbs, tx_power)),
+                       sbs_received_power=_read_only(
+                           _received_power(self.gain[..., 1:], [tx_power] * self.n_sbs)))
 
-    def topology(self, i: int) -> Topology:
-        """Row i as a `Topology`, holding the stack's arrays of that row in
-        its cache, with the bits a `Topology` computes them with."""
-        n_sbs, xy, sbs = self.n_sbs, self.xy[i], self.sbs
-        bs = (self.mbs,) + tuple(BsParams(j + 1, "SBS", x, y, sbs.tx_power, sbs.op_power_max,
-                                          sbs.bandwidth, sbs.max_users)
-                                 for j, (x, y) in enumerate(xy[:n_sbs].tolist()))
-        topo = Topology(bs=bs, ue=xy[n_sbs:], gain=self.gain[i], noise_power=self.noise_power,
-                        area=self.area)
-        topo.__dict__.update(
-            sbs_received_power=self.sbs_received_power[i], mbs_snr=self.mbs_snr[i],
-            bandwidths=self.bandwidths, sbs_op_power=self.sbs_op_power,
-            sbs_max_users=self.sbs_max_users, sbs_index=self.sbs_index)
-        return topo
+
+def _topology(mbs: BsParams, sbs_tx_power: Sequence[float], sbs_op_power: Sequence[float],
+              sbs_bandwidth: Sequence[float], sbs_max_users: Sequence[int], xy: np.ndarray,
+              gain: np.ndarray, noise_power: float, area: tuple[float, float]) -> Topology:
+    """The topology, or stack, of these BS parameters and positions, with
+    the gains checked and the received power and MBS SNR computed."""
+    if noise_power <= 0:
+        raise ValueError("noise power must be positive")
+    _check_gains(gain)
+    recv = _received_power(gain, [mbs.tx_power, *sbs_tx_power])
+    return Topology(
+        mbs=mbs, sbs_tx_power=_read_only(np.array(sbs_tx_power)),
+        sbs_op_power=_read_only(np.array(sbs_op_power)),
+        sbs_max_users=_read_only(np.array(sbs_max_users, dtype=int)),
+        bandwidths=_read_only(np.array([mbs.bandwidth, *sbs_bandwidth])),
+        noise_power=noise_power, area=area, xy=xy, gain=gain,
+        sbs_received_power=_read_only(np.ascontiguousarray(recv[..., 1:])),
+        mbs_snr=_read_only(recv[..., MBS_ID] / noise_power))
 
 
 class NetworkState:
@@ -329,49 +277,31 @@ def _positions(rng: np.random.Generator, n: int, w: float, h: float) -> np.ndarr
     return rng.random((n, 2)) * [w, h]
 
 
-def place_nodes(area: tuple[float, float], n_sbs: int, n_ue: int,
-                rng: np.random.Generator, *, noise_power: float = dbm_to_watts(-104.0),
-                **params) -> Topology:
-    """Drop the MBS at the area center and SBSs/UEs uniformly at random: a
-    `place_stack` of one.
+def place_stack(area: tuple[float, float], n_sbs: int, n_ue: int,
+                rngs: Iterable[np.random.Generator], *,
+                noise_power: float = dbm_to_watts(-104.0), **params) -> Topology:
+    """Drop the MBS at the area center and SBSs/UEs uniformly at random, once
+    with each generator of `rngs`: a stack of the placements in their order,
+    whose rows (`Topology.take`) are topologies.
 
     `params` sets the BS parameters by keyword (defaults): `mbs_tx_power`
     (33 dBm), `mbs_op_power` (20 W), `mbs_bandwidth` (10 MHz),
     `mbs_max_users` (50), and the same four of every SBS: `sbs_tx_power`
     (23 dBm), `sbs_op_power` (10 W), `sbs_bandwidth` (10 MHz) and
-    `sbs_max_users` (10). Deterministic for a fixed generator state, which
-    draws the SBS positions and then the UE positions; gains follow from the
-    positions by `channel_gain`.
+    `sbs_max_users` (10). Deterministic for fixed generator states: each
+    generator draws the SBS positions and then the UE positions before the
+    next is taken, so one generator may come back with a new state. Gains
+    follow from the positions by `channel_gain`.
     """
-    return place_stack(area, n_sbs, n_ue, [rng], noise_power=noise_power,
-                       **params).topology(0)
-
-
-def place_stack(area: tuple[float, float], n_sbs: int, n_ue: int,
-                rngs: Iterable[np.random.Generator], *,
-                noise_power: float = dbm_to_watts(-104.0), **params) -> TopologyStack:
-    """`place_nodes` with each generator of `rngs`, stacked in their order,
-    without a `Topology` for each: `TopologyStack.topology` makes a row one.
-    Each generator draws before the next is taken, so one generator may come
-    back with a new state."""
     w, h = _area(area, n_sbs, n_ue)
     mbs, sbs = _stations(w, h, **params)
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
     xy = np.array([_positions(rng, n_sbs + n_ue, w, h) for rng in rngs])
     bs_xy = np.concatenate((np.broadcast_to([[mbs.x, mbs.y]], (len(xy), 1, 2)),
                             xy[:, :n_sbs]), axis=1)
     gain = _gains([mbs.kind] + [sbs.kind] * n_sbs, bs_xy, xy[:, n_sbs:])
-    _check_gains(gain)
-    recv = _received_power(gain, [mbs.tx_power] + [sbs.tx_power] * n_sbs)
-    return TopologyStack(
-        mbs=mbs, sbs_received_power=_read_only(np.ascontiguousarray(recv[..., 1:])),
-        mbs_snr=_read_only(recv[..., MBS_ID] / noise_power), noise_power=noise_power,
-        bandwidths=_read_only(np.array([mbs.bandwidth] + [sbs.bandwidth] * n_sbs)),
-        sbs_op_power=_read_only(np.full(n_sbs, sbs.op_power_max)),
-        sbs_max_users=_read_only(np.full(n_sbs, sbs.max_users)),
-        sbs=sbs, xy=xy, gain=gain, area=(w, h),
-    )
+    return _topology(mbs, [sbs.tx_power] * n_sbs, [sbs.op_power_max] * n_sbs,
+                     [sbs.bandwidth] * n_sbs, [sbs.max_users] * n_sbs, xy, gain,
+                     noise_power, (w, h))
 
 
 def compute_gains(bs: Sequence[BsParams], ue_xy: np.ndarray) -> np.ndarray:
@@ -410,14 +340,14 @@ def _received_power(gain: np.ndarray, tx_power: Sequence[float]) -> np.ndarray:
     return recv
 
 
-def sinr_matrix(sigma: np.ndarray, topo: Topology | TopologyStack) -> np.ndarray:
+def sinr_matrix(sigma: np.ndarray, topo: Topology) -> np.ndarray:
     """Per-UE link quality: column 0 is SNR to the MBS, columns >= 1 are SINRs.
 
     `sigma` is one ON set (n_bs,) or a stack (P, n_bs) of them, each paired
-    with `topo`'s topology at its index (or broadcast against a `Topology`);
-    the result is (n_ue, n_bs) per pair. Interference sums over ON SBSs
-    only, per pair as `recv @ on` sums it; the MBS never interferes. An OFF
-    SBS's column is exactly 0.0.
+    with the row of the stack `topo` at its index (or broadcast against one
+    topology); the result is (n_ue, n_bs) per pair. Interference sums over
+    ON SBSs only, per pair as `recv @ on` sums it; the MBS never interferes.
+    An OFF SBS's column is exactly 0.0.
     """
     recv = topo.sbs_received_power
     on = sigma[..., 1:].astype(float)
@@ -431,12 +361,12 @@ def sinr_matrix(sigma: np.ndarray, topo: Topology | TopologyStack) -> np.ndarray
     return out
 
 
-def associate(sigma: np.ndarray, topo: Topology | TopologyStack) -> NetworkState:
+def associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
     """Assign each UE to the ON BS with the largest SINR (SNR for the MBS),
-    for one ON set `sigma` (n_bs,): of one `Topology`, or of each topology of
-    a `TopologyStack`, as `associate_stack` does. The state keeps a read-only
-    copy of `sigma`, so the caller may go on mutating its own array, and
-    states shared between callers cannot be altered. (A stack of ON sets
+    for one ON set `sigma` (n_bs,): of one topology, or of each topology of
+    a stack, as `associate_stack` does. The state keeps a read-only copy of
+    `sigma`, so the caller may go on mutating its own array, and states
+    shared between callers cannot be altered. (A stack of ON sets
     goes to `associate_stack`: `bench/tracer.py` reads this function's first
     argument as one ON set.)"""
     sigma = np.array(sigma, dtype=bool)
@@ -445,7 +375,7 @@ def associate(sigma: np.ndarray, topo: Topology | TopologyStack) -> NetworkState
     return _associate(sigma, topo)
 
 
-def associate_stack(sigma: np.ndarray, topo: Topology | TopologyStack) -> NetworkState:
+def associate_stack(sigma: np.ndarray, topo: Topology) -> NetworkState:
     """The association of every (topology, ON set) pair of `sigma` and
     `topo` (as `sinr_matrix` pairs them), each with the bits it has alone.
 
@@ -458,7 +388,7 @@ def associate_stack(sigma: np.ndarray, topo: Topology | TopologyStack) -> Networ
     return _associate(sigma, topo)
 
 
-def _associate(sigma: np.ndarray, topo: Topology | TopologyStack) -> NetworkState:
+def _associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
     metric = sinr_matrix(sigma, topo)
     serving = metric.argmax(axis=-1)  # first max == lowest index
     # each UE's row of the metric starts n_bs after the previous one's
@@ -489,7 +419,7 @@ def _stack_index(serving: np.ndarray, n_bs: int) -> np.ndarray:
     return serving + n_bs * np.arange(serving.shape[0])[:, None]
 
 
-def ue_rates(state: NetworkState, topo: Topology | TopologyStack) -> np.ndarray:
+def ue_rates(state: NetworkState, topo: Topology) -> np.ndarray:
     """Achievable rate of every UE: equal bandwidth split at its serving BS."""
     serving = state.serving
     load = state.counts.reshape(-1)[_stack_index(serving, topo.n_bs)]
@@ -497,7 +427,7 @@ def ue_rates(state: NetworkState, topo: Topology | TopologyStack) -> np.ndarray:
     return share * np.log2(1.0 + state.sinr)
 
 
-def all_bs_delays(state: NetworkState, topo: Topology | TopologyStack,
+def all_bs_delays(state: NetworkState, topo: Topology,
                   file_bits: float) -> np.ndarray:
     """Per-BS total delay, vectorized over the whole network (and stack).
     Each BS's UE delays are added in UE order. A zero rate raises

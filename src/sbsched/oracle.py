@@ -92,7 +92,7 @@ class SubsetTables:
     psi_max: np.ndarray  # (m,)
 
 
-def build_tables(topo: network.TopologyStack, tags: Sequence[tuple[pricing.PriceTag, ...]],
+def build_tables(topo: network.Topology, tags: Sequence[tuple[pricing.PriceTag, ...]],
                  w: CostWeights, q: float, file_bits: float) -> list[SubsetTables]:
     """Every subset's rates over the served cells of each topology of the
     stack `topo`, those of its tags (`tags[s]`, with the buy prices frozen
@@ -381,7 +381,7 @@ def offline_exhaustive(
     topo = scenario.topo
     table = pricing.OnSetTable(topo, scenario.weights, scenario.q, scenario.file_bits,
                                scenario.period)
-    (tables,) = build_tables(network.TopologyStack.of(topo), [table.tags], scenario.weights,
+    (tables,) = build_tables(topo.take(np.newaxis), [table.tags], scenario.weights,
                              scenario.q, scenario.file_bits)
     n_steps = scenario.n_steps
     m = tables.used.size

@@ -1,14 +1,15 @@
 """Operational expenditure: per-second rent prices and one-time buy prices.
 
 A cell's rent is priced in one place, `price_on_sets`, for one ON set or on a
-leading stack axis of (topology, ON set) pairs, each with the bits it has
-alone: the delay and power vectors of the set's association and the rent
-that `all_rent_prices` weighs from them. `OnSetTable` holds, per ON set of
-one topology, the entry priced from a stack of one, when the set is first
-looked up. Prices for the approximated (per-period, flat-price) problem are
-frozen from the all-ON set at the period start by `freeze_prices`, for the
-served cells only, one stack of topologies at a time: a drawn record's tags
-and all-ON entry are a row of its chunk's pass (`OnSetTable.add_all_on`), and
+leading stack axis of (topology, ON set) pairs, whose topologies are rows of
+one `network.Topology` stack, each pair with the bits it has alone: the delay
+and power vectors of the set's association and the rent that
+`all_rent_prices` weighs from them. `OnSetTable` holds, per ON set of one
+topology, the entry priced from a stack of one, when the set is first looked
+up. Prices for the approximated (per-period, flat-price) problem are frozen
+from the all-ON set at the period start by `freeze_prices`, for the served
+cells only, one stack of topologies at a time: a drawn record's tags and
+all-ON entry are a row of its chunk's pass (`OnSetTable.add_all_on`), and
 `OnSetTable.tags` alone is a stack of one. The live problem charges the rent
 of the current ON set's entry instead.
 """
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import energy, network
-from .network import MBS_ID, NetworkState, Topology, TopologyStack, _read_only, _stack_index
+from .network import MBS_ID, NetworkState, Topology, _read_only, _stack_index
 
 
 class NonFinitePriceError(ValueError):
@@ -103,7 +104,7 @@ class OnSetPrices(NamedTuple):
     rent: np.ndarray  # (..., n_bs) rent rate of each SBS (index 0 unused)
 
 
-def price_on_sets(state: NetworkState, topo: Topology | TopologyStack, w: CostWeights,
+def price_on_sets(state: NetworkState, topo: Topology, w: CostWeights,
                   q: float, file_bits: float,
                   by_count: np.ndarray | None = None) -> OnSetPrices:
     """The delays, power draws and rents of the association `state`: one ON
@@ -135,7 +136,7 @@ def price_on_sets(state: NetworkState, topo: Topology | TopologyStack, w: CostWe
     return OnSetPrices(delays, power, psi, all_rent_prices(delays, power, w))
 
 
-def power_by_count(topo: Topology | TopologyStack, q: float) -> np.ndarray:
+def power_by_count(topo: Topology, q: float) -> np.ndarray:
     """(n_sbs, u + 1) `energy.power_draw` of each SBS with 0..u users
     attached, u the smallest SBS capacity (at most the UE count): the power
     of an ON set whose counts are all at most u is read here."""
@@ -144,13 +145,13 @@ def power_by_count(topo: Topology | TopologyStack, q: float) -> np.ndarray:
                              np.arange(u + 1), q, range(1, topo.n_bs))
 
 
-def freeze_prices(state: NetworkState, rent: np.ndarray, topo: Topology | TopologyStack,
+def freeze_prices(state: NetworkState, rent: np.ndarray, topo: Topology,
                   w: CostWeights, q: float, file_bits: float,
                   period: float) -> list[tuple[PriceTag, ...]]:
     """Price tags of each topology's served cells (those with UEs in its
     all-ON association `state`), in ascending SBS id, frozen at the start
     of a period of length `period`: one tuple per topology of a stack, or
-    one for a `Topology`.
+    one for one topology.
 
     The rent is the all-ON set's `rent`, so a frozen tag and the live rent
     of the all-ON set are one number. A cell without UEs has no tag: it

@@ -185,8 +185,8 @@ def run_one_cell(initial, harvest=(), t_off=1.0, *, period=1.0, op_power=8.0,
     cfg = ScenarioConfig(period=period, dt=0.125, n_sbs=1, n_ue=1, q=1.0,
                          sbs_op_power=op_power, initial_energy=initial)
     bs = (macro_cell(), small_cell(op_power=op_power))
-    topo = Topology(bs=bs, ue=np.zeros((1, 2)), gain=np.array([[1e-13, 1e-10]]),
-                    noise_power=dbm_to_watts(-104.0), area=(500.0, 500.0))
+    topo = Topology.from_bs(bs, np.zeros((1, 2)), np.array([[1e-13, 1e-10]]),
+                            dbm_to_watts(-104.0), (500.0, 500.0))
     table = OnSetTable(topo, cfg.weights, cfg.q, cfg.file_bits, cfg.period)
     if unseen_draw:
         table[np.ones(2, dtype=bool)].psi_values = (UnseenDraw(op_power),)

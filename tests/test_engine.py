@@ -11,7 +11,6 @@ from sbsched.energy import EnergyState
 from sbsched.engine import (
     PeriodResult,
     Replication,
-    ReplicationSeeds,
     ScenarioConfig,
     SeedStack,
     build_topology,
@@ -363,7 +362,7 @@ class TestRunHorizon:
             run_horizon(rep, make_policy(policy))
         assert "policy_ss" not in vars(rep)
         run_horizon(rep, make_policy("roa"))
-        want = ReplicationSeeds.spawn(cfg.seed).policy
+        want = np.random.SeedSequence(cfg.seed).spawn(3)[2]
         assert rep.policy_ss.spawn_key == want.spawn_key
         assert rep.policy_ss.generate_state(4).tolist() == want.generate_state(4).tolist()
 
@@ -387,20 +386,19 @@ class TestRunHorizon:
 
     @pytest.mark.parametrize("seed", [7, [7, 3]])
     def test_replication_seeds_are_the_spawned_children(self, seed):
-        # built directly, alone or all three, each child equals the one a
-        # parent's spawn(3) makes, also below a spawned parent
+        # built directly, each child equals the one a parent's spawn(3)
+        # makes, also below a spawned parent
         nested = np.random.SeedSequence(seed).spawn(2)[1]
         cases = [(seed, np.random.SeedSequence(seed).spawn(3)),
                  (np.random.SeedSequence(seed), np.random.SeedSequence(seed).spawn(3)),
                  (nested, np.random.SeedSequence(seed).spawn(2)[1].spawn(3))]
         for parent, spawned in cases:
-            alone = [engine._child(parent, i) for i in range(3)]
-            for built in (list(ReplicationSeeds.spawn(parent)), alone):
-                for got, want in zip(built, spawned, strict=True):
-                    assert got.entropy == want.entropy
-                    assert got.spawn_key == want.spawn_key
-                    assert got.pool_size == want.pool_size
-                    assert got.generate_state(4).tolist() == want.generate_state(4).tolist()
+            built = [engine._child(parent, i) for i in range(3)]
+            for got, want in zip(built, spawned, strict=True):
+                assert got.entropy == want.entropy
+                assert got.spawn_key == want.spawn_key
+                assert got.pool_size == want.pool_size
+                assert got.generate_state(4).tolist() == want.generate_state(4).tolist()
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**128 + 1])
     def test_a_seed_stack_seeds_as_numpy_does(self, seed):
@@ -413,7 +411,7 @@ class TestRunHorizon:
             stack = SeedStack(lead, attempts)
             for i, a in enumerate(attempts):
                 entropy = [*(lead if isinstance(lead, list) else [lead]), a]
-                for name, child in zip(ReplicationSeeds._fields,
+                for name, child in zip(engine.STREAMS,
                                        np.random.SeedSequence(entropy).spawn(3), strict=True):
                     want = np.random.default_rng(child)
                     got = stack.rng(i, name)

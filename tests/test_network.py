@@ -15,7 +15,7 @@ from sbsched.network import (
     channel_gain,
     compute_gains,
     dbm_to_watts,
-    place_nodes,
+    place_stack,
     sinr_matrix,
     topology_to_json,
     ue_rates,
@@ -36,8 +36,12 @@ def make_topology(bs_specs, ue_xy, gains=None, noise=NOISE):
     ue = np.asarray(ue_xy, dtype=float)
     if gains is None:
         gains = compute_gains(bs, ue)
-    return Topology(bs=bs, ue=ue, gain=np.asarray(gains, dtype=float),
-                    noise_power=noise, area=(500.0, 500.0))
+    return Topology.from_bs(bs, ue, np.asarray(gains, dtype=float), noise, (500.0, 500.0))
+
+
+def place(area, n_sbs, n_ue, rng, **params):
+    """One placement: row 0 of a stack placed with `rng` alone."""
+    return place_stack(area, n_sbs, n_ue, [rng], **params).take(0)
 
 
 MBS_SPEC = ("MBS", 250.0, 250.0, dbm_to_watts(33.0), 20.0, 10e6, 50)
@@ -98,24 +102,24 @@ class TestChannelGain:
 
 class TestPlaceNodes:
     def test_macro_only_degenerate(self):
-        topo = place_nodes((500.0, 500.0), 0, 1, np.random.default_rng(0))
+        topo = place((500.0, 500.0), 0, 1, np.random.default_rng(0))
         assert topo.n_bs == 1 and topo.n_ue == 1
         state = associate(np.array([True]), topo)
         assert state.serving[0] == 0
 
     def test_deterministic_for_fixed_seed(self):
-        a = place_nodes((500.0, 500.0), 5, 10, np.random.default_rng(42))
-        b = place_nodes((500.0, 500.0), 5, 10, np.random.default_rng(42))
+        a = place((500.0, 500.0), 5, 10, np.random.default_rng(42))
+        b = place((500.0, 500.0), 5, 10, np.random.default_rng(42))
         assert np.array_equal(a.ue, b.ue)
         assert np.array_equal(a.gain, b.gain)
         assert all(x.x == y.x and x.y == y.y for x, y in zip(a.bs, b.bs))
 
     def test_snapshot_scale_counts(self):
-        topo = place_nodes((500.0, 500.0), 15, 30, np.random.default_rng(3))
+        topo = place((500.0, 500.0), 15, 30, np.random.default_rng(3))
         assert topo.n_bs == 16 and topo.n_sbs == 15 and topo.n_ue == 30
 
     def test_nodes_inside_area(self):
-        topo = place_nodes((500.0, 500.0), 20, 40, np.random.default_rng(7))
+        topo = place((500.0, 500.0), 20, 40, np.random.default_rng(7))
         assert np.all(topo.ue >= 0) and np.all(topo.ue <= 500)
         assert all(0 <= b.x <= 500 and 0 <= b.y <= 500 for b in topo.bs)
         assert topo.bs[0].x == 250.0 and topo.bs[0].y == 250.0
@@ -129,7 +133,7 @@ class TestPlaceNodes:
                  (3.7, 1e300), (5e-324, 1.0)]
         for area in areas:
             for seed in range(25):
-                topo = place_nodes(area, 4, 9, np.random.default_rng(seed))
+                topo = place(area, 4, 9, np.random.default_rng(seed))
                 rng = np.random.default_rng(seed)
                 sbs = rng.uniform([0.0, 0.0], area, size=(4, 2))
                 ue = rng.uniform([0.0, 0.0], area, size=(9, 2))
@@ -140,51 +144,90 @@ class TestPlaceNodes:
     def test_invalid_inputs(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            place_nodes((0.0, 500.0), 1, 1, rng)
+            place((0.0, 500.0), 1, 1, rng)
         with pytest.raises(ValueError):
-            place_nodes((500.0, 500.0), -1, 1, rng)
+            place((500.0, 500.0), -1, 1, rng)
         with pytest.raises(ValueError):
-            place_nodes((500.0, 500.0), 1, 0, rng)
+            place((500.0, 500.0), 1, 0, rng)
+        with pytest.raises(ValueError, match="noise power"):
+            place((500.0, 500.0), 1, 1, rng, noise_power=0.0)
+        # and a topology built by hand from its BSs
+        mbs, sbs = make_topology([MBS_SPEC, sbs_spec(100.0, 100.0)], [[0.0, 0.0]]).bs
+        ue, gain = np.zeros((1, 2)), np.array([[1e-13, 1e-10]])
+        for bs, g, noise, match in (((sbs, mbs), gain, NOISE, "BS 0 must be the MBS"),
+                                    ((mbs, sbs), gain.T, NOISE, "does not match"),
+                                    ((mbs, sbs), gain, 0.0, "noise power"),
+                                    ((mbs, sbs), -gain, NOISE, "positive and finite")):
+            with pytest.raises(ValueError, match=match):
+                Topology.from_bs(bs, ue, g, noise, (500.0, 500.0))
+
+
+def unlike_topology():
+    """A hand-built topology whose SBSs differ in every parameter."""
+    return make_topology(
+        [MBS_SPEC, sbs_spec(100.0, 100.0), ("SBS", 400.0, 120.0, 0.5, 12.0, 5e6, 4),
+         ("SBS", 30.0, 470.0, dbm_to_watts(17.0), 7.5, 20e6, 25)],
+        np.random.default_rng(9).uniform(0.0, 500.0, size=(11, 2)))
+
+
+def placed_row():
+    """Row 2 of a stack of four placements."""
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    return place_stack((500.0, 500.0), 4, 12, rngs, sbs_max_users=3).take(2)
 
 
 class TestTopologyConstants:
-    NAMES = ("received_power", "sbs_received_power", "mbs_snr", "bandwidths",
-             "sbs_op_power", "sbs_max_users")
+    NAMES = ("sbs_received_power", "mbs_snr", "bandwidths", "sbs_tx_power", "sbs_op_power",
+             "sbs_max_users")
 
     def test_constants_match_the_fields_and_are_cached_read_only(self):
-        topo = place_nodes((500.0, 500.0), 4, 12, np.random.default_rng(2),
-                           sbs_max_users=3)
-        tx = np.array([b.tx_power for b in topo.bs])
-        recv = topo.gain * tx[None, :]
-        assert topo.received_power.tobytes() == recv.tobytes()
-        assert topo.sbs_received_power.flags.c_contiguous
-        assert topo.sbs_received_power.tobytes() == np.ascontiguousarray(recv[:, 1:]).tobytes()
-        assert topo.mbs_snr.tobytes() == (recv[:, 0] / topo.noise_power).tobytes()
-        assert topo.bandwidths.tolist() == [b.bandwidth for b in topo.bs]
-        assert topo.sbs_op_power.tolist() == [b.op_power_max for b in topo.bs[1:]]
-        assert topo.sbs_max_users.tolist() == [3] * 4
-        for name in self.NAMES:
-            value = getattr(topo, name)
-            assert getattr(topo, name) is value
-            assert not value.flags.writeable
+        # a row of a placed stack and a hand-built topology of unlike SBSs
+        # hold, computed once, what the kernels read, from their BSs' fields
+        for topo in (placed_row(), unlike_topology()):
+            bs = topo.bs
+            assert [b.id for b in bs] == list(range(topo.n_bs))
+            assert [b.kind for b in bs] == ["MBS"] + ["SBS"] * topo.n_sbs
+            assert topo.ue.shape == (topo.n_ue, 2)
+            assert topo.gain.tobytes() == compute_gains(bs, topo.ue).tobytes()
+            recv = topo.gain * np.array([b.tx_power for b in bs])[None, :]
+            assert topo.sbs_received_power.flags.c_contiguous
+            assert topo.sbs_received_power.tobytes() == np.ascontiguousarray(
+                recv[:, 1:]).tobytes()
+            assert topo.mbs_snr.tobytes() == (recv[:, 0] / topo.noise_power).tobytes()
+            assert topo.bandwidths.tolist() == [b.bandwidth for b in bs]
+            assert topo.sbs_tx_power.tolist() == [b.tx_power for b in bs[1:]]
+            assert topo.sbs_op_power.tolist() == [b.op_power_max for b in bs[1:]]
+            assert topo.sbs_max_users.tolist() == [b.max_users for b in bs[1:]]
+            assert topo.sbs_index.tolist() == list(range(topo.n_sbs))
+            for name in self.NAMES + ("sbs_index",):
+                assert not getattr(topo, name).flags.writeable, name
+        assert placed_row().sbs_max_users.tolist() == [3] * 4
 
-    def test_tx_power_copy_starts_with_an_empty_cache(self):
-        topo = place_nodes((500.0, 500.0), 3, 10, np.random.default_rng(4))
-        for name in self.NAMES:
-            getattr(topo, name)
-        louder = topo.with_sbs_tx_power(dbm_to_watts(30.0))
-        assert not set(self.NAMES) & set(vars(louder))
-        assert louder.received_power[:, 0].tobytes() == topo.received_power[:, 0].tobytes()
-        assert louder.sbs_received_power.tobytes() == (
-            topo.gain[:, 1:] * dbm_to_watts(30.0)).tobytes()
-        assert np.all(louder.sbs_received_power > topo.sbs_received_power)
+    def test_tx_power_copy_of_a_row_is_the_repriced_stacks_row(self):
+        # only the SBS received power and transmit power change; the row of a
+        # repriced stack and the repriced row have the same bytes
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        stack = place_stack((500.0, 500.0), 3, 10, rngs)
+        louder = dbm_to_watts(30.0)
+        for topo in (stack.take(1), unlike_topology()):
+            copy = topo.with_sbs_tx_power(louder)
+            assert copy.sbs_received_power.tobytes() == (topo.gain[:, 1:] * louder).tobytes()
+            assert np.all(copy.sbs_received_power > topo.sbs_received_power)
+            assert copy.sbs_tx_power.tolist() == [louder] * topo.n_sbs
+            assert [b.tx_power for b in copy.bs[1:]] == [louder] * topo.n_sbs
+            assert copy.mbs_snr is topo.mbs_snr and copy.gain is topo.gain
+            for name in self.NAMES:
+                assert not getattr(copy, name).flags.writeable, name
+        row, repriced = stack.take(1).with_sbs_tx_power(louder), stack.with_sbs_tx_power(louder)
+        for name in self.NAMES + ("xy", "gain"):
+            assert getattr(row, name).tobytes() == getattr(repriced.take(1), name).tobytes()
+        assert row.bs == repriced.take(1).bs
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_received_power_rejected(self):
         spec = ("SBS", 100.0, 100.0, 1e10, 1e10, 10e6, 10)
-        topo = make_topology([MBS_SPEC, spec], [[100.0, 100.0]], gains=[[1e-13, 1e300]])
         with pytest.raises(ValueError, match="received power"):
-            associate(np.array([True, False]), topo)
+            make_topology([MBS_SPEC, spec], [[100.0, 100.0]], gains=[[1e-13, 1e300]])
 
 
 class TestSinrSnr:
@@ -238,7 +281,7 @@ class TestSinrSnr:
         # give the same bits as the strided view
         rng = np.random.default_rng(12)
         for n_sbs, n_ue in ((2, 7), (9, 40), (16, 80)):
-            topo = place_nodes((1500.0, 1500.0), n_sbs, n_ue, rng)
+            topo = place((1500.0, 1500.0), n_sbs, n_ue, rng)
             recv = topo.gain * np.array([b.tx_power for b in topo.bs])[None, :]
             for _ in range(10):
                 sigma = np.concatenate(([True], rng.random(n_sbs) < 0.5))
@@ -261,7 +304,7 @@ class TestSinrSnr:
 
 class TestAssociation:
     def test_all_small_cells_off(self):
-        topo = place_nodes((500.0, 500.0), 4, 12, np.random.default_rng(5))
+        topo = place((500.0, 500.0), 4, 12, np.random.default_rng(5))
         sigma = np.array([True, False, False, False, False])
         state = associate(sigma, topo)
         assert np.all(state.serving == 0)
@@ -285,7 +328,7 @@ class TestAssociation:
         assert state.serving[0] == 1
 
     def test_partition_property(self):
-        topo = place_nodes((500.0, 500.0), 6, 30, np.random.default_rng(11))
+        topo = place((500.0, 500.0), 6, 30, np.random.default_rng(11))
         rng = np.random.default_rng(0)
         for _ in range(20):
             sigma = np.concatenate(([True], rng.uniform(size=6) < 0.5))
@@ -299,7 +342,7 @@ class TestAssociation:
             assert np.all(seen == 1)
 
     def test_turned_off_cell_loses_all_members(self):
-        topo = place_nodes((500.0, 500.0), 6, 30, np.random.default_rng(13))
+        topo = place((500.0, 500.0), 6, 30, np.random.default_rng(13))
         sigma = np.ones(7, dtype=bool)
         for j in range(1, 7):
             s = sigma.copy()
@@ -312,18 +355,18 @@ class TestAssociation:
     def test_macro_load_monotone_without_interference(self):
         # with a single SBS there is no interference coupling, so switching it
         # OFF can only push UEs toward the MBS
-        topo = place_nodes((500.0, 500.0), 1, 30, np.random.default_rng(13))
+        topo = place((500.0, 500.0), 1, 30, np.random.default_rng(13))
         before = associate(np.array([True, True]), topo).n_members(0)
         after = associate(np.array([True, False]), topo).n_members(0)
         assert after >= before
 
     def test_macro_must_stay_on(self):
-        topo = place_nodes((500.0, 500.0), 1, 2, np.random.default_rng(0))
+        topo = place((500.0, 500.0), 1, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             associate(np.array([False, True]), topo)
 
     def test_state_does_not_alias_the_callers_array(self):
-        topo = place_nodes((500.0, 500.0), 2, 10, np.random.default_rng(0))
+        topo = place((500.0, 500.0), 2, 10, np.random.default_rng(0))
         s = np.ones(3, dtype=bool)
         state = associate(s, topo)
         s[1] = False
@@ -340,7 +383,7 @@ class TestAssociation:
             [[100.0, 100.0], [400.0, 400.0], [250.0, 250.0]],
             gains=[[1e-14, 1e-9, 1e-12], [1e-14, 1e-12, 1e-9], [5e-324, 5e-324, 5e-324]],
         )
-        assert not topo.received_power[2].any()
+        assert topo.mbs_snr[2] == 0.0 and not topo.sbs_received_power[2].any()
         for sigma in [np.array(s, dtype=bool) for s in
                       ([1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1])]:
             metric = sinr_matrix(sigma, topo)
@@ -354,7 +397,7 @@ class TestAssociation:
             assert not state.counts.flags.writeable
 
     def test_state_holds_each_ues_link_quality_to_its_server(self):
-        topo = place_nodes((500.0, 500.0), 4, 30, np.random.default_rng(3))
+        topo = place((500.0, 500.0), 4, 30, np.random.default_rng(3))
         sigma = np.array([True, True, False, True, True])
         state = associate(sigma, topo)
         metric = sinr_matrix(sigma, topo)
@@ -454,7 +497,7 @@ class TestRateDelay:
             table.tags
 
     def test_delays_add_each_cells_ues_in_ue_order(self):
-        topo = place_nodes((500.0, 500.0), 3, 60, np.random.default_rng(8))
+        topo = place((500.0, 500.0), 3, 60, np.random.default_rng(8))
         for sigma in (np.ones(4, dtype=bool), np.array([True, False, True, True])):
             state = associate(sigma, topo)
             want = np.zeros(topo.n_bs)
@@ -465,42 +508,49 @@ class TestRateDelay:
 class TestSerialization:
     def test_round_trip_reproduces_gains(self):
         # topology.json holds no gains: each follows, bit for bit, from the
-        # written positions and link kinds by channel_gain
-        topo = place_nodes((500.0, 500.0), 5, 12, np.random.default_rng(21))
-        doc = json.loads(topology_to_json(topo))
-        assert list(doc["path_loss"].items()) == [
-            ("mbs_const", 128.1), ("mbs_slope", 37.6), ("sbs_const", 140.7),
-            ("sbs_slope", 36.7), ("min_distance", 1.0),
-        ]
-        ue = np.array(doc["ue"])
-        gain = np.empty((ue.shape[0], len(doc["bs"])))
-        for j, b in enumerate(doc["bs"]):
-            d = np.hypot(ue[:, 0] - b["x"], ue[:, 1] - b["y"])
-            gain[:, j] = [channel_gain(x, b["kind"]) for x in d.tolist()]
-        assert gain.tobytes() == topo.gain.tobytes()
-        assert dbm_to_watts(doc["noise_power_dbm"]) == pytest.approx(topo.noise_power,
-                                                                     rel=1e-12)
-        for b, want in zip(doc["bs"], topo.bs, strict=True):
-            assert (b["kind"], b["max_users"]) == (want.kind, want.max_users)
-            assert dbm_to_watts(b["tx_power_dbm"]) == pytest.approx(want.tx_power, rel=1e-12)
+        # written positions and link kinds by channel_gain; for a row of a
+        # placed stack and for a hand-built topology of unlike SBSs
+        for topo in (place((500.0, 500.0), 5, 12, np.random.default_rng(21)), placed_row(),
+                     unlike_topology()):
+            doc = json.loads(topology_to_json(topo))
+            assert list(doc["path_loss"].items()) == [
+                ("mbs_const", 128.1), ("mbs_slope", 37.6), ("sbs_const", 140.7),
+                ("sbs_slope", 36.7), ("min_distance", 1.0),
+            ]
+            ue = np.array(doc["ue"])
+            assert ue.tobytes() == topo.ue.tobytes()
+            gain = np.empty((ue.shape[0], len(doc["bs"])))
+            for j, b in enumerate(doc["bs"]):
+                d = np.hypot(ue[:, 0] - b["x"], ue[:, 1] - b["y"])
+                gain[:, j] = [channel_gain(x, b["kind"]) for x in d.tolist()]
+            assert gain.tobytes() == topo.gain.tobytes()
+            assert dbm_to_watts(doc["noise_power_dbm"]) == pytest.approx(topo.noise_power,
+                                                                         rel=1e-12)
+            for b, want in zip(doc["bs"], topo.bs, strict=True):
+                assert (b["id"], b["kind"], b["x"], b["y"], b["op_power_w"], b["bandwidth_hz"],
+                        b["max_users"]) == (want.id, want.kind, want.x, want.y,
+                                            want.op_power_max, want.bandwidth, want.max_users)
+                assert dbm_to_watts(b["tx_power_dbm"]) == pytest.approx(want.tx_power,
+                                                                        rel=1e-12)
 
     def test_association_survives_round_trip(self):
         # a topology rebuilt from topology.json alone serves every UE as the
         # original does
-        topo = place_nodes((500.0, 500.0), 5, 12, np.random.default_rng(22))
-        doc = json.loads(topology_to_json(topo))
-        bs = tuple(
-            BsParams(id=b["id"], kind=b["kind"], x=b["x"], y=b["y"],
-                     tx_power=dbm_to_watts(b["tx_power_dbm"]),
-                     op_power_max=b["op_power_w"], bandwidth=b["bandwidth_hz"],
-                     max_users=b["max_users"])
-            for b in doc["bs"]
-        )
-        ue = np.array(doc["ue"])
-        clone = Topology(bs=bs, ue=ue, gain=compute_gains(bs, ue),
-                         noise_power=dbm_to_watts(doc["noise_power_dbm"]),
-                         area=tuple(doc["area"]))
-        sigma = np.ones(6, dtype=bool)
-        assert np.array_equal(
-            associate(sigma, topo).serving, associate(sigma, clone).serving
-        )
+        for topo in (place((500.0, 500.0), 5, 12, np.random.default_rng(22)), placed_row(),
+                     unlike_topology()):
+            doc = json.loads(topology_to_json(topo))
+            bs = tuple(
+                BsParams(id=b["id"], kind=b["kind"], x=b["x"], y=b["y"],
+                         tx_power=dbm_to_watts(b["tx_power_dbm"]),
+                         op_power_max=b["op_power_w"], bandwidth=b["bandwidth_hz"],
+                         max_users=b["max_users"])
+                for b in doc["bs"]
+            )
+            ue = np.array(doc["ue"])
+            clone = Topology.from_bs(bs, ue, compute_gains(bs, ue),
+                                     dbm_to_watts(doc["noise_power_dbm"]), tuple(doc["area"]))
+            assert clone.area == topo.area and clone.n_ue == topo.n_ue
+            sigma = np.ones(topo.n_bs, dtype=bool)
+            assert np.array_equal(
+                associate(sigma, topo).serving, associate(sigma, clone).serving
+            )

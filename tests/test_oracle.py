@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sbsched import network, oracle, pricing
-from sbsched.network import place_nodes
+from sbsched import oracle, pricing
+from sbsched.network import place_stack
 from sbsched.oracle import (
     BudgetError,
     RecordedScenario,
@@ -24,7 +24,7 @@ def scenario_with_used(seed, n_sbs=3, n_ue=15, initial=60.0, trace=None,
                        weights=None):
     """Recorded scenario from a fixed placement; trace defaults to zero."""
     rng = np.random.default_rng(seed)
-    topo = place_nodes((500.0, 500.0), n_sbs, n_ue, rng)
+    topo = place_stack((500.0, 500.0), n_sbs, n_ue, [rng]).take(0)
     if trace is None:
         trace = np.zeros((N_STEPS, n_sbs))
     return RecordedScenario(
@@ -36,7 +36,7 @@ def scenario_with_used(seed, n_sbs=3, n_ue=15, initial=60.0, trace=None,
 
 def table_subsets(table):
     """`build_tables` of one table's served cells: a stack of one."""
-    (tables,) = build_tables(network.TopologyStack.of(table.topo), [table.tags], table.w,
+    (tables,) = build_tables(table.topo.take(np.newaxis), [table.tags], table.w,
                              table.q, table.file_bits)
     return tables
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sbsched import oracle, pricing
 from sbsched.analysis import empirical_cr_study
 from sbsched.engine import Replication, ScenarioConfig
-from sbsched.network import place_nodes
+from sbsched.network import place_stack
 from sbsched.oracle import (
     SubsetTables,
     _depletion_possible,
@@ -250,7 +250,7 @@ def test_offline_exhaustive_on_a_full_depletion_grid(e0, first, n_ties):
     # in, so every OFF index from then on ties with the best; with 10 J the
     # buys cost less than the rent until then, and OFF at 0 alone is best.
     rng = np.random.default_rng(1)
-    topo = place_nodes((500.0, 500.0), 3, 15, rng)
+    topo = place_stack((500.0, 500.0), 3, 15, [rng]).take(0)
     n_steps = 50
     trace = 0.2 * rng.poisson(0.5, (n_steps, 3)).astype(float)
     scenario = oracle.RecordedScenario(

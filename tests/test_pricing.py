@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbsched import network
-from sbsched.network import BsParams, Topology, TopologyStack, dbm_to_watts, place_nodes
+from sbsched.network import BsParams, Topology, dbm_to_watts, place_stack
 from sbsched.pricing import (
     CostWeights,
     NonFinitePriceError,
@@ -20,7 +20,7 @@ def served_topology(seed=1, n_sbs=6, n_ue=30):
     """A placement where at least one SBS serves a UE at the all-ON start."""
     rng = np.random.default_rng(seed)
     while True:
-        topo = place_nodes((500.0, 500.0), n_sbs, n_ue, rng)
+        topo = place_stack((500.0, 500.0), n_sbs, n_ue, [rng]).take(0)
         state = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
         if any(state.n_members(j) > 0 for j in range(1, topo.n_bs)):
             return topo, state
@@ -55,9 +55,9 @@ def crowded_cell(seed, n_ue=10):
         BsParams(id=1, kind="SBS", x=100.0, y=100.0, tx_power=dbm_to_watts(23.0),
                  op_power_max=10.0, bandwidth=10e6, max_users=n_ue),
     )
-    return Topology(bs=bs, ue=np.full((n_ue, 2), 100.0),
-                    gain=np.column_stack([np.full(n_ue, 1e-13), gains]),
-                    noise_power=dbm_to_watts(-104.0), area=(500.0, 500.0))
+    return Topology.from_bs(bs, np.full((n_ue, 2), 100.0),
+                            np.column_stack([np.full(n_ue, 1e-13), gains]),
+                            dbm_to_watts(-104.0), (500.0, 500.0))
 
 
 class TestCostWeights:
@@ -213,11 +213,14 @@ class TestNonFinitePrices:
         errors = {"rent": (NonFinitePriceError, r"SBS 1: rent price is not finite \(inf\)"),
                   "rate": (network.UnserviceableError, "zero achievable rate")}
         for order in (["rent", "rate"], ["rate", "rent"], ["rent"], ["rate"]):
-            stack = TopologyStack(
-                mbs=mbs, sbs_received_power=np.array([pairs[k][0] for k in order]),
-                mbs_snr=np.array([pairs[k][1] for k in order]), noise_power=1e-13,
-                bandwidths=np.array([10e6, 10e6]), sbs_op_power=np.array([10.0]),
-                sbs_max_users=np.array([10]))
+            # the received power and SNR set directly; no kernel reads xy or gain
+            stack = Topology(
+                mbs=mbs, sbs_tx_power=np.array([1.0]), sbs_op_power=np.array([10.0]),
+                sbs_max_users=np.array([10]), bandwidths=np.array([10e6, 10e6]),
+                noise_power=1e-13, area=(1.0, 1.0), xy=np.zeros((len(order), 2, 2)),
+                gain=np.zeros((len(order), 1, 2)),
+                sbs_received_power=np.array([pairs[k][0] for k in order]),
+                mbs_snr=np.array([pairs[k][1] for k in order]))
             state = network.associate_stack(np.ones((len(order), 2), dtype=bool), stack)
             error, match = errors[order[0]]
             with np.errstate(over="ignore"), pytest.raises(error, match=match):
@@ -236,7 +239,7 @@ class TestFreezePrices:
 
     def test_no_served_cell_gives_no_tags(self):
         # 2 UEs on 2000 m, both on the macro cell
-        topo = place_nodes((2000.0, 2000.0), 3, 2, np.random.default_rng(0))
+        topo = place_stack((2000.0, 2000.0), 3, 2, [np.random.default_rng(0)]).take(0)
         table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
         assert not table[np.ones(topo.n_bs, dtype=bool)].state.serving.any()
         assert table.tags == ()
@@ -343,14 +346,13 @@ class TestOnSetEntry:
     def test_entry_is_the_model_functions_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
         n_sbs = int(rng.integers(2, 17))
-        topo = place_nodes((float(rng.choice([300.0, 1000.0, 2000.0])),) * 2, n_sbs,
-                           int(rng.integers(5, 100)), rng)
+        topo = place_stack((float(rng.choice([300.0, 1000.0, 2000.0])),) * 2, n_sbs,
+                           int(rng.integers(5, 100)), [rng]).take(0)
         w = CostWeights(*rng.uniform(0.0, 0.5, size=3))
         q, file_bits = float(rng.uniform()), float(rng.uniform(1e4, 1e6))
-        # the base topology and two transmit-power epochs, each a fresh cache
+        # the base topology and two transmit-power epochs
         for tp in (topo, topo.with_sbs_tx_power(dbm_to_watts(30.0)),
                    topo.with_sbs_tx_power(dbm_to_watts(15.0))):
-            assert "received_power" not in vars(tp)
             table = OnSetTable(tp, w, q, file_bits, 10.0)
             for sigma in self.random_on_sets(tp.n_bs, rng):
                 assert_entry_is_reference(table, sigma)
@@ -380,8 +382,8 @@ class TestOnSetEntry:
 
     def test_overloaded_cells_are_clamped_with_a_warning_each(self):
         # all ON, BS 7 serves 4 UEs
-        topo = place_nodes((2000.0, 2000.0), 8, 80, np.random.default_rng(0),
-                           sbs_max_users=2)
+        topo = place_stack((2000.0, 2000.0), 8, 80, [np.random.default_rng(0)],
+                           sbs_max_users=2).take(0)
         n_over = 0
         for sigma in self.random_on_sets(topo.n_bs, np.random.default_rng(1), n=30):
             table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)

@@ -48,8 +48,7 @@ def reference_record(cfg, seed):
                    cfg.mbs_bandwidth, cfg.mbs_max_users),) + tuple(
         BsParams(j + 1, "SBS", x, y, cfg.sbs_tx_power, cfg.sbs_op_power, cfg.sbs_bandwidth,
                  cfg.sbs_max_users) for j, (x, y) in enumerate(sbs_xy.tolist()))
-    topo = Topology(bs=bs, ue=ue, gain=compute_gains(bs, ue), noise_power=cfg.noise_power,
-                    area=(w, h))
+    topo = Topology.from_bs(bs, ue, compute_gains(bs, ue), cfg.noise_power, (w, h))
     rng = np.random.default_rng(harvest_ss)
     harvest = tuple(harvest_trace(cfg.harvest, cfg.dt, cfg.n_steps, cfg.n_sbs, rng)
                     for _ in range(cfg.horizon_periods))
@@ -69,7 +68,7 @@ def assert_same_record(got, want):
     assert got.topo.bs == want.topo.bs
     for g, w in zip(got.tables, want.tables, strict=True):
         assert g.topo.bs == w.topo.bs
-        for name in ("received_power", "sbs_received_power", "mbs_snr"):
+        for name in ("sbs_received_power", "mbs_snr"):
             assert getattr(g.topo, name).tobytes() == getattr(w.topo, name).tobytes(), name
     assert len(got.harvest) == len(want.harvest) == got.cfg.horizon_periods
     for g, w in zip(got.harvest, want.harvest):

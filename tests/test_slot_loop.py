@@ -24,8 +24,10 @@ from sbsched import pricing
 from sbsched.energy import EnergyState
 from sbsched.engine import (
     PeriodResult,
+    Replication,
     ScenarioConfig,
     build_topology,
+    epoch_tables,
     run_period,
 )
 from sbsched.network import dbm_to_watts
@@ -341,26 +343,39 @@ def test_slot_loop_matches_reference_exactly():
 @pytest.mark.parametrize("traced", [False, True])
 def test_period_without_served_cells_matches_reference(traced):
     # 3 UEs on 2000 m, all of them on the macro cell: every SBS idles, and
-    # storage reaches the capacity within the first period
-    cfg = ScenarioConfig(n_sbs=3, n_ue=3, area=(2000.0, 2000.0), seed=0,
-                         initial_energy=90.0, harvest_rate=20.0)
-    rng = np.random.default_rng(0)
-    topo = build_topology(cfg, rng)
-    states = [EnergyState.fresh(cfg.n_sbs, 90.0, cfg.capacity) for _ in range(2)]
-    rngs = [np.random.default_rng([0, j]) for j in range(cfg.n_sbs)]
-    for period in range(2):
-        trace = cfg.harvest_quantum * rng.poisson(
-            cfg.harvest_rate * cfg.dt, size=(cfg.n_steps, cfg.n_sbs))
-        rows, ref_rows = ([], []) if traced else (None, None)
-        res, _ = run_period(cfg, topo, states[0], make_policy("roa"), rngs, trace,
-                            period, rows)
-        ref, _ = reference_run_period(cfg, topo, states[1], make_policy("roa"), rngs,
-                                      trace, period, ref_rows)
-        assert not res.used.any()
-        assert_identical(res, ref)
-        assert np.array_equal(states[0].stored, states[1].stored)
-        assert rows == ref_rows
-    assert np.all(states[0].stored == cfg.capacity)
+    # storage reaches the capacity within the first period. Then the same
+    # periods of a record built by hand, whose first cell harvests -0.0 J in
+    # every slot: its total is +0.0, as a running sum from 0.0 gives it
+    for negative_zero in (False, True):
+        cfg = ScenarioConfig(n_sbs=3, n_ue=3, area=(2000.0, 2000.0), seed=0,
+                             initial_energy=90.0, harvest_rate=20.0)
+        rng = np.random.default_rng(0)
+        topo = build_topology(cfg, rng)
+        traces = tuple(cfg.harvest_quantum * rng.poisson(
+            cfg.harvest_rate * cfg.dt, size=(cfg.n_steps, cfg.n_sbs)) for _ in range(2))
+        record = None
+        if negative_zero:
+            for trace in traces:
+                trace[:, 0] = -0.0
+            record = Replication(cfg, topo, tuple(epoch_tables(cfg, topo)), traces,
+                                 np.random.SeedSequence(0))
+        states = [EnergyState.fresh(cfg.n_sbs, 90.0, cfg.capacity) for _ in range(2)]
+        rngs = [np.random.default_rng([0, j]) for j in range(cfg.n_sbs)]
+        for period, trace in enumerate(traces):
+            rows, ref_rows = ([], []) if traced else (None, None)
+            res, _ = run_period(cfg, topo, states[0], make_policy("roa"), rngs, trace,
+                                period, rows, record=record)
+            ref, _ = reference_run_period(cfg, topo, states[1], make_policy("roa"), rngs,
+                                          trace, period, ref_rows)
+            assert not res.used.any()
+            assert_identical(res, ref)
+            assert res.energy_harvested.tobytes() == ref.energy_harvested.tobytes()
+            assert (repr(res.to_dict()["energy_harvested"])
+                    == repr(ref.to_dict()["energy_harvested"]))
+            assert np.array_equal(states[0].stored, states[1].stored)
+            assert rows == ref_rows
+        full = states[0].stored == cfg.capacity
+        assert full.tolist() == [not negative_zero, True, True]
 
 
 def test_threshold_without_capacity_raises():

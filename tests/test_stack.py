@@ -7,11 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbsched import network, pricing
-from sbsched.network import TopologyStack, place_nodes, place_stack
+from sbsched.network import Topology, place_stack, topology_to_json
 from sbsched.oracle import build_tables
 from sbsched.pricing import CostWeights, OnSetTable
 
 FIELDS = ("used", "rent", "psi", "rent_sum", "buys", "psi_max")
+# what the kernels read of a topology, and its positions and gains
+ARRAYS = ("xy", "gain", "sbs_received_power", "mbs_snr", "bandwidths", "sbs_tx_power",
+          "sbs_op_power", "sbs_max_users", "sbs_index")
 
 
 @st.composite
@@ -33,8 +36,14 @@ def stacks(draw):
 
 
 def alone(side, n_sbs, n_ue, seed, max_users):
-    return place_nodes((side, side), n_sbs, n_ue, np.random.default_rng(seed),
-                       sbs_max_users=max_users)
+    return place_stack((side, side), n_sbs, n_ue, [np.random.default_rng(seed)],
+                       sbs_max_users=max_users).take(0)
+
+
+def assert_same_topology(got, want):
+    for name in ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.mbs, got.noise_power, got.area) == (want.mbs, want.noise_power, want.area)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -49,10 +58,19 @@ def test_a_stack_prices_each_pair_as_alone(case):
                         [np.random.default_rng(s) for s in seeds],
                         sbs_max_users=p["sbs_max_users"])
     topos = [alone(side, n_sbs, n_ue, s, p["sbs_max_users"]) for s in seeds]
+    tx = 10.0 ** (np.random.default_rng(seeds[0]).uniform(-1.0, 0.0))
+    repriced = stack.with_sbs_tx_power(tx)
     for i, topo in enumerate(topos):
-        one = TopologyStack.of(topo)
-        for name in ("sbs_received_power", "mbs_snr"):
-            assert getattr(stack, name)[i].tobytes() == getattr(one, name)[0].tobytes()
+        # a row of the stack is the placement alone, and so is the topology
+        # rebuilt from the row's BSs, positions and gains, or from its
+        # topology.json; a row repriced is the repriced stack's row
+        row = stack.take(i)
+        assert_same_topology(row, topo)
+        assert_same_topology(topo.take(np.newaxis).take(0), topo)
+        assert_same_topology(Topology.from_bs(row.bs, row.ue, row.gain, row.noise_power,
+                                              row.area), topo)
+        assert topology_to_json(row) == topology_to_json(topo)
+        assert_same_topology(row.with_sbs_tx_power(tx), repriced.take(i))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # overloaded cells
         pairs = stack.take(owner)
@@ -89,6 +107,6 @@ def test_a_stack_prices_each_pair_as_alone(case):
             for name in FIELDS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         for topo, t, got in zip(topos, tags, stacked, strict=True):
-            (want,) = build_tables(TopologyStack.of(topo), [t], w, q, file_bits)
+            (want,) = build_tables(topo.take(np.newaxis), [t], w, q, file_bits)
             for name in FIELDS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

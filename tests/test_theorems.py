@@ -39,8 +39,8 @@ def one_cell_tables(cfg, gain):
                    op_power_max=20.0, bandwidth=10e6, max_users=50),
           BsParams(id=1, kind="SBS", x=0.0, y=0.0, tx_power=dbm_to_watts(23.0),
                    op_power_max=8.0, bandwidth=10e6, max_users=10))
-    topo = Topology(bs=bs, ue=np.zeros((1, 2)), gain=np.array([gain]),
-                    noise_power=dbm_to_watts(-104.0), area=(500.0, 500.0))
+    topo = Topology.from_bs(bs, np.zeros((1, 2)), np.array([gain]), dbm_to_watts(-104.0),
+                            (500.0, 500.0))
     return tuple(epoch_tables(cfg, topo))
 
 
