@@ -173,10 +173,9 @@ def _study_chunk(cfg: ScenarioConfig, attempts: Sequence[int], budget: int) -> l
     seeds = SeedStack(cfg.seed, attempts)
     topo = build_topologies(cfg, (seeds.rng(i, "topo") for i in range(len(attempts))))
     all_on = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
-    network.all_bs_delays(all_on, topo, file_bits)  # raises on a zero rate
+    rents = pricing.price_on_sets(all_on, topo, w, q, file_bits).rent  # raises on a zero rate
     served = np.flatnonzero(all_on.counts[:, 1:].any(axis=1))  # else every UE is on the MBS
-    topo, all_on = topo.take(served), all_on.take(served)
-    rents = pricing.price_on_sets(all_on, topo, w, q, file_bits).rent
+    topo, all_on, rents = topo.take(served), all_on.take(served), rents[served]
     tags = pricing.freeze_prices(all_on, rents, topo, w, q, file_bits, cfg.period)
     # no attempt past the first over the budget, which raises once its tables are built
     over = [(n_steps + 1) ** len(t) > budget for t in tags] + [True]

@@ -22,7 +22,9 @@ The storage threshold is a test made inline. Network state (association,
 live rents, power draw, delays) is a function of the ON set and the SBS
 transmit power only: it is read from a `pricing.OnSetTable`, one per
 transmit-power epoch. An entry is looked up only when the ON set or the
-epoch changes.
+epoch changes, and the served cells' power draws and rents are read from it
+as lists (`OnSetEntry.served`), made once per entry, however often a slot
+lands on it. The product `psi * dt` is made per slot, where it is charged.
 
 A run is a `Replication` record and a `Policy`: `run_horizon(rep, policy)`
 reads its scenario, topology, tables and harvest from the record. Records are
@@ -114,6 +116,8 @@ class ScenarioConfig:
         n = self.period / self.dt
         if abs(n - round(n)) > 1e-9:
             raise ValueError("dt must divide the period evenly")
+        if self.n_steps < 1:
+            raise ValueError("the period must hold at least one slot of length dt")
         if self.horizon_periods < 1:
             raise ValueError("horizon must cover at least one period")
         if self.price_mode not in ("live", "frozen"):
@@ -427,9 +431,7 @@ def run_period(
 
     frozen_mode = cfg.price_mode == "frozen"
     if frozen_mode:
-        all_on = table[np.ones(n_bs, dtype=bool)]
-        frozen_psi = [all_on.psi_values[i] for i in cells]
-        frozen_rent = [all_on.rent_values[j] for j in ids]
+        frozen_psi, frozen_rent = table[np.ones(n_bs, dtype=bool)].served(ids)
     # the policy as data (see the module docstring). A cell's OFF slot is the
     # first k with `not grid[k] < off`, so a NaN OFF time gives slot 0 and one
     # past the last slot start gives none. A moved slot is never before the
@@ -449,8 +451,9 @@ def run_period(
     sigma[0] = True
     sigma[ids] = True
     # table[sigma], looked up when the ON set or the epoch changes, and the
-    # entries that `psi`, the accrual values and the observed rents were read from
-    entry = psi_entry = slot_entry = rent_entry = None
+    # entries that the slot's values (`psi`, `rent`, `delay`, `finished`) and
+    # the observed rents were read from; an ON set changes only with `on`
+    entry = psi_entry = rent_entry = None
     # an untraced scheduled run leaves the loop once every served cell is OFF
     # (see the module docstring)
     may_finish = k_percent is None and trace_rows is None
@@ -504,9 +507,9 @@ def run_period(
         while True:
             if entry is not psi_entry:
                 psi_entry = entry
-                psi = frozen_psi if frozen_mode else [entry.psi_values[j - 1] for j in ids]
-                if min(psi, default=0.0) < 0:
-                    raise ValueError("energy quantities must be non-negative")
+                psi, rent = (frozen_psi, frozen_rent) if frozen_mode else entry.served(ids)
+                delay = entry.on_delay / m if m else 0.0
+                finished = may_finish and not any(on)
             dep_now = [p for p in range(m) if on[p] and stored[p] + h[p] < psi[p] * dt]
             if not dep_now:
                 break
@@ -517,11 +520,6 @@ def run_period(
                 switch[p] += 1
             entry = table[sigma]
 
-        if entry is not slot_entry:
-            slot_entry = entry
-            rent = frozen_rent if frozen_mode else [entry.rent_values[j] for j in ids]
-            delay = entry.on_delay / m if m else 0.0
-            finished = may_finish and not any(on)
         # storage step: credit the arrivals, charge the slot, clamp at cap
         # (`min(x, cap)` to the bit, without the builtin call)
         for p in range(m):

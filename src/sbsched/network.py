@@ -1,11 +1,13 @@
-"""Network model: placement, channel gains, SINR/SNR, user association, rates, delay.
+"""Network model: placement, channel gains, SINR/SNR and user association.
 
-Link quality, rates and delays are computed for the whole network at once
-(`sinr_matrix`, `ue_rates`, `all_bs_delays`), also over a leading stack
-axis: a `NetworkState` and the ON/OFF vectors may stack (topology, ON set)
-pairs, and a `Topology` may stack topologies. Each pair's values have the
-bits it has alone, so one ON set of one topology is a stack of none.
-`pricing.OnSetTable` caches them per ON set.
+Link quality and the association are computed for the whole network at once
+(`sinr_matrix`, `associate`), also over a leading stack axis: a
+`NetworkState` and the ON/OFF vectors may stack (topology, ON set) pairs,
+and a `Topology` may stack topologies. Each pair's values have the bits it
+has alone, so one ON set of one topology is a stack of none: one set and a
+stack run the same arithmetic, and only the index helpers differ with the
+number of axes. Rates and delays are priced from the association by
+`pricing`, whose `OnSetTable` caches them per ON set.
 
 All radio quantities are stored linear (watts, dimensionless gains). Channel
 gains follow from the distances by one fixed log-distance path-loss model per
@@ -177,6 +179,12 @@ class Topology:
         """(n_sbs,) the 0-based SBS indices 0..n_sbs - 1."""
         return _read_only(np.arange(self.n_sbs))
 
+    @cached_property
+    def row_start(self) -> np.ndarray:
+        """(n_ue,) where each UE's row of a flat (n_ue, n_bs) array starts, of
+        one topology."""
+        return _read_only(np.arange(0, self.n_ue * self.n_bs, self.n_bs))
+
     def take(self, index) -> "Topology":
         """The topologies at `index` of the stack axis, as numpy indexes it: an
         int gives one topology, a slice or indices (which may repeat) a stack
@@ -304,11 +312,6 @@ def place_stack(area: tuple[float, float], n_sbs: int, n_ue: int,
                      noise_power, (w, h))
 
 
-def compute_gains(bs: Sequence[BsParams], ue_xy: np.ndarray) -> np.ndarray:
-    """(n_ue, n_bs) gains, each `channel_gain` of its distance bit for bit."""
-    return _gains([b.kind for b in bs], np.array([[b.x, b.y] for b in bs]), ue_xy)
-
-
 def _gains(kinds: Sequence[str], bs_xy: np.ndarray, ue_xy: np.ndarray) -> np.ndarray:
     """(..., n_ue, n_bs) gains from the UEs at `ue_xy` (..., n_ue, 2) to the
     BSs of link kinds `kinds` at `bs_xy` (..., n_bs, 2).
@@ -351,14 +354,14 @@ def sinr_matrix(sigma: np.ndarray, topo: Topology) -> np.ndarray:
     """
     recv = topo.sbs_received_power
     on = sigma[..., 1:].astype(float)
-    own = recv * on[..., None, :]
-    out = np.empty(own.shape[:-1] + sigma.shape[-1:])
-    out[..., MBS_ID] = topo.mbs_snr
-    if on.shape[-1]:
-        noise_and_interference = np.matmul(recv, on[..., :, None]) - own
-        noise_and_interference += topo.noise_power
-        np.divide(own, noise_and_interference, out=out[..., 1:])
-    return out
+    own = recv * (on if on.ndim == 1 else on[..., None, :])
+    sinr = np.matmul(recv, on[..., :, None]) - own
+    sinr += topo.noise_power  # noise and interference
+    np.divide(own, sinr, out=sinr)
+    mbs = topo.mbs_snr[..., None]
+    if mbs.ndim < own.ndim:  # one topology, a stack of ON sets
+        mbs = np.broadcast_to(mbs, own.shape[:-1] + (1,))
+    return np.concatenate((mbs, sinr), axis=-1)
 
 
 def associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
@@ -390,15 +393,19 @@ def associate_stack(sigma: np.ndarray, topo: Topology) -> NetworkState:
 
 def _associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
     metric = sinr_matrix(sigma, topo)
+    n_bs = metric.shape[-1]
     serving = metric.argmax(axis=-1)  # first max == lowest index
     # each UE's row of the metric starts n_bs after the previous one's
-    sinr = metric.take(np.arange(0, metric.size, metric.shape[-1]).reshape(serving.shape)
-                       + serving)
-    if sigma.ndim < serving.ndim:  # one ON set of every topology of a stack
-        sigma = np.broadcast_to(sigma, serving.shape[:-1] + sigma.shape[-1:])
+    if serving.ndim == 1:  # one ON set of one topology
+        sinr = metric.take(topo.row_start + serving)
+    else:
+        sinr = metric.take(np.arange(0, metric.size, n_bs).reshape(serving.shape) + serving)
+        if sigma.ndim < serving.ndim:  # one ON set of every topology of a stack
+            sigma = np.broadcast_to(sigma, serving.shape[:-1] + sigma.shape[-1:])
+    counts = _per_bs(serving, n_bs)
     for a in (sigma, serving, sinr):
-        a.setflags(write=False)
-    return NetworkState(sigma, serving, sinr)
+        a.setflags(False)  # write=False, passed positionally: the cheaper call
+    return NetworkState(sigma, serving, sinr, counts)
 
 
 def _per_bs(serving: np.ndarray, n_bs: int, weights: np.ndarray | None = None) -> np.ndarray:
@@ -419,28 +426,8 @@ def _stack_index(serving: np.ndarray, n_bs: int) -> np.ndarray:
     return serving + n_bs * np.arange(serving.shape[0])[:, None]
 
 
-def ue_rates(state: NetworkState, topo: Topology) -> np.ndarray:
-    """Achievable rate of every UE: equal bandwidth split at its serving BS."""
-    serving = state.serving
-    load = state.counts.reshape(-1)[_stack_index(serving, topo.n_bs)]
-    share = topo.bandwidths[serving] / load
-    return share * np.log2(1.0 + state.sinr)
-
-
-def all_bs_delays(state: NetworkState, topo: Topology,
-                  file_bits: float) -> np.ndarray:
-    """Per-BS total delay, vectorized over the whole network (and stack).
-    Each BS's UE delays are added in UE order. A zero rate raises
-    `UnserviceableError`, naming the first pair of a stack that has one."""
-    rates = ue_rates(state, topo)
-    if np.fmin.reduce(rates, axis=None, initial=math.inf) <= 0:  # any rate <= 0
-        zero = (rates <= 0).reshape(-1, rates.shape[-1]).any(axis=1)
-        raise UnserviceableError(int(np.argmax(zero)))
-    return _per_bs(state.serving, topo.n_bs, file_bits / rates)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
+    a.setflags(False)  # write=False, passed positionally: the cheaper call
     return a
 
 

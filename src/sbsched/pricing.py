@@ -1,17 +1,20 @@
 """Operational expenditure: per-second rent prices and one-time buy prices.
 
-A cell's rent is priced in one place, `price_on_sets`, for one ON set or on a
+A cell's rent is priced in one place, `_price`, one pass over an
+association: each UE's rate, each BS's total delay, each SBS's power draw
+and the rent that `all_rent_prices` weighs from them, for one ON set or on a
 leading stack axis of (topology, ON set) pairs, whose topologies are rows of
-one `network.Topology` stack, each pair with the bits it has alone: the delay
-and power vectors of the set's association and the rent that
-`all_rent_prices` weighs from them. `OnSetTable` holds, per ON set of one
-topology, the entry priced from a stack of one, when the set is first looked
-up. Prices for the approximated (per-period, flat-price) problem are frozen
-from the all-ON set at the period start by `freeze_prices`, for the served
-cells only, one stack of topologies at a time: a drawn record's tags and
-all-ON entry are a row of its chunk's pass (`OnSetTable.add_all_on`), and
-`OnSetTable.tags` alone is a stack of one. The live problem charges the rent
-of the current ON set's entry instead.
+one `network.Topology` stack, each pair with the bits it has alone.
+`price_on_sets` is that pass with its rents checked. `OnSetTable` holds, per
+ON set of one topology, the entry (`OnSetEntry`) made when the set is first
+looked up: `network.associate`, the same pass, and the entry's read-only
+arrays and Python views, whose rent list is checked. Prices for the
+approximated (per-period, flat-price) problem are frozen from the all-ON set
+at the period start by `freeze_prices`, for the served cells only, one stack
+of topologies at a time: a drawn record's tags and all-ON entry are a row of
+its chunk's pass (`OnSetTable.add_all_on`), and `OnSetTable.tags` alone is a
+stack of one. The live problem charges the rent of the current ON set's
+entry instead.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import energy, network
-from .network import MBS_ID, NetworkState, Topology, _read_only, _stack_index
+from .network import MBS_ID, NetworkState, Topology, _per_bs, _read_only, _stack_index
 
 
 class NonFinitePriceError(ValueError):
@@ -62,21 +65,18 @@ class PriceTag:
 def all_rent_prices(delays: np.ndarray, power: np.ndarray, w: CostWeights) -> np.ndarray:
     """Rent price of every SBS: weighted delay plus power draw per second ON.
 
-    `delays` is the per-BS total delay (`network.all_bs_delays`), `power` the
-    (n_sbs,) draw of each SBS when ON with its members, both on the same
-    leading stack axis, if any. Index 0 (the MBS) is unused and set to 0. A
-    rent that is not finite raises `NonFinitePriceError`, for the first pair
-    of a stack that has one.
+    `delays` is the per-BS total delay, `power` the (n_sbs,) draw of each SBS
+    when ON with its members, both on the same leading stack axis, if any.
+    Index 0 (the MBS) is unused and set to 0. Unchecked: `price_on_sets` and
+    `OnSetEntry` raise `NonFinitePriceError` for a rent that is not finite.
     """
-    rent = np.empty(delays.shape)
-    rent[..., 0] = 0.0
+    rent = np.zeros(delays.shape)
     np.add(w.alpha_d * delays[..., 1:], w.alpha_p * power, out=rent[..., 1:])
-    # every rent is >= 0 or NaN, so the largest is finite when all are
-    if not math.isfinite(np.maximum.reduce(rent, axis=None, initial=0.0)):
-        i = int(np.argmin(np.isfinite(rent).ravel()))
-        raise NonFinitePriceError(
-            f"SBS {i % rent.shape[-1]}: rent price is not finite ({float(rent.flat[i])!r})")
     return rent
+
+
+def _rent_error(sbs: int, rent: float) -> NonFinitePriceError:
+    return NonFinitePriceError(f"SBS {sbs}: rent price is not finite ({rent!r})")
 
 
 def buy_price(phi, psi, w: CostWeights, period: float, sbs):
@@ -105,32 +105,59 @@ class OnSetPrices(NamedTuple):
 
 
 def price_on_sets(state: NetworkState, topo: Topology, w: CostWeights,
-                  q: float, file_bits: float,
-                  by_count: np.ndarray | None = None) -> OnSetPrices:
+                  q: float, file_bits: float) -> OnSetPrices:
     """The delays, power draws and rents of the association `state`: one ON
-    set, or a stack of (topology, ON set) pairs with `topo`'s leading axis.
-
-    The delays are `network.all_bs_delays`', the power is read from
-    `by_count`, `power_by_count(topo, q)` (made here when not given), and
-    the rent is `all_rent_prices`'. A pair that fails raises as it would
-    priced alone (a zero rate before its rent), and a stack raises the first
-    pair's failure: the pairs before one with a zero rate are priced first.
+    set, or a stack of (topology, ON set) pairs with `topo`'s leading axis,
+    as `_price` prices them. A rent that is not finite raises
+    `NonFinitePriceError`. A pair that fails raises as it would priced alone
+    (a zero rate before its rent), and a stack raises the first pair's
+    failure: the pairs before one with a zero rate are priced first.
     """
     try:
-        delays = network.all_bs_delays(state, topo, file_bits)
+        prices = _price(state, topo, w, q, file_bits)
     except network.UnserviceableError as err:
         if err.pair:
             before = slice(err.pair)
-            price_on_sets(state.take(before), topo.take(before), w, q, file_bits, by_count)
+            price_on_sets(state.take(before), topo.take(before), w, q, file_bits)
         raise
-    counts = state.counts[..., 1:]
+    rent = prices.rent
+    # every rent is >= 0 or NaN, so the largest is finite when all are
+    if not math.isfinite(np.maximum.reduce(rent, axis=None, initial=0.0)):
+        i = int(np.argmin(np.isfinite(rent).ravel()))
+        raise _rent_error(i % rent.shape[-1], float(rent.flat[i]))
+    return prices
+
+
+def _price(state: NetworkState, topo: Topology, w: CostWeights, q: float,
+           file_bits: float, by_count: np.ndarray | None = None) -> OnSetPrices:
+    """The pricing arithmetic of one ON set and of a stack alike, with the
+    rents unchecked.
+
+    - Each UE's rate: its server's bandwidth split equally over the
+      server's members, times log2(1 + its SINR). A zero rate raises
+      `UnserviceableError`, naming the first pair of a stack that has one.
+    - Each BS's total delay: `file_bits` over its members' rates, added in
+      UE order.
+    - Each SBS's power draw when ON with its members, read from `by_count`,
+      `power_by_count(topo, q)` (made here when not given), and `psi`, the
+      same with 0 for an OFF SBS.
+    - Each SBS's rent, `all_rent_prices`.
+    """
+    serving, counts = state.serving, state.counts
+    n_bs = counts.shape[-1]
+    load = counts.take(_stack_index(serving, n_bs))
+    rates = topo.bandwidths[serving] / load * np.log2(1.0 + state.sinr)
+    if rates.size and rates.min() <= 0:
+        zero = (rates <= 0).reshape(-1, rates.shape[-1]).any(axis=1)
+        raise network.UnserviceableError(int(np.argmax(zero)))
+    delays = _per_bs(serving, n_bs, file_bits / rates)
     if by_count is None:
         by_count = power_by_count(topo, q)
     try:
-        power = by_count[topo.sbs_index, counts]
+        power = by_count[topo.sbs_index, counts[..., 1:]]
     except IndexError:  # a count above the table's: clamped, with a warning, where over capacity
-        power = energy.power_draw(topo.sbs_op_power, topo.sbs_max_users, counts, q,
-                                  range(1, delays.shape[-1]))
+        power = energy.power_draw(topo.sbs_op_power, topo.sbs_max_users, counts[..., 1:], q,
+                                  range(1, n_bs))
     # power is finite and >= 0, so an OFF SBS's psi is +0.0
     psi = power * state.sigma[..., 1:]
     return OnSetPrices(delays, power, psi, all_rent_prices(delays, power, w))
@@ -246,10 +273,11 @@ class OnSetTable:
 
     def add(self, state: NetworkState, prices: OnSetPrices | None = None) -> "OnSetEntry":
         """The entry of `state`'s ON set, made from that association and its
-        `prices`, or from `price_on_sets` of it when none are given."""
+        `prices`, or from the table's pricing pass over it when none are
+        given."""
         if prices is None:
-            prices = price_on_sets(state, self.topo, self.w, self.q, self.file_bits,
-                                   self.power_by_count)
+            prices = _price(state, self.topo, self.w, self.q, self.file_bits,
+                            self.power_by_count)
         entry = self._entries[state.sigma.tobytes()] = OnSetEntry(state, prices)
         return entry
 
@@ -265,26 +293,50 @@ class OnSetTable:
 class OnSetEntry:
     """One ON set: its `NetworkState`, the set's association
     (`network.associate`, made once by the table or its caller), and the
-    read-only values `price_on_sets` prices from it:
+    read-only values the pricing pass (`_price`) prices from it:
 
     - `delays`: (n_bs,) total delay of each BS.
     - `power`: (n_sbs,) draw of each SBS when ON with its members; `psi` is
       the same with 0 for an OFF SBS.
     - `rent`: (n_bs,) rent rate of each SBS (index 0 unused).
     - `rent_values`, `psi_values` and `on_delay`, the total delay of the ON
-      SBSs, are Python scalars for the engine's per-slot loop.
+      SBSs, are Python scalars for the engine's per-slot loop, and `served`
+      gives the engine's per-cell lists.
+
+    A rent that is not finite raises `NonFinitePriceError`, checked on
+    `rent_values`, as `price_on_sets` words it.
     """
 
     __slots__ = ("state", "delays", "power", "psi", "rent", "rent_values",
-                 "psi_values", "on_delay")
+                 "psi_values", "on_delay", "_served")
 
     def __init__(self, state: NetworkState, prices: OnSetPrices) -> None:
         self.state = state
-        for a in prices:
-            a.setflags(write=False)
         self.delays, self.power, self.psi, self.rent = prices
         self.rent_values: tuple[float, ...] = tuple(prices.rent.tolist())
+        # every rent is >= 0 or NaN: a sum that is not finite has a rent
+        # that is not, or overflows
+        if not math.isfinite(sum(self.rent_values)):
+            for j, r in enumerate(self.rent_values):
+                if not math.isfinite(r):
+                    raise _rent_error(j, r)
+        for a in prices:
+            a.setflags(False)  # write=False, passed positionally: the cheaper call
         self.psi_values: tuple[float, ...] = tuple(prices.psi.tolist())
         # summed once, in numpy's (pairwise) order, which a sequential sum
         # does not reproduce
-        self.on_delay = float(np.add.reduce(prices.delays[1:][state.sigma[1:]]))
+        self.on_delay = float(np.add.reduce(prices.delays[state.sigma][1:]))
+        self._served = None
+
+    def served(self, ids: list[int]) -> tuple[list[float], list[float]]:
+        """The `psi` and `rent` of the SBSs `ids`, as lists, made on the first
+        call: the engine passes its record's served cells, the same ids for
+        every entry of the record's tables, whatever the policy. A negative
+        `psi` raises `ValueError`."""
+        served = self._served
+        if served is None or served[0] is not ids:
+            psi = [self.psi_values[j - 1] for j in ids]
+            if min(psi, default=0.0) < 0:
+                raise ValueError("energy quantities must be non-negative")
+            served = self._served = (ids, (psi, [self.rent_values[j] for j in ids]))
+        return served[1]

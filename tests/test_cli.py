@@ -431,6 +431,26 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["replications = 1\n", "kind = cr_study\nruns = 1\n"])
+    @pytest.mark.parametrize("period, dt, status", [("1e-10", "1", 2), ("0.5", "0.5", 0)])
+    def test_a_period_without_a_slot_exits_before_running(self, tmp_path, capsys, kind,
+                                                          period, dt, status):
+        # period / dt rounds to 0 slots: rejected when parsed, for a sweep
+        # and a study alike, with one error line; exactly 1 slot runs
+        cfg = write_config(tmp_path, f"{kind}period = {period}\ndt = {dt}\n"
+                                     "n_sbs = 2\nn_ue = 30\n")
+        out = tmp_path / "out"
+        if status:
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", cfg, "--out-dir", str(out)])
+            assert exc.value.code == status
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "at least one slot" in err
+            assert not out.exists()
+        else:
+            assert main(["--config", cfg, "--out-dir", str(out)]) == 0
+
     @pytest.mark.parametrize("text", (
         ["runs = 5\n", "kind = cr_study\nruns = 5\nreplications = 5\n"]
         + ["kind = cr_study\n" + t for t in CR_STUDY_UNREAD]))
@@ -618,6 +638,10 @@ CR_STUDY_STRAYS = ("policies", "sweep.parameter", "sweep.values", "price_mode",
                    "horizon_periods", "network.sbs_tx_schedule")
 
 
+ZERO_SLOTS = {"period": "1e-10", "dt": "1"}
+ONE_SLOT = {"period": "0.5", "dt": "0.5"}
+
+
 @st.composite
 def config_texts(draw):
     wild = draw(st.booleans())
@@ -637,6 +661,9 @@ def config_texts(draw):
         keys["area.width"] = area[0]
         if area[1] is not None:
             keys["area.height"] = area[1]
+    # a period/dt pair that rounds to 0 slots (rejected when parsed), and
+    # one of exactly 1 slot
+    keys.update(draw(st.sampled_from([{}, {}, ZERO_SLOTS, ONE_SLOT])))
     keys["seed"] = str(draw(st.integers(0, 3)))
     if draw(st.booleans()):
         keys["policies"] = ", ".join(draw(st.lists(
@@ -702,6 +729,8 @@ def test_an_accepted_config_runs_to_a_clean_exit(text, trace):
             except SystemExit as exc:
                 status = exc.code
         assert status in (0, 2, 3), text
+        if "period = 1e-10\ndt = 1\n" in text:  # ZERO_SLOTS
+            assert status == 2, text
         if status == 0:
             assert_finite_numbers(out)
         else:

@@ -60,6 +60,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(period=10.0, dt=0.3)
 
+    def test_a_period_must_hold_a_slot(self):
+        # period / dt rounds to 0 within the divisibility tolerance
+        with pytest.raises(ValueError, match="at least one slot"):
+            ScenarioConfig(period=1e-10, dt=1.0)
+        assert ScenarioConfig(period=0.5, dt=0.5).n_steps == 1
+
     def test_defaults_are_consistent(self):
         cfg = ScenarioConfig()
         assert cfg.n_steps == 100
@@ -663,7 +669,37 @@ MULTI_CELL = dict(n_sbs=4, n_ue=30, area=(1000.0, 1000.0))
 MULTI_CELL_SEEDS = (1, 2, 3, 7, 11, 13, 16, 18, 19, 21, 22, 27, 28, 30, 34, 35)
 
 
+CHURN_LIKE = dict(n_sbs=16, n_ue=80, area=(2000.0, 2000.0), initial_energy=20.0,
+                  alpha_b=0.3)
+POLICY_ORDERS = (("roa", "doa", "threshold:30", "adaptive"),
+                 ("threshold:30", "adaptive", "doa", "roa"),
+                 ("adaptive", "roa", "threshold:30", "doa"))
+
+
 class TestOnSetTable:
+    @pytest.mark.parametrize("mode", ["live", "frozen"])
+    def test_sharing_a_table_does_not_depend_on_the_policy_order(self, mode):
+        # policies run in any order on fresh copies of one record give the
+        # same rows, and make the same entries, whose served-cell lists do
+        # not depend on the policy that made the entry first
+        cfg = ScenarioConfig(seed=5, price_mode=mode, **CHURN_LIKE)
+        runs = []
+        for order in POLICY_ORDERS:
+            rep = Replication.draw(cfg, cfg.seed)
+            rows = {p: repr([r.to_dict() for r in run_horizon(rep, make_policy(p))])
+                    for p in order}
+            ids = rep.plan.ids
+            entries = {key: (entry.served(ids), entry.rent_values, entry.psi_values,
+                             entry.on_delay, entry.state.serving.tobytes())
+                       for key, entry in rep.tables[0]._entries.items()}
+            runs.append((rows, entries))
+        assert len(runs[0][0]["threshold:30"]) and len(runs[0][1]) > 20  # the ON set churns
+        for rows, entries in runs[1:]:
+            assert rows == runs[0][0]
+            assert entries == runs[0][1]
+        for served, rent, psi, *_ in runs[0][1].values():
+            assert served == ([psi[j - 1] for j in ids], [rent[j] for j in ids])
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         topo_seed=st.sampled_from(MULTI_CELL_SEEDS),

@@ -10,18 +10,17 @@ from sbsched.network import (
     NetworkState,
     Topology,
     UnserviceableError,
-    all_bs_delays,
     associate,
     channel_gain,
-    compute_gains,
     dbm_to_watts,
     place_stack,
     sinr_matrix,
     topology_to_json,
-    ue_rates,
     watts_to_dbm,
 )
-from sbsched.pricing import CostWeights, OnSetTable
+from sbsched.pricing import CostWeights, OnSetTable, price_on_sets
+
+from helpers import compute_gains, ue_rates
 
 NOISE = dbm_to_watts(-104.0)
 
@@ -37,6 +36,12 @@ def make_topology(bs_specs, ue_xy, gains=None, noise=NOISE):
     if gains is None:
         gains = compute_gains(bs, ue)
     return Topology.from_bs(bs, ue, np.asarray(gains, dtype=float), noise, (500.0, 500.0))
+
+
+def all_bs_delays(state, topo, file_bits):
+    """Each BS's total delay in the association `state`, as the pricing pass
+    computes it."""
+    return price_on_sets(state, topo, CostWeights(), 0.9, file_bits).delays
 
 
 def place(area, n_sbs, n_ue, rng, **params):
@@ -422,6 +427,9 @@ class TestRateDelay:
         gamma = sinr_matrix(state.sigma, topo)[0, 1]
         expected = 10e6 / 2 * math.log2(1 + gamma)
         assert ue_rates(state, topo)[0] == pytest.approx(expected, rel=1e-12)
+        # each of the two UEs takes file_bits / rate of the cell's delay
+        assert all_bs_delays(state, topo, 1e5)[1] == pytest.approx(2 * 1e5 / expected,
+                                                                   rel=1e-12)
 
     def test_rate_halves_when_members_double(self):
         topo_two = self._two_ue_topology()
@@ -434,6 +442,10 @@ class TestRateDelay:
         state_one = associate(np.array([True, True]), topo_one)
         assert ue_rates(state_two, topo_two)[0] == pytest.approx(
             ue_rates(state_one, topo_one)[0] / 2, rel=1e-12
+        )
+        # twice the members, each at half the rate: four times the delay
+        assert all_bs_delays(state_two, topo_two, 1e5)[1] == pytest.approx(
+            4 * all_bs_delays(state_one, topo_one, 1e5)[1], rel=1e-12
         )
 
     def test_delay_example(self):
@@ -454,14 +466,14 @@ class TestRateDelay:
     def test_rates_reuse_the_states_sinr(self, monkeypatch):
         topo = self._two_ue_topology()
         state = associate(np.array([True, True]), topo)
-        expected = ue_rates(state, topo)
+        expected = all_bs_delays(state, topo, 1e5)
 
         def fail(*args):
-            raise AssertionError("ue_rates recomputed the SINR matrix")
+            raise AssertionError("the pricing pass recomputed the SINR matrix")
 
         monkeypatch.setattr(network, "sinr_matrix", fail)
-        assert ue_rates(state, topo).tobytes() == expected.tobytes()
-        assert all_bs_delays(state, topo, 1e5)[1] > 0.0
+        assert all_bs_delays(state, topo, 1e5).tobytes() == expected.tobytes()
+        assert expected[1] > 0.0
 
     def test_single_ue_unit_ratio(self):
         topo = make_topology(

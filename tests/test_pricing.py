@@ -1,19 +1,24 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from sbsched import network
+from sbsched import network, pricing
 from sbsched.network import BsParams, Topology, dbm_to_watts, place_stack
 from sbsched.pricing import (
     CostWeights,
     NonFinitePriceError,
+    OnSetEntry,
+    OnSetPrices,
     OnSetTable,
     PriceTag,
     all_rent_prices,
     buy_price,
     price_on_sets,
 )
+
+from helpers import ue_rates
 
 
 def served_topology(seed=1, n_sbs=6, n_ue=30):
@@ -87,7 +92,7 @@ class TestRentPrice:
         topo, state = served_topology()
         j = next(j for j in range(1, topo.n_bs) if state.n_members(j) > 0)
         w = CostWeights(0.05, 1e-4, 0.05)
-        phi = network.all_bs_delays(state, topo, 1e5)[j]
+        phi = price_on_sets(state, topo, w, 0.9, 1e5).delays[j]
         psi = cell_power(topo.bs[j], state.n_members(j), 0.9)
         assert all_on_rent(topo, w)[j] == pytest.approx(0.05 * phi + 1e-4 * psi, rel=1e-12)
 
@@ -104,7 +109,7 @@ class TestRentPrice:
         topo, state = served_topology(seed=3)
         w = CostWeights()
         rents = all_on_rent(topo, w)
-        rates = network.ue_rates(state, topo)
+        rates = ue_rates(state, topo)
         assert rents[0] == 0.0
         for j in range(1, topo.n_bs):
             phi = sum(1e5 / rates[i] for i in state.members(j))
@@ -180,7 +185,8 @@ class TestNonFinitePrices:
     def test_overflowing_rent_names_the_cell(self):
         topo = crowded_cell(seed=4)
         state = network.associate(np.ones(2, dtype=bool), topo)
-        assert network.all_bs_delays(state, topo, 1e7)[1] > 2.0  # 1e308 x 2 s is inf
+        # 1e308 x 2 s is inf
+        assert price_on_sets(state, topo, CostWeights(), 0.9, 1e7).delays[1] > 2.0
         table = OnSetTable(topo, CostWeights(alpha_d=1e308), 0.9, 1e7, 10.0)
         with np.errstate(over="ignore"):
             with pytest.raises(NonFinitePriceError, match=r"SBS 1: rent price is not finite \(inf\)"):
@@ -189,11 +195,16 @@ class TestNonFinitePrices:
                 table.tags
 
     def test_nan_rent_names_the_cell(self):
-        # a zero weight times an infinite delay
-        with np.errstate(invalid="ignore"), pytest.raises(
-                NonFinitePriceError, match=r"SBS 2: rent price is not finite \(nan\)"):
-            all_rent_prices(np.array([0.0, 1.0, np.inf]), np.array([9.5, 9.0]),
-                            CostWeights(alpha_d=0.0))
+        # a zero weight times an infinite delay: the rent formula leaves it
+        # unchecked, and an entry with it names the cell
+        delays, power = np.array([0.0, 1.0, np.inf]), np.array([9.5, 9.0])
+        with np.errstate(invalid="ignore"):
+            rent = all_rent_prices(delays, power, CostWeights(alpha_d=0.0))
+        assert math.isnan(rent[2])
+        state = network.NetworkState(np.ones(3, dtype=bool), np.array([1]), np.array([1.0]))
+        with pytest.raises(NonFinitePriceError,
+                           match=r"SBS 2: rent price is not finite \(nan\)"):
+            OnSetEntry(state, OnSetPrices(delays, power, power, rent))
 
     def test_buy_price_names_the_cell(self):
         with pytest.raises(NonFinitePriceError, match=r"SBS 3: buy price is not finite \(inf\)"):
@@ -257,24 +268,24 @@ class TestFreezePrices:
                 assert tag.rent == all_on.rent[tag.sbs]
 
     def test_prices_read_the_tables_delays_once(self, monkeypatch):
-        calls = {"all_bs_delays": 0, "ue_rates": 0}
-        for name in calls:
-            real = getattr(network, name)
+        # one pricing pass per ON set of a table; the tags read the all-ON
+        # entry's, and are frozen once
+        calls = []
+        real = pricing._price
 
-            def counting(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
 
-            monkeypatch.setattr(network, name, counting)
+        monkeypatch.setattr(pricing, "_price", counting)
         topo, _ = served_topology(seed=9)
         table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
         sigmas = [np.ones(topo.n_bs, dtype=bool), np.eye(topo.n_bs, dtype=bool)[0]]
         for sigma in sigmas:
             table[sigma].rent, table[sigma].delays
-        assert calls["all_bs_delays"] <= len(sigmas)
-        before = dict(calls)
+        assert len(calls) == len(sigmas)
         tags = table.tags
-        assert calls == before
+        assert len(calls) == len(sigmas)
         assert table.tags is tags  # frozen once per table
 
     def test_buy_composition(self):
@@ -292,21 +303,22 @@ class TestFreezePrices:
 
 
 def reference_entry(table, sigma):
-    """Each field of `table[sigma]` from the public model functions, with the
-    association masked explicitly and the delays added with `np.add.at`."""
+    """Each field of `table[sigma]` from the public model functions and the
+    rate reference, with the association masked explicitly and the delays
+    added with `np.add.at`."""
     topo = table.topo
     metric = network.sinr_matrix(sigma, topo)
     serving = np.where(sigma, metric, -np.inf).argmax(axis=1)
     sinr = metric[np.arange(topo.n_ue), serving]
     state = network.associate(sigma, topo)
-    rates = network.ue_rates(state, topo)
+    rates = ue_rates(state, topo)
     delays = np.zeros(topo.n_bs)
     np.add.at(delays, serving, table.file_bits / rates)
     power = np.array([cell_power(topo.bs[j], int(np.count_nonzero(serving == j)), table.q)
                       for j in range(1, topo.n_bs)])
     return {
         "serving": serving, "sinr": sinr, "delays": delays,
-        "all_bs_delays": network.all_bs_delays(state, topo, table.file_bits),
+        "price_on_sets": price_on_sets(state, topo, table.w, table.q, table.file_bits).delays,
         "power": power,
         "rent": all_rent_prices(delays, power, table.w),
         "psi": np.where(sigma[1:], power, 0.0),
@@ -319,7 +331,7 @@ def assert_entry_is_reference(table, sigma):
     want = reference_entry(table, sigma)
     got = {
         "serving": entry.state.serving, "sinr": entry.state.sinr,
-        "delays": entry.delays, "all_bs_delays": entry.delays, "power": entry.power,
+        "delays": entry.delays, "price_on_sets": entry.delays, "power": entry.power,
         "rent": entry.rent, "psi": entry.psi, "on_delay": entry.on_delay,
     }
     for name, value in want.items():

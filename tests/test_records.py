@@ -14,8 +14,10 @@ import pytest
 from sbsched import analysis, cli, engine, network
 from sbsched.energy import harvest_trace
 from sbsched.engine import CostOverflowError, Replication, ScenarioConfig, SeedStack, run_horizon
-from sbsched.network import BsParams, Topology, compute_gains, dbm_to_watts
+from sbsched.network import BsParams, Topology, dbm_to_watts
 from sbsched.schedulers import make_policy
+
+from helpers import compute_gains
 
 POLICIES = ("roa", "doa", "adaptive", "threshold:50")
 # slot 0 is not the base epoch when the schedule changes the power at t = 0
