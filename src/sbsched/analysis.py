@@ -108,7 +108,9 @@ def empirical_cr_study(
     policy draw, and draws from no other stream. The served attempts' all-ON
     rents, their tags and every subset's prices take one more stacked pass
     each, the subsets up to the first attempt over the budget, which raises
-    once they are built. Then, one served attempt at a time, in attempt
+    once they are built; `oracle.build_tables` makes the tables and the
+    plain-float rows the search reads once per served-cell count for the
+    chunk. Then, one served attempt at a time, in attempt
     order: the budget check, the harvest (from the harvest child), the
     randomized OFF times snapped down to the slot grid, and the policy and
     the exhaustive optimum costed with the same slot-level accounting on the
@@ -183,7 +185,7 @@ def _study_chunk(cfg: ScenarioConfig, attempts: Sequence[int], budget: int) -> l
     ratios = []
     for i, t, tables in zip(served[:last].tolist(), tags,
                             oracle.build_tables(topo.take(slice(last)), tags[:last], w, q,
-                                                file_bits)):
+                                                file_bits, dt)):
         required = (n_steps + 1) ** tables.used.size
         if required > budget:
             raise oracle.BudgetError(required, budget)

@@ -24,7 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, network, oracle, pricing
-from .engine import CostOverflowError, Replication, ScenarioConfig, run_horizon
+from .engine import (
+    MAX_SLOT_CELLS, CostOverflowError, Replication, ScenarioConfig, run_horizon,
+)
 from .network import dbm_to_watts
 from .schedulers import ThresholdPolicy, make_policy
 
@@ -175,6 +177,13 @@ class ExperimentSpec:
                     raise ConfigError(f"{key}: a cr_study runs live-priced roa in one epoch")
         if not self.policies and self.kind == "sweep":
             raise ConfigError("at least one policy is required")
+        for *_, cfg in _sweep_axis(self):  # a study draws one period
+            periods = 1 if self.kind == "cr_study" else cfg.horizon_periods
+            cells = cfg.n_steps * periods * max(cfg.n_sbs, 1)
+            if cells > MAX_SLOT_CELLS:
+                raise ConfigError(
+                    f"a record would draw {cells} slot-cells (n_steps * periods * "
+                    f"max(n_sbs, 1)), more than the {MAX_SLOT_CELLS} allowed")
         cap = min([self.base.capacity] + [cfg.capacity for *_, cfg in _sweep_axis(self)])
         for p in self.policies:
             try:

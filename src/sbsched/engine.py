@@ -52,6 +52,11 @@ arrival totals alone (`_idle_period`), with no slot walk and no policy reset;
 `run_horizon` computes a record's once, with read-only arrays, and returns them
 to every later run that asks for no trace.
 
+A period sets its result's row itself: a served period sums its per-cell
+rent, buy charged, ON time, consumption and their rent plus buy as the rows of
+one array, in one reduction whose rows have the bits of each summed alone,
+and an idle period reads its row from its arrival totals.
+
 Two accounting modes exist: "live" charges the instantaneous rent rate of the
 current state (the original problem), "frozen" charges the period-start flat
 rate and also freezes the power draw, which fully decouples the SBSs (the
@@ -64,7 +69,7 @@ import operator
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +80,12 @@ from .energy import POISSON_MEAN_MAX, EnergyState, HarvestParams
 from .network import Topology, dbm_to_watts
 from .pricing import CostWeights
 from .schedulers import AdaptivePolicy, Policy, ThresholdPolicy
+
+
+# the most slot-cells (n_steps * periods * max(n_sbs, 1)) that one record of
+# an experiment may draw, which `cli` checks when it parses one: a record's
+# harvest is drawn at once, 8 bytes a slot-cell (128 MiB at the cap)
+MAX_SLOT_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -338,6 +349,17 @@ def _period_start(stored: np.ndarray, trace: np.ndarray, cells: list[int],
     return _PeriodStart(trace[:, cells].tolist(), idle_stored, harvested)
 
 
+@lru_cache(maxsize=None)
+def _idle_arrays(n_sbs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only zeros (float, bool, int) and NaNs that every idle period
+    of n_sbs cells shares."""
+    arrays = (np.zeros(n_sbs), np.zeros(n_sbs, dtype=bool), np.zeros(n_sbs, int),
+              np.full(n_sbs, np.nan))
+    for value in arrays:
+        value.flags.writeable = False
+    return arrays
+
+
 def _idle_period(period_index: int, plan: _PeriodPlan, energy: EnergyState,
                  trace: np.ndarray) -> PeriodResult:
     """An untraced period with no served cell: every cell stays OFF and costs
@@ -346,10 +368,7 @@ def _idle_period(period_index: int, plan: _PeriodPlan, energy: EnergyState,
     harvested = _arrival_totals(trace)
     energy.stored[:] = _stays_off(energy.stored, trace, energy.capacity)[-1]
     n_sbs = len(plan.used)
-    zero, no_buy, no_switch = np.zeros(n_sbs), np.zeros(n_sbs, dtype=bool), np.zeros(n_sbs, int)
-    never = np.full(n_sbs, np.nan)
-    for value in (zero, no_buy, no_switch, never):
-        value.flags.writeable = False
+    zero, no_buy, no_switch, never = _idle_arrays(n_sbs)
     unused = 1.0 if n_sbs else 0.0
     result = PeriodResult(
         period_index=period_index, rent_cost=zero, buy_price=plan.buy, buy_charged=no_buy,
@@ -557,30 +576,42 @@ def run_period(
     energy.stored[:] = idle_stored[-1]
     energy.stored[cells] = stored
 
-    def per_sbs(values: list, dtype=float) -> np.ndarray:
-        return _per_sbs(n_sbs, cells, values, dtype)
-
-    rent_cost, buy_charged = per_sbs(rent_acc), per_sbs(bought, bool)
+    # per cell: rent, buy charged, ON time, consumption, and rent plus buy,
+    # each row summed over the contiguous last axis, with the bits of
+    # `_row`'s sum of that row alone
+    acc = np.zeros((5, n_sbs))
+    acc[:4, cells] = rent_acc, [tag.buy * x for tag, x in zip(tags, bought)], \
+        on_acc, consumed_acc
     with np.errstate(over="ignore"):  # an overflow raises below, without a warning
-        total_cost = float((rent_cost + buy_prices * buy_charged).sum())
+        np.add(acc[0], acc[1], out=acc[4])
+        rent_sum, buy_sum, _, consumed_sum, total_cost = np.add.reduce(acc, axis=1).tolist()
     if not math.isfinite(total_cost):
         raise CostOverflowError(
             f"period {period_index}: the total cost overflows ({total_cost!r})")
     result = PeriodResult(
         period_index=period_index,
-        rent_cost=rent_cost,
+        rent_cost=acc[0],
         buy_price=buy_prices,
-        buy_charged=buy_charged,
-        on_time=per_sbs(on_acc),
+        buy_charged=_per_sbs(n_sbs, cells, bought, bool),
+        on_time=acc[2],
         depleted_at=depleted_at,
-        switch_count=per_sbs(switch, int),
-        energy_consumed=per_sbs(consumed_acc),
+        switch_count=_per_sbs(n_sbs, cells, switch, int),
+        energy_consumed=acc[3],
         energy_harvested=start.harvested,
         used=used,
         total_cost=total_cost,
         delay_per_sbs=delay_acc / n_steps,
         unused_fraction=(n_sbs - m) / n_sbs if n_sbs else 0.0,
     )
+    result.__dict__["_row"] = {  # primes `_row`'s cache, from the sums above
+        "period": period_index, "total_cost": total_cost, "rent_cost": rent_sum,
+        "buy_cost": buy_sum, "buy_count": sum(bought),
+        # the served cells alone: numpy groups a sum pairwise from 8 cells on
+        "on_time_mean": float(np.add.reduce(on_acc)) / m if m else 0.0,
+        "switch_count": sum(switch), "energy_consumed": consumed_sum,
+        "energy_harvested": float(start.harvested.sum()), "delay_per_sbs": result.delay_per_sbs,
+        "unused_fraction": result.unused_fraction, "n_used": m, "depleted_count": sum(depleted),
+    }
     return result, energy
 
 

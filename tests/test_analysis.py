@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sbsched.analysis import DegenerateStudyError, RatioReport, empirical_cr_study
-from sbsched import analysis, network, oracle
+from sbsched import analysis, network, oracle, pricing
 from sbsched.engine import Replication, ScenarioConfig, SeedStack
 from sbsched.network import dbm_to_watts
 from sbsched.pricing import NonFinitePriceError
@@ -362,23 +362,46 @@ class TestStudyChunks:
 
     def test_a_budget_failure_ends_the_chunk_at_its_attempt(self, monkeypatch):
         # a budget for two served cells: the first attempt with three raises
-        # once its tables are built, and no later attempt's are
+        # once its tables are built, and no later attempt's are, though the
+        # chunk serves more attempts after it
         cfg = ScenarioConfig(n_sbs=3, n_ue=60, area=(700.0, 700.0), dt=0.2, seed=6)
         want, alone = one_at_a_time(monkeypatch, cfg, 30, budget=51 ** 2)
         assert isinstance(want, oracle.BudgetError) and len(alone.served) == 4
-        built = []
-        real = oracle.build_tables
+        built, frozen, passes = [], [], []
+        real, real_freeze, real_pass = (oracle.build_tables, pricing.freeze_prices,
+                                        oracle.optimum_and_row)
 
         def tables(topo, tags, *args):
-            built.append([len(t) for t in tags])
-            return real(topo, tags, *args)
+            built.append(real(topo, tags, *args))
+            return built[-1]
+
+        def freeze(*args):
+            frozen.append(real_freeze(*args))
+            return frozen[-1]
+
+        def one_pass(tables, *args):
+            passes.append(tables)
+            return real_pass(tables, *args)
 
         with monkeypatch.context() as m:
             m.setattr(oracle, "build_tables", tables)
+            m.setattr(pricing, "freeze_prices", freeze)
+            m.setattr(oracle, "optimum_and_row", one_pass)
             with pytest.raises(oracle.BudgetError) as err:
                 empirical_cr_study(cfg, 30, budget=51 ** 2)
         assert str(err.value) == str(want)
-        assert built[0][-1] == 3 and max(built[0][:-1], default=0) <= 2
+        chunk = built[0]
+        sizes = [t.used.size for t in chunk]
+        assert sizes[-1] == 3 and max(sizes[:-1], default=0) <= 2
+        assert len(chunk) < len(frozen[0])  # served attempts after it are not built
+        # its tables are whole before it raises, and it is not searched
+        assert not any(getattr(chunk[-1], name).flags.writeable
+                       for name in ("used", "rent", "psi", "rent_sum", "buys", "psi_max"))
+        assert chunk[-1].rows(cfg.dt).psi_dt == (chunk[-1].psi * cfg.dt).tolist()
+        # (the chunk is then run again one attempt at a time)
+        searched = [id(t) for t in passes]
+        assert searched[:len(chunk) - 1] == [id(t) for t in chunk[:-1]]
+        assert id(chunk[-1]) not in searched
 
     def test_chunks_hold_at_most_the_links_of_a_pass(self, monkeypatch):
         # five attempts' links to a pass: chunks of five, the same ratios

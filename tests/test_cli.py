@@ -25,7 +25,9 @@ from sbsched.cli import (
     _sweep_axis,
     serialize,
 )
-from sbsched.engine import CostOverflowError, Replication, ScenarioConfig, run_horizon
+from sbsched.engine import (
+    MAX_SLOT_CELLS, CostOverflowError, Replication, ScenarioConfig, run_horizon,
+)
 from sbsched.network import dbm_to_watts
 from sbsched.schedulers import make_policy
 
@@ -451,6 +453,39 @@ class TestMain:
         else:
             assert main(["--config", cfg, "--out-dir", str(out)]) == 0
 
+    @pytest.mark.parametrize("text, slots_at_cap", [
+        # a sweep's record draws n_steps * horizon_periods * n_sbs slot-cells
+        ("replications = 1\nn_sbs = 4\nhorizon_periods = 2\n", MAX_SLOT_CELLS // 8),
+        # with no SBS, a record still draws one column
+        ("replications = 1\nn_sbs = 0\nhorizon_periods = 1\n", MAX_SLOT_CELLS),
+        # a study draws one period, whatever the scenario's horizon
+        ("kind = cr_study\nruns = 1\nn_sbs = 2\n", MAX_SLOT_CELLS // 2),
+        # the largest swept value decides
+        ("replications = 1\nn_sbs = 1\nhorizon_periods = 1\nsweep.parameter = n_sbs\n"
+         "sweep.values = 1, 2\n", MAX_SLOT_CELLS // 2),
+    ])
+    def test_a_record_past_the_slot_cell_cap_exits_before_running(self, tmp_path, capsys,
+                                                                   text, slots_at_cap):
+        # the cap is checked when parsed: nothing here is run or drawn
+        at_cap = write_config(tmp_path, f"{text}period = {slots_at_cap}\ndt = 1\n", "at.cfg")
+        past = write_config(tmp_path, f"{text}period = {slots_at_cap + 1}\ndt = 1\n",
+                            "past.cfg")
+        assert parse_config(at_cap).base.n_steps == slots_at_cap
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", past, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{MAX_SLOT_CELLS} allowed" in err
+        assert not out.exists()
+
+    def test_every_preset_is_well_under_the_slot_cell_cap(self):
+        for spec in PRESETS.values():
+            for *_, cfg in _sweep_axis(spec):
+                assert cfg.n_steps * cfg.horizon_periods * max(cfg.n_sbs, 1) \
+                    <= MAX_SLOT_CELLS // 1000
+
     @pytest.mark.parametrize("text", (
         ["runs = 5\n", "kind = cr_study\nruns = 5\nreplications = 5\n"]
         + ["kind = cr_study\n" + t for t in CR_STUDY_UNREAD]))
@@ -640,6 +675,9 @@ CR_STUDY_STRAYS = ("policies", "sweep.parameter", "sweep.values", "price_mode",
 
 ZERO_SLOTS = {"period": "1e-10", "dt": "1"}
 ONE_SLOT = {"period": "0.5", "dt": "0.5"}
+# one record of exactly MAX_SLOT_CELLS slot-cells (a study draws one period),
+# which is parsed and not run, and which no sweep moves
+AT_CAP = {"period": str(MAX_SLOT_CELLS), "dt": "1", "n_sbs": "1", "horizon_periods": "1"}
 
 
 @st.composite
@@ -661,15 +699,17 @@ def config_texts(draw):
         keys["area.width"] = area[0]
         if area[1] is not None:
             keys["area.height"] = area[1]
-    # a period/dt pair that rounds to 0 slots (rejected when parsed), and
-    # one of exactly 1 slot
-    keys.update(draw(st.sampled_from([{}, {}, ZERO_SLOTS, ONE_SLOT])))
+    # a period/dt pair that rounds to 0 slots (rejected when parsed), one of
+    # exactly 1 slot, and a record at the slot-cell cap
+    slots = draw(st.sampled_from([{}, {}, ZERO_SLOTS, ONE_SLOT, AT_CAP]))
+    keys.update(slots)
     keys["seed"] = str(draw(st.integers(0, 3)))
     if draw(st.booleans()):
         keys["policies"] = ", ".join(draw(st.lists(
             st.sampled_from(POLICY_SPECS), min_size=1, max_size=3, unique=True)))
     if draw(st.booleans()):
-        param = draw(st.sampled_from(sorted(KEY_VALUES)))
+        unswept = set(AT_CAP) if slots is AT_CAP else set()  # keep the record at the cap
+        param = draw(st.sampled_from(sorted(set(KEY_VALUES) - unswept)))
         keys["sweep.parameter"] = param
         keys["sweep.values"] = ", ".join(draw(st.lists(pick(*KEY_VALUES[param]),
                                                        min_size=1, max_size=2)))
@@ -720,6 +760,20 @@ def test_an_accepted_config_runs_to_a_clean_exit(text, trace):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"
         cfg.write_text(text)
+        at_cap = f"period = {MAX_SLOT_CELLS}\n"
+        if at_cap in text:
+            # parsed, not run: the cap is never what rejects the config, and
+            # a slot more is always rejected, for the cap if nothing else
+            try:
+                parse_config(str(cfg))
+                parsed = True
+            except ConfigError as exc:
+                assert "slot-cells" not in str(exc), text
+                parsed = False
+            cfg.write_text(text.replace(at_cap, f"period = {MAX_SLOT_CELLS + 1}\n"))
+            with pytest.raises(ConfigError, match="slot-cells" if parsed else None):
+                parse_config(str(cfg))
+            return
         out = Path(tmp) / "new" / "out"
         argv = ["--config", str(cfg), "--out-dir", str(out)] + (["--trace"] if trace else [])
         with warnings.catch_warnings(), np.errstate(all="ignore"):

@@ -1,9 +1,10 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbsched import engine, network, pricing
@@ -564,6 +565,40 @@ class TestIdleRecord:
         fresh = []
         run_horizon(self.draw(), make_policy("doa"), trace_rows=fresh)
         assert rows == fresh
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+# 8 served cells of 16 (seeds 3 and 4)
+@example(n_sbs=16, n_ue=80, side=2000.0, price_mode="live", policy="threshold:50",
+         traced=False, seed=3)
+@example(n_sbs=16, n_ue=80, side=2000.0, price_mode="frozen", policy="roa", traced=True,
+         seed=4)
+@example(n_sbs=16, n_ue=80, side=2000.0, price_mode="live", policy="fixed:3", traced=False,
+         seed=4)
+@given(
+    n_sbs=st.integers(0, 16),
+    n_ue=st.integers(1, 80),
+    side=st.sampled_from([300.0, 1000.0, 2000.0]),
+    price_mode=st.sampled_from(["live", "frozen"]),
+    policy=st.sampled_from(["roa", "doa", "fixed:3", "threshold:50", "adaptive"]),
+    traced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_results_row_is_its_reductions(n_sbs, n_ue, side, price_mode, policy, traced,
+                                        seed):
+    # the row a period primes (`_row`'s cache, set by `run_period` from its
+    # stacked sums and by the idle period) has the bits of `_row`'s own
+    # reductions of the result's arrays, served or idle, traced or not; 8 or
+    # more served cells sum pairwise
+    cfg = ScenarioConfig(n_sbs=n_sbs, n_ue=n_ue, area=(side, side), price_mode=price_mode,
+                         initial_energy=20.0, seed=seed)
+    rows = [] if traced else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overloaded cells
+        results = run_horizon(Replication.draw(cfg, seed), make_policy(policy), rows)
+    for res in results:
+        assert "_row" in vars(res)
+        assert repr(res.to_dict()) == repr(PeriodResult._row.func(res))
 
 
 class TestCostOverflow:

@@ -34,10 +34,10 @@ def scenario_with_used(seed, n_sbs=3, n_ue=15, initial=60.0, trace=None,
     )
 
 
-def table_subsets(table):
+def table_subsets(table, dt=DT):
     """`build_tables` of one table's served cells: a stack of one."""
     (tables,) = build_tables(table.topo.take(np.newaxis), [table.tags], table.w,
-                             table.q, table.file_bits)
+                             table.q, table.file_bits, dt)
     return tables
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbsched import oracle, pricing
+from sbsched import network, oracle, pricing
 from sbsched.analysis import empirical_cr_study
 from sbsched.engine import Replication, ScenarioConfig
 from sbsched.network import place_stack
@@ -27,6 +27,7 @@ from sbsched.oracle import (
     _evaluate_no_depletion,
     _evaluate_stepwise,
     all_combinations,
+    build_tables,
     optimum_and_row,
 )
 from sbsched.pricing import CostWeights
@@ -356,3 +357,58 @@ def test_study_evaluates_each_served_attempt_once(monkeypatch):
     assert np.array(want).tobytes() == report.ratios.tobytes()
     assert any(_depletion_possible(t, tr, *rest) for t, tr, _, rest, _ in accepted)
     assert np.array_equal(empirical_cr_study(cfg, 12).ratios, report.ratios)
+
+
+TABLE_FIELDS = ("used", "rent", "psi", "rent_sum", "buys", "psi_max")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n_ue=st.integers(1, 20),
+    side=st.sampled_from([300.0, 700.0, 2000.0]),
+    seed=st.integers(0, 2**32 - 1),
+    served=st.lists(st.lists(st.integers(1, 3), max_size=3, unique=True), min_size=1,
+                    max_size=6),
+    n_steps=st.integers(1, 5),
+    e0=st.floats(0.0, 2.0),
+)
+def test_a_chunks_tables_are_each_attempts_tables_alone(n_ue, side, seed, served, n_steps,
+                                                        e0):
+    # a chunk of attempts with 0-3 served cells each, given by their tags
+    # (the oracle reads a tag's cell and buy price): each attempt's tables,
+    # made with its chunk's tables of the same cell count, have the bytes
+    # and the plain-float rows of its tables made alone, are read-only, and
+    # cost the grid as the reference does
+    w, q, file_bits = CostWeights(), 0.9, 1e5
+    rng = np.random.default_rng(seed)
+    topo = place_stack((side, side), 3, n_ue,
+                       [np.random.default_rng([seed, i]) for i in range(len(served))])
+    tags = [tuple(pricing.PriceTag(sbs=j, rent=0.0, buy=float(rng.uniform(0.0, 3.0)))
+                  for j in sorted(cells)) for cells in served]
+    chunk = build_tables(topo, tags, w, q, file_bits, DT)
+    assert len(chunk) == len(served)
+    for i, (t, tables) in enumerate(zip(tags, chunk)):
+        (alone,) = build_tables(topo.take(i).take(np.newaxis), [t], w, q, file_bits, DT)
+        for name in TABLE_FIELDS:
+            got, want = getattr(tables, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable and not want.flags.writeable, name
+        # made with the chunk, made alone, and computed on first use by a
+        # copy made by hand
+        assert repr(tables.rows(DT)) == repr(alone.rows(DT)) == repr(replace(alone).rows(DT))
+        m = len(t)
+        assert tables.used.tolist() == [tag.sbs for tag in t]
+        if not m:
+            continue
+        # each cell draws 2.25 J or more a slot (q * 10 W * DT), against at
+        # most 2 J stored and 0.1 J harvested: a cell can run dry
+        trace_used = rng.uniform(0.0, H_MAX, (n_steps, m))
+        args = (e0, 2.0, DT, n_steps)
+        assert _depletion_possible(tables, trace_used, *args)
+        grid = np.maximum(all_combinations(m, n_steps), 1)
+        costs = reference_evaluate_stepwise(tables, trace_used, grid, *args)
+        at = rng.integers(0, len(grid))
+        got, row_cost = optimum_and_row(tables, trace_used, grid[at], *args)
+        assert np.float64(got).tobytes() == costs.min().tobytes()
+        assert np.float64(row_cost).tobytes() == costs[at].tobytes()

@@ -97,18 +97,18 @@ def test_a_stack_prices_each_pair_as_alone(case):
                                      stack, w, q, file_bits, 10.0)
         assert tags == [table.tags for table in tables]
         tags = [t[:4] for t in tags]
-        stacked = build_tables(stack, tags, w, q, file_bits)
+        stacked = build_tables(stack, tags, w, q, file_bits, 0.1)
         links = network.STACK_LINKS
         try:  # one pair a pass
             network.STACK_LINKS = 1
-            in_passes = build_tables(stack, tags, w, q, file_bits)
+            in_passes = build_tables(stack, tags, w, q, file_bits, 0.1)
         finally:
             network.STACK_LINKS = links
         for got, want in zip(in_passes, stacked, strict=True):
             for name in FIELDS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         for topo, t, got in zip(topos, tags, stacked, strict=True):
-            (want,) = build_tables(topo.take(np.newaxis), [t], w, q, file_bits)
+            (want,) = build_tables(topo.take(np.newaxis), [t], w, q, file_bits, 0.1)
             for name in FIELDS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
