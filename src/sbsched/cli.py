@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -373,16 +374,21 @@ def replication_total(periods: list[dict], rep: int) -> float:
     return total
 
 
-def mean_and_ci(totals: list[float]) -> tuple[float, float]:
-    """The mean of finite totals and its 95% confidence half-width. A
-    power-of-two scale changes no bit of either, and keeps totals near the
-    float maximum from overflowing when summed or squared."""
-    totals_arr = np.array(totals)
-    n = totals_arr.size
-    e = math.frexp(float(np.abs(totals_arr).max()))[1]
-    scaled = np.ldexp(totals_arr, -e)
-    std = math.ldexp(float(scaled.std(ddof=1)), e) if n > 1 else 0.0
-    return math.ldexp(float(scaled.mean()), e), 1.96 * std / math.sqrt(n)
+def mean_and_ci(totals: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
+    """Per row of finite `totals`, each row of the same length, the mean and
+    its 95% confidence half-width, in one stacked pass. Each row takes its
+    own power-of-two scale, which changes no bit of either and keeps totals
+    near the float maximum from overflowing when summed or squared; the
+    reductions along the contiguous last axis give each row the bits it has
+    alone."""
+    totals_arr = np.array(totals, dtype=float)
+    n = totals_arr.shape[1]
+    e = np.frexp(np.abs(totals_arr).max(axis=1))[1]
+    scaled = np.ldexp(totals_arr, -e[:, None])
+    means = scaled.mean(axis=1).tolist()
+    stds = scaled.std(axis=1, ddof=1).tolist() if n > 1 else [0.0] * len(means)
+    return [(math.ldexp(mean, int(k)), 1.96 * math.ldexp(std, int(k)) / math.sqrt(n))
+            for mean, std, k in zip(means, stds, e)]
 
 
 def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -> int:
@@ -392,49 +398,50 @@ def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -
     trace_path = os.path.join(out_dir, "trace.csv")
     written += [results_path, summary_path, topo_path]
 
-    rows = []
     summary: dict = {"name": spec.name, "seed": spec.master_seed, "cells": []}
     topo_json = None
     trace_rows: list | None = [] if trace else None  # of the first run only
 
-    for sweep_idx, (param, value, cfg) in enumerate(_sweep_axis(spec)):
-        # every policy runs on each replication's one record; rows and totals
-        # are buffered per policy to keep (value, policy, replication) order
-        runs = [(p, [], []) for p in spec.policies]
-        size = analysis.chunk_size(cfg)
-        for first_rep in range(0, spec.n_replications, size):
-            chunk = range(first_rep, min(first_rep + size, spec.n_replications))
-            lead = [spec.master_seed, sweep_idx]
-            try:
-                records = Replication.draw_chunk(cfg, lead, chunk)
-            except Exception:  # again one record at a time: the first failure raises
-                records = (Replication.draw(cfg, [*lead, rep]) for rep in chunk)
-            for rep, record in zip(chunk, records):
-                if topo_json is None:
-                    topo_json = network.topology_to_json(record.topo)
-                for k, (policy, out, totals) in enumerate(runs):
-                    first = sweep_idx == rep == k == 0
-                    periods = [res.to_dict() for res in run_horizon(
-                        record, make_policy(policy), trace_rows=trace_rows if first else None)]
-                    out += [[param, value, policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
-                            for d in periods]
-                    totals.append(replication_total(periods, rep))
-        for policy, out, totals in runs:
-            rows += out
-            mean, ci = mean_and_ci(totals)
-            summary["cells"].append({
-                "sweep_parameter": param,
-                "sweep_value": value,
-                "policy": policy,
-                "replications": len(totals),
-                "mean_total_cost": mean,
-                "ci95_halfwidth": ci,
-            })
-
     with open(results_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_COLUMNS)
-        writer.writerows(rows)
+        for sweep_idx, (param, value, cfg) in enumerate(_sweep_axis(spec)):
+            # every policy runs on each replication's one record; rows and
+            # totals are buffered per policy, and written per sweep value, to
+            # keep (value, policy, replication) order
+            runs = [(p, [], []) for p in spec.policies]
+            size = analysis.chunk_size(cfg)
+            for first_rep in range(0, spec.n_replications, size):
+                chunk = range(first_rep, min(first_rep + size, spec.n_replications))
+                lead = [spec.master_seed, sweep_idx]
+                try:
+                    records = Replication.draw_chunk(cfg, lead, chunk)
+                except Exception:  # again one record at a time: the first failure raises
+                    records = (Replication.draw(cfg, [*lead, rep]) for rep in chunk)
+                for rep, record in zip(chunk, records):
+                    if topo_json is None:
+                        topo_json = network.topology_to_json(record.topo)
+                    for k, (policy, out, totals) in enumerate(runs):
+                        first = sweep_idx == rep == k == 0
+                        periods = [res.to_dict() for res in run_horizon(
+                            record, make_policy(policy),
+                            trace_rows=trace_rows if first else None)]
+                        out += [[param, value, policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
+                                for d in periods]
+                        totals.append(replication_total(periods, rep))
+            stats = mean_and_ci([totals for _, _, totals in runs])
+            for (policy, out, totals), (mean, ci) in zip(runs, stats):
+                writer.writerows(out)
+                summary["cells"].append({
+                    "sweep_parameter": param,
+                    "sweep_value": value,
+                    "policy": policy,
+                    "replications": len(totals),
+                    "mean_total_cost": mean,
+                    "ci95_halfwidth": ci,
+                })
+            fh.flush()  # the file holds whole sweep values
+
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

@@ -2,17 +2,17 @@
 
 Each period: read the served cells and their frozen prices from the ON-set
 table (`pricing.OnSetTable.tags`), let the policy pick OFF times from them,
-then advance slot by slot -- voluntary OFF (buy charged once), depletion
+then advance over the slots -- voluntary OFF (buy charged once), depletion
 check (forced OFF, no buy; re-association can raise the load on the surviving
 cells, so it repeats to a fixed point), cost accrual, storage update.
 
-The slot loop keeps plain Python floats, and only for the cells that serve
-UEs at the period start. The others stay OFF all period, so their storage is
-the running sum of arrivals clamped at the capacity; with no served cell, the
-slot loop runs only to write trace rows. The storage step is the float
+The period keeps plain Python floats, and only for the cells that serve UEs
+at the period start. The others stay OFF all period, so their storage is the
+running sum of arrivals clamped at the capacity (exact: once clamped,
+arrivals >= 0 keep it there). The storage step is the float
 `min(e + h - c, cap)`, written as the oracle's `_slot_step` writes it.
 
-Policies enter the loop as data. A scheduled policy (DOA, ROA, fixed,
+Policies enter the period as data. A scheduled policy (DOA, ROA, fixed,
 adaptive) becomes one OFF slot per served cell after its `reset`: the first
 slot whose start is not before the cell's OFF time, where the cell switches
 OFF and buys unless it is already OFF. Adaptive moves an ON cell's OFF slot
@@ -24,7 +24,24 @@ transmit power only: it is read from a `pricing.OnSetTable`, one per
 transmit-power epoch. An entry is looked up only when the ON set or the
 epoch changes, and the served cells' power draws and rents are read from it
 as lists (`OnSetEntry.served`), made once per entry, however often a slot
-lands on it. The product `psi * dt` is made per slot, where it is charged.
+lands on it.
+
+Between two events a served cell's storage and accruals follow one fixed
+recurrence, so the period is stepped in spans: at an event slot the voluntary
+decisions and the depletion fixed point run, then each stepped cell alone
+advances over its own arrivals to the span's end. The events are the next
+scheduled OFF slot, the next transmit-power epoch change, and the period end.
+A cell that would run dry inside a span ends it at that slot, which then
+takes the fixed point, so re-association is what a slot walk gives. A span
+makes, per cell and slot, the float operations of one slot in the same order
+(the arrivals' credit, the strict test against `psi * dt`, the clamp, and the
+rent, ON-time and consumption sums), and the delay is added once per slot. A
+threshold or an adaptive run may decide in any slot, and a traced run writes
+every slot, so these step spans of one slot. An untraced run parks a cell
+that is OFF for good (switched OFF by its schedule, or forced OFF): its
+storage is the clamped running sum of its arrivals from there, added up at
+the period end. Once every served cell is parked, nothing can change and the
+all-OFF ON set's `on_delay` is 0, so one span runs to the period end.
 
 A run is a `Replication` record and a `Policy`: `run_horizon(rep, policy)`
 reads its scenario, topology, tables and harvest from the record. Records are
@@ -36,26 +53,25 @@ record's topologies (`network.Topology.take`), all-ON entry and tags;
 placement of one. The slot grid and its epochs are computed once per
 scenario (`ScenarioConfig.slot_grid`).
 What no policy can change is computed from the record once, on first use, and
-shared by every policy run on it: the served cells, and per period their
-arrivals as floats, the storage of the cells that stay OFF and the harvest
-totals. A run then pays for its served cells' slots, and seeds a generator for
-each served cell only, and only for a policy that `draws`; the policies' seed
-itself is built on first use.
+shared by every policy run on it: the served cells, and the bookkeeping of
+the harvest over the whole horizon (`_harvest_book`): the arrival totals of
+each period and their sums, from one `cumsum`; the storage of the cells that
+stay OFF, from one clamped running sum across the period boundaries; and the
+served cells' arrivals as floats, cell-major. A record-less `run_period`
+does the same bookkeeping for its one period. A run then pays for its served
+cells' spans, and seeds a generator for each served cell only, and only for a
+policy that `draws`; the policies' seed itself is built on first use.
 
-A run pays for no slot in which nothing can change. Once every served cell of
-a scheduled policy is OFF, none comes back ON or runs dry, and the all-OFF
-ON set's `on_delay` is 0: an untraced run leaves the slot loop, and the
-served cells' storage becomes the clamped running sum of their remaining
-arrivals, as for the cells that stay OFF. A record with no served cell gives
-the same periods under every policy. Untraced, such a period is read from its
-arrival totals alone (`_idle_period`), with no slot walk and no policy reset;
-`run_horizon` computes a record's once, with read-only arrays, and returns them
-to every later run that asks for no trace.
+A record with no served cell gives the same periods under every policy.
+Untraced, such a period is read from the bookkeeping alone (`_idle_period`),
+with no slot walk and no policy reset; `run_horizon` computes a record's
+once, with read-only arrays, and returns them to every later run that asks
+for no trace.
 
 A period sets its result's row itself: a served period sums its per-cell
 rent, buy charged, ON time, consumption and their rent plus buy as the rows of
 one array, in one reduction whose rows have the bits of each summed alone,
-and an idle period reads its row from its arrival totals.
+and an idle period reads its row from the bookkeeping.
 
 Two accounting modes exist: "live" charges the instantaneous rent rate of the
 current state (the original problem), "frozen" charges the period-start flat
@@ -66,7 +82,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -312,41 +328,37 @@ def _period_plan(cfg: ScenarioConfig, tables: Sequence[pricing.OnSetTable]) -> _
     return _PeriodPlan(grid, epoch_at, tags, ids, cells, buy, used)
 
 
-class _PeriodStart(NamedTuple):
-    """What one period's harvest fixes, whatever the policy."""
+class _Harvest(NamedTuple):
+    """What the harvest of consecutive periods fixes, whatever the policy;
+    its slots are those of the periods in turn."""
 
-    harvest: list[list[float]]  # per slot, the served cells' arrivals
-    # (n_steps + 1, n_sbs) storage of a cell that stays OFF, read-only
+    harvested: np.ndarray  # (periods, n_sbs) arrival totals, read-only
+    sums: list[float]  # each period's arrival totals summed over its cells
+    # (slots + 1, n_sbs) storage of a cell that stays OFF, read-only
     idle_stored: np.ndarray
-    harvested: np.ndarray  # (n_sbs,) arrival totals, read-only
+    arrivals: list[list[float]]  # per served cell, its arrivals in every slot
 
 
-def _arrival_totals(trace: np.ndarray) -> np.ndarray:
-    """A period's (n_sbs,) arrival totals, a running sum of its
-    (n_steps, n_sbs) `trace`; read-only."""
-    if np.any(trace < 0):
+def _harvest_book(stored: np.ndarray, harvest: Sequence[np.ndarray], cells: list[int],
+                  cap: float) -> _Harvest:
+    """The bookkeeping of the (n_steps, n_sbs) arrivals of the periods of
+    `harvest`, from `stored` at the first one's start.
+
+    An OFF cell's storage is the running sum of its arrivals clamped at the
+    capacity: exact across period boundaries too, since once clamped, harvest
+    >= 0 keeps it there. Only the columns of cells that stay OFF are read from
+    `idle_stored`; the served cells' arrivals are kept as floats, cell-major."""
+    arrivals = harvest[0] if len(harvest) == 1 else np.concatenate(harvest)
+    if np.any(arrivals < 0):
         raise ValueError("energy quantities must be non-negative")
     # + 0.0 turns a column of -0.0 arrivals, which passes the check, into +0.0
-    harvested = np.cumsum(trace, axis=0)[-1] + 0.0
-    harvested.flags.writeable = False
-    return harvested
-
-
-def _stays_off(stored: np.ndarray, trace: np.ndarray, cap: float) -> np.ndarray:
-    """The storage of cells that stay OFF all period, from `stored` at its
-    start: the running sum of their arrivals clamped at the capacity (exact,
-    since once clamped, harvest >= 0 keeps it there), (n_steps + 1, n_sbs)."""
-    return np.minimum(np.cumsum(np.vstack((stored, trace)), axis=0), cap)
-
-
-def _period_start(stored: np.ndarray, trace: np.ndarray, cells: list[int],
-                  cap: float) -> _PeriodStart:
-    """`stored` is the storage at the period start; only the columns of cells
-    that stay OFF are read from the result's `idle_stored`."""
-    harvested = _arrival_totals(trace)
-    idle_stored = _stays_off(stored, trace, cap)
-    idle_stored.flags.writeable = False
-    return _PeriodStart(trace[:, cells].tolist(), idle_stored, harvested)
+    harvested = np.cumsum(arrivals.reshape(len(harvest), len(harvest[0]), -1),
+                          axis=1)[:, -1] + 0.0
+    idle_stored = np.minimum(np.cumsum(np.vstack((stored, arrivals)), axis=0), cap)
+    harvested.flags.writeable = idle_stored.flags.writeable = False
+    # each row summed over the contiguous last axis, with the bits of its sum alone
+    return _Harvest(harvested, harvested.sum(axis=1).tolist(), idle_stored,
+                    arrivals[:, cells].T.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -361,12 +373,13 @@ def _idle_arrays(n_sbs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 
 def _idle_period(period_index: int, plan: _PeriodPlan, energy: EnergyState,
-                 trace: np.ndarray) -> PeriodResult:
-    """An untraced period with no served cell: every cell stays OFF and costs
-    nothing, and `energy` ends at the clamped total of its arrivals. Every
-    array is read-only, and the row is set here, without `_row`'s reductions."""
-    harvested = _arrival_totals(trace)
-    energy.stored[:] = _stays_off(energy.stored, trace, energy.capacity)[-1]
+                 book: _Harvest, p: int) -> PeriodResult:
+    """An untraced period with no served cell, the p-th of `book`: every cell
+    stays OFF and costs nothing, and `energy` ends at the clamped total of its
+    arrivals. Every array is read-only, and the row is set here, without
+    `_row`'s reductions."""
+    harvested = book.harvested[p]
+    energy.stored[:] = book.idle_stored[(p + 1) * len(plan.grid)]
     n_sbs = len(plan.used)
     zero, no_buy, no_switch, never = _idle_arrays(n_sbs)
     unused = 1.0 if n_sbs else 0.0
@@ -379,7 +392,7 @@ def _idle_period(period_index: int, plan: _PeriodPlan, energy: EnergyState,
     result.__dict__["_row"] = {  # primes `_row`'s cache
         "period": period_index, "total_cost": 0.0, "rent_cost": 0.0, "buy_cost": 0.0,
         "buy_count": 0, "on_time_mean": 0.0, "switch_count": 0, "energy_consumed": 0.0,
-        "energy_harvested": float(harvested.sum()), "delay_per_sbs": 0.0,
+        "energy_harvested": book.sums[p], "delay_per_sbs": 0.0,
         "unused_fraction": unused, "n_used": 0, "depleted_count": 0,
     }
     return result
@@ -408,9 +421,9 @@ def run_period(
     With a `record`, `cfg`, `topo` and `trace` must be its own scenario,
     topology and harvest of period `period_index`, and `energy` must carry its
     earlier periods as `run_horizon` chains them: the tables, the served
-    cells and the storage of the cells that stay OFF are then read from the
-    record, which computes them once for all the policies run on it. Without
-    one, they are computed here, for this call. With no served cell and no
+    cells and the bookkeeping of the harvest are then read from the record,
+    which computes them once for all the policies run on it. Without one,
+    they are computed here, for this call. With no served cell and no
     `trace_rows`, the period is `_idle_period`'s, and the policy is not reset.
     """
     n_bs, n_sbs, n_steps, dt = topo.n_bs, topo.n_sbs, cfg.n_steps, cfg.dt
@@ -418,19 +431,20 @@ def run_period(
     if record is None:
         tables = epoch_tables(cfg, topo)
         plan = _period_plan(cfg, tables)
+        book, p_book = _harvest_book(energy.stored, (trace,), plan.cells, cap), 0
     else:
         if (cfg is not record.cfg or topo is not record.topo
                 or trace is not record.harvest[period_index]):
             raise ValueError("cfg, topo and trace must be the record's")
-        tables, plan = record.tables, record.plan
+        tables, plan, book, p_book = record.tables, record.plan, record.book, period_index
     if not plan.cells and trace_rows is None:
-        return _idle_period(period_index, plan, energy, trace), energy
-    start = (_period_start(energy.stored, trace, plan.cells, cap) if record is None
-             else record.period_start(period_index))
+        return _idle_period(period_index, plan, energy, book, p_book), energy
     grid, epoch_at, tags, ids, cells, buy_prices, used = plan
     table = tables[epoch_at[0]]
     policy.reset(tags, cfg.period, policy_rngs)
-    idle_stored = start.idle_stored
+    # the period's slot k is the book's slot `first + k`
+    first = p_book * n_steps
+    idle_stored, arrivals = book.idle_stored, book.arrivals
 
     # plain-float state of the served cells, by position in `cells`
     m = len(cells)
@@ -438,7 +452,6 @@ def run_period(
     stored = [float(energy.stored[i]) for i in cells]
     if stored and min(min(stored), cap) < 0:
         raise ValueError("energy quantities must be non-negative")
-    harvest = start.harvest
     on = [True] * m
     depleted = [False] * m
     bought = [False] * m
@@ -466,24 +479,32 @@ def run_period(
         off_at = {}
         for p, slot in enumerate(off_slot):
             off_at.setdefault(slot, []).append(p)
+    # where a span ends (see the module docstring): at the next epoch change
+    # or scheduled OFF slot. A threshold or an adaptive run may decide in any
+    # slot, and a traced run writes every slot: these step one slot at a time
+    one_slot = k_percent is not None or adaptive or trace_rows is not None
+    if not one_slot:
+        events = sorted({*epoch_at, *off_at, n_steps})
+    # the cells that the storage step steps; an untraced run parks a cell that
+    # is OFF for good (after a scheduled switch OFF or a forced one) from the
+    # book's slot `parked[p]`, and adds up its arrivals at the period end
+    stepped = list(range(m))
+    parked = {} if trace_rows is None else None
     sigma = np.zeros(n_bs, dtype=bool)
     sigma[0] = True
     sigma[ids] = True
     # table[sigma], looked up when the ON set or the epoch changes, and the
-    # entries that the slot's values (`psi`, `rent`, `delay`, `finished`) and
-    # the observed rents were read from; an ON set changes only with `on`
+    # entries that the slot's values (`psi`, `rent`, `delay`) and the observed
+    # rents were read from; an ON set changes only with `on`
     entry = psi_entry = rent_entry = None
-    # an untraced scheduled run leaves the loop once every served cell is OFF
-    # (see the module docstring)
-    may_finish = k_percent is None and trace_rows is None
-    finished = False
 
-    for k in range(n_steps):
+    k = 0
+    while k < n_steps:
         t = grid[k]
         if k in epoch_at:
             table = tables[epoch_at[k]]
             entry = None
-        h = harvest[k]
+        lo = first + k
 
         # voluntary decisions: a switch OFF charges the buy price once
         changed = False
@@ -504,18 +525,17 @@ def run_period(
                     bought[p] = True
                     switch[p] += 1
                     changed = True
+                    if parked is not None:
+                        parked[p] = lo
+                        stepped.remove(p)
         else:
-            for p, j in enumerate(ids):
-                if depleted[p]:
-                    continue
+            for p in stepped:  # a cell that ran dry stays OFF
                 want_on = 100.0 * stored[p] / cap > k_percent
-                if on[p] and not want_on:
-                    on[p] = sigma[j] = False
-                    bought[p] = True
-                elif not on[p] and want_on:
-                    on[p] = sigma[j] = True
-                else:
+                if want_on is on[p] or depleted[p]:
                     continue
+                on[p] = sigma[ids[p]] = want_on
+                if not want_on:
+                    bought[p] = True
                 switch[p] += 1
                 changed = True
         if changed or entry is None:
@@ -528,8 +548,7 @@ def run_period(
                 psi_entry = entry
                 psi, rent = (frozen_psi, frozen_rent) if frozen_mode else entry.served(ids)
                 delay = entry.on_delay / m if m else 0.0
-                finished = may_finish and not any(on)
-            dep_now = [p for p in range(m) if on[p] and stored[p] + h[p] < psi[p] * dt]
+            dep_now = [p for p in stepped if on[p] and stored[p] + arrivals[p][lo] < psi[p] * dt]
             if not dep_now:
                 break
             for p in dep_now:
@@ -537,29 +556,69 @@ def run_period(
                 depleted[p] = True
                 depleted_at[cells[p]] = t
                 switch[p] += 1
+                if parked is not None:
+                    parked[p] = lo
+                    stepped.remove(p)
             entry = table[sigma]
 
-        # storage step: credit the arrivals, charge the slot, clamp at cap
-        # (`min(x, cap)` to the bit, without the builtin call)
-        for p in range(m):
-            if on[p]:
-                consumed = psi[p] * dt
-                if consumed > stored[p] + h[p] + 1e-9:
-                    raise RuntimeError(
-                        "consumption exceeds available energy; depletion check was skipped")
-                rent_acc[p] += rent[p] * dt
-                on_acc[p] += dt
-                consumed_acc[p] += consumed
-                x = stored[p] + h[p] - consumed
-            else:
-                x = stored[p] + h[p]
-            stored[p] = cap if cap < x else x
+        if parked is not None and not stepped:
+            end = n_steps  # every cell is OFF for good, and the ON set's delay is 0
+        elif one_slot:
+            end = k + 1
+        else:
+            end = events[bisect_right(events, k)]
+
+        # storage step: each stepped cell alone, from slot k to the span's
+        # end, credits its arrivals, charges its slot and clamps at cap
+        # (`min(x, cap)` to the bit, without the builtin call). The slot's
+        # fixed point has tested slot k, so a draw it did not see is a
+        # caller's bug; an ON cell that would run dry at a later slot ends
+        # the span there, and every cell is stepped again to that end. The
+        # span's later slots, none in a span of one slot:
+        later = range(lo + 1, first + end) if end > k + 1 else ()
+        if later:
+            saved = stored[:], rent_acc[:], on_acc[:], consumed_acc[:]
+        while True:
+            cut = end
+            for p in stepped:
+                col = arrivals[p]
+                a = stored[p] + col[lo]
+                if on[p]:
+                    c = psi[p] * dt
+                    if c > a + 1e-9:
+                        raise RuntimeError(
+                            "consumption exceeds available energy; depletion check was skipped")
+                    r = rent[p] * dt
+                    e = a - c
+                    e = cap if cap < e else e
+                    rent_p, on_p, consumed_p = rent_acc[p] + r, on_acc[p] + dt, consumed_acc[p] + c
+                    for i in later:
+                        a = e + col[i]
+                        if a < c:
+                            cut = i - first
+                            later = range(lo + 1, i)
+                            break
+                        e = a - c
+                        e = cap if cap < e else e
+                        rent_p += r
+                        on_p += dt
+                        consumed_p += c
+                    rent_acc[p], on_acc[p], consumed_acc[p] = rent_p, on_p, consumed_p
+                    stored[p] = e
+                else:  # OFF and not parked: a traced or threshold run, one slot
+                    stored[p] = cap if cap < a else a
+            if cut == end:
+                break
+            end = cut
+            for now, then in zip((stored, rent_acc, on_acc, consumed_acc), saved):
+                now[:] = then
         delay_acc += delay
-        if finished:
-            break
+        if later and delay:
+            for _ in later:
+                delay_acc += delay
 
         if trace_rows is not None:
-            row_stored = idle_stored[k + 1].tolist()
+            row_stored = idle_stored[lo + 1].tolist()
             row_rent = [0.0] * n_sbs
             for p, i in enumerate(cells):
                 row_stored[i] = stored[p]
@@ -569,11 +628,16 @@ def run_period(
                     round(period_index * cfg.period + t, 10), j, int(sigma[j]),
                     row_stored[j - 1], entry.state.n_members(j), row_rent[j - 1],
                 ))
+        k = end
 
-    if finished:  # the clamped running sum of the arrivals left, as for idle cells
-        tail = np.cumsum(np.vstack((stored, trace[k + 1:, cells])), axis=0)[-1].tolist()
-        stored = [cap if cap < x else x for x in tail]
-    energy.stored[:] = idle_stored[-1]
+    # a parked cell's storage: the running sum of its arrivals, clamped at the
+    # end, as for the cells that stay OFF all period
+    for p, since in (parked or {}).items():
+        e, col = stored[p], arrivals[p]
+        for i in range(since, first + n_steps):
+            e += col[i]
+        stored[p] = cap if cap < e else e
+    energy.stored[:] = idle_stored[first + n_steps]
     energy.stored[cells] = stored
 
     # per cell: rent, buy charged, ON time, consumption, and rent plus buy,
@@ -597,7 +661,7 @@ def run_period(
         depleted_at=depleted_at,
         switch_count=_per_sbs(n_sbs, cells, switch, int),
         energy_consumed=acc[3],
-        energy_harvested=start.harvested,
+        energy_harvested=book.harvested[p_book],
         used=used,
         total_cost=total_cost,
         delay_per_sbs=delay_acc / n_steps,
@@ -609,7 +673,7 @@ def run_period(
         # the served cells alone: numpy groups a sum pairwise from 8 cells on
         "on_time_mean": float(np.add.reduce(on_acc)) / m if m else 0.0,
         "switch_count": sum(switch), "energy_consumed": consumed_sum,
-        "energy_harvested": float(start.harvested.sum()), "delay_per_sbs": result.delay_per_sbs,
+        "energy_harvested": book.sums[p_book], "delay_per_sbs": result.delay_per_sbs,
         "unused_fraction": result.unused_fraction, "n_used": m, "depleted_count": sum(depleted),
     }
     return result, energy
@@ -747,15 +811,15 @@ class Replication:
     read-only (n_steps, n_sbs) harvest view per period, and the seed they
     were drawn from, whose child seeds the policies' draws (`policy_ss`).
     Policies run on one record face the same draws and share the tables'
-    entries, and what no policy can change (the served cells, the storage of
-    the cells that stay OFF) is computed on first use, once for the record."""
+    entries, and what no policy can change (the served cells, and the
+    bookkeeping of the harvest over the whole horizon, `book`) is computed on
+    first use, once for the record."""
 
     cfg: ScenarioConfig
     topo: Topology
     tables: tuple[pricing.OnSetTable, ...]
     harvest: tuple[np.ndarray, ...]
     seed: int | Sequence[int] | np.random.SeedSequence
-    _starts: list[_PeriodStart] = field(default_factory=list, init=False, repr=False)
     # with no served cell, the untraced periods of every policy: computed once
     _idle: list[PeriodResult] = field(default_factory=list, init=False, repr=False)
 
@@ -822,15 +886,12 @@ class Replication:
     def plan(self) -> _PeriodPlan:
         return _period_plan(self.cfg, self.tables)
 
-    def period_start(self, p: int) -> _PeriodStart:
-        """Period `p`'s start; an OFF cell starts it where period p - 1 left it."""
-        starts = self._starts
-        while len(starts) <= p:
-            stored = (starts[-1].idle_stored[-1] if starts else EnergyState.fresh(
-                self.cfg.n_sbs, self.cfg.initial_energy, self.cfg.capacity).stored)
-            starts.append(_period_start(stored, self.harvest[len(starts)], self.plan.cells,
-                                        float(self.cfg.capacity)))
-        return starts[p]
+    @cached_property
+    def book(self) -> _Harvest:
+        """The bookkeeping of the record's harvest, over its whole horizon."""
+        cfg = self.cfg
+        stored = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity).stored
+        return _harvest_book(stored, self.harvest, self.plan.cells, float(cfg.capacity))
 
     def policy_rngs(self) -> list[np.random.Generator | None]:
         """Fresh generators for a run: the i-th child of `policy_ss` (as

@@ -300,7 +300,7 @@ class OnSetEntry:
       the same with 0 for an OFF SBS.
     - `rent`: (n_bs,) rent rate of each SBS (index 0 unused).
     - `rent_values`, `psi_values` and `on_delay`, the total delay of the ON
-      SBSs, are Python scalars for the engine's per-slot loop, and `served`
+      SBSs, are Python scalars for the engine's storage step, and `served`
       gives the engine's per-cell lists.
 
     A rent that is not finite raises `NonFinitePriceError`, checked on

@@ -1,7 +1,7 @@
 """OFF-time policies: deterministic (DOA), randomized (ROA), the adaptive
 rule for piecewise-decreasing rent, and the fixed-time / storage-threshold
 baselines. Pure decision functions live at module level; the Policy classes
-state them as the data the engine's slot loop reads: one OFF time per served
+state them as the data the engine's storage step reads: one OFF time per served
 cell, which `adaptive` moves when it observes a lower rent, or a storage
 threshold.
 """

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sbsched import cli
 from sbsched.cli import (
     ConfigError,
     ExperimentSpec,
@@ -30,6 +31,8 @@ from sbsched.engine import (
 )
 from sbsched.network import dbm_to_watts
 from sbsched.schedulers import make_policy
+
+from configs import KEY_VALUES, config_texts
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -235,15 +238,39 @@ class TestTotals:
         assert replication_total(periods[:1], 3) == self.BIG
 
     def test_the_mean_of_totals_near_the_float_maximum_is_finite(self):
-        mean, ci = mean_and_ci([self.BIG, self.BIG, 0.5 * self.BIG])
+        ((mean, ci),) = mean_and_ci([[self.BIG, self.BIG, 0.5 * self.BIG]])
         assert mean == pytest.approx(2.5 / 3 * self.BIG) and math.isfinite(ci)
-        assert mean_and_ci([self.BIG]) == (self.BIG, 0.0)
+        assert mean_and_ci([[self.BIG]]) == [(self.BIG, 0.0)]
 
     def test_the_scale_changes_no_bit_of_the_mean(self):
         totals = np.random.default_rng(0).exponential(3.0, size=200).tolist() + [0.0]
         arr = np.array(totals)
-        assert mean_and_ci(totals) == (
-            float(arr.mean()), 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size))
+        assert mean_and_ci([totals]) == [(
+            float(arr.mean()), 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size))]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           scales=st.lists(st.sampled_from([0.0, 1e-300, 0.3, 1.0, 7e5, 1e307]),
+                           min_size=1, max_size=7))
+    def test_a_stacked_pass_gives_each_row_its_bits_alone(self, n, seed, scales):
+        # each policy's totals of a sweep value, summarised in one pass, have
+        # the mean and half-width of that policy's totals summarised alone
+        rng = np.random.default_rng(seed)
+        rows = [(rng.exponential(1.0, n) * scale).tolist() for scale in scales]
+        got = mean_and_ci(rows)
+        assert len(got) == len(rows)
+        for row, stats in zip(rows, got):
+            assert repr(stats) == repr(mean_and_ci_alone(row))
+
+
+def mean_and_ci_alone(totals: list[float]) -> tuple[float, float]:
+    """One row's mean and 95% half-width, computed alone at its own
+    power-of-two scale, as the summary once computed each policy's."""
+    arr = np.array(totals)
+    e = math.frexp(float(np.abs(arr).max()))[1]
+    scaled = np.ldexp(arr, -e)
+    std = math.ldexp(float(scaled.std(ddof=1)), e) if arr.size > 1 else 0.0
+    return math.ldexp(float(scaled.mean()), e), 1.96 * std / math.sqrt(arr.size)
 
 
 class TestRunExperiment:
@@ -282,6 +309,26 @@ class TestRunExperiment:
         for cell in summary["cells"]:
             assert cell["replications"] == 2
             assert cell["mean_total_cost"] >= 0.0
+
+    def test_a_sweep_value_writes_its_rows_before_the_next_runs(self, tmp_path, monkeypatch):
+        # results.csv holds the rows of each sweep value once it is done, and
+        # a failure in a later value removes that partial file
+        spec = parse_config(write_config(tmp_path, SMALL_SWEEP))
+        out = tmp_path / "out"
+        real, lines = cli.run_horizon, []
+
+        def fails_in_the_second_value(record, policy, trace_rows=None):
+            if record.cfg.n_sbs == 6:
+                lines.append((out / "results.csv").read_text().count("\n"))
+                raise RuntimeError("boom")
+            return real(record, policy, trace_rows=trace_rows)
+
+        monkeypatch.setattr(cli, "run_horizon", fails_in_the_second_value)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_experiment(spec, str(out))
+        # the header, then 2 policies x 2 replications x 1 period of n_sbs = 4
+        assert lines == [1 + 4]
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = self.run_small(tmp_path)
@@ -629,99 +676,6 @@ class TestMain:
         n_values = max(len(spec.sweep_values), 1)
         assert len(rows) == n_values * 2 * spec.base.horizon_periods
         assert {r[2] for r in rows} == {algorithm}
-
-
-# Values for every scenario key, kept tiny: at most 3 SBSs, 2 replications
-# and 20 slots (period and dt are always set). A key takes an ordinary value,
-# or, in one config in two, an extreme one a time in four, which may be
-# invalid.
-KEY_VALUES = {
-    "period": (["1", "2", "0.5"], ["0", "inf", "-1"]),
-    "dt": (["0.1", "0.25", "0.5"], ["0.3", "0", "nan"]),
-    "horizon_periods": (["1", "2"], ["0"]),
-    "n_sbs": (["1", "2", "3"], ["0", "-1"]),
-    "n_ue": (["5", "20"], ["1", "0"]),
-    "network.mbs_tx_power": (["33 dBm", "20 W"], ["1e-30 W", "-300 dBm", "0 W"]),
-    "network.sbs_tx_power": (["23 dBm", "33 dBm", "0 dBm"], ["1e-30 W", "-300 dBm"]),
-    "network.mbs_op_power": (["20 W", "40 W"], ["1 W", "1e300 W"]),
-    "network.sbs_op_power": (["10 W", "8 W", "20 W"], ["1 W", "1e300 W"]),
-    "network.mbs_bandwidth": (["10e6", "1e5"], ["1", "1e300", "0"]),
-    "network.sbs_bandwidth": (["10e6", "1e5"], ["1", "1e300", "0"]),
-    "network.mbs_max_users": (["50", "5"], ["1", "0"]),
-    "network.sbs_max_users": (["10", "2"], ["1", "0"]),
-    "network.noise_power": (["-104 dBm", "-90 dBm"], ["-300 dBm", "1 W", "0 W"]),
-    "network.sbs_tx_schedule": (["0:30 dBm, 1:0 dBm", "0.2:0.6 W, 0.4:2 W", "0:23 dBm"],
-                                ["0:1e300 W", "1:30 dBm, 0:20 dBm", "5:20 dBm"]),
-    "network.file_bits": (["1e5", "1e7"], ["1", "1e300", "0"]),
-    "energy.rate": (["20", "0", "100"], ["1e300", "-1"]),
-    "energy.quantum": (["0.2", "5"], ["0", "1e308", "nan"]),
-    "energy.initial": (["60", "0", "10", "100"], ["200", "-1"]),
-    "energy.capacity": (["100", "150"], ["0", "50", "1e300"]),
-    "power.q": (["0.9", "0", "1"], ["2"]),
-    "cost.alpha_d": (["0.05", "0", "1"], ["1e308", "-1"]),
-    "cost.alpha_p": (["0.05", "0", "1"], ["1e308"]),
-    "cost.alpha_b": (["0.05", "0", "1"], ["1e308"]),
-    "price_mode": (["live", "frozen"], ["other"]),
-}
-AREAS = ([None, ("500", "500"), ("2000", "300")],
-         [("1e300", "1e300"), ("0", "500"), ("1000", None)])
-ALWAYS_SET = ("period", "dt", "n_sbs")
-POLICY_SPECS = ["roa", "doa", "adaptive", "fixed:0", "fixed:0.5", "fixed:1e9",
-                "threshold:0", "threshold:50", "threshold:100"]
-# the lines a cr_study rejects, kept in one config in five
-CR_STUDY_STRAYS = ("policies", "sweep.parameter", "sweep.values", "price_mode",
-                   "horizon_periods", "network.sbs_tx_schedule")
-
-
-ZERO_SLOTS = {"period": "1e-10", "dt": "1"}
-ONE_SLOT = {"period": "0.5", "dt": "0.5"}
-# one record of exactly MAX_SLOT_CELLS slot-cells (a study draws one period),
-# which is parsed and not run, and which no sweep moves
-AT_CAP = {"period": str(MAX_SLOT_CELLS), "dt": "1", "n_sbs": "1", "horizon_periods": "1"}
-
-
-@st.composite
-def config_texts(draw):
-    wild = draw(st.booleans())
-
-    def pick(ordinary, extreme):
-        if not wild:
-            return st.sampled_from(ordinary)
-        return st.integers(0, 3).flatmap(
-            lambda i: st.sampled_from(extreme if i == 0 else ordinary))
-
-    keys = draw(st.fixed_dictionaries(
-        {key: pick(*KEY_VALUES[key]) for key in ALWAYS_SET},
-        optional={key: pick(*values) for key, values in KEY_VALUES.items()
-                  if key not in ALWAYS_SET}))
-    area = draw(pick(*AREAS))
-    if area is not None:
-        keys["area.width"] = area[0]
-        if area[1] is not None:
-            keys["area.height"] = area[1]
-    # a period/dt pair that rounds to 0 slots (rejected when parsed), one of
-    # exactly 1 slot, and a record at the slot-cell cap
-    slots = draw(st.sampled_from([{}, {}, ZERO_SLOTS, ONE_SLOT, AT_CAP]))
-    keys.update(slots)
-    keys["seed"] = str(draw(st.integers(0, 3)))
-    if draw(st.booleans()):
-        keys["policies"] = ", ".join(draw(st.lists(
-            st.sampled_from(POLICY_SPECS), min_size=1, max_size=3, unique=True)))
-    if draw(st.booleans()):
-        unswept = set(AT_CAP) if slots is AT_CAP else set()  # keep the record at the cap
-        param = draw(st.sampled_from(sorted(set(KEY_VALUES) - unswept)))
-        keys["sweep.parameter"] = param
-        keys["sweep.values"] = ", ".join(draw(st.lists(pick(*KEY_VALUES[param]),
-                                                       min_size=1, max_size=2)))
-    count = str(draw(st.integers(1, 2)))
-    if draw(st.integers(0, 3)) == 0:
-        keys.update({"kind": "cr_study", "runs": count})
-        if draw(st.integers(0, 4)):
-            for key in CR_STUDY_STRAYS:
-                keys.pop(key, None)
-    else:
-        keys["replications"] = count
-    return "".join(f"{key} = {value}\n" for key, value in keys.items())
 
 
 def assert_finite_numbers(out: Path) -> None:

@@ -332,33 +332,39 @@ class TestRunHorizon:
         assert 0 < len(shared.tables[0].tags) < cfg.n_sbs
         assert dry == {"roa", "doa"}
 
-    def test_policies_and_periods_of_a_record_share_the_period_start(self, monkeypatch):
-        # 3 policies x 2 periods: the storage of the idle cells is computed
-        # once per period, and a generator is seeded for each served cell
-        # only, and only for roa, the one policy that draws
+    def test_policies_and_periods_of_a_record_share_its_bookkeeping(self, monkeypatch):
+        # 3 policies x 2 periods: the harvest's bookkeeping is done once, over
+        # the record's whole horizon, and a generator is seeded for each
+        # served cell only, and only for roa, the one policy that draws
         cfg = ScenarioConfig(seed=SEED_TWO_USED, horizon_periods=2)
         rep = Replication.draw(cfg, cfg.seed)
-        starts, seeds = [], []
-        real_start, real_rng = engine._period_start, np.random.default_rng
+        books, seeds = [], []
+        real_book, real_rng = engine._harvest_book, np.random.default_rng
 
-        def counting_start(*args):
-            starts.append(args)
-            return real_start(*args)
+        def counting_book(*args):
+            books.append(args)
+            return real_book(*args)
 
         def counting_rng(seed=None):
             seeds.append(seed)
             return real_rng(seed)
 
-        monkeypatch.setattr(engine, "_period_start", counting_start)
+        monkeypatch.setattr(engine, "_harvest_book", counting_book)
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        for policy in ("roa", "doa", "fixed:7"):
-            results = run_horizon(rep, make_policy(policy))
-            assert len(results) == 2
+        runs = [run_horizon(rep, make_policy(policy)) for policy in ("roa", "doa", "fixed:7")]
         served = [tag.sbs - 1 for tag in rep.tables[0].tags]
-        assert len(served) == 2 and len(starts) == 2
+        assert len(served) == 2 and len(books) == 1 and books[0][1] is rep.harvest
         assert [s.spawn_key[-1] for s in seeds] == served
-        start = rep.period_start(1)
-        assert not (start.idle_stored.flags.writeable or start.harvested.flags.writeable)
+        book = rep.book
+        assert not (book.idle_stored.flags.writeable or book.harvested.flags.writeable)
+        assert book.idle_stored.shape == (2 * cfg.n_steps + 1, cfg.n_sbs)
+        assert [len(col) for col in book.arrivals] == [2 * cfg.n_steps] * 2
+        # every period of every run reads its row of the record's totals
+        for results in runs:
+            assert len(results) == 2
+            for p, res in enumerate(results):
+                assert res.energy_harvested.base is book.harvested
+                assert res.to_dict()["energy_harvested"] == book.sums[p]
 
     def test_the_policy_seed_is_built_by_a_policy_that_draws(self):
         # the record of `draw` builds it on first use, as `spawn` would make
@@ -481,17 +487,24 @@ class TestIdleRecord:
 
     def test_policies_share_its_periods(self, monkeypatch):
         rep = self.draw()
-        made = []
-        real = engine._idle_period
+        books, made = [], []
+        real_book, real_idle = engine._harvest_book, engine._idle_period
 
-        def counting(period_index, *args):
+        def counting_book(*args):
+            books.append(args)
+            return real_book(*args)
+
+        def counting_idle(period_index, *args):
             made.append(period_index)
-            return real(period_index, *args)
+            return real_idle(period_index, *args)
 
-        monkeypatch.setattr(engine, "_idle_period", counting)
+        monkeypatch.setattr(engine, "_harvest_book", counting_book)
+        monkeypatch.setattr(engine, "_idle_period", counting_idle)
         runs = [run_horizon(rep, make_policy(p)) for p in self.POLICIES]
-        # the periods are made once, for the first policy, and every later
-        # run returns those very results
+        # the periods are read from one bookkeeping pass over the horizon and
+        # made once, for the first policy, and every later run returns those
+        # very results
+        assert len(books) == 1 and books[0][1] is rep.harvest
         assert made == list(range(self.CFG.horizon_periods))
         for results in runs[1:]:
             assert all(a is b for a, b in zip(results, runs[0], strict=True))
@@ -547,7 +560,8 @@ class TestIdleRecord:
     def test_an_untraced_run_walks_no_slot_and_resets_no_policy(self, monkeypatch):
         rep = self.draw()
         calls = []
-        monkeypatch.setattr(engine, "_period_start", lambda *a: calls.append("start"))
+        # a slot walk looks up the entry of its ON set in the record's tables
+        monkeypatch.setattr(pricing.OnSetTable, "__getitem__", lambda *a: calls.append("entry"))
         monkeypatch.setattr(RoaPolicy, "reset", lambda *a: calls.append("reset"))
         monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append("rng"))
         results = run_horizon(rep, RoaPolicy())
@@ -565,6 +579,45 @@ class TestIdleRecord:
         fresh = []
         run_horizon(self.draw(), make_policy("doa"), trace_rows=fresh)
         assert rows == fresh
+
+
+ZERO_SIGNS = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.7, 1.0, 3.0])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(periods=st.integers(1, 3), n_steps=st.integers(1, 5), n_sbs=st.integers(0, 10),
+       cap=st.sampled_from([0.0, 1.0, 2.5, 100.0]), data=st.data())
+def test_a_horizons_bookkeeping_is_its_periods_alone(periods, n_steps, n_sbs, cap, data):
+    # one pass over the horizon has the bits of each period's own, begun
+    # where the period before left the cells that stay OFF: a running sum
+    # clamped at the capacity, also where it crosses a period boundary, and
+    # arrivals of -0.0, whose column sums to +0.0
+    grids = st.lists(st.lists(ZERO_SIGNS, min_size=n_sbs, max_size=n_sbs),
+                     min_size=n_steps, max_size=n_steps)
+    harvest = tuple(np.array(data.draw(grids), dtype=float).reshape(n_steps, n_sbs)
+                    for _ in range(periods))
+    stored = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5 * cap, cap]),
+                                         min_size=n_sbs, max_size=n_sbs)), dtype=float)
+    cells = sorted(data.draw(st.sets(st.integers(0, n_sbs - 1)))) if n_sbs else []
+    book = engine._harvest_book(stored, harvest, cells, cap)
+    start = stored
+    for p, trace in enumerate(harvest):
+        totals = np.cumsum(trace, axis=0)[-1] + 0.0
+        idle = np.minimum(np.cumsum(np.vstack((start, trace)), axis=0), cap)
+        assert book.harvested[p].tobytes() == totals.tobytes()
+        assert repr(book.sums[p]) == repr(float(totals.sum()))
+        assert book.idle_stored[p * n_steps:(p + 1) * n_steps + 1].tobytes() == idle.tobytes()
+        start = idle[-1]
+    arrivals = np.concatenate(harvest)[:, cells].T
+    assert np.array(book.arrivals, dtype=float).reshape(arrivals.shape).tobytes() == \
+        arrivals.tobytes()
+    assert not (book.harvested.flags.writeable or book.idle_stored.flags.writeable)
+
+
+def test_a_negative_arrival_in_any_period_is_rejected():
+    harvest = (np.zeros((2, 2)), np.array([[0.0, 0.0], [0.0, -0.25]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        engine._harvest_book(np.zeros(2), harvest, [1], 1.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -8,11 +8,14 @@ exceeds K, and adaptive observes every ON cell's live rent in every slot,
 where the engine observes only when the slot starts on a new table entry.
 The property test requires every `PeriodResult` field, the energy state and
 every trace row of the current engine to be exactly equal to it, traced and
-untraced: an untraced run finishes a period in closed form once every served
-cell of a scheduled policy is OFF, and the test asserts that its examples
-reach that tail.
+untraced, and on a record of the example's periods, which reads the
+bookkeeping of its whole horizon. An untraced scheduled run steps each served
+cell from one event to the next, and finishes a period in closed form once
+every served cell is OFF; the test asserts that its examples reach every way
+a span can end, and that tail.
 """
 import math
+from bisect import bisect_left
 from dataclasses import fields
 
 import numpy as np
@@ -210,9 +213,45 @@ POLICIES = st.sampled_from(["doa", "roa", "adaptive", "fixed", "threshold"]).fla
 
 # the ways an untraced run can finish a period in closed form (see
 # `tail_kinds`), each reached by some example; and the least share of the
-# examples, explicit and generated, that reach it at all (74 of 91 do)
+# examples, explicit and generated, that reach it at all (57 of 92 do)
 TAIL_KINDS = {"slot 0", "last slot", "clamp", "epoch", "forced OFF", "adaptive"}
 TAIL_SHARE = 0.5
+
+
+# the ways a span of an untraced scheduled run ends early or crosses a
+# boundary (see `span_kinds`), and the storage edges that the record's
+# bookkeeping of the whole horizon must keep: an OFF cell clamped at the
+# capacity after the period boundary, and arrivals of -0.0
+SPAN_KINDS = {"dry past the event", "dry at the span's end", "epoch", "clamp across periods",
+              "-0.0"}
+
+
+def span_kinds(spec, cfg, ref, ref_rows, off_times):
+    """How the spans of an untraced engine run of this period end, read from
+    the reference's trace: a span of a scheduled policy runs from an event
+    slot to the next epoch change or scheduled OFF slot, unless a cell runs
+    dry first, and one with no ON cell left runs to the period end."""
+    used = np.flatnonzero(ref.used)
+    if spec.startswith(("threshold", "adaptive")) or not used.size:
+        return set()
+    grid, epoch_at = cfg.slot_grid
+    shape = (cfg.n_steps, cfg.n_sbs)
+    sigma = np.array([row[2] for row in ref_rows]).reshape(shape)[:, used]
+    ends = sorted({*epoch_at, cfg.n_steps, *(bisect_left(grid, off_times[i + 1]) for i in used)})
+    dry = {grid.index(t) for t in ref.depleted_at[used] if not math.isnan(t)}
+    kinds, k = set(), 0
+    while k < cfg.n_steps and sigma[k].any():
+        end = next(e for e in ends if e > k)
+        cut = min((d for d in dry if k < d < end), default=None)
+        if cut is not None:
+            kinds.add("dry past the event" if cut == k + 1 else
+                      "dry at the span's end" if cut == end - 1 else "dry")
+            k = cut
+        else:
+            if end in epoch_at:
+                kinds.add("epoch")
+            k = end
+    return kinds
 
 
 def tail_kinds(spec, cfg, ref, ref_rows):
@@ -247,39 +286,43 @@ def tail_kinds(spec, cfg, ref, ref_rows):
 # dry in the second period (a delay sum over 8 or more cells, which a
 # sequential sum would not reproduce); roa cells going dry under a schedule;
 # threshold cells switching back ON; adaptive cells going dry, then buying
-@example(16, 80, 2000.0, 11, "fixed:10.0", "live", False, 100.0, 20.0, 0.05, False)
-@example(8, 80, 2000.0, 0, "roa", "live", True, 8.0, 2.0, 0.3, False)
-@example(8, 80, 2000.0, 0, "doa", "frozen", False, 8.0, 2.0, 0.3, False)
-@example(6, 80, 1000.0, 0, "threshold:50.0", "frozen", True, 55.0, 10.0, 0.05, False)
-@example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.3, False)
-@example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.05, False)
+@example(16, 80, 2000.0, 11, "fixed:10.0", "live", False, 100.0, 20.0, 0.05, False, False)
+@example(8, 80, 2000.0, 0, "roa", "live", True, 8.0, 2.0, 0.3, False, False)
+@example(8, 80, 2000.0, 0, "doa", "frozen", False, 8.0, 2.0, 0.3, False, False)
+@example(6, 80, 1000.0, 0, "threshold:50.0", "frozen", True, 55.0, 10.0, 0.05, False, False)
+@example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.3, False, False)
+@example(6, 80, 1000.0, 5, "adaptive", "live", True, 20.0, 2.0, 0.05, False, False)
 # the edges of a scheduled OFF slot: an OFF time of 0, one equal to a slot
 # start (grid[3] is 0.30000000000000004) and one just below it, and a zero buy
 # price, whose DOA and ROA OFF time is 0; a threshold that keeps every cell ON
 # while it stores anything, and one that switches every cell OFF
-@example(8, 80, 2000.0, 0, "fixed:0.0", "live", False, 20.0, 20.0, 0.05, False)
+@example(8, 80, 2000.0, 0, "fixed:0.0", "live", False, 20.0, 20.0, 0.05, False, False)
 @example(8, 80, 2000.0, 0, "fixed:0.30000000000000004", "frozen", True, 20.0, 20.0, 0.05,
-         False)
-@example(8, 80, 2000.0, 0, "fixed:0.3", "live", False, 20.0, 20.0, 0.05, False)
-@example(8, 80, 2000.0, 0, "threshold:0.0", "live", True, 0.0, 2.0, 0.05, False)
-@example(8, 80, 2000.0, 0, "threshold:100.0", "frozen", False, 100.0, 20.0, 0.05, False)
-@example(8, 80, 2000.0, 0, "doa", "live", False, 20.0, 2.0, 0.0, False)
-@example(8, 80, 2000.0, 0, "roa", "frozen", True, 20.0, 2.0, 0.0, False)
+         False, False)
+@example(8, 80, 2000.0, 0, "fixed:0.3", "live", False, 20.0, 20.0, 0.05, False, False)
+@example(8, 80, 2000.0, 0, "threshold:0.0", "live", True, 0.0, 2.0, 0.05, False, False)
+@example(8, 80, 2000.0, 0, "threshold:100.0", "frozen", False, 100.0, 20.0, 0.05, False, False)
+@example(8, 80, 2000.0, 0, "doa", "live", False, 20.0, 2.0, 0.0, False, False)
+@example(8, 80, 2000.0, 0, "roa", "frozen", True, 20.0, 2.0, 0.0, False, False)
 # adaptive cells whose falling rent moves their OFF slots, as neighbours go
 # OFF or dry: the engine must move the slot, skip the stale one, and observe
 # again at the start of the slot after one that changed the ON set
-@example(5, 30, 2000.0, 391769539, "adaptive", "frozen", False, 99.8, 9.8, 0.05, True)
-@example(7, 30, 1000.0, 2371834560, "adaptive", "live", False, 82.0, 12.7, 0.05, True)
+@example(5, 30, 2000.0, 391769539, "adaptive", "frozen", False, 99.8, 9.8, 0.05, True, False)
+@example(7, 30, 1000.0, 2371834560, "adaptive", "live", False, 82.0, 12.7, 0.05, True, False)
 # an untraced run finishing a period in closed form once every served cell
 # is OFF: from slot 0, from the last slot (no arrivals left), with storage
 # clamped at the capacity in the tail, with transmit-power epochs in the tail,
 # after a forced OFF, and under adaptive with a falling rent
-@example(8, 80, 2000.0, 1, "fixed:0.0", "frozen", True, 50.0, 10.0, 0.05, False)
-@example(6, 80, 1000.0, 3, "fixed:9.9", "live", False, 100.0, 20.0, 0.05, False)
-@example(6, 80, 1000.0, 3, "fixed:0.5", "live", False, 99.9, 20.0, 0.05, False)
-@example(6, 80, 1000.0, 3, "fixed:2.0", "live", True, 60.0, 10.0, 0.05, False)
-@example(6, 80, 1000.0, 3, "fixed:10.0", "live", False, 8.0, 1.0, 0.05, False)
-@example(6, 80, 1000.0, 3, "adaptive", "frozen", True, 90.0, 20.0, 0.05, True)
+@example(8, 80, 2000.0, 1, "fixed:0.0", "frozen", True, 50.0, 10.0, 0.05, False, False)
+@example(6, 80, 1000.0, 3, "fixed:9.9", "live", False, 100.0, 20.0, 0.05, False, False)
+@example(6, 80, 1000.0, 3, "fixed:0.5", "live", False, 99.9, 20.0, 0.05, False, False)
+@example(6, 80, 1000.0, 3, "fixed:2.0", "live", True, 60.0, 10.0, 0.05, False, False)
+@example(6, 80, 1000.0, 3, "fixed:10.0", "live", False, 8.0, 1.0, 0.05, False, False)
+@example(6, 80, 1000.0, 3, "adaptive", "frozen", True, 90.0, 20.0, 0.05, True, False)
+# found by direct search: spans cut by a cell running dry at the first slot
+# past their event and at their last slot, and spans ended by an epoch
+# change, with every zero arrival -0.0
+@example(12, 80, 2000.0, 0, "fixed:10.0", "live", True, 40.0, 10.0, 0.05, False, True)
 @given(
     n_sbs=st.integers(2, 16),
     n_ue=st.sampled_from([30, 80]),
@@ -292,10 +335,11 @@ def tail_kinds(spec, cfg, ref, ref_rows):
     harvest_rate=st.floats(0.0, 20.0),
     alpha_b=st.sampled_from([0.0, 0.05, 0.3]),
     falling_rent=st.booleans(),
+    negative_zero=st.booleans(),
 )
 def check_slot_loop(
         seen, n_sbs, n_ue, side, seed, spec, price_mode, scheduled, e0, harvest_rate,
-        alpha_b, falling_rent):
+        alpha_b, falling_rent, negative_zero):
     cfg = ScenarioConfig(
         n_sbs=n_sbs, n_ue=n_ue, area=(side, side), seed=seed,
         price_mode=price_mode, initial_energy=e0, harvest_rate=harvest_rate,
@@ -304,30 +348,44 @@ def check_slot_loop(
     )
     rng = np.random.default_rng(seed)
     topo = build_topology(cfg, rng)
+    traces = tuple(cfg.harvest_quantum * rng.poisson(
+        harvest_rate * cfg.dt, size=(cfg.n_steps, n_sbs)) for _ in range(2))
+    if negative_zero:  # every zero arrival is -0.0
+        traces = tuple(np.where(trace == 0.0, -0.0, trace) for trace in traces)
+    record = Replication(cfg, topo, tuple(epoch_tables(cfg, topo)), traces,
+                         np.random.SeedSequence(seed))
     # the engine traced, the engine untraced (which may finish in closed
-    # form), and the reference
-    states = [EnergyState.fresh(n_sbs, e0, cfg.capacity) for _ in range(3)]
-    policies = [make_policy(spec) for _ in range(3)]
-    rngs = [[np.random.default_rng([seed, j]) for j in range(n_sbs)] for _ in range(3)]
+    # form), the engine untraced on the record, and the reference
+    states = [EnergyState.fresh(n_sbs, e0, cfg.capacity) for _ in range(4)]
+    policies = [make_policy(spec) for _ in range(4)]
+    rngs = [[np.random.default_rng([seed, j]) for j in range(n_sbs)] for _ in range(4)]
     kinds = set()
-    for period in range(2):
-        trace = cfg.harvest_quantum * rng.poisson(
-            harvest_rate * cfg.dt, size=(cfg.n_steps, n_sbs))
+    idle = np.flatnonzero(~record.plan.used)
+    for period, trace in enumerate(traces):
         rows, ref_rows = [], []
         res, _ = run_period(cfg, topo, states[0], policies[0], rngs[0], trace,
                             period, rows)
         untraced, _ = run_period(cfg, topo, states[1], policies[1], rngs[1], trace, period)
-        ref, _ = reference_run_period(cfg, topo, states[2], policies[2], rngs[2],
+        recorded, _ = run_period(cfg, topo, states[2], policies[2], rngs[2], trace, period,
+                                 record=record)
+        before = states[3].stored[idle].copy()
+        ref, _ = reference_run_period(cfg, topo, states[3], policies[3], rngs[3],
                                       trace, period, ref_rows)
-        for out, state in ((res, states[0]), (untraced, states[1])):
+        for out, state in ((res, states[0]), (untraced, states[1]), (recorded, states[2])):
             assert_identical(out, ref)
-            assert np.array_equal(state.stored, states[2].stored)
+            assert np.array_equal(state.stored, states[3].stored)
             assert [math.copysign(1.0, x) for x in state.stored] == \
-                [math.copysign(1.0, x) for x in states[2].stored]
+                [math.copysign(1.0, x) for x in states[3].stored]
+            assert out.to_dict() == ref.to_dict()
         assert rows == ref_rows
         assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in ref_rows]
         assert math.isfinite(res.total_cost)
         kinds |= tail_kinds(spec, cfg, ref, ref_rows)
+        kinds |= span_kinds(spec, cfg, ref, ref_rows, getattr(policies[3], "off_times", {}))
+        if period and np.any((before < cfg.capacity) & (states[3].stored[idle] == cfg.capacity)):
+            kinds.add("clamp across periods")
+        if np.any((trace == 0.0) & np.signbit(trace)):
+            kinds.add("-0.0")
     seen.append(kinds)
 
 
@@ -335,9 +393,10 @@ def test_slot_loop_matches_reference_exactly():
     seen = []
     check_slot_loop(seen)
     # the closed-form tail is reached in every way the examples name, and in
-    # a share of the examples that cannot silently fall to none
-    assert set().union(*seen) >= TAIL_KINDS
-    assert sum(bool(kinds) for kinds in seen) >= TAIL_SHARE * len(seen)
+    # a share of the examples that cannot silently fall to none; so is every
+    # way a span can end early or cross a boundary
+    assert set().union(*seen) >= TAIL_KINDS | SPAN_KINDS
+    assert sum("tail" in kinds for kinds in seen) >= TAIL_SHARE * len(seen)
 
 
 @pytest.mark.parametrize("traced", [False, True])
