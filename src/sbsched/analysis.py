@@ -21,7 +21,7 @@ from .energy import harvest_trace
 # build_topology is not called here: a chunk's topologies are placed by
 # build_topologies. bench/test_bench.py checks that the tracer wraps it here.
 from .engine import (  # noqa: F401
-    ScenarioConfig, SeedStack, build_topologies, build_topology,
+    MAX_SLOT_CELLS, ScenarioConfig, SeedStack, build_topologies, build_topology,
 )
 from .schedulers import RoaPolicy
 
@@ -141,7 +141,7 @@ def empirical_cr_study(
     if cfg.sbs_tx_schedule:
         raise ValueError("the ratio study prices one epoch; sbs_tx_schedule must be empty")
     study_cfg = replace(cfg, horizon_periods=1)
-    size = chunk_size(cfg)
+    size = chunk_size(study_cfg)
     ratios: list[float] = []
     attempts = 0
     while len(ratios) < n_runs:
@@ -164,8 +164,13 @@ def empirical_cr_study(
 
 def chunk_size(cfg: ScenarioConfig) -> int:
     """The most records or attempts of `cfg` stacked in one pass: `CHUNK`,
-    and no more than `network.STACK_LINKS` UE-BS links, but at least one."""
-    return min(CHUNK, max(1, network.STACK_LINKS // (cfg.n_ue * (cfg.n_sbs + 1))))
+    and no more than `network.STACK_LINKS` UE-BS links nor
+    `engine.MAX_SLOT_CELLS` slot-cells (n_steps * horizon_periods *
+    max(n_sbs, 1) a record), but at least one. A chunk holds its records'
+    arrivals at once, so it holds no more than one record at the cap."""
+    cells = cfg.n_steps * cfg.horizon_periods * max(cfg.n_sbs, 1)
+    return min(CHUNK, max(1, min(network.STACK_LINKS // (cfg.n_ue * (cfg.n_sbs + 1)),
+                                 MAX_SLOT_CELLS // cells)))
 
 
 def _study_chunk(cfg: ScenarioConfig, attempts: Sequence[int], budget: int) -> list[float]:

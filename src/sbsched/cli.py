@@ -19,14 +19,14 @@ import json
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analysis, network, oracle, pricing
 from .engine import (
-    MAX_SLOT_CELLS, CostOverflowError, Replication, ScenarioConfig, run_horizon,
+    MAX_SLOT_CELLS, CostOverflowError, Replication, ScenarioConfig, SeedStack, run_horizon,
 )
 from .network import dbm_to_watts
 from .schedulers import ThresholdPolicy, make_policy
@@ -391,6 +391,34 @@ def mean_and_ci(totals: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
             for mean, std, k in zip(means, stds, e)]
 
 
+def _sweep_records(spec: ExperimentSpec,
+                   axis: list[tuple[str, object, ScenarioConfig]]) -> Iterator[Replication]:
+    """The records of a sweep in (value, replication) order, record `rep` of
+    value `v` from the seed `[master, v, rep]`, each made when the iterator
+    reaches it.
+
+    Seeds are hashed in passes of at most `analysis.CHUNK` records, across
+    sweep values (`SeedStack`). A pass's records of one value are drawn in
+    chunks of at most `analysis.chunk_size` (`Replication.draw_chunk`); a
+    chunk whose stacked draw raises is drawn again one record at a time
+    (`Replication.draw`), so the failure raised is the first in order, after
+    the records before it have run."""
+    n, total = spec.n_replications, len(axis) * spec.n_replications
+    for start in range(0, total, analysis.CHUNK):  # record k is (v, rep) = divmod(k, n)
+        stop = min(start + analysis.CHUNK, total)
+        seeds = SeedStack(spec.master_seed, [divmod(k, n) for k in range(start, stop)])
+        for v in range(start // n, (stop - 1) // n + 1):
+            cfg, size = axis[v][2], analysis.chunk_size(axis[v][2])
+            lo, hi = max(start, v * n) - start, min(stop, (v + 1) * n) - start
+            for first in range(lo, hi, size):
+                chunk = range(first, min(first + size, hi))
+                try:
+                    records = Replication.draw_chunk(cfg, seeds, chunk)
+                except Exception:  # again one record at a time: the first failure raises
+                    records = (Replication.draw(cfg, seeds.seed(k)) for k in chunk)
+                yield from records
+
+
 def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -> int:
     results_path = os.path.join(out_dir, "results.csv")
     summary_path = os.path.join(out_dir, "summary.json")
@@ -405,30 +433,25 @@ def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -
     with open(results_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_COLUMNS)
-        for sweep_idx, (param, value, cfg) in enumerate(_sweep_axis(spec)):
+        axis = _sweep_axis(spec)
+        records = _sweep_records(spec, axis)
+        for sweep_idx, (param, value, cfg) in enumerate(axis):
             # every policy runs on each replication's one record; rows and
             # totals are buffered per policy, and written per sweep value, to
             # keep (value, policy, replication) order
             runs = [(p, [], []) for p in spec.policies]
-            size = analysis.chunk_size(cfg)
-            for first_rep in range(0, spec.n_replications, size):
-                chunk = range(first_rep, min(first_rep + size, spec.n_replications))
-                lead = [spec.master_seed, sweep_idx]
-                try:
-                    records = Replication.draw_chunk(cfg, lead, chunk)
-                except Exception:  # again one record at a time: the first failure raises
-                    records = (Replication.draw(cfg, [*lead, rep]) for rep in chunk)
-                for rep, record in zip(chunk, records):
-                    if topo_json is None:
-                        topo_json = network.topology_to_json(record.topo)
-                    for k, (policy, out, totals) in enumerate(runs):
-                        first = sweep_idx == rep == k == 0
-                        periods = [res.to_dict() for res in run_horizon(
-                            record, make_policy(policy),
-                            trace_rows=trace_rows if first else None)]
-                        out += [[param, value, policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
-                                for d in periods]
-                        totals.append(replication_total(periods, rep))
+            # zip takes the value's records, and no more, from the one iterator
+            for rep, record in zip(range(spec.n_replications), records):
+                if topo_json is None:
+                    topo_json = network.topology_to_json(record.topo)
+                for k, (policy, out, totals) in enumerate(runs):
+                    first = sweep_idx == rep == k == 0
+                    periods = [res.to_dict() for res in run_horizon(
+                        record, make_policy(policy),
+                        trace_rows=trace_rows if first else None)]
+                    out += [[param, value, policy, rep] + [d[c] for c in RESULTS_COLUMNS[4:]]
+                            for d in periods]
+                    totals.append(replication_total(periods, rep))
             stats = mean_and_ci([totals for _, _, totals in runs])
             for (policy, out, totals), (mean, ci) in zip(runs, stats):
                 writer.writerows(out)

@@ -44,23 +44,21 @@ the period end. Once every served cell is parked, nothing can change and the
 all-OFF ON set's `on_delay` is 0, so one span runs to the period end.
 
 A run is a `Replication` record and a `Policy`: `run_horizon(rep, policy)`
-reads its scenario, topology, tables and harvest from the record. Records are
-drawn in chunks (`Replication.draw_chunk`): one seed hash (over the streams
-of `STREAMS`), one placement, one copy of it per transmit-power epoch, and
-one all-ON association and pricing pass per chunk, whose rows become each
-record's topologies (`network.Topology.take`), all-ON entry and tags;
-`Replication.draw` is a chunk of one, and `build_topology` is row 0 of a
-placement of one. The slot grid and its epochs are computed once per
-scenario (`ScenarioConfig.slot_grid`).
-What no policy can change is computed from the record once, on first use, and
-shared by every policy run on it: the served cells, and the bookkeeping of
-the harvest over the whole horizon (`_harvest_book`): the arrival totals of
-each period and their sums, from one `cumsum`; the storage of the cells that
-stay OFF, from one clamped running sum across the period boundaries; and the
-served cells' arrivals as floats, cell-major. A record-less `run_period`
-does the same bookkeeping for its one period. A run then pays for its served
-cells' spans, and seeds a generator for each served cell only, and only for a
-policy that `draws`; the policies' seed itself is built on first use.
+reads its scenario, topology, tables and harvest from the record. A drawn
+record is a row view of its chunk (`Replication.draw_chunk`), whose shared
+work is done once, in stacked passes, and only when a run needs it: one seed
+hash per `SeedStack`, which a sweep fills with up to `analysis.CHUNK`
+records across sweep values; per chunk of one value's rows, one placement,
+its copy per transmit-power epoch and one all-ON association and pricing
+pass, and, on first use, each record's arrivals from its own harvest child,
+booked in one pass (`_harvest_book`: the period totals from one `cumsum`,
+the OFF cells' storage from one clamped running sum, each with the bits of
+a record booked alone). A record's topologies, tables and served cells'
+arrivals are made from its rows on its first use; a record with no served
+cell makes none untraced, and shares its scenario's idle plan. A record
+built from its fields, and a record-less `run_period`, are stacks of one.
+A policy that `draws` gets a generator per served cell, from words its
+chunk hashes once.
 
 A record with no served cell gives the same periods under every policy.
 Untraced, such a period is read from the bookkeeping alone (`_idle_period`),
@@ -84,7 +82,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -206,6 +204,12 @@ class ScenarioConfig:
         epoch_at = {k: e for k, e in enumerate(slot_epoch) if k == 0 or e != slot_epoch[k - 1]}
         return tuple(grid), epoch_at
 
+    @cached_property
+    def _idle_plan(self) -> "_PeriodPlan":
+        """The plan of every record of the scenario with no served cell: made
+        once, read-only, and shared."""
+        return _period_plan(self, ())
+
     @property
     def weights(self) -> CostWeights:
         return CostWeights(self.alpha_d, self.alpha_p, self.alpha_b)
@@ -298,11 +302,11 @@ def epoch_tables(cfg: ScenarioConfig, topo: Topology) -> list[pricing.OnSetTable
 
 
 class _PeriodPlan(NamedTuple):
-    """What every period of one topology shares, whatever the policy."""
+    """What every period of one record shares, whatever the policy."""
 
     grid: tuple[float, ...]  # slot start times, the scenario's `slot_grid`
     epoch_at: dict[int, int]  # the epoch changes, the scenario's `slot_grid`
-    tags: tuple[pricing.PriceTag, ...]  # the served cells', from slot 0's table
+    tags: tuple[pricing.PriceTag, ...]  # the served cells', frozen at slot 0's epoch
     ids: list[int]  # the served SBSs
     cells: list[int]  # and their 0-based indices
     buy: np.ndarray  # (n_sbs,) the tags' buy prices, 0 elsewhere, read-only
@@ -316,21 +320,21 @@ def _per_sbs(n_sbs: int, cells: list[int], values: list, dtype=float) -> np.ndar
     return out
 
 
-def _period_plan(cfg: ScenarioConfig, tables: Sequence[pricing.OnSetTable]) -> _PeriodPlan:
+def _period_plan(cfg: ScenarioConfig, tags: Sequence[pricing.PriceTag]) -> _PeriodPlan:
+    """The plan of a record whose served cells have the price tags `tags`."""
     grid, epoch_at = cfg.slot_grid
-    tags = tables[epoch_at[0]].tags
     ids = [tag.sbs for tag in tags]
     cells = [j - 1 for j in ids]
-    n_sbs = tables[0].topo.n_sbs
-    buy = _per_sbs(n_sbs, cells, [tag.buy for tag in tags])
-    used = _per_sbs(n_sbs, cells, [True] * len(cells), bool)
+    buy = _per_sbs(cfg.n_sbs, cells, [tag.buy for tag in tags])
+    used = _per_sbs(cfg.n_sbs, cells, [True] * len(cells), bool)
     buy.flags.writeable = used.flags.writeable = False
-    return _PeriodPlan(grid, epoch_at, tags, ids, cells, buy, used)
+    return _PeriodPlan(grid, epoch_at, tuple(tags), ids, cells, buy, used)
 
 
 class _Harvest(NamedTuple):
-    """What the harvest of consecutive periods fixes, whatever the policy;
-    its slots are those of the periods in turn."""
+    """What the harvest of one record's consecutive periods fixes, whatever
+    the policy: a row of its chunk's bookkeeping (`_Book.row`). Its slots
+    are those of the periods in turn."""
 
     harvested: np.ndarray  # (periods, n_sbs) arrival totals, read-only
     sums: list[float]  # each period's arrival totals summed over its cells
@@ -339,26 +343,50 @@ class _Harvest(NamedTuple):
     arrivals: list[list[float]]  # per served cell, its arrivals in every slot
 
 
-def _harvest_book(stored: np.ndarray, harvest: Sequence[np.ndarray], cells: list[int],
-                  cap: float) -> _Harvest:
-    """The bookkeeping of the (n_steps, n_sbs) arrivals of the periods of
-    `harvest`, from `stored` at the first one's start.
+class _Book(NamedTuple):
+    """The bookkeeping of a stack of records' arrivals (`_harvest_book`),
+    each array with the stack on its leading axis and read-only."""
 
-    An OFF cell's storage is the running sum of its arrivals clamped at the
-    capacity: exact across period boundaries too, since once clamped, harvest
-    >= 0 keeps it there. Only the columns of cells that stay OFF are read from
-    `idle_stored`; the served cells' arrivals are kept as floats, cell-major."""
-    arrivals = harvest[0] if len(harvest) == 1 else np.concatenate(harvest)
+    arrivals: np.ndarray  # (records, slots, n_sbs)
+    harvested: np.ndarray  # (records, periods, n_sbs) arrival totals
+    sums: list[list[float]]  # per record, each period's totals summed
+    idle_stored: np.ndarray  # (records, slots + 1, n_sbs)
+
+    def row(self, k: int, cells: list[int]) -> _Harvest:
+        """Record k's bookkeeping, with the arrivals of its served `cells`
+        as floats, cell-major."""
+        return _Harvest(self.harvested[k], self.sums[k], self.idle_stored[k],
+                        self.arrivals[k][:, cells].T.tolist())
+
+
+def _harvest_book(stored: np.ndarray, arrivals: np.ndarray, periods: int,
+                  cap: float) -> _Book:
+    """The bookkeeping of a stack of records' (records, slots, n_sbs)
+    arrivals over `periods` periods of equal length, each record from
+    `stored` (n_sbs,) at its first period's start, in one pass over the
+    stack; `arrivals` is made read-only.
+
+    The totals come from one `cumsum` over each period's slots, their sums
+    over each row's contiguous cells, and an OFF cell's storage from one
+    running sum over the slots, clamped at the capacity: exact across period
+    boundaries too, since once clamped, harvest >= 0 keeps it there. Each
+    has the bits of a record booked alone."""
     if np.any(arrivals < 0):
         raise ValueError("energy quantities must be non-negative")
+    n, slots, n_sbs = arrivals.shape
+    idle_stored = np.empty((n, slots + 1, n_sbs))  # first the totals' cumsum, in place
+    shape = (n, periods, slots // periods, n_sbs)
+    sums = np.cumsum(arrivals.reshape(shape), axis=2, out=idle_stored[:, 1:].reshape(shape))
     # + 0.0 turns a column of -0.0 arrivals, which passes the check, into +0.0
-    harvested = np.cumsum(arrivals.reshape(len(harvest), len(harvest[0]), -1),
-                          axis=1)[:, -1] + 0.0
-    idle_stored = np.minimum(np.cumsum(np.vstack((stored, arrivals)), axis=0), cap)
-    harvested.flags.writeable = idle_stored.flags.writeable = False
+    harvested = sums[:, :, -1] + 0.0
+    idle_stored[:, 0] = stored
+    idle_stored[:, 1:] = arrivals
+    np.cumsum(idle_stored, axis=1, out=idle_stored)
+    np.minimum(idle_stored, cap, out=idle_stored)
+    for value in (arrivals, harvested, idle_stored):
+        value.flags.writeable = False
     # each row summed over the contiguous last axis, with the bits of its sum alone
-    return _Harvest(harvested, harvested.sum(axis=1).tolist(), idle_stored,
-                    arrivals[:, cells].T.tolist())
+    return _Book(arrivals, harvested, harvested.sum(axis=2).tolist(), idle_stored)
 
 
 @lru_cache(maxsize=None)
@@ -372,21 +400,18 @@ def _idle_arrays(n_sbs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return arrays
 
 
-def _idle_period(period_index: int, plan: _PeriodPlan, energy: EnergyState,
-                 book: _Harvest, p: int) -> PeriodResult:
+def _idle_period(period_index: int, plan: _PeriodPlan, book: _Harvest, p: int) -> PeriodResult:
     """An untraced period with no served cell, the p-th of `book`: every cell
-    stays OFF and costs nothing, and `energy` ends at the clamped total of its
-    arrivals. Every array is read-only, and the row is set here, without
+    stays OFF and costs nothing, and its storage ends at the clamped total of
+    its arrivals. Every array is read-only, and the row is set here, without
     `_row`'s reductions."""
-    harvested = book.harvested[p]
-    energy.stored[:] = book.idle_stored[(p + 1) * len(plan.grid)]
     n_sbs = len(plan.used)
     zero, no_buy, no_switch, never = _idle_arrays(n_sbs)
     unused = 1.0 if n_sbs else 0.0
     result = PeriodResult(
         period_index=period_index, rent_cost=zero, buy_price=plan.buy, buy_charged=no_buy,
         on_time=zero, depleted_at=never, switch_count=no_switch, energy_consumed=zero,
-        energy_harvested=harvested, used=plan.used, total_cost=0.0, delay_per_sbs=0.0,
+        energy_harvested=book.harvested[p], used=plan.used, total_cost=0.0, delay_per_sbs=0.0,
         unused_fraction=unused,
     )
     result.__dict__["_row"] = {  # primes `_row`'s cache
@@ -423,22 +448,29 @@ def run_period(
     earlier periods as `run_horizon` chains them: the tables, the served
     cells and the bookkeeping of the harvest are then read from the record,
     which computes them once for all the policies run on it. Without one,
-    they are computed here, for this call. With no served cell and no
-    `trace_rows`, the period is `_idle_period`'s, and the policy is not reset.
+    they are computed here, for this call, the bookkeeping as a stack of
+    one. With no served cell and no `trace_rows`, the period is
+    `_idle_period`'s, read from the bookkeeping alone: the policy is not
+    reset, and a record's tables are not built.
     """
-    n_bs, n_sbs, n_steps, dt = topo.n_bs, topo.n_sbs, cfg.n_steps, cfg.dt
+    n_steps, dt = cfg.n_steps, cfg.dt
     cap = energy.capacity
     if record is None:
         tables = epoch_tables(cfg, topo)
-        plan = _period_plan(cfg, tables)
-        book, p_book = _harvest_book(energy.stored, (trace,), plan.cells, cap), 0
+        plan = _period_plan(cfg, tables[cfg.slot_grid[1][0]].tags)
+        book = _harvest_book(energy.stored, trace[None], 1, cap).row(0, plan.cells)
+        p_book = 0
     else:
         if (cfg is not record.cfg or topo is not record.topo
                 or trace is not record.harvest[period_index]):
             raise ValueError("cfg, topo and trace must be the record's")
-        tables, plan, book, p_book = record.tables, record.plan, record.book, period_index
+        plan, book, p_book = record.plan, record.book, period_index
     if not plan.cells and trace_rows is None:
-        return _idle_period(period_index, plan, energy, book, p_book), energy
+        energy.stored[:] = book.idle_stored[(p_book + 1) * n_steps]
+        return _idle_period(period_index, plan, book, p_book), energy
+    if record is not None:
+        tables = record.tables
+    n_bs, n_sbs = topo.n_bs, topo.n_sbs
     grid, epoch_at, tags, ids, cells, buy_prices, used = plan
     table = tables[epoch_at[0]]
     policy.reset(tags, cfg.period, policy_rngs)
@@ -702,30 +734,38 @@ _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 class SeedStack:
-    """The seed streams (`STREAMS`) of a chunk: for each attempt a of
-    `attempts`, the PCG64 states that `default_rng` seeds from the children
-    of `SeedSequence([*lead, a])`, hashed in one pass, and one generator that
-    `rng` sets to a child's state just before that stream's draws. `lead`
-    is the entropy's leading int or ints: the study's seed, or a sweep's
-    master seed and value index."""
+    """The seed streams (`STREAMS`) of a pass of rows: for each row a of
+    `attempts` (an int or a sequence of ints), the PCG64 states that
+    `default_rng` seeds from the children of `SeedSequence([*lead, *a])`,
+    hashed in one pass, and one generator that `rng` sets to a child's
+    state just before that stream's draws. A study's rows are attempts
+    after its seed; a sweep's are (value index, replication) pairs after its
+    master seed, so one pass spans sweep values."""
 
-    def __init__(self, lead: int | Sequence[int], attempts: Sequence[int]) -> None:
+    def __init__(self, lead: int | Sequence[int], attempts: Sequence) -> None:
+        self.lead = lead
         self.attempts = attempts
-        self._words: list[list[list[int]]] = [[] for _ in attempts]
-        groups: dict[int, list] = {}  # entropy of one word count is hashed together
         lead_words = _seed_words(lead)
-        for i, a in enumerate(attempts):
-            run = lead_words + _words(a)
-            run += [0] * (4 - len(run))  # a spawned child pads its entropy to the pool
-            groups.setdefault(len(run), []).append((i, run))
-        for rows in groups.values():
-            entropy = np.array([run for _, run in rows], dtype=np.uint32)
-            for (i, _), words in zip(rows, _pcg64_words(entropy, len(STREAMS))):
+        # the rows' entropy, padded as a spawned child pads it, hashed per word count
+        runs = [_pad(lead_words + _seed_words(a)) for a in attempts]
+        self._groups: dict[int, list[int]] = {}
+        for i, run in enumerate(runs):
+            self._groups.setdefault(len(run), []).append(i)
+        self._pools = np.empty((len(runs), len(STREAMS), 4), dtype=np.uint32)
+        self._words: list = [None] * len(runs)
+        for size, rows in self._groups.items():
+            pool = _mix_pool(np.array([runs[i] for i in rows], dtype=np.uint32))
+            self._pools[rows] = pools = _spawn_pools(pool, 4 * size, len(STREAMS))
+            for i, words in zip(rows, _pcg64_words(pools)):
                 self._words[i] = words
         self._rng = np.random.Generator(np.random.PCG64(0))
 
+    def seed(self, i: int) -> list[int]:
+        """Row i's seed, `[*lead, *a]`."""
+        return [*_ints(self.lead), *_ints(self.attempts[i])]
+
     def rng(self, i: int, name: str) -> np.random.Generator:
-        """The generator at the start of attempt i's child of stream `name`:
+        """The generator at the start of row i's child of stream `name`:
         PCG64's seeding step, in Python ints, from the child's hashed words."""
         s_hi, s_lo, i_hi, i_lo = self._words[i][STREAMS.index(name)]
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
@@ -734,6 +774,49 @@ class SeedStack:
                                          "state": {"state": state, "inc": inc},
                                          "has_uint32": 0, "uinteger": 0}
         return self._rng
+
+    def child_words(self, rows: Sequence[int], name: str, n: int) -> dict[int, list[list[int]]]:
+        """Per row of `rows`, the hashed words of the first n children of its
+        child of stream `name`, in one pass per word count."""
+        out = {}
+        for size, group in self._groups.items():
+            group = [i for i in group if i in rows]
+            if group:
+                pools = _spawn_pools(self._pools[group, STREAMS.index(name)], 4 * size + 4, n)
+                out.update(zip(group, _pcg64_words(pools)))
+        return out
+
+
+class _HashedSeed:
+    """Hashed PCG64 seed words (`SeedStack`), which PCG64 takes as numpy's
+    `ISeedSequence` (registered on first use, so that importing the engine
+    does not import `numpy.random`)."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: list[int]) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a hashed seed holds the 4 uint64 words of a PCG64 seed")
+        return np.array(self.words, dtype=np.uint64)
+
+
+def _generator(words: list[int]) -> np.random.Generator:
+    """A fresh generator seeded from hashed PCG64 words."""
+    np.random.bit_generator.ISeedSequence.register(_HashedSeed)  # a no-op once done
+    return np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+
+
+def _ints(seed: int | Sequence[int]) -> list[int]:
+    return [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+
+
+def _pad(words: list[int]) -> list[int]:
+    """Entropy words padded to the pool of 4, as a spawned child pads them
+    ahead of its spawn key."""
+    return words + [0] * (4 - len(words))
 
 
 def _words(n: int) -> list[int]:
@@ -760,68 +843,129 @@ def _seed_words(seed: int | Sequence[int] | np.random.SeedSequence) -> list[int]
     return [w for part in seed for w in _seed_words(part)]
 
 
+@lru_cache(maxsize=None)
 def _powers(first: int, mult: int, n: int) -> np.ndarray:
-    """first * mult**k mod 2**32 for k in 0..n, as uint32."""
+    """first * mult**k mod 2**32 for k in 0..n, as read-only uint32."""
     out = [first]
     for _ in range(n):
         out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)
+    powers = np.array(out, dtype=np.uint32)
+    powers.flags.writeable = False
+    return powers
 
 
-def _pcg64_words(entropy: np.ndarray, n_children: int) -> list[list[list[int]]]:
-    """Per row of `entropy` (rows, words), uint32 words padded to the pool of
-    4, the words (state high, state low, increment high, low) that
-    `default_rng` seeds PCG64 from, for the first `n_children` children of
-    its `SeedSequence`: numpy's `mix_entropy` and `generate_state(4,
-    np.uint64)` over every row and child at once."""
-    # hashmix k xors constant k and multiplies by k + 1: 4 fill the pool, 12
-    # mix it, and 4 mix in each word past it, the child's index the last
-    hash_consts, taken = _powers(_INIT_A, _MULT_A, 4 * entropy.shape[1] + 4), 0
+def _hashmix(v: np.ndarray, at: int, n: int) -> np.ndarray:
+    """numpy's hashmix of `v` with the n hash constants from `at` on:
+    hashmix k xors constant k and multiplies by constant k + 1."""
+    consts = _powers(_INIT_A, _MULT_A, at + n)
+    v = (v ^ consts[at:at + n]) * consts[at + 1:at + n + 1]
+    return v ^ v >> 16
 
-    def hashmix(v: np.ndarray, n: int) -> np.ndarray:  # the next n constants
-        nonlocal taken
-        v = (v ^ hash_consts[taken:taken + n]) * hash_consts[taken + 1:taken + n + 1]
-        taken += n
-        return v ^ v >> 16
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return r ^ r >> 16
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ r >> 16
 
-    with np.errstate(over="ignore"):
-        pool = hashmix(entropy[:, :4], 4)
-        for src in range(4):  # each word into the others, in numpy's order
-            dst = [d for d in range(4) if d != src]
-            pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], 3))
-        for src in range(4, entropy.shape[1]):
-            pool = mix(pool, hashmix(entropy[:, src, None], 4))
-        children = np.arange(n_children, dtype=np.uint32)[:, None]
-        pool = mix(pool[:, None], hashmix(children, 4))  # (rows, children, 4)
-        out_consts = _powers(_INIT_B, _MULT_B, 8)  # generate_state's, for 8 words
-        words = (pool[..., [0, 1, 2, 3] * 2] ^ out_consts[:8]) * out_consts[1:]
-        words ^= words >> 16
+
+def _mix_pool(entropy: np.ndarray) -> np.ndarray:
+    """numpy's `mix_entropy` of each row of `entropy` (rows, words), uint32
+    words padded to the pool of 4: the pool (rows, 4) after the last word.
+    Of the hash constants, 4 fill the pool, 12 mix it, and 4 mix in each
+    word past it, so a word mixed in next takes them from 4 * words on."""
+    pool = _hashmix(entropy[:, :4], 0, 4)
+    for src in range(4):  # each word into the others, in numpy's order
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], 4 + 3 * src, 3))
+    for src in range(4, entropy.shape[1]):
+        pool = _mix(pool, _hashmix(entropy[:, src, None], 4 * src, 4))
+    return pool
+
+
+def _spawn_pools(pool: np.ndarray, at: int, n_children: int) -> np.ndarray:
+    """The pools (rows, n_children, 4) of the first `n_children` children of
+    each pool of `pool` (rows, 4), whose next word takes the hash constants
+    from `at` on: the child's index mixed in last. A child's own children
+    take them from `at + 4` on."""
+    children = np.arange(n_children, dtype=np.uint32)[:, None]
+    return _mix(pool[:, None], _hashmix(children, at, 4))
+
+
+def _pcg64_words(pools: np.ndarray) -> list:
+    """Per pool of `pools` (..., 4), the words (state high, state low,
+    increment high, low) that `default_rng` seeds PCG64 from: numpy's
+    `generate_state(4, np.uint64)`, over every pool at once."""
+    out_consts = _powers(_INIT_B, _MULT_B, 8)  # generate_state's, for 8 words
+    words = (pools[..., [0, 1, 2, 3] * 2] ^ out_consts[:8]) * out_consts[1:]
+    words ^= words >> 16
     return words.astype("<u4", order="C").view("<u8").tolist()
 
 
-@dataclass(frozen=True, eq=False)
+class _Chunk:
+    """What a chunk of records of one scenario, rows of a `SeedStack`,
+    computes once. At once, raising here: the placement, its copy per
+    transmit-power epoch, and in slot 0's epoch the all-ON association, its
+    prices and tags. On first use: the records' arrivals and their
+    bookkeeping (`book`), and the served cells' policy seed words."""
+
+    def __init__(self, cfg: ScenarioConfig, seeds: SeedStack, rows: Sequence[int]) -> None:
+        self.cfg, self.seeds, self.rows = cfg, seeds, rows
+        self.epochs = _epoch_topologies(
+            cfg, build_topologies(cfg, (seeds.rng(i, "topo") for i in rows)))
+        self.slot0 = cfg.slot_grid[1][0]  # the epoch of slot 0
+        epoch, w, q, file_bits = self.epochs[self.slot0], cfg.weights, cfg.q, cfg.file_bits
+        self.all_on = network.associate_stack(np.ones((len(rows), epoch.n_bs), dtype=bool), epoch)
+        self.prices = pricing.price_on_sets(self.all_on, epoch, w, q, file_bits)
+        self.tags = pricing.freeze_prices(self.all_on, self.prices.rent, epoch, w, q, file_bits,
+                                          cfg.period)
+
+    @cached_property
+    def book(self) -> _Book:
+        cfg = self.cfg
+        slots, n_sbs = cfg.n_steps * cfg.horizon_periods, cfg.n_sbs
+        draws = (energy_mod.harvest_trace(cfg.harvest, cfg.dt, slots, n_sbs,
+                                          self.seeds.rng(i, "harvest")) for i in self.rows)
+        if len(self.rows) == 1:
+            arrivals = next(draws)[None]
+        else:
+            arrivals = np.empty((len(self.rows), slots, n_sbs))
+            for k, draw in enumerate(draws):
+                arrivals[k] = draw
+        stored = EnergyState.fresh(n_sbs, cfg.initial_energy, cfg.capacity).stored
+        return _harvest_book(stored, arrivals, cfg.horizon_periods, float(cfg.capacity))
+
+    @cached_property
+    def policy_words(self) -> dict[int, list[list[int]]]:
+        """Per served record, its policy child's children's words, one per
+        cell up to its last served one."""
+        served = [k for k, tags in enumerate(self.tags) if tags]
+        n = max(self.tags[k][-1].sbs for k in served) if served else 0
+        words = self.seeds.child_words({self.rows[k] for k in served}, "policy", n)
+        return {k: words[self.rows[k]] for k in served}
+
+
 class Replication:
     """The randomness of one seed under one scenario, drawn once: that
     scenario (`cfg`), the topology, its ON-set tables (`epoch_tables`, the
     one of slot 0's epoch made with its all-ON entry and tags), one
     read-only (n_steps, n_sbs) harvest view per period, and the seed they
     were drawn from, whose child seeds the policies' draws (`policy_ss`).
-    Policies run on one record face the same draws and share the tables'
-    entries, and what no policy can change (the served cells, and the
-    bookkeeping of the harvest over the whole horizon, `book`) is computed on
-    first use, once for the record."""
 
-    cfg: ScenarioConfig
-    topo: Topology
-    tables: tuple[pricing.OnSetTable, ...]
-    harvest: tuple[np.ndarray, ...]
-    seed: int | Sequence[int] | np.random.SeedSequence
-    # with no served cell, the untraced periods of every policy: computed once
-    _idle: list[PeriodResult] = field(default_factory=list, init=False, repr=False)
+    A drawn record is a row view of its chunk (`draw_chunk`), and makes
+    each of these from its rows on first use; one with no served cell makes
+    no tables unless a traced run or a direct `run_period` call asks. One
+    built from its five fields is a chunk of one. Policies run on one record
+    face the same draws and share the tables' entries, the served cells and
+    the bookkeeping of the harvest over the whole horizon (`book`)."""
+
+    def __init__(self, cfg: ScenarioConfig, topo: Topology,
+                 tables: Sequence[pricing.OnSetTable], harvest: Sequence[np.ndarray],
+                 seed: int | Sequence[int] | np.random.SeedSequence) -> None:
+        self.cfg, self.topo, self.tables, self.harvest = cfg, topo, tuple(tables), tuple(harvest)
+        self.seed = seed
+        self._chunk: _Chunk | None = None
+        self._row = 0
+        # with no served cell, the untraced periods of every policy: computed once
+        self._idle: list[PeriodResult] = []
 
     @classmethod
     def draw(cls, cfg: ScenarioConfig,
@@ -832,49 +976,48 @@ class Replication:
         (`draw_chunk`) of the words that sequence hashes, which the record
         keeps as its seed."""
         words = _seed_words(seed)
-        (record,) = cls.draw_chunk(cfg, words[:-1], words[-1:])
+        (record,) = cls.draw_chunk(cfg, SeedStack(words[:-1], words[-1:]))
         return record
 
     @classmethod
-    def draw_chunk(cls, cfg: ScenarioConfig, lead: Sequence[int],
-                   reps: Sequence[int]) -> Iterator["Replication"]:
-        """The records of the seeds `[*lead, r]` for r in `reps`, in order,
-        each made when the iterator reaches it, so that a caller that lets
-        each go before taking the next holds one at a time.
+    def draw_chunk(cls, cfg: ScenarioConfig, seeds: SeedStack,
+                   rows: Sequence[int] | None = None) -> Iterator["Replication"]:
+        """The records of the rows `rows` of `seeds` (all of them by
+        default), in order, as row views of one `_Chunk`, each made when the
+        iterator reaches it, so that a caller that lets each go before
+        taking the next holds one at a time. The chunk's shared work raises
+        here; a record's rows have the bits they have alone."""
+        chunk = _Chunk(cfg, seeds, range(len(seeds.attempts)) if rows is None else rows)
 
-        What the chunk shares is done here, at once, and raises here: the
-        seed children's states (`SeedStack`), the placement (`build_topologies`)
-        and its copy at each transmit-power epoch's SBS power, and, in the
-        epoch of slot 0, the all-ON association, its prices and the frozen
-        tags, each one stacked pass. A record's topology in each epoch
-        (`Topology.take`), all-ON entry and tags are rows of these, with the
-        bits they have alone. Its arrivals are drawn when it is made: one
-        `harvest_trace` of all its periods from its harvest child, split into
-        read-only period views."""
-        seeds = SeedStack(lead, reps)
-        n = len(reps)
-        epochs = _epoch_topologies(
-            cfg, build_topologies(cfg, (seeds.rng(i, "topo") for i in range(n))))
-        slot0 = cfg.slot_grid[1][0]  # the epoch of slot 0
-        epoch, w, q, file_bits = epochs[slot0], cfg.weights, cfg.q, cfg.file_bits
-        all_on = network.associate_stack(np.ones((n, epoch.n_bs), dtype=bool), epoch)
-        prices = pricing.price_on_sets(all_on, epoch, w, q, file_bits)
-        tags = pricing.freeze_prices(all_on, prices.rent, epoch, w, q, file_bits, cfg.period)
+        def view(k: int) -> Replication:
+            rep = cls.__new__(cls)
+            rep.cfg, rep.seed = cfg, seeds.seed(chunk.rows[k])
+            rep._chunk, rep._row, rep._idle = chunk, k, []
+            return rep
 
-        def record(i: int) -> Replication:
-            tables = [pricing.OnSetTable(e.take(i), w, q, file_bits, cfg.period)
-                      for e in epochs]
-            tables[slot0].add_all_on(all_on.take(i), pricing.OnSetPrices(*(a[i] for a in prices)),
-                                     tags[i])
-            arrivals = energy_mod.harvest_trace(
-                cfg.harvest, cfg.dt, cfg.n_steps * cfg.horizon_periods, cfg.n_sbs,
-                seeds.rng(i, "harvest"))
-            arrivals.flags.writeable = False
-            harvest = tuple(arrivals[p * cfg.n_steps:(p + 1) * cfg.n_steps]
-                            for p in range(cfg.horizon_periods))
-            return cls(cfg, tables[0].topo, tuple(tables), harvest, [*lead, reps[i]])
+        return map(view, range(len(chunk.rows)))
 
-        return map(record, range(n))
+    @cached_property
+    def topo(self) -> Topology:
+        return self._chunk.epochs[0].take(self._row)
+
+    @cached_property
+    def tables(self) -> tuple[pricing.OnSetTable, ...]:
+        chunk, k, cfg = self._chunk, self._row, self.cfg
+        tables = [pricing.OnSetTable(self.topo if e == 0 else topo.take(k), cfg.weights, cfg.q,
+                                     cfg.file_bits, cfg.period)
+                  for e, topo in enumerate(chunk.epochs)]
+        tables[chunk.slot0].add_all_on(chunk.all_on.take(k),
+                                       pricing.OnSetPrices(*(a[k] for a in chunk.prices)),
+                                       chunk.tags[k])
+        return tuple(tables)
+
+    @cached_property
+    def harvest(self) -> tuple[np.ndarray, ...]:
+        n_steps = self.cfg.n_steps
+        arrivals = self._chunk.book.arrivals[self._row]
+        return tuple(arrivals[p * n_steps:(p + 1) * n_steps]
+                     for p in range(self.cfg.horizon_periods))
 
     @cached_property
     def policy_ss(self) -> np.random.SeedSequence:
@@ -884,21 +1027,37 @@ class Replication:
 
     @cached_property
     def plan(self) -> _PeriodPlan:
-        return _period_plan(self.cfg, self.tables)
+        if self._chunk is None:
+            tags = self.tables[self.cfg.slot_grid[1][0]].tags
+        else:
+            tags = self._chunk.tags[self._row]
+        return _period_plan(self.cfg, tags) if tags else self.cfg._idle_plan
 
     @cached_property
     def book(self) -> _Harvest:
-        """The bookkeeping of the record's harvest, over its whole horizon."""
+        """The bookkeeping of the record's harvest, over its whole horizon:
+        its row of the chunk's, or a stack of one."""
+        if self._chunk is not None:
+            return self._chunk.book.row(self._row, self.plan.cells)
         cfg = self.cfg
         stored = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity).stored
-        return _harvest_book(stored, self.harvest, self.plan.cells, float(cfg.capacity))
+        return _harvest_book(stored, np.concatenate(self.harvest)[None], len(self.harvest),
+                             float(cfg.capacity)).row(0, self.plan.cells)
 
     def policy_rngs(self) -> list[np.random.Generator | None]:
         """Fresh generators for a run: the i-th child of `policy_ss` (as
         `spawn` would make it) for each served cell i, None elsewhere."""
         rngs: list[np.random.Generator | None] = [None] * self.cfg.n_sbs
-        for i in self.plan.cells:
-            rngs[i] = np.random.default_rng(_child(self.policy_ss, i))
+        cells = self.plan.cells
+        if not cells:
+            return rngs
+        if self._chunk is not None:
+            words = self._chunk.policy_words[self._row]
+        else:
+            seed = _seed_words(self.seed)
+            words = SeedStack(seed[:-1], seed[-1:]).child_words({0}, "policy", cells[-1] + 1)[0]
+        for i in cells:
+            rngs[i] = _generator(words[i])
         return rngs
 
 
@@ -910,11 +1069,14 @@ def run_horizon(rep: Replication, policy: Policy,
     fresh policy of one kind give identical results.
 
     A record with no served cell gives the same periods under every policy:
-    untraced, they are computed once from its arrival totals, read-only, and
-    returned to every later run that asks for no trace.
+    untraced, they are read from its bookkeeping alone (`_idle_period`) on
+    the first run, read-only, and returned to every later run that asks for
+    no trace; such a run builds no table, topology row or policy generator.
     """
-    idle = not rep.plan.cells and trace_rows is None
-    if idle and rep._idle:
+    if not rep.plan.cells and trace_rows is None:
+        if not rep._idle:
+            book = rep.book
+            rep._idle.extend(_idle_period(p, rep.plan, book, p) for p in range(len(book.sums)))
         return list(rep._idle)
     cfg = rep.cfg
     policy_rngs = rep.policy_rngs() if policy.draws else [None] * cfg.n_sbs
@@ -926,6 +1088,4 @@ def run_horizon(rep: Replication, policy: Policy,
             period_index=p, trace_rows=trace_rows, record=rep,
         )
         results.append(res)
-    if idle:
-        rep._idle.extend(results)
     return results

@@ -334,27 +334,33 @@ class TestRunHorizon:
 
     def test_policies_and_periods_of_a_record_share_its_bookkeeping(self, monkeypatch):
         # 3 policies x 2 periods: the harvest's bookkeeping is done once, over
-        # the record's whole horizon, and a generator is seeded for each
-        # served cell only, and only for roa, the one policy that draws
+        # the record's whole horizon, in its chunk's one stacked pass, and a
+        # generator is seeded for each served cell only, and only for roa,
+        # the one policy that draws
         cfg = ScenarioConfig(seed=SEED_TWO_USED, horizon_periods=2)
         rep = Replication.draw(cfg, cfg.seed)
         books, seeds = [], []
-        real_book, real_rng = engine._harvest_book, np.random.default_rng
+        real_book, real_generator = engine._harvest_book, engine._generator
 
         def counting_book(*args):
             books.append(args)
             return real_book(*args)
 
-        def counting_rng(seed=None):
-            seeds.append(seed)
-            return real_rng(seed)
+        def counting_generator(words):
+            seeds.append(words)
+            return real_generator(words)
 
         monkeypatch.setattr(engine, "_harvest_book", counting_book)
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(engine, "_generator", counting_generator)
         runs = [run_horizon(rep, make_policy(policy)) for policy in ("roa", "doa", "fixed:7")]
         served = [tag.sbs - 1 for tag in rep.tables[0].tags]
-        assert len(served) == 2 and len(books) == 1 and books[0][1] is rep.harvest
-        assert [s.spawn_key[-1] for s in seeds] == served
+        assert len(served) == 2 and len(books) == 1
+        stored, arrivals, periods, _ = books[0]
+        assert arrivals.shape == (1, 2 * cfg.n_steps, cfg.n_sbs) and periods == 2
+        assert all(trace.base is arrivals.base for trace in rep.harvest)
+        children = [engine._child(rep.policy_ss, i).generate_state(4, np.uint64).tolist()
+                    for i in served]
+        assert seeds == children
         book = rep.book
         assert not (book.idle_stored.flags.writeable or book.harvested.flags.writeable)
         assert book.idle_stored.shape == (2 * cfg.n_steps + 1, cfg.n_sbs)
@@ -363,18 +369,21 @@ class TestRunHorizon:
         for results in runs:
             assert len(results) == 2
             for p, res in enumerate(results):
-                assert res.energy_harvested.base is book.harvested
+                assert np.shares_memory(res.energy_harvested, book.harvested)
+                assert res.energy_harvested.tobytes() == book.harvested[p].tobytes()
                 assert res.to_dict()["energy_harvested"] == book.sums[p]
 
-    def test_the_policy_seed_is_built_by_a_policy_that_draws(self):
+    def test_the_policy_seed_is_built_on_first_use(self):
         # the record of `draw` builds it on first use, as `spawn` would make
-        # it, and only a drawing policy on a served cell reads it
+        # it; a run seeds its generators from words its chunk hashed, so no
+        # run builds it
         cfg = ScenarioConfig(seed=SEED_TWO_USED)
         rep = Replication.draw(cfg, cfg.seed)
         for policy in ("doa", "fixed:7", "threshold:50"):
             run_horizon(rep, make_policy(policy))
         assert "policy_ss" not in vars(rep)
         run_horizon(rep, make_policy("roa"))
+        assert "policy_ss" not in vars(rep)
         want = np.random.SeedSequence(cfg.seed).spawn(3)[2]
         assert rep.policy_ss.spawn_key == want.spawn_key
         assert rep.policy_ss.generate_state(4).tolist() == want.generate_state(4).tolist()
@@ -501,10 +510,10 @@ class TestIdleRecord:
         monkeypatch.setattr(engine, "_harvest_book", counting_book)
         monkeypatch.setattr(engine, "_idle_period", counting_idle)
         runs = [run_horizon(rep, make_policy(p)) for p in self.POLICIES]
-        # the periods are read from one bookkeeping pass over the horizon and
-        # made once, for the first policy, and every later run returns those
-        # very results
-        assert len(books) == 1 and books[0][1] is rep.harvest
+        # the periods are read from one bookkeeping pass over the horizon, the
+        # record's chunk's, and made once, for the first policy, and every
+        # later run returns those very results
+        assert len(books) == 1 and books[0][1].shape[:2] == (1, 2 * self.CFG.n_steps)
         assert made == list(range(self.CFG.horizon_periods))
         for results in runs[1:]:
             assert all(a is b for a, b in zip(results, runs[0], strict=True))
@@ -521,6 +530,35 @@ class TestIdleRecord:
         row = runs[1][0].to_dict()
         row["total_cost"] = -1.0
         assert runs[2][0].to_dict()["total_cost"] == 0.0
+
+    def test_an_untraced_run_makes_no_table_or_entry(self, monkeypatch):
+        # nor the record's topology rows: its plan is its scenario's one
+        # idle plan, shared by every idle record
+        made = []
+        real_table, real_entry = pricing.OnSetTable.__init__, pricing.OnSetEntry.__init__
+
+        def table(self, *args):
+            made.append("table")
+            real_table(self, *args)
+
+        def entry(self, *args):
+            made.append("entry")
+            real_entry(self, *args)
+
+        monkeypatch.setattr(pricing.OnSetTable, "__init__", table)
+        monkeypatch.setattr(pricing.OnSetEntry, "__init__", entry)
+        rep, other = self.draw(), self.draw()
+        for policy in self.POLICIES:
+            run_horizon(rep, make_policy(policy))
+        assert made == []
+        assert not {"tables", "topo", "harvest"} & set(vars(rep))
+        assert rep.plan is other.plan is self.CFG._idle_plan
+        assert not (rep.plan.buy.flags.writeable or rep.plan.used.flags.writeable)
+        # a traced run builds them: one table per epoch, and its entries
+        rows = []
+        run_horizon(rep, make_policy("doa"), trace_rows=rows)
+        assert made.count("table") == len(rep.tables) == 1 and "entry" in made
+        assert len(rows) == self.CFG.horizon_periods * self.CFG.n_steps * self.CFG.n_sbs
 
     @pytest.mark.parametrize("horizon_periods", [1, 2, 3])
     @pytest.mark.parametrize("price_mode", ["live", "frozen"])
@@ -599,7 +637,7 @@ def test_a_horizons_bookkeeping_is_its_periods_alone(periods, n_steps, n_sbs, ca
     stored = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5 * cap, cap]),
                                          min_size=n_sbs, max_size=n_sbs)), dtype=float)
     cells = sorted(data.draw(st.sets(st.integers(0, n_sbs - 1)))) if n_sbs else []
-    book = engine._harvest_book(stored, harvest, cells, cap)
+    book = engine._harvest_book(stored, np.concatenate(harvest)[None], periods, cap).row(0, cells)
     start = stored
     for p, trace in enumerate(harvest):
         totals = np.cumsum(trace, axis=0)[-1] + 0.0
@@ -614,10 +652,34 @@ def test_a_horizons_bookkeeping_is_its_periods_alone(periods, n_steps, n_sbs, ca
     assert not (book.harvested.flags.writeable or book.idle_stored.flags.writeable)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(records=st.integers(1, 4), periods=st.integers(1, 3), n_steps=st.integers(1, 5),
+       n_sbs=st.integers(0, 10), cap=st.sampled_from([0.0, 1.0, 2.5, 100.0]), data=st.data())
+def test_a_stacks_bookkeeping_is_each_records_alone(records, periods, n_steps, n_sbs, cap,
+                                                    data):
+    # a chunk's one pass over its records' arrivals gives each record the
+    # bits of its pass alone, a stack of one
+    values = st.lists(ZERO_SIGNS, min_size=periods * n_steps * n_sbs,
+                      max_size=periods * n_steps * n_sbs)
+    arrivals = np.array([data.draw(values) for _ in range(records)],
+                        dtype=float).reshape(records, periods * n_steps, n_sbs)
+    stored = np.full(n_sbs, 0.5 * cap)
+    cells = sorted(data.draw(st.sets(st.integers(0, n_sbs - 1)))) if n_sbs else []
+    stack = engine._harvest_book(stored, arrivals.copy(), periods, cap)
+    assert not stack.arrivals.flags.writeable
+    for k in range(records):
+        got = stack.row(k, cells)
+        want = engine._harvest_book(stored, arrivals[k][None].copy(), periods, cap).row(0, cells)
+        assert got.harvested.tobytes() == want.harvested.tobytes()
+        assert repr(got.sums) == repr(want.sums)
+        assert got.idle_stored.tobytes() == want.idle_stored.tobytes()
+        assert repr(got.arrivals) == repr(want.arrivals)
+
+
 def test_a_negative_arrival_in_any_period_is_rejected():
-    harvest = (np.zeros((2, 2)), np.array([[0.0, 0.0], [0.0, -0.25]]))
+    harvest = np.array([[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -0.25]]])
     with pytest.raises(ValueError, match="non-negative"):
-        engine._harvest_book(np.zeros(2), harvest, [1], 1.0)
+        engine._harvest_book(np.zeros(2), harvest, 2, 1.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

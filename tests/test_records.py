@@ -1,6 +1,7 @@
-"""A sweep value's records are drawn in chunks: one seed hash, one placement
-and one all-ON pricing pass per chunk. Each record of a chunk must equal the
-record drawn the long way, alone, and a sweep must run, fail and free its
+"""A sweep's records are row views of chunks: one seed hash per pass of
+records across sweep values, and one placement, one all-ON pricing pass and
+one harvest-and-bookkeeping pass per chunk. Each record of a chunk must equal
+the record drawn the long way, alone, and a sweep must run, fail and free its
 records as one record at a time does."""
 import csv
 import gc
@@ -97,7 +98,7 @@ class TestChunk:
     def test_a_chunk_draws_each_record_as_alone(self, name, size):
         cfg = CONFIGS[name]
         lead = [7, 2]
-        records = list(Replication.draw_chunk(cfg, lead, range(5, 5 + size)))
+        records = list(Replication.draw_chunk(cfg, SeedStack(lead, range(5, 5 + size))))
         assert len(records) == size
         for rep, record in zip(range(5, 5 + size), records):
             assert record.seed == [*lead, rep]
@@ -108,7 +109,7 @@ class TestChunk:
         cfg = replace(cli.PRESETS["fig5"].base, n_sbs=4)
         assert analysis.chunk_size(cfg) == analysis.CHUNK == 64
         served = 0
-        for rep, record in enumerate(Replication.draw_chunk(cfg, [5, 1], range(64))):
+        for rep, record in enumerate(Replication.draw_chunk(cfg, SeedStack([5, 1], range(64)))):
             assert_same_record(record, reference_record(cfg, [5, 1, rep]))
             served += bool(record.plan.cells)
         assert 0 < served < 64
@@ -119,14 +120,66 @@ class TestChunk:
                      np.random.SeedSequence(3).spawn(2)[1]):
             assert_same_record(Replication.draw(cfg, seed), reference_record(cfg, seed))
 
+    def test_a_record_at_the_slot_cell_cap_is_a_chunk_of_one(self, tmp_path):
+        # parsed and sized only: a chunk holds its records' arrivals at once,
+        # so it holds no more slot-cells than one record at the cap
+        for periods, n_sbs, size in ((1, 1, 1), (1, 2, 1), (4, 2, 2), (64, 4, 64),
+                                     (128, 4, 32), (3, 1, 5)):
+            cells = engine.MAX_SLOT_CELLS // size
+            text = (f"replications = 70\nperiod = {cells // (periods * n_sbs)}\ndt = 1\n"
+                    f"horizon_periods = {periods}\nn_sbs = {n_sbs}\nn_ue = 5\n")
+            path = tmp_path / "cap.cfg"
+            path.write_text(text)
+            cfg = cli.parse_config(str(path)).base
+            record_cells = cfg.n_steps * cfg.horizon_periods * cfg.n_sbs
+            assert record_cells <= engine.MAX_SLOT_CELLS
+            assert analysis.chunk_size(cfg) == min(size, analysis.CHUNK)
+            assert analysis.chunk_size(cfg) * record_cells <= engine.MAX_SLOT_CELLS
+
     def test_a_record_over_the_link_cap_is_a_chunk_of_one(self):
         cfg = WIDE
         assert cfg.n_ue * (cfg.n_sbs + 1) > network.STACK_LINKS
         assert analysis.chunk_size(cfg) == 1
-        (record,) = Replication.draw_chunk(cfg, [1, 0], [0])
+        (record,) = Replication.draw_chunk(cfg, SeedStack([1, 0], [0]))
         want = reference_record(cfg, [1, 0, 0])
         assert record.tables[0].tags == want.tables[0].tags
         assert rows(record, ("doa",)) == rows(want, ("doa",))
+
+
+class TestPolicyStreams:
+    # 16 cells with strong SBSs and a weak MBS: from 1 to 200 UEs, the
+    # records of these chunks serve every count of cells from 0 to 16
+    CFG = ScenarioConfig(n_sbs=16, area=(1000.0, 1000.0), horizon_periods=1,
+                         sbs_max_users=100, mbs_max_users=1000, sbs_tx_power=10.0,
+                         mbs_tx_power=0.01)
+
+    def test_each_cells_generator_is_its_spawned_child(self):
+        served = set()
+        for n_ue in (1, 4, 10, 20, 40, 80, 200):
+            cfg = replace(self.CFG, n_ue=n_ue)
+            for record in Replication.draw_chunk(cfg, SeedStack([1, n_ue], range(8))):
+                cells = record.plan.cells
+                served.add(len(cells))
+                # a chunk's row, and the same record built from its fields
+                alone = Replication(cfg, record.topo, record.tables, record.harvest,
+                                    record.seed)
+                for rngs in (record.policy_rngs(), alone.policy_rngs()):
+                    assert [i for i, g in enumerate(rngs) if g is not None] == cells
+                    for i in cells:
+                        want = np.random.default_rng(engine._child(record.policy_ss, i))
+                        got = rngs[i]
+                        assert got.bit_generator.state == want.bit_generator.state
+                        for draw in (lambda g: [g.uniform()], lambda g: g.random(3).tolist(),
+                                     lambda g: g.poisson(3.0, 2).tolist()):
+                            assert draw(got) == draw(want)
+        assert served == set(range(17))
+
+    def test_a_run_seeds_fresh_generators(self):
+        # a second roa run on a record draws what the first drew
+        cfg = replace(self.CFG, n_ue=20)
+        (record,) = Replication.draw_chunk(cfg, SeedStack([1, 20], [0]))
+        assert record.plan.cells
+        assert rows(record, ("roa", "roa")) == rows(record, ("roa",)) * 2
 
 
 def results_text(spec):
@@ -146,23 +199,75 @@ def results_text(spec):
     return out.getvalue()
 
 
+class Passes:
+    """Count seed passes and chunks, and each chunk's bookkeeping passes."""
+
+    def __init__(self, monkeypatch):
+        self.passes, self.chunks, self.books = [], [], []
+        real_stack, real_chunk = cli.SeedStack, Replication.draw_chunk.__func__
+        real_book = engine._harvest_book
+
+        def stack(lead, attempts):
+            self.passes.append(list(attempts))
+            return real_stack(lead, attempts)
+
+        def draw_chunk(cls, cfg, seeds, rows=None):
+            self.chunks.append((cfg, [seeds.attempts[k] for k in rows]))
+            return real_chunk(cls, cfg, seeds, rows)
+
+        def book(stored, arrivals, periods, cap):
+            self.books.append(arrivals.shape[0])
+            return real_book(stored, arrivals, periods, cap)
+
+        monkeypatch.setattr(cli, "SeedStack", stack)
+        monkeypatch.setattr(Replication, "draw_chunk", classmethod(draw_chunk))
+        monkeypatch.setattr(engine, "_harvest_book", book)
+
+
 class TestSweep:
     def test_a_sweep_value_of_65_records_spans_two_chunks(self, tmp_path, monkeypatch):
+        # seeds are hashed in passes of 64 records across the two values:
+        # live's 65th record is a chunk of its own, and frozen's records are
+        # split where the passes split
         spec = cli.ExperimentSpec(
             name="two-chunks", base=ScenarioConfig(n_sbs=3, n_ue=15, horizon_periods=1),
             sweep_parameter="price_mode", sweep_values=("live", "frozen"),
             policies=("roa", "doa"), n_replications=65, master_seed=3)
-        chunks = []
-        real = Replication.draw_chunk.__func__
-
-        def draw_chunk(cls, cfg, lead, reps):
-            chunks.append((cfg.price_mode, list(reps)))
-            return real(cls, cfg, lead, reps)
-
-        monkeypatch.setattr(Replication, "draw_chunk", classmethod(draw_chunk))
+        counts = Passes(monkeypatch)
         cli.run_experiment(spec, str(tmp_path))
-        assert chunks == [(mode, reps) for mode in ("live", "frozen")
-                          for reps in (list(range(64)), [64])]
+        keys = [(v, rep) for v in (0, 1) for rep in range(65)]
+        assert counts.passes == [keys[:64], keys[64:128], keys[128:]]
+        assert [(cfg.price_mode, [rep for _, rep in rows]) for cfg, rows in counts.chunks] == [
+            ("live", list(range(64))), ("live", [64]), ("frozen", list(range(63))),
+            ("frozen", [63, 64])]
+        # each chunk books its records' arrivals once
+        assert counts.books == [64, 1, 63, 2]
+        with open(tmp_path / "results.csv", newline="") as fh:
+            assert fh.read() == results_text(spec)
+
+    def test_fig5s_records_hash_their_seeds_in_one_pass(self, tmp_path, monkeypatch):
+        # 4 values of 4 records: one pass, one chunk per value, each booked
+        # once, on first use by its first record
+        spec = replace(cli.PRESETS["fig5"], n_replications=4)
+        counts = Passes(monkeypatch)
+        cli.run_experiment(spec, str(tmp_path))
+        assert counts.passes == [[(v, rep) for v in range(4) for rep in range(4)]]
+        assert [rows for _, rows in counts.chunks] == [[(v, rep) for rep in range(4)]
+                                                       for v in range(4)]
+        assert counts.books == [4] * 4
+        with open(tmp_path / "results.csv", newline="") as fh:
+            assert fh.read() == results_text(spec)
+
+    def test_chunks_of_uneven_size_across_values(self, tmp_path, monkeypatch):
+        # the link cap gives 1,000 UEs on 9 BSs chunks of 7, and 20 UEs 64
+        spec = cli.ExperimentSpec(
+            name="uneven", base=ScenarioConfig(n_sbs=8, horizon_periods=1, sbs_max_users=200),
+            sweep_parameter="n_ue", sweep_values=(20, 1000), policies=("roa", "doa"),
+            n_replications=9, master_seed=2)
+        assert [analysis.chunk_size(cfg) for *_, cfg in cli._sweep_axis(spec)] == [64, 7]
+        counts = Passes(monkeypatch)
+        cli.run_experiment(spec, str(tmp_path))
+        assert [len(rows) for _, rows in counts.chunks] == [9, 7, 2] == counts.books
         with open(tmp_path / "results.csv", newline="") as fh:
             assert fh.read() == results_text(spec)
 
@@ -212,8 +317,8 @@ class Failures:
         real_rng, real_place, real_run = SeedStack.rng, engine.build_topologies, cli.run_horizon
 
         def rng(seeds, i, name):
-            if name == "topo":
-                topo_reps.append(seeds.attempts[i])
+            if name == "topo":  # the row's seed ends with its replication
+                topo_reps.append(seeds.seed(i)[-1])
             return real_rng(seeds, i, name)
 
         def place(cfg, rngs):
