@@ -21,6 +21,7 @@ import os
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -163,7 +164,7 @@ class ExperimentSpec:
             if not self.sweep_values:
                 raise ConfigError("sweep.values must be non-empty when sweeping")
             try:
-                _sweep_axis(self)  # every swept scenario must be valid
+                self.axis  # every swept scenario must be valid
             except ValueError as exc:
                 raise ConfigError(f"sweep.values: {exc}") from None
         if self.kind == "cr_study":
@@ -178,14 +179,14 @@ class ExperimentSpec:
                     raise ConfigError(f"{key}: a cr_study runs live-priced roa in one epoch")
         if not self.policies and self.kind == "sweep":
             raise ConfigError("at least one policy is required")
-        for *_, cfg in _sweep_axis(self):  # a study draws one period
+        for *_, cfg in self.axis:  # a study draws one period
             periods = 1 if self.kind == "cr_study" else cfg.horizon_periods
             cells = cfg.n_steps * periods * max(cfg.n_sbs, 1)
             if cells > MAX_SLOT_CELLS:
                 raise ConfigError(
                     f"a record would draw {cells} slot-cells (n_steps * periods * "
                     f"max(n_sbs, 1)), more than the {MAX_SLOT_CELLS} allowed")
-        cap = min([self.base.capacity] + [cfg.capacity for *_, cfg in _sweep_axis(self)])
+        cap = min([self.base.capacity] + [cfg.capacity for *_, cfg in self.axis])
         for p in self.policies:
             try:
                 policy = make_policy(p)  # validates the string and its argument
@@ -193,6 +194,13 @@ class ExperimentSpec:
                 raise ConfigError(f"policies: {exc}") from None
             if isinstance(policy, ThresholdPolicy) and cap <= 0:  # K is a share of cap
                 raise ConfigError(f"policies: {p} needs energy.capacity > 0, got {cap!r}")
+
+    @cached_property
+    def axis(self) -> list[tuple[str, object, ScenarioConfig]]:
+        """(parameter, value, scenario) per sweep value (`_sweep_axis`),
+        built once per spec: by the checks of its construction, and read
+        again by a run."""
+        return _sweep_axis(self)
 
 
 def parse_config(path: str) -> ExperimentSpec:
@@ -433,7 +441,7 @@ def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -
     with open(results_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_COLUMNS)
-        axis = _sweep_axis(spec)
+        axis = spec.axis
         records = _sweep_records(spec, axis)
         for sweep_idx, (param, value, cfg) in enumerate(axis):
             # every policy runs on each replication's one record; rows and

@@ -21,10 +21,12 @@ with the table entry, so it is observed when a slot starts on a new one.
 The storage threshold is a test made inline. Network state (association,
 live rents, power draw, delays) is a function of the ON set and the SBS
 transmit power only: it is read from a `pricing.OnSetTable`, one per
-transmit-power epoch. An entry is looked up only when the ON set or the
-epoch changes, and the served cells' power draws and rents are read from it
-as lists (`OnSetEntry.served`), made once per entry, however often a slot
-lands on it.
+transmit-power epoch. A run switches only the served cells, so every table
+of the record learns them (`OnSetTable.ids`), and prices the sets of them
+that its runs reach in one stacked pass from their second miss on. An entry
+is looked up only when the ON set or the epoch changes, and the served
+cells' power draws and rents are read from it as lists (`OnSetEntry.served`),
+made once per entry, however often a slot lands on it.
 
 Between two events a served cell's storage and accruals follow one fixed
 recurrence, so the period is stepped in spans: at an event slot the voluntary
@@ -472,6 +474,8 @@ def run_period(
         tables = record.tables
     n_bs, n_sbs = topo.n_bs, topo.n_sbs
     grid, epoch_at, tags, ids, cells, buy_prices, used = plan
+    for table in tables:  # the run switches the served cells only
+        table.ids = ids
     table = tables[epoch_at[0]]
     policy.reset(tags, cfg.period, policy_rngs)
     # the period's slot k is the book's slot `first + k`

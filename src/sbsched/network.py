@@ -6,8 +6,11 @@ Link quality and the association are computed for the whole network at once
 and a `Topology` may stack topologies. Each pair's values have the bits it
 has alone, so one ON set of one topology is a stack of none: one set and a
 stack run the same arithmetic, and only the index helpers differ with the
-number of axes. Rates and delays are priced from the association by
-`pricing`, whose `OnSetTable` caches them per ON set.
+number of axes. `associate_subsets` associates every ON set of one topology
+in which only given SBSs may be ON, in one pass that computes SINRs only for
+the UEs one of those SBSs can win, each set with `associate`'s bits. Rates
+and delays are priced from the association by `pricing`, whose `OnSetTable`
+caches them per ON set.
 
 All radio quantities are stored linear (watts, dimensionless gains). Channel
 gains follow from the distances by one fixed log-distance path-loss model per
@@ -33,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -406,6 +409,71 @@ def _associate(sigma: np.ndarray, topo: Topology) -> NetworkState:
     for a in (sigma, serving, sinr):
         a.setflags(False)  # write=False, passed positionally: the cheaper call
     return NetworkState(sigma, serving, sinr, counts)
+
+
+def associate_subsets(topo: Topology, ids: Sequence[int]) -> NetworkState | None:
+    """The association of every ON set of one topology in which the SBSs
+    `ids` (ascending) may be ON and every other SBS is OFF, as a stack of
+    2^m states, m = len(ids): row s has SBS `ids[i]` ON iff bit i of s is
+    set (`_subsets`), with the bits `associate` gives that set alone. None
+    when an array of the pass would hold more than `STACK_LINKS` elements:
+    2^m times the UE or BS count, or 2^m * c * (m + 1) below.
+
+    Most UEs cannot leave the MBS in any of these sets. In a set S, UE u's
+    SINR to an ON cell j is `fl(r_uj / fl(fl(I_u - r_uj) + N))`, where the
+    interference sum `I_u` of non-negative terms, r_uj among them, is at
+    least r_uj; rounding is monotone, so that SINR is at most
+    `fl(r_uj / N)`, and an OFF cell's is 0.0. A UE whose `fl(r_uj / N)` is
+    at most its MBS SNR for every j of `ids` is therefore on the MBS (index
+    0, which wins ties) in every set, with its MBS SNR. Only the other,
+    contestable, UEs (c of them) get a per-set block of their MBS SNR and
+    SINRs to the m cells, (2^m, c, m + 1), whose first maximum is their
+    server. `I` is `sinr_matrix`'s matmul over every UE, of which the
+    contestable rows are taken: a matmul over those rows alone need not
+    group its sums as the full one does.
+    """
+    m, n_ue, n_bs = len(ids), topo.n_ue, topo.n_bs
+    n = 1 << m
+    if n * max(n_ue, n_bs) > STACK_LINKS:
+        return None
+    recv, mbs = topo.sbs_received_power, topo.mbs_snr
+    r = recv[:, [j - 1 for j in ids]]  # (n_ue, m) from the cells of `ids`
+    contest = np.flatnonzero((r / topo.noise_power > mbs[:, None]).any(axis=1))
+    c = contest.size
+    if n * c * (m + 1) > STACK_LINKS:
+        return None
+    on = _subsets(m)
+    sigma = np.zeros((n, n_bs), dtype=bool)
+    sigma[:, MBS_ID] = True
+    sigma[:, ids] = on
+    serving = np.zeros((n, n_ue), dtype=np.intp)
+    sinr = np.empty((n, n_ue))
+    sinr[:] = mbs
+    if c:
+        interference = np.matmul(recv, sigma[:, 1:].astype(float)[..., :, None])[:, contest]
+        own = r[contest] * on[:, None, :]  # r * 1.0 or r * 0.0, as `recv * on`
+        block = np.empty((n, c, m + 1))
+        block[..., MBS_ID] = mbs[contest]
+        link = np.subtract(interference, own, out=block[..., 1:])
+        link += topo.noise_power
+        np.divide(own, link, out=link)
+        pick = block.argmax(axis=-1)  # first max == lowest index
+        serving[:, contest] = np.array([MBS_ID, *ids])[pick]
+        # each (set, UE) row of the block starts m + 1 after the previous one's
+        sinr[:, contest] = block.take(np.arange(0, block.size, m + 1).reshape(n, c) + pick)
+    counts = _per_bs(serving, n_bs)
+    for a in (sigma, serving, sinr):
+        a.setflags(False)  # write=False, passed positionally: the cheaper call
+    return NetworkState(sigma, serving, sinr, counts)
+
+
+@lru_cache(maxsize=None)
+def _subsets(m: int) -> np.ndarray:
+    """(2^m, m) bool, read-only: row `mask` holds the cells ON in bitmask
+    `mask` (bit i = cell i)."""
+    on = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    on.flags.writeable = False
+    return on
 
 
 def _per_bs(serving: np.ndarray, n_bs: int, weights: np.ndarray | None = None) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network, pricing
-from .network import MBS_ID
+from .network import MBS_ID, _subsets
 from .pricing import CostWeights
 
 
@@ -79,15 +79,6 @@ class RecordedScenario:
         if abs(n - round(n)) > 1e-9:
             raise ValueError("dt must divide the period")
         return int(round(n))
-
-
-@lru_cache(maxsize=None)
-def _subsets(m: int) -> np.ndarray:
-    """(2^m, m) bool, read-only: row `mask` holds the cells ON in bitmask
-    `mask` (bit i = cell i)."""
-    on = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
-    on.flags.writeable = False
-    return on
 
 
 @lru_cache(maxsize=None)

@@ -8,13 +8,19 @@ one `network.Topology` stack, each pair with the bits it has alone.
 `price_on_sets` is that pass with its rents checked. `OnSetTable` holds, per
 ON set of one topology, the entry (`OnSetEntry`) made when the set is first
 looked up: `network.associate`, the same pass, and the entry's read-only
-arrays and Python views, whose rent list is checked. Prices for the
-approximated (per-period, flat-price) problem are frozen from the all-ON set
-at the period start by `freeze_prices`, for the served cells only, one stack
-of topologies at a time: a drawn record's tags and all-ON entry are a row of
-its chunk's pass (`OnSetTable.add_all_on`), and `OnSetTable.tags` alone is a
-stack of one. The live problem charges the rent of the current ON set's
-entry instead.
+arrays and Python views, whose rent list is checked. A table that knows the
+SBSs its runs switch (`OnSetTable.ids`) prices the first of their sets to
+miss that way, and at the second miss every one of their sets in one stacked
+pass (`network.associate_subsets`, then `_price`), whose rows make the later
+entries with the same bits; where the pass would be too large, or some set
+would fail or warn, each set is priced alone, at its own lookup.
+
+Prices for the approximated (per-period, flat-price) problem are frozen from
+the all-ON set at the period start by `freeze_prices`, for the served cells
+only, one stack of topologies at a time: a drawn record's tags and all-ON
+entry are a row of its chunk's pass (`OnSetTable.add_all_on`), and
+`OnSetTable.tags` alone is a stack of one. The live problem charges the rent
+of the current ON set's entry instead.
 """
 from __future__ import annotations
 
@@ -238,6 +244,18 @@ class OnSetTable:
     Association, rents, power draw and delays depend on the ON set alone, so
     the engine's slots share one entry per ON set. Entries are keyed by the
     bytes of the (n_bs,) bool ON/OFF vector.
+
+    The engine sets `ids`, its record's served SBSs: its runs reach only the
+    sets in which no other SBS is ON. The first such set to miss is priced
+    alone; on the second, every one of the 2^m sets is priced in one stacked
+    pass (`network.associate_subsets`, then `_price`), and this miss and the
+    later ones make their entry from the pass's row, with the bits of the
+    set priced alone. The pass is not run, and each set is priced alone as
+    before, when m < 2 (the second miss is then the last), when an array of
+    it would exceed `network.STACK_LINKS`, or when pricing some set would
+    fail or warn: a zero rate, a rent that is not finite, a count above
+    `power_by_count`'s, or any floating-point error. A set's error or
+    warning then comes at its own lookup, or never.
     """
 
     def __init__(self, topo: Topology, w: CostWeights, q: float, file_bits: float,
@@ -247,7 +265,12 @@ class OnSetTable:
         self.q = q
         self.file_bits = file_bits
         self.period = period
+        self.ids: list[int] | None = None  # the SBSs a run may switch
         self._entries: dict[bytes, OnSetEntry] = {}
+        self._missed = False  # a set of `ids` has missed
+        # the pass over `ids`' sets: None before the second miss, then its
+        # association and prices, or False if it does not run
+        self._subset_pass: tuple[NetworkState, OnSetPrices] | bool | None = None
 
     @cached_property
     def tags(self) -> tuple[PriceTag, ...]:
@@ -266,10 +289,56 @@ class OnSetTable:
         return _read_only(power_by_count(self.topo, self.q))
 
     def __getitem__(self, sigma: np.ndarray) -> "OnSetEntry":
-        entry = self._entries.get(sigma.tobytes())
+        key = sigma.tobytes()
+        entry = self._entries.get(key)
         if entry is None:
-            entry = self.add(network.associate(sigma, self.topo))
+            entry = self._miss(sigma, key)
         return entry
+
+    def _miss(self, sigma: np.ndarray, key: bytes) -> "OnSetEntry":
+        """The entry of a set not yet in the table: a row of the pass over
+        `ids`' sets from their second miss on, else priced alone."""
+        s = self._subset(sigma, key)
+        if s is not None:
+            if self._subset_pass is None and self._missed:
+                self._subset_pass = self._price_subsets() or False
+            self._missed = True
+            if self._subset_pass:
+                state, prices = self._subset_pass
+                return self.add(state.take(s), OnSetPrices(*(a[s] for a in prices)))
+        return self.add(network.associate(sigma, self.topo))
+
+    def _subset(self, sigma: np.ndarray, key: bytes) -> int | None:
+        """The bitmask over `ids` (bit i: SBS `ids[i]` ON) of a bool ON set
+        with the MBS ON and every other SBS OFF, or None for any other set."""
+        ids = self.ids
+        if ids is None or sigma.dtype != bool or sigma.shape != (self.topo.n_bs,) \
+                or key[MBS_ID] != 1:
+            return None
+        s = 0
+        for i, j in enumerate(ids):
+            s |= key[j] << i
+        return s if key.count(1) == 1 + s.bit_count() else None
+
+    def _price_subsets(self) -> tuple[NetworkState, OnSetPrices] | None:
+        """The association and prices of every set of `ids`, read-only, or
+        None where the pass is not to run (see the class docstring)."""
+        if len(self.ids) < 2:  # two sets at most: the second miss is the last
+            return None
+        by_count = self.power_by_count
+        try:
+            with np.errstate(all="raise"):
+                state = network.associate_subsets(self.topo, self.ids)
+                if state is None or state.counts[:, 1:].max(initial=0) >= by_count.shape[1]:
+                    return None
+                prices = _price(state, self.topo, self.w, self.q, self.file_bits, by_count)
+        except (FloatingPointError, network.UnserviceableError):
+            return None
+        if not np.isfinite(prices.rent).all():
+            return None
+        for a in prices:
+            a.setflags(False)  # write=False, passed positionally: the cheaper call
+        return state, prices
 
     def add(self, state: NetworkState, prices: OnSetPrices | None = None) -> "OnSetEntry":
         """The entry of `state`'s ON set, made from that association and its
@@ -292,8 +361,9 @@ class OnSetTable:
 
 class OnSetEntry:
     """One ON set: its `NetworkState`, the set's association
-    (`network.associate`, made once by the table or its caller), and the
-    read-only values the pricing pass (`_price`) prices from it:
+    (`network.associate`, made once by the table or its caller, or a row of
+    the table's stacked pass), and the read-only values the pricing pass
+    (`_price`) prices from it:
 
     - `delays`: (n_bs,) total delay of each BS.
     - `power`: (n_sbs,) draw of each SBS when ON with its members; `psi` is

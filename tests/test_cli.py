@@ -227,6 +227,30 @@ class TestParsing:
         ))
         assert spec.base.area == (400.0, 300.0)
 
+    def test_a_spec_builds_its_sweep_axis_once(self, tmp_path, monkeypatch):
+        built = []
+        real = cli._sweep_axis
+
+        def counting(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(cli, "_sweep_axis", counting)
+        spec = parse_config(write_config(tmp_path, SMALL_SWEEP))
+        assert built == [spec]
+        run_experiment(spec, str(tmp_path / "out"))
+        assert len(built) == 1
+        # a preset with --runs: the preset's own spec was built at import, and
+        # the spec that --runs makes builds its axis once, for its checks and
+        # its run alike
+        assert main(["--preset", "fig7", "--runs", "1", "--out-dir",
+                     str(tmp_path / "fig7")]) == 0
+        assert len(built) == 2 and built[1].n_replications == 1
+        # a rejected sweep value still fails its parse, with the same message
+        with pytest.raises(ConfigError, match="^sweep.values: "):
+            parse_config(write_config(tmp_path, SMALL_SWEEP.replace("4, 6", "4, -1"), "bad.cfg"))
+        assert len(built) == 3
+
 
 class TestTotals:
     BIG = 1.5e308  # finite, and twice it is not

@@ -927,6 +927,18 @@ class TestOnSetTable:
         assert len(keys) == len(set(keys))
         assert len({id(tp) for tp, _ in seen}) == 1 + len(sched)
 
+    def test_every_epochs_table_learns_the_served_cells(self):
+        # a run switches only the record's served cells, in every epoch: each
+        # table may price the sets of those cells in one pass
+        sched = ((2.5, dbm_to_watts(25.0)), (6.0, dbm_to_watts(20.0)))
+        cfg = ScenarioConfig(seed=SEED_TWO_USED, sbs_tx_schedule=sched, initial_energy=40.0,
+                             alpha_b=0.5)
+        rep = Replication.draw(cfg, cfg.seed)
+        assert all(table.ids is None for table in rep.tables)
+        run_horizon(rep, make_policy("threshold:50"))
+        assert len(rep.tables) == 3 and rep.plan.ids
+        assert all(table.ids is rep.plan.ids for table in rep.tables)
+
     def test_policies_and_periods_of_a_record_freeze_the_tags_once(self, monkeypatch):
         # two periods for each of three policies read one table's tags: each
         # served cell is priced once for the record, when it is drawn

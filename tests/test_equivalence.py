@@ -14,8 +14,11 @@ the sweep's rows, or the sweep's first error.
 """
 import csv
 import io
+import math
 import tempfile
 import warnings
+from bisect import bisect_left
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from hypothesis import example, given, settings
 from sbsched import cli
 from sbsched.cli import ConfigError, _sweep_axis, parse_config
 from sbsched.engine import Replication, run_horizon
+from sbsched.oracle import _slot_step, _walk_row, build_tables, optimum_and_row
 from sbsched.schedulers import make_policy
 
 from configs import config_texts
@@ -143,3 +147,84 @@ def test_sweep_rows_equal_records_drawn_alone(text):
         assert sweep_results(spec) == records_alone(spec, served), text
     if text.startswith(MIXED[:30]):  # the examples reach what they are for
         assert served[0] and served[1] and len(spec.sweep_values) == 2
+
+
+# three served cells on 1 J batteries: cells run dry, so the runs reach
+# several ON sets each, made by the tables' pass (20 UEs) or, where a cell's
+# load passes its capacity in some set, each priced alone (60 UEs)
+THREE_CELLS = """period = 2
+dt = 0.1
+n_sbs = 3
+n_ue = 20
+area.width = 2000
+area.height = 2000
+seed = 0
+replications = 2
+network.sbs_tx_power = 33 dBm
+network.mbs_tx_power = 20 dBm
+energy.initial = 1
+"""
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(text=THREE_CELLS)
+@example(text=THREE_CELLS.replace("n_ue = 20", "n_ue = 60").replace("2000", "1000"))
+@given(text=config_texts(sweeps=True))
+def test_engine_runs_cost_the_oracles_walk_of_their_off_slots(text):
+    # each drawn scenario cut to one period, live prices and one epoch; on a
+    # record with 1-3 served cells, each doa and fixed run costs what the
+    # oracle's slot step gives its OFF slots (the two add rents in different
+    # orders), and no run in the oracle's grid costs less than its optimum
+    spec = parse(text)
+    if spec is None:
+        return
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for sweep_idx, (_, _, cfg) in enumerate(spec.axis):
+            cfg = replace(cfg, horizon_periods=1, price_mode="live", sbs_tx_schedule=())
+            for rep in range(spec.n_replications):
+                try:
+                    record = Replication.draw(cfg, [spec.master_seed, sweep_idx, rep])
+                except Exception:
+                    continue
+                if 1 <= len(record.plan.ids) <= 3:
+                    check_against_oracle(cfg, record)
+
+
+def check_against_oracle(cfg, record):
+    ids, dt, n_steps = record.plan.ids, cfg.dt, cfg.n_steps
+    e0, cap = float(cfg.initial_energy), float(cfg.capacity)
+    try:
+        (tables,) = build_tables(record.topo.take(np.newaxis), [record.plan.tags], cfg.weights,
+                                 cfg.q, cfg.file_bits, dt)
+    except Exception:
+        return  # a set that cannot be priced: the engine raises where it reaches one
+    harvest = record.harvest[0][:, record.plan.cells]
+    step = _slot_step(tables, harvest, cap, dt, n_steps)
+    buy_of = tables.rows(dt).buy_of
+    best = None
+    for name in ("doa", "fixed:0", "fixed:0.5", "fixed:1e9"):
+        policy = make_policy(name)
+        try:
+            (res,) = run_horizon(record, policy)
+        except Exception:
+            continue
+        row = [bisect_left(cfg.slot_grid[0], policy.off_times[j]) for j in ids]
+        rent, bought = _walk_row(step, row, e0, n_steps)
+        assert math.isclose(res.total_cost, rent + buy_of[bought], rel_tol=1e-12), (name, row)
+        if all(1 <= i <= n_steps for i in row):
+            if best is None:
+                best, _ = optimum_and_row(tables, harvest, row, e0, cap, dt, n_steps)
+            assert res.total_cost >= best * (1 - 1e-12), (name, row)
+    # every set of the served cells, its entry made by the table's pass or
+    # priced alone (after the runs, so that they make theirs as they would),
+    # has the oracle's rent and draw for each cell
+    table = record.tables[0]
+    for s in range(1 << len(ids)):
+        sigma = np.zeros(record.topo.n_bs, dtype=bool)
+        sigma[0] = True
+        sigma[[j for i, j in enumerate(ids) if s >> i & 1]] = True
+        entry = table[sigma]
+        on = [i for i in range(len(ids)) if s >> i & 1]
+        assert [entry.rent_values[ids[i]] for i in on] == tables.rent[s, on].tolist()
+        assert [entry.psi_values[j - 1] for j in ids] == tables.psi[s].tolist()
