@@ -417,7 +417,7 @@ def associate_subsets(topo: Topology, ids: Sequence[int]) -> NetworkState | None
     2^m states, m = len(ids): row s has SBS `ids[i]` ON iff bit i of s is
     set (`_subsets`), with the bits `associate` gives that set alone. None
     when an array of the pass would hold more than `STACK_LINKS` elements:
-    2^m times the UE or BS count, or 2^m * c * (m + 1) below.
+    2^m times the UE or BS count.
 
     Most UEs cannot leave the MBS in any of these sets. In a set S, UE u's
     SINR to an ON cell j is `fl(r_uj / fl(fl(I_u - r_uj) + N))`, where the
@@ -428,9 +428,12 @@ def associate_subsets(topo: Topology, ids: Sequence[int]) -> NetworkState | None
     0, which wins ties) in every set, with its MBS SNR. Only the other,
     contestable, UEs (c of them) get a per-set block of their MBS SNR and
     SINRs to the m cells, (2^m, c, m + 1), whose first maximum is their
-    server. `I` is `sinr_matrix`'s matmul over every UE, of which the
-    contestable rows are taken: a matmul over those rows alone need not
-    group its sums as the full one does.
+    server; it is made in chunks of sets, each of at most `STACK_LINKS`
+    elements (c <= 2^-m * STACK_LINKS and m + 1 <= 2^m, so a chunk holds at
+    least one set), and every element is computed alone. `I` is
+    `sinr_matrix`'s matmul over every UE, of which the contestable rows are
+    taken: a matmul over those rows alone need not group its sums as the
+    full one does.
     """
     m, n_ue, n_bs = len(ids), topo.n_ue, topo.n_bs
     n = 1 << m
@@ -440,8 +443,6 @@ def associate_subsets(topo: Topology, ids: Sequence[int]) -> NetworkState | None
     r = recv[:, [j - 1 for j in ids]]  # (n_ue, m) from the cells of `ids`
     contest = np.flatnonzero((r / topo.noise_power > mbs[:, None]).any(axis=1))
     c = contest.size
-    if n * c * (m + 1) > STACK_LINKS:
-        return None
     on = _subsets(m)
     sigma = np.zeros((n, n_bs), dtype=bool)
     sigma[:, MBS_ID] = True
@@ -451,16 +452,21 @@ def associate_subsets(topo: Topology, ids: Sequence[int]) -> NetworkState | None
     sinr[:] = mbs
     if c:
         interference = np.matmul(recv, sigma[:, 1:].astype(float)[..., :, None])[:, contest]
-        own = r[contest] * on[:, None, :]  # r * 1.0 or r * 0.0, as `recv * on`
-        block = np.empty((n, c, m + 1))
-        block[..., MBS_ID] = mbs[contest]
-        link = np.subtract(interference, own, out=block[..., 1:])
-        link += topo.noise_power
-        np.divide(own, link, out=link)
-        pick = block.argmax(axis=-1)  # first max == lowest index
-        serving[:, contest] = np.array([MBS_ID, *ids])[pick]
-        # each (set, UE) row of the block starts m + 1 after the previous one's
-        sinr[:, contest] = block.take(np.arange(0, block.size, m + 1).reshape(n, c) + pick)
+        r, servers = r[contest], np.array([MBS_ID, *ids])
+        rows = STACK_LINKS // (c * (m + 1))
+        for lo in range(0, n, rows):
+            part = slice(lo, lo + rows)
+            own = r * on[part, None, :]  # r * 1.0 or r * 0.0, as `recv * on`
+            block = np.empty(own.shape[:2] + (m + 1,))
+            block[..., MBS_ID] = mbs[contest]
+            link = np.subtract(interference[part], own, out=block[..., 1:])
+            link += topo.noise_power
+            np.divide(own, link, out=link)
+            pick = block.argmax(axis=-1)  # first max == lowest index
+            serving[part, contest] = servers[pick]
+            # each (set, UE) row of the block starts m + 1 after the previous one's
+            sinr[part, contest] = block.take(
+                np.arange(0, block.size, m + 1).reshape(pick.shape) + pick)
     counts = _per_bs(serving, n_bs)
     for a in (sigma, serving, sinr):
         a.setflags(False)  # write=False, passed positionally: the cheaper call

@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import energy, network
-from .network import MBS_ID, NetworkState, Topology, _per_bs, _read_only, _stack_index
+from .network import (MBS_ID, NetworkState, Topology, _per_bs, _read_only, _stack_index,
+                      _subsets)
 
 
 class NonFinitePriceError(ValueError):
@@ -235,6 +236,35 @@ def _member_sums(values: np.ndarray, serving: np.ndarray, counts: np.ndarray,
     return out
 
 
+class _SubsetPass(NamedTuple):
+    """A table's pass over the sets of its `ids`: their association and
+    prices, read-only, row s the set of bitmask s, and per row the Python
+    values its entry holds from the start."""
+
+    state: NetworkState
+    prices: OnSetPrices
+    ids: list[int]  # the table's `ids`, whose cells `psi` and `rent` list
+    psi: list[list[float]]  # per row, the `psi` of the SBSs `ids`
+    rent: list[list[float]]  # per row, their rent
+    on_delay: list[float]  # per row, the total delay of its ON SBSs
+
+
+def _on_delays(delays: np.ndarray) -> np.ndarray:
+    """Per row s of `delays` (2^m, m), the m cells' delays in the set of
+    bitmask s, the sum of those of its ON cells, with the bits an entry of
+    that set priced alone gives it: the rows of one ON count are summed as
+    the rows of one array, which numpy sums as it sums each row alone
+    (pairwise from 8 cells on)."""
+    on = _subsets(delays.shape[1])
+    count = on.sum(axis=1)
+    out = np.empty(delays.shape[0])
+    for k in range(delays.shape[1] + 1):
+        rows = np.flatnonzero(count == k)
+        cols = np.nonzero(on[rows])[1].reshape(rows.size, k)
+        out[rows] = np.add.reduce(delays[rows[:, None], cols], axis=1)
+    return out
+
+
 class OnSetTable:
     """Network state and per-SBS rates of one topology, per ON set, each
     entry made on the set's first lookup (or by `add`, from an association
@@ -242,20 +272,24 @@ class OnSetTable:
     that starts all ON.
 
     Association, rents, power draw and delays depend on the ON set alone, so
-    the engine's slots share one entry per ON set. Entries are keyed by the
-    bytes of the (n_bs,) bool ON/OFF vector.
+    the engine's slots share one entry per ON set, whichever way it is looked
+    up: by the (n_bs,) bool ON/OFF vector (`table[sigma]`), or, for a set of
+    `ids`, by its bitmask (`subset`).
 
     The engine sets `ids`, its record's served SBSs: its runs reach only the
-    sets in which no other SBS is ON. The first such set to miss is priced
-    alone; on the second, every one of the 2^m sets is priced in one stacked
-    pass (`network.associate_subsets`, then `_price`), and this miss and the
-    later ones make their entry from the pass's row, with the bits of the
-    set priced alone. The pass is not run, and each set is priced alone as
+    sets in which no other SBS is ON, which the table keys by their bitmask
+    over `ids`, and every other set by the bytes of its vector. The first
+    set of `ids` to miss is priced alone; on the second, every one of the
+    2^m sets is priced in one stacked pass (`network.associate_subsets`,
+    then `_price`), which also lists each row's served-cell `psi` and `rent`
+    and sums its `on_delay`, and this miss and the later ones make their
+    entry from the pass's row (`OnSetEntry.row`), with the bits of the set
+    priced alone. The pass is not run, and each set is priced alone as
     before, when m < 2 (the second miss is then the last), when an array of
     it would exceed `network.STACK_LINKS`, or when pricing some set would
     fail or warn: a zero rate, a rent that is not finite, a count above
-    `power_by_count`'s, or any floating-point error. A set's error or
-    warning then comes at its own lookup, or never.
+    `power_by_count`'s, a negative draw, or any floating-point error. A
+    set's error or warning then comes at its own lookup, or never.
     """
 
     def __init__(self, topo: Topology, w: CostWeights, q: float, file_bits: float,
@@ -265,12 +299,32 @@ class OnSetTable:
         self.q = q
         self.file_bits = file_bits
         self.period = period
-        self.ids: list[int] | None = None  # the SBSs a run may switch
-        self._entries: dict[bytes, OnSetEntry] = {}
+        self._ids: list[int] | None = None
+        # by bitmask over `ids` for their sets, by the vector's bytes for others
+        self._entries: dict[int | bytes, OnSetEntry] = {}
         self._missed = False  # a set of `ids` has missed
-        # the pass over `ids`' sets: None before the second miss, then its
-        # association and prices, or False if it does not run
-        self._subset_pass: tuple[NetworkState, OnSetPrices] | bool | None = None
+        # the pass over `ids`' sets: None before the second miss, then the
+        # pass, or False if it does not run
+        self._subset_pass: _SubsetPass | bool | None = None
+
+    @property
+    def ids(self) -> list[int] | None:
+        """The SBSs a run may switch, in ascending id, or None: set once
+        (again only to an equal list), after which the entries of their sets
+        are keyed by bitmask."""
+        return self._ids
+
+    @ids.setter
+    def ids(self, ids: list[int]) -> None:
+        if ids is self._ids:
+            return
+        if self._ids is not None and ids != self._ids:
+            raise ValueError("a table's ids are set once")
+        self._ids = ids
+        for key in [key for key in self._entries if isinstance(key, bytes)]:
+            s = self._mask(key)
+            if s is not None:
+                self._entries[s] = self._entries.pop(key)
 
     @cached_property
     def tags(self) -> tuple[PriceTag, ...]:
@@ -289,65 +343,96 @@ class OnSetTable:
         return _read_only(power_by_count(self.topo, self.q))
 
     def __getitem__(self, sigma: np.ndarray) -> "OnSetEntry":
-        key = sigma.tobytes()
+        key = self._key(sigma)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._miss(sigma, key)
+            if type(key) is int:
+                return self._miss(key)
+            entry = self.add(network.associate(sigma, self.topo))
         return entry
 
-    def _miss(self, sigma: np.ndarray, key: bytes) -> "OnSetEntry":
-        """The entry of a set not yet in the table: a row of the pass over
-        `ids`' sets from their second miss on, else priced alone."""
-        s = self._subset(sigma, key)
-        if s is not None:
-            if self._subset_pass is None and self._missed:
-                self._subset_pass = self._price_subsets() or False
-            self._missed = True
-            if self._subset_pass:
-                state, prices = self._subset_pass
-                return self.add(state.take(s), OnSetPrices(*(a[s] for a in prices)))
-        return self.add(network.associate(sigma, self.topo))
+    def subset(self, s: int) -> "OnSetEntry":
+        """The entry of the set of `ids` of bitmask s (bit i: SBS `ids[i]`
+        ON), with the MBS ON and every other SBS OFF: `table[sigma]` of that
+        set, the same object."""
+        entry = self._entries.get(s)
+        if entry is None:
+            entry = self._miss(s)
+        return entry
 
-    def _subset(self, sigma: np.ndarray, key: bytes) -> int | None:
-        """The bitmask over `ids` (bit i: SBS `ids[i]` ON) of a bool ON set
-        with the MBS ON and every other SBS OFF, or None for any other set."""
-        ids = self.ids
-        if ids is None or sigma.dtype != bool or sigma.shape != (self.topo.n_bs,) \
-                or key[MBS_ID] != 1:
+    def _key(self, sigma: np.ndarray) -> int | bytes:
+        """A set's key: its bitmask over `ids` for one of their sets (a bool
+        (n_bs,) vector), else the bytes of its vector."""
+        key = sigma.tobytes()
+        if sigma.dtype != bool or sigma.shape != (self.topo.n_bs,):
+            return key
+        s = self._mask(key)
+        return key if s is None else s
+
+    def _mask(self, key: bytes) -> int | None:
+        """The bitmask over `ids` (bit i: SBS `ids[i]` ON) of the bytes of a
+        bool ON set with the MBS ON and every other SBS OFF, or None for any
+        other set."""
+        ids = self._ids
+        if ids is None or key[MBS_ID] != 1:
             return None
         s = 0
         for i, j in enumerate(ids):
             s |= key[j] << i
         return s if key.count(1) == 1 + s.bit_count() else None
 
-    def _price_subsets(self) -> tuple[NetworkState, OnSetPrices] | None:
-        """The association and prices of every set of `ids`, read-only, or
-        None where the pass is not to run (see the class docstring)."""
-        if len(self.ids) < 2:  # two sets at most: the second miss is the last
+    def _miss(self, s: int) -> "OnSetEntry":
+        """The entry of the set of `ids` of bitmask s, not yet in the table:
+        a row of the pass over their sets from their second miss on, else
+        priced alone."""
+        if self._subset_pass is None and self._missed:
+            self._subset_pass = self._price_subsets() or False
+        self._missed = True
+        if self._subset_pass:
+            entry = self._entries[s] = OnSetEntry.row(self._subset_pass, s)
+            return entry
+        sigma = np.zeros(self.topo.n_bs, dtype=bool)
+        sigma[MBS_ID] = True
+        sigma[[j for i, j in enumerate(self._ids) if s >> i & 1]] = True
+        return self._add(s, network.associate(sigma, self.topo))
+
+    def _price_subsets(self) -> _SubsetPass | None:
+        """The pass over every set of `ids`, or None where it is not to run
+        (see the class docstring)."""
+        ids = self._ids
+        m = len(ids)
+        if m < 2:  # two sets at most: the second miss is the last
             return None
         by_count = self.power_by_count
         try:
             with np.errstate(all="raise"):
-                state = network.associate_subsets(self.topo, self.ids)
+                state = network.associate_subsets(self.topo, ids)
                 if state is None or state.counts[:, 1:].max(initial=0) >= by_count.shape[1]:
                     return None
                 prices = _price(state, self.topo, self.w, self.q, self.file_bits, by_count)
+                on_delay = _on_delays(prices.delays[:, ids])
         except (FloatingPointError, network.UnserviceableError):
             return None
-        if not np.isfinite(prices.rent).all():
+        psi = prices.psi[:, [j - 1 for j in ids]]
+        if not np.isfinite(prices.rent).all() or psi.min() < 0:
             return None
         for a in prices:
             a.setflags(False)  # write=False, passed positionally: the cheaper call
-        return state, prices
+        return _SubsetPass(state, prices, ids, psi.tolist(), prices.rent[:, ids].tolist(),
+                           on_delay.tolist())
 
     def add(self, state: NetworkState, prices: OnSetPrices | None = None) -> "OnSetEntry":
         """The entry of `state`'s ON set, made from that association and its
         `prices`, or from the table's pricing pass over it when none are
         given."""
+        return self._add(self._key(state.sigma), state, prices)
+
+    def _add(self, key: int | bytes, state: NetworkState,
+             prices: OnSetPrices | None = None) -> "OnSetEntry":
         if prices is None:
             prices = _price(state, self.topo, self.w, self.q, self.file_bits,
                             self.power_by_count)
-        entry = self._entries[state.sigma.tobytes()] = OnSetEntry(state, prices)
+        entry = self._entries[key] = OnSetEntry(state, prices)
         return entry
 
     def add_all_on(self, state: NetworkState, prices: OnSetPrices,
@@ -373,12 +458,14 @@ class OnSetEntry:
       SBSs, are Python scalars for the engine's storage step, and `served`
       gives the engine's per-cell lists.
 
-    A rent that is not finite raises `NonFinitePriceError`, checked on
-    `rent_values`, as `price_on_sets` words it.
+    An entry priced alone makes all of these at once. A rent that is not
+    finite raises `NonFinitePriceError`, checked on `rent_values`, as
+    `price_on_sets` words it. An entry made from row s of a table's pass
+    (`row`) holds only `on_delay` and the `served` lists of the table's
+    `ids` from the start, the pass's Python values; its state, arrays,
+    `rent_values` and `psi_values` are read from the pass's read-only arrays
+    on first use, and kept.
     """
-
-    __slots__ = ("state", "delays", "power", "psi", "rent", "rent_values",
-                 "psi_values", "on_delay", "_served")
 
     def __init__(self, state: NetworkState, prices: OnSetPrices) -> None:
         self.state = state
@@ -397,6 +484,43 @@ class OnSetEntry:
         # does not reproduce
         self.on_delay = float(np.add.reduce(prices.delays[state.sigma][1:]))
         self._served = None
+
+    @classmethod
+    def row(cls, rows: _SubsetPass, s: int) -> "OnSetEntry":
+        """The entry of row s of a table's pass."""
+        entry = cls.__new__(cls)
+        entry._rows, entry._s = rows, s
+        entry.on_delay = rows.on_delay[s]
+        entry._served = (rows.ids, (rows.psi[s], rows.rent[s]))
+        return entry
+
+    @cached_property
+    def state(self) -> NetworkState:
+        return self._rows.state.take(self._s)
+
+    @cached_property
+    def delays(self) -> np.ndarray:
+        return self._rows.prices.delays[self._s]
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        return self._rows.prices.power[self._s]
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        return self._rows.prices.psi[self._s]
+
+    @cached_property
+    def rent(self) -> np.ndarray:
+        return self._rows.prices.rent[self._s]
+
+    @cached_property
+    def rent_values(self) -> tuple[float, ...]:
+        return tuple(self.rent.tolist())
+
+    @cached_property
+    def psi_values(self) -> tuple[float, ...]:
+        return tuple(self.psi.tolist())
 
     def served(self, ids: list[int]) -> tuple[list[float], list[float]]:
         """The `psi` and `rent` of the SBSs `ids`, as lists, made on the first

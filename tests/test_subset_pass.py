@@ -2,17 +2,23 @@
 which only the record's served SBSs may be ON (`network.associate_subsets`,
 priced by `OnSetTable` from its second miss on). Each row has the bits of
 its set priced alone, and a table that makes its entries from the pass
-raises and warns at the same lookups as one that prices each set alone."""
+raises and warns at the same lookups as one that prices each set alone.
+A set has one entry, whether it is looked up by its ON/OFF vector or by its
+bitmask over the served SBSs."""
 import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbsched import network, pricing
-from sbsched.network import STACK_LINKS, associate, associate_subsets, place_stack
+from sbsched.engine import Replication, ScenarioConfig, run_horizon
+from sbsched.network import (STACK_LINKS, BsParams, Topology, associate, associate_subsets,
+                             dbm_to_watts, place_stack)
 from sbsched.pricing import CostWeights, OnSetTable
+from sbsched.schedulers import make_policy
 
 STATE = ("sigma", "serving", "sinr", "counts")
 PRICES = ("delays", "power", "psi", "rent")
@@ -27,10 +33,14 @@ def contestable(topo, ids):
 
 
 def over_bound(topo, ids):
+    return (1 << len(ids)) * max(topo.n_ue, topo.n_bs) > STACK_LINKS
+
+
+def chunked(topo, ids):
+    """Whether the contestable UEs' block, (2^m, c, m + 1), holds more than
+    `STACK_LINKS` elements, so that the pass makes it in several chunks."""
     m = len(ids)
-    c = int(contestable(topo, ids).sum())
-    return (1 << m) * max(topo.n_ue, topo.n_bs) > STACK_LINKS \
-        or (1 << m) * c * (m + 1) > STACK_LINKS
+    return (1 << m) * int(contestable(topo, ids).sum()) * (m + 1) > STACK_LINKS
 
 
 def subset(n_bs, ids, s):
@@ -62,9 +72,16 @@ def place(side, n_sbs, n_ue, seed, **params):
                        **params).take(0)
 
 
+# the nine served cells of a 16-cell, 80-UE record on 2000 m, as the
+# churn-wide bench workload draws them: 512 sets of 80 UEs fit the bound, and
+# the block of the 27 contestable UEs takes three chunks
+NINE_CELLS = (2000.0, 16, 80, 11, [1, 2, 3, 4, 8, 9, 11, 14, 15])
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @example(placement=(500.0, 3, 40, 1, [1, 2, 3]))
 @example(placement=(2000.0, 12, 8, 3, list(range(1, 13))))  # 4096 sets of 8 UEs
+@example(placement=NINE_CELLS)
 @given(placement=placements())
 def test_each_row_is_its_set_associated_alone(placement):
     side, n_sbs, n_ue, seed, ids = placement
@@ -88,6 +105,22 @@ def test_each_row_is_its_set_associated_alone(placement):
         # no SBS of `ids` can win is on the MBS, at its MBS SNR, in every set
         assert (alone.serving[fixed] == 0).all()
         assert alone.sinr[fixed].tobytes() == topo.mbs_snr[fixed].tobytes()
+
+
+def test_a_nine_cell_table_runs_the_pass_in_chunks():
+    # 2^m * max(n_ue, n_bs) <= STACK_LINKS < 2^m * c * (m + 1): the table
+    # runs the pass, whose rows the test above checks against `associate`
+    side, n_sbs, n_ue, seed, ids = NINE_CELLS
+    topo = place(side, n_sbs, n_ue, seed)
+    assert not over_bound(topo, ids) and chunked(topo, ids)
+    table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
+    table.ids = ids
+    with mock.patch.object(network, "associate_subsets",
+                           wraps=network.associate_subsets) as subsets:
+        table.subset(511)
+        entry = table.subset(0)
+    assert subsets.call_count == 1 and table._subset_pass
+    assert np.shares_memory(entry.rent, table._subset_pass.prices.rent)
 
 
 def entry_bits(entry):
@@ -168,16 +201,19 @@ def test_a_table_serves_each_set_as_priced_alone(placement, max_users, case, mas
     first = [s.tobytes() for s, mask in zip(sets, masks) if s.tobytes() in family]
     assert [k for k in priced_alone if k in family][:1] == first[:1]
     assert len(stacked) <= 1
+    # a table over the bound (2^m sets of max(n_ue, n_bs) links each), or of
+    # one cell, never runs the pass
     if over_bound(topo, ids) or len(ids) < 2:
         assert not stacked and not table._subset_pass
         assert assoc.call_count == alone_calls
     if table._subset_pass:
         # every entry not priced alone is a read-only view of the pass's rows
-        state, prices = table._subset_pass
-        assert len(stacked) == 1 and stacked[0] is state
+        rows = table._subset_pass
+        assert len(stacked) == 1 and stacked[0] is rows.state
         assert len(set(first)) >= 2
-        for key, entry in table._entries.items():
-            assert np.shares_memory(entry.rent, prices.rent) != (key in priced_alone)
+        for entry in table._entries.values():
+            assert np.shares_memory(entry.rent, rows.prices.rent) \
+                != (entry.state.sigma.tobytes() in priced_alone)
 
 
 def test_a_record_like_table_prices_its_sets_in_one_pass():
@@ -199,10 +235,10 @@ def test_a_record_like_table_prices_its_sets_in_one_pass():
     assert entries[0] is entries[5] and entries[1] is entries[7]
     c = int(contestable(topo, ids).sum())
     assert 0 < c < topo.n_ue
-    state, prices = table._subset_pass
-    assert state.serving.shape == (64, 80)
+    rows = table._subset_pass
+    assert rows.state.serving.shape == (64, 80)
     for s, entry in zip(order, entries):
-        assert np.shares_memory(entry.rent, prices.rent) is (entry is not entries[0])
+        assert np.shares_memory(entry.rent, rows.prices.rent) is (entry is not entries[0])
         alone = OnSetTable(topo, CostWeights(), 0.9, 1e7, 10.0)[subset(17, ids, s)]
         assert entry_bits(entry) == entry_bits(alone)
 
@@ -219,3 +255,109 @@ def test_a_table_whose_runs_reach_one_set_pays_no_pass():
         # a set outside `ids`' sets is priced alone, and is no second miss
         table[np.ones(17, dtype=bool)]
     assert not subsets.called and table._subset_pass is None
+
+
+def float_bits(values):
+    return [v.hex() for v in values]
+
+
+def random_gains_topology(n_sbs, n_ue, seed):
+    """One topology of `n_sbs` SBSs and `n_ue` UEs with drawn gains: each UE
+    has a home SBS, in turn, whose gain is 1e-10 to 1e-8, gains of 1e-14 to
+    1e-11 to the others and of 1e-16 to 1e-14 to the MBS (an SNR of 0.5 at
+    most). An ON SBS wins its home UEs, so
+    the ON cells of a set have delays of many sizes. Capacities of 2 * n_ue
+    leave no count above `power_by_count`'s."""
+    rng = np.random.default_rng(seed)
+    bs = [BsParams(id=0, kind="MBS", x=0.0, y=0.0, tx_power=dbm_to_watts(33.0),
+                   op_power_max=20.0, bandwidth=10e6, max_users=50)]
+    bs += [BsParams(id=j, kind="SBS", x=0.0, y=0.0, tx_power=dbm_to_watts(23.0),
+                    op_power_max=10.0, bandwidth=10e6, max_users=2 * n_ue)
+           for j in range(1, n_sbs + 1)]
+    gain = 10.0 ** rng.uniform(-14.0, -11.0, (n_ue, n_sbs + 1))
+    gain[np.arange(n_ue), np.arange(n_ue) % n_sbs + 1] = 10.0 ** rng.uniform(-10.0, -8.0, n_ue)
+    gain[:, 0] = 10.0 ** rng.uniform(-16.0, -14.0, n_ue)
+    return Topology.from_bs(bs, np.zeros((n_ue, 2)), gain, dbm_to_watts(-104.0),
+                            (500.0, 500.0))
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_every_row_entry_is_its_set_priced_alone(m):
+    # 12 SBSs and 16 UEs: 4096 sets fit the bound. The table's `ids` are m
+    # of them; every entry its pass makes equals the entry of its set priced
+    # alone, bit for bit and with the same read-only flags, also where 8 or
+    # more cells are ON and numpy sums their delays pairwise
+    topo = random_gains_topology(12, 16, seed=m)
+    ids = sorted(np.random.default_rng(100 + m).permutation(range(1, 13))[:m].tolist())
+    table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
+    table.ids = ids
+    alone = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
+    table.subset(0)
+    table.subset(1)  # the second miss runs the pass
+    rows = table._subset_pass
+    assert rows and rows.state.serving.shape == (1 << m, 16)
+    nonzero = 0
+    for s in range(2, 1 << m):
+        entry = table.subset(s)
+        want = alone[subset(topo.n_bs, ids, s)]
+        assert np.shares_memory(entry.rent, rows.prices.rent)
+        got_psi, got_rent = entry.served(ids)
+        want_psi, want_rent = want.served(ids)
+        assert float_bits(got_psi) == float_bits(want_psi)
+        assert float_bits(got_rent) == float_bits(want_rent)
+        assert entry_bits(entry) == entry_bits(want), s
+        assert entry.on_delay.hex() == want.on_delay.hex()
+        if s.bit_count() >= 8:
+            nonzero = max(nonzero, int((entry.delays[ids] > 0).sum()))
+    if m >= 8:  # sets of 8 or more ON cells, each with a delay of its own
+        assert nonzero >= 8
+
+
+def all_served_record(mode):
+    """A drawn record whose every SBS serves UEs at the period start."""
+    cfg = ScenarioConfig(n_sbs=3, n_ue=40, area=(300.0, 300.0), initial_energy=15.0,
+                         price_mode=mode, seed=0)
+    for seed in range(100):
+        rep = Replication.draw(cfg, seed)
+        if len(rep.plan.ids) == cfg.n_sbs:
+            return rep
+    raise AssertionError("no record of 3 served cells")
+
+
+@pytest.mark.parametrize("mode", ["live", "frozen"])
+def test_a_set_has_one_entry_by_vector_and_by_bitmask(mode):
+    # every SBS is served, so the all-ON set is a set of `ids`: the entry the
+    # record's chunk made for it, its tags and the engine's lookups by
+    # bitmask are one entry, under every policy, traced or not
+    rep = all_served_record(mode)
+    ids, n_bs = rep.plan.ids, rep.topo.n_bs
+    table = rep.tables[0]
+    all_on = table[np.ones(n_bs, dtype=bool)]
+    tags = table.tags
+    for policy in ("roa", "doa", "threshold:30", "adaptive"):
+        for trace in (None, []):
+            run_horizon(rep, make_policy(policy), trace_rows=trace)
+    assert table.ids is ids and table.tags is tags
+    assert table.subset((1 << len(ids)) - 1) is all_on
+    assert table[np.ones(n_bs, dtype=bool)] is all_on
+    assert len(table._entries) > 2
+    for s in range(1 << len(ids)):
+        assert table.subset(s) is table[subset(n_bs, ids, s)]
+    # every key is a set's bitmask, and no set has two entries
+    assert all(type(key) is int for key in table._entries)
+    assert len({id(e) for e in table._entries.values()}) == len(table._entries)
+    with pytest.raises(ValueError, match="set once"):
+        table.ids = ids[:-1]
+
+
+def test_an_entry_made_before_the_ids_is_found_by_bitmask():
+    topo = random_gains_topology(3, 20, seed=1)
+    table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
+    made = [table[np.ones(4, dtype=bool)], table[subset(4, [1, 3], 3)],
+            table[subset(4, [2], 1)]]
+    table.ids = [1, 2, 3]
+    with mock.patch.object(network, "associate") as assoc, \
+            mock.patch.object(network, "associate_subsets") as subsets:
+        assert [table.subset(7), table.subset(5), table.subset(2)] == made
+        assert table[np.ones(4, dtype=bool)] is made[0]
+    assert not assoc.called and not subsets.called

@@ -1,20 +1,25 @@
 """The paper's competitive ratios, checked on policies run through `run_horizon`.
 
-Each test runs policies on a one-cell record built from arrays: one SBS
+Most tests run policies on a one-cell record built from arrays: one SBS
 serving one UE on a hand-built `Topology`, a zero-harvest trace, and 8 W at
 dt = 0.125 s, so a slot ON costs exactly 1 J and E0 = s J makes the cell run
 dry at slot s. A record's optimum comes from engine runs of that record, not
 from a formula: the cheaper of never switching OFF (`fixed:` past the
-period) and switching OFF at once (`fixed:0`).
+period) and switching OFF at once (`fixed:0`). The last two check the bounds
+on drawn records and ratio studies, against the oracle's optimum.
 """
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sbsched.analysis import DegenerateStudyError, empirical_cr_study
 from sbsched.engine import Replication, ScenarioConfig, epoch_tables, run_horizon
 from sbsched.network import BsParams, Topology, dbm_to_watts
+from sbsched.oracle import _depletion_possible, build_tables, optimum_and_row
 from sbsched.schedulers import make_policy
 
 DT = 0.125
@@ -154,3 +159,62 @@ def test_adaptive_goes_off_at_once_when_its_rent_falls_as_it_is_due_off():
     adaptive = run(rep, "adaptive")
     assert adaptive.on_time[0] == 4 * DT and adaptive.buy_charged[0]
     assert adaptive.total_cost == cost(rep, "doa")
+
+
+# drawn scenarios of a few slots: one SBS, or up to three for a ratio study,
+# among 1-40 UEs, with drawn weights and harvest. A buy weight of at most 0.5
+# puts b/r inside the period in most records
+SLOTS = st.sampled_from([(1.0, 0.1), (2.0, 0.25), (5.0, 0.5), (0.5, 0.5)])
+WEIGHT = st.floats(0.01, 1.0)
+DRAWN = dict(n_ue=st.integers(1, 40), side=st.sampled_from([500.0, 1000.0, 2000.0]),
+             slots=SLOTS, alpha_d=WEIGHT, alpha_p=WEIGHT, alpha_b=st.floats(0.0, 0.5),
+             harvest_rate=st.floats(0.0, 20.0), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**DRAWN)
+def test_doa_on_drawn_one_cell_records_is_within_twice_the_oracles_optimum(
+        n_ue, side, slots, alpha_d, alpha_p, alpha_b, harvest_rate, seed):
+    # the paper's bound where its preconditions hold: one served cell, frozen
+    # prices, and a battery that no schedule can run dry (twice the most a
+    # period ON can draw). With one SBS the oracle's live rent of the cell's
+    # ON set is the frozen tag's. DOA's OFF falls at the first slot start
+    # not before b/r, so up to one slot late: r * dt is the slot grid's slack
+    period, dt = slots
+    cfg = ScenarioConfig(period=period, dt=dt, horizon_periods=1, n_sbs=1, n_ue=n_ue,
+                         area=(side, side), initial_energy=2 * 10.0 * period, capacity=200.0,
+                         harvest_rate=harvest_rate, alpha_d=alpha_d, alpha_p=alpha_p,
+                         alpha_b=alpha_b, price_mode="frozen", seed=seed)
+    # the first of up to 20 records whose cell serves UEs
+    reps = (Replication.draw(cfg, [seed, k]) for k in range(20))
+    rep = next((rep for rep in reps if rep.plan.ids), None)
+    if rep is None:
+        return
+    (tag,) = rep.plan.tags
+    r, b, e0, cap, n = tag.rent, tag.buy, cfg.initial_energy, cfg.capacity, cfg.n_steps
+    (tables,) = build_tables(rep.topo.take(np.newaxis), [rep.plan.tags], cfg.weights, cfg.q,
+                             cfg.file_bits, dt)
+    assert tables.rent_sum.tolist() == [0.0, r]
+    harvest = rep.harvest[0][:, rep.plan.cells]
+    assert not _depletion_possible(tables, harvest, e0, cap, dt, n)
+    opt, _ = optimum_and_row(tables, harvest, [n], e0, cap, dt, n)
+    (res,) = run_horizon(rep, make_policy("doa"))
+    assert np.isnan(res.depleted_at).all()
+    assert opt > 0.0 and res.total_cost <= (2.0 * opt + r * dt) * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_sbs=st.integers(1, 3), e0=st.sampled_from([5.0, 20.0, 60.0]), **DRAWN)
+def test_every_ratio_of_a_drawn_study_is_at_least_one(
+        n_sbs, e0, n_ue, side, slots, alpha_d, alpha_p, alpha_b, harvest_rate, seed):
+    # the policy's schedule is a row of the oracle's grid, costed with the
+    # same slot step, so no ratio is below 1, whether batteries run dry or not
+    period, dt = slots
+    cfg = ScenarioConfig(period=period, dt=dt, n_sbs=n_sbs, n_ue=n_ue, area=(side, side),
+                         initial_energy=e0, harvest_rate=harvest_rate, alpha_d=alpha_d,
+                         alpha_p=alpha_p, alpha_b=alpha_b, seed=seed)
+    try:
+        report = empirical_cr_study(cfg, 3)
+    except DegenerateStudyError:
+        return  # too few attempts with a served cell and a positive optimum
+    assert report.ratios.size == 3 and (report.ratios >= 1.0).all()
