@@ -23,10 +23,8 @@ live rents, power draw, delays) is a function of the ON set and the SBS
 transmit power only: it is read from a `pricing.OnSetTable`, one per
 transmit-power epoch. A run switches only the served cells, so every table
 of the record learns them (`OnSetTable.ids`), and prices the sets of them
-that its runs reach in one stacked pass from their second miss on. The run
-keeps its ON set as an int bitmask over the served cells (bit p: `ids[p]`
-ON), updated where a cell switches, and looks its entry up by that mask
-(`OnSetTable.subset`), only when the ON set or the epoch changes; the served
+that its runs reach in one stacked pass from their second miss on. An entry
+is looked up only when the ON set or the epoch changes, and the served
 cells' power draws and rents are read from it as lists (`OnSetEntry.served`),
 made once per entry, however often a slot lands on it.
 
@@ -528,11 +526,12 @@ def run_period(
     # book's slot `parked[p]`, and adds up its arrivals at the period end
     stepped = list(range(m))
     parked = {} if trace_rows is None else None
-    # the ON set as a bitmask over the served cells (bit p: `on[p]`), and its
-    # entry, looked up when the set or the epoch changes; and the entries
-    # that the slot's values (`psi`, `rent`, `delay`) and the observed rents
-    # were read from
-    mask = (1 << m) - 1
+    sigma = np.zeros(n_bs, dtype=bool)
+    sigma[0] = True
+    sigma[ids] = True
+    # table[sigma], looked up when the ON set or the epoch changes, and the
+    # entries that the slot's values (`psi`, `rent`, `delay`) and the observed
+    # rents were read from; an ON set changes only with `on`
     entry = psi_entry = rent_entry = None
 
     k = 0
@@ -548,7 +547,7 @@ def run_period(
         if k_percent is None:
             if adaptive:
                 if entry is None:
-                    entry = table.subset(mask)
+                    entry = table[sigma]
                 if entry is not rent_entry:  # a rent changes only with the entry
                     rent_entry = entry
                     for p, j in enumerate(ids):
@@ -558,8 +557,7 @@ def run_period(
                             off_at.setdefault(slot, []).append(p)
             for p in off_at.get(k, ()):
                 if on[p] and off_slot[p] == k:
-                    on[p] = False
-                    mask ^= 1 << p
+                    on[p] = sigma[ids[p]] = False
                     bought[p] = True
                     switch[p] += 1
                     changed = True
@@ -571,14 +569,13 @@ def run_period(
                 want_on = 100.0 * stored[p] / cap > k_percent
                 if want_on is on[p] or depleted[p]:
                     continue
-                on[p] = want_on
-                mask ^= 1 << p
+                on[p] = sigma[ids[p]] = want_on
                 if not want_on:
                     bought[p] = True
                 switch[p] += 1
                 changed = True
         if changed or entry is None:
-            entry = table.subset(mask)
+            entry = table[sigma]
 
         # forced OFF, no buy charge; re-associating can raise the load on
         # surviving cells, so repeat to a fixed point
@@ -591,15 +588,14 @@ def run_period(
             if not dep_now:
                 break
             for p in dep_now:
-                on[p] = False
-                mask ^= 1 << p
+                on[p] = sigma[ids[p]] = False
                 depleted[p] = True
                 depleted_at[cells[p]] = t
                 switch[p] += 1
                 if parked is not None:
                     parked[p] = lo
                     stepped.remove(p)
-            entry = table.subset(mask)
+            entry = table[sigma]
 
         if parked is not None and not stepped:
             end = n_steps  # every cell is OFF for good, and the ON set's delay is 0
@@ -659,14 +655,13 @@ def run_period(
 
         if trace_rows is not None:
             row_stored = idle_stored[lo + 1].tolist()
-            row_on, row_rent = [0] * n_sbs, [0.0] * n_sbs
+            row_rent = [0.0] * n_sbs
             for p, i in enumerate(cells):
                 row_stored[i] = stored[p]
-                row_on[i] = int(on[p])
                 row_rent[i] = rent[p] if on[p] else 0.0
             for j in range(1, n_bs):
                 trace_rows.append((
-                    round(period_index * cfg.period + t, 10), j, row_on[j - 1],
+                    round(period_index * cfg.period + t, 10), j, int(sigma[j]),
                     row_stored[j - 1], entry.state.n_members(j), row_rent[j - 1],
                 ))
         k = end

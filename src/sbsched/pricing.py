@@ -272,22 +272,20 @@ class OnSetTable:
     that starts all ON.
 
     Association, rents, power draw and delays depend on the ON set alone, so
-    the engine's slots share one entry per ON set, whichever way it is looked
-    up: by the (n_bs,) bool ON/OFF vector (`table[sigma]`), or, for a set of
-    `ids`, by its bitmask (`subset`).
+    the engine's slots share one entry per ON set. Entries are keyed by the
+    bytes of the (n_bs,) bool ON/OFF vector.
 
     The engine sets `ids`, its record's served SBSs: its runs reach only the
-    sets in which no other SBS is ON, which the table keys by their bitmask
-    over `ids`, and every other set by the bytes of its vector. The first
-    set of `ids` to miss is priced alone; on the second, every one of the
-    2^m sets is priced in one stacked pass (`network.associate_subsets`,
-    then `_price`), which also lists each row's served-cell `psi` and `rent`
-    and sums its `on_delay`, and this miss and the later ones make their
-    entry from the pass's row (`OnSetEntry.row`), with the bits of the set
-    priced alone. The pass is not run, and each set is priced alone as
-    before, when m < 2 (the second miss is then the last), when an array of
-    it would exceed `network.STACK_LINKS`, or when pricing some set would
-    fail or warn: a zero rate, a rent that is not finite, a count above
+    sets in which no other SBS is ON. The first such set to miss is priced
+    alone; on the second, every one of the 2^m sets is priced in one stacked
+    pass (`network.associate_subsets`, then `_price`), which also lists each
+    row's served-cell `psi` and `rent` and sums its `on_delay`, and this
+    miss and the later ones make their entry from the pass's row
+    (`OnSetEntry.row`), with the bits of the set priced alone. The pass is
+    not run, and each set is priced alone as before, when m < 2 (the second
+    miss is then the last), when an array of it would exceed
+    `network.STACK_LINKS`, or when pricing some set would fail or warn: a
+    zero rate, a rent that is not finite, a count above
     `power_by_count`'s, a negative draw, or any floating-point error. A
     set's error or warning then comes at its own lookup, or never.
     """
@@ -299,32 +297,12 @@ class OnSetTable:
         self.q = q
         self.file_bits = file_bits
         self.period = period
-        self._ids: list[int] | None = None
-        # by bitmask over `ids` for their sets, by the vector's bytes for others
-        self._entries: dict[int | bytes, OnSetEntry] = {}
+        self.ids: list[int] | None = None  # the SBSs a run may switch
+        self._entries: dict[bytes, OnSetEntry] = {}
         self._missed = False  # a set of `ids` has missed
         # the pass over `ids`' sets: None before the second miss, then the
         # pass, or False if it does not run
         self._subset_pass: _SubsetPass | bool | None = None
-
-    @property
-    def ids(self) -> list[int] | None:
-        """The SBSs a run may switch, in ascending id, or None: set once
-        (again only to an equal list), after which the entries of their sets
-        are keyed by bitmask."""
-        return self._ids
-
-    @ids.setter
-    def ids(self, ids: list[int]) -> None:
-        if ids is self._ids:
-            return
-        if self._ids is not None and ids != self._ids:
-            raise ValueError("a table's ids are set once")
-        self._ids = ids
-        for key in [key for key in self._entries if isinstance(key, bytes)]:
-            s = self._mask(key)
-            if s is not None:
-                self._entries[s] = self._entries.pop(key)
 
     @cached_property
     def tags(self) -> tuple[PriceTag, ...]:
@@ -343,65 +321,42 @@ class OnSetTable:
         return _read_only(power_by_count(self.topo, self.q))
 
     def __getitem__(self, sigma: np.ndarray) -> "OnSetEntry":
-        key = self._key(sigma)
+        key = sigma.tobytes()
         entry = self._entries.get(key)
         if entry is None:
-            if type(key) is int:
-                return self._miss(key)
-            entry = self.add(network.associate(sigma, self.topo))
+            entry = self._miss(sigma, key)
         return entry
 
-    def subset(self, s: int) -> "OnSetEntry":
-        """The entry of the set of `ids` of bitmask s (bit i: SBS `ids[i]`
-        ON), with the MBS ON and every other SBS OFF: `table[sigma]` of that
-        set, the same object."""
-        entry = self._entries.get(s)
-        if entry is None:
-            entry = self._miss(s)
-        return entry
+    def _miss(self, sigma: np.ndarray, key: bytes) -> "OnSetEntry":
+        """The entry of a set not yet in the table: a row of the pass over
+        `ids`' sets from their second miss on, else priced alone."""
+        s = self._subset(sigma, key)
+        if s is not None:
+            if self._subset_pass is None and self._missed:
+                self._subset_pass = self._price_subsets() or False
+            self._missed = True
+            if self._subset_pass:
+                entry = self._entries[key] = OnSetEntry.row(self._subset_pass, s)
+                return entry
+        return self.add(network.associate(sigma, self.topo))
 
-    def _key(self, sigma: np.ndarray) -> int | bytes:
-        """A set's key: its bitmask over `ids` for one of their sets (a bool
-        (n_bs,) vector), else the bytes of its vector."""
-        key = sigma.tobytes()
-        if sigma.dtype != bool or sigma.shape != (self.topo.n_bs,):
-            return key
-        s = self._mask(key)
-        return key if s is None else s
-
-    def _mask(self, key: bytes) -> int | None:
-        """The bitmask over `ids` (bit i: SBS `ids[i]` ON) of the bytes of a
-        bool ON set with the MBS ON and every other SBS OFF, or None for any
-        other set."""
-        ids = self._ids
-        if ids is None or key[MBS_ID] != 1:
+    def _subset(self, sigma: np.ndarray, key: bytes) -> int | None:
+        """The bitmask over `ids` (bit i: SBS `ids[i]` ON) of a bool ON set
+        with the MBS ON and every other SBS OFF, or None for any other set."""
+        ids = self.ids
+        if ids is None or sigma.dtype != bool or sigma.shape != (self.topo.n_bs,) \
+                or key[MBS_ID] != 1:
             return None
         s = 0
         for i, j in enumerate(ids):
             s |= key[j] << i
         return s if key.count(1) == 1 + s.bit_count() else None
 
-    def _miss(self, s: int) -> "OnSetEntry":
-        """The entry of the set of `ids` of bitmask s, not yet in the table:
-        a row of the pass over their sets from their second miss on, else
-        priced alone."""
-        if self._subset_pass is None and self._missed:
-            self._subset_pass = self._price_subsets() or False
-        self._missed = True
-        if self._subset_pass:
-            entry = self._entries[s] = OnSetEntry.row(self._subset_pass, s)
-            return entry
-        sigma = np.zeros(self.topo.n_bs, dtype=bool)
-        sigma[MBS_ID] = True
-        sigma[[j for i, j in enumerate(self._ids) if s >> i & 1]] = True
-        return self._add(s, network.associate(sigma, self.topo))
-
     def _price_subsets(self) -> _SubsetPass | None:
         """The pass over every set of `ids`, or None where it is not to run
         (see the class docstring)."""
-        ids = self._ids
-        m = len(ids)
-        if m < 2:  # two sets at most: the second miss is the last
+        ids = self.ids
+        if len(ids) < 2:  # two sets at most: the second miss is the last
             return None
         by_count = self.power_by_count
         try:
@@ -425,14 +380,10 @@ class OnSetTable:
         """The entry of `state`'s ON set, made from that association and its
         `prices`, or from the table's pricing pass over it when none are
         given."""
-        return self._add(self._key(state.sigma), state, prices)
-
-    def _add(self, key: int | bytes, state: NetworkState,
-             prices: OnSetPrices | None = None) -> "OnSetEntry":
         if prices is None:
             prices = _price(state, self.topo, self.w, self.q, self.file_bits,
                             self.power_by_count)
-        entry = self._entries[key] = OnSetEntry(state, prices)
+        entry = self._entries[state.sigma.tobytes()] = OnSetEntry(state, prices)
         return entry
 
     def add_all_on(self, state: NetworkState, prices: OnSetPrices,

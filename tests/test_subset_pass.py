@@ -3,8 +3,7 @@ which only the record's served SBSs may be ON (`network.associate_subsets`,
 priced by `OnSetTable` from its second miss on). Each row has the bits of
 its set priced alone, and a table that makes its entries from the pass
 raises and warns at the same lookups as one that prices each set alone.
-A set has one entry, whether it is looked up by its ON/OFF vector or by its
-bitmask over the served SBSs."""
+A set has one entry: every lookup of it returns the same object."""
 import warnings
 from unittest import mock
 
@@ -117,8 +116,8 @@ def test_a_nine_cell_table_runs_the_pass_in_chunks():
     table.ids = ids
     with mock.patch.object(network, "associate_subsets",
                            wraps=network.associate_subsets) as subsets:
-        table.subset(511)
-        entry = table.subset(0)
+        table[subset(topo.n_bs, ids, 511)]
+        entry = table[subset(topo.n_bs, ids, 0)]
     assert subsets.call_count == 1 and table._subset_pass
     assert np.shares_memory(entry.rent, table._subset_pass.prices.rent)
 
@@ -292,13 +291,13 @@ def test_every_row_entry_is_its_set_priced_alone(m):
     table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
     table.ids = ids
     alone = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
-    table.subset(0)
-    table.subset(1)  # the second miss runs the pass
+    table[subset(topo.n_bs, ids, 0)]
+    table[subset(topo.n_bs, ids, 1)]  # the second miss runs the pass
     rows = table._subset_pass
     assert rows and rows.state.serving.shape == (1 << m, 16)
     nonzero = 0
     for s in range(2, 1 << m):
-        entry = table.subset(s)
+        entry = table[subset(topo.n_bs, ids, s)]
         want = alone[subset(topo.n_bs, ids, s)]
         assert np.shares_memory(entry.rent, rows.prices.rent)
         got_psi, got_rent = entry.served(ids)
@@ -325,32 +324,39 @@ def all_served_record(mode):
 
 
 @pytest.mark.parametrize("mode", ["live", "frozen"])
-def test_a_set_has_one_entry_by_vector_and_by_bitmask(mode):
+def test_a_set_has_one_entry(mode):
     # every SBS is served, so the all-ON set is a set of `ids`: the entry the
-    # record's chunk made for it, its tags and the engine's lookups by
-    # bitmask are one entry, under every policy, traced or not
+    # record's chunk made for it, its tags, the pass's row entries and every
+    # lookup the engine makes are one entry per set, under every policy,
+    # traced or not
     rep = all_served_record(mode)
     ids, n_bs = rep.plan.ids, rep.topo.n_bs
     table = rep.tables[0]
     all_on = table[np.ones(n_bs, dtype=bool)]
     tags = table.tags
-    for policy in ("roa", "doa", "threshold:30", "adaptive"):
-        for trace in (None, []):
-            run_horizon(rep, make_policy(policy), trace_rows=trace)
-    assert table.ids is ids and table.tags is tags
-    assert table.subset((1 << len(ids)) - 1) is all_on
+    found = []
+    lookup = OnSetTable.__getitem__
+
+    def record_lookup(self, sigma):
+        entry = lookup(self, sigma)
+        found.append((sigma.tobytes(), entry))
+        return entry
+
+    with mock.patch.object(OnSetTable, "__getitem__", record_lookup):
+        for policy in ("roa", "doa", "threshold:30", "adaptive"):
+            for trace in (None, []):
+                run_horizon(rep, make_policy(policy), trace_rows=trace)
+    assert table.ids is ids and table.tags is tags and table._subset_pass
     assert table[np.ones(n_bs, dtype=bool)] is all_on
-    assert len(table._entries) > 2
+    assert len(table._entries) > 2 and len(found) > len(table._entries)
+    assert all(table._entries[key] is entry for key, entry in found)
     for s in range(1 << len(ids)):
-        assert table.subset(s) is table[subset(n_bs, ids, s)]
-    # every key is a set's bitmask, and no set has two entries
-    assert all(type(key) is int for key in table._entries)
+        sigma = subset(n_bs, ids, s)
+        assert table[sigma] is table[sigma.copy()] is table._entries[sigma.tobytes()]
     assert len({id(e) for e in table._entries.values()}) == len(table._entries)
-    with pytest.raises(ValueError, match="set once"):
-        table.ids = ids[:-1]
 
 
-def test_an_entry_made_before_the_ids_is_found_by_bitmask():
+def test_an_entry_made_before_the_ids_is_found_after():
     topo = random_gains_topology(3, 20, seed=1)
     table = OnSetTable(topo, CostWeights(), 0.9, 1e5, 10.0)
     made = [table[np.ones(4, dtype=bool)], table[subset(4, [1, 3], 3)],
@@ -358,6 +364,6 @@ def test_an_entry_made_before_the_ids_is_found_by_bitmask():
     table.ids = [1, 2, 3]
     with mock.patch.object(network, "associate") as assoc, \
             mock.patch.object(network, "associate_subsets") as subsets:
-        assert [table.subset(7), table.subset(5), table.subset(2)] == made
-        assert table[np.ones(4, dtype=bool)] is made[0]
+        found = [table[subset(4, table.ids, s)] for s in (7, 5, 2)]
+    assert all(a is b for a, b in zip(found, made))
     assert not assoc.called and not subsets.called
