@@ -1,9 +1,10 @@
 """Competitive analysis: the empirical ratio study, which draws what
 one-period `engine.Replication`s would, in stacked chunks of attempts, and
 replays them through both the randomized policy (`schedulers.RoaPolicy`, on
-the frozen tags) and the offline oracle. A chunk's seed streams come from one
-hash pass (`engine.SeedStack`) and one generator, set to each stream's state
-just before its draws.
+the frozen tags) and the offline oracle. A chunk of attempts is the sweep's
+chunk of records (`engine._Chunk`): its seed streams come from one hash pass
+(`engine.SeedStack`) and one generator, set to each stream's state just
+before its draws.
 """
 from __future__ import annotations
 
@@ -16,18 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import network, oracle, pricing
+from . import oracle
 from .energy import harvest_trace
 # build_topology is not called here: a chunk's topologies are placed by
-# build_topologies. bench/test_bench.py checks that the tracer wraps it here.
+# engine._Chunk. bench/test_bench.py checks that the tracer wraps it here.
 from .engine import (  # noqa: F401
-    MAX_SLOT_CELLS, ScenarioConfig, SeedStack, build_topologies, build_topology,
+    ScenarioConfig, SeedStack, _Chunk, build_topology, chunk_size, replay_on_failure,
 )
 from .schedulers import RoaPolicy
-
-# attempts stacked in one pass at most (and no more than network.STACK_LINKS
-# links): bounds the stacked arrays
-CHUNK = 64
 
 
 class DegenerateStudyError(RuntimeError):
@@ -97,28 +94,29 @@ def empirical_cr_study(
     Attempt a draws from (cfg.seed, a) what a one-period
     `engine.Replication.draw` would, from the same seed children (one per
     stream of `engine.STREAMS`, stacked per chunk as `SeedStack`), but only
-    what the study reads. Attempts are taken in chunks of at most `CHUNK`, never
-    more than the runs still needed nor past the cap below, so a chunk holds
-    no attempt that a loop over one attempt at a time would not reach. A
-    chunk places each attempt's topology from its own topology child and
-    associates the all-ON set of every topology in one stacked pass, which
-    checks that every UE has a positive rate. A chunk also holds no more
-    than `network.STACK_LINKS` UE-BS links. An attempt whose all-ON
-    association serves no SBS is skipped there, before any price, harvest or
-    policy draw, and draws from no other stream. The served attempts' all-ON
-    rents, their tags and every subset's prices take one more stacked pass
-    each, the subsets up to the first attempt over the budget, which raises
-    once they are built; `oracle.build_tables` makes the tables and the
-    plain-float rows the search reads once per served-cell count for the
-    chunk. Then, one served attempt at a time, in attempt
-    order: the budget check, the harvest (from the harvest child), the
-    randomized OFF times snapped down to the slot grid, and the policy and
-    the exhaustive optimum costed with the same slot-level accounting on the
-    same trace, in one `oracle.optimum_and_row` pass. Attempts whose optimum
-    is zero are skipped too; more than ten attempts per run raise
+    what the study reads. Attempts are taken in chunks of at most
+    `engine.chunk_size`, never more than the runs still needed nor past the
+    cap below, so a chunk holds no attempt that a loop over one attempt at a
+    time would not reach. A chunk is the sweep's `engine._Chunk` of its
+    attempts: it places each attempt's topology from its own topology child,
+    and associates and prices the all-ON set of every topology in one
+    stacked pass each, which checks that every UE has a positive rate, and
+    freezes the served attempts' tags. An attempt whose all-ON association
+    serves no SBS is skipped there, before any harvest or policy draw, and
+    draws from no other stream. Every subset's prices take one more stacked
+    pass, up to the first attempt over the budget, which raises once they
+    are built; `oracle.build_tables` makes the tables and the plain-float
+    rows the search reads once per served-cell count for the chunk. Then,
+    one served attempt at a time, in attempt order: the budget check, the
+    harvest (from the harvest child), the randomized OFF times snapped down
+    to the slot grid, and the policy and the exhaustive optimum costed with
+    the same slot-level accounting on the same trace, in one
+    `oracle.optimum_and_row` pass. Attempts whose optimum is zero are
+    skipped too; more than ten attempts per run raise
     `DegenerateStudyError`. A chunk in which anything fails is run again one
-    attempt at a time, so the failure raised is the first in attempt order,
-    as a loop over one attempt at a time raises it.
+    attempt at a time (`engine.replay_on_failure`, as a sweep's chunk of
+    records is), so the failure raised is the first in attempt order, as a
+    loop over one attempt at a time raises it.
 
     The optimum is the least cost over the grid of every served cell's OFF
     index in 1..n_steps: the closed form's minimum over that grid when no
@@ -151,10 +149,7 @@ def empirical_cr_study(
                 f"too many degenerate replications: {attempts} attempts "
                 f"for {len(ratios)} of {n_runs} runs (no served SBSs, or a zero optimum)")
         chunk = range(attempts + 1, attempts + 1 + min(n_runs - len(ratios), left, size))
-        try:
-            ratios += _study_chunk(study_cfg, chunk, budget)
-        except Exception:  # again one attempt at a time: the first failure raises
-            ratios += [r for attempt in chunk for r in _study_chunk(study_cfg, [attempt], budget)]
+        ratios += replay_on_failure(lambda rows: _study_chunk(study_cfg, rows, budget), chunk)
         attempts = chunk[-1]
     report = RatioReport.from_ratios(np.array(ratios))
     if out_dir is not None:
@@ -162,42 +157,25 @@ def empirical_cr_study(
     return report
 
 
-def chunk_size(cfg: ScenarioConfig) -> int:
-    """The most records or attempts of `cfg` stacked in one pass: `CHUNK`,
-    and no more than `network.STACK_LINKS` UE-BS links nor
-    `engine.MAX_SLOT_CELLS` slot-cells (n_steps * horizon_periods *
-    max(n_sbs, 1) a record), but at least one. A chunk holds its records'
-    arrivals at once, so it holds no more than one record at the cap."""
-    cells = cfg.n_steps * cfg.horizon_periods * max(cfg.n_sbs, 1)
-    return min(CHUNK, max(1, min(network.STACK_LINKS // (cfg.n_ue * (cfg.n_sbs + 1)),
-                                 MAX_SLOT_CELLS // cells)))
-
-
 def _study_chunk(cfg: ScenarioConfig, attempts: Sequence[int], budget: int) -> list[float]:
     """The ratios of the accepted attempts of one chunk, in attempt order."""
     n_steps, dt = cfg.n_steps, cfg.dt
-    w, q, file_bits = cfg.weights, cfg.q, cfg.file_bits
-    seeds = SeedStack(cfg.seed, attempts)
-    topo = build_topologies(cfg, (seeds.rng(i, "topo") for i in range(len(attempts))))
-    all_on = network.associate(np.ones(topo.n_bs, dtype=bool), topo)
-    rents = pricing.price_on_sets(all_on, topo, w, q, file_bits).rent  # raises on a zero rate
-    served = np.flatnonzero(all_on.counts[:, 1:].any(axis=1))  # else every UE is on the MBS
-    topo, all_on, rents = topo.take(served), all_on.take(served), rents[served]
-    tags = pricing.freeze_prices(all_on, rents, topo, w, q, file_bits, cfg.period)
+    chunk = _Chunk(cfg, SeedStack(cfg.seed, attempts), range(len(attempts)))
+    tags = [chunk.tags[k] for k in chunk.served]
     # no attempt past the first over the budget, which raises once its tables are built
     over = [(n_steps + 1) ** len(t) > budget for t in tags] + [True]
-    last = over.index(True) + 1
+    served = chunk.served[:over.index(True) + 1]
     ratios = []
-    for i, t, tables in zip(served[:last].tolist(), tags,
-                            oracle.build_tables(topo.take(slice(last)), tags[:last], w, q,
-                                                file_bits, dt)):
+    for k, t, tables in zip(served, tags,
+                            oracle.build_tables(chunk.epochs[0].take(served), tags[:len(served)],
+                                                cfg.weights, cfg.q, cfg.file_bits, dt)):
         required = (n_steps + 1) ** tables.used.size
         if required > budget:
             raise oracle.BudgetError(required, budget)
-        trace = harvest_trace(cfg.harvest, dt, n_steps, cfg.n_sbs, seeds.rng(i, "harvest"))
+        trace = harvest_trace(cfg.harvest, dt, n_steps, cfg.n_sbs, chunk.seeds.rng(k, "harvest"))
         # one study stream for every cell, so the draws follow the tags' order
         policy = RoaPolicy()
-        policy.reset(t, cfg.period, [seeds.rng(i, "policy")] * cfg.n_sbs)
+        policy.reset(t, cfg.period, [chunk.seeds.rng(k, "policy")] * cfg.n_sbs)
         # each OFF time snapped down to the slot grid, whose study rows start at 1
         row = [max(min(int(math.floor(policy.off_times[tag.sbs] / dt + 1e-9)), n_steps), 1)
                for tag in t]

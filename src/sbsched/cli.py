@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import analysis, network, oracle, pricing
+from . import analysis, engine, network, oracle, pricing
 from .engine import (
     MAX_SLOT_CELLS, CostOverflowError, Replication, ScenarioConfig, SeedStack, run_horizon,
 )
@@ -405,26 +405,23 @@ def _sweep_records(spec: ExperimentSpec,
     value `v` from the seed `[master, v, rep]`, each made when the iterator
     reaches it.
 
-    Seeds are hashed in passes of at most `analysis.CHUNK` records, across
+    Seeds are hashed in passes of at most `engine.CHUNK` records, across
     sweep values (`SeedStack`). A pass's records of one value are drawn in
-    chunks of at most `analysis.chunk_size` (`Replication.draw_chunk`); a
-    chunk whose stacked draw raises is drawn again one record at a time
-    (`Replication.draw`), so the failure raised is the first in order, after
-    the records before it have run."""
+    chunks of at most `engine.chunk_size` (`Replication.draw_chunk`); a
+    chunk whose stacked draw raises is drawn again one record at a time from
+    the same pass (`engine.replay_on_failure`), so the failure raised is the
+    first in order, after the records before it have run."""
     n, total = spec.n_replications, len(axis) * spec.n_replications
-    for start in range(0, total, analysis.CHUNK):  # record k is (v, rep) = divmod(k, n)
-        stop = min(start + analysis.CHUNK, total)
+    for start in range(0, total, engine.CHUNK):  # record k is (v, rep) = divmod(k, n)
+        stop = min(start + engine.CHUNK, total)
         seeds = SeedStack(spec.master_seed, [divmod(k, n) for k in range(start, stop)])
         for v in range(start // n, (stop - 1) // n + 1):
-            cfg, size = axis[v][2], analysis.chunk_size(axis[v][2])
+            cfg, size = axis[v][2], engine.chunk_size(axis[v][2])
             lo, hi = max(start, v * n) - start, min(stop, (v + 1) * n) - start
             for first in range(lo, hi, size):
-                chunk = range(first, min(first + size, hi))
-                try:
-                    records = Replication.draw_chunk(cfg, seeds, chunk)
-                except Exception:  # again one record at a time: the first failure raises
-                    records = (Replication.draw(cfg, seeds.seed(k)) for k in chunk)
-                yield from records
+                yield from engine.replay_on_failure(
+                    lambda rows: Replication.draw_chunk(cfg, seeds, rows),
+                    range(first, min(first + size, hi)))
 
 
 def _run_sweep(spec: ExperimentSpec, out_dir: str, trace: bool, written: list) -> int:

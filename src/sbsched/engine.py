@@ -30,7 +30,7 @@ made once per entry, however often a slot lands on it.
 
 Between two events a served cell's storage and accruals follow one fixed
 recurrence, so the period is stepped in spans: at an event slot the voluntary
-decisions and the depletion fixed point run, then each stepped cell alone
+decisions and the depletion fixed point run, then each served cell alone
 advances over its own arrivals to the span's end. The events are the next
 scheduled OFF slot, the next transmit-power epoch change, and the period end.
 A cell that would run dry inside a span ends it at that slot, which then
@@ -39,19 +39,19 @@ makes, per cell and slot, the float operations of one slot in the same order
 (the arrivals' credit, the strict test against `psi * dt`, the clamp, and the
 rent, ON-time and consumption sums), and the delay is added once per slot. A
 threshold or an adaptive run may decide in any slot, and a traced run writes
-every slot, so these step spans of one slot. An untraced run parks a cell
-that is OFF for good (switched OFF by its schedule, or forced OFF): its
-storage is the clamped running sum of its arrivals from there, added up at
-the period end. Once every served cell is parked, nothing can change and the
-all-OFF ON set's `on_delay` is 0, so one span runs to the period end.
+every slot, so these step spans of one slot. An OFF cell steps through a
+span's slots with the clamped storage step `min(e + h, cap)`, which has the
+bits of the running sum clamped once: once clamped, arrivals >= 0 keep it
+there.
 
 A run is a `Replication` record and a `Policy`: `run_horizon(rep, policy)`
 reads its scenario, topology, tables and harvest from the record. A drawn
 record is a row view of its chunk (`Replication.draw_chunk`), whose shared
 work is done once, in stacked passes, and only when a run needs it: one seed
-hash per `SeedStack`, which a sweep fills with up to `analysis.CHUNK`
-records across sweep values; per chunk of one value's rows, one placement,
-its copy per transmit-power epoch and one all-ON association and pricing
+hash per `SeedStack`, which a sweep fills with up to `CHUNK` records
+across sweep values; per chunk of at most `chunk_size` of one value's rows
+(`_Chunk`, which the ratio study also reads), one placement, its copy per
+transmit-power epoch and one all-ON association and pricing
 pass, and, on first use, each record's arrivals from its own harvest child,
 booked in one pass (`_harvest_book`: the period totals from one `cumsum`,
 the OFF cells' storage from one clamped running sum, each with the bits of
@@ -83,7 +83,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -521,11 +521,6 @@ def run_period(
     one_slot = k_percent is not None or adaptive or trace_rows is not None
     if not one_slot:
         events = sorted({*epoch_at, *off_at, n_steps})
-    # the cells that the storage step steps; an untraced run parks a cell that
-    # is OFF for good (after a scheduled switch OFF or a forced one) from the
-    # book's slot `parked[p]`, and adds up its arrivals at the period end
-    stepped = list(range(m))
-    parked = {} if trace_rows is None else None
     sigma = np.zeros(n_bs, dtype=bool)
     sigma[0] = True
     sigma[ids] = True
@@ -561,11 +556,8 @@ def run_period(
                     bought[p] = True
                     switch[p] += 1
                     changed = True
-                    if parked is not None:
-                        parked[p] = lo
-                        stepped.remove(p)
         else:
-            for p in stepped:  # a cell that ran dry stays OFF
+            for p in range(m):  # a cell that ran dry stays OFF
                 want_on = 100.0 * stored[p] / cap > k_percent
                 if want_on is on[p] or depleted[p]:
                     continue
@@ -584,7 +576,7 @@ def run_period(
                 psi_entry = entry
                 psi, rent = (frozen_psi, frozen_rent) if frozen_mode else entry.served(ids)
                 delay = entry.on_delay / m if m else 0.0
-            dep_now = [p for p in stepped if on[p] and stored[p] + arrivals[p][lo] < psi[p] * dt]
+            dep_now = [p for p in range(m) if on[p] and stored[p] + arrivals[p][lo] < psi[p] * dt]
             if not dep_now:
                 break
             for p in dep_now:
@@ -592,20 +584,15 @@ def run_period(
                 depleted[p] = True
                 depleted_at[cells[p]] = t
                 switch[p] += 1
-                if parked is not None:
-                    parked[p] = lo
-                    stepped.remove(p)
             entry = table[sigma]
 
-        if parked is not None and not stepped:
-            end = n_steps  # every cell is OFF for good, and the ON set's delay is 0
-        elif one_slot:
+        if one_slot:
             end = k + 1
         else:
             end = events[bisect_right(events, k)]
 
-        # storage step: each stepped cell alone, from slot k to the span's
-        # end, credits its arrivals, charges its slot and clamps at cap
+        # storage step: each served cell alone, from slot k to the span's
+        # end, credits its arrivals, charges its slot if ON and clamps at cap
         # (`min(x, cap)` to the bit, without the builtin call). The slot's
         # fixed point has tested slot k, so a draw it did not see is a
         # caller's bug; an ON cell that would run dry at a later slot ends
@@ -616,7 +603,7 @@ def run_period(
             saved = stored[:], rent_acc[:], on_acc[:], consumed_acc[:]
         while True:
             cut = end
-            for p in stepped:
+            for p in range(m):
                 col = arrivals[p]
                 a = stored[p] + col[lo]
                 if on[p]:
@@ -641,8 +628,12 @@ def run_period(
                         consumed_p += c
                     rent_acc[p], on_acc[p], consumed_acc[p] = rent_p, on_p, consumed_p
                     stored[p] = e
-                else:  # OFF and not parked: a traced or threshold run, one slot
-                    stored[p] = cap if cap < a else a
+                else:
+                    e = cap if cap < a else a
+                    for i in later:
+                        e += col[i]
+                        e = cap if cap < e else e
+                    stored[p] = e
             if cut == end:
                 break
             end = cut
@@ -666,13 +657,6 @@ def run_period(
                 ))
         k = end
 
-    # a parked cell's storage: the running sum of its arrivals, clamped at the
-    # end, as for the cells that stay OFF all period
-    for p, since in (parked or {}).items():
-        e, col = stored[p], arrivals[p]
-        for i in range(since, first + n_steps):
-            e += col[i]
-        stored[p] = cap if cap < e else e
     energy.stored[:] = idle_stored[first + n_steps]
     energy.stored[cells] = stored
 
@@ -904,12 +888,40 @@ def _pcg64_words(pools: np.ndarray) -> list:
     return words.astype("<u4", order="C").view("<u8").tolist()
 
 
+# records or study attempts stacked in one pass at most (and no more than
+# network.STACK_LINKS links): bounds the stacked arrays
+CHUNK = 64
+
+
+def chunk_size(cfg: ScenarioConfig) -> int:
+    """The most records or attempts of `cfg` stacked in one pass: `CHUNK`,
+    and no more than `network.STACK_LINKS` UE-BS links nor
+    `MAX_SLOT_CELLS` slot-cells (n_steps * horizon_periods * max(n_sbs, 1)
+    a record), but at least one. A chunk holds its records' arrivals at
+    once, so it holds no more than one record at the cap."""
+    cells = cfg.n_steps * cfg.horizon_periods * max(cfg.n_sbs, 1)
+    return min(CHUNK, max(1, min(network.STACK_LINKS // (cfg.n_ue * (cfg.n_sbs + 1)),
+                                 MAX_SLOT_CELLS // cells)))
+
+
+def replay_on_failure(run: Callable[[Sequence[int]], Iterable], rows: Sequence[int]) -> Iterable:
+    """`run(rows)`, or, if that raises, `run([r])` for each row r in turn,
+    each made when the iterator reaches it: the failure raised is then the
+    first in row order, after the rows before it have been taken."""
+    try:
+        return run(rows)
+    except Exception:
+        return (item for r in rows for item in run([r]))
+
+
 class _Chunk:
     """What a chunk of records of one scenario, rows of a `SeedStack`,
-    computes once. At once, raising here: the placement, its copy per
-    transmit-power epoch, and in slot 0's epoch the all-ON association, its
-    prices and tags. On first use: the records' arrivals and their
-    bookkeeping (`book`), and the served cells' policy seed words."""
+    computes once: a sweep's, and the ratio study's chunk of attempts. At
+    once, raising here: the placement, its copy per transmit-power epoch,
+    and in slot 0's epoch the all-ON association, its prices and tags, and
+    the served rows (those with tags). On first use: the records' arrivals
+    and their bookkeeping (`book`), and the served cells' policy seed
+    words."""
 
     def __init__(self, cfg: ScenarioConfig, seeds: SeedStack, rows: Sequence[int]) -> None:
         self.cfg, self.seeds, self.rows = cfg, seeds, rows
@@ -921,6 +933,7 @@ class _Chunk:
         self.prices = pricing.price_on_sets(self.all_on, epoch, w, q, file_bits)
         self.tags = pricing.freeze_prices(self.all_on, self.prices.rent, epoch, w, q, file_bits,
                                           cfg.period)
+        self.served = [k for k, tags in enumerate(self.tags) if tags]
 
     @cached_property
     def book(self) -> _Book:
@@ -941,10 +954,9 @@ class _Chunk:
     def policy_words(self) -> dict[int, list[list[int]]]:
         """Per served record, its policy child's children's words, one per
         cell up to its last served one."""
-        served = [k for k, tags in enumerate(self.tags) if tags]
-        n = max(self.tags[k][-1].sbs for k in served) if served else 0
-        words = self.seeds.child_words({self.rows[k] for k in served}, "policy", n)
-        return {k: words[self.rows[k]] for k in served}
+        n = max((self.tags[k][-1].sbs for k in self.served), default=0)
+        words = self.seeds.child_words({self.rows[k] for k in self.served}, "policy", n)
+        return {k: words[self.rows[k]] for k in self.served}
 
 
 class Replication:

@@ -55,10 +55,10 @@ AT_CAP = {"period": str(MAX_SLOT_CELLS), "dt": "1", "n_sbs": "1", "horizon_perio
 
 
 @st.composite
-def config_texts(draw, sweeps=False):
+def config_texts(draw, sweeps=False, studies=False):
     """The text of a config: every key is set or not. With `sweeps`, a sweep
     whose keys take ordinary values only, which has a slot and is under the
-    slot-cell cap."""
+    slot-cell cap; with `studies`, a cr_study."""
     wild = not sweeps and draw(st.booleans())
 
     def pick(ordinary, extreme):
@@ -92,7 +92,7 @@ def config_texts(draw, sweeps=False):
         keys["sweep.values"] = ", ".join(draw(st.lists(pick(*KEY_VALUES[param]),
                                                        min_size=1, max_size=2)))
     count = str(draw(st.integers(1, 2)))
-    if not sweeps and draw(st.integers(0, 3)) == 0:
+    if not sweeps and (draw(st.integers(0, 3)) == 0 or studies):
         keys.update({"kind": "cr_study", "runs": count})
         if draw(st.integers(0, 4)):
             for key in CR_STUDY_STRAYS:

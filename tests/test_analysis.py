@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sbsched.analysis import DegenerateStudyError, RatioReport, empirical_cr_study
-from sbsched import analysis, network, oracle, pricing
+from sbsched import analysis, engine, network, oracle, pricing
 from sbsched.engine import Replication, ScenarioConfig, SeedStack
 from sbsched.network import dbm_to_watts
 from sbsched.pricing import NonFinitePriceError
@@ -183,11 +183,11 @@ class TestEmpiricalStudy:
         # the study reads the first period only, whatever the configured
         # horizon: one topology and one all-ON association per attempt, and
         # one harvest trace of one period per served attempt only, none where
-        # every UE is on the MBS; topologies, associations and tables are
+        # every UE is on the MBS; topologies, all-ON pairs and tables are
         # counted per attempt of each stacked call
         counts = {"topologies": 0, "harvest_trace": 0, "tables": 0, "all_on": 0}
-        real_topologies, real_harvest = analysis.build_topologies, analysis.harvest_trace
-        real_tables, real_associate = oracle.build_tables, network.associate
+        real_topologies, real_harvest = engine.build_topologies, analysis.harvest_trace
+        real_tables, real_associate = oracle.build_tables, network.associate_stack
 
         def topologies(cfg, rngs):
             stack = real_topologies(cfg, rngs)
@@ -205,13 +205,13 @@ class TestEmpiricalStudy:
 
         def associate(sigma, topo):
             if np.all(sigma):
-                counts["all_on"] += topo.mbs_snr.shape[0]
+                counts["all_on"] += sigma.shape[0]
             return real_associate(sigma, topo)
 
-        monkeypatch.setattr(analysis, "build_topologies", topologies)
+        monkeypatch.setattr(engine, "build_topologies", topologies)
         monkeypatch.setattr(analysis, "harvest_trace", harvest)
         monkeypatch.setattr(oracle, "build_tables", tables)
-        monkeypatch.setattr(network, "associate", associate)
+        monkeypatch.setattr(network, "associate_stack", associate)
         cfg = ScenarioConfig(n_sbs=3, n_ue=15, dt=0.2, seed=6, horizon_periods=3)
         report = empirical_cr_study(cfg, 10)
         assert counts["harvest_trace"] == counts["tables"] >= 10
@@ -253,7 +253,7 @@ class StudyLog:
 
     def __init__(self, monkeypatch, zero_rates=(), fail_pass=(), zero_optimum=()):
         self.topo, self.served, self.chunks, self.accepted = [], [], [], []
-        real_rng, real_place = SeedStack.rng, analysis.build_topologies
+        real_rng, real_place = SeedStack.rng, engine.build_topologies
         real_pass = oracle.optimum_and_row
 
         def rng(seeds, i, name):
@@ -282,7 +282,7 @@ class StudyLog:
             return opt, realized
 
         monkeypatch.setattr(SeedStack, "rng", rng)
-        monkeypatch.setattr(analysis, "build_topologies", place)
+        monkeypatch.setattr(engine, "build_topologies", place)
         monkeypatch.setattr(oracle, "optimum_and_row", one_pass)
 
 
@@ -295,7 +295,7 @@ TWO_CELLS = ScenarioConfig(n_sbs=2, n_ue=40, area=(1000.0, 1000.0), dt=0.2,
 def one_at_a_time(monkeypatch, cfg, n_runs, budget=1_000_000, **inject):
     """The study and its log with chunks of one attempt, or the failure."""
     with monkeypatch.context() as m:
-        m.setattr(analysis, "CHUNK", 1)
+        m.setattr(engine, "CHUNK", 1)
         log = StudyLog(m, **inject)
         try:
             return empirical_cr_study(cfg, n_runs, budget), log
@@ -305,7 +305,7 @@ def one_at_a_time(monkeypatch, cfg, n_runs, budget=1_000_000, **inject):
 
 class TestStudyChunks:
     def test_chunks_match_one_attempt_at_a_time(self, monkeypatch):
-        n_runs = analysis.CHUNK + 36
+        n_runs = engine.CHUNK + 36
         with monkeypatch.context() as m:
             log = StudyLog(m)
             report = empirical_cr_study(TWO_CELLS, n_runs)
@@ -319,7 +319,7 @@ class TestStudyChunks:
         done = 0
         for size in log.chunks:
             left = n_runs - sum(a <= done for a in log.accepted)
-            assert size == min(analysis.CHUNK, left)
+            assert size == min(engine.CHUNK, left)
             done += size
 
     @pytest.mark.parametrize("inject", ["stacked", "attempt", "both"])

@@ -2,15 +2,16 @@
 sweep config that `configs.config_texts` draws, a fast path of the engine
 gives the rows of the slow one.
 
-An untraced run steps each served cell from one event to the next, reads a
-period with no served cell from its arrival totals alone, and adds up the
-arrivals of a cell that is OFF for good at the period end; a traced run steps
-one slot at a time and takes none of these paths.
+An untraced run steps each served cell from one event to the next, and reads
+a period with no served cell from its arrival totals alone; a traced run
+steps one slot at a time and takes neither path.
 
 A sweep draws its records as row views of chunks, from seed passes across
 sweep values, and replays a chunk whose draw fails one record at a time; each
 record drawn alone (`Replication.draw`) and run by `run_horizon` must give
-the sweep's rows, or the sweep's first error.
+the sweep's rows, or the sweep's first error. A ratio study reads the same
+chunks of its attempts and replays them the same way: with chunks of one
+attempt it must write the same ratios, or raise the same first error.
 """
 import csv
 import io
@@ -22,11 +23,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 
-from sbsched import cli
+from sbsched import cli, engine
 from sbsched.cli import ConfigError, _sweep_axis, parse_config
-from sbsched.engine import Replication, run_horizon
+from sbsched.engine import MAX_SLOT_CELLS, Replication, run_horizon
 from sbsched.oracle import _slot_step, _walk_row, build_tables, optimum_and_row
 from sbsched.schedulers import make_policy
 
@@ -147,6 +149,54 @@ def test_sweep_rows_equal_records_drawn_alone(text):
         assert sweep_results(spec) == records_alone(spec, served), text
     if text.startswith(MIXED[:30]):  # the examples reach what they are for
         assert served[0] and served[1] and len(spec.sweep_values) == 2
+
+
+def study_ratios(spec):
+    """The study's ratios.csv, or the type and message of its error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            cli.run_experiment(spec, tmp)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return (Path(tmp) / "ratios.csv").read_text()
+
+
+# oracle-depletion's scenario: 20 runs in one chunk of 20 attempts or more
+DEPLETION_STUDY = """kind = cr_study
+runs = 20
+period = 10
+dt = 0.2
+n_sbs = 2
+n_ue = 40
+area.width = 1000
+area.height = 1000
+energy.initial = 30
+seed = 3
+"""
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(text=DEPLETION_STUDY)
+# over the budget at 101 slots: in one chunk, accepted attempts, then one
+# with four served cells, then later ones with three, whose error message
+# differs, so only the first failure in attempt order gives the message
+@example(text=DEPLETION_STUDY.replace("runs = 20", "runs = 30").replace("dt = 0.2", "dt = 0.1")
+         .replace("n_sbs = 2\nn_ue = 40", "n_sbs = 4\nn_ue = 60").replace("1000", "700")
+         .replace("seed = 3", "seed = 4"))
+@given(text=config_texts(studies=True))
+def test_study_ratios_equal_attempts_run_one_at_a_time(text):
+    if f"period = {MAX_SLOT_CELLS}\n" in text:
+        return  # at the slot-cell cap: parsed, and never run
+    spec = parse(text)
+    if spec is None:
+        return
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        chunked = study_ratios(spec)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(engine, "CHUNK", 1)
+            alone = study_ratios(spec)
+    assert chunked == alone, text
 
 
 # three served cells on 1 J batteries: cells run dry, so the runs reach

@@ -107,7 +107,7 @@ class TestChunk:
     def test_a_full_chunk_draws_each_record_as_alone(self):
         # 64 records of fig5's scenario at 4 cells: served and idle ones
         cfg = replace(cli.PRESETS["fig5"].base, n_sbs=4)
-        assert analysis.chunk_size(cfg) == analysis.CHUNK == 64
+        assert engine.chunk_size(cfg) == engine.CHUNK == 64
         served = 0
         for rep, record in enumerate(Replication.draw_chunk(cfg, SeedStack([5, 1], range(64)))):
             assert_same_record(record, reference_record(cfg, [5, 1, rep]))
@@ -133,13 +133,13 @@ class TestChunk:
             cfg = cli.parse_config(str(path)).base
             record_cells = cfg.n_steps * cfg.horizon_periods * cfg.n_sbs
             assert record_cells <= engine.MAX_SLOT_CELLS
-            assert analysis.chunk_size(cfg) == min(size, analysis.CHUNK)
-            assert analysis.chunk_size(cfg) * record_cells <= engine.MAX_SLOT_CELLS
+            assert engine.chunk_size(cfg) == min(size, engine.CHUNK)
+            assert engine.chunk_size(cfg) * record_cells <= engine.MAX_SLOT_CELLS
 
     def test_a_record_over_the_link_cap_is_a_chunk_of_one(self):
         cfg = WIDE
         assert cfg.n_ue * (cfg.n_sbs + 1) > network.STACK_LINKS
-        assert analysis.chunk_size(cfg) == 1
+        assert engine.chunk_size(cfg) == 1
         (record,) = Replication.draw_chunk(cfg, SeedStack([1, 0], [0]))
         want = reference_record(cfg, [1, 0, 0])
         assert record.tables[0].tags == want.tables[0].tags
@@ -264,7 +264,7 @@ class TestSweep:
             name="uneven", base=ScenarioConfig(n_sbs=8, horizon_periods=1, sbs_max_users=200),
             sweep_parameter="n_ue", sweep_values=(20, 1000), policies=("roa", "doa"),
             n_replications=9, master_seed=2)
-        assert [analysis.chunk_size(cfg) for *_, cfg in cli._sweep_axis(spec)] == [64, 7]
+        assert [engine.chunk_size(cfg) for *_, cfg in cli._sweep_axis(spec)] == [64, 7]
         counts = Passes(monkeypatch)
         cli.run_experiment(spec, str(tmp_path))
         assert [len(rows) for _, rows in counts.chunks] == [9, 7, 2] == counts.books
@@ -283,7 +283,7 @@ class TestSweep:
     def test_each_record_is_freed_before_the_next_runs(self, tmp_path, monkeypatch):
         # no reference cycle keeps a record: with the collector off, each
         # record and its tables are gone when the next record first runs
-        monkeypatch.setattr(analysis, "CHUNK", 3)
+        monkeypatch.setattr(engine, "CHUNK", 3)
         seen = []
         real = cli.run_horizon
 

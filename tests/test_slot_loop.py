@@ -10,9 +10,9 @@ The property test requires every `PeriodResult` field, the energy state and
 every trace row of the current engine to be exactly equal to it, traced and
 untraced, and on a record of the example's periods, which reads the
 bookkeeping of its whole horizon. An untraced scheduled run steps each served
-cell from one event to the next, and finishes a period in closed form once
-every served cell is OFF; the test asserts that its examples reach every way
-a span can end, and that tail.
+cell, ON or OFF, from one event to the next; the test asserts that its
+examples reach every way a span can end, an OFF cell clamped at the capacity
+inside a span, and a period's tail once every served cell is OFF.
 """
 import math
 from bisect import bisect_left
@@ -211,38 +211,45 @@ POLICIES = st.sampled_from(["doa", "roa", "adaptive", "fixed", "threshold"]).fla
     else st.just(kind))
 
 
-# the ways an untraced run can finish a period in closed form (see
+# the ways a period can go on once every served cell is OFF (see
 # `tail_kinds`), each reached by some example; and the least share of the
-# examples, explicit and generated, that reach it at all (57 of 92 do)
+# examples, explicit and generated, that reach such a tail at all (57 of 92 do)
 TAIL_KINDS = {"slot 0", "last slot", "clamp", "epoch", "forced OFF", "adaptive"}
 TAIL_SHARE = 0.5
 
 
 # the ways a span of an untraced scheduled run ends early or crosses a
-# boundary (see `span_kinds`), and the storage edges that the record's
-# bookkeeping of the whole horizon must keep: an OFF cell clamped at the
-# capacity after the period boundary, and arrivals of -0.0
-SPAN_KINDS = {"dry past the event", "dry at the span's end", "epoch", "clamp across periods",
-              "-0.0"}
+# boundary (see `span_kinds`), a served cell that is OFF reaching the
+# capacity at a later slot of a span, and the storage edges that the
+# record's bookkeeping of the whole horizon must keep: an OFF cell clamped at
+# the capacity after the period boundary, and arrivals of -0.0
+SPAN_KINDS = {"dry past the event", "dry at the span's end", "epoch", "OFF clamp",
+              "clamp across periods", "-0.0"}
 
 
 def span_kinds(spec, cfg, ref, ref_rows, off_times):
-    """How the spans of an untraced engine run of this period end, read from
-    the reference's trace: a span of a scheduled policy runs from an event
-    slot to the next epoch change or scheduled OFF slot, unless a cell runs
-    dry first, and one with no ON cell left runs to the period end."""
+    """How the spans of an untraced engine run of this period end, and what
+    their OFF cells reach, read from the reference's trace: a span of a
+    scheduled policy runs from an event slot to the next epoch change or
+    scheduled OFF slot, unless a cell runs dry first."""
     used = np.flatnonzero(ref.used)
     if spec.startswith(("threshold", "adaptive")) or not used.size:
         return set()
     grid, epoch_at = cfg.slot_grid
     shape = (cfg.n_steps, cfg.n_sbs)
     sigma = np.array([row[2] for row in ref_rows]).reshape(shape)[:, used]
+    stored = np.array([row[3] for row in ref_rows]).reshape(shape)[:, used]
     ends = sorted({*epoch_at, cfg.n_steps, *(bisect_left(grid, off_times[i + 1]) for i in used)})
     dry = {grid.index(t) for t in ref.depleted_at[used] if not math.isnan(t)}
     kinds, k = set(), 0
-    while k < cfg.n_steps and sigma[k].any():
+    while k < cfg.n_steps:
         end = next(e for e in ends if e > k)
         cut = min((d for d in dry if k < d < end), default=None)
+        # an OFF cell below the capacity after the span's first slot, and at
+        # it after its last
+        last = stored[(end if cut is None else cut) - 1]
+        if np.any(~sigma[k] & (stored[k] < cfg.capacity) & (last == cfg.capacity)):
+            kinds.add("OFF clamp")
         if cut is not None:
             kinds.add("dry past the event" if cut == k + 1 else
                       "dry at the span's end" if cut == end - 1 else "dry")
@@ -255,8 +262,8 @@ def span_kinds(spec, cfg, ref, ref_rows, off_times):
 
 
 def tail_kinds(spec, cfg, ref, ref_rows):
-    """How an untraced engine run finishes this period in closed form, read
-    from the reference's trace: empty when the slot loop runs to the end."""
+    """How this period goes on once every served cell is OFF, read from the
+    reference's trace: empty when some served cell is ON in the last slot."""
     used = np.flatnonzero(ref.used)
     shape = (cfg.n_steps, cfg.n_sbs)
     sigma = np.array([row[2] for row in ref_rows]).reshape(shape)[:, used]
@@ -309,8 +316,8 @@ def tail_kinds(spec, cfg, ref, ref_rows):
 # again at the start of the slot after one that changed the ON set
 @example(5, 30, 2000.0, 391769539, "adaptive", "frozen", False, 99.8, 9.8, 0.05, True, False)
 @example(7, 30, 1000.0, 2371834560, "adaptive", "live", False, 82.0, 12.7, 0.05, True, False)
-# an untraced run finishing a period in closed form once every served cell
-# is OFF: from slot 0, from the last slot (no arrivals left), with storage
+# every served cell OFF before the period ends: from slot 0, from the last
+# slot (no arrivals left), with storage
 # clamped at the capacity in the tail, with transmit-power epochs in the tail,
 # after a forced OFF, and under adaptive with a falling rent
 @example(8, 80, 2000.0, 1, "fixed:0.0", "frozen", True, 50.0, 10.0, 0.05, False, False)
@@ -392,8 +399,8 @@ def check_slot_loop(
 def test_slot_loop_matches_reference_exactly():
     seen = []
     check_slot_loop(seen)
-    # the closed-form tail is reached in every way the examples name, and in
-    # a share of the examples that cannot silently fall to none; so is every
+    # the all-OFF tail is reached in every way the examples name, and in a
+    # share of the examples that cannot silently fall to none; so is every
     # way a span can end early or cross a boundary
     assert set().union(*seen) >= TAIL_KINDS | SPAN_KINDS
     assert sum("tail" in kinds for kinds in seen) >= TAIL_SHARE * len(seen)
