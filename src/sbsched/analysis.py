@@ -3,8 +3,8 @@ one-period `engine.Replication`s would, in stacked chunks of attempts, and
 replays them through both the randomized policy (`schedulers.RoaPolicy`, on
 the frozen tags) and the offline oracle. A chunk of attempts is the sweep's
 chunk of records (`engine._Chunk`): its seed streams come from one hash pass
-(`engine.SeedStack`) and one generator, set to each stream's state just
-before its draws.
+(`engine.SeedStack`), and each stream draws from a fresh generator of its
+hashed words (`SeedStack.rng`).
 """
 from __future__ import annotations
 

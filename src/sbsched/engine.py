@@ -59,19 +59,21 @@ a record booked alone). A record's topologies, tables and served cells'
 arrivals are made from its rows on its first use; a record with no served
 cell makes none untraced, and shares its scenario's idle plan. A record
 built from its fields, and a record-less `run_period`, are stacks of one.
-A policy that `draws` gets a generator per served cell, from words its
-chunk hashes once.
+A seed is an int or a sequence of ints, and every stream's generator is a
+fresh one, made by `_generator` from the words its `SeedStack` hashed: the
+topology's, the harvest's, and for a policy that `draws`, one per served
+cell, from words its chunk hashes once.
 
 A record with no served cell gives the same periods under every policy.
-Untraced, such a period is read from the bookkeeping alone (`_idle_period`),
-with no slot walk and no policy reset; `run_horizon` computes a record's
-once, with read-only arrays, and returns them to every later run that asks
-for no trace.
+Untraced, `run_horizon` reads such a period from the bookkeeping alone
+(`_idle_period`), with no slot walk and no policy reset; it computes a
+record's once, with read-only arrays, and returns them to every later run
+that asks for no trace.
 
-A period sets its result's row itself: a served period sums its per-cell
+A period sets its result's row itself: a walked period sums its per-cell
 rent, buy charged, ON time, consumption and their rent plus buy as the rows of
 one array, in one reduction whose rows have the bits of each summed alone,
-and an idle period reads its row from the bookkeeping.
+and an untraced idle period reads its row from the bookkeeping.
 
 Two accounting modes exist: "live" charges the instantaneous rent rate of the
 current state (the original problem), "frozen" charges the period-start flat
@@ -451,9 +453,9 @@ def run_period(
     cells and the bookkeeping of the harvest are then read from the record,
     which computes them once for all the policies run on it. Without one,
     they are computed here, for this call, the bookkeeping as a stack of
-    one. With no served cell and no `trace_rows`, the period is
-    `_idle_period`'s, read from the bookkeeping alone: the policy is not
-    reset, and a record's tables are not built.
+    one. A period with no served cell walks its slots too: only
+    `run_horizon` reads such periods from the bookkeeping alone
+    (`_idle_period`).
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     cap = energy.capacity
@@ -467,10 +469,6 @@ def run_period(
                 or trace is not record.harvest[period_index]):
             raise ValueError("cfg, topo and trace must be the record's")
         plan, book, p_book = record.plan, record.book, period_index
-    if not plan.cells and trace_rows is None:
-        energy.stored[:] = book.idle_stored[(p_book + 1) * n_steps]
-        return _idle_period(period_index, plan, book, p_book), energy
-    if record is not None:
         tables = record.tables
     n_bs, n_sbs = topo.n_bs, topo.n_sbs
     grid, epoch_at, tags, ids, cells, buy_prices, used = plan
@@ -705,30 +703,19 @@ def run_period(
 STREAMS = ("topo", "harvest", "policy")
 
 
-def _child(seed: int | Sequence[int] | np.random.SeedSequence,
-           i: int) -> np.random.SeedSequence:
-    """The i-th child of `seed`'s `SeedSequence`, as its `spawn` makes it."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,),
-                                      pool_size=seed.pool_size)
-    return np.random.SeedSequence(seed, spawn_key=(i,))
-
-
-# numpy's SeedSequence hash constants and PCG64's multiplier, as
-# numpy/random/bit_generator.pyx and pcg64.h define them
+# numpy's SeedSequence hash constants, as numpy/random/bit_generator.pyx
+# defines them
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 class SeedStack:
     """The seed streams (`STREAMS`) of a pass of rows: for each row a of
-    `attempts` (an int or a sequence of ints), the PCG64 states that
-    `default_rng` seeds from the children of `SeedSequence([*lead, *a])`,
-    hashed in one pass, and one generator that `rng` sets to a child's
-    state just before that stream's draws. A study's rows are attempts
-    after its seed; a sweep's are (value index, replication) pairs after its
-    master seed, so one pass spans sweep values."""
+    `attempts` after `lead` (each an int or a sequence of ints), the words
+    that `default_rng` seeds PCG64 from for the children of
+    `SeedSequence([*lead, *a])`, hashed in one pass. A study's rows are
+    attempts after its seed; a sweep's are (value index, replication) pairs
+    after its master seed, so one pass spans sweep values."""
 
     def __init__(self, lead: int | Sequence[int], attempts: Sequence) -> None:
         self.lead = lead
@@ -741,27 +728,20 @@ class SeedStack:
             self._groups.setdefault(len(run), []).append(i)
         self._pools = np.empty((len(runs), len(STREAMS), 4), dtype=np.uint32)
         self._words: list = [None] * len(runs)
+        np.random.bit_generator.ISeedSequence.register(_HashedSeed)  # a no-op once done
         for size, rows in self._groups.items():
             pool = _mix_pool(np.array([runs[i] for i in rows], dtype=np.uint32))
             self._pools[rows] = pools = _spawn_pools(pool, 4 * size, len(STREAMS))
             for i, words in zip(rows, _pcg64_words(pools)):
                 self._words[i] = words
-        self._rng = np.random.Generator(np.random.PCG64(0))
 
     def seed(self, i: int) -> list[int]:
         """Row i's seed, `[*lead, *a]`."""
         return [*_ints(self.lead), *_ints(self.attempts[i])]
 
     def rng(self, i: int, name: str) -> np.random.Generator:
-        """The generator at the start of row i's child of stream `name`:
-        PCG64's seeding step, in Python ints, from the child's hashed words."""
-        s_hi, s_lo, i_hi, i_lo = self._words[i][STREAMS.index(name)]
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        self._rng.bit_generator.state = {"bit_generator": "PCG64",
-                                         "state": {"state": state, "inc": inc},
-                                         "has_uint32": 0, "uinteger": 0}
-        return self._rng
+        """A fresh generator of row i's child of stream `name`."""
+        return _generator(self._words[i][STREAMS.index(name)])
 
     def child_words(self, rows: Sequence[int], name: str, n: int) -> dict[int, list[list[int]]]:
         """Per row of `rows`, the hashed words of the first n children of its
@@ -777,8 +757,8 @@ class SeedStack:
 
 class _HashedSeed:
     """Hashed PCG64 seed words (`SeedStack`), which PCG64 takes as numpy's
-    `ISeedSequence` (registered on first use, so that importing the engine
-    does not import `numpy.random`)."""
+    `ISeedSequence` (registered when a `SeedStack` is made, so that
+    importing the engine does not import `numpy.random`)."""
 
     __slots__ = ("words",)
 
@@ -792,8 +772,8 @@ class _HashedSeed:
 
 
 def _generator(words: list[int]) -> np.random.Generator:
-    """A fresh generator seeded from hashed PCG64 words."""
-    np.random.bit_generator.ISeedSequence.register(_HashedSeed)  # a no-op once done
+    """A fresh generator seeded from hashed PCG64 words, those of a
+    `SeedStack`, which registers `_HashedSeed` when it is made."""
     return np.random.Generator(np.random.PCG64(_HashedSeed(words)))
 
 
@@ -815,17 +795,9 @@ def _words(n: int) -> list[int]:
     return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _seed_words(seed: int | Sequence[int] | np.random.SeedSequence) -> list[int]:
+def _seed_words(seed: int | Sequence[int]) -> list[int]:
     """The uint32 words that `seed`'s `SeedSequence` hashes ahead of a
-    child's index: an int's words, a sequence's in turn, and a spawned
-    sequence's entropy padded to the pool of 4 and then its spawn key."""
-    if isinstance(seed, np.random.SeedSequence):
-        if seed.pool_size != 4:
-            raise ValueError("a seed's SeedSequence must have a pool of 4 words")
-        words = _seed_words(seed.entropy)
-        if seed.spawn_key:
-            words += [0] * (4 - len(words)) + _seed_words(seed.spawn_key)
-        return words
+    child's index: an int's words, and a sequence's in turn."""
     if isinstance(seed, (int, np.integer)):
         return _words(seed)
     return [w for part in seed for w in _seed_words(part)]
@@ -964,7 +936,8 @@ class Replication:
     scenario (`cfg`), the topology, its ON-set tables (`epoch_tables`, the
     one of slot 0's epoch made with its all-ON entry and tags), one
     read-only (n_steps, n_sbs) harvest view per period, and the seed they
-    were drawn from, whose child seeds the policies' draws (`policy_ss`).
+    were drawn from, an int or a sequence of ints, whose policy child seeds
+    the policies' draws (`policy_rngs`).
 
     A drawn record is a row view of its chunk (`draw_chunk`), and makes
     each of these from its rows on first use; one with no served cell makes
@@ -975,7 +948,7 @@ class Replication:
 
     def __init__(self, cfg: ScenarioConfig, topo: Topology,
                  tables: Sequence[pricing.OnSetTable], harvest: Sequence[np.ndarray],
-                 seed: int | Sequence[int] | np.random.SeedSequence) -> None:
+                 seed: int | Sequence[int]) -> None:
         self.cfg, self.topo, self.tables, self.harvest = cfg, topo, tuple(tables), tuple(harvest)
         self.seed = seed
         self._chunk: _Chunk | None = None
@@ -984,13 +957,11 @@ class Replication:
         self._idle: list[PeriodResult] = []
 
     @classmethod
-    def draw(cls, cfg: ScenarioConfig,
-             seed: int | Sequence[int] | np.random.SeedSequence) -> "Replication":
-        """The record of `seed` (an int, a sequence of ints, or a
-        `SeedSequence` with the default pool), from the children its
-        `SeedSequence` spawns, one per stream (`STREAMS`): a chunk of one
-        (`draw_chunk`) of the words that sequence hashes, which the record
-        keeps as its seed."""
+    def draw(cls, cfg: ScenarioConfig, seed: int | Sequence[int]) -> "Replication":
+        """The record of `seed` (an int or a sequence of ints), from the
+        children its `SeedSequence` spawns, one per stream (`STREAMS`): a
+        chunk of one (`draw_chunk`) of the words that sequence hashes, which
+        the record keeps as its seed."""
         words = _seed_words(seed)
         (record,) = cls.draw_chunk(cfg, SeedStack(words[:-1], words[-1:]))
         return record
@@ -1036,12 +1007,6 @@ class Replication:
                      for p in range(self.cfg.horizon_periods))
 
     @cached_property
-    def policy_ss(self) -> np.random.SeedSequence:
-        """The seed of the policies' draws, `seed`'s child as `spawn`
-        makes it, built on first use."""
-        return _child(self.seed, STREAMS.index("policy"))
-
-    @cached_property
     def plan(self) -> _PeriodPlan:
         if self._chunk is None:
             tags = self.tables[self.cfg.slot_grid[1][0]].tags
@@ -1061,8 +1026,9 @@ class Replication:
                              float(cfg.capacity)).row(0, self.plan.cells)
 
     def policy_rngs(self) -> list[np.random.Generator | None]:
-        """Fresh generators for a run: the i-th child of `policy_ss` (as
-        `spawn` would make it) for each served cell i, None elsewhere."""
+        """Fresh generators for a run: for each served cell i, the i-th
+        child of the seed's policy child, as `spawn` would make it, seeded
+        through `_generator`; None elsewhere."""
         rngs: list[np.random.Generator | None] = [None] * self.cfg.n_sbs
         cells = self.plan.cells
         if not cells:

@@ -244,9 +244,6 @@ class NetworkState:
         return NetworkState(self.sigma[index], self.serving[index], self.sinr[index],
                             self.counts[index])
 
-    def members(self, bs: int) -> np.ndarray:
-        return np.flatnonzero(self.serving == bs)
-
     def n_members(self, bs: int) -> int:
         return int(self.counts[bs])
 

@@ -142,7 +142,7 @@ def test_policy_cost_ordering_and_switching_discipline():
     one_switch_ok = True
     cfg = ScenarioConfig(n_sbs=6, n_ue=30)
     for rep in range(200):
-        record = Replication.draw(cfg, np.random.SeedSequence([7, rep]))
+        record = Replication.draw(cfg, [7, rep])
         for name in policies:
             results = run_horizon(record, make_policy(name))
             for res in results:
@@ -249,7 +249,7 @@ def test_adaptive_differs_from_doa_where_rents_fall():
     named_ok = True
     for rep in range(20):
         # drawn as `simulate` draws replication `rep` of this config
-        record = Replication.draw(cfg, np.random.SeedSequence([cfg.seed, 0, rep]))
+        record = Replication.draw(cfg, [cfg.seed, 0, rep])
         pairs = list(zip(run_horizon(record, make_policy("adaptive")),
                          run_horizon(record, make_policy("doa"))))
         rows = [(a.to_dict(), d.to_dict()) for a, d in pairs if a.used.any()]

@@ -87,7 +87,7 @@ def reference_study(cfg, n_runs):
     attempt = 0
     while len(ratios) < n_runs:
         attempt += 1
-        rep = Replication.draw(study_cfg, np.random.SeedSequence([cfg.seed, attempt]))
+        rep = Replication.draw(study_cfg, [cfg.seed, attempt])
         table = rep.tables[0]
         if not table.tags:
             continue
@@ -106,7 +106,8 @@ def reference_study(cfg, n_runs):
             continue
         policy = RoaPolicy()
         policy.reset(table.tags, cfg.period,
-                     [np.random.default_rng(rep.policy_ss)] * cfg.n_sbs)
+                     [np.random.default_rng(np.random.SeedSequence(rep.seed).spawn(3)[2])]
+                     * cfg.n_sbs)
         snapped = [min(int(math.floor(policy.off_times[tag.sbs] / dt + 1e-9)), n_steps)
                    for tag in table.tags]
         realized = float(oracle.evaluate_schedules(

@@ -404,8 +404,7 @@ sweep.values = 20, 60
         for idx, (_, value, cfg) in enumerate(_sweep_axis(spec)):
             for policy in spec.policies:
                 for rep in range(spec.n_replications):
-                    record = Replication.draw(
-                        cfg, np.random.SeedSequence([spec.master_seed, idx, rep]))
+                    record = Replication.draw(cfg, [spec.master_seed, idx, rep])
                     for res in run_horizon(record, make_policy(policy)):
                         d = res.to_dict()
                         want.append([str(x) for x in (

@@ -194,7 +194,7 @@ def run_one_cell(initial, harvest=(), t_off=1.0, *, period=1.0, op_power=8.0,
     trace[:len(harvest), 0] = harvest
     trace.flags.writeable = False
     # a record built by hand runs on the table built here
-    rep = Replication(cfg, topo, (table,), (trace,), np.random.SeedSequence(0))
+    rep = Replication(cfg, topo, (table,), (trace,), 0)
     energy = EnergyState.fresh(1, initial, cfg.capacity)
     res, _ = run_period(cfg, topo, energy, FixedPolicy(t_off), rep.policy_rngs(), trace,
                         record=rep)

@@ -259,12 +259,11 @@ class TestRunHorizon:
         assert not np.isnan(res[0].depleted_at[i])
         assert res[1].on_time[i] > 0.0
 
-    def test_seed_as_seedsequence(self):
-        cfg = ScenarioConfig(seed=SEED_ONE_USED)
-        a = run_horizon(Replication.draw(cfg, np.random.SeedSequence(SEED_ONE_USED)),
-                        RoaPolicy())
-        b = horizon(cfg, "roa")
-        assert a[0].to_dict() == b[0].to_dict()
+    def test_a_seedsequence_seed_is_refused(self):
+        # a seed is an int or a sequence of ints: a SeedSequence raises at
+        # the call, before anything is drawn
+        with pytest.raises(TypeError):
+            Replication.draw(ScenarioConfig(), np.random.SeedSequence(0))
 
     def test_runs_on_a_drawn_replication(self):
         cfg = ScenarioConfig(seed=SEED_ONE_USED)
@@ -307,7 +306,8 @@ class TestRunHorizon:
                 runs.append((run_horizon(rep, make_policy(policy), trace_rows=rows), rows))
             # without a record: the policy seeds as `spawn` makes them
             rep = Replication.draw(cfg, cfg.seed)
-            rngs = [np.random.default_rng(s) for s in rep.policy_ss.spawn(cfg.n_sbs)]
+            rngs = [np.random.default_rng(s)
+                    for s in np.random.SeedSequence(cfg.seed).spawn(3)[2].spawn(cfg.n_sbs)]
             energy = EnergyState.fresh(cfg.n_sbs, cfg.initial_energy, cfg.capacity)
             chained, rows, chain_policy = [], [], make_policy(policy)
             for p, trace in enumerate(rep.harvest):
@@ -334,9 +334,10 @@ class TestRunHorizon:
 
     def test_policies_and_periods_of_a_record_share_its_bookkeeping(self, monkeypatch):
         # 3 policies x 2 periods: the harvest's bookkeeping is done once, over
-        # the record's whole horizon, in its chunk's one stacked pass, and a
-        # generator is seeded for each served cell only, and only for roa,
-        # the one policy that draws
+        # the record's whole horizon, in its chunk's one stacked pass, from
+        # one harvest generator, and a policy generator is seeded for each
+        # served cell only, and only for roa, the one policy that draws (its
+        # run seeds them before the first period reads the bookkeeping)
         cfg = ScenarioConfig(seed=SEED_TWO_USED, horizon_periods=2)
         rep = Replication.draw(cfg, cfg.seed)
         books, seeds = [], []
@@ -358,8 +359,10 @@ class TestRunHorizon:
         stored, arrivals, periods, _ = books[0]
         assert arrivals.shape == (1, 2 * cfg.n_steps, cfg.n_sbs) and periods == 2
         assert all(trace.base is arrivals.base for trace in rep.harvest)
-        children = [engine._child(rep.policy_ss, i).generate_state(4, np.uint64).tolist()
-                    for i in served]
+        _, harvest, policy = np.random.SeedSequence(cfg.seed).spawn(3)
+        cell_children = policy.spawn(cfg.n_sbs)
+        children = [child.generate_state(4, np.uint64).tolist()
+                    for child in [cell_children[i] for i in served] + [harvest]]
         assert seeds == children
         book = rep.book
         assert not (book.idle_stored.flags.writeable or book.harvested.flags.writeable)
@@ -373,21 +376,6 @@ class TestRunHorizon:
                 assert res.energy_harvested.tobytes() == book.harvested[p].tobytes()
                 assert res.to_dict()["energy_harvested"] == book.sums[p]
 
-    def test_the_policy_seed_is_built_on_first_use(self):
-        # the record of `draw` builds it on first use, as `spawn` would make
-        # it; a run seeds its generators from words its chunk hashed, so no
-        # run builds it
-        cfg = ScenarioConfig(seed=SEED_TWO_USED)
-        rep = Replication.draw(cfg, cfg.seed)
-        for policy in ("doa", "fixed:7", "threshold:50"):
-            run_horizon(rep, make_policy(policy))
-        assert "policy_ss" not in vars(rep)
-        run_horizon(rep, make_policy("roa"))
-        assert "policy_ss" not in vars(rep)
-        want = np.random.SeedSequence(cfg.seed).spawn(3)[2]
-        assert rep.policy_ss.spawn_key == want.spawn_key
-        assert rep.policy_ss.generate_state(4).tolist() == want.generate_state(4).tolist()
-
     def test_records_of_one_scenario_share_its_slot_grid(self):
         cfg = ScenarioConfig(sbs_tx_schedule=((2.5, dbm_to_watts(20.0)),))
         a, b = Replication.draw(cfg, 1), Replication.draw(cfg, 2)
@@ -397,9 +385,7 @@ class TestRunHorizon:
     def test_policy_generators_are_the_spawned_children(self):
         cfg = ScenarioConfig(seed=SEED_TWO_USED)
         rep = Replication.draw(cfg, cfg.seed)
-        ss = rep.policy_ss
-        children = np.random.SeedSequence(
-            ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size).spawn(cfg.n_sbs)
+        children = np.random.SeedSequence(cfg.seed).spawn(3)[2].spawn(cfg.n_sbs)
         rngs = rep.policy_rngs()
         served = [tag.sbs - 1 for tag in rep.tables[0].tags]
         assert [i for i, g in enumerate(rngs) if g is not None] == served
@@ -407,20 +393,27 @@ class TestRunHorizon:
             assert np.array_equal(rngs[i].random(4), np.random.default_rng(children[i]).random(4))
 
     @pytest.mark.parametrize("seed", [7, [7, 3]])
-    def test_replication_seeds_are_the_spawned_children(self, seed):
-        # built directly, each child equals the one a parent's spawn(3)
-        # makes, also below a spawned parent
-        nested = np.random.SeedSequence(seed).spawn(2)[1]
-        cases = [(seed, np.random.SeedSequence(seed).spawn(3)),
-                 (np.random.SeedSequence(seed), np.random.SeedSequence(seed).spawn(3)),
-                 (nested, np.random.SeedSequence(seed).spawn(2)[1].spawn(3))]
-        for parent, spawned in cases:
-            built = [engine._child(parent, i) for i in range(3)]
-            for got, want in zip(built, spawned, strict=True):
-                assert got.entropy == want.entropy
-                assert got.spawn_key == want.spawn_key
-                assert got.pool_size == want.pool_size
-                assert got.generate_state(4).tolist() == want.generate_state(4).tolist()
+    def test_replication_seeds_are_the_spawned_children(self, seed, monkeypatch):
+        # every stream of a drawn record is seeded through `_generator`, from
+        # the words of its spawned child: the topology's and the harvest's,
+        # then each served cell's child of the policies'
+        cfg = ScenarioConfig(n_sbs=8, n_ue=120, sbs_max_users=30)  # two served cells
+        seeded, real_generator = [], engine._generator
+
+        def counting_generator(words):
+            seeded.append(words)
+            return real_generator(words)
+
+        monkeypatch.setattr(engine, "_generator", counting_generator)
+        rep = Replication.draw(cfg, seed)
+        rep.book
+        rngs = rep.policy_rngs()
+        topo, harvest, policy = np.random.SeedSequence(seed).spawn(3)
+        cells = rep.plan.cells
+        assert len(cells) == 2 and [i for i, g in enumerate(rngs) if g is not None] == cells
+        cell_children = policy.spawn(cfg.n_sbs)
+        children = [topo, harvest] + [cell_children[i] for i in cells]
+        assert seeded == [c.generate_state(4, np.uint64).tolist() for c in children]
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**128 + 1])
     def test_a_seed_stack_seeds_as_numpy_does(self, seed):
@@ -441,6 +434,26 @@ class TestRunHorizon:
                     for draw in (lambda g: g.random(5), lambda g: g.poisson(3.0, 5),
                                  lambda g: g.uniform(2.0, 7.0, 5)):
                         assert draw(got).tobytes() == draw(want).tobytes()
+
+    @pytest.mark.parametrize("lead", [5, [5, 2**32 + 7]])
+    def test_a_rows_streams_held_at_once_draw_as_numpys(self, lead):
+        # each call makes a fresh generator: a row's topology and harvest
+        # streams, held at once and drawn in turn, each draw what numpy's
+        # children of the row's seed draw
+        attempts = [(0, 0), (0, 1)]
+        stack = SeedStack(lead, attempts)
+        for i, a in enumerate(attempts):
+            got = {name: stack.rng(i, name) for name in ("topo", "harvest")}
+            assert got["topo"] is not got["harvest"]
+            entropy = [*(lead if isinstance(lead, list) else [lead]), *a]
+            topo, harvest, _ = np.random.SeedSequence(entropy).spawn(3)
+            want = {"topo": np.random.default_rng(topo),
+                    "harvest": np.random.default_rng(harvest)}
+            for _ in range(3):
+                for name in ("topo", "harvest"):
+                    assert got[name].random(4).tobytes() == want[name].random(4).tobytes()
+                    assert (got[name].poisson(2.0, 3).tobytes()
+                            == want[name].poisson(2.0, 3).tobytes())
 
     def test_run_period_on_a_record_takes_its_own_trace(self):
         cfg = ScenarioConfig(seed=SEED_TWO_USED)
@@ -602,10 +615,10 @@ class TestIdleRecord:
         monkeypatch.setattr(pricing.OnSetTable, "__getitem__", lambda *a: calls.append("entry"))
         monkeypatch.setattr(RoaPolicy, "reset", lambda *a: calls.append("reset"))
         monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append("rng"))
+        # nor is a policy generator seeded
+        monkeypatch.setattr(Replication, "policy_rngs", lambda *a: calls.append("policy_rngs"))
         results = run_horizon(rep, RoaPolicy())
         assert len(results) == self.CFG.horizon_periods and calls == []
-        # nor is the policies' seed built
-        assert "policy_ss" not in vars(rep)
 
     def test_a_traced_run_still_writes_every_slot(self):
         rep = self.draw()
@@ -721,7 +734,7 @@ class TestCostOverflow:
         # each of 4 served cells' rent is finite, and their sum is not
         cfg = ScenarioConfig(n_sbs=16, n_ue=80, area=(2000.0, 2000.0), seed=1,
                              initial_energy=100.0, alpha_p=1e306)
-        rep = Replication.draw(cfg, np.random.SeedSequence([1, 0, 0]))
+        rep = Replication.draw(cfg, [1, 0, 0])
         rents = [tag.rent * cfg.period for tag in rep.tables[0].tags]
         assert len(rents) == 4 and all(map(math.isfinite, rents))
         with np.errstate(over="ignore"):

@@ -340,7 +340,7 @@ class TestAssociation:
             state = associate(sigma, topo)
             seen = np.zeros(topo.n_ue, dtype=int)
             for j in range(topo.n_bs):
-                members = state.members(j)
+                members = np.flatnonzero(state.serving == j)
                 if members.size:
                     assert sigma[j]
                 seen[members] += 1

@@ -291,7 +291,7 @@ def test_recorded_study_grids_match_reference():
         n_steps, checked, attempt = cfg.n_steps, 0, 0
         while checked < wanted:
             attempt += 1
-            rep = Replication.draw(cfg, np.random.SeedSequence([cfg.seed, attempt]))
+            rep = Replication.draw(cfg, [cfg.seed, attempt])
             trace, table = rep.harvest[0], rep.tables[0]
             tables = table_subsets(table)
             if tables.used.size < n_sbs:

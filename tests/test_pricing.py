@@ -112,7 +112,7 @@ class TestRentPrice:
         rates = ue_rates(state, topo)
         assert rents[0] == 0.0
         for j in range(1, topo.n_bs):
-            phi = sum(1e5 / rates[i] for i in state.members(j))
+            phi = sum(1e5 / rates[i] for i in np.flatnonzero(state.serving == j))
             psi = cell_power(topo.bs[j], state.n_members(j), 0.9)
             assert rents[j] == pytest.approx(
                 w.alpha_d * phi + w.alpha_p * psi, rel=1e-12
@@ -139,7 +139,7 @@ class TestMacroShares:
                 warnings.simplefilter("ignore")
                 tags = OnSetTable(topo, w, 0.9, 1e5, 10.0).tags
             for tag in tags:
-                members = state.members(tag.sbs)
+                members = np.flatnonzero(state.serving == tag.sbs)
                 sizes.add(members.size)
                 phi = mbs_delay_share(members, topo, 1e5)
                 per_ue_bw = topo.bs[0].bandwidth / topo.n_ue
@@ -294,7 +294,7 @@ class TestFreezePrices:
         tags = OnSetTable(topo, w, 0.9, 1e5, 10.0).tags
         assert tags
         for tag in tags:
-            members = state.members(tag.sbs)
+            members = np.flatnonzero(state.serving == tag.sbs)
             assert members.size > 0
             phi = mbs_delay_share(members, topo, 1e5)
             psi = cell_power(topo.bs[0], members.size, 0.9)

@@ -37,8 +37,7 @@ def run_one_cell(policy, initial, harvest):
     trace = np.zeros((cfg.n_steps, 1))
     trace[:len(harvest), 0] = harvest
     trace.flags.writeable = False
-    rep = Replication(cfg, topo, tuple(epoch_tables(cfg, topo)), (trace,),
-                      np.random.SeedSequence(0))
+    rep = Replication(cfg, topo, tuple(epoch_tables(cfg, topo)), (trace,), 0)
     (res,) = run_horizon(rep, policy)
     assert res.used[0]
     return res

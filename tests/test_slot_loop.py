@@ -67,7 +67,7 @@ def reference_run_period(cfg, topo, energy, policy, policy_rngs, trace,
     # a served cell's buy price: a share of its UEs' worst-case MBS cost
     buy_prices = np.zeros(n_sbs)
     for i in np.flatnonzero(used):
-        members = all_on.state.members(i + 1)
+        members = np.flatnonzero(all_on.state.serving == i + 1)
         mbs = topo.bs[0]
         snr = mbs.tx_power * topo.gain[members, 0] / topo.noise_power
         phi = float(np.sum(file_bits / (mbs.bandwidth / topo.n_ue * np.log2(1.0 + snr))))
@@ -359,8 +359,7 @@ def check_slot_loop(
         harvest_rate * cfg.dt, size=(cfg.n_steps, n_sbs)) for _ in range(2))
     if negative_zero:  # every zero arrival is -0.0
         traces = tuple(np.where(trace == 0.0, -0.0, trace) for trace in traces)
-    record = Replication(cfg, topo, tuple(epoch_tables(cfg, topo)), traces,
-                         np.random.SeedSequence(seed))
+    record = Replication(cfg, topo, tuple(epoch_tables(cfg, topo)), traces, seed)
     # the engine traced, the engine untraced (which may finish in closed
     # form), the engine untraced on the record, and the reference
     states = [EnergyState.fresh(n_sbs, e0, cfg.capacity) for _ in range(4)]
@@ -423,8 +422,7 @@ def test_period_without_served_cells_matches_reference(traced):
         if negative_zero:
             for trace in traces:
                 trace[:, 0] = -0.0
-            record = Replication(cfg, topo, tuple(epoch_tables(cfg, topo)), traces,
-                                 np.random.SeedSequence(0))
+            record = Replication(cfg, topo, tuple(epoch_tables(cfg, topo)), traces, 0)
         states = [EnergyState.fresh(cfg.n_sbs, 90.0, cfg.capacity) for _ in range(2)]
         rngs = [np.random.default_rng([0, j]) for j in range(cfg.n_sbs)]
         for period, trace in enumerate(traces):

@@ -52,8 +52,7 @@ def one_cell_tables(cfg, gain):
 def record(cfg, tables, s, seed=0):
     """A record of `cfg` on `tables` whose cell starts with s J."""
     cfg = replace(cfg, initial_energy=float(s))
-    return Replication(cfg, tables[0].topo, tables, (ZERO_HARVEST,),
-                       np.random.SeedSequence(seed))
+    return Replication(cfg, tables[0].topo, tables, (ZERO_HARVEST,), seed)
 
 
 def run(rep, policy):
